@@ -27,7 +27,6 @@ from .errors import (
     InvalidArgument,
     MultipleFreeVariables,
     NoIsomorphism,
-    NoMinimum,
     NotAtomic,
     NotConormal,
     NotDistributive,
@@ -59,7 +58,6 @@ __all__ = [
     "InvalidArgument",
     "MultipleFreeVariables",
     "NoIsomorphism",
-    "NoMinimum",
     "NotAtomic",
     "NotConormal",
     "NotDistributive",

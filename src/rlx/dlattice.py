@@ -86,29 +86,6 @@ def lattice_filters(L):
     return tuple(sorted(out, key=lambda F: (len(F), sorted(F))))
 
 
-def lattice_is_filter(L, subset):
-    if L.top not in subset:
-        return False
-    for a in subset:
-        for b in L.elements():
-            if L.leq[a][b] and b not in subset:
-                return False
-        for b in subset:
-            if L.meet[a][b] not in subset:
-                return False
-    return True
-
-
-def lattice_filter_join(L, F, G):
-    """[F u G) in a lattice: up-closure of pairwise meets."""
-    out = set()
-    for a in F:
-        for b in G:
-            m = L.meet[a][b]
-            out.update(y for y in L.elements() if L.leq[m][y])
-    return frozenset(out)
-
-
 def lattice_prime_filters(L):
     out = []
     for F in lattice_filters(L):

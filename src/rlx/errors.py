@@ -34,10 +34,6 @@ class SizeCapExceeded(RlxError):
     pass
 
 
-class NoMinimum(RlxError):
-    """A filter has several minimal elements, hence no minimum."""
-
-
 class NotGelfand(RlxError):
     """Raised when a retraction is requested for a non-Gelfand algebra."""
 

@@ -1,33 +1,51 @@
-"""Filters, spectra as filter sets, radicals, and quotient algebras."""
+"""Filters, spectra as filter sets, radicals, and quotient algebras.
+
+On a finite algebra every filter is the up-set of its least element, an
+idempotent: F = [e) = {x : e <= x}.  That generator `gen` is what the
+filter operations compute with:
+
+    [X)     = up-set of the product of the stationary powers x^n, x in X
+    F v G   = up-set of gen(F) * gen(G)
+    F ^ G   = up-set of gen(F) | gen(G)
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .core import ResiduatedLattice, validate
-from .errors import AxiomViolation, NoMinimum
-
-# Filters are frozensets of element ids; a Filter object pairs one with its
-# algebra so serialization and sanity checks stay close to the data.
+from .errors import AxiomViolation
 
 
 @dataclass(frozen=True)
 class Filter:
+    """A filter of a finite algebra, given by its member set.
+
+    The check is linear: the members contain top, their meet `gen` is a
+    member and idempotent, and they are exactly the up-set of `gen`.  On a
+    finite algebra that is the filter condition.
+    """
+
     algebra: ResiduatedLattice
     members: frozenset
+    gen: int = field(init=False, compare=False)
 
     def __post_init__(self):
         A, F = self.algebra, self.members
         if A.top not in F:
             raise AxiomViolation("filter-top", ())
+        m = A.top
         for a in F:
-            for b in A.elements():
-                if A.leq[a][b] and b not in F:
-                    raise AxiomViolation("filter-up-closed", (a, b))
-            for b in F:
-                if A.odot[a][b] not in F:
-                    raise AxiomViolation("filter-odot-closed", (a, b))
+            m = A.meet[m][a]
+        if m not in F:
+            raise AxiomViolation("filter-meet-closed", (m,))
+        if A.odot[m][m] != m:
+            raise AxiomViolation("filter-odot-closed", (m, m))
+        for b in A.elements():
+            if A.leq[m][b] and b not in F:
+                raise AxiomViolation("filter-up-closed", (m, b))
+        object.__setattr__(self, "gen", m)
 
     @property
     def proper(self):
@@ -40,7 +58,7 @@ class Filter:
         return len(self.members)
 
     def __le__(self, other):
-        return self.members <= other.members
+        return self.algebra.leq[other.gen][self.gen]
 
     def sorted_members(self):
         return sorted(self.members)
@@ -50,38 +68,21 @@ class Filter:
         return "{" + ",".join(labels[x] for x in self.sorted_members()) + "}"
 
 
-def is_filter_subset(A, subset):
-    """Predicate form used by the all-subsets test oracle."""
-    if A.top not in subset:
-        return False
-    for a in subset:
-        for b in A.elements():
-            if A.leq[a][b] and b not in subset:
-                return False
-        for b in subset:
-            if A.odot[a][b] not in subset:
-                return False
-    return True
+@lru_cache(maxsize=None)
+def _upsets(A):
+    """The filter [e) for every idempotent e (None elsewhere), built once."""
+    return tuple(
+        Filter(A, frozenset(x for x in A.elements() if A.leq[e][x]))
+        if A.odot[e][e] == e else None
+        for e in A.elements())
 
 
 def generated_filter(A, xs):
     """Least filter containing xs; the empty set generates {top}."""
-    current = set(xs)
-    current.add(A.top)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(current):
-            for b in A.elements():
-                if A.leq[a][b] and b not in current:
-                    current.add(b)
-                    changed = True
-            for b in list(current):
-                c = A.odot[a][b]
-                if c not in current:
-                    current.add(c)
-                    changed = True
-    return Filter(A, frozenset(current))
+    e = A.top
+    for x in xs:
+        e = A.odot[e][A.power_limit(x)]
+    return _upsets(A)[e]
 
 
 def principal_filter(A, x):
@@ -92,32 +93,30 @@ def principal_filter(A, x):
 def all_filters(A):
     """Every filter of A, deterministically ordered by (size, members).
 
-    On a finite algebra every filter is principal, so the principal filters
-    of all elements, deduplicated, are complete; the naive all-subsets scan
-    stays around as a test oracle.
+    On a finite algebra the filters are exactly the up-sets of the
+    idempotents; the tests check this against a scan of all subsets with
+    the is_filter_subset oracle in tests/oracles.py.
     """
-    seen = {}
-    for x in A.elements():
-        F = principal_filter(A, x)
-        seen.setdefault(F.members, F)
-    out = sorted(seen.values(), key=lambda F: (len(F), F.sorted_members()))
-    return tuple(out)
+    out = [F for F in _upsets(A) if F is not None]
+    return tuple(sorted(out, key=lambda F: (len(F), F.sorted_members())))
 
 
 def filter_join(F, G):
-    return generated_filter(F.algebra, F.members | G.members)
+    A = F.algebra
+    return _upsets(A)[A.odot[F.gen][G.gen]]
 
 
 def filter_meet(F, G):
-    return Filter(F.algebra, F.members & G.members)
+    A = F.algebra
+    return _upsets(A)[A.join[F.gen][G.gen]]
 
 
 def trivial_filter(A):
-    return Filter(A, frozenset({A.top}))
+    return _upsets(A)[A.top]
 
 
 def improper_filter(A):
-    return Filter(A, frozenset(A.elements()))
+    return _upsets(A)[A.bot]
 
 
 def is_prime(F):
@@ -162,10 +161,10 @@ def max_spec(A):
 @lru_cache(maxsize=None)
 def radical(A):
     """Intersection of all maximal filters (the whole algebra if none)."""
-    members = frozenset(A.elements())
+    e = A.bot
     for M in max_spec(A):
-        members &= M.members
-    return Filter(A, members)
+        e = A.join[e][M.gen]
+    return _upsets(A)[e]
 
 
 def is_local(A):
@@ -178,20 +177,12 @@ def is_semilocal(A):
 
 
 def is_semisimple(A):
-    return radical(A).members == {A.top}
+    return radical(A).gen == A.top
 
 
 def min_generator(F):
-    """The minimum of F, asserted idempotent; NoMinimum when it fails to exist."""
-    A = F.algebra
-    minimal = [a for a in F.sorted_members()
-               if all(not A.leq[b][a] for b in F.members if b != a)]
-    if len(minimal) != 1:
-        raise NoMinimum(f"filter {F!r} has minimal elements {minimal}")
-    m = minimal[0]
-    assert A.odot[m][m] == m, "minimum of a filter must be idempotent"
-    assert principal_filter(A, m).members == F.members
-    return m
+    """The minimum of F: its idempotent generator."""
+    return F.gen
 
 
 @dataclass(frozen=True)
@@ -260,10 +251,4 @@ def quotient(A, F):
 
 def filter_image(Q: QuotientAlgebra, G: Filter):
     """Image of a filter G >= F in the quotient A/F."""
-    return Filter(Q.quotient, frozenset(Q.class_of[x] for x in G.members))
-
-
-def filter_preimage(Q: QuotientAlgebra, H: Filter):
-    members = frozenset(x for x in Q.parent.elements()
-                        if Q.class_of[x] in H.members)
-    return Filter(Q.parent, members)
+    return _upsets(Q.quotient)[Q.class_of[G.gen]]

@@ -161,8 +161,8 @@ def parse_filter(A, text):
 
 
 def print_filter(F):
-    labels = F.algebra.labels
-    return "{" + ",".join(labels[x] for x in F.sorted_members()) + "}"
+    """Label-list form '{c,1}', the inverse of parse_filter."""
+    return repr(F)
 
 
 def load_rlat(path):
@@ -178,8 +178,3 @@ def save_rlat(A, path):
 def load_blat(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_blat(fh.read())
-
-
-def save_blat(L, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(print_blat(L))

@@ -68,27 +68,15 @@ def build_reticulation(A):
     """Canonical construction: distinct principal filters under reverse
     inclusion, with lam(a) = [a).  All five axioms and distributivity are
     asserted on the result."""
-    principal = []
-    seen = {}
-    for a in A.elements():
-        F = principal_filter(A, a)
-        if F.members not in seen:
-            seen[F.members] = len(principal)
-            principal.append(F)
-    order = sorted(range(len(principal)),
-                   key=lambda i: (-len(principal[i].members),
-                                  principal[i].sorted_members()))
-    principal = [principal[i] for i in order]
-    index = {F.members: i for i, F in enumerate(principal)}
-    m = len(principal)
+    # on a finite algebra every filter is principal
+    principal = sorted(all_filters(A),
+                       key=lambda F: (-len(F), F.sorted_members()))
+    index = {F.gen: i for i, F in enumerate(principal)}
     # reverse inclusion: [a) <= [b) in L iff [a) includes [b)
-    leq = tuple(tuple(principal[j].members <= principal[i].members
-                      for j in range(m)) for i in range(m))
-    from .filters import min_generator
-
-    labels = tuple(f"[{A.labels[min_generator(F)]})" for F in principal)
+    leq = tuple(tuple(G <= F for G in principal) for F in principal)
+    labels = tuple(f"[{A.labels[F.gen]})" for F in principal)
     L = validate_bdl(labels, leq)
-    lam = tuple(index[principal_filter(A, a).members] for a in A.elements())
+    lam = tuple(index[principal_filter(A, a).gen] for a in A.elements())
     R = Reticulation(A, L, lam, tuple(principal))
     _assert_axioms(R)
     return R
@@ -123,8 +111,8 @@ def verify_retic_properties(R):
 
     # (2) kernel: lam(a) = lam(b) iff the principal filters coincide
     verdicts[2] = all(
-        (lam[a] == lam[b]) == (principal_filter(A, a).members
-                               == principal_filter(A, b).members)
+        (lam[a] == lam[b]) == (principal_filter(A, a).gen
+                               == principal_filter(A, b).gen)
         for a in A.elements() for b in A.elements())
 
     # (3) powers collapse
@@ -245,7 +233,7 @@ def kernel_quotient_reticulation(A):
     classes = []
     rep_of = {}
     for a in A.elements():
-        key = principal_filter(A, a).members
+        key = principal_filter(A, a).gen
         if key not in rep_of:
             rep_of[key] = len(classes)
             classes.append(a)
@@ -258,7 +246,7 @@ def kernel_quotient_reticulation(A):
                 for i in range(m))
     labels = tuple(f"[{A.labels[r]}]" for r in classes)
     L = validate_bdl(labels, leq)
-    lam = tuple(rep_of[principal_filter(A, a).members] for a in A.elements())
+    lam = tuple(rep_of[principal_filter(A, a).gen] for a in A.elements())
     filt = tuple(principal_filter(A, r) for r in classes)
     R = Reticulation(A, L, lam, filt)
     _assert_axioms(R)

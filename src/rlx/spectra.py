@@ -13,6 +13,7 @@ from .filters import (
     all_filters,
     filter_join,
     filter_meet,
+    improper_filter,
     max_spec,
     principal_filter,
     radical,
@@ -20,7 +21,8 @@ from .filters import (
 )
 
 # Opens are bitmasks over point indices; point order is the filter
-# enumeration order restricted to the space's points.
+# enumeration order restricted to the space's points.  A point contains
+# the filter [e) iff it contains e, so V(F) = v[gen(F)] and D = full & ~V.
 
 
 @dataclass(frozen=True)
@@ -29,17 +31,26 @@ class SpectrumSpace:
     kind: str  # "spec" | "max"
     points: tuple  # of Filter
     opens: tuple  # sorted bitmask family
-    basis: tuple  # of (element id, bitmask) for D(a) resp. d(a)
+    v: tuple  # element id -> bitmask of the points containing it
 
     @property
     def full(self):
         return (1 << len(self.points)) - 1
 
+    def d(self, a):
+        """The basic open D(a) resp. d(a): the points omitting a."""
+        return self.full & ~self.v[a]
+
+    @property
+    def basis(self):
+        """(element id, D(a)) for every element."""
+        return tuple((a, self.d(a)) for a in range(len(self.v)))
+
     def mask_of(self, filters):
-        idx = {F.members: i for i, F in enumerate(self.points)}
+        idx = {F.gen: i for i, F in enumerate(self.points)}
         m = 0
         for F in filters:
-            m |= 1 << idx[F.members]
+            m |= 1 << idx[F.gen]
         return m
 
     def closed_sets(self):
@@ -52,68 +63,47 @@ class SpectrumSpace:
         return (self.full & ~mask) in set(self.opens)
 
 
-def _d_mask(points, F):
-    m = 0
-    for i, P in enumerate(points):
-        if not F.members <= P.members:
-            m |= 1 << i
-    return m
-
-
-def _v_mask(points, F):
-    m = 0
-    for i, P in enumerate(points):
-        if F.members <= P.members:
-            m |= 1 << i
-    return m
-
-
 def _build(A, kind):
     points = spec(A) if kind == "spec" else max_spec(A)
-    filters = all_filters(A)
-    opens = sorted({_d_mask(points, F) for F in filters})
-    basis = tuple((a, _d_mask(points, principal_filter(A, a)))
-                  for a in A.elements())
-    space = SpectrumSpace(A, kind, points, tuple(opens), basis)
+    v = tuple(sum(1 << i for i, P in enumerate(points) if a in P)
+              for a in A.elements())
+    full = (1 << len(points)) - 1
+    opens = sorted({full & ~v[F.gen] for F in all_filters(A)})
+    space = SpectrumSpace(A, kind, points, tuple(opens), v)
     _assert_stone_identities(A, space)
     return space
 
 
 def _assert_stone_identities(A, space):
     """Defining identities of the V/D (v/d) operators on the fresh family."""
-    pts = space.points
+    pts, v = space.points, space.v
     filters = all_filters(A)
     full = space.full
+    # V(F) read off the generator is the set of points including F
     for F in filters:
-        assert _d_mask(pts, F) == full & ~_v_mask(pts, F)
+        assert v[F.gen] == sum(1 << i for i, P in enumerate(pts)
+                               if F.members <= P.members)
     for F in filters:
         for G in filters:
-            assert _v_mask(pts, filter_meet(F, G)) == \
-                _v_mask(pts, F) | _v_mask(pts, G)
-            assert _v_mask(pts, filter_join(F, G)) == \
-                _v_mask(pts, F) & _v_mask(pts, G)
+            assert v[filter_meet(F, G).gen] == v[F.gen] | v[G.gen]
+            assert v[filter_join(F, G).gen] == v[F.gen] & v[G.gen]
     for a in A.elements():
         for b in A.elements():
-            va = _v_mask(pts, principal_filter(A, a))
-            vb = _v_mask(pts, principal_filter(A, b))
-            vjoin = _v_mask(pts, principal_filter(A, A.join[a][b]))
-            vodot = _v_mask(pts, principal_filter(A, A.odot[a][b]))
-            vmeet = _v_mask(pts, principal_filter(A, A.meet[a][b]))
-            assert vjoin == va | vb
-            assert vodot == vmeet == va & vb
+            assert v[A.join[a][b]] == v[a] | v[b]
+            assert v[A.odot[a][b]] == v[A.meet[a][b]] == v[a] & v[b]
     # V(F) as the intersection of the V(a) over a in F
     for F in filters:
         acc = full
         for a in F.members:
-            acc &= _v_mask(pts, principal_filter(A, a))
-        assert acc == _v_mask(pts, F)
+            acc &= v[a]
+        assert acc == v[F.gen]
     # D injective on filters, reflecting inclusion (prime spectrum only)
     if space.kind == "spec":
         for F in filters:
             for G in filters:
-                dF, dG = _d_mask(pts, F), _d_mask(pts, G)
-                assert (dF == dG) == (F.members == G.members)
-                assert (dF & ~dG == 0) == (F.members <= G.members)
+                dF, dG = space.d(F.gen), space.d(G.gen)
+                assert (dF == dG) == (F.gen == G.gen)
+                assert (dF & ~dG == 0) == (F <= G)
 
 
 @lru_cache(maxsize=None)
@@ -136,7 +126,7 @@ def clopen_via_boolean(A, which):
     Spec always, and on Max under Gelfand or semisimplicity."""
     space = stone_spec(A) if which == "spec" else stone_max(A)
     B = classify(A).boolean_center
-    fam = {_d_mask(space.points, principal_filter(A, e)) for e in B}
+    fam = {space.d(e) for e in B}
     return tuple(sorted(fam))
 
 
@@ -242,7 +232,7 @@ def is_gelfand(A):
     """Every prime filter sits below exactly one maximal filter."""
     maxima = max_spec(A)
     for P in spec(A):
-        above = [M for M in maxima if P.members <= M.members]
+        above = [M for M in maxima if P <= M]
         if len(above) != 1:
             return False
     return True
@@ -268,33 +258,21 @@ def gelfand_conditions(A):
 
     # (1) the filter lattice is normal
     filters = all_filters(A)
-    leq = tuple(tuple(F.members <= G.members for G in filters)
-                for F in filters)
+    leq = tuple(tuple(F <= G for G in filters) for F in filters)
     filt_lattice = validate_bdl(tuple(repr(F) for F in filters), leq)
     out[1] = is_normal_lattice(filt_lattice)
 
     # (2) element form of the same statement on principal filters
-    improper = frozenset(A.elements())
-    cond2 = True
-    for x in A.elements():
-        for y in A.elements():
-            if filter_join(principal_filter(A, x),
-                           principal_filter(A, y)).members != improper:
-                continue
-            ok = any(
-                filter_meet(principal_filter(A, u),
-                            principal_filter(A, v)).members == {A.top}
-                and filter_join(principal_filter(A, u),
-                                principal_filter(A, x)).members == improper
-                and filter_join(principal_filter(A, v),
-                                principal_filter(A, y)).members == improper
-                for u in A.elements() for v in A.elements())
-            if not ok:
-                cond2 = False
-                break
-        if not cond2:
-            break
-    out[2] = cond2
+    pf = [principal_filter(A, a) for a in A.elements()]
+
+    def improper_join(x, y):
+        return filter_join(pf[x], pf[y]).gen == A.bot
+
+    out[2] = all(
+        any(filter_meet(pf[u], pf[v]).gen == A.top
+            and improper_join(u, x) and improper_join(v, y)
+            for u in A.elements() for v in A.elements())
+        for x in A.elements() for y in A.elements() if improper_join(x, y))
 
     # (8) Spec(A) is a normal space
     out[8] = topology_predicates(stone_spec(A))["normal"]
@@ -303,7 +281,7 @@ def gelfand_conditions(A):
     sp = stone_spec(A)
     cond10 = True
     for M in max_spec(A):
-        below = sp.mask_of([P for P in sp.points if P.members <= M.members])
+        below = sp.mask_of([P for P in sp.points if P <= M])
         if not sp.is_closed(below):
             cond10 = False
             break
@@ -312,11 +290,11 @@ def gelfand_conditions(A):
     # (12) M is the only maximal filter over the intersection of its primes
     cond12 = True
     for M in max_spec(A):
-        inter = frozenset(A.elements())
+        inter = improper_filter(A)
         for P in spec(A):
-            if P.members <= M.members:
-                inter &= P.members
-        over = [N for N in max_spec(A) if inter <= N.members]
+            if P <= M:
+                inter = filter_meet(inter, P)
+        over = [N for N in max_spec(A) if inter <= N]
         if over != [M]:
             cond12 = False
             break
@@ -362,7 +340,7 @@ def gelfand_retract(A):
     maxima = max_spec(A)
     rho = []
     for P in sp.points:
-        M = next(M for M in maxima if P.members <= M.members)
+        M = next(M for M in maxima if P <= M)
         rho.append(next(i for i, Q in enumerate(mx.points)
                         if Q.members == M.members))
     # identity on maximal points
@@ -391,7 +369,6 @@ def star_property(A):
     B = sorted(classify(A).boolean_center)
     rad = radical(A)
     mx = stone_max(A)
-    pts = mx.points
 
     witnesses = {}
     direct = True
@@ -401,7 +378,7 @@ def star_property(A):
         for u in sorted(rad.members):
             for e in B:
                 if filter_join(principal_filter(A, u),
-                               principal_filter(A, e)).members == fx.members:
+                               principal_filter(A, e)).gen == fx.gen:
                     found = (u, e)
                     break
             if found:
@@ -421,12 +398,10 @@ def star_property(A):
 
     via_spectral = True
     for a in A.elements():
-        va = _v_mask(pts, principal_filter(A, a))
-        da = mx.full & ~va
+        va, da = mx.v[a], mx.d(a)
         ok = False
         for e in B:
-            ve = _v_mask(pts, principal_filter(A, e))
-            de = mx.full & ~ve
+            ve, de = mx.v[e], mx.d(e)
             if va & ~de == 0 and da & ~ve == 0:
                 ok = True
                 break
@@ -436,14 +411,13 @@ def star_property(A):
 
     via_powers = True
     for a in A.elements():
-        va = _v_mask(pts, principal_filter(A, a))
+        va = mx.v[a]
         ok = False
         for e in B:
-            ve = _v_mask(pts, principal_filter(A, e))
-            de = mx.full & ~ve
+            ve, de = mx.v[e], mx.d(e)
             if va & ~de != 0:
                 continue
-            if all(_v_mask(pts, principal_filter(A, A.neg(A.power(a, k)))) & ~ve == 0
+            if all(mx.v[A.neg(A.power(a, k))] & ~ve == 0
                    for k in range(1, A.size + 1)):
                 ok = True
                 break
@@ -468,7 +442,7 @@ def star_star_property(A):
                 continue
             for e in B:
                 if filter_join(principal_filter(A, u),
-                               principal_filter(A, e)).members == fx.members:
+                               principal_filter(A, e)).gen == fx.gen:
                     found = (u, e)
                     break
             if found:

@@ -35,8 +35,6 @@ from .lifting import (
     boolean_splitting_conditions,
 )
 from .spectra import (
-    _d_mask,
-    _v_mask,
     gelfand_conditions,
     is_gelfand,
     star_property,
@@ -117,13 +115,11 @@ def check_factor_congruences(A):
     """Complementary filter pairs behave like product decompositions."""
     failures = []
     filters = all_filters(A)
-    trivial = frozenset({A.top})
-    improper = frozenset(A.elements())
     for F in filters:
         for G in filters:
-            if filter_meet(F, G).members != trivial:
+            if filter_meet(F, G).gen != A.top:
                 continue
-            if filter_join(F, G).members != improper:
+            if filter_join(F, G).gen != A.bot:
                 continue
             for phi in (blp_formula(), ilp_formula()):
                 whole = lp_report(A, phi).global_holds
@@ -147,7 +143,7 @@ def check_monotone_lifting(A):
         b_covers = {Q.class_of[e] for e in B} == all_classes
         i_covers = {Q.class_of[e] for e in idem} == all_classes
         for G in filters:
-            if not F.members <= G.members:
+            if not F <= G:
                 continue
             if b_covers:
                 ok_b, _ = has_phi_lp(A, blp_formula(), G)
@@ -203,7 +199,6 @@ def check_max_boolean_forms(A):
     blp = has_blp(A)
     B = sorted(classify(A).boolean_center)
     mx = stone_max(A)
-    pts = mx.points
     maxima = max_spec(A)
 
     # (2) distinct maximals split by a Boolean element and its negation
@@ -214,7 +209,7 @@ def check_max_boolean_forms(A):
                not any(e in N and A.neg(e) in M for e in B):
                 cond2 = False
     # (3) {d(e)} is a basis of Max(A)
-    basis = {_d_mask(pts, principal_filter(A, e)) for e in B}
+    basis = {mx.d(e) for e in B}
     cond3 = True
     for U in mx.opens:
         acc = 0
@@ -227,12 +222,10 @@ def check_max_boolean_forms(A):
     # (10') every a admits Boolean e with v(a) <= d(e), v(!a) <= v(e)
     cond10 = True
     for a in A.elements():
-        va = _v_mask(pts, principal_filter(A, a))
-        vna = _v_mask(pts, principal_filter(A, A.neg(a)))
+        va, vna = mx.v[a], mx.v[A.neg(a)]
         ok = False
         for e in B:
-            ve = _v_mask(pts, principal_filter(A, e))
-            de = mx.full & ~ve
+            ve, de = mx.v[e], mx.d(e)
             if va & ~de == 0 and vna & ~ve == 0:
                 ok = True
                 break
@@ -259,7 +252,6 @@ def check_star_forms(A):
     B = sorted(classify(A).boolean_center)
     rad = radical(A)
     mx = stone_max(A)
-    pts = mx.points
 
     cond2 = all(
         any(A.is_nilpotent(A.odot[a][e]) and A.join[a][e] in rad.members
@@ -267,18 +259,16 @@ def check_star_forms(A):
         for a in A.elements())
 
     def spectral(a, bounded):
-        va = _v_mask(pts, principal_filter(A, a))
-        da = mx.full & ~va
+        va, da = mx.v[a], mx.d(a)
         for e in B:
-            ve = _v_mask(pts, principal_filter(A, e))
-            de = mx.full & ~ve
+            ve, de = mx.v[e], mx.d(e)
             if va & ~de != 0:
                 continue
             if not bounded:
                 if da & ~ve == 0:
                     return True
             else:
-                if all(_v_mask(pts, principal_filter(A, A.neg(A.power(a, k)))) & ~ve == 0
+                if all(mx.v[A.neg(A.power(a, k))] & ~ve == 0
                        for k in range(1, A.size + 1)):
                     return True
         return False
@@ -420,18 +410,14 @@ def check_spectral_lemmas(A):
     out = []
     mx = stone_max(A)
     sp = stone_spec(A)
-    pts_m = mx.points
-    pts_s = sp.points
     B = sorted(classify(A).boolean_center)
     rad = radical(A)
 
     failures = []
     for a in A.elements():
         for e in B:
-            va = _v_mask(pts_m, principal_filter(A, a))
-            ve = _v_mask(pts_m, principal_filter(A, e))
-            de = mx.full & ~ve
-            da = mx.full & ~va
+            va, da = mx.v[a], mx.d(a)
+            ve, de = mx.v[e], mx.d(e)
             nilp_ne = A.is_nilpotent(A.odot[a][A.neg(e)])
             nilp_e = A.is_nilpotent(A.odot[a][e])
             if (va & ~ve == 0) != nilp_ne:
@@ -444,11 +430,10 @@ def check_spectral_lemmas(A):
 
     failures = []
     for a in A.elements():
-        da = mx.full & ~_v_mask(pts_m, principal_filter(A, a))
         union = 0
         for k in range(1, A.size + 1):
-            union |= _v_mask(pts_m, principal_filter(A, A.neg(A.power(a, k))))
-        if da != union:
+            union |= mx.v[A.neg(A.power(a, k))]
+        if mx.d(a) != union:
             failures.append(a)
     out.append(_forall("complement-as-power-union", failures))
 
@@ -460,8 +445,8 @@ def check_spectral_lemmas(A):
         closed = sp.full & ~U
         if max_mask & ~closed == 0:
             closure &= closed
-    vrad = _v_mask(pts_s, rad)
-    out.append(_equiv("max-closure-is-radical-locus", closure == vrad, True))
+    out.append(_equiv("max-closure-is-radical-locus",
+                      closure == sp.v[rad.gen], True))
     semisimple = rad.members == {A.top}
     out.append(_implies("semisimple-max-dense", semisimple,
                         closure == sp.full))
@@ -471,7 +456,7 @@ def check_spectral_lemmas(A):
     mxq = stone_max(Q.quotient)
     mapping = []
     ok = True
-    for M in pts_m:
+    for M in mx.points:
         img = filter_image(Q, M)
         try:
             mapping.append(next(i for i, N in enumerate(mxq.points)
@@ -480,7 +465,7 @@ def check_spectral_lemmas(A):
             ok = False
             break
     if ok:
-        ok = len(set(mapping)) == len(mxq.points) == len(pts_m)
+        ok = len(set(mapping)) == len(mxq.points) == len(mx.points)
     if ok:
         transported = set()
         for U in mx.opens:
@@ -495,13 +480,9 @@ def check_spectral_lemmas(A):
     # D(e) = V(!e) for Boolean e, on both spaces
     failures = []
     for e in B:
-        de = sp.full & ~_v_mask(pts_s, principal_filter(A, e))
-        vne = _v_mask(pts_s, principal_filter(A, A.neg(e)))
-        if de != vne:
+        if sp.d(e) != sp.v[A.neg(e)]:
             failures.append(e)
-        dem = mx.full & ~_v_mask(pts_m, principal_filter(A, e))
-        vnem = _v_mask(pts_m, principal_filter(A, A.neg(e)))
-        if dem != vnem:
+        if mx.d(e) != mx.v[A.neg(e)]:
             failures.append(e)
     out.append(_forall("boolean-open-closed-swap", failures))
 
@@ -525,16 +506,11 @@ def check_complementary_filter_lemma(A):
     failures = []
     filters = all_filters(A)
     B = classify(A).boolean_center
-    trivial = frozenset({A.top})
-    improper = frozenset(A.elements())
     for F in filters:
         for G in filters:
-            lhs = (filter_meet(F, G).members == trivial
-                   and filter_join(F, G).members == improper)
-            rhs = any(
-                F.members == principal_filter(A, e).members
-                and G.members == principal_filter(A, A.neg(e)).members
-                for e in B)
+            lhs = (filter_meet(F, G).gen == A.top
+                   and filter_join(F, G).gen == A.bot)
+            rhs = any(F.gen == e and G.gen == A.neg(e) for e in B)
             if lhs != rhs:
                 failures.append((repr(F), repr(G)))
     return [_forall("complementary-filter-pairs", failures)]

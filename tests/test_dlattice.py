@@ -8,7 +8,6 @@ from rlx.dlattice import (
     is_normal_lattice,
     lattice_blp,
     lattice_filters,
-    lattice_is_filter,
     lattice_max_filters,
     lattice_prime_filters,
     lattice_quotient,
@@ -19,6 +18,8 @@ from rlx.dlattice import (
 )
 from rlx.errors import NotConormal, NotDistributive
 from rlx.reticulation import build_reticulation
+
+from oracles import lattice_is_filter
 
 
 def chain(n):

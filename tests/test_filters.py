@@ -11,7 +11,6 @@ from rlx.filters import (
     filter_meet,
     generated_filter,
     improper_filter,
-    is_filter_subset,
     is_local,
     is_prime,
     is_semilocal,
@@ -25,6 +24,8 @@ from rlx.filters import (
     trivial_filter,
 )
 from rlx.iso import rl_isomorphic
+
+from oracles import fixed_point_filter, is_filter_subset
 
 
 def members_by_label(A, F):
@@ -41,6 +42,20 @@ def test_filter_invariants_enforced(E1):
         Filter(E1, frozenset({0}))  # no top
     with pytest.raises(AxiomViolation):
         Filter(E1, frozenset({1, 4}))  # not up-closed: misses c
+
+
+def test_filter_check_matches_definition(corpus4, E1, E2):
+    # the linear constructor check accepts exactly the subsets that are
+    # filters by definition, on every subset of every small algebra
+    for A in list(corpus4) + [E1, E2]:
+        for r in range(A.size + 1):
+            for combo in itertools.combinations(A.elements(), r):
+                s = frozenset(combo)
+                if is_filter_subset(A, s):
+                    assert Filter(A, s).members == s
+                else:
+                    with pytest.raises(AxiomViolation):
+                        Filter(A, s)
 
 
 def test_generated_filter_golden(E1, E2):
@@ -66,6 +81,14 @@ def test_generated_filter_matches_naive_fixpoint(corpus4):
                             if best is None or len(s) < len(best):
                                 best = s
                 assert got == best
+
+
+def test_generated_filter_matches_fixed_point_closure(corpus5, corpus6):
+    for A in list(corpus5) + list(corpus6):
+        for size in range(3):
+            for seed in itertools.combinations(A.elements(), size):
+                assert generated_filter(A, seed).members == \
+                    fixed_point_filter(A, seed)
 
 
 def test_all_filters_by_subset_scan(corpus4, E1):
@@ -235,7 +258,7 @@ def test_min_generator(E1, E2):
 
 def test_min_generator_total_on_finite_filters(corpus5):
     # finite filters are meet-closed, so the minimum always exists and is
-    # an idempotent generator; NoMinimum stays defensive
+    # an idempotent generator
     for A in corpus5:
         for F in all_filters(A):
             m = min_generator(F)
