@@ -8,8 +8,19 @@ over those and extend by joins.  Results are deduplicated by the
 minimum-lex canonical key and emitted in canonical-key order, so the
 output is deterministic and worker-partitionable.
 
+Per lattice order, the bounds, the join-irreducibles and the irreducibles
+below each element are computed once and shared by every completion.  The
+search is pruned on the unit law: when the top is join-reducible, every
+irreducible p needs an irreducible q >= p with p*q = p, and p is checked as
+soon as its pairs are assigned, so the subtrees cut are exactly those whose
+tables the full check would reject.  Every completed table still goes
+through that check and through ``validate``.
+
 A corpus cache lives under $RLX_CORPUS_DIR (or ~/.cache/rlx-corpus),
-keyed by size and generator version.
+keyed by size and generator version.  A cache file is used only if it
+parses into exactly ``KNOWN_COUNTS[n-1]`` valid algebras of size n;
+otherwise the size is regenerated.  Files are written to a temporary name
+and renamed into place.
 """
 
 from __future__ import annotations
@@ -17,14 +28,17 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import tempfile
 from pathlib import Path
 
 from .core import bounds_of, glb_table, lub_table, validate
-from .errors import AxiomViolation, NotResiduated, SizeCapExceeded
+from .errors import AxiomViolation, NotResiduated, RlxError, SizeCapExceeded
 from .iso import canonical_key
 
 SIZE_CAP = 7
 GENERATOR_VERSION = 2
+# number of isomorphism classes of each size 1..SIZE_CAP
+KNOWN_COUNTS = (1, 1, 2, 7, 26, 129, 723)
 
 
 def _lattice_orders(n):
@@ -87,11 +101,9 @@ def _join_irreducibles(leq, join):
     return out
 
 
-def _complete_from_irreducibles(leq, join, meet, irr, prod):
+def _complete_from_irreducibles(join, bot, below, prod):
     """Extend a product on irreducible pairs to the whole carrier by joins."""
-    n = len(leq)
-    bot, top = bounds_of(leq)
-    below = [[p for p in irr if leq[p][x]] for x in range(n)]
+    n = len(join)
     table = [[None] * n for _ in range(n)]
     for x in range(n):
         for y in range(x, n):
@@ -108,12 +120,23 @@ def _products_on_lattice(leq, join, meet):
     """All residuated products for one lattice order; unvalidated tables."""
     n = len(leq)
     bot, top = bounds_of(leq)
-    irr = [x for x in _join_irreducibles(leq, join) if x != top]
+    irr_all = _join_irreducibles(leq, join)
+    below = [[p for p in irr_all if leq[p][x]] for x in range(n)]
+    irr = [x for x in irr_all if x != top]
     # top acts as unit on irreducibles automatically via extension only if
     # top is join-reducible; when top is irreducible we must pin its pairs.
-    irr_all = _join_irreducibles(leq, join)
     pin_top = top in irr_all
     free = [(p, q) for i, p in enumerate(irr) for q in irr[i:]]
+    # With top reducible, a*1 = a for all a iff each irreducible p has an
+    # irreducible q >= p with p*q = p: p is join-irreducible and every
+    # p*q <= p meet q.  Those pairs lie in p's block of `free` (ids are a
+    # linear extension), so p is checked once its block is assigned.
+    unit_check = {}
+    if not pin_top:
+        k = 0
+        for i, p in enumerate(irr):
+            k += len(irr) - i
+            unit_check[k] = (p, irr[i:])
 
     results = []
     prod = {}
@@ -139,8 +162,12 @@ def _products_on_lattice(leq, join, meet):
         return True
 
     def backtrack(k):
+        if k in unit_check:
+            p, above = unit_check[k]
+            if all(prod[(p, q)] != p for q in above):
+                return
         if k == len(free):
-            table = _complete_from_irreducibles(leq, join, meet, irr_all, prod)
+            table = _complete_from_irreducibles(join, bot, below, prod)
             if _table_ok(leq, join, meet, table, top):
                 results.append(table)
             return
@@ -220,6 +247,38 @@ def _from_json(obj):
     return validate(tuple(obj["labels"]), leq, odot)
 
 
+def _load_cache(path, n):
+    """The cached algebras of size n, or None if the file is missing or wrong."""
+    try:
+        data = json.loads(path.read_text())
+        if not isinstance(data, list):
+            return None
+        algebras = [_from_json(o) for o in data]
+    except (OSError, ValueError, KeyError, TypeError, IndexError, RlxError):
+        return None
+    if len(algebras) != KNOWN_COUNTS[n - 1] or any(A.size != n for A in algebras):
+        return None
+    return algebras
+
+
+def _write_cache(path, algebras):
+    """Write through a temporary file, so readers never see a partial file."""
+    text = json.dumps([_to_json(A) for A in algebras])
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(text)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError:
+        pass  # an unwritable cache only means regenerating next time
+
+
 def enumerate_algebras(n, emit=None, use_cache=True):
     """Emit every residuated lattice on n elements once up to isomorphism.
 
@@ -227,22 +286,12 @@ def enumerate_algebras(n, emit=None, use_cache=True):
     """
     if not 1 <= n <= SIZE_CAP:
         raise SizeCapExceeded(f"size {n} outside 1..{SIZE_CAP}")
-    algebras = None
     path = _cache_path(n)
-    if use_cache and path.exists():
-        try:
-            data = json.loads(path.read_text())
-            algebras = [_from_json(o) for o in data]
-        except (ValueError, KeyError, AxiomViolation):
-            algebras = None
+    algebras = _load_cache(path, n) if use_cache else None
     if algebras is None:
         algebras = _generate(n)
         if use_cache:
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(json.dumps([_to_json(A) for A in algebras]))
-            except OSError:
-                pass
+            _write_cache(path, algebras)
     for A in algebras:
         if emit is not None:
             emit(A)
@@ -262,35 +311,3 @@ def corpus(max_size, use_cache=True):
     for n in range(1, max_size + 1):
         out.extend(all_algebras(n, use_cache=use_cache))
     return out
-
-
-def slow_enumerate(n):
-    """Independent slow oracle: scan all commutative unital tables.
-
-    Enumerates every lattice order, then every commutative table with the
-    top as unit, keeps those whose residuum exists and passes full
-    validation, and deduplicates up to isomorphism.  Exponential; intended
-    for cross-checking the fast generator at n <= 4 only.
-    """
-    found = {}
-    for leq, join, meet in _lattice_orders(n):
-        top = n - 1
-        cells = [(i, j) for i in range(n - 1) for j in range(i, n - 1)]
-        for values in itertools.product(range(n), repeat=len(cells)):
-            table = [[None] * n for _ in range(n)]
-            for a in range(n):
-                table[a][top] = a
-                table[top][a] = a
-            for (i, j), v in zip(cells, values):
-                table[i][j] = v
-                table[j][i] = v
-            odot = tuple(tuple(row) for row in table)
-            labels = tuple(f"e{i}" for i in range(n))
-            try:
-                A = validate(labels, leq, odot)
-            except (AxiomViolation, NotResiduated):
-                continue
-            key = canonical_key(A)
-            if key not in found:
-                found[key] = A
-    return [found[k] for k in sorted(found)]

@@ -3,6 +3,15 @@
 Structures are given by a partial order plus a list of n x n operation
 tables.  Sizes stay tiny (<= 64), so backtracking with cheap local
 invariants is plenty.
+
+The canonical key of a residuated lattice is the least encoding
+``leq + odot`` (flattened row by row) over the relabelings that fix bot and
+top.  The ``leq`` part has fixed length n*n, so the least key is the least
+relabeled order followed by the least relabeled product over only the
+relabelings that reach that order.  Those order minimizers form one coset
+of the order's automorphism group; they are found once per order and
+cached, so each algebra scans only that many relabelings instead of all
+(n-2)!.
 """
 
 from __future__ import annotations
@@ -31,12 +40,6 @@ def permute_table(table, perm):
     return tuple(tuple(row) for row in out)
 
 
-def encode(leq, odot):
-    bits = tuple(v for row in leq for v in row)
-    vals = tuple(v for row in odot for v in row)
-    return bits + vals
-
-
 def _mid_perms(n, bot, top):
     mids = [x for x in range(n) if x not in (bot, top)]
     for images in itertools.permutations(mids):
@@ -46,27 +49,48 @@ def _mid_perms(n, bot, top):
         yield tuple(perm)
 
 
+def _flat(table):
+    return tuple(v for row in table for v in row)
+
+
+@lru_cache(maxsize=None)
+def _order_minimizers(leq, bot, top):
+    """Least relabeled order encoding, and every relabeling reaching it.
+
+    Relabelings fix bot and top and are listed in ``_mid_perms`` order.
+    """
+    best, perms = None, []
+    for perm in _mid_perms(len(leq), bot, top):
+        bits = _flat(permute_relation(leq, perm))
+        if best is None or bits < best:
+            best, perms = bits, [perm]
+        elif bits == best:
+            perms.append(perm)
+    return best, tuple(perms)
+
+
+def _canonical_perm(A):
+    """(key, perm): the canonical key and the first relabeling reaching it."""
+    bits, perms = _order_minimizers(A.leq, A.bot, A.top)
+    best = best_perm = None
+    for perm in perms:
+        vals = _flat(permute_table(A.odot, perm))
+        if best is None or vals < best:
+            best, best_perm = vals, perm
+    return bits + best, best_perm
+
+
 @lru_cache(maxsize=None)
 def canonical_key(A):
     """Minimum-lex encoding of (leq, odot) over relabelings fixing bot/top."""
-    best = None
-    for perm in _mid_perms(A.size, A.bot, A.top):
-        key = encode(permute_relation(A.leq, perm), permute_table(A.odot, perm))
-        if best is None or key < best:
-            best = key
-    return best
+    return _canonical_perm(A)[0]
 
 
 def canonicalize(A):
     """Relabel A into its canonical form (labels become e0..e{n-1})."""
-    best = None
-    best_perm = None
-    for perm in _mid_perms(A.size, A.bot, A.top):
-        key = encode(permute_relation(A.leq, perm), permute_table(A.odot, perm))
-        if best is None or key < best:
-            best, best_perm = key, perm
-    leq = permute_relation(A.leq, best_perm)
-    odot = permute_table(A.odot, best_perm)
+    perm = _canonical_perm(A)[1]
+    leq = permute_relation(A.leq, perm)
+    odot = permute_table(A.odot, perm)
     labels = tuple(f"e{i}" for i in range(A.size))
     return validate(labels, leq, odot)
 

@@ -4,6 +4,13 @@ Each one follows the textbook definition element by element, so the fast
 closed forms in the library can be checked against it.
 """
 
+import itertools
+
+from rlx.core import validate
+from rlx.enumeration import _lattice_orders
+from rlx.errors import AxiomViolation, NotResiduated
+from rlx.iso import _mid_perms, permute_relation, permute_table
+
 
 def is_filter_subset(A, subset):
     """Contains top, up-closed and closed under odot."""
@@ -52,3 +59,52 @@ def fixed_point_filter(A, xs):
                     current.add(c)
                     changed = True
     return frozenset(current)
+
+
+def brute_relabeling(A):
+    """(key, perm): the least flattened (leq, odot) encoding over every
+    relabeling fixing bot and top, and the first relabeling reaching it."""
+    best = best_perm = None
+    for perm in _mid_perms(A.size, A.bot, A.top):
+        leq = permute_relation(A.leq, perm)
+        odot = permute_table(A.odot, perm)
+        key = tuple(v for row in leq for v in row) + tuple(v for row in odot for v in row)
+        if best is None or key < best:
+            best, best_perm = key, perm
+    return best, best_perm
+
+
+def brute_canonical_key(A):
+    return brute_relabeling(A)[0]
+
+
+def slow_enumerate(n):
+    """Scan all commutative unital tables.
+
+    Enumerates every lattice order, then every commutative table with the
+    top as unit, keeps those whose residuum exists and passes full
+    validation, and deduplicates up to isomorphism.  Exponential; intended
+    for cross-checking the fast generator at n <= 4 only.
+    """
+    found = {}
+    for leq, join, meet in _lattice_orders(n):
+        top = n - 1
+        cells = [(i, j) for i in range(n - 1) for j in range(i, n - 1)]
+        for values in itertools.product(range(n), repeat=len(cells)):
+            table = [[None] * n for _ in range(n)]
+            for a in range(n):
+                table[a][top] = a
+                table[top][a] = a
+            for (i, j), v in zip(cells, values):
+                table[i][j] = v
+                table[j][i] = v
+            odot = tuple(tuple(row) for row in table)
+            labels = tuple(f"e{i}" for i in range(n))
+            try:
+                A = validate(labels, leq, odot)
+            except (AxiomViolation, NotResiduated):
+                continue
+            key = brute_canonical_key(A)
+            if key not in found:
+                found[key] = A
+    return [found[k] for k in sorted(found)]

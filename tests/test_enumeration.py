@@ -1,14 +1,38 @@
-import pytest
+import hashlib
+import json
 
-from rlx.core import boolean_algebra, classify
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rlx.core import boolean_algebra, classify, validate
 from rlx.enumeration import (
+    GENERATOR_VERSION,
     SIZE_CAP,
     all_algebras,
     enumerate_algebras,
-    slow_enumerate,
 )
 from rlx.errors import SizeCapExceeded
-from rlx.iso import canonical_key, canonicalize, rl_isomorphic
+from rlx.iso import (
+    canonical_key,
+    canonicalize,
+    permute_relation,
+    permute_table,
+    rl_isomorphic,
+)
+
+from oracles import brute_canonical_key, brute_relabeling, slow_enumerate
+
+# SHA-256 of repr([(A.labels, A.leq, A.odot) for A in all_algebras(n,
+# use_cache=False)]) for n = 1..6, recorded at commit 622935e, before the
+# unit-law prune and the order-minimizer canonical key.
+GENERATOR_DIGESTS = {
+    1: "1e22d4f16c07e33b46cd876e29ce0303860fda9e947647f621fb00391ba6c2e5",
+    2: "2fb1ffdaac1871a56b2abffe333c8d11fcd7310a91f4e2be7fc89a796469b799",
+    3: "d2550c53ffa180d7f6ded678dcb511f2d479c1c12fc22fbab14c24b2cf55d6cd",
+    4: "2f9687fb3ae005636eb64de0a58e8aea1be4ea89b1799a38d79d31ef5998204a",
+    5: "e5c7945c19b7f970e591bc7f064f9808724b277873cf4f529b48cab04a695664",
+    6: "60f693ab96367e3370cf98c19c7b1c09159c6711a33ba52106da578d801e952e",
+}
 
 
 def test_size_one_single_trivial():
@@ -30,7 +54,17 @@ def test_size_three_two_chains():
 
 
 def test_known_counts():
-    assert [len(all_algebras(n)) for n in range(1, 6)] == [1, 1, 2, 7, 26]
+    assert [len(all_algebras(n)) for n in range(1, 7)] == [1, 1, 2, 7, 26, 129]
+
+
+@pytest.mark.parametrize("n", sorted(GENERATOR_DIGESTS))
+def test_generator_output_pinned(n):
+    """The generator's exact output (representatives, labelings, order) is
+    the one recorded at commit 622935e, before the unit-law prune and the
+    order-minimizer canonical key."""
+    algs = all_algebras(n, use_cache=False)
+    text = repr([(A.labels, A.leq, A.odot) for A in algs])
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_DIGESTS[n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -85,3 +119,66 @@ def test_enumerated_algebras_are_valid(corpus5):
 
     for A in corpus5:
         assert validate(A.labels, A.leq, A.odot, A.imp) == A
+
+
+def _same_tables(A, leq, odot):
+    return A.leq == leq and A.odot == odot
+
+
+def test_canonical_key_matches_brute_force(corpus5, corpus6):
+    for A in corpus5 + corpus6:
+        key, perm = brute_relabeling(A)
+        assert canonical_key(A) == key
+        C = canonicalize(A)
+        assert _same_tables(C, permute_relation(A.leq, perm),
+                            permute_table(A.odot, perm))
+
+
+def _relabeled(A, perm):
+    labels = tuple(f"x{i}" for i in range(A.size))
+    return validate(labels, permute_relation(A.leq, perm), permute_table(A.odot, perm))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_canonical_key_of_random_relabeling(corpus5, data):
+    A = data.draw(st.sampled_from(corpus5))
+    # the key is invariant under relabelings that fix bot and top
+    mids = [x for x in A.elements() if x not in (A.bot, A.top)]
+    perm = list(range(A.size))
+    for src, dst in zip(mids, data.draw(st.permutations(mids))):
+        perm[src] = dst
+    B = _relabeled(A, perm)
+    assert canonical_key(B) == brute_canonical_key(B) == canonical_key(A)
+    assert canonicalize(B) == canonicalize(A)
+    # and agrees with brute force under any relabeling
+    D = _relabeled(A, data.draw(st.permutations(range(A.size))))
+    key, best = brute_relabeling(D)
+    assert canonical_key(D) == key
+    assert _same_tables(canonicalize(D), permute_relation(D.leq, best),
+                        permute_table(D.odot, best))
+
+
+BAD_CACHES = {
+    "empty-list": lambda good: "[]",
+    "empty-object": lambda good: "{}",
+    "size-one-algebra":
+        lambda good: '[{"labels": ["e0"], "leq": [[1]], "odot": [[0]]}]',
+    "not-an-algebra": lambda good: "[1]",
+    "missing-algebra": lambda good: json.dumps(json.loads(good)[:1]),
+    "truncated": lambda good: good[:len(good) // 2],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CACHES))
+def test_bad_cache_is_regenerated(case, tmp_path, monkeypatch):
+    monkeypatch.setenv("RLX_CORPUS_DIR", str(tmp_path))
+    path = tmp_path / f"v{GENERATOR_VERSION}-n3.json"
+    all_algebras(3)
+    good = path.read_text()
+    path.write_text(BAD_CACHES[case](good))
+    algs = all_algebras(3)
+    assert len(algs) == 2
+    assert algs == all_algebras(3, use_cache=False)
+    assert path.read_text() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
