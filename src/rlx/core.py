@@ -24,6 +24,13 @@ class ResiduatedLattice:
 
     Do not build directly; go through :func:`validate` (or a constructor
     below), which checks every axiom exhaustively.
+
+    Algebras key many caches (`classify`, `quotient`, filters), so the
+    hash is computed once, here, instead of re-hashing every table on each
+    lookup.  It covers `leq` and `odot`, which determine the other tables
+    of a validated algebra, and holds only bools and ints, so it does not
+    depend on the process's string-hash seed.  Equality still compares
+    every field.
     """
 
     labels: tuple
@@ -34,6 +41,12 @@ class ResiduatedLattice:
     imp: Table
     bot: int
     top: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.leq, self.odot)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def size(self):
@@ -128,50 +141,58 @@ def bounds_of(leq):
     return bots[0], tops[0]
 
 
+def _row_masks(rel):
+    """Row i of a relation as a bitmask: bit j is set iff rel[i][j]."""
+    return [sum(1 << j for j, v in enumerate(row) if v) for row in rel]
+
+
+def _bound_table(masks):
+    """Entry (a, b) is the c with masks[c] == masks[a] & masks[b], else None."""
+    where = {m: c for c, m in enumerate(masks)}
+    return tuple(tuple(where.get(ma & mb) for mb in masks) for ma in masks)
+
+
 def lub_table(leq):
-    """Least-upper-bound table of a partial order; None entries where no lub."""
-    n = len(leq)
-    out = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            ubs = [c for c in range(n) if leq[a][c] and leq[b][c]]
-            least = [c for c in ubs if all(leq[c][d] for d in ubs)]
-            row.append(least[0] if len(least) == 1 else None)
-        out.append(tuple(row))
-    return tuple(out)
+    """Least-upper-bound table of a partial order; None entries where no lub.
+
+    The upper bounds of a and b have a least element c exactly when they
+    are the up-set of c, so with up-sets as bitmasks each entry is one dict
+    lookup.  `leq` must be a partial order: antisymmetry makes the up-sets
+    distinct.  Every caller passes one: `validate` and `validate_bdl` check
+    the order first, and `_lattice_orders` and the fixtures build orders.
+    """
+    return _bound_table(_row_masks(leq))
 
 
 def glb_table(leq):
-    n = len(leq)
-    out = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            lbs = [c for c in range(n) if leq[c][a] and leq[c][b]]
-            greatest = [c for c in lbs if all(leq[d][c] for d in lbs)]
-            row.append(greatest[0] if len(greatest) == 1 else None)
-        out.append(tuple(row))
-    return tuple(out)
+    """Greatest-lower-bound table of a partial order, dually via down-sets;
+    the same callers, with the same precondition, as :func:`lub_table`."""
+    return _bound_table(_row_masks(zip(*leq)))
 
 
 def derive_implication(leq, odot):
     """Residuum table forced by the order and the monoid.
 
-    imp(b, c) is the maximum of {a : a*b <= c}; raises NotResiduated(b, c)
-    when that set has no maximum.  The caller still has to run
-    :func:`validate`, which re-checks the full residuation equivalence.
+    imp(b, c) is the maximum of good = {a : a*b <= c}, the a in good whose
+    down-set contains good (both as bitmasks); raises NotResiduated(b, c) at
+    the first (b, c), in row order, where good has no maximum.  `leq` must
+    be a partial order.  The caller still has to run :func:`validate`,
+    which re-checks the full residuation equivalence.
     """
     n = len(leq)
+    down = _row_masks(zip(*leq))
     imp = []
     for b in range(n):
+        col = [odot[a][b] for a in range(n)]
         row = []
         for c in range(n):
-            good = [a for a in range(n) if leq[odot[a][b]][c]]
-            maxima = [a for a in good if all(leq[x][a] for x in good)]
-            if len(maxima) != 1:
+            below = down[c]
+            good = sum(1 << a for a in range(n) if below >> col[a] & 1)
+            top = next((a for a in range(n)
+                        if good >> a & 1 and not good & ~down[a]), None)
+            if top is None:
                 raise NotResiduated(b, c)
-            row.append(maxima[0])
+            row.append(top)
         imp.append(tuple(row))
     return tuple(imp)
 

@@ -171,11 +171,6 @@ def is_local(A):
     return len(max_spec(A)) == 1
 
 
-def is_semilocal(A):
-    """(always-true-on-finite flag, maximal filter count)."""
-    return True, len(max_spec(A))
-
-
 def is_semisimple(A):
     return radical(A).gen == A.top
 

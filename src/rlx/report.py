@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import hashlib
 
-from .core import classify
+from .core import classify, validate
 from .filters import all_filters, is_local, radical
 from .formulas import blp_formula, ilp_formula, rlp_formula
 from .io import print_filter, print_rlat
-from .iso import canonicalize
+from .iso import canonicalize, permute_relation, permute_table
 from .lifting import lp_report
 from .reticulation import build_reticulation
 from .spectra import (
@@ -24,8 +24,19 @@ from .theorems import theorem_checks
 
 
 def content_hash(A):
-    """Hash of the canonical (relabeled) form, stable across isomorphism."""
-    text = print_rlat(canonicalize(A))
+    """Hash of the canonical form: the same for every isomorphic copy of A.
+
+    `canonicalize` only permutes the elements strictly between bot and top,
+    so bot and top are first moved to ids 0 and n-1, the other elements
+    keeping their order.  Labels never enter the hash.
+    """
+    order = sorted(A.elements(), key=lambda x: (x != A.bot, x == A.top, x))
+    perm = [0] * A.size
+    for new, old in enumerate(order):
+        perm[old] = new
+    B = validate(A.labels, permute_relation(A.leq, perm),
+                 permute_table(A.odot, perm))
+    text = print_rlat(canonicalize(B))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 

@@ -92,9 +92,10 @@ def check_blp_conditions(A):
 
 def check_atomic_characterization(A):
     out = []
-    for name, phi in (("blp", blp_formula()), ("ilp", ilp_formula()),
-                      ("rlp", rlp_formula())):
-        direct = lp_report(A, phi).global_holds
+    for name, phi, direct in (
+            ("blp", blp_formula(), has_blp(A)),
+            ("ilp", ilp_formula(), has_ilp(A)),
+            ("rlp", rlp_formula(), lp_report(A, rlp_formula()).global_holds)):
         via_terms = atomic_lp_characterization(A, phi)
         out.append(_equiv(f"atomic-lift.{name}", direct, via_terms))
     return out
@@ -102,12 +103,11 @@ def check_atomic_characterization(A):
 
 def check_quotient_stability(A):
     out = []
-    for name, phi in (("blp", blp_formula()), ("ilp", ilp_formula())):
-        whole = lp_report(A, phi).global_holds
-        every_quotient = all(
-            lp_report(quotient(A, F).quotient, phi).global_holds
-            for F in all_filters(A))
-        out.append(_equiv(f"quotient-stability.{name}", whole, every_quotient))
+    for name, has_lp in (("blp", has_blp), ("ilp", has_ilp)):
+        every_quotient = all(has_lp(quotient(A, F).quotient)
+                             for F in all_filters(A))
+        out.append(_equiv(f"quotient-stability.{name}", has_lp(A),
+                          every_quotient))
     return out
 
 
@@ -121,11 +121,10 @@ def check_factor_congruences(A):
                 continue
             if filter_join(F, G).gen != A.bot:
                 continue
-            for phi in (blp_formula(), ilp_formula()):
-                whole = lp_report(A, phi).global_holds
-                parts = (lp_report(quotient(A, F).quotient, phi).global_holds
-                         and lp_report(quotient(A, G).quotient, phi).global_holds)
-                if whole != parts:
+            for has_lp in (has_blp, has_ilp):
+                parts = (has_lp(quotient(A, F).quotient)
+                         and has_lp(quotient(A, G).quotient))
+                if has_lp(A) != parts:
                     failures.append((repr(F), repr(G)))
     return [_forall("factor-congruence-lift", failures)]
 

@@ -12,6 +12,79 @@ from rlx.errors import AxiomViolation, NotResiduated
 from rlx.iso import _mid_perms, permute_relation, permute_table
 
 
+def brute_lub_table(leq):
+    """Least-upper-bound table by scanning the upper bounds; None entries
+    where there is no lub."""
+    n = len(leq)
+    out = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            ubs = [c for c in range(n) if leq[a][c] and leq[b][c]]
+            least = [c for c in ubs if all(leq[c][d] for d in ubs)]
+            row.append(least[0] if len(least) == 1 else None)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def brute_glb_table(leq):
+    n = len(leq)
+    out = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            lbs = [c for c in range(n) if leq[c][a] and leq[c][b]]
+            greatest = [c for c in lbs if all(leq[d][c] for d in lbs)]
+            row.append(greatest[0] if len(greatest) == 1 else None)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def brute_derive_implication(leq, odot):
+    """imp(b, c) = the maximum of {a : a*b <= c}, by scanning that set;
+    NotResiduated(b, c) at the first pair where it has no maximum."""
+    n = len(leq)
+    imp = []
+    for b in range(n):
+        row = []
+        for c in range(n):
+            good = [a for a in range(n) if leq[odot[a][b]][c]]
+            maxima = [a for a in good if all(leq[x][a] for x in good)]
+            if len(maxima) != 1:
+                raise NotResiduated(b, c)
+            row.append(maxima[0])
+        imp.append(tuple(row))
+    return tuple(imp)
+
+
+def partial_orders(n):
+    """Every partial order on range(n) (labeled, non-lattices included) as
+    a leq matrix.  Element k is added to each order on range(k) with an
+    up-closed set U of elements above it and a down-closed set D below it,
+    every element of D lying below every element of U."""
+    orders = [()]  # up[a] as bitmasks, for the elements added so far
+    for k in range(n):
+        grown = []
+        for up in orders:
+            down = [sum(1 << b for b in range(k) if up[b] >> a & 1)
+                    for a in range(k)]
+            for sides in itertools.product((0, 1, 2), repeat=k):
+                U = sum(1 << a for a in range(k) if sides[a] == 1)
+                D = sum(1 << a for a in range(k) if sides[a] == 2)
+                if any(U >> a & 1 and up[a] & ~U for a in range(k)):
+                    continue
+                if any(D >> a & 1 and down[a] & ~D for a in range(k)):
+                    continue
+                if any(D >> a & 1 and U & ~up[a] for a in range(k)):
+                    continue
+                grown.append(tuple(up[a] | (1 << k if D >> a & 1 else 0)
+                                   for a in range(k)) + (U | 1 << k,))
+        orders = grown
+    for up in orders:
+        yield tuple(tuple(bool(up[a] >> b & 1) for b in range(n))
+                    for a in range(n))
+
+
 def is_filter_subset(A, subset):
     """Contains top, up-closed and closed under odot."""
     if A.top not in subset:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rlx.core import (
     boolean_algebra,
@@ -9,14 +10,23 @@ from rlx.core import (
     glb_table,
     godel_chain,
     leq_from_covers,
+    lub_table,
     lukasiewicz_chain,
     ordinal_sum,
     trivial_algebra,
     upset_algebra,
     validate,
 )
+from rlx.enumeration import _lattice_orders
 from rlx.errors import AxiomViolation, InvalidArgument, NotResiduated
 from rlx.filters import max_spec, spec
+
+from oracles import (
+    brute_derive_implication,
+    brute_glb_table,
+    brute_lub_table,
+    partial_orders,
+)
 
 
 def test_two_element_boolean_is_valid():
@@ -71,15 +81,56 @@ def test_validate_rejects_non_associative():
     assert err.value.axiom == "monoid-associativity"
 
 
+def test_order_kernels_match_list_scans():
+    # every labeled partial order of size <= 5, non-lattices included, so
+    # the None entries are covered too
+    for n in range(1, 6):
+        for leq in partial_orders(n):
+            assert lub_table(leq) == brute_lub_table(leq)
+            assert glb_table(leq) == brute_glb_table(leq)
+
+
+def _implication_or_pair(derive, leq, odot):
+    """The derived table, or the (b, c) of the NotResiduated raised."""
+    try:
+        return derive(leq, odot)
+    except NotResiduated as err:
+        return err.pair
+
+
+LATTICE_ORDERS = [(leq, meet) for n in range(1, 6)
+                  for leq, _join, meet in _lattice_orders(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_derive_implication_matches_list_scan(data):
+    # a commutative table on a lattice order: the meet with a few cells
+    # overwritten, so residuated tables (the meet of a distributive
+    # lattice) and every kind of NotResiduated both occur
+    leq, meet = data.draw(st.sampled_from(LATTICE_ORDERS))
+    n = len(leq)
+    odot = [list(row) for row in meet]
+    for _ in range(data.draw(st.integers(0, 3))):
+        a = data.draw(st.integers(0, n - 1))
+        b = data.draw(st.integers(0, n - 1))
+        odot[a][b] = odot[b][a] = data.draw(st.integers(0, n - 1))
+    odot = tuple(tuple(row) for row in odot)
+    assert (_implication_or_pair(derive_implication, leq, odot)
+            == _implication_or_pair(brute_derive_implication, leq, odot))
+
+
 def test_derive_implication_boolean():
     B2 = boolean_algebra(1)
     derived = derive_implication(B2.leq, B2.odot)
     assert derived == B2.imp
+    assert derived == brute_derive_implication(B2.leq, B2.odot)
 
 
 def test_derive_implication_matches_given_tables(E2):
     derived = derive_implication(E2.leq, E2.odot)
     assert derived == E2.imp
+    assert derived == brute_derive_implication(E2.leq, E2.odot)
 
 
 def test_derive_implication_lozenge_heyting():
@@ -87,6 +138,7 @@ def test_derive_implication_lozenge_heyting():
     B4 = boolean_algebra(2)
     derived = derive_implication(B4.leq, B4.meet)
     assert derived == B4.imp
+    assert derived == brute_derive_implication(B4.leq, B4.meet)
 
 
 def test_derive_implication_failure():
@@ -94,8 +146,20 @@ def test_derive_implication_failure():
     # maximal elements, so no residuum exists
     leq = leq_from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
     odot = glb_table(leq)
-    with pytest.raises(NotResiduated):
+    with pytest.raises(NotResiduated) as err:
         derive_implication(leq, odot)
+    assert err.value.pair == _implication_or_pair(brute_derive_implication,
+                                                  leq, odot)
+
+
+def test_hash_agrees_with_equality_across_validations(E2):
+    A = validate(E2.labels, E2.leq, E2.odot, E2.imp)
+    B = validate(E2.labels, E2.leq, E2.odot)
+    assert A is not B
+    assert A == B and hash(A) == hash(B)
+    assert {A: "cached"}[B] == "cached"
+    relabeled = validate(tuple(x + "'" for x in E2.labels), E2.leq, E2.odot)
+    assert relabeled != A
 
 
 def test_classify_pentagon_godel(E1):

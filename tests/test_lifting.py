@@ -23,7 +23,6 @@ from rlx.formulas import (
 )
 from rlx.lifting import (
     atomic_lp_characterization,
-    blp_ilp_rlp,
     has_blp,
     has_ilp,
     has_phi_lp,
@@ -40,7 +39,7 @@ def filter_by_labels(A, names):
 
 
 def test_golden_pentagon_godel(E1):
-    assert blp_ilp_rlp(E1) == (False, True, True)
+    assert (has_blp(E1), has_ilp(E1), has_rlp(E1)) == (False, True, True)
     # the radical {c,1} is the failing filter, counterexample a
     holds, verdict = has_phi_lp(E1, blp_formula(), filter_by_labels(E1, ["c", "1"]))
     assert not holds
@@ -66,8 +65,9 @@ def test_golden_pentagon_stacked_tables(E2):
 
 
 def test_boolean_algebra_all_three():
-    assert blp_ilp_rlp(boolean_algebra(1)) == (True, True, True)
-    assert blp_ilp_rlp(boolean_algebra(2)) == (True, True, True)
+    for k in (1, 2):
+        B = boolean_algebra(k)
+        assert (has_blp(B), has_ilp(B), has_rlp(B)) == (True, True, True)
 
 
 def test_ilp_holds_globally_for_godel_fixture(E1):

@@ -1,8 +1,15 @@
+import hashlib
 import itertools
+import json
 
 from rlx.core import direct_product
 from rlx.formulas import blp_formula, ilp_formula
 from rlx.theorems import disagreements, theorem_checks
+
+# SHA-256 of json.dumps([v.as_dict() for A in all_algebras(6) for v in
+# theorem_checks(A)], sort_keys=True), and its row count
+MATRIX_N6_SHA256 = "f58e041bc6625be08bea165aaeb3bd7164174e97d434cff023ac219380309f5f"
+MATRIX_N6_ROWS = 9553
 
 
 def test_corpus_size_5_zero_disagreements(corpus5):
@@ -22,6 +29,16 @@ def test_size_6_sample_zero_disagreements(corpus6):
     assert len(sample) >= 30
     for A in sample:
         assert not disagreements(A)
+
+
+def test_size_6_matrix_pinned(corpus6):
+    """The size-6 theorem matrix, row for row, is the one recorded at
+    commit f6da3af, before the cached lifting verdicts, the cached algebra
+    hash and the bitmask order kernels."""
+    rows = [v.as_dict() for A in corpus6 for v in theorem_checks(A)]
+    assert len(rows) == MATRIX_N6_ROWS
+    text = json.dumps(rows, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == MATRIX_N6_SHA256
 
 
 def test_product_law_on_ordered_pairs_size_4(corpus4):
