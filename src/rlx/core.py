@@ -158,8 +158,9 @@ def lub_table(leq):
     The upper bounds of a and b have a least element c exactly when they
     are the up-set of c, so with up-sets as bitmasks each entry is one dict
     lookup.  `leq` must be a partial order: antisymmetry makes the up-sets
-    distinct.  Every caller passes one: `validate` and `validate_bdl` check
-    the order first, and `_lattice_orders` and the fixtures build orders.
+    distinct.  Every caller passes one: `validate` and `validate_bdl` run
+    `_check_order` first, and `_lattice_orders` and the fixtures build
+    orders.
     """
     return _bound_table(_row_masks(leq))
 

@@ -193,19 +193,20 @@ class QuotientAlgebra:
 def quotient(A, F):
     """A modulo the congruence x ~ y iff x<->y in F.
 
-    Class ids are assigned by least representative, in representative
-    order; the quotient tables are validated from scratch and the
-    congruence property is checked explicitly.
+    With e = F.gen, x<->y lies in F iff e*x = e*y, so the classes are the
+    fibers of x -> e*x, and x/F <= y/F iff e*x <= e*y.  Class ids go by
+    least member, which is also the class's representative.  On a
+    distributive lattice (odot = meet) this is x ~ y iff x&e = y&e.  The
+    quotient tables are validated from scratch and the congruence property
+    is checked explicitly.
     """
     n = A.size
-    rep = [None] * n
-    for x in range(n):
-        for y in range(x, n):
-            if rep[y] is None and A.bires(x, y) in F:
-                rep[y] = x if rep[x] is None else rep[x]
-    reps = sorted(set(rep))
-    cid = {r: i for i, r in enumerate(reps)}
-    class_of = tuple(cid[rep[x]] for x in range(n))
+    image = A.odot[F.gen]  # x -> e*x
+    cid = {}
+    for v in image:
+        cid.setdefault(v, len(cid))
+    class_of = tuple(cid[v] for v in image)
+    reps = tuple(class_of.index(c) for c in range(len(cid)))
 
     # the relation must actually be a congruence for the tables to be
     # well-defined; check compatibility of every operation
@@ -222,13 +223,9 @@ def quotient(A, F):
                 if class_of[A.imp[z][x]] != class_of[A.imp[z][y]]:
                     raise AxiomViolation("congruence", (x, y, z))
 
-    m = len(reps)
-    leq = tuple(tuple(A.bires(A.meet[reps[i]][reps[j]], reps[i]) in F
-                      for j in range(m)) for i in range(m))
-    odot = tuple(tuple(class_of[A.odot[reps[i]][reps[j]]] for j in range(m))
-                 for i in range(m))
-    imp = tuple(tuple(class_of[A.imp[reps[i]][reps[j]]] for j in range(m))
-                for i in range(m))
+    leq = tuple(tuple(A.leq[image[r]][image[s]] for s in reps) for r in reps)
+    odot = tuple(tuple(class_of[A.odot[r][s]] for s in reps) for r in reps)
+    imp = tuple(tuple(class_of[A.imp[r][s]] for s in reps) for r in reps)
     labels = tuple(f"{A.labels[r]}/F" for r in reps)
     Q = validate(labels, leq, odot, imp)
 
@@ -241,7 +238,7 @@ def quotient(A, F):
         rad_classes = {class_of[x] for x in radical(A).members}
         assert rad_q == rad_classes, "Rad(A/F) must equal Rad(A)/F"
 
-    return QuotientAlgebra(A, F, class_of, Q, tuple(reps))
+    return QuotientAlgebra(A, F, class_of, Q, reps)
 
 
 def filter_image(Q: QuotientAlgebra, G: Filter):

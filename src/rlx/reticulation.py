@@ -8,25 +8,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import classify
-from .dlattice import (
-    BDLattice,
-    boolean_center,
-    lattice_blp_filter,
-    lattice_filters,
-    lattice_max_filters,
-    lattice_prime_filters,
-    lattice_quotient,
-    lattice_radical,
-    validate_bdl,
-)
+from .core import ResiduatedLattice, classify, complemented_elements
+from .dlattice import lattice_blp_filter, validate_bdl
 from .errors import AxiomViolation, NoIsomorphism
 from .filters import (
+    Filter,
     all_filters,
     max_spec,
     principal_filter,
     quotient,
     radical,
+    spec,
 )
 from .formulas import blp_formula
 from .lifting import has_phi_lp
@@ -35,7 +27,7 @@ from .lifting import has_phi_lp
 @dataclass(frozen=True)
 class Reticulation:
     source: object
-    lattice: BDLattice
+    lattice: ResiduatedLattice  # the Heyting algebra of validate_bdl
     lam: tuple  # element id -> lattice element id
     filter_of: tuple  # lattice element id -> Filter (principal)
 
@@ -121,7 +113,7 @@ def verify_retic_properties(R):
 
     # (4) the preimage map is a filter-lattice isomorphism with inverse
     #     F -> lam(F)
-    lat_filts = lattice_filters(L)
+    lat_filts = all_filters(L)
     pre = {}
     for H in lat_filts:
         members = frozenset(x for x in A.elements() if lam[x] in H)
@@ -130,7 +122,7 @@ def verify_retic_properties(R):
     ok = set(pre.values()) == alg_filts and len(pre) == len(alg_filts)
     for H in lat_filts:
         image = frozenset(lam[x] for x in pre[H])
-        ok = ok and image == H
+        ok = ok and image == H.members
     for H in lat_filts:
         for K in lat_filts:
             ok = ok and ((H <= K) == (pre[H] <= pre[K]))
@@ -142,7 +134,7 @@ def verify_retic_properties(R):
 
     # (7) Boolean centers are isomorphic through lam
     BA = sorted(classify(A).boolean_center)
-    BL = boolean_center(L)
+    BL = complemented_elements(L)
     image = {lam[e] for e in BA}
     ok = image == BL and len({lam[e] for e in BA}) == len(BA)
     for e in BA:
@@ -169,10 +161,10 @@ def _spectrum_homeo(A, R, kind):
 
     L, lam = R.lattice, R.lam
     if kind == "spec":
-        lat_points = lattice_prime_filters(L)
+        lat_points = spec(L)
         space = stone_spec(A)
     else:
-        lat_points = lattice_max_filters(L)
+        lat_points = max_spec(L)
         space = stone_max(A)
     alg_points = [P.members for P in space.points]
     pre = [frozenset(x for x in A.elements() if lam[x] in H)
@@ -183,7 +175,7 @@ def _spectrum_homeo(A, R, kind):
     pos = [alg_points.index(p) for p in pre]
     # opens on the lattice side: complements of up-families of filters
     lat_opens = set()
-    for H in lattice_filters(L):
+    for H in all_filters(L):
         mask = 0
         for i, P in enumerate(lat_points):
             if not H <= P:
@@ -204,8 +196,8 @@ def _retic_quotient_match(A, R, F):
     L, lam = R.lattice, R.lam
     Q = quotient(A, F)
     RQ = build_reticulation(Q.quotient)
-    lamF = frozenset(lam[x] for x in F.members)
-    LQ, class_of, _reps = lattice_quotient(L, lamF)
+    QL = quotient(L, Filter(L, frozenset(lam[x] for x in F.members)))
+    LQ, class_of = QL.quotient, QL.class_of
     # the canonical map lam_F(a/F) -> lam(a)/lam(F) must be a well-defined
     # bounded lattice isomorphism
     mapping = {}
@@ -225,32 +217,6 @@ def _retic_quotient_match(A, R, F):
                 return False
     return (mapping[RQ.lattice.bot] == LQ.bot
             and mapping[RQ.lattice.top] == LQ.top)
-
-
-def kernel_quotient_reticulation(A):
-    """Alternative construction used by the uniqueness check: carrier
-    classes of the kernel lam(a) = lam(b), ordered by power reachability."""
-    classes = []
-    rep_of = {}
-    for a in A.elements():
-        key = principal_filter(A, a).gen
-        if key not in rep_of:
-            rep_of[key] = len(classes)
-            classes.append(a)
-    m = len(classes)
-
-    def reaches(a, b):
-        return any(A.leq[A.power(a, n)][b] for n in range(1, A.size + 1))
-
-    leq = tuple(tuple(reaches(classes[i], classes[j]) for j in range(m))
-                for i in range(m))
-    labels = tuple(f"[{A.labels[r]}]" for r in classes)
-    L = validate_bdl(labels, leq)
-    lam = tuple(rep_of[principal_filter(A, a).gen] for a in A.elements())
-    filt = tuple(principal_filter(A, r) for r in classes)
-    R = Reticulation(A, L, lam, filt)
-    _assert_axioms(R)
-    return R
 
 
 def uniqueness_check(R1, R2):
@@ -307,7 +273,7 @@ def blp_transfer(A, F):
     on the two sides and asserted equal."""
     R = build_reticulation(A)
     in_a, _ = has_phi_lp(A, blp_formula(), F)
-    lamF = frozenset(R.lam[x] for x in F.members)
+    lamF = Filter(R.lattice, frozenset(R.lam[x] for x in F.members))
     in_l = lattice_blp_filter(R.lattice, lamF)
     assert in_a == in_l, "Boolean lifting must transfer along the reticulation"
     return in_a, in_l
@@ -320,7 +286,7 @@ def archimedean_bridge(A):
     R = build_reticulation(A)
     L, lam = R.lattice, R.lam
     report = classify(A)
-    BL = boolean_center(L)
+    BL = complemented_elements(L)
     per_element = {}
     for a in A.elements():
         is_arch = a in report.archimedeans
@@ -331,10 +297,10 @@ def archimedean_bridge(A):
     assert hyper == lattice_boolean
 
     lam_rad = frozenset(lam[x] for x in radical(A).members)
-    assert lam_rad == lattice_radical(L)
+    assert lam_rad == radical(L).members
 
-    locals_match = (len(max_spec(A)) == 1) == (len(lattice_max_filters(L)) == 1)
-    semilocal_match = len(max_spec(A)) == len(lattice_max_filters(L))
+    locals_match = (len(max_spec(A)) == 1) == (len(max_spec(L)) == 1)
+    semilocal_match = len(max_spec(A)) == len(max_spec(L))
     assert locals_match and semilocal_match
     return {
         "per_element": per_element,

@@ -244,13 +244,7 @@ def gelfand_conditions(A):
     Keys 1,2,4,8,10,12,14 are computed on A directly; 3 and 5 on the
     reticulation.  The values must all agree.
     """
-    from .dlattice import (
-        is_conormal_lattice,
-        is_normal_lattice,
-        lattice_max_filters,
-        lattice_prime_filters,
-        validate_bdl,
-    )
+    from .dlattice import is_conormal_lattice, is_normal_lattice, validate_bdl
     from .reticulation import build_reticulation
 
     out = {}
@@ -319,9 +313,9 @@ def gelfand_conditions(A):
     R = build_reticulation(A)
     L = R.lattice
     out[3] = is_conormal_lattice(L)
-    maxima_l = lattice_max_filters(L)
+    maxima_l = max_spec(L)
     cond5 = True
-    for P in lattice_prime_filters(L):
+    for P in spec(L):
         above = [M for M in maxima_l if P <= M]
         if len(above) != 1:
             cond5 = False

@@ -6,10 +6,13 @@ closed forms in the library can be checked against it.
 
 import itertools
 
-from rlx.core import validate
-from rlx.enumeration import _lattice_orders
+from rlx.core import classify, validate
+from rlx.dlattice import validate_bdl
+from rlx.enumeration import _lattice_orders, all_algebras
 from rlx.errors import AxiomViolation, NotResiduated
+from rlx.filters import principal_filter
 from rlx.iso import _mid_perms, permute_relation, permute_table
+from rlx.reticulation import Reticulation, _assert_axioms
 
 
 def brute_lub_table(leq):
@@ -111,6 +114,48 @@ def lattice_is_filter(L, subset):
             if L.meet[a][b] not in subset:
                 return False
     return True
+
+
+def dense_radical(L):
+    """{a : a&x = 0 forces x = 0}, the dense elements of a distributive
+    lattice; on a finite one this is the intersection of the maximal
+    filters."""
+    return frozenset(
+        a for a in L.elements()
+        if all(x == L.bot for x in L.elements() if L.meet[a][x] == L.bot))
+
+
+def distributive_lattices(n):
+    """The bounded distributive lattices of size n up to isomorphism: the
+    lattices of the Goedel algebras (odot = meet) among all_algebras(n)."""
+    return [validate_bdl(A.labels, A.leq)
+            for A in all_algebras(n) if classify(A).is_godel]
+
+
+def kernel_quotient_reticulation(A):
+    """Alternative construction used by the uniqueness check: carrier
+    classes of the kernel lam(a) = lam(b), ordered by power reachability."""
+    classes = []
+    rep_of = {}
+    for a in A.elements():
+        key = principal_filter(A, a).gen
+        if key not in rep_of:
+            rep_of[key] = len(classes)
+            classes.append(a)
+    m = len(classes)
+
+    def reaches(a, b):
+        return any(A.leq[A.power(a, n)][b] for n in range(1, A.size + 1))
+
+    leq = tuple(tuple(reaches(classes[i], classes[j]) for j in range(m))
+                for i in range(m))
+    labels = tuple(f"[{A.labels[r]}]" for r in classes)
+    L = validate_bdl(labels, leq)
+    lam = tuple(rep_of[principal_filter(A, a).gen] for a in A.elements())
+    filt = tuple(principal_filter(A, r) for r in classes)
+    R = Reticulation(A, L, lam, filt)
+    _assert_axioms(R)
+    return R
 
 
 def fixed_point_filter(A, xs):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from rlx.cli import main
-from rlx.io import load_rlat, parse_rlat
+from rlx.io import load_rlat, parse_blat, parse_rlat, print_blat
+from rlx.reticulation import build_reticulation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -136,6 +138,28 @@ def test_reticulate_and_verify(tmp_path, capsys):
     L = load_blat(out_file)
     assert L.size == 2  # nilpotent chain collapses below the top
     assert "property 8: ok" in out
+
+
+# SHA-256 of the stdout of `rlx reticulate F`, recorded at commit b0353cb,
+# before distributive lattices were built as Heyting algebras
+RETICULATE_SHA256 = {
+    "trivial": "0ed207da289db9d27ce2371afe9141888ac532804ef07d668e7154c6d285ad19",
+    "b2": "ac78f81a68b317353109a66559bb710f5d95baccf2c4170efbefabf8be65b368",
+    "godel3": "9702795df33c894b235c7a3bc0bcf9d4448e253a630fa90eb7a76201990d0047",
+    "luk4": "ac78f81a68b317353109a66559bb710f5d95baccf2c4170efbefabf8be65b368",
+    "pentagon_godel": "039bce9b031fe4c2436f4138f51daa7c4d629b74be989ee88887526d9b2adfc8",
+    "pentagon_stacked": "8444c7d9a833aecf6be42ecf7a4c1b71f6fc929676ed48cfa81c8ca0287f38fb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RETICULATE_SHA256))
+def test_reticulate_output_pinned(capsys, name):
+    path = FIXTURES / f"{name}.rlat"
+    code, out, _ = run_cli(capsys, "reticulate", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RETICULATE_SHA256[name]
+    L = build_reticulation(load_rlat(path)).lattice
+    assert parse_blat(print_blat(L)) == L
 
 
 def test_quotient_round_trip(capsys, tmp_path):

@@ -1,25 +1,24 @@
 import pytest
 
-from rlx.core import boolean_algebra, leq_from_covers
+from rlx.core import (
+    boolean_algebra,
+    classify,
+    complemented_elements,
+    leq_from_covers,
+)
 from rlx.dlattice import (
-    boolean_center,
-    enumerate_bdlattices,
     is_conormal_lattice,
     is_normal_lattice,
     lattice_blp,
-    lattice_filters,
-    lattice_max_filters,
-    lattice_prime_filters,
-    lattice_quotient,
-    lattice_radical,
     conormal_radical_lifting,
-    underlying_lattice,
     validate_bdl,
 )
+from rlx.enumeration import all_algebras
 from rlx.errors import NotConormal, NotDistributive
+from rlx.filters import Filter, all_filters, max_spec, quotient, radical, spec
 from rlx.reticulation import build_reticulation
 
-from oracles import lattice_is_filter
+from oracles import dense_radical, distributive_lattices, lattice_is_filter
 
 
 def chain(n):
@@ -36,6 +35,7 @@ def lozenge():
 def test_validate_lozenge():
     L = lozenge()
     assert L.size == 4 and L.bot == 0 and L.top == 3
+    assert L.odot == L.meet  # the Heyting algebra on the lattice
 
 
 def test_diamond_not_distributive():
@@ -52,15 +52,15 @@ def test_pentagon_not_distributive():
 
 
 def test_underlying_lattice(E1, E2):
-    L = underlying_lattice(E1)
+    L = validate_bdl(E1.labels, E1.leq)
     assert L.size == 5
     with pytest.raises(NotDistributive):
-        underlying_lattice(E2)  # pentagon inside
+        validate_bdl(E2.labels, E2.leq)  # pentagon inside
 
 
 def test_lattice_filters_are_all_upsets():
     L = lozenge()
-    fams = set(lattice_filters(L))
+    fams = {F.members for F in all_filters(L)}
     assert fams == {
         frozenset({3}), frozenset({1, 3}), frozenset({2, 3}),
         frozenset({0, 1, 2, 3}),
@@ -71,21 +71,21 @@ def test_lattice_filters_are_all_upsets():
 
 def test_lattice_quotient_golden():
     L3 = chain(3)
-    Q, class_of, _ = lattice_quotient(L3, frozenset({1, 2}))
-    assert Q.size == 2
-    assert class_of[1] == class_of[2] != class_of[0]
+    Q = quotient(L3, Filter(L3, frozenset({1, 2})))
+    assert Q.quotient.size == 2
+    assert Q.class_of[1] == Q.class_of[2] != Q.class_of[0]
 
     L = lozenge()
-    Q, class_of, _ = lattice_quotient(L, frozenset({1, 3}))  # [x)
-    assert Q.size == 2
-    assert class_of[0] == class_of[2]  # y & x = 0 = 0 & x
-    assert class_of[1] == class_of[3]
+    Q = quotient(L, Filter(L, frozenset({1, 3})))  # [x)
+    assert Q.quotient.size == 2
+    assert Q.class_of[0] == Q.class_of[2]  # y & x = 0 = 0 & x
+    assert Q.class_of[1] == Q.class_of[3]
 
 
 def test_lattice_quotient_by_trivial():
     L = lozenge()
-    Q, class_of, _ = lattice_quotient(L, frozenset({L.top}))
-    assert Q.size == L.size
+    Q = quotient(L, Filter(L, frozenset({L.top})))
+    assert Q.quotient.size == L.size
 
 
 def test_lattice_blp_boolean_and_chain():
@@ -117,10 +117,11 @@ def test_conormal_fails_on_pentagon_reticulation(E1, E2):
 
 
 def test_lattice_radical_golden():
-    assert lattice_radical(chain(3)) == frozenset({1, 2})
-    assert lattice_radical(lozenge()) == frozenset({3})
-    B8 = underlying_lattice(boolean_algebra(3))
-    assert lattice_radical(B8) == frozenset({B8.top})
+    B = boolean_algebra(3)
+    B8 = validate_bdl(B.labels, B.leq)
+    for L, members in ((chain(3), {1, 2}), (lozenge(), {3}), (B8, {B8.top})):
+        assert radical(L).members == frozenset(members)
+        assert dense_radical(L) == frozenset(members)
 
 
 def test_conormal_radical_lifting_golden():
@@ -137,23 +138,34 @@ def _godel_pentagon():
 
 
 def test_boolean_center_of_lattices():
-    assert boolean_center(chain(3)) == frozenset({0, 2})
-    assert boolean_center(lozenge()) == frozenset({0, 1, 2, 3})
+    assert complemented_elements(chain(3)) == frozenset({0, 2})
+    assert complemented_elements(lozenge()) == frozenset({0, 1, 2, 3})
 
 
 def test_enumerated_bdlattices_radical_lifting():
     total = 0
     for n in range(1, 7):
-        for L in enumerate_bdlattices(n):
+        for L in distributive_lattices(n):
             total += 1
-            lattice_radical(L)  # asserts the two definitions agree
+            assert radical(L).members == dense_radical(L)
             if is_conormal_lattice(L):
                 assert conormal_radical_lifting(L)
     assert total > 10
 
 
+def test_distributive_lattice_counts():
+    # the known number of distributive lattices of each size n = 1..6; the
+    # Heyting algebra of each is the Goedel algebra it was read from
+    counts = []
+    for n in range(1, 7):
+        godel = [A for A in all_algebras(n) if classify(A).is_godel]
+        assert distributive_lattices(n) == godel
+        counts.append(len(godel))
+    assert tuple(counts) == (1, 1, 1, 2, 3, 5)
+
+
 def test_prime_and_max_filters_of_lattice():
     L = lozenge()
-    primes = set(lattice_prime_filters(L))
+    primes = {P.members for P in spec(L)}
     assert primes == {frozenset({1, 3}), frozenset({2, 3})}
-    assert set(lattice_max_filters(L)) == primes
+    assert {M.members for M in max_spec(L)} == primes

@@ -1,7 +1,7 @@
 import pytest
 
 from rlx.core import boolean_algebra
-from rlx.dlattice import underlying_lattice
+from rlx.dlattice import validate_bdl
 from rlx.errors import AxiomViolation, FileFormatError
 from rlx.filters import principal_filter
 from rlx.fixtures import FIXTURE_BUILDERS
@@ -105,7 +105,8 @@ def test_comments_and_blank_lines_ignored(E1):
 
 
 def test_blat_round_trip():
-    L = underlying_lattice(boolean_algebra(2))
+    B = boolean_algebra(2)
+    L = validate_bdl(B.labels, B.leq)
     assert parse_blat(print_blat(L)) == L
 
 

@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from rlx.core import boolean_algebra, godel_chain, lukasiewicz_chain
-from rlx.dlattice import lattice_filters
 from rlx.errors import NoIsomorphism
 from rlx.filters import all_filters, principal_filter, quotient
 from rlx.iso import find_isomorphism
@@ -12,11 +11,12 @@ from rlx.reticulation import (
     archimedean_bridge,
     blp_transfer,
     build_reticulation,
-    kernel_quotient_reticulation,
     reticulate_morphism,
     uniqueness_check,
     verify_retic_properties,
 )
+
+from oracles import kernel_quotient_reticulation
 
 
 def test_reticulation_of_boolean_is_itself():
@@ -176,7 +176,7 @@ def test_preimage_preserves_arbitrary_intersections(corpus4):
         if A.size > 4:
             continue
         R = build_reticulation(A)
-        filts = lattice_filters(R.lattice)
+        filts = [H.members for H in all_filters(R.lattice)]
 
         def preimage(H):
             return frozenset(x for x in A.elements() if R.lam[x] in H)
