@@ -158,7 +158,7 @@ def lub_table(leq):
     The upper bounds of a and b have a least element c exactly when they
     are the up-set of c, so with up-sets as bitmasks each entry is one dict
     lookup.  `leq` must be a partial order: antisymmetry makes the up-sets
-    distinct.  Every caller passes one: `validate` and `validate_bdl` run
+    distinct.  Every caller passes one: `_validate_lattice` runs
     `_check_order` first, and `_lattice_orders` and the fixtures build
     orders.
     """
@@ -206,6 +206,24 @@ def validate(labels, leq, odot, imp=None, join=None, meet=None):
     `join`/`meet` likewise default to the lub/glb of `leq`.
     Raises AxiomViolation with the first failing witness in element order.
     """
+    labels, leq, bot, top, lub, glb = _validate_lattice(labels, leq)
+    n = len(labels)
+    for name, axiom, given, bound in (("join", "join-lub", join, lub),
+                                      ("meet", "meet-glb", meet, glb)):
+        if given is not None:
+            given = tuple(tuple(row) for row in given)
+            _check_square(name, given, n)
+            if given != bound:
+                bad = next((a, b) for a in range(n) for b in range(n)
+                           if given[a][b] != bound[a][b])
+                raise AxiomViolation(axiom, bad)
+    return _validate_residuated(labels, leq, bot, top, lub, glb, odot, imp)
+
+
+def _validate_lattice(labels, leq):
+    """The bounded-lattice part of :func:`validate`: dimensions, order,
+    bounds, and a lub and glb for every pair.  Returns the normalized
+    (labels, leq, bot, top, join, meet)."""
     labels = tuple(str(x) for x in labels)
     n = len(labels)
     if n == 0:
@@ -224,22 +242,14 @@ def validate(labels, leq, odot, imp=None, join=None, meet=None):
                 raise AxiomViolation("join-lub", (a, b))
             if glb[a][b] is None:
                 raise AxiomViolation("meet-glb", (a, b))
-    if join is not None:
-        join = tuple(tuple(row) for row in join)
-        _check_square("join", join, n)
-        if join != lub:
-            bad = next((a, b) for a in range(n) for b in range(n)
-                       if join[a][b] != lub[a][b])
-            raise AxiomViolation("join-lub", bad)
-    if meet is not None:
-        meet = tuple(tuple(row) for row in meet)
-        _check_square("meet", meet, n)
-        if meet != glb:
-            bad = next((a, b) for a in range(n) for b in range(n)
-                       if meet[a][b] != glb[a][b])
-            raise AxiomViolation("meet-glb", bad)
-    join, meet = lub, glb
+    return labels, leq, bot, top, lub, glb
 
+
+def _validate_residuated(labels, leq, bot, top, join, meet, odot, imp):
+    """The residuated part of :func:`validate` on a bounded lattice that
+    :func:`_validate_lattice` has checked: the monoid, the residuum and the
+    residuation law with its derived facts."""
+    n = len(labels)
     odot = tuple(tuple(row) for row in odot)
     _check_square("odot", odot, n)
     for a in range(n):

@@ -9,42 +9,23 @@ of `rlx.filters`, and its Boolean center is `core.complemented_elements`.
 from __future__ import annotations
 
 from .core import (
-    _check_order,
-    bounds_of,
+    _validate_lattice,
+    _validate_residuated,
     complemented_elements,
     distributivity_witness,
-    glb_table,
-    lub_table,
-    validate,
 )
-from .errors import AxiomViolation, NotConormal, NotDistributive
+from .errors import NotConormal, NotDistributive
 from .filters import all_filters, quotient, radical
 
 
 def validate_bdl(labels, leq):
     """Bounded lattice with exhaustive distributivity check, returned as the
     Heyting algebra on it (odot = meet)."""
-    labels = tuple(str(x) for x in labels)
-    n = len(labels)
-    if n == 0:
-        raise AxiomViolation("table-dimension", ("labels", 0))
-    leq = tuple(tuple(bool(v) for v in row) for row in leq)
-    if len(leq) != n or any(len(r) != n for r in leq):
-        raise AxiomViolation("table-dimension", ("leq", n))
-    _check_order(leq, n)
-    bounds_of(leq)
-    join = lub_table(leq)
-    meet = glb_table(leq)
-    for a in range(n):
-        for b in range(n):
-            if join[a][b] is None:
-                raise AxiomViolation("join-lub", (a, b))
-            if meet[a][b] is None:
-                raise AxiomViolation("meet-glb", (a, b))
+    labels, leq, bot, top, join, meet = _validate_lattice(labels, leq)
     witness = distributivity_witness(leq, join, meet)
     if witness is not None:
         raise NotDistributive(witness)
-    return validate(labels, leq, meet)
+    return _validate_residuated(labels, leq, bot, top, join, meet, meet, None)
 
 
 def lattice_blp_filter(L, F):

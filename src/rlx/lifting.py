@@ -121,18 +121,32 @@ def boolean_splitting_conditions(A, max_arity=4):
     (3) the x*y = 0 form; (4) the n-ary form for 2 <= n <= max_arity with
     pairwise joins 1 and total meet 0.  Returns (verdicts, witnesses): the
     witnesses map a condition index to its first failing tuple.
+
+    Each search over Boolean e reduces to u(x), the least Boolean element
+    of [x): the meet of the Boolean e >= x^w, Boolean because the Boolean
+    center is closed under meet and contains top.  A Boolean e lies in [x)
+    iff e >= u(x), and e -> !e reverses the order of the center, so (2)
+    holds at x iff !u(x) in [!x), and (3) at (x, y) iff u(x) & u(y) = 0.
+    (4) holds at x_1..x_k iff the meet of the u(x_i) is 0: then the !u(x_i)
+    join to top, so a partition of unity d_i <= !u(x_i) exists, and the
+    e_i = !d_i have pairwise joins 1 and meet 0.
     """
-    B = sorted(classify(A).boolean_center)
-    pf = [principal_filter(A, x) for x in A.elements()]
+    B = classify(A).boolean_center
+    w = [A.power_limit(x) for x in A.elements()]
+    u = []
+    for x in A.elements():
+        m = A.top
+        for e in B:
+            if A.leq[w[x]][e]:
+                m = A.meet[m][e]
+        u.append(m)
     witnesses = {}
 
     cond1 = has_blp(A)
 
     cond2 = True
     for x in A.elements():
-        fx = pf[x]
-        fnx = pf[A.neg(x)]
-        if not any(e in fx and A.neg(e) in fnx for e in B):
+        if not A.leq[w[A.neg(x)]][A.neg(u[x])]:
             cond2 = False
             witnesses[2] = (x,)
             break
@@ -142,9 +156,7 @@ def boolean_splitting_conditions(A, max_arity=4):
         for y in A.elements():
             if A.odot[x][y] != A.bot:
                 continue
-            fx = pf[x]
-            fy = pf[y]
-            if not any(e in fx and A.neg(e) in fy for e in B):
+            if A.meet[u[x]][u[y]] != A.bot:
                 cond3 = False
                 witnesses[3] = (x, y)
                 break
@@ -161,27 +173,15 @@ def boolean_splitting_conditions(A, max_arity=4):
                 prod = A.odot[prod][x]
             if prod != A.bot:
                 continue
-            if not _nary_boolean_split(A, B, [pf[x] for x in combo]):
+            m = A.top
+            for x in combo:
+                m = A.meet[m][u[x]]
+            if m != A.bot:
                 cond4 = False
                 witnesses[4] = combo
                 break
 
     return (cond1, cond2, cond3, cond4), witnesses
-
-
-def _nary_boolean_split(A, B, pfs):
-    n = len(pfs)
-    candidates = [[e for e in B if e in F] for F in pfs]
-    for es in itertools.product(*candidates):
-        total = A.top
-        for e in es:
-            total = A.meet[total][e]
-        if total != A.bot:
-            continue
-        if all(A.join[es[i]][es[j]] == A.top
-               for i in range(n) for j in range(i + 1, n)):
-            return True
-    return False
 
 
 def product_lp_check(A, B, phi):

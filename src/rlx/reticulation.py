@@ -270,12 +270,11 @@ def reticulate_morphism(f: RLMorphism):
 
 def blp_transfer(A, F):
     """(lifting in A, lifting of lam(F) in L(A)) computed independently
-    on the two sides and asserted equal."""
+    on the two sides; the reticulation-blp-transfer row compares them."""
     R = build_reticulation(A)
     in_a, _ = has_phi_lp(A, blp_formula(), F)
     lamF = Filter(R.lattice, frozenset(R.lam[x] for x in F.members))
     in_l = lattice_blp_filter(R.lattice, lamF)
-    assert in_a == in_l, "Boolean lifting must transfer along the reticulation"
     return in_a, in_l
 
 

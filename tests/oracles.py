@@ -11,6 +11,7 @@ from rlx.dlattice import validate_bdl
 from rlx.enumeration import _lattice_orders, all_algebras
 from rlx.errors import AxiomViolation, NotResiduated
 from rlx.filters import principal_filter
+from rlx.lifting import has_blp
 from rlx.iso import _mid_perms, permute_relation, permute_table
 from rlx.reticulation import Reticulation, _assert_axioms
 
@@ -88,6 +89,18 @@ def partial_orders(n):
                     for a in range(n))
 
 
+def set_partitions(n):
+    """Every partition of range(n) as a tuple of class ids, numbered in
+    order of each class's least member."""
+    def grow(prefix, k):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for c in range(k + 1):
+            yield from grow(prefix + (c,), max(k, c + 1))
+    yield from grow((), 0)
+
+
 def is_filter_subset(A, subset):
     """Contains top, up-closed and closed under odot."""
     if A.top not in subset:
@@ -130,6 +143,91 @@ def distributive_lattices(n):
     lattices of the Goedel algebras (odot = meet) among all_algebras(n)."""
     return [validate_bdl(A.labels, A.leq)
             for A in all_algebras(n) if classify(A).is_godel]
+
+
+def brute_boolean_splitting_conditions(A, max_arity=4):
+    """boolean_splitting_conditions by search: for each tuple, try every
+    choice of Boolean e_i in the principal filters of its elements."""
+    B = sorted(classify(A).boolean_center)
+    pf = [principal_filter(A, x) for x in A.elements()]
+    witnesses = {}
+
+    cond1 = has_blp(A)
+
+    cond2 = True
+    for x in A.elements():
+        fx = pf[x]
+        fnx = pf[A.neg(x)]
+        if not any(e in fx and A.neg(e) in fnx for e in B):
+            cond2 = False
+            witnesses[2] = (x,)
+            break
+
+    cond3 = True
+    for x in A.elements():
+        for y in A.elements():
+            if A.odot[x][y] != A.bot:
+                continue
+            fx = pf[x]
+            fy = pf[y]
+            if not any(e in fx and A.neg(e) in fy for e in B):
+                cond3 = False
+                witnesses[3] = (x, y)
+                break
+        if not cond3:
+            break
+
+    cond4 = True
+    for n in range(2, max_arity + 1):
+        if not cond4:
+            break
+        for combo in itertools.combinations_with_replacement(A.elements(), n):
+            prod = A.top
+            for x in combo:
+                prod = A.odot[prod][x]
+            if prod != A.bot:
+                continue
+            if not _nary_boolean_split(A, B, [pf[x] for x in combo]):
+                cond4 = False
+                witnesses[4] = combo
+                break
+
+    return (cond1, cond2, cond3, cond4), witnesses
+
+
+def _nary_boolean_split(A, B, pfs):
+    n = len(pfs)
+    candidates = [[e for e in B if e in F] for F in pfs]
+    for es in itertools.product(*candidates):
+        total = A.top
+        for e in es:
+            total = A.meet[total][e]
+        if total != A.bot:
+            continue
+        if all(A.join[es[i]][es[j]] == A.top
+               for i in range(n) for j in range(i + 1, n)):
+            return True
+    return False
+
+
+def brute_congruence_violation(A, class_of):
+    """First (x, y, z) with x ~ y whose images under join, meet or odot
+    with z, or under imp with z on either side, fall in different classes;
+    None if the partition class_of is a congruence."""
+    n = A.size
+    for x in range(n):
+        for y in range(n):
+            if class_of[x] != class_of[y]:
+                continue
+            for z in range(n):
+                for tab in (A.join, A.meet, A.odot):
+                    if class_of[tab[x][z]] != class_of[tab[y][z]]:
+                        return (x, y, z)
+                if class_of[A.imp[x][z]] != class_of[A.imp[y][z]]:
+                    return (x, y, z)
+                if class_of[A.imp[z][x]] != class_of[A.imp[z][y]]:
+                    return (x, y, z)
+    return None
 
 
 def kernel_quotient_reticulation(A):

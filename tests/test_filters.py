@@ -6,6 +6,7 @@ from rlx.core import boolean_algebra, classify, godel_chain, lukasiewicz_chain
 from rlx.errors import AxiomViolation
 from rlx.filters import (
     Filter,
+    _check_congruence,
     all_filters,
     filter_join,
     filter_meet,
@@ -24,7 +25,12 @@ from rlx.filters import (
 )
 from rlx.iso import rl_isomorphic
 
-from oracles import fixed_point_filter, is_filter_subset
+from oracles import (
+    brute_congruence_violation,
+    fixed_point_filter,
+    is_filter_subset,
+    set_partitions,
+)
 
 
 def members_by_label(A, F):
@@ -270,3 +276,42 @@ def test_filters_of_finite_algebra_principal_and_idempotent_generated(corpus5):
         idem = classify(A).idempotents
         expected = {principal_filter(A, a).members for a in idem}
         assert {F.members for F in all_filters(A)} == expected
+
+
+def _separates(A, class_of, x, y, z):
+    """Does z tell x ~ y apart through join, meet, odot or imp?"""
+    c = class_of
+    return (any(c[t[x][z]] != c[t[y][z]]
+                for t in (A.join, A.meet, A.odot, A.imp))
+            or c[A.imp[z][x]] != c[A.imp[z][y]])
+
+
+def test_congruence_check_accepts_every_filter(corpus5, corpus6):
+    for A in [*corpus5, *corpus6]:
+        for F in all_filters(A):
+            Q = quotient(A, F)
+            _check_congruence(A, Q.class_of, Q.section)
+            assert brute_congruence_violation(A, Q.class_of) is None
+
+
+def test_congruence_check_matches_pairwise_scan(corpus5):
+    """On every partition of every algebra of size <= 5, the representative
+    check raises exactly when the pairwise scan finds a violation, and its
+    witness is one."""
+    raised = 0
+    for A in corpus5:
+        for class_of in set_partitions(A.size):
+            reps = tuple(class_of.index(c) for c in range(max(class_of) + 1))
+            expected = brute_congruence_violation(A, class_of)
+            try:
+                _check_congruence(A, class_of, reps)
+            except AxiomViolation as exc:
+                assert exc.axiom == "congruence"
+                r, x, z = exc.witness
+                assert class_of[r] == class_of[x]
+                assert _separates(A, class_of, r, x, z)
+                assert expected is not None
+                raised += 1
+            else:
+                assert expected is None
+    assert raised > 1000

@@ -32,6 +32,8 @@ from rlx.lifting import (
     boolean_splitting_conditions,
 )
 
+from oracles import brute_boolean_splitting_conditions
+
 
 def filter_by_labels(A, names):
     index = {lbl: i for i, lbl in enumerate(A.labels)}
@@ -141,6 +143,14 @@ def test_boolean_splitting_conditions_agree_on_corpus(corpus5):
     for A in corpus5:
         verdicts, _ = boolean_splitting_conditions(A)
         assert len(set(verdicts)) == 1
+
+
+def test_boolean_splitting_matches_search_oracle(corpus5, corpus6, E1, E2):
+    """The closed forms through u(x) give the verdicts and the first
+    failing tuples of the search over Boolean candidates."""
+    for A in [*corpus5, *corpus6, E1, E2]:
+        assert (boolean_splitting_conditions(A)
+                == brute_boolean_splitting_conditions(A)), A
 
 
 def test_product_lp_check():

@@ -2,7 +2,10 @@ import hashlib
 import itertools
 import json
 
-from rlx.core import direct_product
+import rlx.reticulation
+from rlx.core import complemented_elements, direct_product
+from rlx.enumeration import all_algebras
+from rlx.filters import quotient
 from rlx.formulas import blp_formula, ilp_formula
 from rlx.theorems import disagreements, theorem_checks
 
@@ -88,3 +91,20 @@ def test_local_product_decomposition_golden(E1):
     P = direct_product(boolean_algebra(1), boolean_algebra(1))
     is_prod, locals_ok, sizes = local_factor_decomposition(P)
     assert is_prod and locals_ok and len(sizes) == 2
+
+
+def test_lattice_lifting_bug_is_a_disagreeing_row(monkeypatch):
+    """A lattice side that lifts only bot and top shows up as a disagreeing
+    reticulation-blp-transfer row, not as an exception."""
+    def lattice_blp_filter(L, F):
+        Q = quotient(L, F)
+        lifted = {Q.class_of[L.bot], Q.class_of[L.top]}
+        return complemented_elements(Q.quotient) <= lifted
+
+    monkeypatch.setattr(rlx.reticulation, "lattice_blp_filter",
+                        lattice_blp_filter)
+    A = all_algebras(4)[0]
+    rows = {v.theorem_id: v for v in theorem_checks(A)}
+    row = rows["reticulation-blp-transfer"]
+    assert not row.agree
+    assert row.witness == "{e3}"
