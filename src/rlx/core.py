@@ -10,7 +10,7 @@ and freely shareable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import AxiomViolation, InvalidArgument, NotResiduated
 
@@ -72,12 +72,17 @@ class ResiduatedLattice:
             acc = self.odot[acc][a]
         return acc
 
+    @cached_property
+    def _power_limits(self):
+        return tuple(self.power(a, self.size) for a in self.elements())
+
     def power_limit(self, a):
         """Stationary value of the decreasing sequence a, a^2, a^3, ...
 
-        Reached within `size` steps on a finite algebra.
+        Reached within `size` steps on a finite algebra; computed once per
+        algebra for every element.
         """
-        return self.power(a, self.size)
+        return self._power_limits[a]
 
     def is_nilpotent(self, a):
         return self.power_limit(a) == self.bot
@@ -205,8 +210,15 @@ def validate(labels, leq, odot, imp=None, join=None, meet=None):
     monoid; when both given and derivable they must agree bit-exactly.
     `join`/`meet` likewise default to the lub/glb of `leq`.
     Raises AxiomViolation with the first failing witness in element order.
+
+    The two stages are memoized: the lattice checks by the order, the
+    residuated checks by (leq, odot, imp).  Each distinct input is checked
+    once, and a failure is never stored, so it raises again on every call.
+    1, 1.0 and True hash alike, so a table is looked up only after its
+    entries have passed the type and range check.
     """
-    labels, leq, bot, top, lub, glb = _validate_lattice(labels, leq)
+    labels, leq = _normalized(labels, leq)
+    bot, top, lub, glb = _validate_lattice(leq)
     n = len(labels)
     for name, axiom, given, bound in (("join", "join-lub", join, lub),
                                       ("meet", "meet-glb", meet, glb)):
@@ -217,13 +229,25 @@ def validate(labels, leq, odot, imp=None, join=None, meet=None):
                 bad = next((a, b) for a in range(n) for b in range(n)
                            if given[a][b] != bound[a][b])
                 raise AxiomViolation(axiom, bad)
-    return _validate_residuated(labels, leq, bot, top, lub, glb, odot, imp)
+    odot = tuple(tuple(row) for row in odot)
+    _check_square("odot", odot, n)
+    if imp is None:
+        imp = _validate_residuated(leq, odot, None)
+    else:
+        imp = tuple(tuple(row) for row in imp)
+        try:
+            _check_square("imp", imp, n)
+        except AxiomViolation:
+            # the uncached checks raise what they meet first: a monoid
+            # fault, else this one
+            _validate_residuated.__wrapped__(leq, odot, imp)
+            raise
+        _validate_residuated(leq, odot, imp)
+    return ResiduatedLattice(labels, leq, lub, glb, odot, imp, bot, top)
 
 
-def _validate_lattice(labels, leq):
-    """The bounded-lattice part of :func:`validate`: dimensions, order,
-    bounds, and a lub and glb for every pair.  Returns the normalized
-    (labels, leq, bot, top, join, meet)."""
+def _normalized(labels, leq):
+    """Labels as strings and `leq` as an n x n tuple of bools, n >= 1."""
     labels = tuple(str(x) for x in labels)
     n = len(labels)
     if n == 0:
@@ -231,6 +255,15 @@ def _validate_lattice(labels, leq):
     leq = tuple(tuple(bool(v) for v in row) for row in leq)
     if len(leq) != n or any(len(r) != n for r in leq):
         raise AxiomViolation("table-dimension", ("leq", n))
+    return labels, leq
+
+
+@lru_cache(maxsize=None)
+def _validate_lattice(leq):
+    """The bounded-lattice part of :func:`validate` on a normalized order:
+    order axioms, bounds, and a lub and glb for every pair.  Returns
+    (bot, top, join, meet)."""
+    n = len(leq)
     _check_order(leq, n)
     bot, top = bounds_of(leq)
 
@@ -242,16 +275,17 @@ def _validate_lattice(labels, leq):
                 raise AxiomViolation("join-lub", (a, b))
             if glb[a][b] is None:
                 raise AxiomViolation("meet-glb", (a, b))
-    return labels, leq, bot, top, lub, glb
+    return bot, top, lub, glb
 
 
-def _validate_residuated(labels, leq, bot, top, join, meet, odot, imp):
-    """The residuated part of :func:`validate` on a bounded lattice that
-    :func:`_validate_lattice` has checked: the monoid, the residuum and the
-    residuation law with its derived facts."""
-    n = len(labels)
-    odot = tuple(tuple(row) for row in odot)
-    _check_square("odot", odot, n)
+@lru_cache(maxsize=None)
+def _validate_residuated(leq, odot, imp):
+    """The residuated part of :func:`validate` on an order that
+    :func:`_validate_lattice` has checked and an `odot` that has passed
+    the table check: the monoid, the residuum and the residuation law with
+    its derived facts.  Returns the checked `imp`, derived when None."""
+    n = len(leq)
+    bot, top, join, meet = _validate_lattice(leq)
     for a in range(n):
         for b in range(n):
             if odot[a][b] != odot[b][a]:
@@ -276,7 +310,6 @@ def _validate_residuated(labels, leq, bot, top, join, meet, odot, imp):
             raise AxiomViolation("residuation", ("no-residuum",))
         imp = derived
     else:
-        imp = tuple(tuple(row) for row in imp)
         _check_square("imp", imp, n)
         if derived is not None and imp != derived:
             bad = next((a, b) for a in range(n) for b in range(n)
@@ -302,8 +335,7 @@ def _validate_residuated(labels, leq, bot, top, join, meet, odot, imp):
     for a in range(n):
         if odot[a][imp[a][bot]] != bot:
             raise AxiomViolation("odot-negation-bottom", (a,))
-
-    return ResiduatedLattice(labels, leq, join, meet, odot, imp, bot, top)
+    return imp
 
 
 def leq_from_covers(n, covers):

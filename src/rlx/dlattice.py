@@ -9,10 +9,11 @@ of `rlx.filters`, and its Boolean center is `core.complemented_elements`.
 from __future__ import annotations
 
 from .core import (
+    _normalized,
     _validate_lattice,
-    _validate_residuated,
     complemented_elements,
     distributivity_witness,
+    validate,
 )
 from .errors import NotConormal, NotDistributive
 from .filters import all_filters, quotient, radical
@@ -21,11 +22,12 @@ from .filters import all_filters, quotient, radical
 def validate_bdl(labels, leq):
     """Bounded lattice with exhaustive distributivity check, returned as the
     Heyting algebra on it (odot = meet)."""
-    labels, leq, bot, top, join, meet = _validate_lattice(labels, leq)
+    labels, leq = _normalized(labels, leq)
+    _, _, join, meet = _validate_lattice(leq)
     witness = distributivity_witness(leq, join, meet)
     if witness is not None:
         raise NotDistributive(witness)
-    return _validate_residuated(labels, leq, bot, top, join, meet, meet, None)
+    return validate(labels, leq, meet)
 
 
 def lattice_blp_filter(L, F):

@@ -15,6 +15,7 @@ declared in the exists prefix.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -281,49 +282,50 @@ def format_formula(phi):
     return eqs
 
 
-def eval_term(A, t, value, env):
-    """Value of a term at free-var `value` with bound-var assignment `env`."""
+def term_values(A, t, env):
+    """Values of a term at every element as the free variable, in id order,
+    with bound-var assignment `env`."""
     if isinstance(t, FreeVar):
-        return value
+        return range(A.size)
     if isinstance(t, BoundVar):
-        return env[t.name]
+        return [env[t.name]] * A.size
     if isinstance(t, Const):
-        return A.bot if t.value == 0 else A.top
+        return [A.bot if t.value == 0 else A.top] * A.size
     if isinstance(t, Neg):
-        return A.imp[eval_term(A, t.arg, value, env)][A.bot]
+        imp, bot = A.imp, A.bot
+        return [imp[x][bot] for x in term_values(A, t.arg, env)]
     if isinstance(t, Pow):
-        return A.power(eval_term(A, t.arg, value, env), t.exponent)
-    lhs = eval_term(A, t.lhs, value, env)
-    rhs = eval_term(A, t.rhs, value, env)
-    if t.op == "|":
-        return A.join[lhs][rhs]
-    if t.op == "&":
-        return A.meet[lhs][rhs]
-    if t.op == "*":
-        return A.odot[lhs][rhs]
-    if t.op == "->":
-        return A.imp[lhs][rhs]
+        return [A.power(x, t.exponent) for x in term_values(A, t.arg, env)]
+    pairs = zip(term_values(A, t.lhs, env), term_values(A, t.rhs, env))
     if t.op == "<->":
-        return A.meet[A.imp[lhs][rhs]][A.imp[rhs][lhs]]
-    raise AssertionError(t)
-
-
-def satisfies(A, phi, a):
-    """Does phi(a) hold in A (bound witnesses brute-forced over the carrier)."""
-    import itertools
-
-    names = phi.bound_vars
-    for combo in itertools.product(A.elements(), repeat=len(names)):
-        env = dict(zip(names, combo))
-        if all(eval_term(A, l, a, env) == eval_term(A, r, a, env)
-               for l, r in phi.equations):
-            return True
-    return False
+        imp, meet = A.imp, A.meet
+        return [meet[imp[x][y]][imp[y][x]] for x, y in pairs]
+    table = {"|": A.join, "&": A.meet, "*": A.odot, "->": A.imp}[t.op]
+    return [table[x][y] for x, y in pairs]
 
 
 def definable_set(A, phi):
-    """{a : A |= phi(a)} as a frozenset of element ids."""
-    return frozenset(a for a in A.elements() if satisfies(A, phi, a))
+    """{a : A |= phi(a)} as a frozenset of element ids.
+
+    Each term is evaluated once per bound-variable assignment, for every
+    value of the free variable at once; the search over assignments stops
+    as soon as every element has a witness.
+    """
+    n = A.size
+    holds = [False] * n
+    for combo in itertools.product(range(n), repeat=len(phi.bound_vars)):
+        env = dict(zip(phi.bound_vars, combo))
+        here = range(n)
+        for lhs, rhs in phi.equations:
+            if not here:
+                break
+            left, right = term_values(A, lhs, env), term_values(A, rhs, env)
+            here = [a for a in here if left[a] == right[a]]
+        for a in here:
+            holds[a] = True
+        if all(holds):
+            break
+    return frozenset(a for a in range(n) if holds[a])
 
 
 def atomic_parts(phi):

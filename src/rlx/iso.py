@@ -95,14 +95,22 @@ def canonicalize(A):
     return validate(labels, leq, odot)
 
 
-def _invariant(leq, tables, x):
+def _invariants(leq, tables):
+    """Per element: (down-set size, up-set size, idempotence in each table,
+    occurrences in each table), the counts from one pass per table."""
     n = len(leq)
-    down = sum(1 for y in range(n) if leq[y][x])
-    up = sum(1 for y in range(n) if leq[x][y])
-    diag = tuple(t[x][x] == x for t in tables)
-    occur = tuple(sum(1 for a in range(n) for b in range(n) if t[a][b] == x)
-                  for t in tables)
-    return (down, up, diag, occur)
+    occur = []
+    for t in tables:
+        count = [0] * n
+        for row in t:
+            for v in row:
+                count[v] += 1
+        occur.append(count)
+    return [(sum(1 for y in range(n) if leq[y][x]),
+             sum(1 for y in range(n) if leq[x][y]),
+             tuple(t[x][x] == x for t in tables),
+             tuple(count[x] for count in occur))
+            for x in range(n)]
 
 
 def find_isomorphism(leq_a, tables_a, leq_b, tables_b):
@@ -114,8 +122,8 @@ def find_isomorphism(leq_a, tables_a, leq_b, tables_b):
     n = len(leq_a)
     if len(leq_b) != n or len(tables_a) != len(tables_b):
         return None
-    inv_a = [_invariant(leq_a, tables_a, x) for x in range(n)]
-    inv_b = [_invariant(leq_b, tables_b, x) for x in range(n)]
+    inv_a = _invariants(leq_a, tables_a)
+    inv_b = _invariants(leq_b, tables_b)
     if sorted(inv_a) != sorted(inv_b):
         return None
 

@@ -14,9 +14,9 @@ from .formulas import (
     atomic_parts,
     blp_formula,
     definable_set,
-    eval_term,
     ilp_formula,
     rlp_formula,
+    term_values,
 )
 
 
@@ -37,9 +37,13 @@ class LpReport:
 def has_phi_lp(A, phi, F):
     """Filter-level lifting: every phi-element of A/F is a class of a
     phi-element of A.  Returns (holds, FilterVerdict)."""
+    return _filter_verdict(A, phi, definable_set(A, phi), F)
+
+
+def _filter_verdict(A, phi, sat, F):
+    """:func:`has_phi_lp` with `sat` = definable_set(A, phi) given."""
     Q = quotient(A, F)
     quotient_sat = definable_set(Q.quotient, phi)
-    sat = definable_set(A, phi)
     missing = quotient_sat - {Q.class_of[e] for e in sat}
     if missing:
         least_class = min(missing)
@@ -64,8 +68,9 @@ def lp_report(A, phi):
     and :func:`has_ilp`.
     """
     rows = []
+    sat = definable_set(A, phi)
     for F in all_filters(A):
-        holds, verdict = has_phi_lp(A, phi, F)
+        holds, verdict = _filter_verdict(A, phi, sat, F)
         if F.members == {A.top} or not F.proper:
             assert holds, "trivial/improper filters always have the lifting property"
         rows.append((F, verdict))
@@ -106,8 +111,9 @@ def atomic_lp_characterization(A, phi):
     every a admits e in A(phi) with d(a, e) in [d(t1(a), t2(a)))."""
     t1, t2 = atomic_parts(phi)
     sat = definable_set(A, phi)
+    left, right = term_values(A, t1, {}), term_values(A, t2, {})
     for a in A.elements():
-        gap = A.bires(eval_term(A, t1, a, {}), eval_term(A, t2, a, {}))
+        gap = A.bires(left[a], right[a])
         F = principal_filter(A, gap)
         if not any(A.bires(a, e) in F for e in sat):
             return False

@@ -518,14 +518,15 @@ def check_complementary_filter_lemma(A):
 def check_biresiduum_gap_lemma(A):
     """a always satisfies phi modulo the filter generated by its own
     term gap d(t1(a), t2(a))."""
-    from .formulas import atomic_parts, eval_term
+    from .formulas import atomic_parts, term_values
 
     failures = []
     for name, phi in (("blp", blp_formula()), ("ilp", ilp_formula()),
                       ("rlp", rlp_formula())):
         t1, t2 = atomic_parts(phi)
+        left, right = term_values(A, t1, {}), term_values(A, t2, {})
         for a in A.elements():
-            gap = A.bires(eval_term(A, t1, a, {}), eval_term(A, t2, a, {}))
+            gap = A.bires(left[a], right[a])
             F = principal_filter(A, gap)
             Q = quotient(A, F)
             from .formulas import definable_set

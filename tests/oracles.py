@@ -11,9 +11,62 @@ from rlx.dlattice import validate_bdl
 from rlx.enumeration import _lattice_orders, all_algebras
 from rlx.errors import AxiomViolation, NotResiduated
 from rlx.filters import principal_filter
+from rlx.formulas import BoundVar, Const, FreeVar, Neg, Pow
 from rlx.lifting import has_blp
 from rlx.iso import _mid_perms, permute_relation, permute_table
 from rlx.reticulation import Reticulation, _assert_axioms
+
+
+def eval_term(A, t, value, env):
+    """Value of a term at free-var `value` with bound-var assignment `env`,
+    by one walk of the term."""
+    if isinstance(t, FreeVar):
+        return value
+    if isinstance(t, BoundVar):
+        return env[t.name]
+    if isinstance(t, Const):
+        return A.bot if t.value == 0 else A.top
+    if isinstance(t, Neg):
+        return A.imp[eval_term(A, t.arg, value, env)][A.bot]
+    if isinstance(t, Pow):
+        return A.power(eval_term(A, t.arg, value, env), t.exponent)
+    lhs = eval_term(A, t.lhs, value, env)
+    rhs = eval_term(A, t.rhs, value, env)
+    if t.op == "|":
+        return A.join[lhs][rhs]
+    if t.op == "&":
+        return A.meet[lhs][rhs]
+    if t.op == "*":
+        return A.odot[lhs][rhs]
+    if t.op == "->":
+        return A.imp[lhs][rhs]
+    if t.op == "<->":
+        return A.meet[A.imp[lhs][rhs]][A.imp[rhs][lhs]]
+    raise AssertionError(t)
+
+
+def satisfies(A, phi, a):
+    """Does phi(a) hold in A: one eval_term walk per equation and bound-
+    variable assignment, the witnesses brute-forced over the carrier."""
+    names = phi.bound_vars
+    for combo in itertools.product(A.elements(), repeat=len(names)):
+        env = dict(zip(names, combo))
+        if all(eval_term(A, l, a, env) == eval_term(A, r, a, env)
+               for l, r in phi.equations):
+            return True
+    return False
+
+
+def brute_invariant(leq, tables, x):
+    """The isomorphism invariant of x, each occurrence count by its own
+    scan of the whole table."""
+    n = len(leq)
+    down = sum(1 for y in range(n) if leq[y][x])
+    up = sum(1 for y in range(n) if leq[x][y])
+    diag = tuple(t[x][x] == x for t in tables)
+    occur = tuple(sum(1 for a in range(n) for b in range(n) if t[a][b] == x)
+                  for t in tables)
+    return (down, up, diag, occur)
 
 
 def brute_lub_table(leq):

@@ -197,6 +197,19 @@ def test_cli_entry_point_subprocess():
     assert a.stdout == b.stdout
 
 
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.rlat")),
+                         ids=lambda p: p.stem)
+def test_check_theorems_same_under_optimize(path):
+    # python -O strips every assert: the matrix must print the same rows
+    # and exit the same without them
+    cmd = ["-m", "rlx.cli", "check-theorems", "--json", str(path)]
+    plain, optimized = [
+        subprocess.run([sys.executable, *opt, *cmd], capture_output=True, timeout=120)
+        for opt in ([], ["-O"])]
+    assert plain.stdout
+    assert (optimized.stdout, optimized.returncode) == (plain.stdout, plain.returncode)
+
+
 def test_quotient_bad_filter(capsys):
     code, _, err = run_cli(capsys, "quotient", str(FIXTURES / "pentagon_stacked.rlat"),
                            "--filter", "b,c")

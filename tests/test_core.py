@@ -1,7 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rlx.core
 from rlx.core import (
+    _validate_lattice,
+    _validate_residuated,
     boolean_algebra,
     classify,
     complemented_elements,
@@ -17,7 +20,8 @@ from rlx.core import (
     upset_algebra,
     validate,
 )
-from rlx.enumeration import _lattice_orders
+import rlx.enumeration
+from rlx.enumeration import _generate, _lattice_orders
 from rlx.errors import AxiomViolation, InvalidArgument, NotResiduated
 from rlx.filters import max_spec, spec
 
@@ -160,6 +164,102 @@ def test_hash_agrees_with_equality_across_validations(E2):
     assert {A: "cached"}[B] == "cached"
     relabeled = validate(tuple(x + "'" for x in E2.labels), E2.leq, E2.odot)
     assert relabeled != A
+
+
+def _clear_validate_memo():
+    _validate_lattice.cache_clear()
+    _validate_residuated.cache_clear()
+
+
+def _outcome(*args):
+    """What validate(*args) gives: the repr of every field of the algebra
+    (so 1 and True differ), or the axiom and witness it raises."""
+    try:
+        A = validate(*args)
+    except AxiomViolation as err:
+        return ("raises", err.axiom, err.witness)
+    return ("algebra", repr((A.labels, A.leq, A.join, A.meet, A.odot,
+                             A.imp, A.bot, A.top)))
+
+
+def _one_entry_mutations(A, i):
+    """validate arguments for A, with and without imp, and with one entry
+    in row i of leq, odot or imp changed (an entry 1 also becomes True)."""
+    n = A.size
+    tables = {"leq": A.leq, "odot": A.odot, "imp": A.imp}
+    yield A.labels, A.leq, A.odot, A.imp
+    yield A.labels, A.leq, A.odot, None
+    for name, table in tables.items():
+        for j in range(n):
+            v = table[i][j]
+            values = [not v] if name == "leq" else [(v + 1) % n]
+            if v == 1 and name != "leq":
+                values.append(True)
+            for w in values:
+                rows = [list(row) for row in table]
+                rows[i][j] = w
+                args = dict(tables, **{name: rows})
+                yield A.labels, args["leq"], args["odot"], args["imp"]
+
+
+def test_validate_memo_cold_and_warm(corpus5, corpus6):
+    """With the memo cleared, with it holding only the unmutated algebra,
+    and on a repeat call, every input gives the same algebra or the same
+    exception and witness.  The mutated row moves from algebra to algebra."""
+    for k, A in enumerate(corpus5 + corpus6):
+        for args in _one_entry_mutations(A, k % A.size):
+            _clear_validate_memo()
+            cold = _outcome(*args)
+            _clear_validate_memo()
+            validate(A.labels, A.leq, A.odot, A.imp)
+            assert _outcome(*args) == cold
+            assert _outcome(*args) == cold
+
+
+@pytest.mark.parametrize("bad", [1.0, "1"])
+@pytest.mark.parametrize("name", ["odot", "imp"])
+def test_validate_memo_checks_entries_before_a_hit(E2, name, bad):
+    # 1.0 hashes and compares like 1, so the memo holds a valid key equal
+    # to the bad table; the entry check still runs first
+    validate(E2.labels, E2.leq, E2.odot, E2.imp)
+    tables = {"odot": E2.odot, "imp": E2.imp}
+    i, j = next((i, j) for i in E2.elements() for j in E2.elements()
+                if tables[name][i][j] == 1)
+    rows = [list(row) for row in tables[name]]
+    rows[i][j] = bad
+    args = dict(tables, **{name: rows})
+    for _ in range(2):
+        with pytest.raises(AxiomViolation) as err:
+            validate(E2.labels, E2.leq, args["odot"], args["imp"])
+        assert (err.value.axiom, err.value.witness) == ("table-entry", (name, i, j))
+
+
+def test_generate_checks_each_lattice_order_once(monkeypatch):
+    calls = []
+    orders = []
+    check_order = rlx.core._check_order
+    validate_ = rlx.enumeration.validate
+
+    def counting_check(leq, n):
+        calls.append(leq)
+        return check_order(leq, n)
+
+    def recording_validate(labels, leq, odot):
+        orders.append(leq)
+        return validate_(labels, leq, odot)
+
+    monkeypatch.setattr(rlx.core, "_check_order", counting_check)
+    monkeypatch.setattr(rlx.enumeration, "validate", recording_validate)
+    _clear_validate_memo()
+    assert len(_generate(6)) == 129
+    assert len(calls) == len(set(calls)) == len(set(orders)) < len(orders)
+
+
+def test_power_limit_is_the_stationary_power(corpus5):
+    for A in corpus5:
+        for a in A.elements():
+            w = A.power_limit(a)
+            assert w == A.power(a, A.size) == A.odot[w][a]
 
 
 def test_classify_pentagon_godel(E1):

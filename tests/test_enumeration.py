@@ -13,6 +13,7 @@ from rlx.enumeration import (
 )
 from rlx.errors import SizeCapExceeded
 from rlx.iso import (
+    _invariants,
     canonical_key,
     canonicalize,
     permute_relation,
@@ -20,7 +21,12 @@ from rlx.iso import (
     rl_isomorphic,
 )
 
-from oracles import brute_canonical_key, brute_relabeling, slow_enumerate
+from oracles import (
+    brute_canonical_key,
+    brute_invariant,
+    brute_relabeling,
+    slow_enumerate,
+)
 
 # SHA-256 of repr([(A.labels, A.leq, A.odot) for A in all_algebras(n,
 # use_cache=False)]) for n = 1..6, recorded at commit 622935e, before the
@@ -119,6 +125,13 @@ def test_enumerated_algebras_are_valid(corpus5):
 
     for A in corpus5:
         assert validate(A.labels, A.leq, A.odot, A.imp) == A
+
+
+def test_invariants_match_per_element_scans(corpus5, corpus6):
+    for A in corpus5 + corpus6:
+        tables = (A.join, A.meet, A.odot, A.imp)
+        assert _invariants(A.leq, tables) == [
+            brute_invariant(A.leq, tables, x) for x in A.elements()]
 
 
 def _same_tables(A, leq, odot):

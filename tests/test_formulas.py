@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlx.core import boolean_algebra, classify, godel_chain
+from rlx.core import boolean_algebra, classify, godel_chain, lukasiewicz_chain
 from rlx.errors import (
     FormulaSyntaxError,
     MultipleFreeVariables,
@@ -18,12 +18,14 @@ from rlx.formulas import (
     atomic_parts,
     blp_formula,
     definable_set,
-    eval_term,
     format_formula,
     ilp_formula,
     parse_formula,
     rlp_formula,
+    term_values,
 )
+
+from oracles import satisfies
 
 
 def test_parse_blp_shape():
@@ -78,7 +80,7 @@ def test_biresiduum_matches_definition():
     (lhs, _), = phi.equations
     for a in A.elements():
         direct = A.bires(a, A.top)
-        assert eval_term(A, lhs, a, {}) == direct
+        assert term_values(A, lhs, {})[a] == direct
 
 
 def test_pow_zero_is_top():
@@ -142,6 +144,31 @@ def test_boolean_pair_formula_matches_center(corpus4):
         assert definable_set(A, phi) == classify(A).boolean_center
 
 
+# between them: bound variables, <->, ^k, both constants, several equations
+ORACLE_FORMULAS = (
+    "v | !v = 1",
+    "v^2 = v",
+    "v = !!v",
+    "0 = 1",
+    "exists w1 . v = w1 * w1",
+    "exists w1 w2 . v <-> w1 = w2^2 && w1 | w2 = 1",
+    "exists w . (v -> w) & (w -> v) = 1 && !w = 0",
+    "v^3 -> 0 = !v && 1 & v = v",
+    "exists w1 . v * w1 = 0 && v | w1 = 1 && w1^2 <-> 1 = w1",
+)
+
+
+def _oracle_set(A, phi):
+    return frozenset(a for a in A.elements() if satisfies(A, phi, a))
+
+
+def test_definable_set_matches_per_element_oracle(corpus5):
+    for text in ORACLE_FORMULAS:
+        phi = parse_formula(text)
+        for A in corpus5:
+            assert definable_set(A, phi) == _oracle_set(A, phi), (text, A)
+
+
 def test_atomic_parts():
     t1, t2 = atomic_parts(ilp_formula())
     assert t1 == Pow(FreeVar("v"), 2) and t2 == FreeVar("v")
@@ -189,3 +216,13 @@ def test_round_trip_preserves_semantics(eq):
     phi = Formula(("w1",), (eq,), "v")
     back = parse_formula(format_formula(phi))
     assert definable_set(A, phi) == definable_set(A, back)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_terms(3), _terms(3)), min_size=1, max_size=3))
+def test_definable_set_matches_oracle_on_random_formulas(eqs):
+    from rlx.formulas import Formula
+
+    phi = Formula(("w1",), tuple(eqs), "v")
+    for A in (godel_chain(3), lukasiewicz_chain(4), boolean_algebra(2)):
+        assert definable_set(A, phi) == _oracle_set(A, phi)

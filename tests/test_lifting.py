@@ -109,23 +109,25 @@ def test_atomic_characterization_equals_direct_on_corpus(corpus5):
 def test_blp_gap_filter_is_join_with_negation(corpus4):
     # the term gap of the Boolean formula is a | !a, so the general
     # criterion specializes to the join form
-    from rlx.formulas import atomic_parts, eval_term
+    from rlx.formulas import atomic_parts, term_values
 
     t1, t2 = atomic_parts(blp_formula())
     for A in corpus4:
+        left, right = term_values(A, t1, {}), term_values(A, t2, {})
         for a in A.elements():
-            gap = A.bires(eval_term(A, t1, a, {}), eval_term(A, t2, a, {}))
+            gap = A.bires(left[a], right[a])
             assert principal_filter(A, gap).members == \
                 principal_filter(A, A.join[a][A.neg(a)]).members
 
 
 def test_ilp_gap_filter_matches_definition(corpus4):
-    from rlx.formulas import atomic_parts, eval_term
+    from rlx.formulas import atomic_parts, term_values
 
     t1, t2 = atomic_parts(ilp_formula())
     for A in corpus4:
+        left, right = term_values(A, t1, {}), term_values(A, t2, {})
         for a in A.elements():
-            gap = A.bires(eval_term(A, t1, a, {}), eval_term(A, t2, a, {}))
+            gap = A.bires(left[a], right[a])
             assert gap == A.bires(A.odot[a][a], a)
 
 
