@@ -510,7 +510,6 @@ def direct_product(A, B):
 
     labels = _unique(f"{A.labels[i]}.{B.labels[j]}"
                      for i in range(A.size) for j in range(B.size))
-    n = A.size * B.size
     pairs = [(i, j) for i in range(A.size) for j in range(B.size)]
     leq = tuple(
         tuple(A.leq[i1][i2] and B.leq[j1][j2] for (i2, j2) in pairs)
@@ -521,7 +520,6 @@ def direct_product(A, B):
     imp = tuple(
         tuple(pid(A.imp[i1][i2], B.imp[j1][j2]) for (i2, j2) in pairs)
         for (i1, j1) in pairs)
-    assert n == len(pairs)
     return validate(labels, leq, odot, imp)
 
 

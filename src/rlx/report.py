@@ -6,13 +6,14 @@ from __future__ import annotations
 import hashlib
 
 from .core import classify, validate
-from .filters import all_filters, is_local, radical
+from .filters import all_filters, is_local, is_semisimple, max_spec, radical
 from .formulas import blp_formula, ilp_formula, rlp_formula
 from .io import print_filter, print_rlat
 from .iso import canonicalize, permute_relation, permute_table
 from .lifting import lp_report
 from .reticulation import build_reticulation
 from .spectra import (
+    gelfand_counterexample,
     is_gelfand,
     star_property,
     star_star_property,
@@ -42,14 +43,11 @@ def content_hash(A):
 
 def _gelfand_witness(A):
     """A prime filter under several maximal ones, or None when Gelfand."""
-    from .filters import max_spec, spec
-
-    for P in spec(A):
-        above = [M for M in max_spec(A) if P.members <= M.members]
-        if len(above) != 1:
-            return {"prime": print_filter(P),
-                    "maximals_above": [print_filter(M) for M in above]}
-    return None
+    P = gelfand_counterexample(A)
+    if P is None:
+        return None
+    return {"prime": print_filter(P),
+            "maximals_above": [print_filter(M) for M in max_spec(A) if P <= M]}
 
 
 def analysis_report(A, include_theorems=True):
@@ -107,7 +105,7 @@ def analysis_report(A, include_theorems=True):
             "max_points": [print_filter(M) for M in mx.points],
             "radical": print_filter(radical(A)),
             "is_local": is_local(A),
-            "is_semisimple": radical(A).members == {A.top},
+            "is_semisimple": is_semisimple(A),
             "spec_topology": topology_predicates(sp),
             "max_topology": topology_predicates(mx),
         },

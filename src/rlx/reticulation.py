@@ -58,8 +58,8 @@ class RLMorphism:
 @lru_cache(maxsize=None)
 def build_reticulation(A):
     """Canonical construction: distinct principal filters under reverse
-    inclusion, with lam(a) = [a).  All five axioms and distributivity are
-    asserted on the result."""
+    inclusion, with lam(a) = [a).  validate_bdl checks distributivity, and
+    the five axioms of lam are asserted on the result."""
     # on a finite algebra every filter is principal
     principal = sorted(all_filters(A),
                        key=lambda F: (-len(F), F.sorted_members()))
@@ -82,10 +82,10 @@ def _assert_axioms(R):
             assert lam[A.join[a][b]] == L.join[lam[a]][lam[b]]
     assert lam[A.bot] == L.bot and lam[A.top] == L.top
     assert set(lam) == set(L.elements())  # surjective
+    # the powers of a decrease to a^w, so some a^n <= b iff a^w <= b
     for a in A.elements():
         for b in A.elements():
-            reach = any(A.leq[A.power(a, n)][b] for n in range(1, A.size + 1))
-            assert L.leq[lam[a]][lam[b]] == reach
+            assert L.leq[lam[a]][lam[b]] == A.leq[A.power_limit(a)][b]
 
 
 def verify_retic_properties(R):
@@ -192,31 +192,47 @@ def _spectrum_homeo(A, R, kind):
     return transported == lat_opens
 
 
+def _induced_map(lam1, lam2, L1, L2):
+    """The bounded lattice morphism f: L1 -> L2 with f(lam1[a]) = lam2[a]
+    for every element a of the common source, as a tuple over L1.
+
+    Raises AxiomViolation at the first failure: f not well defined at a
+    ("induced-well-defined", (a,)), lam1 missing part of L1
+    ("induced-domain", ()), a join or meet not preserved at (x, y)
+    ("induced-join" / "induced-meet"), or the bounds not preserved
+    ("induced-bounds", ()).
+    """
+    f = {}
+    for a, (x, y) in enumerate(zip(lam1, lam2)):
+        if f.setdefault(x, y) != y:
+            raise AxiomViolation("induced-well-defined", (a,))
+    if len(f) != L1.size:
+        raise AxiomViolation("induced-domain", ())
+    for x in L1.elements():
+        for y in L1.elements():
+            if f[L1.join[x][y]] != L2.join[f[x]][f[y]]:
+                raise AxiomViolation("induced-join", (x, y))
+            if f[L1.meet[x][y]] != L2.meet[f[x]][f[y]]:
+                raise AxiomViolation("induced-meet", (x, y))
+    if f[L1.bot] != L2.bot or f[L1.top] != L2.top:
+        raise AxiomViolation("induced-bounds", ())
+    return tuple(f[x] for x in L1.elements())
+
+
 def _retic_quotient_match(A, R, F):
+    """Is the canonical map lam_F(a/F) -> lam(a)/lam(F) a well-defined
+    bounded lattice isomorphism L(A/F) -> L(A)/lam(F)?"""
     L, lam = R.lattice, R.lam
     Q = quotient(A, F)
     RQ = build_reticulation(Q.quotient)
     QL = quotient(L, Filter(L, frozenset(lam[x] for x in F.members)))
-    LQ, class_of = QL.quotient, QL.class_of
-    # the canonical map lam_F(a/F) -> lam(a)/lam(F) must be a well-defined
-    # bounded lattice isomorphism
-    mapping = {}
-    for a in A.elements():
-        src = RQ.lam[Q.class_of[a]]
-        dst = class_of[lam[a]]
-        if src in mapping and mapping[src] != dst:
-            return False
-        mapping[src] = dst
-    if len(mapping) != RQ.lattice.size or len(set(mapping.values())) != LQ.size:
+    try:
+        f = _induced_map(tuple(RQ.lam[c] for c in Q.class_of),
+                         tuple(QL.class_of[x] for x in lam),
+                         RQ.lattice, QL.quotient)
+    except AxiomViolation:
         return False
-    for x in RQ.lattice.elements():
-        for y in RQ.lattice.elements():
-            if mapping[RQ.lattice.join[x][y]] != LQ.join[mapping[x]][mapping[y]]:
-                return False
-            if mapping[RQ.lattice.meet[x][y]] != LQ.meet[mapping[x]][mapping[y]]:
-                return False
-    return (mapping[RQ.lattice.bot] == LQ.bot
-            and mapping[RQ.lattice.top] == LQ.top)
+    return len(set(f)) == RQ.lattice.size == QL.quotient.size
 
 
 def uniqueness_check(R1, R2):
@@ -228,44 +244,22 @@ def uniqueness_check(R1, R2):
     A = R1.source
     if R2.source is not A and R2.source != A:
         raise NoIsomorphism("reticulations of different algebras")
-    f = {}
-    for a in A.elements():
-        x, y = R1.lam[a], R2.lam[a]
-        if x in f and f[x] != y:
-            raise NoIsomorphism(f"map not well defined at {a}")
-        f[x] = y
-    L1, L2 = R1.lattice, R2.lattice
-    if len(f) != L1.size or len(set(f.values())) != L2.size:
+    try:
+        f = _induced_map(R1.lam, R2.lam, R1.lattice, R2.lattice)
+    except AxiomViolation as exc:
+        raise NoIsomorphism(str(exc)) from exc
+    if not len(set(f)) == R1.lattice.size == R2.lattice.size:
         raise NoIsomorphism("not bijective")
-    for x in L1.elements():
-        for y in L1.elements():
-            if f[L1.join[x][y]] != L2.join[f[x]][f[y]]:
-                raise NoIsomorphism("join not preserved")
-            if f[L1.meet[x][y]] != L2.meet[f[x]][f[y]]:
-                raise NoIsomorphism("meet not preserved")
-    if f[L1.bot] != L2.bot or f[L1.top] != L2.top:
-        raise NoIsomorphism("bounds not preserved")
-    return tuple(f[x] for x in range(L1.size))
+    return f
 
 
 def reticulate_morphism(f: RLMorphism):
-    """The lattice morphism L(f) with L(f)(lam_B(b)) = lam_C(f(b))."""
+    """The lattice morphism L(f) with L(f)(lam_B(b)) = lam_C(f(b));
+    AxiomViolation if that is not a well-defined bounded lattice map."""
     RB = build_reticulation(f.source)
     RC = build_reticulation(f.target)
-    out = {}
-    for b in f.source.elements():
-        x = RB.lam[b]
-        y = RC.lam[f.mapping[b]]
-        if x in out and out[x] != y:
-            raise AxiomViolation("functor-well-defined", (b,))
-        out[x] = y
-    LB, LC = RB.lattice, RC.lattice
-    for x in LB.elements():
-        for y in LB.elements():
-            assert out[LB.join[x][y]] == LC.join[out[x]][out[y]]
-            assert out[LB.meet[x][y]] == LC.meet[out[x]][out[y]]
-    assert out[LB.bot] == LC.bot and out[LB.top] == LC.top
-    return tuple(out[x] for x in range(LB.size))
+    return _induced_map(RB.lam, tuple(RC.lam[y] for y in f.mapping),
+                        RB.lattice, RC.lattice)
 
 
 def blp_transfer(A, F):
@@ -280,8 +274,9 @@ def blp_transfer(A, F):
 
 def archimedean_bridge(A):
     """Per-element archimedean test against Boolean-ness of the lam image;
-    hyperarchimedean iff L(A) is Boolean; the radical maps onto the lattice
-    radical; locality transfers."""
+    the radical maps onto the lattice radical; locality transfers.  Whether
+    A is hyperarchimedean and whether L(A) is Boolean are returned for the
+    hyperarchimedean-boolean-reticulation row to compare."""
     R = build_reticulation(A)
     L, lam = R.lattice, R.lam
     report = classify(A)
@@ -293,7 +288,6 @@ def archimedean_bridge(A):
         per_element[a] = is_arch
     hyper = report.is_hyperarchimedean
     lattice_boolean = BL == frozenset(L.elements())
-    assert hyper == lattice_boolean
 
     lam_rad = frozenset(lam[x] for x in radical(A).members)
     assert lam_rad == radical(L).members

@@ -53,9 +53,6 @@ class SpectrumSpace:
             m |= 1 << idx[F.gen]
         return m
 
-    def closed_sets(self):
-        return tuple(sorted(self.full & ~U for U in self.opens))
-
     def is_open(self, mask):
         return mask in set(self.opens)
 
@@ -227,22 +224,27 @@ def topology_predicates(space):
     return preds
 
 
+def gelfand_counterexample(A):
+    """The first prime filter (in Spec order) that does not sit below
+    exactly one maximal filter, or None when A is Gelfand."""
+    maxima = max_spec(A)
+    for P in spec(A):
+        if sum(P <= M for M in maxima) != 1:
+            return P
+    return None
+
+
 @lru_cache(maxsize=None)
 def is_gelfand(A):
     """Every prime filter sits below exactly one maximal filter."""
-    maxima = max_spec(A)
-    for P in spec(A):
-        above = [M for M in maxima if P <= M]
-        if len(above) != 1:
-            return False
-    return True
+    return gelfand_counterexample(A) is None
 
 
 def gelfand_conditions(A):
     """All implemented equivalent forms of the Gelfand property.
 
     Keys 1,2,4,8,10,12,14 are computed on A directly; 3 and 5 on the
-    reticulation.  The values must all agree.
+    reticulation.  The gelfand-forms rows compare each with key 4.
     """
     from .dlattice import is_conormal_lattice, is_normal_lattice, validate_bdl
     from .reticulation import build_reticulation
@@ -313,14 +315,7 @@ def gelfand_conditions(A):
     R = build_reticulation(A)
     L = R.lattice
     out[3] = is_conormal_lattice(L)
-    maxima_l = max_spec(L)
-    cond5 = True
-    for P in spec(L):
-        above = [M for M in maxima_l if P <= M]
-        if len(above) != 1:
-            cond5 = False
-            break
-    out[5] = cond5
+    out[5] = is_gelfand(L)
     return out
 
 
@@ -355,17 +350,14 @@ def star_property(A):
     """Principal filters split off a radical part: for every x some
     u in Rad(A) and Boolean e give [x) = [u) v [e).
 
-    Decided directly and via three equivalent reformulations (nilpotent
-    product + radical join; the two spectral containments; the bounded
-    union form); all four must agree.  Returns (holds, witnesses) where
-    witnesses maps x -> (u, e) for the direct form.
+    Decided directly; the star-forms rows compare the verdict with the
+    nilpotent, spectral and bounded-union reformulations.  Returns
+    (holds, witnesses) where witnesses maps x -> the first such (u, e).
     """
     B = sorted(classify(A).boolean_center)
     rad = radical(A)
-    mx = stone_max(A)
-
     witnesses = {}
-    direct = True
+    holds = True
     for x in A.elements():
         fx = principal_filter(A, x)
         found = None
@@ -378,49 +370,10 @@ def star_property(A):
             if found:
                 break
         if found is None:
-            direct = False
+            holds = False
         else:
             witnesses[x] = found
-
-    via_nilpotent = True
-    for a in A.elements():
-        ok = any(A.is_nilpotent(A.odot[a][e]) and A.join[a][e] in rad.members
-                 for e in B)
-        if not ok:
-            via_nilpotent = False
-            break
-
-    via_spectral = True
-    for a in A.elements():
-        va, da = mx.v[a], mx.d(a)
-        ok = False
-        for e in B:
-            ve, de = mx.v[e], mx.d(e)
-            if va & ~de == 0 and da & ~ve == 0:
-                ok = True
-                break
-        if not ok:
-            via_spectral = False
-            break
-
-    via_powers = True
-    for a in A.elements():
-        va = mx.v[a]
-        ok = False
-        for e in B:
-            ve, de = mx.v[e], mx.d(e)
-            if va & ~de != 0:
-                continue
-            if all(mx.v[A.neg(A.power(a, k))] & ~ve == 0
-                   for k in range(1, A.size + 1)):
-                ok = True
-                break
-        if not ok:
-            via_powers = False
-            break
-
-    assert direct == via_nilpotent == via_spectral == via_powers
-    return direct, witnesses
+    return holds, witnesses
 
 
 def star_star_property(A):

@@ -18,6 +18,7 @@ from .filters import (
     filter_join,
     filter_meet,
     is_local,
+    is_semisimple,
     max_spec,
     principal_filter,
     quotient,
@@ -31,7 +32,7 @@ from .lifting import (
     has_blp,
     has_ilp,
     has_phi_lp,
-    lp_report,
+    has_rlp,
     boolean_splitting_conditions,
 )
 from .spectra import (
@@ -95,7 +96,7 @@ def check_atomic_characterization(A):
     for name, phi, direct in (
             ("blp", blp_formula(), has_blp(A)),
             ("ilp", ilp_formula(), has_ilp(A)),
-            ("rlp", rlp_formula(), lp_report(A, rlp_formula()).global_holds)):
+            ("rlp", rlp_formula(), has_rlp(A))):
         via_terms = atomic_lp_characterization(A, phi)
         out.append(_equiv(f"atomic-lift.{name}", direct, via_terms))
     return out
@@ -317,14 +318,14 @@ def check_max_boolean_corollaries(A):
     mx_boolean = topology_predicates(stone_max(A))["boolean_space"]
     out = [_equiv("max-boolean-vs-semisimple-quotient",
                   mx_boolean, has_blp(Q))]
-    semisimple = rad.members == {A.top}
+    semisimple = is_semisimple(A)
     out.append(_implies("semisimple-max-boolean-blp",
                         semisimple and mx_boolean, has_blp(A)))
     return out
 
 
 def check_semisimple_equivalences(A):
-    semisimple = radical(A).members == {A.top}
+    semisimple = is_semisimple(A)
     preds = topology_predicates(stone_max(A))
     out = []
     if semisimple:
@@ -339,7 +340,7 @@ def check_semisimple_equivalences(A):
 def check_semisimple_star_equivalences(A):
     """With semisimplicity (semilocal is automatic on finite algebras) the
     splitting property joins the equivalence chain."""
-    semisimple = radical(A).members == {A.top}
+    semisimple = is_semisimple(A)
     out = []
     if semisimple:
         star, _ = star_property(A)
@@ -353,7 +354,7 @@ def check_semisimple_star_equivalences(A):
 
 
 def check_semisimple_hausdorff(A):
-    semisimple = radical(A).members == {A.top}
+    semisimple = is_semisimple(A)
     hausdorff = topology_predicates(stone_max(A))["hausdorff"]
     return [_implies("semisimple-hausdorff-gelfand",
                      semisimple and hausdorff, is_gelfand(A))]
@@ -446,7 +447,7 @@ def check_spectral_lemmas(A):
             closure &= closed
     out.append(_equiv("max-closure-is-radical-locus",
                       closure == sp.v[rad.gen], True))
-    semisimple = rad.members == {A.top}
+    semisimple = is_semisimple(A)
     out.append(_implies("semisimple-max-dense", semisimple,
                         closure == sp.full))
 

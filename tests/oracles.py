@@ -6,13 +6,13 @@ closed forms in the library can be checked against it.
 
 import itertools
 
-from rlx.core import classify, validate
+from rlx.core import classify, direct_product, validate
 from rlx.dlattice import validate_bdl
 from rlx.enumeration import _lattice_orders, all_algebras
 from rlx.errors import AxiomViolation, NotResiduated
 from rlx.filters import principal_filter
-from rlx.formulas import BoundVar, Const, FreeVar, Neg, Pow
-from rlx.lifting import has_blp
+from rlx.formulas import BoundVar, Const, FreeVar, Neg, Pow, definable_set
+from rlx.lifting import has_blp, lp_report
 from rlx.iso import _mid_perms, permute_relation, permute_table
 from rlx.reticulation import Reticulation, _assert_axioms
 
@@ -377,3 +377,21 @@ def slow_enumerate(n):
             if key not in found:
                 found[key] = A
     return [found[k] for k in sorted(found)]
+
+
+def product_lp_check(A, B, phi):
+    """(lp(AxB), lp(A), lp(B)) with the product law and the definable-set
+    product equation asserted."""
+    P = direct_product(A, B)
+    lp_p = lp_report(P, phi).global_holds
+    lp_a = lp_report(A, phi).global_holds
+    lp_b = lp_report(B, phi).global_holds
+    assert lp_p == (lp_a and lp_b), "lifting must respect finite products"
+
+    sat_p = definable_set(P, phi)
+    sat_a = definable_set(A, phi)
+    sat_b = definable_set(B, phi)
+    nb = B.size
+    expected = frozenset(i * nb + j for i in sat_a for j in sat_b)
+    assert sat_p == expected, "definable sets must multiply componentwise"
+    return lp_p, lp_a, lp_b

@@ -43,7 +43,6 @@ from rlx.lifting import (
     has_phi_lp,
     has_rlp,
     lp_report,
-    product_lp_check,
 )
 from rlx.reticulation import (
     archimedean_bridge,
@@ -54,7 +53,7 @@ from rlx.reticulation import (
 from rlx.spectra import is_gelfand, star_property, star_star_property
 from rlx.theorems import disagreements
 
-from oracles import dense_radical, distributive_lattices
+from oracles import dense_radical, distributive_lattices, product_lp_check
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -28,11 +28,10 @@ from rlx.lifting import (
     has_phi_lp,
     has_rlp,
     lp_report,
-    product_lp_check,
     boolean_splitting_conditions,
 )
 
-from oracles import brute_boolean_splitting_conditions
+from oracles import brute_boolean_splitting_conditions, product_lp_check
 
 
 def filter_by_labels(A, names):
@@ -153,6 +152,21 @@ def test_boolean_splitting_matches_search_oracle(corpus5, corpus6, E1, E2):
     for A in [*corpus5, *corpus6, E1, E2]:
         assert (boolean_splitting_conditions(A)
                 == brute_boolean_splitting_conditions(A)), A
+
+
+def test_regular_lifting_double_negation_trace(corpus5, E1, E2):
+    """The proof of regular lifting, traced: !!a is regular, and modulo
+    every filter where a's class is regular, !!a lies in a's class."""
+    for A in [*corpus5, E1, E2]:
+        assert has_rlp(A)
+        for F in all_filters(A):
+            Q = quotient(A, F)
+            reg_q = definable_set(Q.quotient, rlp_formula())
+            for a in A.elements():
+                if Q.class_of[a] in reg_q:
+                    e = A.neg(A.neg(a))
+                    assert A.neg(A.neg(e)) == e
+                    assert Q.class_of[e] == Q.class_of[a]
 
 
 def test_product_lp_check():

@@ -7,6 +7,7 @@ from rlx.errors import NoIsomorphism
 from rlx.filters import all_filters, principal_filter, quotient
 from rlx.iso import find_isomorphism
 from rlx.reticulation import (
+    Reticulation,
     RLMorphism,
     archimedean_bridge,
     blp_transfer,
@@ -75,6 +76,28 @@ def test_uniqueness_of_reticulation(corpus4, E2):
 def test_uniqueness_rejects_mismatched_sources(E1, E2):
     with pytest.raises(NoIsomorphism):
         uniqueness_check(build_reticulation(E1), build_reticulation(E2))
+
+
+def test_uniqueness_rejects_a_map_that_breaks_joins(E1):
+    # swapping bot and top of L(A) gives a well-defined bijection that is
+    # no lattice map
+    R = build_reticulation(E1)
+    L = R.lattice
+    swap = {L.bot: L.top, L.top: L.bot}
+    R2 = Reticulation(E1, L, tuple(swap.get(x, x) for x in R.lam), R.filter_of)
+    with pytest.raises(NoIsomorphism, match="induced-join"):
+        uniqueness_check(R, R2)
+
+
+def test_uniqueness_rejects_a_map_that_is_onto_but_not_injective():
+    # collapsing the 3-chain L(A) onto the 2-element lattice is a bounded
+    # lattice map onto L2, but no isomorphism
+    A = godel_chain(3)
+    R = build_reticulation(A)
+    L2 = build_reticulation(boolean_algebra(1)).lattice
+    lam2 = tuple(L2.bot if a == A.bot else L2.top for a in A.elements())
+    with pytest.raises(NoIsomorphism, match="not bijective"):
+        uniqueness_check(R, Reticulation(A, L2, lam2, None))
 
 
 def test_identity_morphism_reticulates_to_identity(E1):

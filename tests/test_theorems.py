@@ -3,7 +3,8 @@ import itertools
 import json
 
 import rlx.reticulation
-from rlx.core import complemented_elements, direct_product
+import rlx.spectra
+from rlx.core import boolean_algebra, complemented_elements, direct_product
 from rlx.enumeration import all_algebras
 from rlx.filters import quotient
 from rlx.formulas import blp_formula, ilp_formula
@@ -47,7 +48,7 @@ def test_size_6_matrix_pinned(corpus6):
 def test_product_law_on_ordered_pairs_size_4(corpus4):
     # the definable-set product equation and the two-sided lifting law,
     # checked on every ordered pair
-    from rlx.lifting import product_lp_check
+    from oracles import product_lp_check
 
     for A, B in itertools.product(corpus4, repeat=2):
         for phi in (blp_formula(), ilp_formula()):
@@ -108,3 +109,22 @@ def test_lattice_lifting_bug_is_a_disagreeing_row(monkeypatch):
     row = rows["reticulation-blp-transfer"]
     assert not row.agree
     assert row.witness == "{e3}"
+
+
+def test_star_direct_form_bug_is_a_disagreeing_row(monkeypatch):
+    """A fault in the direct form of (*) shows up as disagreeing
+    star-forms rows, not as an exception: the three reformulations are
+    compared with the direct verdict by the matrix alone."""
+    principal_filter = rlx.spectra.principal_filter
+
+    def negated_principal_filter(A, x):
+        return principal_filter(A, A.neg(x))
+
+    A = boolean_algebra(2)
+    assert rlx.spectra.star_property(A)[0]
+    monkeypatch.setattr(rlx.spectra, "principal_filter",
+                        negated_principal_filter)
+    rows = {v.theorem_id: v for v in theorem_checks(A)}
+    for form in ("nilpotent-radical", "spectral", "spectral-powers"):
+        row = rows[f"star-forms.{form}"]
+        assert (row.lhs, row.rhs, row.agree) == (False, True, False)
