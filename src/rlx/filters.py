@@ -7,6 +7,12 @@ filter operations compute with:
     [X)     = up-set of the product of the stationary powers x^n, x in X
     F v G   = up-set of gen(F) * gen(G)
     F ^ G   = up-set of gen(F) | gen(G)
+
+Modulo [e), x and y are equivalent iff e*x = e*y, so the classes of A/[e)
+are the fibers of x -> e*x.  As A -> A/[e) is onto and commutes with every
+term, A/[e) |= phi(x/[e)) iff some witnesses in A make both sides of each
+equation of phi equal under x -> e*x.  The lifting verdicts are decided
+this way in A itself, without building the quotient.
 """
 
 from __future__ import annotations

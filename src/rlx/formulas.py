@@ -304,28 +304,50 @@ def term_values(A, t, env):
     return [table[x][y] for x, y in pairs]
 
 
-def definable_set(A, phi):
-    """{a : A |= phi(a)} as a frozenset of element ids.
+@lru_cache(maxsize=None)
+def _definable_masks(A, phi):
+    """For each idempotent e, the bitmask of {a : A/[e) |= phi(a/[e))};
+    0 at the other elements.
 
-    Each term is evaluated once per bound-variable assignment, for every
-    value of the free variable at once; the search over assignments stops
-    as soon as every element has a witness.
+    x/[e) = y/[e) iff e*x = e*y, and A -> A/[e) is onto and commutes with
+    every term, so a satisfies phi modulo [e) iff some witnesses in A make
+    e*lhs = e*rhs in every equation.  Each term is evaluated once per
+    bound-variable assignment, for every value of the free variable at
+    once; the search over assignments stops as soon as every element holds
+    modulo every filter.  Bitmasks, not frozensets, are cached: they keep
+    the cache small.
     """
     n = A.size
-    holds = [False] * n
+    full = (1 << n) - 1
+    masks = [0] * n
+    idempotents = [e for e in A.elements() if A.odot[e][e] == e]
     for combo in itertools.product(range(n), repeat=len(phi.bound_vars)):
         env = dict(zip(phi.bound_vars, combo))
-        here = range(n)
+        here = {e: full for e in idempotents if masks[e] != full}
         for lhs, rhs in phi.equations:
             if not here:
                 break
-            left, right = term_values(A, lhs, env), term_values(A, rhs, env)
-            here = [a for a in here if left[a] == right[a]]
-        for a in here:
-            holds[a] = True
-        if all(holds):
+            pairs = list(zip(term_values(A, lhs, env), term_values(A, rhs, env)))
+            for e in list(here):
+                row = A.odot[e]
+                m = here[e] & sum(1 << a for a, (x, y) in enumerate(pairs)
+                                  if row[x] == row[y])
+                if m:
+                    here[e] = m
+                else:
+                    del here[e]
+        for e, m in here.items():
+            masks[e] |= m
+        if all(masks[e] == full for e in idempotents):
             break
-    return frozenset(a for a in range(n) if holds[a])
+    return tuple(masks)
+
+
+def definable_set(A, phi):
+    """{a : A |= phi(a)} as a frozenset of element ids: the entry of
+    :func:`_definable_masks` at e = top."""
+    mask = _definable_masks(A, phi)[A.top]
+    return frozenset(a for a in A.elements() if mask >> a & 1)
 
 
 def atomic_parts(phi):

@@ -9,8 +9,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import classify
-from .filters import all_filters, principal_filter, quotient
+from .filters import all_filters, principal_filter
 from .formulas import (
+    _definable_masks,
     atomic_parts,
     blp_formula,
     definable_set,
@@ -37,23 +38,30 @@ class LpReport:
 def has_phi_lp(A, phi, F):
     """Filter-level lifting: every phi-element of A/F is a class of a
     phi-element of A.  Returns (holds, FilterVerdict)."""
-    return _filter_verdict(A, phi, definable_set(A, phi), F)
+    return _filter_verdict(A, _definable_masks(A, phi), F)
 
 
-def _filter_verdict(A, phi, sat, F):
-    """:func:`has_phi_lp` with `sat` = definable_set(A, phi) given."""
-    Q = quotient(A, F)
-    quotient_sat = definable_set(Q.quotient, phi)
-    missing = quotient_sat - {Q.class_of[e] for e in sat}
-    if missing:
-        least_class = min(missing)
-        counterexample = min(x for x in A.elements()
-                             if Q.class_of[x] == least_class)
-        return False, FilterVerdict(False, counterexample, None)
+def _filter_verdict(A, masks, F):
+    """:func:`has_phi_lp` read off A through the fiber map x -> e*x, with
+    e = F.gen and `masks` = _definable_masks(A, phi).
+
+    The classes of A/F are the fibers of x -> e*x, numbered by least
+    member, and masks[e] holds the elements whose class satisfies phi in
+    A/F.  A class lifts iff some phi-element of A lies in its fiber, so
+    the counterexample is the least element of masks[e] whose fiber misses
+    the phi-elements, and the witness is the least phi-element in the
+    fiber of the least element of masks[e].
+    """
+    img = A.odot[F.gen]
+    sat = [s for s in A.elements() if masks[A.top] >> s & 1]
+    reached = {img[s] for s in sat}
+    held = [a for a in A.elements() if masks[F.gen] >> a & 1]
+    for a in held:
+        if img[a] not in reached:
+            return False, FilterVerdict(False, a, None)
     witness = None
-    if quotient_sat and sat:
-        least_class = min(quotient_sat)
-        witness = min(e for e in sat if Q.class_of[e] == least_class)
+    if held:
+        witness = next(s for s in sat if img[s] == img[held[0]])
     return True, FilterVerdict(True, None, witness)
 
 
@@ -68,9 +76,9 @@ def lp_report(A, phi):
     :func:`has_ilp` and :func:`has_rlp`.
     """
     rows = []
-    sat = definable_set(A, phi)
+    masks = _definable_masks(A, phi)
     for F in all_filters(A):
-        holds, verdict = _filter_verdict(A, phi, sat, F)
+        holds, verdict = _filter_verdict(A, masks, F)
         if F.members == {A.top} or not F.proper:
             assert holds, "trivial/improper filters always have the lifting property"
         rows.append((F, verdict))

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .core import classify
 from .errors import NotGelfand
@@ -15,7 +16,6 @@ from .filters import (
     filter_meet,
     improper_filter,
     max_spec,
-    principal_filter,
     radical,
     spec,
 )
@@ -258,14 +258,16 @@ def gelfand_conditions(A):
     filt_lattice = validate_bdl(tuple(repr(F) for F in filters), leq)
     out[1] = is_normal_lattice(filt_lattice)
 
-    # (2) element form of the same statement on principal filters
-    pf = [principal_filter(A, a) for a in A.elements()]
+    # (2) element form of the same statement on principal filters, read
+    # off their generators g[x] = x^w: [u) ^ [v) = [g[u] | g[v]) and
+    # [x) v [y) = [g[x] * g[y])
+    g = [A.power_limit(a) for a in A.elements()]
 
     def improper_join(x, y):
-        return filter_join(pf[x], pf[y]).gen == A.bot
+        return A.odot[g[x]][g[y]] == A.bot
 
     out[2] = all(
-        any(filter_meet(pf[u], pf[v]).gen == A.top
+        any(A.join[g[u]][g[v]] == A.top
             and improper_join(u, x) and improper_join(v, y)
             for u in A.elements() for v in A.elements())
         for x in A.elements() for y in A.elements() if improper_join(x, y))
@@ -346,56 +348,36 @@ def gelfand_retract(A):
     return tuple(rho)
 
 
+@lru_cache(maxsize=None)
 def star_property(A):
     """Principal filters split off a radical part: for every x some
     u in Rad(A) and Boolean e give [x) = [u) v [e).
 
-    Decided directly; the star-forms rows compare the verdict with the
-    nilpotent, spectral and bounded-union reformulations.  Returns
-    (holds, witnesses) where witnesses maps x -> the first such (u, e).
+    Decided directly on the generators g[x] = x^w of the principal
+    filters: [u) v [e) = [x) iff g[u] * g[e] = g[x].  The star-forms rows
+    compare the verdict with the nilpotent, spectral and bounded-union
+    reformulations.  Returns (holds, witnesses) where witnesses is a
+    read-only map x -> the first such (u, e); the answer is cached.
     """
     B = sorted(classify(A).boolean_center)
-    rad = radical(A)
-    witnesses = {}
-    holds = True
-    for x in A.elements():
-        fx = principal_filter(A, x)
-        found = None
-        for u in sorted(rad.members):
-            for e in B:
-                if filter_join(principal_filter(A, u),
-                               principal_filter(A, e)).gen == fx.gen:
-                    found = (u, e)
-                    break
-            if found:
-                break
-        if found is None:
-            holds = False
-        else:
-            witnesses[x] = found
-    return holds, witnesses
+    return _splitting(A, sorted(radical(A).members), B)
 
 
 def star_star_property(A):
     """Weakened splitting: u only needs a nilpotent negation."""
     B = sorted(classify(A).boolean_center)
+    us = [u for u in A.elements() if A.is_nilpotent(A.neg(u))]
+    return _splitting(A, us, B)
+
+
+def _splitting(A, us, B):
+    """(holds, witnesses) of "for every x some u in `us` and e in `B` give
+    [x) = [u) v [e)", scanning u, then e, in the given order."""
+    g = [A.power_limit(a) for a in A.elements()]
     witnesses = {}
-    holds = True
     for x in A.elements():
-        fx = principal_filter(A, x)
-        found = None
-        for u in A.elements():
-            if not A.is_nilpotent(A.neg(u)):
-                continue
-            for e in B:
-                if filter_join(principal_filter(A, u),
-                               principal_filter(A, e)).gen == fx.gen:
-                    found = (u, e)
-                    break
-            if found:
-                break
-        if found is None:
-            holds = False
-        else:
+        found = next(((u, e) for u in us for e in B
+                      if A.odot[g[u]][g[e]] == g[x]), None)
+        if found is not None:
             witnesses[x] = found
-    return holds, witnesses
+    return len(witnesses) == A.size, MappingProxyType(witnesses)

@@ -519,7 +519,7 @@ def check_complementary_filter_lemma(A):
 def check_biresiduum_gap_lemma(A):
     """a always satisfies phi modulo the filter generated by its own
     term gap d(t1(a), t2(a))."""
-    from .formulas import atomic_parts, term_values
+    from .formulas import atomic_parts, definable_set, term_values
 
     failures = []
     for name, phi in (("blp", blp_formula()), ("ilp", ilp_formula()),
@@ -530,7 +530,6 @@ def check_biresiduum_gap_lemma(A):
             gap = A.bires(left[a], right[a])
             F = principal_filter(A, gap)
             Q = quotient(A, F)
-            from .formulas import definable_set
             if Q.class_of[a] not in definable_set(Q.quotient, phi):
                 failures.append((name, a))
     return [_forall("gap-filter-satisfaction", failures)]

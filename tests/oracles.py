@@ -10,7 +10,7 @@ from rlx.core import classify, direct_product, validate
 from rlx.dlattice import validate_bdl
 from rlx.enumeration import _lattice_orders, all_algebras
 from rlx.errors import AxiomViolation, NotResiduated
-from rlx.filters import principal_filter
+from rlx.filters import principal_filter, quotient
 from rlx.formulas import BoundVar, Const, FreeVar, Neg, Pow, definable_set
 from rlx.lifting import has_blp, lp_report
 from rlx.iso import _mid_perms, permute_relation, permute_table
@@ -55,6 +55,31 @@ def satisfies(A, phi, a):
                for l, r in phi.equations):
             return True
     return False
+
+
+def quotient_filter_verdict(A, phi, F):
+    """(holds, counterexample, witness) of phi-lifting at F, read off an
+    explicitly built A/F with the `satisfies` oracle on both algebras.
+
+    Every phi-class of A/F must contain a phi-element of A.  Class ids go
+    by least member; the counterexample is the least member of the least
+    class that does not lift, and the witness the least phi-element of A
+    in the least phi-class (None if there is no phi-class)."""
+    Q = quotient(A, F)
+    sat = [a for a in A.elements() if satisfies(A, phi, a)]
+    quotient_sat = {c for c in Q.quotient.elements()
+                    if satisfies(Q.quotient, phi, c)}
+    missing = quotient_sat - {Q.class_of[e] for e in sat}
+    if missing:
+        least_class = min(missing)
+        counterexample = min(x for x in A.elements()
+                             if Q.class_of[x] == least_class)
+        return False, counterexample, None
+    witness = None
+    if quotient_sat and sat:
+        least_class = min(quotient_sat)
+        witness = min(e for e in sat if Q.class_of[e] == least_class)
+    return True, None, witness
 
 
 def brute_invariant(leq, tables, x):

@@ -8,7 +8,9 @@ from rlx.errors import (
     NotAtomic,
     UnboundVariable,
 )
+from rlx.filters import all_filters, quotient
 from rlx.formulas import (
+    _definable_masks,
     BinOp,
     BoundVar,
     Const,
@@ -24,8 +26,9 @@ from rlx.formulas import (
     rlp_formula,
     term_values,
 )
+from rlx.lifting import has_phi_lp
 
-from oracles import satisfies
+from oracles import quotient_filter_verdict, satisfies
 
 
 def test_parse_blp_shape():
@@ -162,11 +165,24 @@ def _oracle_set(A, phi):
     return frozenset(a for a in A.elements() if satisfies(A, phi, a))
 
 
+def _oracle_masks(A, phi):
+    """For each idempotent e, the elements whose class satisfies phi in
+    the built quotient A/[e), as a bitmask; 0 at the other elements."""
+    masks = [0] * A.size
+    for F in all_filters(A):
+        Q = quotient(A, F)
+        held = _oracle_set(Q.quotient, phi)
+        masks[F.gen] = sum(1 << a for a in A.elements()
+                           if Q.class_of[a] in held)
+    return tuple(masks)
+
+
 def test_definable_set_matches_per_element_oracle(corpus5):
     for text in ORACLE_FORMULAS:
         phi = parse_formula(text)
         for A in corpus5:
             assert definable_set(A, phi) == _oracle_set(A, phi), (text, A)
+            assert _definable_masks(A, phi) == _oracle_masks(A, phi), (text, A)
 
 
 def test_atomic_parts():
@@ -226,3 +242,8 @@ def test_definable_set_matches_oracle_on_random_formulas(eqs):
     phi = Formula(("w1",), tuple(eqs), "v")
     for A in (godel_chain(3), lukasiewicz_chain(4), boolean_algebra(2)):
         assert definable_set(A, phi) == _oracle_set(A, phi)
+        assert _definable_masks(A, phi) == _oracle_masks(A, phi)
+        for F in all_filters(A):
+            holds, verdict = has_phi_lp(A, phi, F)
+            assert (holds, verdict.counterexample, verdict.witness) == \
+                quotient_filter_verdict(A, phi, F)

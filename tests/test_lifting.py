@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 from rlx.core import (
     boolean_algebra,
@@ -21,6 +22,7 @@ from rlx.formulas import (
     parse_formula,
     rlp_formula,
 )
+from rlx.io import load_rlat
 from rlx.lifting import (
     atomic_lp_characterization,
     has_blp,
@@ -31,7 +33,13 @@ from rlx.lifting import (
     boolean_splitting_conditions,
 )
 
-from oracles import brute_boolean_splitting_conditions, product_lp_check
+from oracles import (
+    brute_boolean_splitting_conditions,
+    product_lp_check,
+    quotient_filter_verdict,
+)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def filter_by_labels(A, names):
@@ -262,3 +270,27 @@ def test_custom_formula_lifting(E1):
 def test_witness_reported_for_successful_lift(E1):
     ok, verdict = has_phi_lp(E1, blp_formula(), trivial_filter(E1))
     assert ok and verdict.witness is not None
+
+
+def test_fiber_verdict_matches_quotient_oracle(corpus5, corpus6, E1, E2):
+    """Every filter verdict, counterexample and witness read through the
+    fiber map x -> e*x equals the one read off the built quotient."""
+    fixtures = [load_rlat(path) for path in sorted(FIXTURES.glob("*.rlat"))]
+    for A in corpus5 + corpus6 + [E1, E2] + fixtures:
+        for phi in (blp_formula(), ilp_formula(), rlp_formula()):
+            for F, verdict in lp_report(A, phi).per_filter:
+                expected = quotient_filter_verdict(A, phi, F)
+                assert (verdict.holds, verdict.counterexample,
+                        verdict.witness) == expected, (A, phi, F)
+                assert has_phi_lp(A, phi, F) == (verdict.holds, verdict)
+
+
+def test_lifting_builds_no_quotient(corpus5):
+    """Filter-level lifting is decided in the algebra itself: neither
+    lp_report nor has_phi_lp builds a quotient algebra."""
+    quotient.cache_clear()
+    for A in corpus5:
+        for phi in (blp_formula(), ilp_formula(), rlp_formula()):
+            for F, _ in lp_report(A, phi).per_filter:
+                has_phi_lp(A, phi, F)
+    assert quotient.cache_info().currsize == 0
