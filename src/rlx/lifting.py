@@ -38,12 +38,19 @@ class LpReport:
 def has_phi_lp(A, phi, F):
     """Filter-level lifting: every phi-element of A/F is a class of a
     phi-element of A.  Returns (holds, FilterVerdict)."""
-    return _filter_verdict(A, _definable_masks(A, phi), F)
+    masks = _definable_masks(A, phi)
+    return _filter_verdict(A, masks, _members(A, masks[A.top]), F)
 
 
-def _filter_verdict(A, masks, F):
+def _members(A, mask):
+    """The elements of A in `mask`, ascending."""
+    return [a for a in A.elements() if mask >> a & 1]
+
+
+def _filter_verdict(A, masks, sat, F):
     """:func:`has_phi_lp` read off A through the fiber map x -> e*x, with
-    e = F.gen and `masks` = _definable_masks(A, phi).
+    e = F.gen, `masks` = _definable_masks(A, phi) and `sat` the
+    phi-elements of A, ascending.
 
     The classes of A/F are the fibers of x -> e*x, numbered by least
     member, and masks[e] holds the elements whose class satisfies phi in
@@ -53,9 +60,8 @@ def _filter_verdict(A, masks, F):
     fiber of the least element of masks[e].
     """
     img = A.odot[F.gen]
-    sat = [s for s in A.elements() if masks[A.top] >> s & 1]
     reached = {img[s] for s in sat}
-    held = [a for a in A.elements() if masks[F.gen] >> a & 1]
+    held = _members(A, masks[F.gen])
     for a in held:
         if img[a] not in reached:
             return False, FilterVerdict(False, a, None)
@@ -77,8 +83,9 @@ def lp_report(A, phi):
     """
     rows = []
     masks = _definable_masks(A, phi)
+    sat = _members(A, masks[A.top])
     for F in all_filters(A):
-        holds, verdict = _filter_verdict(A, masks, F)
+        holds, verdict = _filter_verdict(A, masks, sat, F)
         if F.members == {A.top} or not F.proper:
             assert holds, "trivial/improper filters always have the lifting property"
         rows.append((F, verdict))

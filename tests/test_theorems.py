@@ -4,10 +4,14 @@ import json
 
 import rlx.reticulation
 import rlx.spectra
-import rlx.theorems
-from rlx.core import boolean_algebra, complemented_elements, direct_product
+from rlx.core import (
+    boolean_algebra,
+    complemented_elements,
+    direct_product,
+    godel_chain,
+)
 from rlx.enumeration import all_algebras
-from rlx.filters import quotient
+from rlx.filters import principal_filter, quotient, spec
 from rlx.formulas import blp_formula, ilp_formula
 from rlx.theorems import disagreements, theorem_checks
 
@@ -115,19 +119,25 @@ def test_lattice_lifting_bug_is_a_disagreeing_row(monkeypatch):
 def test_star_direct_form_bug_is_a_disagreeing_row(monkeypatch):
     """A fault in the direct form of (*) shows up as disagreeing
     star-forms rows, not as an exception: the three reformulations are
-    compared with the direct verdict by the matrix alone.  The fault goes
-    into the matrix's own binding of the direct form, because the library
-    caches its answers."""
-    star_property = rlx.spectra.star_property
+    compared with the direct verdict by the matrix alone.  The fault is a
+    radical taken over the prime filters instead of the maximal ones, and
+    only star_property sees it.  star_property caches its answers, so the
+    cache is emptied once the fault is in and again when the test ends."""
+    def prime_radical(B):
+        e = B.bot
+        for P in spec(B):
+            e = B.join[e][P.gen]
+        return principal_filter(B, e)
 
-    def negated_star_property(A):
-        holds, witnesses = star_property(A)
-        return not holds, witnesses
-
-    A = boolean_algebra(2)
-    assert star_property(A)[0]
-    monkeypatch.setattr(rlx.theorems, "star_property", negated_star_property)
-    rows = {v.theorem_id: v for v in theorem_checks(A)}
+    A = godel_chain(3)
+    assert rlx.spectra.star_property(A)[0]
+    assert prime_radical(A) != rlx.spectra.radical(A)
+    monkeypatch.setattr(rlx.spectra, "radical", prime_radical)
+    rlx.spectra.star_property.cache_clear()
+    try:
+        rows = {v.theorem_id: v for v in theorem_checks(A)}
+    finally:
+        rlx.spectra.star_property.cache_clear()
     for form in ("nilpotent-radical", "spectral", "spectral-powers"):
         row = rows[f"star-forms.{form}"]
         assert (row.lhs, row.rhs, row.agree) == (False, True, False)
