@@ -8,23 +8,39 @@ over those and extend by joins.  Results are deduplicated by the
 minimum-lex canonical key and emitted in canonical-key order, so the
 output is deterministic and worker-partitionable.
 
-Per lattice order, the bounds, the join-irreducibles and the irreducibles
-below each element are computed once and shared by every completion.  The
-search is pruned on the unit law: when the top is join-reducible, every
-irreducible p needs an irreducible q >= p with p*q = p, and p is checked as
-soon as its pairs are assigned, so the subtrees cut are exactly those whose
-tables the full check would reject.  Every completed table still goes
-through that check and through ``validate``.
+Per lattice order, the bounds, the join-irreducibles, a split x = a | b
+of each join-reducible x and the earlier pairs below each irreducible pair
+are computed once and shared by every completion.  The search rejects a
+table while its irreducible product is still partial, and only where
+every completion would fail the full check:
+
+* Monotone bounds: p*q ranges over the interval from the join of the
+  values of the earlier pairs below (p, q) up to p meet q.
+* Early associativity: once p*q = v is set, (p*q)*r, p*(q*r) and q*(p*r)
+  must agree for every irreducible r whose pairs are all set; x*r is the
+  join of s*r over the irreducibles s <= x, as it is in every table that
+  distributes over joins.
+* Unit law: when the top is join-reducible, every irreducible p needs an
+  irreducible q >= p with p*q = p, checked as soon as p's pairs are set.
+
+A full assignment is extended to the carrier with one join per entry,
+x*y = a*y | b*y for the split of x.  That table passes the full check
+exactly when the join over all irreducible pairs below does, and then the
+two are equal.  Every completed table still goes through that check and
+through ``validate``, and the search keeps the candidate order, so the
+representatives found are those of the unpruned search.
 
 A corpus cache lives under $RLX_CORPUS_DIR (or ~/.cache/rlx-corpus),
 keyed by size and generator version.  A cache file is used only if it
-parses into exactly ``KNOWN_COUNTS[n-1]`` valid algebras of size n;
-otherwise the size is regenerated.  Files are written to a temporary name
-and renamed into place.
+parses into exactly ``KNOWN_COUNTS[n-1]`` valid algebras of size n whose
+sorted canonical keys hash to the SHA-256 stored with them; otherwise the
+size is regenerated.  Files are written to a temporary name and renamed
+into place.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -36,7 +52,7 @@ from .errors import AxiomViolation, NotResiduated, RlxError, SizeCapExceeded
 from .iso import canonical_key
 
 SIZE_CAP = 7
-GENERATOR_VERSION = 2
+GENERATOR_VERSION = 3
 # number of isomorphism classes of each size 1..SIZE_CAP
 KNOWN_COUNTS = (1, 1, 2, 7, 26, 129, 723)
 
@@ -85,34 +101,38 @@ def _lattice_orders(n):
         yield leq, join, meet
 
 
-def _join_irreducibles(leq, join):
-    """Non-bot elements that are not the join of two strictly smaller ones."""
-    n = len(leq)
-    bot, _ = bounds_of(leq)
-    out = []
+def _join_splits(join):
+    """x -> (a, b) with a, b < x and a | b = x, for each join-reducible x.
+
+    Ids are a linear extension, so every element below x has a smaller id.
+    """
+    splits = {}
+    for x in range(len(join)):
+        pair = next(((a, b) for a in range(x) for b in range(a + 1, x)
+                     if join[a][b] == x), None)
+        if pair is not None:
+            splits[x] = pair
+    return splits
+
+
+def _complete_by_splits(join, bot, splits, prod):
+    """Extend a product on irreducible pairs to the whole carrier, one join
+    per entry: x*y = a*y | b*y for the split x = a | b."""
+    n = len(join)
+    table = [[bot] * n for _ in range(n)]
     for x in range(n):
         if x == bot:
             continue
-        red = any(join[a][b] == x
-                  for a in range(n) for b in range(n)
-                  if a != x and b != x and leq[a][x] and leq[b][x])
-        if not red:
-            out.append(x)
-    return out
-
-
-def _complete_from_irreducibles(join, bot, below, prod):
-    """Extend a product on irreducible pairs to the whole carrier by joins."""
-    n = len(join)
-    table = [[None] * n for _ in range(n)]
-    for x in range(n):
         for y in range(x, n):
-            acc = bot
-            for p in below[x]:
-                for q in below[y]:
-                    acc = join[acc][prod[(p, q) if p <= q else (q, p)]]
-            table[x][y] = acc
-            table[y][x] = acc
+            if x in splits:
+                a, b = splits[x]
+                v = join[table[a][y]][table[b][y]]
+            elif y in splits:
+                a, b = splits[y]
+                v = join[table[x][a]][table[x][b]]
+            else:
+                v = prod[x][y]
+            table[x][y] = table[y][x] = v
     return tuple(tuple(row) for row in table)
 
 
@@ -120,13 +140,23 @@ def _products_on_lattice(leq, join, meet):
     """All residuated products for one lattice order; unvalidated tables."""
     n = len(leq)
     bot, top = bounds_of(leq)
-    irr_all = _join_irreducibles(leq, join)
+    splits = _join_splits(join)
+    irr_all = [x for x in range(n) if x != bot and x not in splits]
     below = [[p for p in irr_all if leq[p][x]] for x in range(n)]
+    down = [[v for v in range(n) if leq[v][x]] for x in range(n)]
     irr = [x for x in irr_all if x != top]
     # top acts as unit on irreducibles automatically via extension only if
     # top is join-reducible; when top is irreducible we must pin its pairs.
     pin_top = top in irr_all
     free = [(p, q) for i, p in enumerate(irr) for q in irr[i:]]
+    # Monotonicity bounds p*q from below by the join of the earlier pairs
+    # below (p, q), in either orientation, and from above by p meet q.  No
+    # earlier pair lies above (p, q): ids are a linear extension and pairs
+    # go in lexicographic order.  A pinned pair (a, top) = a lies above
+    # (p, q) only when a >= p or a >= q, so p meet q bounds v as well.
+    lower = [[(a, b) for a, b in free[:k]
+              if leq[a][p] and leq[b][q] or leq[a][q] and leq[b][p]]
+             for k, (p, q) in enumerate(free)]
     # With top reducible, a*1 = a for all a iff each irreducible p has an
     # irreducible q >= p with p*q = p: p is join-irreducible and every
     # p*q <= p meet q.  Those pairs lie in p's block of `free` (ids are a
@@ -139,45 +169,59 @@ def _products_on_lattice(leq, join, meet):
             unit_check[k] = (p, irr[i:])
 
     results = []
-    prod = {}
+    prod = [[-1] * n for _ in range(n)]  # -1: pair not assigned yet
     if pin_top:
         for p in irr_all:
-            prod[(p, top) if p <= top else (top, p)] = p
-        prod[(top, top)] = top
+            prod[p][top] = prod[top][p] = p
 
-    def candidates(p, q):
-        m = meet[p][q]
-        return [v for v in range(n) if leq[v][m]]
+    def times(x, r):
+        """x*r on the partial table, or -1 if a pair it reads is unset.
 
-    def monotone_ok(p, q, v):
-        for (a, b), w in prod.items():
-            if leq[a][p] and leq[b][q] and not leq[w][v]:
-                return False
-            if leq[p][a] and leq[q][b] and not leq[v][w]:
-                return False
-            if leq[a][q] and leq[b][p] and not leq[w][v]:
-                return False
-            if leq[q][a] and leq[p][b] and not leq[v][w]:
-                return False
+        A table that passes the full check distributes over joins, so there
+        x*r is the join of s*r over the irreducibles s <= x."""
+        acc = bot
+        for s in below[x]:
+            w = prod[s][r]
+            if w < 0:
+                return -1
+            acc = join[acc][w]
+        return acc
+
+    def associative(p, q, v):
+        """(p*q)*r = p*(q*r) = q*(p*r) for every irreducible r for which
+        all the pairs read are set."""
+        for r in irr_all:
+            left = times(v, r)
+            if left < 0:
+                continue
+            for a, b in ((p, q), (q, p)):
+                br = prod[b][r]
+                if br >= 0:
+                    right = times(br, a)
+                    if right >= 0 and right != left:
+                        return False
         return True
 
     def backtrack(k):
         if k in unit_check:
             p, above = unit_check[k]
-            if all(prod[(p, q)] != p for q in above):
+            if all(prod[p][q] != p for q in above):
                 return
         if k == len(free):
-            table = _complete_from_irreducibles(join, bot, below, prod)
+            table = _complete_by_splits(join, bot, splits, prod)
             if _table_ok(leq, join, meet, table, top):
                 results.append(table)
             return
         p, q = free[k]
-        for v in candidates(p, q):
-            if not monotone_ok(p, q, v):
-                continue
-            prod[(p, q)] = v
-            backtrack(k + 1)
-            del prod[(p, q)]
+        lo = bot
+        for a, b in lower[k]:
+            lo = join[lo][prod[a][b]]
+        for v in down[meet[p][q]]:
+            if leq[lo][v]:
+                prod[p][q] = prod[q][p] = v
+                if associative(p, q, v):
+                    backtrack(k + 1)
+        prod[p][q] = prod[q][p] = -1
 
     backtrack(0)
     return results
@@ -247,23 +291,31 @@ def _from_json(obj):
     return validate(tuple(obj["labels"]), leq, odot)
 
 
+def _keys_digest(algebras):
+    """SHA-256 of the sorted canonical keys of a list of algebras."""
+    keys = sorted(canonical_key(A) for A in algebras)
+    return hashlib.sha256(repr(keys).encode()).hexdigest()
+
+
 def _load_cache(path, n):
     """The cached algebras of size n, or None if the file is missing or wrong."""
     try:
         data = json.loads(path.read_text())
-        if not isinstance(data, list):
-            return None
-        algebras = [_from_json(o) for o in data]
+        algebras = [_from_json(o) for o in data["algebras"]]
+        digest = data["keys_sha256"]
     except (OSError, ValueError, KeyError, TypeError, IndexError, RlxError):
         return None
     if len(algebras) != KNOWN_COUNTS[n - 1] or any(A.size != n for A in algebras):
+        return None
+    if digest != _keys_digest(algebras):
         return None
     return algebras
 
 
 def _write_cache(path, algebras):
     """Write through a temporary file, so readers never see a partial file."""
-    text = json.dumps([_to_json(A) for A in algebras])
+    text = json.dumps({"keys_sha256": _keys_digest(algebras),
+                       "algebras": [_to_json(A) for A in algebras]})
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",

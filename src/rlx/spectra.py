@@ -127,17 +127,6 @@ def clopen_via_boolean(A, which):
     return tuple(sorted(fam))
 
 
-def _bits(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
-
 def topology_predicates(space):
     """T0/T1/Hausdorff/compact/zero-dimensional/strongly-zero-dimensional/
     normal/Boolean for an explicit finite open family."""

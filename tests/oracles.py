@@ -8,7 +8,8 @@ import itertools
 
 from rlx.core import classify, direct_product, validate
 from rlx.dlattice import validate_bdl
-from rlx.enumeration import _lattice_orders, all_algebras
+from rlx.core import bounds_of
+from rlx.enumeration import _lattice_orders, _table_ok, all_algebras
 from rlx.errors import AxiomViolation, NotResiduated
 from rlx.filters import principal_filter, quotient
 from rlx.formulas import BoundVar, Const, FreeVar, Neg, Pow, definable_set
@@ -420,3 +421,82 @@ def product_lp_check(A, B, phi):
     expected = frozenset(i * nb + j for i in sat_a for j in sat_b)
     assert sat_p == expected, "definable sets must multiply componentwise"
     return lp_p, lp_a, lp_b
+
+
+def join_irreducibles(leq, join):
+    """Non-bot elements that are not the join of two strictly smaller ones."""
+    n = len(leq)
+    bot, _ = bounds_of(leq)
+    return [x for x in range(n) if x != bot and not any(
+        join[a][b] == x for a in range(n) for b in range(n)
+        if a != x and b != x and leq[a][x] and leq[b][x])]
+
+
+def products_on_lattice(leq, join, meet):
+    """Every table the enumerator's search returns for one lattice order,
+    by the plain backtracking it refines: each candidate p*q <= p meet q is
+    checked for monotonicity against every assigned pair, the unit law is
+    checked per irreducible, and each full assignment is extended to the
+    carrier by joining over all irreducible pairs below, then given to
+    ``_table_ok``."""
+    n = len(leq)
+    bot, top = bounds_of(leq)
+    irr_all = join_irreducibles(leq, join)
+    below = [[p for p in irr_all if leq[p][x]] for x in range(n)]
+    irr = [x for x in irr_all if x != top]
+    pin_top = top in irr_all
+    free = [(p, q) for i, p in enumerate(irr) for q in irr[i:]]
+    unit_check = {}
+    if not pin_top:
+        k = 0
+        for i, p in enumerate(irr):
+            k += len(irr) - i
+            unit_check[k] = (p, irr[i:])
+    results = []
+    prod = {}
+    if pin_top:
+        for p in irr_all:
+            prod[(p, top)] = p
+
+    def monotone_ok(p, q, v):
+        for (a, b), w in prod.items():
+            if leq[a][p] and leq[b][q] and not leq[w][v]:
+                return False
+            if leq[p][a] and leq[q][b] and not leq[v][w]:
+                return False
+            if leq[a][q] and leq[b][p] and not leq[w][v]:
+                return False
+            if leq[q][a] and leq[p][b] and not leq[v][w]:
+                return False
+        return True
+
+    def complete():
+        table = [[None] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(x, n):
+                acc = bot
+                for p in below[x]:
+                    for q in below[y]:
+                        acc = join[acc][prod[(p, q) if p <= q else (q, p)]]
+                table[x][y] = table[y][x] = acc
+        return tuple(tuple(row) for row in table)
+
+    def backtrack(k):
+        if k in unit_check:
+            p, above = unit_check[k]
+            if all(prod[(p, q)] != p for q in above):
+                return
+        if k == len(free):
+            table = complete()
+            if _table_ok(leq, join, meet, table, top):
+                results.append(table)
+            return
+        p, q = free[k]
+        for v in range(n):
+            if leq[v][meet[p][q]] and monotone_ok(p, q, v):
+                prod[(p, q)] = v
+                backtrack(k + 1)
+                del prod[(p, q)]
+
+    backtrack(0)
+    return results

@@ -8,6 +8,8 @@ from rlx.core import boolean_algebra, classify, validate
 from rlx.enumeration import (
     GENERATOR_VERSION,
     SIZE_CAP,
+    _lattice_orders,
+    _products_on_lattice,
     all_algebras,
     enumerate_algebras,
 )
@@ -25,12 +27,14 @@ from oracles import (
     brute_canonical_key,
     brute_invariant,
     brute_relabeling,
+    products_on_lattice,
     slow_enumerate,
 )
 
 # SHA-256 of repr([(A.labels, A.leq, A.odot) for A in all_algebras(n,
 # use_cache=False)]) for n = 1..6, recorded at commit 622935e, before the
-# unit-law prune and the order-minimizer canonical key.
+# unit-law prune and the order-minimizer canonical key; n = 7 recorded at
+# commit a49302e, before the search pruned the partial irreducible table.
 GENERATOR_DIGESTS = {
     1: "1e22d4f16c07e33b46cd876e29ce0303860fda9e947647f621fb00391ba6c2e5",
     2: "2fb1ffdaac1871a56b2abffe333c8d11fcd7310a91f4e2be7fc89a796469b799",
@@ -38,6 +42,7 @@ GENERATOR_DIGESTS = {
     4: "2f9687fb3ae005636eb64de0a58e8aea1be4ea89b1799a38d79d31ef5998204a",
     5: "e5c7945c19b7f970e591bc7f064f9808724b277873cf4f529b48cab04a695664",
     6: "60f693ab96367e3370cf98c19c7b1c09159c6711a33ba52106da578d801e952e",
+    7: "912222328f0ffc3f94e9fdbd395700fe43ca5745b66088586f297e441d6e6c47",
 }
 
 
@@ -66,11 +71,20 @@ def test_known_counts():
 @pytest.mark.parametrize("n", sorted(GENERATOR_DIGESTS))
 def test_generator_output_pinned(n):
     """The generator's exact output (representatives, labelings, order) is
-    the one recorded at commit 622935e, before the unit-law prune and the
-    order-minimizer canonical key."""
+    the one recorded before the prunes and the order-minimizer canonical
+    key (see GENERATOR_DIGESTS)."""
     algs = all_algebras(n, use_cache=False)
     text = repr([(A.labels, A.leq, A.odot) for A in algs])
     assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_product_search_matches_unpruned_search(n):
+    """The pruned search returns the plain backtracking's tables, in its
+    order, on every lattice order."""
+    for leq, join, meet in _lattice_orders(n):
+        assert _products_on_lattice(leq, join, meet) == \
+            products_on_lattice(leq, join, meet)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -172,13 +186,24 @@ def test_canonical_key_of_random_relabeling(corpus5, data):
                         permute_table(D.odot, best))
 
 
+def _edit_algebras(edit):
+    """A cache file whose algebra list is edited and whose digest is kept."""
+    def bad(good):
+        data = json.loads(good)
+        data["algebras"] = edit(data["algebras"])
+        return json.dumps(data)
+    return bad
+
+
 BAD_CACHES = {
     "empty-list": lambda good: "[]",
     "empty-object": lambda good: "{}",
-    "size-one-algebra":
-        lambda good: '[{"labels": ["e0"], "leq": [[1]], "odot": [[0]]}]',
-    "not-an-algebra": lambda good: "[1]",
-    "missing-algebra": lambda good: json.dumps(json.loads(good)[:1]),
+    "size-one-algebra": _edit_algebras(
+        lambda algs: [{"labels": ["e0"], "leq": [[1]], "odot": [[0]]}]),
+    "not-an-algebra": _edit_algebras(lambda algs: [1]),
+    "missing-algebra": _edit_algebras(lambda algs: algs[:1]),
+    "duplicated-algebra": _edit_algebras(lambda algs: [algs[0], algs[0]]),
+    "no-digest": lambda good: json.dumps(json.loads(good)["algebras"]),
     "truncated": lambda good: good[:len(good) // 2],
 }
 
