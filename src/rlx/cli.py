@@ -12,8 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .enumeration import SIZE_CAP, enumerate_algebras
-from .errors import RlxError
+from .errors import SIZE_CAP, RlxError
 from .filters import quotient
 from .formulas import format_formula, parse_formula
 from .io import (
@@ -25,7 +24,6 @@ from .io import (
     save_rlat,
 )
 from .lifting import has_phi_lp, lp_report
-from .report import analysis_report, render_human
 from .reticulation import build_reticulation, verify_retic_properties
 from .theorems import theorem_checks
 
@@ -55,6 +53,8 @@ def cmd_validate(args):
 
 
 def cmd_analyze(args):
+    from .report import analysis_report, render_human
+
     A = _load(args.file)
     report = analysis_report(A, include_theorems=args.topology or args.theorems)
     if args.json:
@@ -149,6 +149,8 @@ def cmd_check_theorems(args):
 
 
 def cmd_enumerate(args):
+    from .enumeration import enumerate_algebras
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

@@ -9,7 +9,6 @@ and freely shareable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import AxiomViolation, InvalidArgument, NotResiduated
@@ -18,8 +17,43 @@ Table = tuple  # n x n tuple-of-tuples of element ids
 Relation = tuple  # n x n tuple-of-tuples of bools
 
 
-@dataclass(frozen=True)
-class ResiduatedLattice:
+class Record:
+    """Base of the immutable value classes: a frozen dataclass without the
+    cost of importing `dataclasses` and building each class.
+
+    A subclass's fields are the instance attributes its `__init__` sets,
+    in order, with `_set`; plain assignment raises AttributeError.
+    Records of the same class are equal when their fields are, hash as
+    the tuple of their fields and show as `Class(field=value, ...)`.  A
+    subclass that stores anything besides its fields defines its own
+    `__eq__`, `__hash__` and `__repr__`.
+    """
+
+    # object.__setattr__, as a frozen dataclass uses it, keeps the fields
+    # in the instance's compact attribute store; writing them through
+    # self.__dict__ would build a full dict per instance, twice the memory
+    _set = object.__setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ResiduatedLattice(Record):
     """Validated finite residuated lattice.
 
     Do not build directly; go through :func:`validate` (or a constructor
@@ -30,20 +64,32 @@ class ResiduatedLattice:
     lookup.  It covers `leq` and `odot`, which determine the other tables
     of a validated algebra, and holds only bools and ints, so it does not
     depend on the process's string-hash seed.  Equality still compares
-    every field.
+    every field.  Algebras with equal tables and other labels (a quotient,
+    a reticulation and the algebra they mirror) share a hash, so equality
+    tests identity and then the labels before any table.
     """
 
-    labels: tuple
-    leq: Relation
-    join: Table
-    meet: Table
-    odot: Table
-    imp: Table
-    bot: int
-    top: int
+    def __init__(self, labels: tuple, leq: Relation, join: Table,
+                 meet: Table, odot: Table, imp: Table, bot: int, top: int):
+        self._set("labels", labels)
+        self._set("leq", leq)
+        self._set("join", join)
+        self._set("meet", meet)
+        self._set("odot", odot)
+        self._set("imp", imp)
+        self._set("bot", bot)
+        self._set("top", top)
+        self._set("_hash", hash((leq, odot)))
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.leq, self.odot)))
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.labels == other.labels and self.bot == other.bot
+                and self.top == other.top and self.leq == other.leq
+                and self.odot == other.odot and self.join == other.join
+                and self.meet == other.meet and self.imp == other.imp)
 
     def __hash__(self):
         return self._hash
@@ -94,18 +140,22 @@ class ResiduatedLattice:
         return f"ResiduatedLattice({','.join(self.labels)})"
 
 
-@dataclass(frozen=True)
-class ElementClassReport:
-    boolean_center: frozenset
-    idempotents: frozenset
-    regulars: frozenset
-    nilpotents: frozenset
-    archimedeans: frozenset
-    is_godel: bool
-    is_involutive: bool
-    is_chain: bool
-    is_distributive: bool
-    is_hyperarchimedean: bool
+class ElementClassReport(Record):
+    def __init__(self, boolean_center: frozenset, idempotents: frozenset,
+                 regulars: frozenset, nilpotents: frozenset,
+                 archimedeans: frozenset, is_godel: bool,
+                 is_involutive: bool, is_chain: bool, is_distributive: bool,
+                 is_hyperarchimedean: bool):
+        self._set("boolean_center", boolean_center)
+        self._set("idempotents", idempotents)
+        self._set("regulars", regulars)
+        self._set("nilpotents", nilpotents)
+        self._set("archimedeans", archimedeans)
+        self._set("is_godel", is_godel)
+        self._set("is_involutive", is_involutive)
+        self._set("is_chain", is_chain)
+        self._set("is_distributive", is_distributive)
+        self._set("is_hyperarchimedean", is_hyperarchimedean)
 
 
 def _check_square(name, table, n):

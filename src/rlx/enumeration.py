@@ -48,10 +48,15 @@ import tempfile
 from pathlib import Path
 
 from .core import bounds_of, glb_table, lub_table, validate
-from .errors import AxiomViolation, NotResiduated, RlxError, SizeCapExceeded
+from .errors import (
+    SIZE_CAP,
+    AxiomViolation,
+    NotResiduated,
+    RlxError,
+    SizeCapExceeded,
+)
 from .iso import canonical_key
 
-SIZE_CAP = 7
 GENERATOR_VERSION = 3
 # number of isomorphism classes of each size 1..SIZE_CAP
 KNOWN_COUNTS = (1, 1, 2, 7, 26, 129, 723)

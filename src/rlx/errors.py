@@ -30,8 +30,12 @@ class InvalidArgument(RlxError):
     pass
 
 
+# the largest size the enumerator accepts
+SIZE_CAP = 7
+
+
 class SizeCapExceeded(RlxError):
-    pass
+    """A size outside 1..SIZE_CAP was asked of the enumerator."""
 
 
 class NotGelfand(RlxError):

@@ -17,28 +17,23 @@ this way in A itself, without building the quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .core import ResiduatedLattice, validate
+from .core import Record, ResiduatedLattice, validate
 from .errors import AxiomViolation
 
 
-@dataclass(frozen=True)
-class Filter:
+class Filter(Record):
     """A filter of a finite algebra, given by its member set.
 
     The check is linear: the members contain top, their meet `gen` is a
     member and idempotent, and they are exactly the up-set of `gen`.  On a
-    finite algebra that is the filter condition.
+    finite algebra that is the filter condition.  `gen` is derived, so
+    equality and hash cover only the algebra and the members.
     """
 
-    algebra: ResiduatedLattice
-    members: frozenset
-    gen: int = field(init=False, compare=False)
-
-    def __post_init__(self):
-        A, F = self.algebra, self.members
+    def __init__(self, algebra: ResiduatedLattice, members: frozenset):
+        A, F = algebra, members
         if A.top not in F:
             raise AxiomViolation("filter-top", ())
         m = A.top
@@ -51,7 +46,17 @@ class Filter:
         for b in A.elements():
             if A.leq[m][b] and b not in F:
                 raise AxiomViolation("filter-up-closed", (m, b))
-        object.__setattr__(self, "gen", m)
+        self._set("algebra", algebra)
+        self._set("members", members)
+        self._set("gen", m)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.members == other.members and self.algebra == other.algebra
+
+    def __hash__(self):
+        return hash((self.algebra, self.members))
 
     @property
     def proper(self):
@@ -117,10 +122,6 @@ def filter_meet(F, G):
     return _upsets(A)[A.join[F.gen][G.gen]]
 
 
-def trivial_filter(A):
-    return _upsets(A)[A.top]
-
-
 def improper_filter(A):
     return _upsets(A)[A.bot]
 
@@ -177,18 +178,16 @@ def is_semisimple(A):
     return radical(A).gen == A.top
 
 
-def min_generator(F):
-    """The minimum of F: its idempotent generator."""
-    return F.gen
-
-
-@dataclass(frozen=True)
-class QuotientAlgebra:
-    parent: ResiduatedLattice
-    filter: Filter
-    class_of: tuple  # element id -> class id
-    quotient: ResiduatedLattice
-    section: tuple  # class id -> least representative element
+class QuotientAlgebra(Record):
+    def __init__(self, parent: ResiduatedLattice, filter: Filter,
+                 class_of: tuple,  # element id -> class id
+                 quotient: ResiduatedLattice,
+                 section: tuple):  # class id -> least representative element
+        self._set("parent", parent)
+        self._set("filter", filter)
+        self._set("class_of", class_of)
+        self._set("quotient", quotient)
+        self._set("section", section)
 
 
 def _check_congruence(A, class_of, reps):

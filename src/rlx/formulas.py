@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
+from .core import Record
 from .errors import (
     FormulaSyntaxError,
     MultipleFreeVariables,
@@ -30,44 +30,47 @@ from .errors import (
 MAX_POWER = 31
 
 
-@dataclass(frozen=True)
-class FreeVar:
-    name: str
+class FreeVar(Record):
+    def __init__(self, name: str):
+        self._set("name", name)
 
 
-@dataclass(frozen=True)
-class BoundVar:
-    name: str
+class BoundVar(Record):
+    def __init__(self, name: str):
+        self._set("name", name)
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int  # 0 or 1
+class Const(Record):
+    def __init__(self, value: int):  # 0 or 1
+        self._set("value", value)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # "|", "&", "*", "->", "<->"
-    lhs: object
-    rhs: object
+class BinOp(Record):
+    def __init__(self, op: str,  # "|", "&", "*", "->", "<->"
+                 lhs: object, rhs: object):
+        self._set("op", op)
+        self._set("lhs", lhs)
+        self._set("rhs", rhs)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
+class Neg(Record):
+    def __init__(self, arg: object):
+        self._set("arg", arg)
 
 
-@dataclass(frozen=True)
-class Pow:
-    arg: object
-    exponent: int
+class Pow(Record):
+    def __init__(self, arg: object, exponent: int):
+        self._set("arg", arg)
+        self._set("exponent", exponent)
 
 
-@dataclass(frozen=True)
-class Formula:
-    bound_vars: tuple
-    equations: tuple  # of (lhs, rhs) term pairs
-    free_var: str
+class Formula(Record):
+    def __init__(self, bound_vars: tuple,
+                 equations: tuple,  # of (lhs, rhs) term pairs
+                 free_var: str):
+        self._set("bound_vars", bound_vars)
+        self._set("equations", equations)
+        self._set("free_var", free_var)
 
 
 _TOKEN = re.compile(r"""

@@ -176,5 +176,9 @@ def save_rlat(A, path):
 
 
 def load_blat(path):
+    """Read a .blat file, such as the one `rlx reticulate --out` writes.
+
+    No rlx command reads .blat files; this is the library's way back in
+    from that output."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_blat(fh.read())

@@ -176,6 +176,3 @@ def rl_isomorphism(A, B):
     return find_isomorphism(A.leq, (A.join, A.meet, A.odot, A.imp),
                             B.leq, (B.join, B.meet, B.odot, B.imp))
 
-
-def rl_isomorphic(A, B):
-    return rl_isomorphism(A, B) is not None

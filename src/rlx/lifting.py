@@ -5,10 +5,9 @@ characterizations."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import classify
+from .core import Record, classify
 from .filters import all_filters, principal_filter
 from .formulas import (
     _definable_masks,
@@ -21,18 +20,23 @@ from .formulas import (
 )
 
 
-@dataclass(frozen=True)
-class FilterVerdict:
-    holds: bool
-    counterexample: object  # element id that fails to lift, or None
-    witness: object  # a lifting element for the least liftable class, or None
+class FilterVerdict(Record):
+    """`counterexample` is an element id that fails to lift, or None;
+    `witness` a lifting element for the least liftable class, or None."""
+
+    def __init__(self, holds: bool, counterexample: object, witness: object):
+        self._set("holds", holds)
+        self._set("counterexample", counterexample)
+        self._set("witness", witness)
 
 
-@dataclass(frozen=True)
-class LpReport:
-    formula: object
-    per_filter: tuple  # of (Filter, FilterVerdict)
-    global_holds: bool
+class LpReport(Record):
+    def __init__(self, formula: object,
+                 per_filter: tuple,  # of (Filter, FilterVerdict)
+                 global_holds: bool):
+        self._set("formula", formula)
+        self._set("per_filter", per_filter)
+        self._set("global_holds", global_holds)
 
 
 def has_phi_lp(A, phi, F):

@@ -5,10 +5,9 @@ for Boolean lifting and archimedean elements."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import ResiduatedLattice, classify, complemented_elements
+from .core import Record, ResiduatedLattice, classify, complemented_elements
 from .dlattice import lattice_blp_filter, validate_bdl
 from .errors import AxiomViolation, NoIsomorphism
 from .filters import (
@@ -24,22 +23,23 @@ from .formulas import blp_formula
 from .lifting import has_phi_lp
 
 
-@dataclass(frozen=True)
-class Reticulation:
-    source: object
-    lattice: ResiduatedLattice  # the Heyting algebra of validate_bdl
-    lam: tuple  # element id -> lattice element id
-    filter_of: tuple  # lattice element id -> Filter (principal)
+class Reticulation(Record):
+    def __init__(self, source: object,
+                 lattice: ResiduatedLattice,  # Heyting algebra of validate_bdl
+                 lam: tuple,  # element id -> lattice element id
+                 filter_of: tuple):  # lattice element id -> Filter (principal)
+        self._set("source", source)
+        self._set("lattice", lattice)
+        self._set("lam", lam)
+        self._set("filter_of", filter_of)
 
 
-@dataclass(frozen=True)
-class RLMorphism:
-    source: object
-    target: object
-    mapping: tuple  # element id -> element id
+class RLMorphism(Record):
+    """A residuated-lattice morphism, checked on construction."""
 
-    def __post_init__(self):
-        A, B, f = self.source, self.target, self.mapping
+    def __init__(self, source: object, target: object,
+                 mapping: tuple):  # element id -> element id
+        A, B, f = source, target, mapping
         if len(f) != A.size:
             raise AxiomViolation("morphism-arity", (len(f),))
         if f[A.bot] != B.bot or f[A.top] != B.top:
@@ -53,6 +53,9 @@ class RLMorphism:
                 for ta, tb in pairs:
                     if f[ta[x][y]] != tb[f[x]][f[y]]:
                         raise AxiomViolation("morphism-compat", (x, y))
+        self._set("source", source)
+        self._set("target", target)
+        self._set("mapping", mapping)
 
 
 @lru_cache(maxsize=None)

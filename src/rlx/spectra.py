@@ -4,11 +4,10 @@ principal-filter splitting properties."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .core import classify
+from .core import Record, classify
 from .errors import NotGelfand
 from .filters import (
     all_filters,
@@ -25,13 +24,17 @@ from .filters import (
 # the filter [e) iff it contains e, so V(F) = v[gen(F)] and D = full & ~V.
 
 
-@dataclass(frozen=True)
-class SpectrumSpace:
-    algebra: object
-    kind: str  # "spec" | "max"
-    points: tuple  # of Filter
-    opens: tuple  # sorted bitmask family
-    v: tuple  # element id -> bitmask of the points containing it
+class SpectrumSpace(Record):
+    def __init__(self, algebra: object,
+                 kind: str,  # "spec" | "max"
+                 points: tuple,  # of Filter
+                 opens: tuple,  # sorted bitmask family
+                 v: tuple):  # element id -> bitmask of the points holding it
+        self._set("algebra", algebra)
+        self._set("kind", kind)
+        self._set("points", points)
+        self._set("opens", opens)
+        self._set("v", v)
 
     @property
     def full(self):
@@ -249,17 +252,14 @@ def gelfand_conditions(A):
 
     # (2) element form of the same statement on principal filters, read
     # off their generators g[x] = x^w: [u) ^ [v) = [g[u] | g[v]) and
-    # [x) v [y) = [g[x] * g[y])
-    g = [A.power_limit(a) for a in A.elements()]
-
-    def improper_join(x, y):
-        return A.odot[g[x]][g[y]] == A.bot
-
+    # [x) v [y) = [g[x] * g[y]).  Both sides see an element only through
+    # its generator, so the quantifiers run over the generators, and
+    # zero[e] lists the generators f with f * e = 0.
+    gens = sorted({A.power_limit(a) for a in A.elements()})
+    zero = {e: [f for f in gens if A.odot[f][e] == A.bot] for e in gens}
     out[2] = all(
-        any(A.join[g[u]][g[v]] == A.top
-            and improper_join(u, x) and improper_join(v, y)
-            for u in A.elements() for v in A.elements())
-        for x in A.elements() for y in A.elements() if improper_join(x, y))
+        any(A.join[f][h] == A.top for f in zero[e] for h in zero[k])
+        for e in gens for k in zero[e])
 
     # (8) Spec(A) is a normal space
     out[8] = topology_predicates(stone_spec(A))["normal"]

@@ -8,9 +8,9 @@ bug, not a property of the input algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
-from .core import classify, direct_product, upset_algebra
+from .core import Record, classify, direct_product, upset_algebra
 from .dlattice import is_conormal_lattice, conormal_radical_lifting
 from .filters import (
     all_filters,
@@ -47,13 +47,14 @@ from .spectra import (
 from .reticulation import build_reticulation
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
-    theorem_id: str
-    lhs: bool
-    rhs: bool
-    agree: bool
-    witness: object = None
+class TheoremVerdict(Record):
+    def __init__(self, theorem_id: str, lhs: bool, rhs: bool, agree: bool,
+                 witness: object = None):
+        self._set("theorem_id", theorem_id)
+        self._set("lhs", lhs)
+        self._set("rhs", rhs)
+        self._set("agree", agree)
+        self._set("witness", witness)
 
     def as_dict(self):
         return {
@@ -360,9 +361,13 @@ def check_semisimple_hausdorff(A):
                      semisimple and hausdorff, is_gelfand(A))]
 
 
+@lru_cache(maxsize=None)
 def local_factor_decomposition(A):
     """Decompose A along the atoms of its Boolean center and report
-    (decomposition-is-a-product, every-factor-local)."""
+    (decomposition-is-a-product, every-factor-local, factor sizes).
+
+    Two row families read it, so it is cached; the answer is a tuple of
+    immutable values."""
     B = sorted(classify(A).boolean_center)
     nonbot = [e for e in B if e != A.bot]
     atoms = [e for e in nonbot

@@ -1,7 +1,8 @@
 """Slow, definition-level reference implementations used only by the tests.
 
 Each one follows the textbook definition element by element, so the fast
-closed forms in the library can be checked against it.
+closed forms in the library can be checked against it.  The small helpers
+at the top are conveniences that only the tests use.
 """
 
 import itertools
@@ -11,11 +12,24 @@ from rlx.dlattice import validate_bdl
 from rlx.core import bounds_of
 from rlx.enumeration import _lattice_orders, _table_ok, all_algebras
 from rlx.errors import AxiomViolation, NotResiduated
-from rlx.filters import principal_filter, quotient
+from rlx.filters import _upsets, principal_filter, quotient
 from rlx.formulas import BoundVar, Const, FreeVar, Neg, Pow, definable_set
 from rlx.lifting import has_blp, lp_report
-from rlx.iso import _mid_perms, permute_relation, permute_table
+from rlx.iso import _mid_perms, permute_relation, permute_table, rl_isomorphism
 from rlx.reticulation import Reticulation, _assert_axioms
+
+
+def trivial_filter(A):
+    return _upsets(A)[A.top]
+
+
+def min_generator(F):
+    """The minimum of F: its idempotent generator."""
+    return F.gen
+
+
+def rl_isomorphic(A, B):
+    return rl_isomorphism(A, B) is not None
 
 
 def eval_term(A, t, value, env):
@@ -500,3 +514,20 @@ def products_on_lattice(leq, join, meet):
 
     backtrack(0)
     return results
+
+
+def brute_gelfand_form_2(A):
+    """Gelfand form (2) by its definition on principal filters, with
+    g[x] = x^w: whenever [x) v [y) is improper, some [u), [v) with
+    [u) ^ [v) trivial have [u) v [x) and [v) v [y) improper.  Scans every
+    (u, v) for every (x, y)."""
+    g = [A.power_limit(a) for a in A.elements()]
+
+    def improper_join(x, y):
+        return A.odot[g[x]][g[y]] == A.bot
+
+    return all(
+        any(A.join[g[u]][g[v]] == A.top
+            and improper_join(u, x) and improper_join(v, y)
+            for u in A.elements() for v in A.elements())
+        for x in A.elements() for y in A.elements() if improper_join(x, y))

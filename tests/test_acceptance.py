@@ -36,7 +36,6 @@ from rlx.filters import (
     radical,
 )
 from rlx.formulas import blp_formula, ilp_formula
-from rlx.iso import rl_isomorphic
 from rlx.lifting import (
     has_blp,
     has_ilp,
@@ -53,7 +52,12 @@ from rlx.reticulation import (
 from rlx.spectra import is_gelfand, star_property, star_star_property
 from rlx.theorems import disagreements
 
-from oracles import dense_radical, distributive_lattices, product_lp_check
+from oracles import (
+    dense_radical,
+    distributive_lattices,
+    product_lp_check,
+    rl_isomorphic,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -20,7 +20,6 @@ from rlx.iso import (
     canonicalize,
     permute_relation,
     permute_table,
-    rl_isomorphic,
 )
 
 from oracles import (
@@ -28,6 +27,7 @@ from oracles import (
     brute_invariant,
     brute_relabeling,
     products_on_lattice,
+    rl_isomorphic,
     slow_enumerate,
 )
 

@@ -16,20 +16,20 @@ from rlx.filters import (
     is_prime,
     is_semisimple,
     max_spec,
-    min_generator,
     principal_filter,
     quotient,
     radical,
     spec,
-    trivial_filter,
 )
-from rlx.iso import rl_isomorphic
 
 from oracles import (
     brute_congruence_violation,
     fixed_point_filter,
     is_filter_subset,
+    min_generator,
+    rl_isomorphic,
     set_partitions,
+    trivial_filter,
 )
 
 

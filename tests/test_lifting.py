@@ -13,7 +13,6 @@ from rlx.filters import (
     principal_filter,
     quotient,
     spec,
-    trivial_filter,
 )
 from rlx.formulas import (
     blp_formula,
@@ -37,6 +36,7 @@ from oracles import (
     brute_boolean_splitting_conditions,
     product_lp_check,
     quotient_filter_verdict,
+    trivial_filter,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

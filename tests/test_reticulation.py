@@ -17,7 +17,7 @@ from rlx.reticulation import (
     verify_retic_properties,
 )
 
-from oracles import kernel_quotient_reticulation
+from oracles import kernel_quotient_reticulation, trivial_filter
 
 
 def test_reticulation_of_boolean_is_itself():
@@ -164,8 +164,6 @@ def test_blp_transfer_golden(E1, E2):
     idx2 = {lbl: i for i, lbl in enumerate(E2.labels)}
     assert blp_transfer(E2, principal_filter(E2, idx2["a"])) == (False, False)
     B2 = boolean_algebra(1)
-    from rlx.filters import trivial_filter
-
     assert blp_transfer(B2, trivial_filter(B2)) == (True, True)
 
 

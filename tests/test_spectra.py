@@ -24,6 +24,8 @@ from rlx.spectra import (
     topology_predicates,
 )
 
+from oracles import brute_gelfand_form_2
+
 
 def test_stone_spec_two_element():
     B2 = boolean_algebra(1)
@@ -110,6 +112,9 @@ def test_gelfand_conditions_agree(corpus5, E1, E2):
     for A in list(corpus5) + [E1, E2]:
         conds = gelfand_conditions(A)
         assert len(set(conds.values())) == 1
+        # form (2) is read off the generators; the oracle scans every
+        # (u, v) for every (x, y)
+        assert conds[2] == brute_gelfand_form_2(A)
 
 
 def test_gelfand_retract_chain():

@@ -9,6 +9,7 @@ from rlx.core import (
     complemented_elements,
     direct_product,
     godel_chain,
+    validate,
 )
 from rlx.enumeration import all_algebras
 from rlx.filters import principal_filter, quotient, spec
@@ -97,6 +98,20 @@ def test_local_product_decomposition_golden(E1):
     P = direct_product(boolean_algebra(1), boolean_algebra(1))
     is_prod, locals_ok, sizes = local_factor_decomposition(P)
     assert is_prod and locals_ok and len(sizes) == 2
+
+
+def test_local_factor_decomposition_runs_once_per_algebra():
+    """Two row families read the decomposition; it is built once."""
+    from rlx.theorems import local_factor_decomposition
+
+    P = direct_product(godel_chain(3), boolean_algebra(1))
+    # labels no other test uses, so the cache has not seen this algebra
+    A = validate(tuple(f"once{i}" for i in range(P.size)), P.leq, P.odot)
+    before = local_factor_decomposition.cache_info()
+    theorem_checks(A)
+    after = local_factor_decomposition.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 1
 
 
 def test_lattice_lifting_bug_is_a_disagreeing_row(monkeypatch):
