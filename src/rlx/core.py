@@ -26,7 +26,8 @@ class Record:
     Records of the same class are equal when their fields are, hash as
     the tuple of their fields and show as `Class(field=value, ...)`.  A
     subclass that stores anything besides its fields defines its own
-    `__eq__`, `__hash__` and `__repr__`.
+    `__hash__` and `__repr__`, and its own `__eq__` unless what it stores
+    follows from the fields.
     """
 
     # object.__setattr__, as a frozen dataclass uses it, keeps the fields
@@ -226,6 +227,51 @@ def glb_table(leq):
     return _bound_table(_row_masks(zip(*leq)))
 
 
+def _residual_masks(leq, odot):
+    """good[b][c], the bitmask of the a with a*b <= c, for every pair.
+
+    Column b of the product is sorted by value once: bit a goes into the
+    mask of the value a*b.  good[b][c] is the union of the masks of the
+    values below c, so bit a lands in good[b][c] for every c in the
+    up-set of a*b."""
+    n = len(leq)
+    downs = [[v for v in range(n) if leq[v][c]] for c in range(n)]
+    good = []
+    for b in range(n):
+        by_value = [0] * n
+        for a, row in enumerate(odot):
+            by_value[row[b]] |= 1 << a
+        masks = []
+        for below in downs:
+            m = 0
+            for v in below:
+                m |= by_value[v]
+            masks.append(m)
+        good.append(masks)
+    return good
+
+
+def _residuum(good, down):
+    """imp(b, c), the maximum of good[b][c]: the a whose down-set contains
+    good[b][c] and lies in it.  When good[b][c] is a down-set, one lookup
+    gives it; otherwise the elements are scanned.  Raises
+    NotResiduated(b, c) at the first pair, in row order, with no maximum."""
+    n = len(down)
+    where = {m: a for a, m in enumerate(down)}
+    imp = []
+    for b, masks in enumerate(good):
+        row = [where.get(g) for g in masks]
+        if None in row:
+            for c, g in enumerate(masks):
+                if row[c] is None:
+                    row[c] = next((a for a in range(n) if g >> a & 1
+                                   and not g & ~down[a]), None)
+                    if row[c] is None:
+                        raise NotResiduated(b, c)
+        imp.append(tuple(row))
+    return tuple(imp)
+
+
 def derive_implication(leq, odot):
     """Residuum table forced by the order and the monoid.
 
@@ -235,22 +281,7 @@ def derive_implication(leq, odot):
     be a partial order.  The caller still has to run :func:`validate`,
     which re-checks the full residuation equivalence.
     """
-    n = len(leq)
-    down = _row_masks(zip(*leq))
-    imp = []
-    for b in range(n):
-        col = [odot[a][b] for a in range(n)]
-        row = []
-        for c in range(n):
-            below = down[c]
-            good = sum(1 << a for a in range(n) if below >> col[a] & 1)
-            top = next((a for a in range(n)
-                        if good >> a & 1 and not good & ~down[a]), None)
-            if top is None:
-                raise NotResiduated(b, c)
-            row.append(top)
-        imp.append(tuple(row))
-    return tuple(imp)
+    return _residuum(_residual_masks(leq, odot), _row_masks(zip(*leq)))
 
 
 def validate(labels, leq, odot, imp=None, join=None, meet=None):
@@ -333,26 +364,33 @@ def _validate_residuated(leq, odot, imp):
     """The residuated part of :func:`validate` on an order that
     :func:`_validate_lattice` has checked and an `odot` that has passed
     the table check: the monoid, the residuum and the residuation law with
-    its derived facts.  Returns the checked `imp`, derived when None."""
+    its derived facts.  Returns the checked `imp`, derived when None.
+
+    Each check raises at the witness the plain loop over the elements in
+    order would meet first; whole tables are compared before any scan."""
     n = len(leq)
     bot, top, join, meet = _validate_lattice(leq)
+    if tuple(zip(*odot)) != odot:
+        bad = next((a, b) for a in range(n) for b in range(n)
+                   if odot[a][b] != odot[b][a])
+        raise AxiomViolation("monoid-commutativity", bad)
+    if tuple(row[top] for row in odot) != tuple(range(n)):
+        bad = next(a for a in range(n) if odot[a][top] != a)
+        raise AxiomViolation("monoid-unit", (bad,))
     for a in range(n):
+        row_a = odot[a]
         for b in range(n):
-            if odot[a][b] != odot[b][a]:
-                raise AxiomViolation("monoid-commutativity", (a, b))
-    for a in range(n):
-        if odot[a][top] != a:
-            raise AxiomViolation("monoid-unit", (a,))
-    for a in range(n):
-        for b in range(n):
-            ab = odot[a][b]
+            row_ab = odot[row_a[b]]
+            row_b = odot[b]
             for c in range(n):
-                if odot[ab][c] != odot[a][odot[b][c]]:
+                if row_ab[c] != row_a[row_b[c]]:
                     raise AxiomViolation("monoid-associativity", (a, b, c))
 
+    good = _residual_masks(leq, odot)
+    down = _row_masks(zip(*leq))
     derived = None
     try:
-        derived = derive_implication(leq, odot)
+        derived = _residuum(good, down)
     except NotResiduated:
         pass
     if imp is None:
@@ -366,21 +404,30 @@ def _validate_residuated(leq, odot, imp):
                        if imp[a][b] != derived[a][b])
             raise AxiomViolation("implication-mismatch", bad)
 
-    # The law itself: a*b <= c  iff  a <= b->c, checked on all triples.
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if leq[odot[a][b]][c] != leq[a][imp[b][c]]:
-                    raise AxiomViolation("residuation", (a, b, c))
+    # The law itself: a*b <= c  iff  a <= b->c, for all triples, is
+    # good[b][c] == down[b->c] for all pairs.  The witness is the least a,
+    # then the least (b, c): the first triple in a-b-c order.
+    if any(masks != [down[x] for x in row] for masks, row in zip(good, imp)):
+        diff = [[g ^ down[x] for g, x in zip(masks, row)]
+                for masks, row in zip(good, imp)]
+        a = min((d & -d).bit_length() - 1 for row in diff for d in row if d)
+        b, c = next((b, c) for b in range(n) for c in range(n)
+                    if diff[b][c] >> a & 1)
+        raise AxiomViolation("residuation", (a, b, c))
 
     # Derived facts every residuated lattice must satisfy; cheap insurance
     # against table typos that happen to pass the law on the given imp.
     for a in range(n):
+        row_a = odot[a]
+        meet_a = meet[a]
         for b in range(n):
-            if not leq[odot[a][b]][meet[a][b]]:
+            ab = row_a[b]
+            if not leq[ab][meet_a[b]]:
                 raise AxiomViolation("odot-below-meet", (a, b))
+            join_b = join[b]
+            join_ab = join[ab]
             for c in range(n):
-                if odot[a][join[b][c]] != join[odot[a][b]][odot[a][c]]:
+                if row_a[join_b[c]] != join_ab[row_a[c]]:
                     raise AxiomViolation("odot-join-distributivity", (a, b, c))
     for a in range(n):
         if odot[a][imp[a][bot]] != bot:

@@ -233,34 +233,45 @@ def _products_on_lattice(leq, join, meet):
 
 
 def _table_ok(leq, join, meet, odot, top):
+    """Whether a commutative completed table has the unit, lies below the
+    meet, distributes over joins and is associative.
+
+    Join-distributivity, which makes the residuum exist on a finite
+    lattice, goes before associativity: it rejects far more completions.
+    """
     n = len(leq)
+    if tuple(row[top] for row in odot) != tuple(range(n)):
+        return False
     for a in range(n):
-        if odot[a][top] != a:
-            return False
-    for a in range(n):
+        row_a = odot[a]
+        meet_a = meet[a]
         for b in range(a, n):
-            if not leq[odot[a][b]][meet[a][b]]:
+            if not leq[row_a[b]][meet_a[b]]:
                 return False
     for a in range(n):
+        row_a = odot[a]
         for b in range(n):
-            ab = odot[a][b]
+            join_b = join[b]
+            join_ab = join[row_a[b]]
             for c in range(b, n):
-                if odot[ab][c] != odot[a][odot[b][c]]:
+                if row_a[join_b[c]] != join_ab[row_a[c]]:
                     return False
-    # join-distributivity makes the residuum exist on a finite lattice
     for a in range(n):
+        row_a = odot[a]
         for b in range(n):
+            row_ab = odot[row_a[b]]
+            row_b = odot[b]
             for c in range(b, n):
-                if odot[a][join[b][c]] != join[odot[a][b]][odot[a][c]]:
+                if row_ab[c] != row_a[row_b[c]]:
                     return False
     return True
 
 
 def _generate(n):
     found = {}
+    labels = tuple(f"e{i}" for i in range(n))
     for leq, join, meet in _lattice_orders(n):
         for odot in _products_on_lattice(leq, join, meet):
-            labels = tuple(f"e{i}" for i in range(n))
             try:
                 A = validate(labels, leq, odot)
             except (AxiomViolation, NotResiduated):

@@ -65,12 +65,25 @@ class Pow(Record):
 
 
 class Formula(Record):
+    """A parsed formula.  Formulas key the per-algebra caches of definable
+    sets, so the hash of the field tuple is computed once, here, instead
+    of re-hashing the whole term tree on each lookup.  The stored hash
+    follows from the fields, so the base's equality still holds."""
+
     def __init__(self, bound_vars: tuple,
                  equations: tuple,  # of (lhs, rhs) term pairs
                  free_var: str):
         self._set("bound_vars", bound_vars)
         self._set("equations", equations)
         self._set("free_var", free_var)
+        self._set("_hash", hash((bound_vars, equations, free_var)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return (f"Formula(bound_vars={self.bound_vars!r}, "
+                f"equations={self.equations!r}, free_var={self.free_var!r})")
 
 
 _TOKEN = re.compile(r"""

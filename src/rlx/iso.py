@@ -49,32 +49,33 @@ def _mid_perms(n, bot, top):
         yield tuple(perm)
 
 
-def _flat(table):
-    return tuple(v for row in table for v in row)
-
-
 @lru_cache(maxsize=None)
 def _order_minimizers(leq, bot, top):
-    """Least relabeled order encoding, and every relabeling reaching it.
+    """Least relabeled order encoding, and every (perm, inverse) pair
+    whose relabeling reaches it.
 
     Relabelings fix bot and top and are listed in ``_mid_perms`` order.
+    Entry (i, j) of a relabeled table is read at (inv[i], inv[j]), so the
+    flat encoding takes one pass over the inverse.
     """
-    best, perms = None, []
+    best, pairs = None, []
     for perm in _mid_perms(len(leq), bot, top):
-        bits = _flat(permute_relation(leq, perm))
+        inv = tuple(sorted(range(len(perm)), key=perm.__getitem__))
+        bits = tuple(leq[x][y] for x in inv for y in inv)
         if best is None or bits < best:
-            best, perms = bits, [perm]
+            best, pairs = bits, [(perm, inv)]
         elif bits == best:
-            perms.append(perm)
-    return best, tuple(perms)
+            pairs.append((perm, inv))
+    return best, tuple(pairs)
 
 
 def _canonical_perm(A):
     """(key, perm): the canonical key and the first relabeling reaching it."""
-    bits, perms = _order_minimizers(A.leq, A.bot, A.top)
+    bits, pairs = _order_minimizers(A.leq, A.bot, A.top)
+    odot = A.odot
     best = best_perm = None
-    for perm in perms:
-        vals = _flat(permute_table(A.odot, perm))
+    for perm, inv in pairs:
+        vals = tuple(perm[odot[i][j]] for i in inv for j in inv)
         if best is None or vals < best:
             best, best_perm = vals, perm
     return bits + best, best_perm

@@ -7,10 +7,11 @@ at the top are conveniences that only the tests use.
 
 import itertools
 
-from rlx.core import classify, direct_product, validate
+import rlx.core
+from rlx.core import _check_square, classify, direct_product, validate
 from rlx.dlattice import validate_bdl
 from rlx.core import bounds_of
-from rlx.enumeration import _lattice_orders, _table_ok, all_algebras
+from rlx.enumeration import _lattice_orders, all_algebras
 from rlx.errors import AxiomViolation, NotResiduated
 from rlx.filters import _upsets, principal_filter, quotient
 from rlx.formulas import BoundVar, Const, FreeVar, Neg, Pow, definable_set
@@ -152,6 +153,63 @@ def brute_derive_implication(leq, odot):
             row.append(maxima[0])
         imp.append(tuple(row))
     return tuple(imp)
+
+
+def brute_validate_residuated(leq, odot, imp):
+    """The residuated stage of `validate` as plain loops over the
+    elements: each axiom checked pair by pair or triple by triple, and the
+    residuation law on every triple.  Reads the lattice tables from
+    `rlx.core._validate_lattice` at call time and derives the residuum
+    with `brute_derive_implication`; uncached."""
+    n = len(leq)
+    bot, top, join, meet = rlx.core._validate_lattice(leq)
+    for a in range(n):
+        for b in range(n):
+            if odot[a][b] != odot[b][a]:
+                raise AxiomViolation("monoid-commutativity", (a, b))
+    for a in range(n):
+        if odot[a][top] != a:
+            raise AxiomViolation("monoid-unit", (a,))
+    for a in range(n):
+        for b in range(n):
+            ab = odot[a][b]
+            for c in range(n):
+                if odot[ab][c] != odot[a][odot[b][c]]:
+                    raise AxiomViolation("monoid-associativity", (a, b, c))
+
+    derived = None
+    try:
+        derived = brute_derive_implication(leq, odot)
+    except NotResiduated:
+        pass
+    if imp is None:
+        if derived is None:
+            raise AxiomViolation("residuation", ("no-residuum",))
+        imp = derived
+    else:
+        _check_square("imp", imp, n)
+        if derived is not None and imp != derived:
+            bad = next((a, b) for a in range(n) for b in range(n)
+                       if imp[a][b] != derived[a][b])
+            raise AxiomViolation("implication-mismatch", bad)
+
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if leq[odot[a][b]][c] != leq[a][imp[b][c]]:
+                    raise AxiomViolation("residuation", (a, b, c))
+
+    for a in range(n):
+        for b in range(n):
+            if not leq[odot[a][b]][meet[a][b]]:
+                raise AxiomViolation("odot-below-meet", (a, b))
+            for c in range(n):
+                if odot[a][join[b][c]] != join[odot[a][b]][odot[a][c]]:
+                    raise AxiomViolation("odot-join-distributivity", (a, b, c))
+    for a in range(n):
+        if odot[a][imp[a][bot]] != bot:
+            raise AxiomViolation("odot-negation-bottom", (a,))
+    return imp
 
 
 def partial_orders(n):
@@ -446,13 +504,39 @@ def join_irreducibles(leq, join):
         if a != x and b != x and leq[a][x] and leq[b][x])]
 
 
+def brute_table_ok(leq, join, meet, odot, top):
+    """The enumerator's full check of a completed table, axiom by axiom
+    in plain loops: the unit law, odot below the meet, associativity and
+    join-distributivity, the last three over c >= b by commutativity."""
+    n = len(leq)
+    for a in range(n):
+        if odot[a][top] != a:
+            return False
+    for a in range(n):
+        for b in range(a, n):
+            if not leq[odot[a][b]][meet[a][b]]:
+                return False
+    for a in range(n):
+        for b in range(n):
+            ab = odot[a][b]
+            for c in range(b, n):
+                if odot[ab][c] != odot[a][odot[b][c]]:
+                    return False
+    for a in range(n):
+        for b in range(n):
+            for c in range(b, n):
+                if odot[a][join[b][c]] != join[odot[a][b]][odot[a][c]]:
+                    return False
+    return True
+
+
 def products_on_lattice(leq, join, meet):
     """Every table the enumerator's search returns for one lattice order,
     by the plain backtracking it refines: each candidate p*q <= p meet q is
     checked for monotonicity against every assigned pair, the unit law is
     checked per irreducible, and each full assignment is extended to the
     carrier by joining over all irreducible pairs below, then given to
-    ``_table_ok``."""
+    ``brute_table_ok``."""
     n = len(leq)
     bot, top = bounds_of(leq)
     irr_all = join_irreducibles(leq, join)
@@ -502,7 +586,7 @@ def products_on_lattice(leq, join, meet):
                 return
         if k == len(free):
             table = complete()
-            if _table_ok(leq, join, meet, table, top):
+            if brute_table_ok(leq, join, meet, table, top):
                 results.append(table)
             return
         p, q = free[k]

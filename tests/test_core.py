@@ -29,6 +29,7 @@ from oracles import (
     brute_derive_implication,
     brute_glb_table,
     brute_lub_table,
+    brute_validate_residuated,
     partial_orders,
 )
 
@@ -122,6 +123,105 @@ def test_derive_implication_matches_list_scan(data):
     odot = tuple(tuple(row) for row in odot)
     assert (_implication_or_pair(derive_implication, leq, odot)
             == _implication_or_pair(brute_derive_implication, leq, odot))
+
+
+def _stage_outcome(stage, leq, odot, imp):
+    """The imp a residuated stage returns, or the axiom and witness of the
+    AxiomViolation it raises."""
+    try:
+        return stage(leq, odot, imp)
+    except AxiomViolation as err:
+        return (err.axiom, err.witness)
+
+
+def _stages_agree(leq, odot, imp):
+    """Both residuated stages on one input, the library's uncached; returns
+    their common outcome."""
+    fast = _stage_outcome(_validate_residuated.__wrapped__, leq, odot, imp)
+    assert fast == _stage_outcome(brute_validate_residuated, leq, odot, imp)
+    return fast
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_residuated_stage_matches_plain_loops(data):
+    # the meet of a lattice order with a few cells overwritten, some only
+    # on one side of the diagonal; imp omitted, derived, derived with one
+    # cell changed, or random
+    leq, meet = data.draw(st.sampled_from(LATTICE_ORDERS))
+    n = len(leq)
+    cell = st.integers(0, n - 1)
+    odot = [list(row) for row in meet]
+    for _ in range(data.draw(st.integers(0, 3))):
+        a, b, v = data.draw(cell), data.draw(cell), data.draw(cell)
+        odot[a][b] = v
+        if data.draw(st.integers(0, 3)):
+            odot[b][a] = v
+    odot = tuple(tuple(row) for row in odot)
+    kind = data.draw(st.sampled_from(["none", "derived", "changed", "random"]))
+    imp = None
+    if kind in ("derived", "changed"):
+        try:
+            imp = [list(row) for row in brute_derive_implication(leq, odot)]
+        except NotResiduated:
+            kind = "random"
+    if kind == "changed":
+        b, c = data.draw(cell), data.draw(cell)
+        imp[b][c] = (imp[b][c] + data.draw(st.integers(1, max(n - 1, 1)))) % n
+    if kind == "random":
+        imp = [[data.draw(cell) for _ in range(n)] for _ in range(n)]
+    if imp is not None:
+        imp = tuple(tuple(row) for row in imp)
+    _stages_agree(leq, odot, imp)
+
+
+def _with_cells(table, cells):
+    rows = [list(row) for row in table]
+    for (i, j), v in cells.items():
+        rows[i][j] = v
+    return tuple(tuple(row) for row in rows)
+
+
+def _stage_cases():
+    """(axiom, witness, leq, odot, imp) reaching each axiom of the stage."""
+    G = godel_chain(3)
+    yield ("monoid-commutativity", (0, 1), G.leq,
+           _with_cells(G.odot, {(0, 1): 1}), None)
+    yield ("monoid-unit", (1,), G.leq,
+           _with_cells(G.odot, {(1, 2): 0, (2, 1): 0}), None)
+    C4 = godel_chain(4)
+    non_assoc = _with_cells(C4.odot, {(1, 1): 0, (2, 2): 1, (1, 2): 1,
+                                      (2, 1): 1})
+    yield "monoid-associativity", (1, 2, 2), C4.leq, non_assoc, None
+    m3 = leq_from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+    yield "residuation", ("no-residuum",), m3, glb_table(m3), None
+    # no residuum exists and an imp is given: the law fails at a triple
+    yield "residuation", (1, 0, 0), m3, glb_table(m3), glb_table(m3)
+    yield ("implication-mismatch", (1, 0), G.leq, G.odot,
+           _with_cells(G.imp, {(1, 0): 1}))
+
+
+@pytest.mark.parametrize("case", list(_stage_cases()),
+                         ids=lambda case: f"{case[0]}-{case[1]}")
+def test_residuated_stage_reaches_each_axiom(case):
+    axiom, witness, leq, odot, imp = case
+    assert _stages_agree(leq, odot, imp) == (axiom, witness)
+
+
+@pytest.mark.parametrize("axiom, witness, field, value", [
+    ("odot-below-meet", (1, 1), 3, ((0, 0, 0),) * 3),  # meet
+    ("odot-join-distributivity", (0, 0, 0), 2, ((2, 2, 2),) * 3),  # join
+    ("odot-negation-bottom", (0,), 0, 1),  # bot
+])
+def test_residuated_stage_checks_the_derived_facts(monkeypatch, axiom,
+                                                   witness, field, value):
+    # on true lattice tables the residuation law implies these facts, so
+    # the stage is handed a lattice stage result that contradicts them
+    G = godel_chain(3)
+    wrong = list(_validate_lattice(G.leq))
+    wrong[field] = value
+    monkeypatch.setattr(rlx.core, "_validate_lattice", lambda _leq: wrong)
+    assert _stages_agree(G.leq, G.odot, None) == (axiom, witness)
 
 
 def test_derive_implication_boolean():
