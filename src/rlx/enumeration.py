@@ -9,10 +9,11 @@ minimum-lex canonical key and emitted in canonical-key order, so the
 output is deterministic and worker-partitionable.
 
 Per lattice order, the bounds, the join-irreducibles, a split x = a | b
-of each join-reducible x and the earlier pairs below each irreducible pair
-are computed once and shared by every completion.  The search rejects a
-table while its irreducible product is still partial, and only where
-every completion would fail the full check:
+of each join-reducible x, the earlier pairs below each irreducible pair
+and the join triples where a column can fail to preserve joins are
+computed once and shared by every completion.  The search rejects a
+table while its irreducible product is still partial, and only where no
+completion is a residuated product:
 
 * Monotone bounds: p*q ranges over the interval from the join of the
   values of the earlier pairs below (p, q) up to p meet q.
@@ -20,22 +21,33 @@ every completion would fail the full check:
   must agree for every irreducible r whose pairs are all set; x*r is the
   join of s*r over the irreducibles s <= x, as it is in every table that
   distributes over joins.
-* Unit law: when the top is join-reducible, every irreducible p needs an
-  irreducible q >= p with p*q = p, checked as soon as p's pairs are set.
+* Unit law: every irreducible p needs an irreducible q >= p with
+  p*q = p, checked as soon as p's pairs are set.  When the top is
+  join-irreducible its pairs are pinned, p*1 = p, and this always holds.
+* Join preservation: once p's pairs are set, x -> x*p must preserve the
+  joins x | y that have an irreducible below them and below neither x
+  nor y.  Only those can fail, and a distributive lattice has none.
 
 A full assignment is extended to the carrier with one join per entry,
-x*y = a*y | b*y for the split of x.  That table passes the full check
-exactly when the join over all irreducible pairs below does, and then the
-two are equal.  Every completed table still goes through that check and
-through ``validate``, and the search keeps the candidate order, so the
-representatives found are those of the unpruned search.
+x*y = a*y | b*y for the split of x.  The search is exact: every table it
+returns is a residuated product.  Each column x -> x*p preserves joins,
+so the one-join completion equals the join over all irreducible pairs
+below, and it distributes over joins.  Every irreducible triple is
+checked for associativity once the last of its three pairs is set, and
+with distributivity that gives associativity.  The monotone bounds give
+x*y <= x meet y, and the unit-law check, or the pinned top, gives the
+unit.  A table that distributes over joins has a residuum on a finite
+lattice.  The prunes cut only subtrees with no residuated product, and
+the search keeps the candidate order, so the representatives found are
+those of the unpruned search.  ``_generate`` still validates each table.
 
 A corpus cache lives under $RLX_CORPUS_DIR (or ~/.cache/rlx-corpus),
 keyed by size and generator version.  A cache file is used only if it
 parses into exactly ``KNOWN_COUNTS[n-1]`` valid algebras of size n whose
 sorted canonical keys hash to the SHA-256 stored with them; otherwise the
-size is regenerated.  Files are written to a temporary name and renamed
-into place.
+size is regenerated.  A generated size with another count raises instead
+of being written, since it would be regenerated wrong on every run.
+Files are written to a temporary name and renamed into place.
 """
 
 from __future__ import annotations
@@ -48,13 +60,7 @@ import tempfile
 from pathlib import Path
 
 from .core import bounds_of, glb_table, lub_table, validate
-from .errors import (
-    SIZE_CAP,
-    AxiomViolation,
-    NotResiduated,
-    RlxError,
-    SizeCapExceeded,
-)
+from .errors import SIZE_CAP, CorpusCountMismatch, RlxError, SizeCapExceeded
 from .iso import canonical_key
 
 GENERATOR_VERSION = 3
@@ -142,7 +148,8 @@ def _complete_by_splits(join, bot, splits, prod):
 
 
 def _products_on_lattice(leq, join, meet):
-    """All residuated products for one lattice order; unvalidated tables."""
+    """Every residuated product for one lattice order; ``_generate`` still
+    validates each."""
     n = len(leq)
     bot, top = bounds_of(leq)
     splits = _join_splits(join)
@@ -162,16 +169,21 @@ def _products_on_lattice(leq, join, meet):
     lower = [[(a, b) for a, b in free[:k]
               if leq[a][p] and leq[b][q] or leq[a][q] and leq[b][p]]
              for k, (p, q) in enumerate(free)]
-    # With top reducible, a*1 = a for all a iff each irreducible p has an
-    # irreducible q >= p with p*q = p: p is join-irreducible and every
-    # p*q <= p meet q.  Those pairs lie in p's block of `free` (ids are a
-    # linear extension), so p is checked once its block is assigned.
-    unit_check = {}
-    if not pin_top:
-        k = 0
-        for i, p in enumerate(irr):
-            k += len(irr) - i
-            unit_check[k] = (p, irr[i:])
+    # Join triples (x, y, x | y) with an irreducible below x | y but below
+    # neither x nor y.  Elsewhere x -> x*p preserves x | y by construction.
+    triples = [(x, y, join[x][y]) for x in range(n) for y in range(x + 1, n)
+               if any(not leq[s][x] and not leq[s][y]
+                      for s in below[join[x][y]])]
+    # block_end[k] = (p, the irreducibles q >= p) once p's block of `free`
+    # is assigned: then p's column is complete (ids are a linear extension).
+    # a*1 = a for all a iff each irreducible p has an irreducible q >= p with
+    # p*q = p: p is join-irreducible and every p*q <= p meet q.  A pinned
+    # top is such a q.
+    block_end = {}
+    k = 0
+    for i, p in enumerate(irr):
+        k += len(irr) - i
+        block_end[k] = (p, irr_all[i:])
 
     results = []
     prod = [[-1] * n for _ in range(n)]  # -1: pair not assigned yet
@@ -182,8 +194,8 @@ def _products_on_lattice(leq, join, meet):
     def times(x, r):
         """x*r on the partial table, or -1 if a pair it reads is unset.
 
-        A table that passes the full check distributes over joins, so there
-        x*r is the join of s*r over the irreducibles s <= x."""
+        A residuated product distributes over joins, so there x*r is the
+        join of s*r over the irreducibles s <= x."""
         acc = bot
         for s in below[x]:
             w = prod[s][r]
@@ -208,14 +220,16 @@ def _products_on_lattice(leq, join, meet):
         return True
 
     def backtrack(k):
-        if k in unit_check:
-            p, above = unit_check[k]
+        if k in block_end:
+            p, above = block_end[k]
             if all(prod[p][q] != p for q in above):
                 return
+            if triples:
+                col = [times(x, p) for x in range(n)]
+                if any(col[z] != join[col[x]][col[y]] for x, y, z in triples):
+                    return
         if k == len(free):
-            table = _complete_by_splits(join, bot, splits, prod)
-            if _table_ok(leq, join, meet, table, top):
-                results.append(table)
+            results.append(_complete_by_splits(join, bot, splits, prod))
             return
         p, q = free[k]
         lo = bot
@@ -232,50 +246,12 @@ def _products_on_lattice(leq, join, meet):
     return results
 
 
-def _table_ok(leq, join, meet, odot, top):
-    """Whether a commutative completed table has the unit, lies below the
-    meet, distributes over joins and is associative.
-
-    Join-distributivity, which makes the residuum exist on a finite
-    lattice, goes before associativity: it rejects far more completions.
-    """
-    n = len(leq)
-    if tuple(row[top] for row in odot) != tuple(range(n)):
-        return False
-    for a in range(n):
-        row_a = odot[a]
-        meet_a = meet[a]
-        for b in range(a, n):
-            if not leq[row_a[b]][meet_a[b]]:
-                return False
-    for a in range(n):
-        row_a = odot[a]
-        for b in range(n):
-            join_b = join[b]
-            join_ab = join[row_a[b]]
-            for c in range(b, n):
-                if row_a[join_b[c]] != join_ab[row_a[c]]:
-                    return False
-    for a in range(n):
-        row_a = odot[a]
-        for b in range(n):
-            row_ab = odot[row_a[b]]
-            row_b = odot[b]
-            for c in range(b, n):
-                if row_ab[c] != row_a[row_b[c]]:
-                    return False
-    return True
-
-
 def _generate(n):
     found = {}
     labels = tuple(f"e{i}" for i in range(n))
     for leq, join, meet in _lattice_orders(n):
         for odot in _products_on_lattice(leq, join, meet):
-            try:
-                A = validate(labels, leq, odot)
-            except (AxiomViolation, NotResiduated):
-                continue
+            A = validate(labels, leq, odot)
             key = canonical_key(A)
             if key not in found:
                 found[key] = A
@@ -351,6 +327,8 @@ def enumerate_algebras(n, emit=None, use_cache=True):
     """Emit every residuated lattice on n elements once up to isomorphism.
 
     Deterministic order (sorted canonical keys).  Returns the count.
+    A fresh enumeration that does not find ``KNOWN_COUNTS[n-1]`` algebras
+    raises ``CorpusCountMismatch`` and writes no cache file.
     """
     if not 1 <= n <= SIZE_CAP:
         raise SizeCapExceeded(f"size {n} outside 1..{SIZE_CAP}")
@@ -358,6 +336,9 @@ def enumerate_algebras(n, emit=None, use_cache=True):
     algebras = _load_cache(path, n) if use_cache else None
     if algebras is None:
         algebras = _generate(n)
+        if len(algebras) != KNOWN_COUNTS[n - 1]:
+            raise CorpusCountMismatch(f"size {n}: enumerated {len(algebras)} "
+                                      f"algebras, expected {KNOWN_COUNTS[n - 1]}")
         if use_cache:
             _write_cache(path, algebras)
     for A in algebras:

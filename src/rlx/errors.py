@@ -38,6 +38,10 @@ class SizeCapExceeded(RlxError):
     """A size outside 1..SIZE_CAP was asked of the enumerator."""
 
 
+class CorpusCountMismatch(RlxError):
+    """The enumerator found a number of algebras other than the known count."""
+
+
 class NotGelfand(RlxError):
     """Raised when a retraction is requested for a non-Gelfand algebra."""
 

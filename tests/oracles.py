@@ -505,8 +505,9 @@ def join_irreducibles(leq, join):
 
 
 def brute_table_ok(leq, join, meet, odot, top):
-    """The enumerator's full check of a completed table, axiom by axiom
-    in plain loops: the unit law, odot below the meet, associativity and
+    """The oracle for the exactness of the enumerator's search: whether a
+    completed table is a residuated product, axiom by axiom in plain loops:
+    the unit law, odot below the meet, associativity and
     join-distributivity, the last three over c >= b by commutativity."""
     n = len(leq)
     for a in range(n):
@@ -531,8 +532,9 @@ def brute_table_ok(leq, join, meet, odot, top):
 
 
 def products_on_lattice(leq, join, meet):
-    """Every table the enumerator's search returns for one lattice order,
-    by the plain backtracking it refines: each candidate p*q <= p meet q is
+    """The oracle for the exactness of the enumerator's search: every
+    residuated product on one lattice order, in the search's order, by the
+    plain backtracking it refines.  Each candidate p*q <= p meet q is
     checked for monotonicity against every assigned pair, the unit law is
     checked per irreducible, and each full assignment is extended to the
     carrier by joining over all irreducible pairs below, then given to

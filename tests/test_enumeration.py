@@ -4,16 +4,18 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlx.core import boolean_algebra, classify, validate
+import rlx.enumeration
+from rlx.core import boolean_algebra, bounds_of, classify, validate
 from rlx.enumeration import (
     GENERATOR_VERSION,
     SIZE_CAP,
+    _generate,
     _lattice_orders,
     _products_on_lattice,
     all_algebras,
     enumerate_algebras,
 )
-from rlx.errors import SizeCapExceeded
+from rlx.errors import AxiomViolation, CorpusCountMismatch, SizeCapExceeded
 from rlx.iso import (
     _invariants,
     canonical_key,
@@ -26,6 +28,7 @@ from oracles import (
     brute_canonical_key,
     brute_invariant,
     brute_relabeling,
+    brute_table_ok,
     products_on_lattice,
     rl_isomorphic,
     slow_enumerate,
@@ -85,6 +88,40 @@ def test_product_search_matches_unpruned_search(n):
     for leq, join, meet in _lattice_orders(n):
         assert _products_on_lattice(leq, join, meet) == \
             products_on_lattice(leq, join, meet)
+
+
+def test_product_search_is_exact():
+    """Every table the search returns, on every lattice order up to size 7,
+    is a residuated product, and these are all the tables that reach
+    ``validate``."""
+    totals = []
+    for n in range(1, SIZE_CAP + 1):
+        count = 0
+        for leq, join, meet in _lattice_orders(n):
+            top = bounds_of(leq)[1]
+            for table in _products_on_lattice(leq, join, meet):
+                assert brute_table_ok(leq, join, meet, table, top)
+                count += 1
+        totals.append(count)
+    assert totals == [1, 1, 2, 7, 27, 158, 1034]
+
+
+def test_search_fault_is_loud(monkeypatch):
+    """A table the search should not have returned stops the enumeration.
+    The meet is not residuated on the two non-distributive 5-element
+    lattices."""
+    monkeypatch.setattr(rlx.enumeration, "_products_on_lattice",
+                        lambda leq, join, meet: [meet])
+    with pytest.raises(AxiomViolation):
+        all_algebras(5, use_cache=False)
+
+
+def test_wrong_count_is_not_cached(tmp_path, monkeypatch):
+    monkeypatch.setenv("RLX_CORPUS_DIR", str(tmp_path))
+    monkeypatch.setattr(rlx.enumeration, "_generate", lambda n: _generate(n)[1:])
+    with pytest.raises(CorpusCountMismatch):
+        all_algebras(4)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
