@@ -6,7 +6,16 @@ table that can residuate.  Since the product must distribute over joins,
 it is determined by its values on join-irreducible pairs; we backtrack
 over those and extend by joins.  Results are deduplicated by the
 minimum-lex canonical key and emitted in canonical-key order, so the
-output is deterministic and worker-partitionable.
+output is deterministic.
+
+``_lattice_orders`` yields a lattice once per labeling, and the search
+runs on the first labeling of each lattice only.  The representatives do
+not change: every product on a later labeling has an isomorphic copy on
+the first, the search returns all of them, and the first labeling comes
+before every other, so it already holds the first table of each class.
+Each table is keyed before it is validated, and only the first table of
+each key is validated: tables with equal keys are isomorphic, and being
+residuated is invariant under isomorphism.
 
 Per lattice order, the bounds, the join-irreducibles, a split x = a | b
 of each join-reducible x, the earlier pairs below each irreducible pair
@@ -39,7 +48,8 @@ x*y <= x meet y, and the unit-law check, or the pinned top, gives the
 unit.  A table that distributes over joins has a residuum on a finite
 lattice.  The prunes cut only subtrees with no residuated product, and
 the search keeps the candidate order, so the representatives found are
-those of the unpruned search.  ``_generate`` still validates each table.
+those of the unpruned search.  ``_generate`` still validates one table
+of each class.
 
 A corpus cache lives under $RLX_CORPUS_DIR (or ~/.cache/rlx-corpus),
 keyed by size and generator version.  A cache file is used only if it
@@ -61,7 +71,7 @@ from pathlib import Path
 
 from .core import bounds_of, glb_table, lub_table, validate
 from .errors import SIZE_CAP, CorpusCountMismatch, RlxError, SizeCapExceeded
-from .iso import canonical_key
+from .iso import canonical_key, find_isomorphism, table_key
 
 GENERATOR_VERSION = 3
 # number of isomorphism classes of each size 1..SIZE_CAP
@@ -149,7 +159,7 @@ def _complete_by_splits(join, bot, splits, prod):
 
 def _products_on_lattice(leq, join, meet):
     """Every residuated product for one lattice order; ``_generate`` still
-    validates each."""
+    validates the first of each isomorphism class."""
     n = len(leq)
     bot, top = bounds_of(leq)
     splits = _join_splits(join)
@@ -247,15 +257,25 @@ def _products_on_lattice(leq, join, meet):
 
 
 def _generate(n):
+    """(canonical key, algebra) pairs, one per isomorphism class of size n,
+    sorted by key."""
     found = {}
+    # sorted (down-set size, up-set size) pairs -> the orders searched
+    searched = {}
     labels = tuple(f"e{i}" for i in range(n))
     for leq, join, meet in _lattice_orders(n):
+        sig = tuple(sorted((sum(row[x] for row in leq), sum(leq[x]))
+                           for x in range(n)))
+        earlier = searched.setdefault(sig, [])
+        if any(find_isomorphism(leq, (), other, ()) is not None
+               for other in earlier):
+            continue
+        earlier.append(leq)
         for odot in _products_on_lattice(leq, join, meet):
-            A = validate(labels, leq, odot)
-            key = canonical_key(A)
+            key = table_key(leq, odot, 0, n - 1)[0]
             if key not in found:
-                found[key] = A
-    return [found[k] for k in sorted(found)]
+                found[key] = validate(labels, leq, odot)
+    return sorted(found.items())
 
 
 def _cache_dir():
@@ -283,10 +303,12 @@ def _from_json(obj):
     return validate(tuple(obj["labels"]), leq, odot)
 
 
-def _keys_digest(algebras):
-    """SHA-256 of the sorted canonical keys of a list of algebras."""
-    keys = sorted(canonical_key(A) for A in algebras)
-    return hashlib.sha256(repr(keys).encode()).hexdigest()
+def _keys_digest(algebras, keys=None):
+    """SHA-256 of the sorted canonical keys of a list of algebras, or of
+    ``keys`` if the caller has them already."""
+    if keys is None:
+        keys = [canonical_key(A) for A in algebras]
+    return hashlib.sha256(repr(sorted(keys)).encode()).hexdigest()
 
 
 def _load_cache(path, n):
@@ -304,9 +326,10 @@ def _load_cache(path, n):
     return algebras
 
 
-def _write_cache(path, algebras):
-    """Write through a temporary file, so readers never see a partial file."""
-    text = json.dumps({"keys_sha256": _keys_digest(algebras),
+def _write_cache(path, algebras, keys):
+    """Write through a temporary file, so readers never see a partial file.
+    ``keys`` are the canonical keys of ``algebras``."""
+    text = json.dumps({"keys_sha256": _keys_digest(algebras, keys),
                        "algebras": [_to_json(A) for A in algebras]})
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -335,12 +358,13 @@ def enumerate_algebras(n, emit=None, use_cache=True):
     path = _cache_path(n)
     algebras = _load_cache(path, n) if use_cache else None
     if algebras is None:
-        algebras = _generate(n)
-        if len(algebras) != KNOWN_COUNTS[n - 1]:
-            raise CorpusCountMismatch(f"size {n}: enumerated {len(algebras)} "
+        found = _generate(n)
+        if len(found) != KNOWN_COUNTS[n - 1]:
+            raise CorpusCountMismatch(f"size {n}: enumerated {len(found)} "
                                       f"algebras, expected {KNOWN_COUNTS[n - 1]}")
+        algebras = [A for _, A in found]
         if use_cache:
-            _write_cache(path, algebras)
+            _write_cache(path, algebras, [key for key, _ in found])
     for A in algebras:
         if emit is not None:
             emit(A)

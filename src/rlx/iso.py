@@ -69,16 +69,25 @@ def _order_minimizers(leq, bot, top):
     return best, tuple(pairs)
 
 
-def _canonical_perm(A):
-    """(key, perm): the canonical key and the first relabeling reaching it."""
-    bits, pairs = _order_minimizers(A.leq, A.bot, A.top)
-    odot = A.odot
+def table_key(leq, odot, bot, top):
+    """(key, perm): the canonical key of an order and a product on it, with
+    the given bounds, and the first relabeling reaching it.
+
+    The tables need not be validated; for an algebra ``A`` this is
+    ``canonical_key(A)`` and the relabeling ``canonicalize`` applies.
+    """
+    bits, pairs = _order_minimizers(leq, bot, top)
     best = best_perm = None
     for perm, inv in pairs:
         vals = tuple(perm[odot[i][j]] for i in inv for j in inv)
         if best is None or vals < best:
             best, best_perm = vals, perm
     return bits + best, best_perm
+
+
+def _canonical_perm(A):
+    """(key, perm): the canonical key and the first relabeling reaching it."""
+    return table_key(A.leq, A.odot, A.bot, A.top)
 
 
 @lru_cache(maxsize=None)

@@ -8,8 +8,10 @@ import rlx.enumeration
 from rlx.core import boolean_algebra, bounds_of, classify, validate
 from rlx.enumeration import (
     GENERATOR_VERSION,
+    KNOWN_COUNTS,
     SIZE_CAP,
     _generate,
+    _keys_digest,
     _lattice_orders,
     _products_on_lattice,
     all_algebras,
@@ -47,6 +49,12 @@ GENERATOR_DIGESTS = {
     6: "60f693ab96367e3370cf98c19c7b1c09159c6711a33ba52106da578d801e952e",
     7: "912222328f0ffc3f94e9fdbd395700fe43ca5745b66088586f297e441d6e6c47",
 }
+# The same SHA-256 for the algebras of _generate(8), beyond SIZE_CAP,
+# recorded at commit 1d829cd, before the search ran once per lattice.
+GENERATOR_DIGEST_8 = \
+    "d3c8af7f0e952a49d9fd9795b7b11cfb91c39cf0a1c9fba9aa5080c8c3ff0255"
+# number of lattices of each size 1..SIZE_CAP (OEIS A006966)
+LATTICE_COUNTS = (1, 1, 1, 2, 5, 15, 53)
 
 
 def test_size_one_single_trivial():
@@ -79,6 +87,39 @@ def test_generator_output_pinned(n):
     algs = all_algebras(n, use_cache=False)
     text = repr([(A.labels, A.leq, A.odot) for A in algs])
     assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_DIGESTS[n]
+
+
+def test_generator_output_pinned_at_size_8():
+    """``_generate(8)`` finds the 4,712 algebras of size 8, the same
+    representatives in the same order as when every labeled order was
+    searched."""
+    algs = [A for _, A in _generate(8)]
+    assert len(algs) == 4712
+    text = repr([(A.labels, A.leq, A.odot) for A in algs])
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_DIGEST_8
+
+
+def test_search_runs_once_per_lattice_and_validate_once_per_class(monkeypatch):
+    searched, validated = [], []
+    search = rlx.enumeration._products_on_lattice
+    validate_ = rlx.enumeration.validate
+
+    def counting_search(leq, join, meet):
+        searched[-1] += 1
+        return search(leq, join, meet)
+
+    def counting_validate(labels, leq, odot):
+        validated[-1] += 1
+        return validate_(labels, leq, odot)
+
+    monkeypatch.setattr(rlx.enumeration, "_products_on_lattice", counting_search)
+    monkeypatch.setattr(rlx.enumeration, "validate", counting_validate)
+    for n in range(1, SIZE_CAP + 1):
+        searched.append(0)
+        validated.append(0)
+        all_algebras(n, use_cache=False)
+    assert tuple(searched) == LATTICE_COUNTS
+    assert tuple(validated) == KNOWN_COUNTS
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -164,11 +205,21 @@ def test_canonical_key_is_isomorphism_invariant(E1):
 
 
 def test_cache_round_trip(tmp_path, monkeypatch):
+    """The digest written from the generator's keys of the raw tables is the
+    one the loader recomputes with ``canonical_key``, so a second call loads
+    the file instead of regenerating."""
     monkeypatch.setenv("RLX_CORPUS_DIR", str(tmp_path))
-    first = all_algebras(3)
-    assert list(tmp_path.glob("*-n3.json"))
-    second = all_algebras(3)
-    assert first == second
+    sizes = range(1, 7)
+    first = [all_algebras(n) for n in sizes]
+    for n, algs in zip(sizes, first):
+        data = json.loads((tmp_path / f"v{GENERATOR_VERSION}-n{n}.json").read_text())
+        assert data["keys_sha256"] == _keys_digest(algs)
+
+    def regenerate(n):
+        raise AssertionError("the cache file was not loaded")
+
+    monkeypatch.setattr(rlx.enumeration, "_generate", regenerate)
+    assert [all_algebras(n) for n in sizes] == first
 
 
 def test_enumerated_algebras_are_valid(corpus5):
