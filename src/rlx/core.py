@@ -119,6 +119,13 @@ class ResiduatedLattice(Record):
             acc = self.odot[acc][a]
         return acc
 
+    def powers(self, a):
+        """a, a**2, ..., a**size, each computed from the one before."""
+        acc = self.top
+        for _ in range(self.size):
+            acc = self.odot[acc][a]
+            yield acc
+
     @cached_property
     def _power_limits(self):
         return tuple(self.power(a, self.size) for a in self.elements())

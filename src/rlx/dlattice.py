@@ -8,6 +8,8 @@ of `rlx.filters`, and its Boolean center is `core.complemented_elements`.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .core import (
     _normalized,
     _validate_lattice,
@@ -21,8 +23,16 @@ from .filters import all_filters, quotient, radical
 
 def validate_bdl(labels, leq):
     """Bounded lattice with exhaustive distributivity check, returned as the
-    Heyting algebra on it (odot = meet)."""
-    labels, leq = _normalized(labels, leq)
+    Heyting algebra on it (odot = meet).
+
+    Memoized by the normalized (labels, leq): each labeled order is checked
+    once and yields one algebra.  A failure is never stored, so
+    NotDistributive and AxiomViolation raise on every call."""
+    return _validate_bdl(*_normalized(labels, leq))
+
+
+@lru_cache(maxsize=None)
+def _validate_bdl(labels, leq):
     _, _, join, meet = _validate_lattice(leq)
     witness = distributivity_witness(leq, join, meet)
     if witness is not None:

@@ -4,7 +4,6 @@ characterizations."""
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from .core import Record, classify
@@ -175,22 +174,33 @@ def boolean_splitting_conditions(A, max_arity=4):
         if not cond3:
             break
 
-    cond4 = True
     for n in range(2, max_arity + 1):
-        if not cond4:
+        combo = _split_failure(A, u, n, 0, A.top, A.top)
+        if combo is not None:
+            witnesses[4] = combo
             break
-        for combo in itertools.combinations_with_replacement(A.elements(), n):
-            prod = A.top
-            for x in combo:
-                prod = A.odot[prod][x]
-            if prod != A.bot:
-                continue
-            m = A.top
-            for x in combo:
-                m = A.meet[m][u[x]]
-            if m != A.bot:
-                cond4 = False
-                witnesses[4] = combo
-                break
+    cond4 = 4 not in witnesses
 
     return (cond1, cond2, cond3, cond4), witnesses
+
+
+def _split_failure(A, u, k, start, prod, meet):
+    """The first k-multiset of elements >= start, in the order of
+    combinations_with_replacement, that takes `prod` to 0 while the meet
+    of its u(x) with `meet` stays above 0; None if there is none.
+
+    The meet only decreases as a multiset grows, so an x that takes it to
+    0 is skipped together with every extension through it."""
+    for x in range(start, A.size):
+        m = A.meet[meet][u[x]]
+        if m == A.bot:
+            continue
+        p = A.odot[prod][x]
+        if k == 1:
+            if p == A.bot:
+                return (x,)
+        else:
+            rest = _split_failure(A, u, k - 1, x, p, m)
+            if rest is not None:
+                return (x, *rest)
+    return None

@@ -106,8 +106,8 @@ def analysis_report(A, include_theorems=True):
             "radical": print_filter(radical(A)),
             "is_local": is_local(A),
             "is_semisimple": is_semisimple(A),
-            "spec_topology": topology_predicates(sp),
-            "max_topology": topology_predicates(mx),
+            "spec_topology": dict(topology_predicates(sp)),
+            "max_topology": dict(topology_predicates(mx)),
         },
         "gelfand": {
             "holds": is_gelfand(A),

@@ -130,9 +130,13 @@ def clopen_via_boolean(A, which):
     return tuple(sorted(fam))
 
 
+@lru_cache(maxsize=None)
 def topology_predicates(space):
     """T0/T1/Hausdorff/compact/zero-dimensional/strongly-zero-dimensional/
-    normal/Boolean for an explicit finite open family."""
+    normal/Boolean for an explicit finite open family.
+
+    Several row families read the predicates of one space, so they are
+    computed once per space and returned as a read-only mapping."""
     n = len(space.points)
     opens = space.opens
     openset = set(opens)
@@ -213,7 +217,7 @@ def topology_predicates(space):
         if not sep:
             break
     assert sep == strongly_zero_dim
-    return preds
+    return MappingProxyType(preds)
 
 
 def gelfand_counterexample(A):

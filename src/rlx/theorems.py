@@ -269,8 +269,7 @@ def check_star_forms(A):
                 if da & ~ve == 0:
                     return True
             else:
-                if all(mx.v[A.neg(A.power(a, k))] & ~ve == 0
-                       for k in range(1, A.size + 1)):
+                if all(mx.v[A.neg(p)] & ~ve == 0 for p in A.powers(a)):
                     return True
         return False
 
@@ -436,8 +435,8 @@ def check_spectral_lemmas(A):
     failures = []
     for a in A.elements():
         union = 0
-        for k in range(1, A.size + 1):
-            union |= mx.v[A.neg(A.power(a, k))]
+        for p in A.powers(a):
+            union |= mx.v[A.neg(p)]
         if mx.d(a) != union:
             failures.append(a)
     out.append(_forall("complement-as-power-union", failures))

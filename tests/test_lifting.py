@@ -156,10 +156,15 @@ def test_boolean_splitting_conditions_agree_on_corpus(corpus5):
 
 def test_boolean_splitting_matches_search_oracle(corpus5, corpus6, E1, E2):
     """The closed forms through u(x) give the verdicts and the first
-    failing tuples of the search over Boolean candidates."""
+    failing tuples of the search over Boolean candidates; on sizes <= 5
+    also for every arity bound 2..5 of the pruned n-ary scan."""
     for A in [*corpus5, *corpus6, E1, E2]:
         assert (boolean_splitting_conditions(A)
                 == brute_boolean_splitting_conditions(A)), A
+    for max_arity in range(2, 6):
+        for A in corpus5:
+            assert (boolean_splitting_conditions(A, max_arity)
+                    == brute_boolean_splitting_conditions(A, max_arity)), A
 
 
 def test_regular_lifting_double_negation_trace(corpus5, E1, E2):

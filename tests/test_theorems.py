@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import json
 
+import pytest
+
 import rlx.reticulation
 import rlx.spectra
 from rlx.core import (
@@ -9,11 +11,15 @@ from rlx.core import (
     complemented_elements,
     direct_product,
     godel_chain,
+    leq_from_covers,
     validate,
 )
+from rlx.dlattice import validate_bdl
 from rlx.enumeration import all_algebras
+from rlx.errors import NotDistributive
 from rlx.filters import principal_filter, quotient, spec
 from rlx.formulas import blp_formula, ilp_formula
+from rlx.spectra import stone_max, stone_spec, topology_predicates
 from rlx.theorems import disagreements, theorem_checks
 
 # SHA-256 of json.dumps([v.as_dict() for A in all_algebras(6) for v in
@@ -112,6 +118,31 @@ def test_local_factor_decomposition_runs_once_per_algebra():
     after = local_factor_decomposition.cache_info()
     assert after.misses - before.misses == 1
     assert after.hits - before.hits == 1
+
+
+def test_matrix_derives_each_space_and_lattice_once():
+    """Work ratchet: the matrix computes the topological predicates once per
+    Stone space, and validates each labeled lattice order once."""
+    # labels no other test uses, so no cache has seen these algebras
+    sample = [validate(tuple(f"work{i}" for i in range(A.size)), A.leq, A.odot)
+              for A in all_algebras(5)]
+    before = topology_predicates.cache_info()
+    for A in sample:
+        theorem_checks(A)
+    after = topology_predicates.cache_info()
+    spaces = {S for A in sample for S in (stone_spec(A), stone_max(A))}
+    assert after.misses - before.misses == len(spaces)
+    preds = topology_predicates(stone_spec(sample[-1]))
+    with pytest.raises(TypeError):
+        preds["t0"] = False
+
+    A = sample[-1]
+    L = validate_bdl(A.labels, A.leq)
+    assert validate_bdl(list(A.labels), [list(row) for row in A.leq]) is L
+    pentagon = leq_from_covers(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+    for _ in range(2):
+        with pytest.raises(NotDistributive):
+            validate_bdl(["0", "d", "c", "b", "1"], pentagon)
 
 
 def test_lattice_lifting_bug_is_a_disagreeing_row(monkeypatch):
