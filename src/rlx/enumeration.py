@@ -8,11 +8,11 @@ over those and extend by joins.  Results are deduplicated by the
 minimum-lex canonical key and emitted in canonical-key order, so the
 output is deterministic.
 
-``_lattice_orders`` yields a lattice once per labeling, and the search
-runs on the first labeling of each lattice only.  The representatives do
-not change: every product on a later labeling has an isomorphic copy on
-the first, the search returns all of them, and the first labeling comes
-before every other, so it already holds the first table of each class.
+``_lattice_orders`` yields each lattice once, in its least labeling, by
+orderly generation (Read, 1978; the argument is in its docstring).  The
+representatives are those of a search over every labeling: every product
+on another labeling has an isomorphic copy on the least one, and the
+least labeling holds the first table of each class.
 Each table is keyed before it is validated, and only the first table of
 each key is validated: tables with equal keys are isomorphic, and being
 residuated is invariant under isomorphism.
@@ -71,7 +71,7 @@ from pathlib import Path
 
 from .core import bounds_of, glb_table, lub_table, validate
 from .errors import SIZE_CAP, CorpusCountMismatch, RlxError, SizeCapExceeded
-from .iso import canonical_key, find_isomorphism, table_key
+from .iso import canonical_key, table_key
 
 GENERATOR_VERSION = 3
 # number of isomorphism classes of each size 1..SIZE_CAP
@@ -79,47 +79,82 @@ KNOWN_COUNTS = (1, 1, 2, 7, 26, 129, 723)
 
 
 def _lattice_orders(n):
-    """All lattice orders on 0..n-1 with 0=bot, n-1=top, ids a linear extension.
+    """The least labeling of each lattice on n elements, as (leq, join, meet).
 
-    Yields (leq, join, meet).  Every isomorphism class shows up at least
-    once because every finite lattice admits a linear extension.
+    A labeling puts bot at 0, top at n-1 and is a linear extension; it is
+    compared by its bits rel[i][j], middles i < j in lexicographic order,
+    False first.  Row i, the j > i above i, is an int with bit m-j for the
+    m = n-2 middles, so labelings compare row by row as ints.  Rows are
+    tried in increasing order, and no prune cuts a least labeling:
+
+    * Transitivity: row i lies inside the row of each h < i below i.
+    * Blocks: the positions j > i that rows < i cannot tell apart are
+      intervals, and row i reads 0...01...1 on each.  Else a stable
+      partition of a block, the elements not above i first, keeps rows < i
+      (they agree across the block) and lowers row i; it is a linear
+      extension, as the elements above i are closed upward and labels
+      outside the block lie below or above it.  Splitting each block into
+      its 0s and 1s keeps the blocks intervals.
+    * A full labeling is kept if ``_is_least`` finds no smaller labeling
+      and every pair has a join.
     """
     if n == 1:
         yield ((True,),), ((0,),), ((0,),)
         return
-    mids = list(range(1, n - 1))
-    pairs = [(i, j) for i in mids for j in mids if i < j]
-    for bits in itertools.product((False, True), repeat=len(pairs)):
-        rel = [[i == j for j in range(n)] for i in range(n)]
-        for i in range(n):
-            rel[0][i] = True
-            rel[i][n - 1] = True
-        for (i, j), b in zip(pairs, bits):
-            if b:
-                rel[i][j] = True
-        # transitivity check (ids form a linear extension, so i<j only)
-        ok = True
-        for i in mids:
-            for j in mids:
-                if i != j and rel[i][j]:
-                    for k in mids:
-                        if k != j and rel[j][k] and not rel[i][k]:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        leq = tuple(tuple(row) for row in rel)
-        join = lub_table(leq)
-        meet = glb_table(leq)
-        if any(v is None for row in join for v in row):
-            continue
-        if any(v is None for row in meet for v in row):
-            continue
-        yield leq, join, meet
+    m = n - 2
+    up = [0] * (m + 1)
+
+    def rows(i, blocks):
+        if i >= m:
+            if _is_least(up, m):
+                leq = tuple(tuple(x == y or x == 0 or y == n - 1 or
+                                  x < y < n - 1 and up[x] >> m - y & 1 == 1
+                                  for y in range(n)) for x in range(n))
+                join = lub_table(leq)
+                if all(v is not None for row in join for v in row):
+                    yield leq, join, glb_table(leq)
+            return
+        below = [h for h in range(1, i) if up[h] >> m - i & 1]
+        lows = [b & -b for b in blocks]
+        for ts in itertools.product(*(range(b.bit_count() + 1) for b in blocks)):
+            up[i] = sum((low << t) - low for low, t in zip(lows, ts))
+            if all(up[i] & ~up[h] == 0 for h in below):
+                split = [p for b in blocks for p in (b & ~up[i], b & up[i]) if p]
+                split[0] &= ~(1 << m - i - 1)
+                yield from rows(i + 1, split[1:] if split[0] == 0 else split)
+
+    yield from rows(1, [(1 << m - 1) - 1] if m > 1 else [])
+
+
+def _is_least(up, m):
+    """Whether no labeling of the lattice has smaller rows than ``up``.
+
+    The least labeling reads 0...01...1 on every block, so each position k
+    gets an element x minimal in the first block, as a linear extension
+    needs, with the elements above x last in each block, which then splits
+    into its 0s and 1s.  The search follows each such x, drops it once its
+    row exceeds ``up[k]`` and answers False once a row is smaller.
+    """
+    down = [sum(1 << m - h for h in range(1, x) if up[h] >> m - x & 1)
+            for x in range(m + 1)]
+
+    def smaller(k, blocks):
+        first = blocks[0]
+        for x in range(1, m + 1):
+            if not first >> m - x & 1 or down[x] & first:
+                continue
+            row, low, split = 0, m - k, []
+            for block in [first & ~(1 << m - x)] + blocks[1:]:
+                above = block & up[x]
+                low -= block.bit_count()
+                row |= (1 << above.bit_count()) - 1 << low
+                split += [part for part in (block & ~above, above) if part]
+            if row < up[k] or row == up[k] and k + 1 < m \
+                    and smaller(k + 1, split):
+                return True
+        return False
+
+    return m < 2 or not smaller(1, [(1 << m) - 1])
 
 
 def _join_splits(join):
@@ -260,17 +295,8 @@ def _generate(n):
     """(canonical key, algebra) pairs, one per isomorphism class of size n,
     sorted by key."""
     found = {}
-    # sorted (down-set size, up-set size) pairs -> the orders searched
-    searched = {}
     labels = tuple(f"e{i}" for i in range(n))
     for leq, join, meet in _lattice_orders(n):
-        sig = tuple(sorted((sum(row[x] for row in leq), sum(leq[x]))
-                           for x in range(n)))
-        earlier = searched.setdefault(sig, [])
-        if any(find_isomorphism(leq, (), other, ()) is not None
-               for other in earlier):
-            continue
-        earlier.append(leq)
         for odot in _products_on_lattice(leq, join, meet):
             key = table_key(leq, odot, 0, n - 1)[0]
             if key not in found:

@@ -11,12 +11,11 @@ relabeled order followed by the least relabeled product over only the
 relabelings that reach that order.  Those order minimizers form one coset
 of the order's automorphism group; they are found once per order and
 cached, so each algebra scans only that many relabelings instead of all
-(n-2)!.
+(n-2)!, and a search by row prefix finds them without listing those.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from .core import validate
@@ -40,33 +39,52 @@ def permute_table(table, perm):
     return tuple(tuple(row) for row in out)
 
 
-def _mid_perms(n, bot, top):
-    mids = [x for x in range(n) if x not in (bot, top)]
-    for images in itertools.permutations(mids):
-        perm = list(range(n))
-        for src, dst in zip(mids, images):
-            perm[src] = dst
-        yield tuple(perm)
-
-
 @lru_cache(maxsize=None)
 def _order_minimizers(leq, bot, top):
     """Least relabeled order encoding, and every (perm, inverse) pair
-    whose relabeling reaches it.
+    whose relabeling fixes bot and top and reaches it, sorted by perm.
 
-    Relabelings fix bot and top and are listed in ``_mid_perms`` order.
-    Entry (i, j) of a relabeled table is read at (inv[i], inv[j]), so the
-    flat encoding takes one pass over the inverse.
+    Entry (i, j) of a relabeled table is read at (inv[i], inv[j]).  Bot and
+    top read the same under every relabeling, so encodings compare by
+    their middle rows, ints with bit m-1-b for column b.  Middle positions
+    are filled in order; a filled row is at best its known columns, then
+    the unplaced elements not above it, then those above.  A branch whose
+    best rows exceed the best found is dropped; branches go best first.
     """
-    best, pairs = None, []
-    for perm in _mid_perms(len(leq), bot, top):
-        inv = tuple(sorted(range(len(perm)), key=perm.__getitem__))
-        bits = tuple(leq[x][y] for x in inv for y in inv)
-        if best is None or bits < best:
-            best, pairs = bits, [(perm, inv)]
-        elif bits == best:
-            pairs.append((perm, inv))
-    return best, tuple(pairs)
+    n = len(leq)
+    mids = [x for x in range(n) if x not in (bot, top)]
+    m = len(mids)
+    bit = [1 << m - 1 - b for b in range(m)]
+    up = [sum(bit[b] for b, y in enumerate(mids) if leq[x][y]) for x in mids]
+    best, found = None, []
+
+    def search(chosen, rows, rest):
+        nonlocal best
+        k = len(chosen)
+        if k == m:
+            if best is None or rows < best:
+                best, found[:] = rows, []
+            found.append(tuple(mids[y] for y in chosen))
+            return
+        kids = []
+        for y in (y for y in range(m) if rest & bit[y]):
+            new = [r | bit[k] if up[z] & bit[y] else r
+                   for r, z in zip(rows, chosen)]
+            new.append(sum(bit[b] for b, z in enumerate(chosen + (y,))
+                           if up[y] & bit[z]))
+            left = rest & ~bit[y]
+            kids.append(([r | (1 << (up[z] & left).bit_count()) - 1
+                          for r, z in zip(new, chosen + (y,))], y, new, left))
+        for bounds, y, new, left in sorted(kids):
+            if best is None or bounds <= best[:k + 1]:
+                search(chosen + (y,), new, left)
+
+    search((), [], (1 << m) - 1)
+    invs = [tuple(dict(zip(mids, c)).get(p, p) for p in range(n)) for c in found]
+    pairs = sorted((tuple(sorted(range(n), key=inv.__getitem__)), inv)
+                   for inv in invs)
+    inv = pairs[0][1]
+    return tuple(leq[x][y] for x in inv for y in inv), tuple(pairs)
 
 
 def table_key(leq, odot, bot, top):

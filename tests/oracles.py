@@ -8,15 +8,22 @@ at the top are conveniences that only the tests use.
 import itertools
 
 import rlx.core
-from rlx.core import _check_square, classify, direct_product, validate
+from rlx.core import (
+    _check_square,
+    classify,
+    direct_product,
+    glb_table,
+    lub_table,
+    validate,
+)
 from rlx.dlattice import validate_bdl
 from rlx.core import bounds_of
-from rlx.enumeration import _lattice_orders, all_algebras
+from rlx.enumeration import _lattice_orders, _products_on_lattice, all_algebras
 from rlx.errors import AxiomViolation, NotResiduated
 from rlx.filters import _upsets, principal_filter, quotient
 from rlx.formulas import BoundVar, Const, FreeVar, Neg, Pow, definable_set
 from rlx.lifting import has_blp, lp_report
-from rlx.iso import _mid_perms, permute_relation, permute_table, rl_isomorphism
+from rlx.iso import find_isomorphism, permute_relation, permute_table, rl_isomorphism
 from rlx.reticulation import Reticulation, _assert_axioms
 
 
@@ -428,11 +435,121 @@ def fixed_point_filter(A, xs):
     return frozenset(current)
 
 
+def mid_perms(n, bot, top):
+    """Every relabeling that fixes bot and top, as a tuple old id -> new id,
+    sorted."""
+    mids = [x for x in range(n) if x not in (bot, top)]
+    for images in itertools.permutations(mids):
+        perm = list(range(n))
+        for src, dst in zip(mids, images):
+            perm[src] = dst
+        yield tuple(perm)
+
+
+def lattice_orders(n):
+    """All lattice orders on 0..n-1 with 0=bot, n-1=top, ids a linear
+    extension: every labeling of every lattice, as (leq, join, meet), in
+    increasing order of the bits rel[i][j] over the middle pairs i < j.
+
+    Every isomorphism class shows up at least once because every finite
+    lattice admits a linear extension.
+    """
+    if n == 1:
+        yield ((True,),), ((0,),), ((0,),)
+        return
+    mids = list(range(1, n - 1))
+    pairs = [(i, j) for i in mids for j in mids if i < j]
+    for bits in itertools.product((False, True), repeat=len(pairs)):
+        rel = [[i == j for j in range(n)] for i in range(n)]
+        for i in range(n):
+            rel[0][i] = True
+            rel[i][n - 1] = True
+        for (i, j), b in zip(pairs, bits):
+            if b:
+                rel[i][j] = True
+        # transitivity check (ids form a linear extension, so i<j only)
+        ok = True
+        for i in mids:
+            for j in mids:
+                if i != j and rel[i][j]:
+                    for k in mids:
+                        if k != j and rel[j][k] and not rel[i][k]:
+                            ok = False
+                            break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        leq = tuple(tuple(row) for row in rel)
+        join = lub_table(leq)
+        meet = glb_table(leq)
+        if any(v is None for row in join for v in row):
+            continue
+        if any(v is None for row in meet for v in row):
+            continue
+        yield leq, join, meet
+
+
+def first_labelings(n):
+    """The first labeling of each lattice that ``lattice_orders`` yields:
+    each order is dropped if an order isomorphism maps it onto an earlier
+    kept order with the same sorted (down-set size, up-set size) pairs."""
+    kept = {}
+    for leq, join, meet in lattice_orders(n):
+        sig = tuple(sorted((sum(row[x] for row in leq), sum(leq[x]))
+                           for x in range(n)))
+        earlier = kept.setdefault(sig, [])
+        if all(find_isomorphism(leq, (), other, ()) is None
+               for other in earlier):
+            earlier.append(leq)
+            yield leq, join, meet
+
+
+def order_minimizers(leq, bot, top):
+    """Least relabeled order encoding, and every (perm, inverse) pair
+    whose relabeling reaches it, in ``mid_perms`` order: the full scan of
+    the (n-2)! relabelings."""
+    best, pairs = None, []
+    for perm in mid_perms(len(leq), bot, top):
+        inv = tuple(sorted(range(len(perm)), key=perm.__getitem__))
+        bits = tuple(leq[x][y] for x in inv for y in inv)
+        if best is None or bits < best:
+            best, pairs = bits, [(perm, inv)]
+        elif bits == best:
+            pairs.append((perm, inv))
+    return best, tuple(pairs)
+
+
+def orbit_counts(n):
+    """(leq, products, classes) per lattice of size n, in the generator's
+    order: the residuated products the search finds on the lattice and the
+    number of their isomorphism classes by Burnside's lemma,
+    ``(1/|Aut L|) * sum over g in Aut L of #{products fixed by g}``.
+
+    ``Aut L`` is found by brute force over the relabelings fixing the
+    bounds; no canonical key or isomorphism search is used.  Products on
+    one lattice are isomorphic exactly when an automorphism of the lattice
+    maps one onto the other, so the classes are the orbits."""
+    elems = range(n)
+    for leq, join, meet in _lattice_orders(n):
+        autos = [g for g in mid_perms(n, 0, n - 1)
+                 if all(leq[g[x]][g[y]] == leq[x][y]
+                        for x in elems for y in elems)]
+        products = _products_on_lattice(leq, join, meet)
+        fixed = sum(all(g[t[x][y]] == t[g[x]][g[y]]
+                        for x in elems for y in elems)
+                    for g in autos for t in products)
+        assert fixed % len(autos) == 0
+        yield leq, products, fixed // len(autos)
+
+
 def brute_relabeling(A):
     """(key, perm): the least flattened (leq, odot) encoding over every
     relabeling fixing bot and top, and the first relabeling reaching it."""
     best = best_perm = None
-    for perm in _mid_perms(A.size, A.bot, A.top):
+    for perm in mid_perms(A.size, A.bot, A.top):
         leq = permute_relation(A.leq, perm)
         odot = permute_table(A.odot, perm)
         key = tuple(v for row in leq for v in row) + tuple(v for row in odot for v in row)
@@ -454,7 +571,7 @@ def slow_enumerate(n):
     for cross-checking the fast generator at n <= 4 only.
     """
     found = {}
-    for leq, join, meet in _lattice_orders(n):
+    for leq, join, meet in lattice_orders(n):
         top = n - 1
         cells = [(i, j) for i in range(n - 1) for j in range(i, n - 1)]
         for values in itertools.product(range(n), repeat=len(cells)):

@@ -21,7 +21,7 @@ from rlx.core import (
     validate,
 )
 import rlx.enumeration
-from rlx.enumeration import _generate, _lattice_orders
+from rlx.enumeration import _generate
 from rlx.errors import AxiomViolation, InvalidArgument, NotResiduated
 from rlx.filters import max_spec, spec
 
@@ -30,6 +30,7 @@ from oracles import (
     brute_glb_table,
     brute_lub_table,
     brute_validate_residuated,
+    lattice_orders,
     partial_orders,
 )
 
@@ -104,7 +105,7 @@ def _implication_or_pair(derive, leq, odot):
 
 
 LATTICE_ORDERS = [(leq, meet) for n in range(1, 6)
-                  for leq, _join, meet in _lattice_orders(n)]
+                  for leq, _join, meet in lattice_orders(n)]
 
 
 @settings(max_examples=300, deadline=None)

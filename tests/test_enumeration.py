@@ -20,10 +20,12 @@ from rlx.enumeration import (
 from rlx.errors import AxiomViolation, CorpusCountMismatch, SizeCapExceeded
 from rlx.iso import (
     _invariants,
+    _order_minimizers,
     canonical_key,
     canonicalize,
     permute_relation,
     permute_table,
+    table_key,
 )
 
 from oracles import (
@@ -31,6 +33,10 @@ from oracles import (
     brute_invariant,
     brute_relabeling,
     brute_table_ok,
+    first_labelings,
+    lattice_orders,
+    orbit_counts,
+    order_minimizers,
     products_on_lattice,
     rl_isomorphic,
     slow_enumerate,
@@ -126,7 +132,7 @@ def test_search_runs_once_per_lattice_and_validate_once_per_class(monkeypatch):
 def test_product_search_matches_unpruned_search(n):
     """The pruned search returns the plain backtracking's tables, in its
     order, on every lattice order."""
-    for leq, join, meet in _lattice_orders(n):
+    for leq, join, meet in lattice_orders(n):
         assert _products_on_lattice(leq, join, meet) == \
             products_on_lattice(leq, join, meet)
 
@@ -138,13 +144,54 @@ def test_product_search_is_exact():
     totals = []
     for n in range(1, SIZE_CAP + 1):
         count = 0
-        for leq, join, meet in _lattice_orders(n):
+        for leq, join, meet in lattice_orders(n):
             top = bounds_of(leq)[1]
             for table in _products_on_lattice(leq, join, meet):
                 assert brute_table_ok(leq, join, meet, table, top)
                 count += 1
         totals.append(count)
     assert totals == [1, 1, 2, 7, 27, 158, 1034]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lattice_orders_are_the_first_labelings(n):
+    """The orderly generator yields the first labeling of each lattice among
+    all labelings, and nothing else, in the same order."""
+    orders = list(_lattice_orders(n))
+    assert orders == list(first_labelings(n))
+    assert len(orders) == (LATTICE_COUNTS + (222,))[n - 1]
+
+
+def test_order_minimizers_match_the_full_scan():
+    """Same least encoding and the same (perm, inverse) pairs, in the same
+    order, on every labeled lattice order up to size 7, also relabeled so
+    that bot and top move, and on the least labelings at size 8."""
+    cases = []
+    for n in range(1, 8):
+        for leq, _join, _meet in lattice_orders(n):
+            cases.append((leq, 0, n - 1))
+            if n <= 6:
+                reverse = tuple(reversed(range(n)))
+                cases.append((permute_relation(leq, reverse), n - 1, 0))
+    cases += [(leq, 0, 7) for leq, _join, _meet in _lattice_orders(8)]
+    for leq, bot, top in cases:
+        assert _order_minimizers(leq, bot, top) == \
+            order_minimizers(leq, bot, top)
+
+
+def test_orbit_count_matches_the_corpus():
+    """Burnside's count of the classes on each lattice equals the number of
+    canonical keys among the products the search finds on it, and the
+    totals are the known counts, 4,712 at size 8 included."""
+    totals = []
+    for n in range(1, 9):
+        total = 0
+        for leq, products, classes in orbit_counts(n):
+            keys = {table_key(leq, odot, 0, n - 1)[0] for odot in products}
+            assert len(keys) == classes
+            total += classes
+        totals.append(total)
+    assert tuple(totals) == KNOWN_COUNTS + (4712,)
 
 
 def test_search_fault_is_loud(monkeypatch):
