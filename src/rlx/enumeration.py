@@ -402,11 +402,3 @@ def all_algebras(n, use_cache=True):
     out = []
     enumerate_algebras(n, out.append, use_cache=use_cache)
     return out
-
-
-def corpus(max_size, use_cache=True):
-    """All algebras of size 1..max_size, concatenated in size order."""
-    out = []
-    for n in range(1, max_size + 1):
-        out.extend(all_algebras(n, use_cache=use_cache))
-    return out

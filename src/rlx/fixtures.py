@@ -9,8 +9,8 @@ behaviour; their operation tables are transcribed verbatim.
 from __future__ import annotations
 
 from .core import (
-    ResiduatedLattice,
     boolean_algebra,
+    glb_table,
     godel_chain,
     leq_from_covers,
     lukasiewicz_chain,
@@ -27,7 +27,6 @@ def pentagon_godel():
     """
     labels = ("0", "a", "b", "c", "1")
     leq = leq_from_covers(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
-    meet_is_odot = None  # derived below
     # odot = meet; imp transcribed (rows are x, columns y, entry x->y)
     L = {"0": 0, "a": 1, "b": 2, "c": 3, "1": 4}
 
@@ -41,7 +40,6 @@ def pentagon_godel():
         "0 a b 1 1",
         "0 a b c 1",
     ])
-    from .core import glb_table
     odot = glb_table(leq)
     return validate(labels, leq, odot, imp)
 
@@ -80,11 +78,6 @@ def pentagon_stacked():
     return validate(labels, leq, odot, imp)
 
 
-def lozenge():
-    """The four-element Boolean algebra 2x2."""
-    return boolean_algebra(2)
-
-
 FIXTURE_BUILDERS = {
     "trivial": trivial_algebra,
     "b2": lambda: boolean_algebra(1),
@@ -93,7 +86,3 @@ FIXTURE_BUILDERS = {
     "pentagon_godel": pentagon_godel,
     "pentagon_stacked": pentagon_stacked,
 }
-
-
-def fixture(name) -> ResiduatedLattice:
-    return FIXTURE_BUILDERS[name]()

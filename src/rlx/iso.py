@@ -174,14 +174,6 @@ def find_isomorphism(leq_a, tables_a, leq_b, tables_b):
 
     def extend(x):
         if x == n:
-            # full verification before accepting
-            for a in range(n):
-                for b in range(n):
-                    if leq_a[a][b] != leq_b[perm[a]][perm[b]]:
-                        return False
-                    for ta, tb in zip(tables_a, tables_b):
-                        if perm[ta[a][b]] != tb[perm[a]][perm[b]]:
-                            return False
             return True
         for y in range(n):
             if used[y] or inv_a[x] != inv_b[y]:

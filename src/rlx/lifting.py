@@ -81,8 +81,9 @@ def lp_report(A, phi):
     Deliberately not cached: it is called with many (algebra, formula)
     pairs, quotients included, and keeping every report alive raised the
     peak RSS of the size-7 theorem matrix by 8-9 %.  Callers that need
-    only the global verdict use the cached :func:`has_blp`,
-    :func:`has_ilp` and :func:`has_rlp`.
+    only the global verdict use :func:`has_blp` and :func:`has_ilp`,
+    cached because many rows ask them of one algebra, or :func:`has_rlp`,
+    not cached because the matrix asks it once per algebra.
     """
     rows = []
     masks = _definable_masks(A, phi)
@@ -105,7 +106,6 @@ def has_ilp(A):
     return lp_report(A, ilp_formula()).global_holds
 
 
-@lru_cache(maxsize=None)
 def has_rlp(A):
     """Global regular lifting, which holds on every finite algebra."""
     return lp_report(A, rlp_formula()).global_holds

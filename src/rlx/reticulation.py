@@ -302,6 +302,4 @@ def archimedean_bridge(A):
         "per_element": per_element,
         "hyperarchimedean": hyper,
         "lattice_boolean": lattice_boolean,
-        "radical_image_matches": True,
-        "local_transfer": locals_match,
     }

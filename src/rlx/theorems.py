@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .core import Record, classify, direct_product, upset_algebra
-from .dlattice import is_conormal_lattice, conormal_radical_lifting
+from .dlattice import is_conormal_lattice, conormal_radical_lifting, lattice_blp
 from .filters import (
     all_filters,
     filter_image,
@@ -558,19 +558,12 @@ def check_retic_bridge(A):
             failures.append(repr(F))
     out.append(_forall("reticulation-blp-transfer", failures))
     out.append(_equiv("reticulation-global-blp", has_blp(A),
-                      _lattice_global_blp(R.lattice)))
+                      lattice_blp(R.lattice)[1]))
 
     bridge = archimedean_bridge(A)
     out.append(_equiv("hyperarchimedean-boolean-reticulation",
                       bridge["hyperarchimedean"], bridge["lattice_boolean"]))
     return out
-
-
-def _lattice_global_blp(L):
-    from .dlattice import lattice_blp
-
-    _per, global_holds = lattice_blp(L)
-    return global_holds
 
 
 ALL_CHECKS = (

@@ -66,6 +66,25 @@ def test_lp_with_filter(capsys):
     assert "False" in out and "counterexample: a" in out
 
 
+def test_lp_with_filter_json_matches_the_full_report(capsys):
+    path = str(FIXTURES / "pentagon_godel.rlat")
+    code, out, _ = run_cli(capsys, "lp", path, "--ilp", "--filter", "c,1",
+                           "--json")
+    assert code == 0
+    payload = json.loads(out)
+    _, full, _ = run_cli(capsys, "lp", path, "--ilp", "--json")
+    row = next(r for r in json.loads(full)["filters"] if r["filter"] == "{c,1}")
+    assert payload == {"formula": "v^2 = v", "filter": "{c,1}",
+                       "holds": True, "witness": row["witness"]}
+
+
+def test_lp_with_unknown_filter_label(capsys):
+    code, out, err = run_cli(capsys, "lp", str(FIXTURES / "pentagon_godel.rlat"),
+                             "--blp", "--filter", "x,1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: filter:") and "'x'" in err
+
+
 def test_lp_formula_global(capsys):
     code, out, _ = run_cli(capsys, "lp", str(FIXTURES / "pentagon_stacked.rlat"),
                            "--formula", "v^2 = v")
@@ -125,6 +144,23 @@ def test_enumerate_command(tmp_path, capsys, monkeypatch):
     assert len(files) == 2
     for f in files:
         load_rlat(f)
+
+
+def test_enumerate_size_zero(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "enumerate", "0", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: size 0")
+
+
+def test_reticulate_verify_failing_property(capsys, monkeypatch):
+    import rlx.cli as cli
+
+    monkeypatch.setattr(cli, "verify_retic_properties",
+                        lambda R: {1: True, 2: False})
+    code, out, _ = run_cli(capsys, "reticulate", str(FIXTURES / "luk4.rlat"),
+                           "--verify")
+    assert code == 2
+    assert "property 1: ok\nproperty 2: FAIL\n" in out
 
 
 def test_reticulate_and_verify(tmp_path, capsys):
@@ -231,3 +267,30 @@ def test_check_theorems_disagreement_exit_code(capsys, monkeypatch):
                            str(FIXTURES / "b2.rlat"))
     assert code == 2
     assert "1 disagreements" in out
+
+
+@pytest.mark.parametrize("flag", ["--topology", "--theorems"])
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.rlat")),
+                         ids=lambda p: p.stem)
+def test_analyze_theorems_match_check_theorems(capsys, path, flag):
+    code, out, _ = run_cli(capsys, "analyze", "--json", flag, str(path))
+    assert code == 0
+    report = json.loads(out)
+    _, matrix, _ = run_cli(capsys, "check-theorems", "--json", str(path))
+    assert report["theorems"] == json.loads(matrix)
+    assert report["theorem_disagreements"] == 0
+
+
+def test_analyze_topology_disagreement_exit_code(capsys, monkeypatch):
+    from rlx.theorems import TheoremVerdict
+    import rlx.report as report
+
+    def fake_checks(A):
+        return [TheoremVerdict("stub", True, False, False, None)]
+
+    monkeypatch.setattr(report, "theorem_checks", fake_checks)
+    code, out, _ = run_cli(capsys, "analyze", "--topology",
+                           str(FIXTURES / "b2.rlat"))
+    assert code == 2
+    assert "theorem matrix: 1 checks, 1 disagreements" in out
+    assert "!! stub: lhs=True rhs=False witness=None" in out

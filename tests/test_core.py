@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +25,8 @@ from rlx.core import (
 import rlx.enumeration
 from rlx.enumeration import _generate
 from rlx.errors import AxiomViolation, InvalidArgument, NotResiduated
-from rlx.filters import max_spec, spec
+from rlx.filters import all_filters, max_spec, quotient, spec
+from rlx.io import load_rlat
 
 from oracles import (
     brute_derive_implication,
@@ -33,6 +36,8 @@ from oracles import (
     lattice_orders,
     partial_orders,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_two_element_boolean_is_valid():
@@ -209,20 +214,62 @@ def test_residuated_stage_reaches_each_axiom(case):
     assert _stages_agree(leq, odot, imp) == (axiom, witness)
 
 
-@pytest.mark.parametrize("axiom, witness, field, value", [
-    ("odot-below-meet", (1, 1), 3, ((0, 0, 0),) * 3),  # meet
-    ("odot-join-distributivity", (0, 0, 0), 2, ((2, 2, 2),) * 3),  # join
-    ("odot-negation-bottom", (0,), 0, 1),  # bot
-])
-def test_residuated_stage_checks_the_derived_facts(monkeypatch, axiom,
-                                                   witness, field, value):
-    # on true lattice tables the residuation law implies these facts, so
-    # the stage is handed a lattice stage result that contradicts them
+def _input_error_cases():
+    """(axiom, witness, labels, leq, odot, imp) for the malformed inputs."""
     G = godel_chain(3)
-    wrong = list(_validate_lattice(G.leq))
-    wrong[field] = value
-    monkeypatch.setattr(rlx.core, "_validate_lattice", lambda _leq: wrong)
-    assert _stages_agree(G.leq, G.odot, None) == (axiom, witness)
+    ragged = G.odot[:2] + (G.odot[2][:2],)
+    yield "table-dimension", ("labels", 0), (), (), (), None
+    yield "table-dimension", ("leq", 3), G.labels, G.leq[:2], G.odot, None
+    yield "table-dimension", ("odot", 3), G.labels, G.leq, ragged, None
+    yield "table-dimension", ("imp", 3), G.labels, G.leq, G.odot, ragged
+    # an imp of the wrong size on a valid monoid, then on a broken one:
+    # the monoid fault comes first
+    yield "table-dimension", ("imp", 3), G.labels, G.leq, G.odot, G.imp[:2]
+    yield ("monoid-commutativity", (0, 1), G.labels, G.leq,
+           _with_cells(G.odot, {(0, 1): 1}), G.imp[:2])
+    # a bowtie: 1, 2 above 3, 4, so the pair (1, 2) has no meet and is
+    # met before the pair (3, 4), which has no join
+    bowtie = leq_from_covers(6, [(0, 3), (0, 4), (3, 1), (3, 2), (4, 1),
+                                 (4, 2), (1, 5), (2, 5)])
+    yield ("meet-glb", (1, 2), "0abcd1", bowtie, ((0,) * 6,) * 6, None)
+
+
+@pytest.mark.parametrize("case", list(_input_error_cases()),
+                         ids=lambda case: f"{case[0]}-{case[1]}")
+def test_validate_rejects_malformed_input(case):
+    axiom, witness, labels, leq, odot, imp = case
+    with pytest.raises(AxiomViolation) as err:
+        validate(labels, leq, odot, imp)
+    assert (err.value.axiom, err.value.witness) == (axiom, witness)
+
+
+def _accepted_algebras(corpus4, corpus5, corpus6):
+    """Algebras from every way in: the enumerated corpus, the fixture
+    files, products, ordinal sums, upset algebras and quotients."""
+    yield from corpus5
+    yield from corpus6
+    for path in sorted(FIXTURES.glob("*.rlat")):
+        yield load_rlat(path)
+    for A in corpus4:
+        for B in corpus4:
+            yield direct_product(A, B)
+            if B.size >= 2:
+                yield ordinal_sum(A, B)
+    for A in corpus5 + corpus6:
+        for e in classify(A).boolean_center:
+            yield upset_algebra(A, e)
+    for A in corpus5:
+        for F in all_filters(A):
+            yield quotient(A, F).quotient
+
+
+def test_accepted_algebras_satisfy_the_derived_facts(corpus4, corpus5,
+                                                     corpus6):
+    # validate checks none of a*b <= a&b, a*(b|c) = a*b | a*c and
+    # a*!a = 0: the residuation law implies them; the reference stage
+    # still checks all three
+    for A in _accepted_algebras(corpus4, corpus5, corpus6):
+        assert brute_validate_residuated(A.leq, A.odot, A.imp) == A.imp
 
 
 def test_derive_implication_boolean():
