@@ -149,10 +149,9 @@ def cmd_check_theorems(args):
 
 
 def cmd_enumerate(args):
-    from .enumeration import enumerate_algebras
+    from .enumeration import check_size, enumerate_algebras
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
     def emit(A):
@@ -161,6 +160,8 @@ def cmd_enumerate(args):
         written.append(name)
 
     try:
+        check_size(args.size)  # before the directory is made
+        out_dir.mkdir(parents=True, exist_ok=True)
         count = enumerate_algebras(args.size, emit)
     except RlxError as exc:
         print(f"error: {exc}", file=sys.stderr)

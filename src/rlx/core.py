@@ -27,8 +27,11 @@ class Record:
     the tuple of their fields and show as `Class(field=value, ...)`.  A
     subclass that stores anything besides its fields defines its own
     `__hash__` and `__repr__`, and its own `__eq__` unless what it stores
-    follows from the fields.
+    follows from the fields; one that keeps its fields in `__slots__`
+    defines all three.
     """
+
+    __slots__ = ()
 
     # object.__setattr__, as a frozen dataclass uses it, keeps the fields
     # in the instance's compact attribute store; writing them through
@@ -161,12 +164,21 @@ class ElementClassReport(Record):
 
 
 def _check_square(name, table, n):
+    """Raise unless `table` is n x n with int entries in range(n).  Returns
+    whether every entry is a plain int: a bool passes the check, but a
+    table holding one is not interchangeable with the equal int table."""
     if len(table) != n or any(len(row) != n for row in table):
         raise AxiomViolation("table-dimension", (name, n))
+    plain = True
     for i, row in enumerate(table):
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if v.__class__ is not int:
+                if not isinstance(v, int):
+                    raise AxiomViolation("table-entry", (name, i, j))
+                plain = False
+            if not 0 <= v < n:
                 raise AxiomViolation("table-entry", (name, i, j))
+    return plain
 
 
 def _check_order(leq, n):
@@ -294,28 +306,43 @@ def validate(labels, leq, odot, imp=None):
     Raises AxiomViolation with the first failing witness in element order.
 
     The two stages are memoized: the lattice checks by the order, the
-    residuated checks by (leq, odot, imp).  Each distinct input is checked
-    once, and a failure is never stored, so it raises again on every call.
-    1, 1.0 and True hash alike, so a table is looked up only after its
-    entries have passed the type and range check.
+    residuated checks by (leq, odot).  Each distinct input is checked once,
+    and a failure is never stored, so it raises again on every call.  The
+    algebra holds the tables the memos keep as keys, so algebras with equal
+    tables share them instead of holding copies; a given `imp` is shared
+    once it equals the stored derived one.  1, 1.0 and True hash alike, so
+    a table is looked up only after its entries have passed the type and
+    range check, and one holding a bool is checked without the memo and
+    keeps its own objects.
     """
     labels, leq = _normalized(labels, leq)
-    bot, top, lub, glb = _validate_lattice(leq)
+    leq, bot, top, lub, glb = _validate_lattice(leq)
     n = len(labels)
     odot = tuple(tuple(row) for row in odot)
-    _check_square("odot", odot, n)
-    if imp is None:
-        imp = _validate_residuated(leq, odot, None)
-    else:
+    plain = _check_square("odot", odot, n)
+    if imp is not None:
         imp = tuple(tuple(row) for row in imp)
         try:
-            _check_square("imp", imp, n)
+            plain = _check_square("imp", imp, n) and plain
         except AxiomViolation:
             # the uncached checks raise what they meet first: a monoid
             # fault, else this one
             _validate_residuated.__wrapped__(leq, odot, imp)
             raise
-        _validate_residuated(leq, odot, imp)
+    shared = None
+    if plain:
+        try:
+            shared = _validate_residuated(leq, odot, None)
+        except AxiomViolation:
+            if imp is None:
+                raise
+    if shared is not None and (imp is None or imp == shared[1]):
+        odot, imp = shared
+    else:
+        # a table with a bool entry keeps its own objects; a given imp
+        # that is not the stored residuum fails, at the witness it meets
+        # first in the uncached checks
+        odot, imp = _validate_residuated.__wrapped__(leq, odot, imp)
     return ResiduatedLattice(labels, leq, lub, glb, odot, imp, bot, top)
 
 
@@ -335,7 +362,7 @@ def _normalized(labels, leq):
 def _validate_lattice(leq):
     """The bounded-lattice part of :func:`validate` on a normalized order:
     order axioms, bounds, and a lub and glb for every pair.  Returns
-    (bot, top, join, meet)."""
+    (leq, bot, top, join, meet), with the `leq` it is keyed by."""
     n = len(leq)
     _check_order(leq, n)
     bot, top = bounds_of(leq)
@@ -348,7 +375,7 @@ def _validate_lattice(leq):
                 raise AxiomViolation("join-lub", (a, b))
             if glb[a][b] is None:
                 raise AxiomViolation("meet-glb", (a, b))
-    return bot, top, lub, glb
+    return leq, bot, top, lub, glb
 
 
 @lru_cache(maxsize=None)
@@ -356,7 +383,7 @@ def _validate_residuated(leq, odot, imp):
     """The residuated part of :func:`validate` on an order that
     :func:`_validate_lattice` has checked and an `odot` that has passed
     the table check: the monoid, the residuum and the residuation law.
-    Returns the checked `imp`, derived when None.
+    Returns (odot, imp), the checked tables, with `imp` derived when None.
 
     Each check raises at the witness the plain loop over the elements in
     order would meet first; whole tables are compared before any scan.
@@ -370,7 +397,7 @@ def _validate_residuated(leq, odot, imp):
       a*(b|c) <= d; monotony gives the other inequality;
     - a->0 <= a->0 gives (a->0)*a <= 0."""
     n = len(leq)
-    top = _validate_lattice(leq)[1]
+    top = _validate_lattice(leq)[2]
     if tuple(zip(*odot)) != odot:
         bad = next((a, b) for a in range(n) for b in range(n)
                    if odot[a][b] != odot[b][a])
@@ -416,7 +443,7 @@ def _validate_residuated(leq, odot, imp):
                     if diff[b][c] >> a & 1)
         raise AxiomViolation("residuation", (a, b, c))
 
-    return imp
+    return odot, imp
 
 
 def leq_from_covers(n, covers):
@@ -453,17 +480,31 @@ def covers_of(leq):
 
 
 @lru_cache(maxsize=None)
+def shared_set(ids):
+    """The one stored frozenset equal to `ids`, a frozenset of element ids.
+
+    Filters and element classes repeat from algebra to algebra: on n
+    elements each is one of at most 2^n sets.  So they share one object
+    per distinct set, and the store grows with the sets, not with the
+    algebras."""
+    return ids
+
+
+@lru_cache(maxsize=None)
 def classify(A):
     """Element classes and structural predicates of a validated algebra."""
     n = A.size
-    boolean = frozenset(
+    boolean = shared_set(frozenset(
         a for a in A.elements()
         if A.join[a][A.neg(a)] == A.top and A.meet[a][A.neg(a)] == A.bot
-    )
-    idem = frozenset(a for a in A.elements() if A.odot[a][a] == a)
-    reg = frozenset(a for a in A.elements() if A.neg(A.neg(a)) == a)
-    nil = frozenset(a for a in A.elements() if A.power_limit(a) == A.bot)
-    arch = frozenset(a for a in A.elements() if A.power_limit(a) in boolean)
+    ))
+    idem = shared_set(frozenset(a for a in A.elements() if A.odot[a][a] == a))
+    reg = shared_set(frozenset(a for a in A.elements()
+                               if A.neg(A.neg(a)) == a))
+    nil = shared_set(frozenset(a for a in A.elements()
+                               if A.power_limit(a) == A.bot))
+    arch = shared_set(frozenset(a for a in A.elements()
+                                if A.power_limit(a) in boolean))
     is_chain = all(A.leq[a][b] or A.leq[b][a]
                    for a in range(n) for b in range(a + 1, n))
     is_distributive = distributivity_witness(A.leq, A.join, A.meet) is None

@@ -33,7 +33,7 @@ def validate_bdl(labels, leq):
 
 @lru_cache(maxsize=None)
 def _validate_bdl(labels, leq):
-    _, _, join, meet = _validate_lattice(leq)
+    _, _, _, join, meet = _validate_lattice(leq)
     witness = distributivity_witness(leq, join, meet)
     if witness is not None:
         raise NotDistributive(witness)

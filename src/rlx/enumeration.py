@@ -315,12 +315,14 @@ def _cache_path(n):
     return _cache_dir() / f"v{GENERATOR_VERSION}-n{n}.json"
 
 
-def _to_json(A):
-    return {
-        "labels": list(A.labels),
-        "leq": [[int(v) for v in row] for row in A.leq],
-        "odot": [list(row) for row in A.odot],
-    }
+def _to_json(A, leq_rows):
+    """The cache entry of A.  Tuples serialize as lists, so the labels and
+    the product go in as they are; the 0/1 rows of each order are built
+    once and kept in ``leq_rows``."""
+    rows = leq_rows.get(A.leq)
+    if rows is None:
+        rows = leq_rows[A.leq] = [[int(v) for v in row] for row in A.leq]
+    return {"labels": A.labels, "leq": rows, "odot": A.odot}
 
 
 def _from_json(obj):
@@ -355,8 +357,9 @@ def _load_cache(path, n):
 def _write_cache(path, algebras, keys):
     """Write through a temporary file, so readers never see a partial file.
     ``keys`` are the canonical keys of ``algebras``."""
+    leq_rows = {}
     text = json.dumps({"keys_sha256": _keys_digest(algebras, keys),
-                       "algebras": [_to_json(A) for A in algebras]})
+                       "algebras": [_to_json(A, leq_rows) for A in algebras]})
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
@@ -372,6 +375,12 @@ def _write_cache(path, algebras, keys):
         pass  # an unwritable cache only means regenerating next time
 
 
+def check_size(n):
+    """Raise SizeCapExceeded unless the enumerator takes size n."""
+    if not 1 <= n <= SIZE_CAP:
+        raise SizeCapExceeded(f"size {n} outside 1..{SIZE_CAP}")
+
+
 def enumerate_algebras(n, emit=None, use_cache=True):
     """Emit every residuated lattice on n elements once up to isomorphism.
 
@@ -379,8 +388,7 @@ def enumerate_algebras(n, emit=None, use_cache=True):
     A fresh enumeration that does not find ``KNOWN_COUNTS[n-1]`` algebras
     raises ``CorpusCountMismatch`` and writes no cache file.
     """
-    if not 1 <= n <= SIZE_CAP:
-        raise SizeCapExceeded(f"size {n} outside 1..{SIZE_CAP}")
+    check_size(n)
     path = _cache_path(n)
     algebras = _load_cache(path, n) if use_cache else None
     if algebras is None:

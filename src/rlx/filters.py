@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import Record, ResiduatedLattice, validate
+from .core import Record, ResiduatedLattice, shared_set, validate
 from .errors import AxiomViolation
 
 
@@ -29,7 +29,8 @@ class Filter(Record):
     The check is linear: the members contain top, their meet `gen` is a
     member and idempotent, and they are exactly the up-set of `gen`.  On a
     finite algebra that is the filter condition.  `gen` is derived, so
-    equality and hash cover only the algebra and the members.
+    equality and hash cover only the algebra and the members.  Once checked,
+    the members are the shared frozenset of :func:`rlx.core.shared_set`.
     """
 
     def __init__(self, algebra: ResiduatedLattice, members: frozenset):
@@ -47,7 +48,7 @@ class Filter(Record):
             if A.leq[m][b] and b not in F:
                 raise AxiomViolation("filter-up-closed", (m, b))
         self._set("algebra", algebra)
-        self._set("members", members)
+        self._set("members", shared_set(members))
         self._set("gen", m)
 
     def __eq__(self, other):

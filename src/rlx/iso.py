@@ -157,19 +157,35 @@ def find_isomorphism(leq_a, tables_a, leq_b, tables_b):
 
     perm = [None] * n
     used = [False] * n
+    # per table, the entries (u, v) with value r and u, v < r, by r
+    above = []
+    for ta in tables_a:
+        pairs = [[] for _ in range(n)]
+        for u, row in enumerate(ta):
+            for v, r in enumerate(row):
+                if u < r and v < r:
+                    pairs[r].append((u, v))
+        above.append(pairs)
 
     def consistent(x):
-        assigned = [a for a in range(n) if perm[a] is not None]
-        for a in assigned:
-            if leq_a[x][a] != leq_b[perm[x]][perm[a]] or leq_a[a][x] != leq_b[perm[a]][perm[x]]:
+        """Ids are assigned in order, so 0..x are.  The entries among 0..x-1
+        with an assigned value were checked at earlier steps; the new ones
+        have row or column x, or value x."""
+        y = perm[x]
+        for a in range(x + 1):
+            if leq_a[x][a] != leq_b[y][perm[a]] or leq_a[a][x] != leq_b[perm[a]][y]:
                 return False
-        for ta, tb in zip(tables_a, tables_b):
-            for u in assigned:
-                for v in assigned:
-                    r = ta[u][v]
-                    img = tb[perm[u]][perm[v]]
-                    if perm[r] is not None and perm[r] != img:
-                        return False
+        for ta, tb, pairs in zip(tables_a, tables_b, above):
+            row_x, row_y = ta[x], tb[y]
+            for u in range(x + 1):
+                r, s = row_x[u], ta[u][x]
+                if r <= x and perm[r] != row_y[perm[u]]:
+                    return False
+                if s <= x and perm[s] != tb[perm[u]][y]:
+                    return False
+            for u, v in pairs[x]:
+                if tb[perm[u]][perm[v]] != y:
+                    return False
         return True
 
     def extend(x):

@@ -8,6 +8,7 @@ bug, not a property of the input algebra.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 
 from .core import Record, classify, direct_product, upset_algebra
@@ -48,22 +49,35 @@ from .reticulation import build_reticulation
 
 
 class TheoremVerdict(Record):
+    """One row of the theorem matrix.  A matrix holds many rows and few
+    theorem ids, so each id is interned and the fields live in slots
+    instead of a dict per row; equality, hash and repr are those of the
+    other records."""
+
+    __slots__ = ("theorem_id", "lhs", "rhs", "agree", "witness")
+
     def __init__(self, theorem_id: str, lhs: bool, rhs: bool, agree: bool,
                  witness: object = None):
-        self._set("theorem_id", theorem_id)
+        self._set("theorem_id", sys.intern(theorem_id))
         self._set("lhs", lhs)
         self._set("rhs", rhs)
         self._set("agree", agree)
         self._set("witness", witness)
 
     def as_dict(self):
-        return {
-            "theorem_id": self.theorem_id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "agree": self.agree,
-            "witness": self.witness,
-        }
+        return {k: getattr(self, k) for k in self.__slots__}
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.as_dict() == other.as_dict()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.as_dict().values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
+        return f"TheoremVerdict({fields})"
 
 
 def _equiv(tid, lhs, rhs, witness=None):

@@ -1,5 +1,6 @@
 import os
 import shutil
+import sys
 import tempfile
 
 import pytest
@@ -48,3 +49,15 @@ def corpus4():
 @pytest.fixture(scope="session")
 def corpus6():
     return all_algebras(6)
+
+
+@pytest.fixture
+def cold_caches():
+    """Every memo of the loaded rlx modules emptied (the validate memos,
+    the shared element sets and every cache keyed by an algebra), so a
+    test sees only what it stores itself."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rlx."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()

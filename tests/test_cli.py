@@ -150,6 +150,7 @@ def test_enumerate_size_zero(tmp_path, capsys):
     code, out, err = run_cli(capsys, "enumerate", "0", str(tmp_path / "out"))
     assert (code, out) == (1, "")
     assert err.startswith("error: size 0")
+    assert not (tmp_path / "out").exists()
 
 
 def test_reticulate_verify_failing_property(capsys, monkeypatch):
