@@ -9,7 +9,8 @@ and freely shareable.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from collections import namedtuple
+from functools import cached_property, lru_cache, wraps
 
 from .errors import AxiomViolation, InvalidArgument, NotResiduated
 
@@ -61,16 +62,20 @@ class ResiduatedLattice(Record):
     """Validated finite residuated lattice.
 
     Do not build directly; go through :func:`validate` (or a constructor
-    below), which checks every axiom exhaustively.
+    below), which checks every axiom exhaustively.  The one exception puts
+    other labels on the tables of an algebra `validate` returned:
+    `filters.quotient` validates each quotient's tables once.
 
-    Algebras key many caches (`classify`, `quotient`, filters), so the
-    hash is computed once, here, instead of re-hashing every table on each
-    lookup.  It covers `leq` and `odot`, which determine the other tables
-    of a validated algebra, and holds only bools and ints, so it does not
+    Algebras key many caches (`quotient`, filters), so the hash is
+    computed once, here, instead of re-hashing every table on each lookup.
+    It covers `leq` and `odot`, which determine the other tables of a
+    validated algebra, and holds only bools and ints, so it does not
     depend on the process's string-hash seed.  Equality still compares
     every field.  Algebras with equal tables and other labels (a quotient,
     a reticulation and the algebra they mirror) share a hash, so equality
-    tests identity and then the labels before any table.
+    tests identity and then the labels before any table.  The same pair,
+    with the same hash, is the algebra's key in the :func:`table_memo`
+    memos, which those algebras share.
     """
 
     def __init__(self, labels: tuple, leq: Relation, join: Table,
@@ -84,6 +89,7 @@ class ResiduatedLattice(Record):
         self._set("bot", bot)
         self._set("top", top)
         self._set("_hash", hash((leq, odot)))
+        self._set("_key", None)
 
     def __eq__(self, other):
         if self is other:
@@ -97,6 +103,12 @@ class ResiduatedLattice(Record):
 
     def __hash__(self):
         return self._hash
+
+    def _new_key(self):
+        """The algebra's key in the table memos, made when one first asks:
+        most algebras the enumerator builds never reach a memo."""
+        self._set("_key", _TableKey(self.leq, self.odot, self._hash))
+        return self._key
 
     @property
     def size(self):
@@ -143,6 +155,67 @@ class ResiduatedLattice(Record):
 
     def __repr__(self):
         return f"ResiduatedLattice({','.join(self.labels)})"
+
+
+class _TableKey:
+    """The (leq, odot) pair of a validated algebra, which fixes every other
+    table, as a memo key, with the algebra's hash.  Keys compare by value;
+    `validate` shares equal tables, so identity mostly decides."""
+
+    __slots__ = ("leq", "odot", "hash")
+
+    def __init__(self, leq, odot, hash):
+        self.leq = leq
+        self.odot = odot
+        self.hash = hash
+
+    def __hash__(self):
+        return self.hash
+
+    def __eq__(self, other):
+        return ((self.leq is other.leq or self.leq == other.leq)
+                and (self.odot is other.odot or self.odot == other.odot))
+
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def table_memo(fn):
+    """Memoize fn(A, *args) by A's tables and the other arguments.
+
+    For the answers no label enters: algebras with equal tables (`A/{1}`
+    and `A`, a relabeled copy, equal quotients of different algebras)
+    then share one answer, computed on the first of them.  Unbounded, and
+    a failure is never stored.  Like `lru_cache` it has `cache_info()` and
+    `cache_clear()`.
+    """
+    store = {}
+    hits = 0
+
+    @wraps(fn)
+    def memo(A, *args):
+        nonlocal hits
+        tables = A._key or A._new_key()
+        key = (tables,) + args if args else tables
+        try:
+            value = store[key]
+        except KeyError:
+            value = store[key] = fn(A, *args)
+            return value
+        hits += 1
+        return value
+
+    def cache_info():
+        return CacheInfo(hits, len(store), None, len(store))
+
+    def cache_clear():
+        nonlocal hits
+        store.clear()
+        hits = 0
+
+    memo.cache_info = cache_info
+    memo.cache_clear = cache_clear
+    return memo
 
 
 class ElementClassReport(Record):
@@ -490,7 +563,7 @@ def shared_set(ids):
     return ids
 
 
-@lru_cache(maxsize=None)
+@table_memo
 def classify(A):
     """Element classes and structural predicates of a validated algebra."""
     n = A.size
@@ -533,6 +606,7 @@ def distributivity_witness(leq, join, meet):
     return None
 
 
+@table_memo
 def complemented_elements(A):
     """{a : some y has a|y = top and a&y = bot}; equals the Boolean center."""
     out = set()

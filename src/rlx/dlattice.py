@@ -42,19 +42,14 @@ def _validate_bdl(labels, leq):
 
 def lattice_blp_filter(L, F):
     """Does F lift Boolean elements: B(L/F) inside B(L)/F?"""
-    return _lifts_boolean(L, complemented_elements(L), F)
-
-
-def _lifts_boolean(L, center, F):
-    """lattice_blp_filter with B(L) = ``center`` given."""
     Q = quotient(L, F)
-    return complemented_elements(Q.quotient) <= {Q.class_of[e] for e in center}
+    return (complemented_elements(Q.quotient)
+            <= {Q.class_of[e] for e in complemented_elements(L)})
 
 
 def lattice_blp(L):
-    """Per-filter Boolean lifting, B(L) computed once, and the conjunction."""
-    center = complemented_elements(L)
-    per = {F: _lifts_boolean(L, center, F) for F in all_filters(L)}
+    """Per-filter Boolean lifting and the conjunction."""
+    per = {F: lattice_blp_filter(L, F) for F in all_filters(L)}
     return per, all(per.values())
 
 

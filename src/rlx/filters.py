@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import Record, ResiduatedLattice, shared_set, validate
+from .core import Record, ResiduatedLattice, shared_set, table_memo, validate
 from .errors import AxiomViolation
 
 
@@ -31,7 +31,11 @@ class Filter(Record):
     finite algebra that is the filter condition.  `gen` is derived, so
     equality and hash cover only the algebra and the members.  Once checked,
     the members are the shared frozenset of :func:`rlx.core.shared_set`.
+    Every algebra keeps one per idempotent, so the fields live in slots,
+    not in a dict per filter.
     """
+
+    __slots__ = ("algebra", "members", "gen")
 
     def __init__(self, algebra: ResiduatedLattice, members: frozenset):
         A, F = algebra, members
@@ -101,6 +105,32 @@ def principal_filter(A, x):
     return generated_filter(A, (x,))
 
 
+@table_memo
+def _generators(A):
+    """The generators of every filter, of the prime filters and of the
+    maximal filters, each in all_filters order, and the radical's, with
+    the maximal filters asserted to be prime.  No label enters them, so
+    algebras with equal tables share them."""
+    filters = sorted((F for F in _upsets(A) if F is not None),
+                     key=lambda F: (len(F), F.sorted_members()))
+    primes = [F for F in filters if is_prime(F)]
+    proper = [F for F in filters if F.proper]
+    maxima = [F for F in proper
+              if not any(F.members < G.members for G in proper)]
+    for M in maxima:
+        assert M in primes, "maximal filter not prime"
+    rad = A.bot
+    for M in maxima:
+        rad = A.join[rad][M.gen]
+    return tuple(tuple(F.gen for F in part)
+                 for part in (filters, primes, maxima)) + (rad,)
+
+
+def _filters_at(A, gens):
+    upsets = _upsets(A)
+    return tuple(upsets[e] for e in gens)
+
+
 @lru_cache(maxsize=None)
 def all_filters(A):
     """Every filter of A, deterministically ordered by (size, members).
@@ -109,8 +139,7 @@ def all_filters(A):
     idempotents; the tests check this against a scan of all subsets with
     the is_filter_subset oracle in tests/oracles.py.
     """
-    out = [F for F in _upsets(A) if F is not None]
-    return tuple(sorted(out, key=lambda F: (len(F), F.sorted_members())))
+    return _filters_at(A, _generators(A)[0])
 
 
 def filter_join(F, G):
@@ -142,7 +171,7 @@ def is_prime(F):
 @lru_cache(maxsize=None)
 def spec(A):
     """Prime filters, in all_filters order (the Stone-space point order)."""
-    return tuple(F for F in all_filters(A) if is_prime(F))
+    return _filters_at(A, _generators(A)[1])
 
 
 @lru_cache(maxsize=None)
@@ -150,25 +179,13 @@ def max_spec(A):
     """Maximal proper filters, asserted to be prime.  The negated-power
     criterion (a outside M iff some !(a^k) lies in M) is the
     complement-as-power-union row of the theorem matrix."""
-    filters = all_filters(A)
-    proper = [F for F in filters if F.proper]
-    out = []
-    for F in proper:
-        if not any(F.members < G.members for G in proper):
-            out.append(F)
-    primes = set(F.members for F in spec(A))
-    for M in out:
-        assert M.members in primes, "maximal filter not prime"
-    return tuple(out)
+    return _filters_at(A, _generators(A)[2])
 
 
 @lru_cache(maxsize=None)
 def radical(A):
     """Intersection of all maximal filters (the whole algebra if none)."""
-    e = A.bot
-    for M in max_spec(A):
-        e = A.join[e][M.gen]
-    return _upsets(A)[e]
+    return _upsets(A)[_generators(A)[3]]
 
 
 def is_local(A):
@@ -202,12 +219,34 @@ def _check_congruence(A, class_of, reps):
     T(y, z).  So each table costs O(n^2), one row of class ids per element.
     """
     for tab in (A.join, A.meet, A.odot, A.imp, tuple(zip(*A.imp))):
-        rows = [tuple(class_of[v] for v in row) for row in tab]
+        rows = [tuple(map(class_of.__getitem__, row)) for row in tab]
         for x in A.elements():
             r = reps[class_of[x]]
             if rows[x] != rows[r]:
                 z = next(z for z in A.elements() if rows[x][z] != rows[r][z])
                 raise AxiomViolation("congruence", (r, x, z))
+
+
+@table_memo
+def _quotient_parts(A, e):
+    """The class of each element modulo [e), the least member of each
+    class, and the tables of the quotient as `validate` holds them, with
+    the congruence checked.  No label enters them, so algebras with equal
+    tables share them."""
+    image = A.odot[e]  # x -> e*x
+    cid = {}
+    for v in image:
+        cid.setdefault(v, len(cid))
+    class_of = tuple(cid[v] for v in image)
+    reps = tuple(class_of.index(c) for c in range(len(cid)))
+
+    _check_congruence(A, class_of, reps)
+
+    leq = tuple(tuple(A.leq[image[r]][image[s]] for s in reps) for r in reps)
+    odot = tuple(tuple(class_of[A.odot[r][s]] for s in reps) for r in reps)
+    imp = tuple(tuple(class_of[A.imp[r][s]] for s in reps) for r in reps)
+    Q = validate(reps, leq, odot, imp)
+    return class_of, reps, (Q.leq, Q.join, Q.meet, Q.odot, Q.imp, Q.bot, Q.top)
 
 
 @lru_cache(maxsize=None)
@@ -221,23 +260,12 @@ def quotient(A, F):
     quotient tables are validated from scratch and the congruence property
     is checked explicitly, in O(n^2) per table: as ~ is transitive, each x
     need only be compatible with its class representative
-    (:func:`_check_congruence`).
+    (:func:`_check_congruence`).  Both run once per table pair
+    (:func:`_quotient_parts`); the quotient of A has A's own labels.
     """
     n = A.size
-    image = A.odot[F.gen]  # x -> e*x
-    cid = {}
-    for v in image:
-        cid.setdefault(v, len(cid))
-    class_of = tuple(cid[v] for v in image)
-    reps = tuple(class_of.index(c) for c in range(len(cid)))
-
-    _check_congruence(A, class_of, reps)
-
-    leq = tuple(tuple(A.leq[image[r]][image[s]] for s in reps) for r in reps)
-    odot = tuple(tuple(class_of[A.odot[r][s]] for s in reps) for r in reps)
-    imp = tuple(tuple(class_of[A.imp[r][s]] for s in reps) for r in reps)
-    labels = tuple(f"{A.labels[r]}/F" for r in reps)
-    Q = validate(labels, leq, odot, imp)
+    class_of, reps, tables = _quotient_parts(A, F.gen)
+    Q = ResiduatedLattice(tuple(f"{A.labels[r]}/F" for r in reps), *tables)
 
     # class of top is exactly F
     assert {x for x in range(n) if class_of[x] == class_of[A.top]} == set(F.members)

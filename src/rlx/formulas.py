@@ -19,7 +19,7 @@ import itertools
 import re
 from functools import lru_cache
 
-from .core import Record
+from .core import Record, table_memo
 from .errors import (
     FormulaSyntaxError,
     MultipleFreeVariables,
@@ -320,7 +320,7 @@ def term_values(A, t, env):
     return [table[x][y] for x, y in pairs]
 
 
-@lru_cache(maxsize=None)
+@table_memo
 def _definable_masks(A, phi):
     """For each idempotent e, the bitmask of {a : A/[e) |= phi(a/[e))};
     0 at the other elements.
@@ -331,7 +331,8 @@ def _definable_masks(A, phi):
     bound-variable assignment, for every value of the free variable at
     once; the search over assignments stops as soon as every element holds
     modulo every filter.  Bitmasks, not frozensets, are cached: they keep
-    the cache small.
+    the cache small.  No label enters them, so algebras with equal tables
+    share them.
     """
     n = A.size
     full = (1 << n) - 1

@@ -4,9 +4,7 @@ characterizations."""
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .core import Record, classify
+from .core import Record, classify, table_memo
 from .filters import all_filters, principal_filter
 from .formulas import (
     _definable_masks,
@@ -82,8 +80,9 @@ def lp_report(A, phi):
     pairs, quotients included, and keeping every report alive raised the
     peak RSS of the size-7 theorem matrix by 8-9 %.  Callers that need
     only the global verdict use :func:`has_blp` and :func:`has_ilp`,
-    cached because many rows ask them of one algebra, or :func:`has_rlp`,
-    not cached because the matrix asks it once per algebra.
+    cached by the tables because many rows ask them of one algebra and its
+    relabeled copies, or :func:`has_rlp`, not cached because the matrix
+    asks it once per algebra.
     """
     rows = []
     masks = _definable_masks(A, phi)
@@ -96,12 +95,12 @@ def lp_report(A, phi):
     return LpReport(phi, tuple(rows), all(v.holds for _, v in rows))
 
 
-@lru_cache(maxsize=None)
+@table_memo
 def has_blp(A):
     return lp_report(A, blp_formula()).global_holds
 
 
-@lru_cache(maxsize=None)
+@table_memo
 def has_ilp(A):
     return lp_report(A, ilp_formula()).global_holds
 

@@ -7,11 +7,19 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import Record, ResiduatedLattice, classify, complemented_elements
+from .core import (
+    Record,
+    ResiduatedLattice,
+    _validate_lattice,
+    classify,
+    complemented_elements,
+    table_memo,
+)
 from .dlattice import lattice_blp_filter, validate_bdl
 from .errors import AxiomViolation, NoIsomorphism
 from .filters import (
     Filter,
+    _filters_at,
     all_filters,
     max_spec,
     principal_filter,
@@ -58,37 +66,47 @@ class RLMorphism(Record):
         self._set("mapping", mapping)
 
 
+@table_memo
+def _lattice_parts(A):
+    """The generators of the principal filters in lattice order, the
+    lattice order, and lam, with the five axioms of lam asserted.  No
+    label enters them, so algebras with equal tables share them."""
+    # on a finite algebra every filter is principal
+    principal = tuple(F.gen for F in sorted(
+        all_filters(A), key=lambda F: (-len(F), F.sorted_members())))
+    index = {e: i for i, e in enumerate(principal)}
+    # reverse inclusion: [e) <= [f) in L iff [e) includes [f), iff e <= f
+    leq = tuple(tuple(A.leq[e][f] for f in principal) for e in principal)
+    leq = _validate_lattice(leq)[0]
+    lam = tuple(index[A.power_limit(a)] for a in A.elements())
+    _assert_axioms(A, lam, leq)
+    return principal, leq, lam
+
+
 @lru_cache(maxsize=None)
 def build_reticulation(A):
     """Canonical construction: distinct principal filters under reverse
     inclusion, with lam(a) = [a).  validate_bdl checks distributivity, and
-    the five axioms of lam are asserted on the result."""
-    # on a finite algebra every filter is principal
-    principal = sorted(all_filters(A),
-                       key=lambda F: (-len(F), F.sorted_members()))
-    index = {F.gen: i for i, F in enumerate(principal)}
-    # reverse inclusion: [a) <= [b) in L iff [a) includes [b)
-    leq = tuple(tuple(G <= F for G in principal) for F in principal)
-    labels = tuple(f"[{A.labels[F.gen]})" for F in principal)
-    L = validate_bdl(labels, leq)
-    lam = tuple(index[principal_filter(A, a).gen] for a in A.elements())
-    R = Reticulation(A, L, lam, tuple(principal))
-    _assert_axioms(R)
-    return R
+    the five axioms of lam are asserted, once per table pair
+    (:func:`_lattice_parts`)."""
+    principal, leq, lam = _lattice_parts(A)
+    L = validate_bdl(tuple(f"[{A.labels[e]})" for e in principal), leq)
+    return Reticulation(A, L, lam, _filters_at(A, principal))
 
 
-def _assert_axioms(R):
-    A, L, lam = R.source, R.lattice, R.lam
+def _assert_axioms(A, lam, leq):
+    """The five axioms of lam: A -> L, where L is the lattice of `leq`."""
+    leq, bot, top, join, meet = _validate_lattice(leq)
     for a in A.elements():
         for b in A.elements():
-            assert lam[A.odot[a][b]] == L.meet[lam[a]][lam[b]]
-            assert lam[A.join[a][b]] == L.join[lam[a]][lam[b]]
-    assert lam[A.bot] == L.bot and lam[A.top] == L.top
-    assert set(lam) == set(L.elements())  # surjective
+            assert lam[A.odot[a][b]] == meet[lam[a]][lam[b]]
+            assert lam[A.join[a][b]] == join[lam[a]][lam[b]]
+    assert lam[A.bot] == bot and lam[A.top] == top
+    assert set(lam) == set(range(len(leq)))  # surjective
     # the powers of a decrease to a^w, so some a^n <= b iff a^w <= b
     for a in A.elements():
         for b in A.elements():
-            assert L.leq[lam[a]][lam[b]] == A.leq[A.power_limit(a)][b]
+            assert leq[lam[a]][lam[b]] == A.leq[A.power_limit(a)][b]
 
 
 def verify_retic_properties(R):
@@ -105,10 +123,9 @@ def verify_retic_properties(R):
     verdicts[1] = ok
 
     # (2) kernel: lam(a) = lam(b) iff the principal filters coincide
-    verdicts[2] = all(
-        (lam[a] == lam[b]) == (principal_filter(A, a).gen
-                               == principal_filter(A, b).gen)
-        for a in A.elements() for b in A.elements())
+    gens = [principal_filter(A, a).gen for a in A.elements()]
+    verdicts[2] = all((lam[a] == lam[b]) == (gens[a] == gens[b])
+                      for a in A.elements() for b in A.elements())
 
     # (3) powers collapse
     verdicts[3] = all(lam[p] == lam[a]

@@ -7,7 +7,7 @@ from __future__ import annotations
 from functools import lru_cache
 from types import MappingProxyType
 
-from .core import Record, classify
+from .core import Record, classify, table_memo
 from .errors import NotGelfand
 from .filters import (
     all_filters,
@@ -63,15 +63,26 @@ class SpectrumSpace(Record):
         return (self.full & ~mask) in set(self.opens)
 
 
-def _build(A, kind):
-    points = spec(A) if kind == "spec" else max_spec(A)
+def _points(A, kind):
+    return spec(A) if kind == "spec" else max_spec(A)
+
+
+@table_memo
+def _opens_and_v(A, kind):
+    """The open family and `v` of the space, with the V/D identities
+    asserted.  No label enters them, so algebras with equal tables share
+    them."""
+    points = _points(A, kind)
     v = tuple(sum(1 << i for i, P in enumerate(points) if a in P)
               for a in A.elements())
     full = (1 << len(points)) - 1
-    opens = sorted({full & ~v[F.gen] for F in all_filters(A)})
-    space = SpectrumSpace(A, kind, points, tuple(opens), v)
-    _assert_stone_identities(A, space)
-    return space
+    opens = tuple(sorted({full & ~v[F.gen] for F in all_filters(A)}))
+    _assert_stone_identities(A, SpectrumSpace(A, kind, points, opens, v))
+    return opens, v
+
+
+def _build(A, kind):
+    return SpectrumSpace(A, kind, _points(A, kind), *_opens_and_v(A, kind))
 
 
 def _assert_stone_identities(A, space):
@@ -230,7 +241,7 @@ def gelfand_counterexample(A):
     return None
 
 
-@lru_cache(maxsize=None)
+@table_memo
 def is_gelfand(A):
     """Every prime filter sits below exactly one maximal filter."""
     return gelfand_counterexample(A) is None
@@ -341,7 +352,7 @@ def gelfand_retract(A):
     return tuple(rho)
 
 
-@lru_cache(maxsize=None)
+@table_memo
 def star_property(A):
     """Principal filters split off a radical part: for every x some
     u in Rad(A) and Boolean e give [x) = [u) v [e).
@@ -350,7 +361,8 @@ def star_property(A):
     filters: [u) v [e) = [x) iff g[u] * g[e] = g[x].  The star-forms rows
     compare the verdict with the nilpotent, spectral and bounded-union
     reformulations.  Returns (holds, witnesses) where witnesses is a
-    read-only map x -> the first such (u, e); the answer is cached.
+    read-only map x -> the first such (u, e); the answer is cached by the
+    tables.
     """
     B = sorted(classify(A).boolean_center)
     return _splitting(A, sorted(radical(A).members), B)

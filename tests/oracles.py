@@ -410,7 +410,7 @@ def kernel_quotient_reticulation(A):
     lam = tuple(rep_of[principal_filter(A, a).gen] for a in A.elements())
     filt = tuple(principal_filter(A, r) for r in classes)
     R = Reticulation(A, L, lam, filt)
-    _assert_axioms(R)
+    _assert_axioms(A, lam, L.leq)
     return R
 
 

@@ -1,0 +1,172 @@
+"""Answers that no label enters are kept once per table pair.
+
+`core.table_memo` keys a memo by the algebra's (leq, odot) and the other
+arguments, so a relabeled copy of an algebra (`A/{1}` and `A`, equal
+quotients of different algebras) reads the answer computed for the
+first of them.  Everything that shows a label (filters, spaces, the
+reticulation, quotients) is still built per algebra, from its own labels.
+"""
+
+import sys
+
+import pytest
+
+import rlx.core
+from rlx.core import classify, complemented_elements, validate
+from rlx.enumeration import all_algebras
+from rlx.filters import (
+    _generators,
+    _quotient_parts,
+    all_filters,
+    max_spec,
+    principal_filter,
+    quotient,
+    radical,
+    spec,
+)
+from rlx.formulas import _definable_masks, blp_formula, ilp_formula, rlp_formula
+from rlx.lifting import has_blp, has_ilp
+from rlx.reticulation import _lattice_parts, build_reticulation
+from rlx.spectra import (
+    _opens_and_v,
+    is_gelfand,
+    star_property,
+    stone_max,
+    stone_spec,
+)
+from rlx.theorems import theorem_checks
+
+FORMULAS = (blp_formula(), ilp_formula(), rlp_formula())
+
+# each table memo with the number of values its other arguments take in
+# the size <= 5 matrix: the three lifting formulas, an idempotent of an
+# algebra of at most 5 elements, the two kinds of space
+TABLE_MEMOS = (
+    (classify, 1), (complemented_elements, 1), (_generators, 1),
+    (has_blp, 1), (has_ilp, 1), (is_gelfand, 1), (star_property, 1),
+    (_lattice_parts, 1), (_definable_masks, 3), (_quotient_parts, 5),
+    (_opens_and_v, 2),
+)
+
+
+def _clear_memos():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rlx."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+def _relabeled(A):
+    return validate([f"<{x}>" for x in A.labels], A.leq, A.odot)
+
+
+def _gens(filters):
+    return tuple(F.gen for F in filters)
+
+
+def _answers(A):
+    """Every answer about A that holds no label, through the public
+    functions."""
+    R = build_reticulation(A)
+    L = R.lattice
+    return (
+        classify(A), complemented_elements(A), has_blp(A), has_ilp(A),
+        is_gelfand(A), star_property(A)[0], dict(star_property(A)[1]),
+        tuple(_definable_masks(A, phi) for phi in FORMULAS),
+        _gens(all_filters(A)), _gens(spec(A)), _gens(max_spec(A)),
+        radical(A).gen,
+        tuple((S.opens, S.v) for S in (stone_spec(A), stone_max(A))),
+        (R.lam, _gens(R.filter_of), L.leq, L.join, L.meet, L.odot, L.imp),
+        tuple((Q.class_of, Q.section, Q.quotient.leq, Q.quotient.odot,
+               Q.quotient.imp)
+              for Q in (quotient(A, F) for F in all_filters(A))),
+    )
+
+
+def _assert_own_labels(A):
+    """Every labeled value derived from A shows A's labels."""
+    def shows(F, B):
+        return (F.algebra is B and repr(F)
+                == "{" + ",".join(B.labels[x] for x in F.sorted_members()) + "}")
+
+    filters = all_filters(A)
+    assert all(shows(F, A) for F in filters)
+    assert all(shows(F, A) for F in spec(A) + max_spec(A) + (radical(A),))
+    for S in (stone_spec(A), stone_max(A)):
+        assert S.algebra is A and all(shows(P, A) for P in S.points)
+    R = build_reticulation(A)
+    assert R.source is A and all(shows(F, A) for F in R.filter_of)
+    assert R.lattice.labels == tuple(f"[{A.labels[F.gen]})"
+                                     for F in R.filter_of)
+    for F in filters:
+        Q = quotient(A, F)
+        assert Q.parent is A and shows(Q.filter, A)
+        assert Q.quotient.labels == tuple(f"{A.labels[r]}/F"
+                                          for r in Q.section)
+
+
+def _copies(corpus):
+    """Each algebra and each of its quotients, with a relabeled copy."""
+    for A in corpus:
+        yield A
+        for F in all_filters(A):
+            yield quotient(A, F).quotient
+
+
+def test_relabeled_copies_get_equal_answers(cold_caches, corpus5):
+    algebras = list(_copies(corpus5))
+    for X in algebras:
+        _clear_memos()
+        expected = _answers(X)
+        _clear_memos()
+        Y = _relabeled(X)
+        assert Y.labels != X.labels
+        assert _answers(Y) == expected  # cold: Y computes its own answers
+        assert _answers(X) == expected  # warm: X reads Y's answers
+        _clear_memos()
+        assert _answers(X) == expected
+        Y = _relabeled(X)
+        assert _answers(Y) == expected  # warm: Y reads X's answers
+        _assert_own_labels(X)
+        _assert_own_labels(Y)
+
+
+def test_memos_hold_one_entry_per_table_pair(cold_caches, corpus5,
+                                             monkeypatch):
+    """After the size-5 matrix no table memo holds more entries than there
+    are distinct table pairs, times the values of its other arguments,
+    though the matrix builds more algebras than pairs."""
+    built = list(corpus5)
+    init = rlx.core.ResiduatedLattice.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(rlx.core.ResiduatedLattice, "__init__", record)
+    for A in corpus5:
+        theorem_checks(A)
+    pairs = {(B.leq, B.odot) for B in built}
+    assert len(built) > 2 * len(pairs)
+    for memo, other_values in TABLE_MEMOS:
+        assert 0 < memo.cache_info().currsize <= len(pairs) * other_values, \
+            memo.__name__
+
+
+@pytest.fixture(scope="module")
+def corpus_and_fixtures(corpus5, E1, E2):
+    return [*corpus5, *all_algebras(6)[::8], E1, E2]
+
+
+def test_only_the_trivial_filter_keeps_the_size(corpus_and_fixtures):
+    """A filter F other than {1} holds some e != 1, and e*1 = e = e*e puts
+    1 and e in one class, so A/F is smaller than A: no quotient but A/{1}
+    has A's tables."""
+    for A in corpus_and_fixtures:
+        for F in all_filters(A):
+            Q = quotient(A, F).quotient
+            if F is principal_filter(A, A.top):
+                assert (Q.size, Q.leq, Q.odot) == (A.size, A.leq, A.odot)
+            else:
+                assert Q.size < A.size
