@@ -149,24 +149,19 @@ def cmd_check_theorems(args):
 
 
 def cmd_enumerate(args):
-    from .enumeration import check_size, enumerate_algebras
+    from .enumeration import all_algebras, check_size
 
     out_dir = Path(args.out_dir)
-    written = []
-
-    def emit(A):
-        name = f"n{args.size}-{len(written):04d}.rlat"
-        save_rlat(A, out_dir / name)
-        written.append(name)
-
     try:
         check_size(args.size)  # before the directory is made
         out_dir.mkdir(parents=True, exist_ok=True)
-        count = enumerate_algebras(args.size, emit)
+        algebras = all_algebras(args.size)
+        for i, A in enumerate(algebras):
+            save_rlat(A, out_dir / f"n{args.size}-{i:04d}.rlat")
     except RlxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"{count} algebras of size {args.size} written to {out_dir}")
+    print(f"{len(algebras)} algebras of size {args.size} written to {out_dir}")
     return 0
 
 

@@ -5,7 +5,7 @@ Strategy: enumerate bounded lattices on n canonically-labeled elements
 table that can residuate.  Since the product must distribute over joins,
 it is determined by its values on join-irreducible pairs; we backtrack
 over those and extend by joins.  Results are deduplicated by the
-minimum-lex canonical key and emitted in canonical-key order, so the
+minimum-lex canonical key and returned in canonical-key order, so the
 output is deterministic.
 
 ``_lattice_orders`` yields each lattice once, in its least labeling, by
@@ -50,30 +50,16 @@ lattice.  The prunes cut only subtrees with no residuated product, and
 the search keeps the candidate order, so the representatives found are
 those of the unpruned search.  ``_generate`` still validates one table
 of each class.
-
-A corpus cache lives under $RLX_CORPUS_DIR (or ~/.cache/rlx-corpus),
-keyed by size and generator version.  A cache file is used only if it
-parses into exactly ``KNOWN_COUNTS[n-1]`` valid algebras of size n whose
-sorted canonical keys hash to the SHA-256 stored with them; otherwise the
-size is regenerated.  A generated size with another count raises instead
-of being written, since it would be regenerated wrong on every run.
-Files are written to a temporary name and renamed into place.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
-import os
-import tempfile
-from pathlib import Path
 
 from .core import bounds_of, glb_table, lub_table, validate
-from .errors import SIZE_CAP, CorpusCountMismatch, RlxError, SizeCapExceeded
-from .iso import canonical_key, table_key
+from .errors import SIZE_CAP, CorpusCountMismatch, SizeCapExceeded
+from .iso import table_key
 
-GENERATOR_VERSION = 3
 # number of isomorphism classes of each size 1..SIZE_CAP
 KNOWN_COUNTS = (1, 1, 2, 7, 26, 129, 723)
 
@@ -304,109 +290,22 @@ def _generate(n):
     return sorted(found.items())
 
 
-def _cache_dir():
-    root = os.environ.get("RLX_CORPUS_DIR")
-    if root:
-        return Path(root)
-    return Path.home() / ".cache" / "rlx-corpus"
-
-
-def _cache_path(n):
-    return _cache_dir() / f"v{GENERATOR_VERSION}-n{n}.json"
-
-
-def _to_json(A, leq_rows):
-    """The cache entry of A.  Tuples serialize as lists, so the labels and
-    the product go in as they are; the 0/1 rows of each order are built
-    once and kept in ``leq_rows``."""
-    rows = leq_rows.get(A.leq)
-    if rows is None:
-        rows = leq_rows[A.leq] = [[int(v) for v in row] for row in A.leq]
-    return {"labels": A.labels, "leq": rows, "odot": A.odot}
-
-
-def _from_json(obj):
-    leq = tuple(tuple(bool(v) for v in row) for row in obj["leq"])
-    odot = tuple(tuple(row) for row in obj["odot"])
-    return validate(tuple(obj["labels"]), leq, odot)
-
-
-def _keys_digest(algebras, keys=None):
-    """SHA-256 of the sorted canonical keys of a list of algebras, or of
-    ``keys`` if the caller has them already."""
-    if keys is None:
-        keys = [canonical_key(A) for A in algebras]
-    return hashlib.sha256(repr(sorted(keys)).encode()).hexdigest()
-
-
-def _load_cache(path, n):
-    """The cached algebras of size n, or None if the file is missing or wrong."""
-    try:
-        data = json.loads(path.read_text())
-        algebras = [_from_json(o) for o in data["algebras"]]
-        digest = data["keys_sha256"]
-    except (OSError, ValueError, KeyError, TypeError, IndexError, RlxError):
-        return None
-    if len(algebras) != KNOWN_COUNTS[n - 1] or any(A.size != n for A in algebras):
-        return None
-    if digest != _keys_digest(algebras):
-        return None
-    return algebras
-
-
-def _write_cache(path, algebras, keys):
-    """Write through a temporary file, so readers never see a partial file.
-    ``keys`` are the canonical keys of ``algebras``."""
-    leq_rows = {}
-    text = json.dumps({"keys_sha256": _keys_digest(algebras, keys),
-                       "algebras": [_to_json(A, leq_rows) for A in algebras]})
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(text)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    except OSError:
-        pass  # an unwritable cache only means regenerating next time
-
-
 def check_size(n):
     """Raise SizeCapExceeded unless the enumerator takes size n."""
     if not 1 <= n <= SIZE_CAP:
         raise SizeCapExceeded(f"size {n} outside 1..{SIZE_CAP}")
 
 
-def enumerate_algebras(n, emit=None, use_cache=True):
-    """Emit every residuated lattice on n elements once up to isomorphism.
+def all_algebras(n):
+    """Every residuated lattice on n elements, one per isomorphism class,
+    in the order of their canonical keys, so the list is deterministic.
 
-    Deterministic order (sorted canonical keys).  Returns the count.
-    A fresh enumeration that does not find ``KNOWN_COUNTS[n-1]`` algebras
-    raises ``CorpusCountMismatch`` and writes no cache file.
+    Raises ``SizeCapExceeded`` unless 1 <= n <= SIZE_CAP, and
+    ``CorpusCountMismatch`` unless ``KNOWN_COUNTS[n-1]`` classes are found.
     """
     check_size(n)
-    path = _cache_path(n)
-    algebras = _load_cache(path, n) if use_cache else None
-    if algebras is None:
-        found = _generate(n)
-        if len(found) != KNOWN_COUNTS[n - 1]:
-            raise CorpusCountMismatch(f"size {n}: enumerated {len(found)} "
-                                      f"algebras, expected {KNOWN_COUNTS[n - 1]}")
-        algebras = [A for _, A in found]
-        if use_cache:
-            _write_cache(path, algebras, [key for key, _ in found])
-    for A in algebras:
-        if emit is not None:
-            emit(A)
-    return len(algebras)
-
-
-def all_algebras(n, use_cache=True):
-    """List form of :func:`enumerate_algebras`."""
-    out = []
-    enumerate_algebras(n, out.append, use_cache=use_cache)
-    return out
+    found = _generate(n)
+    if len(found) != KNOWN_COUNTS[n - 1]:
+        raise CorpusCountMismatch(f"size {n}: enumerated {len(found)} "
+                                  f"algebras, expected {KNOWN_COUNTS[n - 1]}")
+    return [A for _, A in found]

@@ -1,23 +1,9 @@
-import os
-import shutil
 import sys
-import tempfile
 
 import pytest
 
 from rlx.enumeration import all_algebras
 from rlx.fixtures import pentagon_godel, pentagon_stacked
-
-
-def pytest_configure(config):
-    # the corpus cache of the test session lives in a fresh directory, so
-    # the suite never reads or writes the user's ~/.cache/rlx-corpus
-    config.rlx_corpus_dir = tempfile.mkdtemp(prefix="rlx-corpus-")
-    os.environ["RLX_CORPUS_DIR"] = config.rlx_corpus_dir
-
-
-def pytest_unconfigure(config):
-    shutil.rmtree(config.rlx_corpus_dir, ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

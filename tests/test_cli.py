@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import rlx.enumeration
 from rlx.cli import main
+from rlx.enumeration import _generate, all_algebras
 from rlx.io import load_rlat, parse_blat, parse_rlat, print_blat
 from rlx.reticulation import build_reticulation
 
@@ -135,8 +138,7 @@ def test_check_theorems_deterministic(capsys):
     assert outs[0] == outs[1]
 
 
-def test_enumerate_command(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("RLX_CORPUS_DIR", str(tmp_path / "cache"))
+def test_enumerate_command(tmp_path, capsys):
     out_dir = tmp_path / "corpus"
     code, out, _ = run_cli(capsys, "enumerate", "3", str(out_dir))
     assert code == 0
@@ -144,6 +146,28 @@ def test_enumerate_command(tmp_path, capsys, monkeypatch):
     assert len(files) == 2
     for f in files:
         load_rlat(f)
+
+
+def test_enumerate_wrong_count(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(rlx.enumeration, "_generate", lambda n: _generate(n)[1:])
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "enumerate", "4", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: size 4: enumerated 6 algebras, expected 7")
+    assert list(out_dir.glob("*.rlat")) == []
+
+
+def test_enumeration_writes_nothing_else(tmp_path, capsys, monkeypatch):
+    """Nothing is cached between runs: neither the library nor
+    ``rlx enumerate N DIR`` writes anywhere but DIR, HOME included."""
+    monkeypatch.setenv("HOME", str(tmp_path))
+    for name in [key for key in os.environ if key.startswith("RLX_")]:
+        monkeypatch.delenv(name)
+    for n in range(1, 5):
+        all_algebras(n)
+    code, _, _ = run_cli(capsys, "enumerate", "3", str(tmp_path / "out"))
+    assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 def test_enumerate_size_zero(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import hashlib
-import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,15 +6,12 @@ from hypothesis import given, settings, strategies as st
 import rlx.enumeration
 from rlx.core import boolean_algebra, bounds_of, classify, validate
 from rlx.enumeration import (
-    GENERATOR_VERSION,
     KNOWN_COUNTS,
     SIZE_CAP,
     _generate,
-    _keys_digest,
     _lattice_orders,
     _products_on_lattice,
     all_algebras,
-    enumerate_algebras,
 )
 from rlx.errors import AxiomViolation, CorpusCountMismatch, SizeCapExceeded
 from rlx.iso import (
@@ -42,10 +38,10 @@ from oracles import (
     slow_enumerate,
 )
 
-# SHA-256 of repr([(A.labels, A.leq, A.odot) for A in all_algebras(n,
-# use_cache=False)]) for n = 1..6, recorded at commit 622935e, before the
-# unit-law prune and the order-minimizer canonical key; n = 7 recorded at
-# commit a49302e, before the search pruned the partial irreducible table.
+# SHA-256 of repr([(A.labels, A.leq, A.odot) for A in all_algebras(n)])
+# for n = 1..6, recorded at commit 622935e, before the unit-law prune and
+# the order-minimizer canonical key; n = 7 recorded at commit a49302e,
+# before the search pruned the partial irreducible table.
 GENERATOR_DIGESTS = {
     1: "1e22d4f16c07e33b46cd876e29ce0303860fda9e947647f621fb00391ba6c2e5",
     2: "2fb1ffdaac1871a56b2abffe333c8d11fcd7310a91f4e2be7fc89a796469b799",
@@ -90,7 +86,7 @@ def test_generator_output_pinned(n):
     """The generator's exact output (representatives, labelings, order) is
     the one recorded before the prunes and the order-minimizer canonical
     key (see GENERATOR_DIGESTS)."""
-    algs = all_algebras(n, use_cache=False)
+    algs = all_algebras(n)
     text = repr([(A.labels, A.leq, A.odot) for A in algs])
     assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_DIGESTS[n]
 
@@ -123,7 +119,7 @@ def test_search_runs_once_per_lattice_and_validate_once_per_class(monkeypatch):
     for n in range(1, SIZE_CAP + 1):
         searched.append(0)
         validated.append(0)
-        all_algebras(n, use_cache=False)
+        all_algebras(n)
     assert tuple(searched) == LATTICE_COUNTS
     assert tuple(validated) == KNOWN_COUNTS
 
@@ -201,34 +197,32 @@ def test_search_fault_is_loud(monkeypatch):
     monkeypatch.setattr(rlx.enumeration, "_products_on_lattice",
                         lambda leq, join, meet: [meet])
     with pytest.raises(AxiomViolation):
-        all_algebras(5, use_cache=False)
+        all_algebras(5)
 
 
-def test_wrong_count_is_not_cached(tmp_path, monkeypatch):
-    monkeypatch.setenv("RLX_CORPUS_DIR", str(tmp_path))
+def test_wrong_count_raises(monkeypatch):
     monkeypatch.setattr(rlx.enumeration, "_generate", lambda n: _generate(n)[1:])
     with pytest.raises(CorpusCountMismatch):
         all_algebras(4)
-    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_slow_oracle_agrees(n):
-    fast = {canonical_key(A) for A in all_algebras(n, use_cache=False)}
+    fast = {canonical_key(A) for A in all_algebras(n)}
     slow = {canonical_key(A) for A in slow_enumerate(n)}
     assert fast == slow
 
 
 def test_cap_enforced():
     with pytest.raises(SizeCapExceeded):
-        enumerate_algebras(SIZE_CAP + 1)
+        all_algebras(SIZE_CAP + 1)
     with pytest.raises(SizeCapExceeded):
-        enumerate_algebras(0)
+        all_algebras(0)
 
 
 def test_deterministic_order():
-    a = [canonical_key(A) for A in all_algebras(4, use_cache=False)]
-    b = [canonical_key(A) for A in all_algebras(4, use_cache=False)]
+    a = [canonical_key(A) for A in all_algebras(4)]
+    b = [canonical_key(A) for A in all_algebras(4)]
     assert a == b == sorted(a)
 
 
@@ -249,24 +243,6 @@ def test_canonical_key_is_isomorphism_invariant(E1):
     B = validate(tuple(E1.labels[i] for i in range(5)), leq, odot)
     assert canonical_key(B) == canonical_key(E1)
     assert rl_isomorphic(B, E1)
-
-
-def test_cache_round_trip(tmp_path, monkeypatch):
-    """The digest written from the generator's keys of the raw tables is the
-    one the loader recomputes with ``canonical_key``, so a second call loads
-    the file instead of regenerating."""
-    monkeypatch.setenv("RLX_CORPUS_DIR", str(tmp_path))
-    sizes = range(1, 7)
-    first = [all_algebras(n) for n in sizes]
-    for n, algs in zip(sizes, first):
-        data = json.loads((tmp_path / f"v{GENERATOR_VERSION}-n{n}.json").read_text())
-        assert data["keys_sha256"] == _keys_digest(algs)
-
-    def regenerate(n):
-        raise AssertionError("the cache file was not loaded")
-
-    monkeypatch.setattr(rlx.enumeration, "_generate", regenerate)
-    assert [all_algebras(n) for n in sizes] == first
 
 
 def test_enumerated_algebras_are_valid(corpus5):
@@ -319,39 +295,3 @@ def test_canonical_key_of_random_relabeling(corpus5, data):
     assert canonical_key(D) == key
     assert _same_tables(canonicalize(D), permute_relation(D.leq, best),
                         permute_table(D.odot, best))
-
-
-def _edit_algebras(edit):
-    """A cache file whose algebra list is edited and whose digest is kept."""
-    def bad(good):
-        data = json.loads(good)
-        data["algebras"] = edit(data["algebras"])
-        return json.dumps(data)
-    return bad
-
-
-BAD_CACHES = {
-    "empty-list": lambda good: "[]",
-    "empty-object": lambda good: "{}",
-    "size-one-algebra": _edit_algebras(
-        lambda algs: [{"labels": ["e0"], "leq": [[1]], "odot": [[0]]}]),
-    "not-an-algebra": _edit_algebras(lambda algs: [1]),
-    "missing-algebra": _edit_algebras(lambda algs: algs[:1]),
-    "duplicated-algebra": _edit_algebras(lambda algs: [algs[0], algs[0]]),
-    "no-digest": lambda good: json.dumps(json.loads(good)["algebras"]),
-    "truncated": lambda good: good[:len(good) // 2],
-}
-
-
-@pytest.mark.parametrize("case", sorted(BAD_CACHES))
-def test_bad_cache_is_regenerated(case, tmp_path, monkeypatch):
-    monkeypatch.setenv("RLX_CORPUS_DIR", str(tmp_path))
-    path = tmp_path / f"v{GENERATOR_VERSION}-n3.json"
-    all_algebras(3)
-    good = path.read_text()
-    path.write_text(BAD_CACHES[case](good))
-    algs = all_algebras(3)
-    assert len(algs) == 2
-    assert algs == all_algebras(3, use_cache=False)
-    assert path.read_text() == good
-    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]

@@ -13,7 +13,6 @@ import pytest
 
 import rlx.core
 from rlx.core import classify, complemented_elements, validate
-from rlx.enumeration import all_algebras
 from rlx.filters import (
     _generators,
     _quotient_parts,
@@ -155,8 +154,8 @@ def test_memos_hold_one_entry_per_table_pair(cold_caches, corpus5,
 
 
 @pytest.fixture(scope="module")
-def corpus_and_fixtures(corpus5, E1, E2):
-    return [*corpus5, *all_algebras(6)[::8], E1, E2]
+def corpus_and_fixtures(corpus5, corpus6, E1, E2):
+    return [*corpus5, *corpus6[::8], E1, E2]
 
 
 def test_only_the_trivial_filter_keeps_the_size(corpus_and_fixtures):

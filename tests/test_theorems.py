@@ -15,7 +15,6 @@ from rlx.core import (
     validate,
 )
 from rlx.dlattice import validate_bdl
-from rlx.enumeration import all_algebras
 from rlx.errors import NotDistributive
 from rlx.filters import principal_filter, quotient, spec
 from rlx.formulas import blp_formula, ilp_formula
@@ -120,12 +119,12 @@ def test_local_factor_decomposition_runs_once_per_algebra():
     assert after.hits - before.hits == 1
 
 
-def test_matrix_derives_each_space_and_lattice_once():
+def test_matrix_derives_each_space_and_lattice_once(corpus5):
     """Work ratchet: the matrix computes the topological predicates once per
     Stone space, and validates each labeled lattice order once."""
     # labels no other test uses, so no cache has seen these algebras
     sample = [validate(tuple(f"work{i}" for i in range(A.size)), A.leq, A.odot)
-              for A in all_algebras(5)]
+              for A in corpus5 if A.size == 5]
     before = topology_predicates.cache_info()
     for A in sample:
         theorem_checks(A)
@@ -145,7 +144,7 @@ def test_matrix_derives_each_space_and_lattice_once():
             validate_bdl(["0", "d", "c", "b", "1"], pentagon)
 
 
-def test_lattice_lifting_bug_is_a_disagreeing_row(monkeypatch):
+def test_lattice_lifting_bug_is_a_disagreeing_row(corpus4, monkeypatch):
     """A lattice side that lifts only bot and top shows up as a disagreeing
     reticulation-blp-transfer row, not as an exception."""
     def lattice_blp_filter(L, F):
@@ -155,7 +154,7 @@ def test_lattice_lifting_bug_is_a_disagreeing_row(monkeypatch):
 
     monkeypatch.setattr(rlx.reticulation, "lattice_blp_filter",
                         lattice_blp_filter)
-    A = all_algebras(4)[0]
+    A = next(A for A in corpus4 if A.size == 4)
     rows = {v.theorem_id: v for v in theorem_checks(A)}
     row = rows["reticulation-blp-transfer"]
     assert not row.agree
