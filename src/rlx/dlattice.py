@@ -25,19 +25,30 @@ def validate_bdl(labels, leq):
     """Bounded lattice with exhaustive distributivity check, returned as the
     Heyting algebra on it (odot = meet).
 
-    Memoized by the normalized (labels, leq): each labeled order is checked
-    once and yields one algebra.  A failure is never stored, so
-    NotDistributive and AxiomViolation raise on every call."""
-    return _validate_bdl(*_normalized(labels, leq))
+    Memoized by the normalized (labels, leq): each labeled order yields
+    one algebra.  The O(n^3) distributivity scan is memoized by the order
+    alone, so an order met again under other labels is not scanned
+    again.  A failure is never stored, so NotDistributive and
+    AxiomViolation raise on every call."""
+    labels, leq = _normalized(labels, leq)
+    # the memos keep the order `_validate_lattice` holds, not this copy
+    return _validate_bdl(labels, _validate_lattice(leq)[0])
 
 
 @lru_cache(maxsize=None)
 def _validate_bdl(labels, leq):
+    return validate(labels, leq, _distributive_meet(leq))
+
+
+@lru_cache(maxsize=None)
+def _distributive_meet(leq):
+    """The meet table of a normalized order, once the order is checked to
+    be a distributive bounded lattice."""
     _, _, _, join, meet = _validate_lattice(leq)
     witness = distributivity_witness(leq, join, meet)
     if witness is not None:
         raise NotDistributive(witness)
-    return validate(labels, leq, meet)
+    return meet
 
 
 def lattice_blp_filter(L, F):

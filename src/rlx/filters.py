@@ -250,6 +250,16 @@ def _quotient_parts(A, e):
 
 
 @lru_cache(maxsize=None)
+def _shared_labels(labels):
+    """The one stored tuple equal to `labels`, a quotient's labels.
+
+    Quotients of different algebras repeat each other's `x/F` labels, so
+    equal label tuples are one object, as :func:`rlx.core.shared_set`
+    does for element sets."""
+    return labels
+
+
+@lru_cache(maxsize=None)
 def quotient(A, F):
     """A modulo the congruence x ~ y iff x<->y in F.
 
@@ -265,7 +275,8 @@ def quotient(A, F):
     """
     n = A.size
     class_of, reps, tables = _quotient_parts(A, F.gen)
-    Q = ResiduatedLattice(tuple(f"{A.labels[r]}/F" for r in reps), *tables)
+    Q = ResiduatedLattice(
+        _shared_labels(tuple(f"{A.labels[r]}/F" for r in reps)), *tables)
 
     # class of top is exactly F
     assert {x for x in range(n) if class_of[x] == class_of[A.top]} == set(F.members)

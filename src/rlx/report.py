@@ -3,8 +3,6 @@ input, rendered identically as JSON or human-readable text."""
 
 from __future__ import annotations
 
-import hashlib
-
 from .core import classify, validate
 from .filters import all_filters, is_local, is_semisimple, max_spec, radical
 from .formulas import blp_formula, ilp_formula, rlp_formula
@@ -30,7 +28,13 @@ def content_hash(A):
     `canonicalize` only permutes the elements strictly between bot and top,
     so bot and top are first moved to ids 0 and n-1, the other elements
     keeping their order.  Labels never enter the hash.
+
+    `hashlib` is imported here, its only use: it loads OpenSSL,
+    megabytes of resident memory that a process which never hashes a
+    report (the theorem matrix, say) does not pay.
     """
+    import hashlib
+
     order = sorted(A.elements(), key=lambda x: (x != A.bot, x == A.top, x))
     perm = [0] * A.size
     for new, old in enumerate(order):

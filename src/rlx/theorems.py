@@ -80,21 +80,36 @@ class TheoremVerdict(Record):
         return f"TheoremVerdict({fields})"
 
 
+@lru_cache(maxsize=None)
+def _shared_row(tid, lhs, rhs, agree):
+    """The one stored row (tid, lhs, rhs, agree) without a witness.
+
+    Rows repeat from algebra to algebra, and a row without a witness is
+    one of at most four per theorem id.  So such rows share one object
+    each, and the store grows with the theorem ids, not with the algebras.
+    """
+    return TheoremVerdict(tid, lhs, rhs, agree)
+
+
+def _row(tid, lhs, rhs, agree, witness):
+    if witness is None:
+        return _shared_row(tid, lhs, rhs, agree)
+    return TheoremVerdict(tid, lhs, rhs, agree, witness)
+
+
 def _equiv(tid, lhs, rhs, witness=None):
-    return TheoremVerdict(tid, bool(lhs), bool(rhs), bool(lhs) == bool(rhs),
-                          witness)
+    return _row(tid, bool(lhs), bool(rhs), bool(lhs) == bool(rhs), witness)
 
 
 def _implies(tid, hyp, concl, witness=None):
-    return TheoremVerdict(tid, bool(hyp), bool(concl),
-                          (not hyp) or bool(concl), witness)
+    return _row(tid, bool(hyp), bool(concl), (not hyp) or bool(concl),
+                witness)
 
 
 def _forall(tid, failures):
     """A universally quantified identity; agree iff no counterexample."""
     ok = len(failures) == 0
-    return TheoremVerdict(tid, ok, ok, ok,
-                          witness=failures[0] if failures else None)
+    return _row(tid, ok, ok, ok, failures[0] if failures else None)
 
 
 def check_blp_conditions(A):

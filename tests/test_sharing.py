@@ -3,9 +3,10 @@
 `validate` hands out the tables its memos hold as keys, and filters and
 element classes take their member sets from one store, `shared_set`.
 So a quotient, a reticulation or a copy of an algebra holds no copy of a
-table that an equal algebra already holds.  A table is shared only after
-its entries pass the type and range check, and never across a bool: 1 and
-True compare and hash alike.  Only a stage that passes is stored.
+table that an equal algebra already holds.  Quotient labels and theorem
+rows without a witness are shared the same way.  A table is shared only
+after its entries pass the type and range check, and never across a bool:
+1 and True compare and hash alike.  Only a stage that passes is stored.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from rlx.core import (
 )
 from rlx.errors import AxiomViolation
 from rlx.filters import Filter, all_filters, principal_filter, quotient
+from rlx.theorems import _equiv, _shared_row, theorem_checks
 
 TABLES = ("leq", "join", "meet", "odot", "imp")
 
@@ -147,3 +149,32 @@ def test_a_failed_validation_stores_nothing(cold_caches, E2):
         with pytest.raises(AxiomViolation):
             Filter(E2, members)
     assert _store_sizes() == before
+
+
+def test_equal_quotient_labels_are_one_object(cold_caches, corpus5):
+    seen = {}
+    for A in corpus5:
+        for F in all_filters(A):
+            labels = quotient(A, F).quotient.labels
+            assert seen.setdefault(labels, labels) is labels
+    assert len(seen) < sum(len(all_filters(A)) for A in corpus5)
+
+
+def test_equal_rows_without_a_witness_are_one_object(cold_caches, corpus5):
+    assert _shared_row.cache_info().currsize == 0
+    seen, algebras_of, witnessed = {}, {}, []
+    for k, A in enumerate(corpus5):
+        for v in theorem_checks(A):
+            if v.witness is not None:
+                witnessed.append(v)
+                continue
+            assert seen.setdefault(v, v) is v
+            algebras_of.setdefault(v, set()).add(k)
+    assert max(map(len, algebras_of.values())) > 1
+    assert _shared_row.cache_info().currsize == len(seen)
+    # a row with a witness is built afresh and never stored
+    assert witnessed
+    assert len({id(v) for v in witnessed}) == len(witnessed)
+    rows = [_equiv("t", True, True, ("w",)) for _ in range(2)]
+    assert rows[0] == rows[1] and rows[0] is not rows[1]
+    assert _shared_row.cache_info().currsize == len(seen)
