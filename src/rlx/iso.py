@@ -1,8 +1,4 @@
-"""Canonical labeling and isomorphism search for small operation tables.
-
-Structures are given by a partial order plus a list of n x n operation
-tables.  Sizes stay tiny (<= 64), so backtracking with cheap local
-invariants is plenty.
+"""Canonical labeling of small residuated lattices.
 
 The canonical key of a residuated lattice is the least encoding
 ``leq + odot`` (flattened row by row) over the relabelings that fix bot and
@@ -121,94 +117,3 @@ def canonicalize(A):
     odot = permute_table(A.odot, perm)
     labels = tuple(f"e{i}" for i in range(A.size))
     return validate(labels, leq, odot)
-
-
-def _invariants(leq, tables):
-    """Per element: (down-set size, up-set size, idempotence in each table,
-    occurrences in each table), the counts from one pass per table."""
-    n = len(leq)
-    occur = []
-    for t in tables:
-        count = [0] * n
-        for row in t:
-            for v in row:
-                count[v] += 1
-        occur.append(count)
-    return [(sum(1 for y in range(n) if leq[y][x]),
-             sum(1 for y in range(n) if leq[x][y]),
-             tuple(t[x][x] == x for t in tables),
-             tuple(count[x] for count in occur))
-            for x in range(n)]
-
-
-def find_isomorphism(leq_a, tables_a, leq_b, tables_b):
-    """A bijection p with p(x op y) = p(x) op p(y) and x<=y iff p(x)<=p(y).
-
-    Returns the mapping as a tuple (old id -> new id) or None.  Tables must
-    come in matching order on both sides.
-    """
-    n = len(leq_a)
-    if len(leq_b) != n or len(tables_a) != len(tables_b):
-        return None
-    inv_a = _invariants(leq_a, tables_a)
-    inv_b = _invariants(leq_b, tables_b)
-    if sorted(inv_a) != sorted(inv_b):
-        return None
-
-    perm = [None] * n
-    used = [False] * n
-    # per table, the entries (u, v) with value r and u, v < r, by r
-    above = []
-    for ta in tables_a:
-        pairs = [[] for _ in range(n)]
-        for u, row in enumerate(ta):
-            for v, r in enumerate(row):
-                if u < r and v < r:
-                    pairs[r].append((u, v))
-        above.append(pairs)
-
-    def consistent(x):
-        """Ids are assigned in order, so 0..x are.  The entries among 0..x-1
-        with an assigned value were checked at earlier steps; the new ones
-        have row or column x, or value x."""
-        y = perm[x]
-        for a in range(x + 1):
-            if leq_a[x][a] != leq_b[y][perm[a]] or leq_a[a][x] != leq_b[perm[a]][y]:
-                return False
-        for ta, tb, pairs in zip(tables_a, tables_b, above):
-            row_x, row_y = ta[x], tb[y]
-            for u in range(x + 1):
-                r, s = row_x[u], ta[u][x]
-                if r <= x and perm[r] != row_y[perm[u]]:
-                    return False
-                if s <= x and perm[s] != tb[perm[u]][y]:
-                    return False
-            for u, v in pairs[x]:
-                if tb[perm[u]][perm[v]] != y:
-                    return False
-        return True
-
-    def extend(x):
-        if x == n:
-            return True
-        for y in range(n):
-            if used[y] or inv_a[x] != inv_b[y]:
-                continue
-            perm[x] = y
-            used[y] = True
-            if consistent(x) and extend(x + 1):
-                return True
-            perm[x] = None
-            used[y] = False
-        return False
-
-    if extend(0):
-        return tuple(perm)
-    return None
-
-
-def rl_isomorphism(A, B):
-    """Residuated-lattice isomorphism A -> B as an id map, or None."""
-    return find_isomorphism(A.leq, (A.join, A.meet, A.odot, A.imp),
-                            B.leq, (B.join, B.meet, B.odot, B.imp))
-

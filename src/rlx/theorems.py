@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
+from math import prod
 
-from .core import Record, classify, direct_product, upset_algebra
+from .core import Record, classify, upset_algebra
 from .dlattice import is_conormal_lattice, conormal_radical_lifting, lattice_blp
 from .filters import (
     all_filters,
@@ -27,7 +28,6 @@ from .filters import (
     spec,
 )
 from .formulas import blp_formula, ilp_formula, rlp_formula
-from .iso import rl_isomorphism
 from .lifting import (
     atomic_lp_characterization,
     has_blp,
@@ -391,8 +391,17 @@ def check_semisimple_hausdorff(A):
 
 @lru_cache(maxsize=None)
 def local_factor_decomposition(A):
-    """Decompose A along the atoms of its Boolean center and report
+    """Decompose A along the atoms e of its Boolean center and report
     (decomposition-is-a-product, every-factor-local, factor sizes).
+
+    The decomposition is the paper's map x -> (neg e | x)_e into the
+    product of the factors [neg e).  Its components are elements of A, so
+    it is checked in A's tables: the factor sizes multiply to n, the
+    images are distinct, x <= y iff every component is <=, and
+    neg e | x*y = (neg e | x) * (neg e | y) in every component.  Nothing
+    more is needed.  An order bijection is a lattice isomorphism, and a
+    residuum is fixed by <= and *; `validate` has proved A and each factor
+    residuated, so the map also carries -> to the product's ->_e.
 
     Two row families read it, so it is cached; the answer is a tuple of
     immutable values."""
@@ -403,12 +412,18 @@ def local_factor_decomposition(A):
     if not atoms:  # trivial algebra
         return True, True, ()
     factors = [upset_algebra(A, A.neg(e)) for e in atoms]
-    prod = factors[0]
-    for X in factors[1:]:
-        prod = direct_product(prod, X)
-    iso = rl_isomorphism(A, prod)
+    sizes = tuple(X.size for X in factors)
+    comps = [A.join[A.neg(e)] for e in atoms]
+    img = [tuple(c[x] for c in comps) for x in A.elements()]
+    leq, odot, els = A.leq, A.odot, A.elements()
+    is_prod = (prod(sizes) == A.size and len(set(img)) == A.size
+               and all(leq[x][y] == all(leq[a][b]
+                                        for a, b in zip(img[x], img[y]))
+                       and all(c[odot[x][y]] == odot[c[x]][c[y]]
+                               for c in comps)
+                       for x in els for y in els))
     all_local = all(is_local(X) for X in factors)
-    return iso is not None, all_local, tuple(X.size for X in factors)
+    return is_prod, all_local, sizes
 
 
 def check_local_product_square(A):

@@ -15,7 +15,6 @@ from rlx.enumeration import (
 )
 from rlx.errors import AxiomViolation, CorpusCountMismatch, SizeCapExceeded
 from rlx.iso import (
-    _invariants,
     _order_minimizers,
     canonical_key,
     canonicalize,
@@ -25,6 +24,7 @@ from rlx.iso import (
 )
 
 from oracles import (
+    _invariants,
     brute_canonical_key,
     brute_invariant,
     brute_relabeling,

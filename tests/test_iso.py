@@ -1,13 +1,19 @@
-"""The isomorphism search against every bijection, for n <= 5."""
+"""The reference isomorphism search of the test oracles against every
+bijection, for n <= 5."""
 
 import itertools
 
 from hypothesis import given, settings, strategies as st
 
 from rlx.core import validate
-from rlx.iso import find_isomorphism, permute_relation, permute_table, rl_isomorphism
+from rlx.iso import permute_relation, permute_table
 
-from oracles import lattice_orders, partial_orders
+from oracles import (
+    find_isomorphism,
+    lattice_orders,
+    partial_orders,
+    rl_isomorphism,
+)
 
 
 def brute_isomorphisms(leq_a, tables_a, leq_b, tables_b):

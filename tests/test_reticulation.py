@@ -5,7 +5,6 @@ import pytest
 from rlx.core import boolean_algebra, godel_chain, lukasiewicz_chain
 from rlx.errors import NoIsomorphism
 from rlx.filters import all_filters, principal_filter, quotient
-from rlx.iso import find_isomorphism
 from rlx.reticulation import (
     Reticulation,
     RLMorphism,
@@ -17,7 +16,7 @@ from rlx.reticulation import (
     verify_retic_properties,
 )
 
-from oracles import kernel_quotient_reticulation, trivial_filter
+from oracles import find_isomorphism, kernel_quotient_reticulation, trivial_filter
 
 
 def test_reticulation_of_boolean_is_itself():

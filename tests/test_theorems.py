@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -8,10 +9,12 @@ import rlx.reticulation
 import rlx.spectra
 from rlx.core import (
     boolean_algebra,
+    classify,
     complemented_elements,
     direct_product,
     godel_chain,
     leq_from_covers,
+    upset_algebra,
     validate,
 )
 from rlx.dlattice import validate_bdl
@@ -103,6 +106,31 @@ def test_local_product_decomposition_golden(E1):
     P = direct_product(boolean_algebra(1), boolean_algebra(1))
     is_prod, locals_ok, sizes = local_factor_decomposition(P)
     assert is_prod and locals_ok and len(sizes) == 2
+    assert local_factor_decomposition(boolean_algebra(3)) == (True, True,
+                                                              (2, 2, 2))
+    # both factors local, the 3-chain not Boolean
+    P = direct_product(godel_chain(3), boolean_algebra(1))
+    assert local_factor_decomposition(P) == (True, True, (2, 3))
+
+
+def test_local_factor_decomposition_matches_the_isomorphism_search(corpus5,
+                                                                   corpus6):
+    """The map's verdict against the reference search: some isomorphism
+    from A onto the product of the factors [¬e) over the Boolean atoms."""
+    from rlx.theorems import local_factor_decomposition
+    from oracles import rl_isomorphism
+
+    for A in corpus5 + corpus6:
+        nonbot = [e for e in classify(A).boolean_center if e != A.bot]
+        atoms = sorted(e for e in nonbot
+                       if not any(f != e and A.leq[f][e] for f in nonbot))
+        factors = [upset_algebra(A, A.neg(e)) for e in atoms]
+        is_prod, _locals_ok, sizes = local_factor_decomposition(A)
+        assert is_prod is True
+        assert sizes == tuple(X.size for X in factors)
+        if factors:  # the trivial algebra has none
+            prod = functools.reduce(direct_product, factors)
+            assert is_prod == (rl_isomorphism(A, prod) is not None)
 
 
 def test_local_factor_decomposition_runs_once_per_algebra():
