@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import SIZE_CAP, RlxError
 from .filters import quotient
-from .formulas import format_formula, parse_formula
+from .formulas import NAMED_FORMULAS, format_formula, parse_formula
 from .io import (
     load_rlat,
     parse_filter,
@@ -26,12 +26,6 @@ from .io import (
 from .lifting import has_phi_lp, lp_report
 from .reticulation import build_reticulation, verify_retic_properties
 from .theorems import theorem_checks
-
-NAMED_FORMULAS = {
-    "blp": "v | !v = 1",
-    "ilp": "v^2 = v",
-    "rlp": "v = !!v",
-}
 
 
 def _load(path):
@@ -89,33 +83,18 @@ def cmd_lp(args):
             print(f"error: filter: {exc}", file=sys.stderr)
             return 1
         holds, verdict = has_phi_lp(A, phi, F)
-        payload = {
-            "formula": format_formula(phi),
-            "filter": print_filter(F),
-            "holds": holds,
-        }
-        if verdict.counterexample is not None:
-            payload["counterexample"] = A.labels[verdict.counterexample]
-        if verdict.witness is not None:
-            payload["witness"] = A.labels[verdict.witness]
+        payload = _lp_row(A, verdict, formula=format_formula(phi),
+                          filter=print_filter(F), holds=holds)
         if args.json:
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
-            extra = ""
-            if verdict.counterexample is not None:
-                extra = f"  counterexample: {payload['counterexample']}"
-            print(f"{payload['formula']} at {payload['filter']}: {holds}{extra}")
+            print(f"{payload['formula']} at {payload['filter']}: {holds}"
+                  f"{_counterexample_note(payload)}")
         return 0
 
     rep = lp_report(A, phi)
-    rows = []
-    for F, verdict in rep.per_filter:
-        row = {"filter": print_filter(F), "holds": verdict.holds}
-        if verdict.counterexample is not None:
-            row["counterexample"] = A.labels[verdict.counterexample]
-        if verdict.witness is not None:
-            row["witness"] = A.labels[verdict.witness]
-        rows.append(row)
+    rows = [_lp_row(A, verdict, filter=print_filter(F), holds=verdict.holds)
+            for F, verdict in rep.per_filter]
     payload = {
         "formula": format_formula(phi),
         "global": rep.global_holds,
@@ -126,11 +105,24 @@ def cmd_lp(args):
     else:
         print(f"{payload['formula']}: global={rep.global_holds}")
         for row in rows:
-            extra = ""
-            if "counterexample" in row:
-                extra = f"  counterexample: {row['counterexample']}"
-            print(f"  {row['filter']}: {row['holds']}{extra}")
+            print(f"  {row['filter']}: {row['holds']}"
+                  f"{_counterexample_note(row)}")
     return 0
+
+
+def _lp_row(A, verdict, **fields):
+    """`fields` plus the labels of the verdict's counterexample and
+    witness, where it has them."""
+    if verdict.counterexample is not None:
+        fields["counterexample"] = A.labels[verdict.counterexample]
+    if verdict.witness is not None:
+        fields["witness"] = A.labels[verdict.witness]
+    return fields
+
+
+def _counterexample_note(row):
+    return (f"  counterexample: {row['counterexample']}"
+            if "counterexample" in row else "")
 
 
 def cmd_check_theorems(args):

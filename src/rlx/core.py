@@ -720,9 +720,13 @@ def direct_product(A, B):
 
 
 def upset_algebra(A, e):
-    """The residuated lattice on [e) for Boolean e, with a ->_e b = e | (a->b)."""
+    """The residuated lattice on [e) for Boolean e, with a ->_e b = e | (a->b).
+
+    [0) is all of A and 0 | (a->b) = a->b, so e = 0 gives A itself."""
     if e not in classify(A).boolean_center:
         raise InvalidArgument(f"element {A.labels[e]} is not Boolean")
+    if e == A.bot:
+        return A
     carrier = [x for x in A.elements() if A.leq[e][x]]
     index = {x: i for i, x in enumerate(carrier)}
     labels = tuple(A.labels[x] for x in carrier)

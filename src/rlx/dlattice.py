@@ -66,35 +66,23 @@ def lattice_blp(L):
 
 def is_normal_lattice(L):
     """x|y=1 always splits: some u,v with u&v=0, u|x=v|y=1."""
-    return _normal_witnesses(L) is None
-
-
-def _normal_witnesses(L):
-    for x in L.elements():
-        for y in L.elements():
-            if L.join[x][y] != L.top:
-                continue
-            ok = any(L.meet[u][v] == L.bot
-                     and L.join[u][x] == L.top and L.join[v][y] == L.top
-                     for u in L.elements() for v in L.elements())
-            if not ok:
-                return (x, y)
-    return None
+    return _split_witness(L.elements(), L.join, L.meet, L.top, L.bot) is None
 
 
 def is_conormal_lattice(L):
-    return _conormal_witnesses(L) is None
+    """The order dual: x&y=0 always splits as some u|v=1, u&x=v&y=0."""
+    return _split_witness(L.elements(), L.meet, L.join, L.bot, L.top) is None
 
 
-def _conormal_witnesses(L):
-    for x in L.elements():
-        for y in L.elements():
-            if L.meet[x][y] != L.bot:
+def _split_witness(els, join, meet, top, bot):
+    """A pair x, y with x|y = top that no u, v with u&v = bot and
+    u|x = v|y = top splits, or None."""
+    for x in els:
+        for y in els:
+            if join[x][y] != top:
                 continue
-            ok = any(L.join[u][v] == L.top
-                     and L.meet[u][x] == L.bot and L.meet[v][y] == L.bot
-                     for u in L.elements() for v in L.elements())
-            if not ok:
+            if not any(meet[u][v] == bot and join[u][x] == top
+                       and join[v][y] == top for u in els for v in els):
                 return (x, y)
     return None
 

@@ -7,7 +7,9 @@ Grammar (one formula per string):
     term    := binary operators over atoms, parenthesized freely
 
 Operator binding, tightest first: ^k (postfix power), ! (negation),
-* (product), & (meet), | (join), -> (right-associative), <->.
+* (product), & (meet), | (join), -> (right-associative), <->; the other
+binary operators group to the left.  `_LEVELS` is the one source of the
+binary operators' precedence: the parser and the printer both read it.
 Atoms: the free variable, exists-bound witnesses, constants 0 and 1.
 Names of the shape w<digits> are reserved for bound witnesses and must be
 declared in the exists prefix.
@@ -88,38 +90,34 @@ class Formula(Record):
 
 _TOKEN = re.compile(r"""
     (?P<ws>\s+)
-  | (?P<arrow><->|->)
-  | (?P<op>[|&*!^()=.])
+  | (?P<op>&&|<->|->|[|&*!^()=.])
   | (?P<num>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
 """, re.VERBOSE)
+
+# Binding level of each binary operator, loosest first.
+_LEVELS = {"<->": 1, "->": 2, "|": 3, "&": 4, "*": 5}
 
 
 def _tokenize(text):
     tokens = []
     i = 0
     while i < len(text):
-        if text.startswith("&&", i):
-            tokens.append(("&&", "&&", i))
-            i += 2
-            continue
         m = _TOKEN.match(text, i)
         if not m:
             raise FormulaSyntaxError(f"unexpected character {text[i]!r}", i)
         i = m.end()
-        if m.lastgroup == "ws":
-            continue
-        kind = m.lastgroup
-        tokens.append((kind, m.group(), m.start()))
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.free = set()  # free variable names, collected by `atom`
 
     def peek(self):
         return self.tokens[self.pos]
@@ -157,30 +155,10 @@ class _Parser:
         kind, text, where = self.peek()
         if kind != "end":
             raise FormulaSyntaxError(f"trailing input {text!r}", where)
-        free = self._free_names(equations, bound)
-        if len(free) > 1:
-            raise MultipleFreeVariables(sorted(free))
-        free_var = free.pop() if free else "v"
+        if len(self.free) > 1:
+            raise MultipleFreeVariables(sorted(self.free))
+        free_var = self.free.pop() if self.free else "v"
         return Formula(tuple(bound), tuple(equations), free_var)
-
-    def _free_names(self, equations, bound):
-        names = set()
-
-        def walk(t):
-            if isinstance(t, FreeVar):
-                names.add(t.name)
-            elif isinstance(t, (BinOp,)):
-                walk(t.lhs)
-                walk(t.rhs)
-            elif isinstance(t, Neg):
-                walk(t.arg)
-            elif isinstance(t, Pow):
-                walk(t.arg)
-
-        for lhs, rhs in equations:
-            walk(lhs)
-            walk(rhs)
-        return names
 
     def equation(self, bound):
         lhs = self.term(bound)
@@ -188,56 +166,23 @@ class _Parser:
         rhs = self.term(bound)
         return (lhs, rhs)
 
-    # precedence ladder
-    def term(self, bound):
-        return self.bires(bound)
-
-    def bires(self, bound):
-        node = self.impl(bound)
-        while self.peek()[1] == "<->":
-            self.take()
-            node = BinOp("<->", node, self.impl(bound))
-        return node
-
-    def impl(self, bound):
-        node = self.joins(bound)
-        if self.peek()[1] == "->":
-            self.take()
-            return BinOp("->", node, self.impl(bound))
-        return node
-
-    def joins(self, bound):
-        node = self.meets(bound)
-        while self.peek()[1] == "|":
-            self.take()
-            node = BinOp("|", node, self.meets(bound))
-        return node
-
-    def meets(self, bound):
-        node = self.prods(bound)
-        while self.peek()[1] == "&":
-            self.take()
-            node = BinOp("&", node, self.prods(bound))
-        return node
-
-    def prods(self, bound):
+    def term(self, bound, level=1):
+        """A term whose binary operators all bind at `level` or tighter,
+        by precedence climbing over `_LEVELS`."""
         node = self.unary(bound)
-        while self.peek()[1] == "*":
-            self.take()
-            node = BinOp("*", node, self.unary(bound))
+        while _LEVELS.get(self.peek()[1], 0) >= level:
+            op = self.take()[1]
+            lv = _LEVELS[op]
+            node = BinOp(op, node, self.term(bound, lv if op == "->" else lv + 1))
         return node
 
     def unary(self, bound):
-        kind, text, where = self.peek()
-        if text == "!":
+        if self.peek()[1] == "!":
             self.take()
             return Neg(self.unary(bound))
-        return self.postfix(bound)
-
-    def postfix(self, bound):
         node = self.atom(bound)
         while self.peek()[1] == "^":
-            _, _, where = self.take()
+            self.take()
             kind, text, nwhere = self.take()
             if kind != "num":
                 raise FormulaSyntaxError("power wants a number", nwhere)
@@ -262,6 +207,7 @@ class _Parser:
                 return BoundVar(text)
             if re.fullmatch(r"w\d+", text):
                 raise UnboundVariable(text)
+            self.free.add(text)
             return FreeVar(text)
         raise FormulaSyntaxError(f"unexpected token {text!r}", where)
 
@@ -271,7 +217,7 @@ def parse_formula(text):
 
 
 def _term_str(t, required=0):
-    # binding levels: <-> 1, -> 2, | 3, & 4, * 5, ! 6, ^ 7, atoms 8
+    # binding levels: _LEVELS for the binary operators, ! 6, ^ 7, atoms 8
     if isinstance(t, (FreeVar, BoundVar)):
         return t.name
     if isinstance(t, Const):
@@ -282,11 +228,10 @@ def _term_str(t, required=0):
     if isinstance(t, Pow):
         s = _term_str(t.arg, 7) + f"^{t.exponent}"
         return f"({s})" if required > 7 else s
-    levels = {"<->": 1, "->": 2, "|": 3, "&": 4, "*": 5}
-    lv = levels[t.op]
+    lv = _LEVELS[t.op]
     right_assoc = t.op == "->"
-    lhs = _term_str(t.lhs, lv + (1 if right_assoc else 0))
-    rhs = _term_str(t.rhs, lv + (0 if right_assoc else 1))
+    lhs = _term_str(t.lhs, lv + right_assoc)
+    rhs = _term_str(t.rhs, lv + (not right_assoc))
     s = f"{lhs} {t.op} {rhs}"
     return f"({s})" if lv < required else s
 
@@ -374,16 +319,26 @@ def atomic_parts(phi):
     return phi.equations[0]
 
 
+# The formulas of the named lifting properties: Boolean, idempotent and
+# regular elements.  `rlx lp --blp|--ilp|--rlp` and the theorem matrix
+# both read this table.
+NAMED_FORMULAS = {
+    "blp": "v | !v = 1",
+    "ilp": "v^2 = v",
+    "rlp": "v = !!v",
+}
+
+
 @lru_cache(maxsize=None)
 def blp_formula():
-    return parse_formula("v | !v = 1")
+    return parse_formula(NAMED_FORMULAS["blp"])
 
 
 @lru_cache(maxsize=None)
 def ilp_formula():
-    return parse_formula("v^2 = v")
+    return parse_formula(NAMED_FORMULAS["ilp"])
 
 
 @lru_cache(maxsize=None)
 def rlp_formula():
-    return parse_formula("v = !!v")
+    return parse_formula(NAMED_FORMULAS["rlp"])

@@ -27,7 +27,14 @@ from .filters import (
     radical,
     spec,
 )
-from .formulas import blp_formula, ilp_formula, rlp_formula
+from .formulas import (
+    atomic_parts,
+    blp_formula,
+    definable_set,
+    ilp_formula,
+    rlp_formula,
+    term_values,
+)
 from .lifting import (
     atomic_lp_characterization,
     has_blp,
@@ -37,6 +44,8 @@ from .lifting import (
     boolean_splitting_conditions,
 )
 from .spectra import (
+    clopen_sets,
+    clopen_via_boolean,
     gelfand_conditions,
     is_gelfand,
     star_property,
@@ -45,7 +54,12 @@ from .spectra import (
     stone_spec,
     topology_predicates,
 )
-from .reticulation import build_reticulation
+from .reticulation import (
+    archimedean_bridge,
+    blp_transfer,
+    build_reticulation,
+    verify_retic_properties,
+)
 
 
 class TheoremVerdict(Record):
@@ -535,7 +549,6 @@ def check_spectral_lemmas(A):
     out.append(_forall("boolean-open-closed-swap", failures))
 
     # clopen families
-    from .spectra import clopen_sets, clopen_via_boolean
     clp = clopen_sets(sp)
     out.append(_equiv("clopen-spec-boolean",
                       set(clp) == set(clopen_via_boolean(A, "spec")), True))
@@ -567,8 +580,6 @@ def check_complementary_filter_lemma(A):
 def check_biresiduum_gap_lemma(A):
     """a always satisfies phi modulo the filter generated by its own
     term gap d(t1(a), t2(a))."""
-    from .formulas import atomic_parts, definable_set, term_values
-
     failures = []
     for name, phi in (("blp", blp_formula()), ("ilp", ilp_formula()),
                       ("rlp", rlp_formula())):
@@ -584,12 +595,6 @@ def check_biresiduum_gap_lemma(A):
 
 
 def check_retic_bridge(A):
-    from .reticulation import (
-        archimedean_bridge,
-        blp_transfer,
-        verify_retic_properties,
-    )
-
     R = build_reticulation(A)
     verdicts = verify_retic_properties(R)
     out = [_equiv(f"reticulation-structure.{k}", v, True)

@@ -10,7 +10,9 @@ import pytest
 import rlx.enumeration
 from rlx.cli import main
 from rlx.enumeration import _generate, all_algebras
+from rlx.formulas import blp_formula, format_formula, ilp_formula, rlp_formula
 from rlx.io import load_rlat, parse_blat, parse_rlat, print_blat
+from rlx.lifting import lp_report
 from rlx.reticulation import build_reticulation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -103,6 +105,20 @@ def test_lp_json(capsys):
     assert payload["global"] is False
     failing = [row for row in payload["filters"] if not row["holds"]]
     assert len(failing) == 1 and failing[0]["filter"] == "{c,1}"
+
+
+@pytest.mark.parametrize("name, formula", [("blp", blp_formula),
+                                           ("ilp", ilp_formula),
+                                           ("rlp", rlp_formula)])
+def test_lp_named_flag_reads_the_matrix_formula(capsys, name, formula):
+    """`rlx lp --blp|--ilp|--rlp` checks the formula the theorem matrix
+    uses, with the verdict of the library's lp_report."""
+    path = FIXTURES / "pentagon_godel.rlat"
+    code, out, _ = run_cli(capsys, "lp", str(path), f"--{name}", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["formula"] == format_formula(formula())
+    assert payload["global"] == lp_report(load_rlat(path), formula()).global_holds
 
 
 def test_lp_requires_exactly_one_formula(capsys):

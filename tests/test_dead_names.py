@@ -3,7 +3,9 @@
 A definition counts as used when its name appears as a name, an
 attribute or an imported name anywhere in src/rlx, tests, demos or the
 benchmark harness; dunder methods, which Python calls itself, are
-exempt.  Only the syntax trees are read, nothing is imported.
+exempt.  No function re-imports, relative to the package, a module its
+file already imports at top level.  Only the syntax trees are read,
+nothing is imported.
 """
 
 import ast
@@ -46,3 +48,28 @@ def _references():
 def test_every_definition_is_referenced():
     used = _references()
     assert [where for where, name in _definitions() if name not in used] == []
+
+
+def _function_reimports():
+    """(file, function, module) for each package-relative import inside a
+    function of a module the same file already imports at top level."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _tree(path)
+        top = {node.module for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.ImportFrom) and node.level == 1
+                        and node.module in top):
+                    found.add((path.stem, fn.name, node.module))
+    return sorted(found)
+
+
+def test_no_function_reimports_a_top_level_import():
+    """A function-local import is kept only where it defers a load or
+    breaks an import cycle; one of a module the file already imports at
+    top level does neither."""
+    assert _function_reimports() == []

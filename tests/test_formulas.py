@@ -70,6 +70,33 @@ def test_implication_right_associative():
                         BinOp("->", FreeVar("v"), Const(0)))
 
 
+# binding levels, loosest first, as the module docstring lists them
+BINARY_LEVELS = {"<->": 1, "->": 2, "|": 3, "&": 4, "*": 5}
+
+
+@pytest.mark.parametrize("op1", sorted(BINARY_LEVELS))
+@pytest.mark.parametrize("op2", sorted(BINARY_LEVELS))
+def test_every_operator_pair_groups_by_precedence(op1, op2):
+    """v op1 v op2 v groups by the documented levels, -> to the right and
+    the rest to the left; it prints back unchanged, and the other grouping
+    prints with parentheses and parses back equal."""
+    v = FreeVar("v")
+    left = BinOp(op2, BinOp(op1, v, v), v)
+    right = BinOp(op1, v, BinOp(op2, v, v))
+    l1, l2 = BINARY_LEVELS[op1], BINARY_LEVELS[op2]
+    groups_right = l1 < l2 or (l1 == l2 and op1 == "->")
+    text = f"v {op1} v {op2} v = 1"
+    phi = parse_formula(text)
+    assert phi.equations == (((right if groups_right else left), Const(1)),)
+    assert format_formula(phi) == text
+    other = (f"(v {op1} v) {op2} v = 1" if groups_right
+             else f"v {op1} (v {op2} v) = 1")
+    forced = parse_formula(other)
+    assert forced.equations == (((left if groups_right else right), Const(1)),)
+    assert format_formula(forced) == other
+    assert parse_formula(format_formula(forced)) == forced
+
+
 def test_negation_is_implication_to_zero():
     A = godel_chain(3)
     neg = parse_formula("!v = 0")
