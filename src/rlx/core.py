@@ -9,7 +9,6 @@ and freely shareable.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import cached_property, lru_cache, wraps
 
 from .errors import AxiomViolation, InvalidArgument, NotResiduated
@@ -64,7 +63,7 @@ class ResiduatedLattice(Record):
     Do not build directly; go through :func:`validate` (or a constructor
     below), which checks every axiom exhaustively.  The one exception puts
     other labels on the tables of an algebra `validate` returned:
-    `filters.quotient` validates each quotient's tables once.
+    `filters.quotient` validates each labeled quotient's tables once.
 
     Algebras key many caches (`quotient`, filters), so the hash is
     computed once, here, instead of re-hashing every table on each lookup.
@@ -107,7 +106,7 @@ class ResiduatedLattice(Record):
     def _new_key(self):
         """The algebra's key in the table memos, made when one first asks:
         most algebras the enumerator builds never reach a memo."""
-        self._set("_key", _TableKey(self.leq, self.odot, self._hash))
+        self._set("_key", _TableKey(self))
         return self._key
 
     @property
@@ -158,26 +157,22 @@ class ResiduatedLattice(Record):
 
 
 class _TableKey:
-    """The (leq, odot) pair of a validated algebra, which fixes every other
-    table, as a memo key, with the algebra's hash.  Keys compare by value;
+    """A validated algebra as a memo key: its (leq, odot) pair, which fixes
+    every other table, with its hash.  Keys compare by the pair alone;
     `validate` shares equal tables, so identity mostly decides."""
 
-    __slots__ = ("leq", "odot", "hash")
+    __slots__ = ("algebra",)
 
-    def __init__(self, leq, odot, hash):
-        self.leq = leq
-        self.odot = odot
-        self.hash = hash
+    def __init__(self, algebra):
+        self.algebra = algebra
 
     def __hash__(self):
-        return self.hash
+        return self.algebra._hash
 
     def __eq__(self, other):
-        return ((self.leq is other.leq or self.leq == other.leq)
-                and (self.odot is other.odot or self.odot == other.odot))
-
-
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+        A, B = self.algebra, other.algebra
+        return ((A.leq is B.leq or A.leq == B.leq)
+                and (A.odot is B.odot or A.odot == B.odot))
 
 
 def table_memo(fn):
@@ -185,36 +180,20 @@ def table_memo(fn):
 
     For the answers no label enters: algebras with equal tables (`A/{1}`
     and `A`, a relabeled copy, equal quotients of different algebras)
-    then share one answer, computed on the first of them.  Unbounded, and
-    a failure is never stored.  Like `lru_cache` it has `cache_info()` and
-    `cache_clear()`.
+    then share one answer, computed on the first of them.  An unbounded
+    `lru_cache` keyed by A's `_TableKey` holds it; on a miss the key is
+    the caller's, so fn runs on the caller's algebra.  As with any
+    `lru_cache`, a failure is never stored, and `cache_info()` and
+    `cache_clear()` are the lru's own.
     """
-    store = {}
-    hits = 0
+    by_tables = lru_cache(maxsize=None)(
+        lambda key, *args: fn(key.algebra, *args))
 
     @wraps(fn)
     def memo(A, *args):
-        nonlocal hits
-        tables = A._key or A._new_key()
-        key = (tables,) + args if args else tables
-        try:
-            value = store[key]
-        except KeyError:
-            value = store[key] = fn(A, *args)
-            return value
-        hits += 1
-        return value
+        return by_tables(A._key or A._new_key(), *args)
 
-    def cache_info():
-        return CacheInfo(hits, len(store), None, len(store))
-
-    def cache_clear():
-        nonlocal hits
-        store.clear()
-        hits = 0
-
-    memo.cache_info = cache_info
-    memo.cache_clear = cache_clear
+    memo.cache_info, memo.cache_clear = by_tables.cache_info, by_tables.cache_clear
     return memo
 
 

@@ -227,28 +227,6 @@ def _check_congruence(A, class_of, reps):
                 raise AxiomViolation("congruence", (r, x, z))
 
 
-@table_memo
-def _quotient_parts(A, e):
-    """The class of each element modulo [e), the least member of each
-    class, and the tables of the quotient as `validate` holds them, with
-    the congruence checked.  No label enters them, so algebras with equal
-    tables share them."""
-    image = A.odot[e]  # x -> e*x
-    cid = {}
-    for v in image:
-        cid.setdefault(v, len(cid))
-    class_of = tuple(cid[v] for v in image)
-    reps = tuple(class_of.index(c) for c in range(len(cid)))
-
-    _check_congruence(A, class_of, reps)
-
-    leq = tuple(tuple(A.leq[image[r]][image[s]] for s in reps) for r in reps)
-    odot = tuple(tuple(class_of[A.odot[r][s]] for s in reps) for r in reps)
-    imp = tuple(tuple(class_of[A.imp[r][s]] for s in reps) for r in reps)
-    Q = validate(reps, leq, odot, imp)
-    return class_of, reps, (Q.leq, Q.join, Q.meet, Q.odot, Q.imp, Q.bot, Q.top)
-
-
 @lru_cache(maxsize=None)
 def _shared_labels(labels):
     """The one stored tuple equal to `labels`, a quotient's labels.
@@ -267,16 +245,29 @@ def quotient(A, F):
     fibers of x -> e*x, and x/F <= y/F iff e*x <= e*y.  Class ids go by
     least member, which is also the class's representative.  On a
     distributive lattice (odot = meet) this is x ~ y iff x&e = y&e.  The
-    quotient tables are validated from scratch and the congruence property
-    is checked explicitly, in O(n^2) per table: as ~ is transitive, each x
-    need only be compatible with its class representative
-    (:func:`_check_congruence`).  Both run once per table pair
-    (:func:`_quotient_parts`); the quotient of A has A's own labels.
+    congruence property is checked explicitly, in O(n^2) per table: as ~
+    is transitive, each x need only be compatible with its class
+    representative (:func:`_check_congruence`).  The quotient tables are
+    validated once per labeled quotient, and the quotient algebra holds
+    the tables `validate` returned, with its own `x/F` labels.
     """
     n = A.size
-    class_of, reps, tables = _quotient_parts(A, F.gen)
+    image = A.odot[F.gen]  # x -> e*x
+    cid = {}
+    for v in image:
+        cid.setdefault(v, len(cid))
+    class_of = tuple(cid[v] for v in image)
+    reps = tuple(class_of.index(c) for c in range(len(cid)))
+
+    _check_congruence(A, class_of, reps)
+
+    leq = tuple(tuple(A.leq[image[r]][image[s]] for s in reps) for r in reps)
+    odot = tuple(tuple(class_of[A.odot[r][s]] for s in reps) for r in reps)
+    imp = tuple(tuple(class_of[A.imp[r][s]] for s in reps) for r in reps)
+    V = validate(reps, leq, odot, imp)
     Q = ResiduatedLattice(
-        _shared_labels(tuple(f"{A.labels[r]}/F" for r in reps)), *tables)
+        _shared_labels(tuple(f"{A.labels[r]}/F" for r in reps)),
+        V.leq, V.join, V.meet, V.odot, V.imp, V.bot, V.top)
 
     # class of top is exactly F
     assert {x for x in range(n) if class_of[x] == class_of[A.top]} == set(F.members)

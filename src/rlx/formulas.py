@@ -4,12 +4,14 @@ Grammar (one formula per string):
 
     formula := ["exists" IDENT+ "."] eq ("&&" eq)*
     eq      := term "=" term
-    term    := binary operators over atoms, parenthesized freely
+    term    := binary operators over atoms, nested at most MAX_DEPTH deep
 
 Operator binding, tightest first: ^k (postfix power), ! (negation),
 * (product), & (meet), | (join), -> (right-associative), <->; the other
 binary operators group to the left.  `_LEVELS` is the one source of the
 binary operators' precedence: the parser and the printer both read it.
+Each "(", "!" and right-nested "->" opens a level, one recursion of the
+parser; the token that opens level MAX_DEPTH + 1 is a syntax error.
 Atoms: the free variable, exists-bound witnesses, constants 0 and 1.
 Names of the shape w<digits> are reserved for bound witnesses and must be
 declared in the exists prefix.
@@ -30,6 +32,7 @@ from .errors import (
 )
 
 MAX_POWER = 31
+MAX_DEPTH = 100
 
 
 class FreeVar(Record):
@@ -129,6 +132,12 @@ class _Parser:
         self.pos += 1
         return kind, text, where
 
+    def deeper(self, depth, where):
+        """The depth of the level that the token at `where` opens."""
+        if depth == MAX_DEPTH:
+            raise FormulaSyntaxError(f"nested deeper than {MAX_DEPTH}", where)
+        return depth + 1
+
     def parse(self):
         bound = []
         kind, text, where = self.peek()
@@ -166,21 +175,23 @@ class _Parser:
         rhs = self.term(bound)
         return (lhs, rhs)
 
-    def term(self, bound, level=1):
+    def term(self, bound, level=1, depth=0):
         """A term whose binary operators all bind at `level` or tighter,
         by precedence climbing over `_LEVELS`."""
-        node = self.unary(bound)
+        node = self.unary(bound, depth)
         while _LEVELS.get(self.peek()[1], 0) >= level:
-            op = self.take()[1]
+            _, op, where = self.take()
             lv = _LEVELS[op]
-            node = BinOp(op, node, self.term(bound, lv if op == "->" else lv + 1))
+            rhs = (self.term(bound, lv, self.deeper(depth, where))
+                   if op == "->" else self.term(bound, lv + 1, depth))
+            node = BinOp(op, node, rhs)
         return node
 
-    def unary(self, bound):
+    def unary(self, bound, depth):
         if self.peek()[1] == "!":
-            self.take()
-            return Neg(self.unary(bound))
-        node = self.atom(bound)
+            where = self.take()[2]
+            return Neg(self.unary(bound, self.deeper(depth, where)))
+        node = self.atom(bound, depth)
         while self.peek()[1] == "^":
             self.take()
             kind, text, nwhere = self.take()
@@ -192,10 +203,10 @@ class _Parser:
             node = Pow(node, k)
         return node
 
-    def atom(self, bound):
+    def atom(self, bound, depth):
         kind, text, where = self.take()
         if text == "(":
-            node = self.term(bound)
+            node = self.term(bound, 1, self.deeper(depth, where))
             self.take(")")
             return node
         if kind == "num":

@@ -104,7 +104,6 @@ def _canonical_perm(A):
     return table_key(A.leq, A.odot, A.bot, A.top)
 
 
-@lru_cache(maxsize=None)
 def canonical_key(A):
     """Minimum-lex encoding of (leq, odot) over relabelings fixing bot/top."""
     return _canonical_perm(A)[0]

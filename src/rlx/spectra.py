@@ -63,26 +63,16 @@ class SpectrumSpace(Record):
         return (self.full & ~mask) in set(self.opens)
 
 
-def _points(A, kind):
-    return spec(A) if kind == "spec" else max_spec(A)
-
-
-@table_memo
-def _opens_and_v(A, kind):
-    """The open family and `v` of the space, with the V/D identities
-    asserted.  No label enters them, so algebras with equal tables share
-    them."""
-    points = _points(A, kind)
+def _build(A, kind):
+    """The space of its kind on A, with the V/D identities asserted."""
+    points = spec(A) if kind == "spec" else max_spec(A)
     v = tuple(sum(1 << i for i, P in enumerate(points) if a in P)
               for a in A.elements())
     full = (1 << len(points)) - 1
     opens = tuple(sorted({full & ~v[F.gen] for F in all_filters(A)}))
-    _assert_stone_identities(A, SpectrumSpace(A, kind, points, opens, v))
-    return opens, v
-
-
-def _build(A, kind):
-    return SpectrumSpace(A, kind, _points(A, kind), *_opens_and_v(A, kind))
+    space = SpectrumSpace(A, kind, points, opens, v)
+    _assert_stone_identities(A, space)
+    return space
 
 
 def _assert_stone_identities(A, space):

@@ -37,13 +37,17 @@ def corpus6():
     return all_algebras(6)
 
 
-@pytest.fixture
-def cold_caches():
-    """Every memo of the loaded rlx modules emptied (the validate memos,
-    the shared element sets and every cache keyed by an algebra), so a
-    test sees only what it stores itself."""
+def clear_memos():
+    """Empty every memo of the loaded rlx modules: the validate memos, the
+    shared element sets and every cache keyed by an algebra."""
     for name, module in list(sys.modules.items()):
         if name.startswith("rlx."):
             for obj in vars(module).values():
                 if callable(getattr(obj, "cache_clear", None)):
                     obj.cache_clear()
+
+
+@pytest.fixture
+def cold_caches():
+    """Every memo emptied, so a test sees only what it stores itself."""
+    clear_memos()

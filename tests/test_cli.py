@@ -10,7 +10,13 @@ import pytest
 import rlx.enumeration
 from rlx.cli import main
 from rlx.enumeration import _generate, all_algebras
-from rlx.formulas import blp_formula, format_formula, ilp_formula, rlp_formula
+from rlx.formulas import (
+    MAX_DEPTH,
+    blp_formula,
+    format_formula,
+    ilp_formula,
+    rlp_formula,
+)
 from rlx.io import load_rlat, parse_blat, parse_rlat, print_blat
 from rlx.lifting import lp_report
 from rlx.reticulation import build_reticulation
@@ -134,6 +140,29 @@ def test_lp_bad_formula(capsys):
                            "--formula", "v | = 1")
     assert code == 1
     assert "formula" in err
+
+
+def test_lp_formula_nested_too_deep(capsys):
+    """A formula nested past the parser's bound is one error line, not a
+    RecursionError traceback."""
+    for text in ("(" * 400 + "v" + ")" * 400 + " = v", "!" * 600 + "v = v",
+                 "v" + " -> v" * 600 + " = 1"):
+        code, out, err = run_cli(capsys, "lp", str(FIXTURES / "b2.rlat"),
+                                 "--formula", text)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: formula: nested deeper than")
+        assert err.count("\n") == 1
+
+
+def test_lp_formula_at_the_nesting_bound(capsys):
+    """At the bound a formula is evaluated: in the Boolean algebra B2 an
+    even number of negations gives back v, so the formula holds globally."""
+    text = "!" * MAX_DEPTH + "v = v"
+    code, out, err = run_cli(capsys, "lp", str(FIXTURES / "b2.rlat"),
+                             "--formula", text, "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["formula"] == text and payload["global"] is True
 
 
 def test_check_theorems_exit_zero(capsys):

@@ -11,6 +11,7 @@ from rlx.errors import (
 from rlx.filters import all_filters, quotient
 from rlx.formulas import (
     _definable_masks,
+    MAX_DEPTH,
     BinOp,
     BoundVar,
     Const,
@@ -133,6 +134,37 @@ def test_syntax_errors_carry_position():
         parse_formula("exists . v = v")
     with pytest.raises(FormulaSyntaxError):
         parse_formula("v = v extra")
+
+
+@pytest.mark.parametrize("text, position", [
+    ("(" * 400 + "v" + ")" * 400 + " = v", MAX_DEPTH),
+    ("!" * 600 + "v = v", MAX_DEPTH),
+    ("v" + " -> v" * 600 + " = 1", 2 + 5 * MAX_DEPTH),
+    ("v -> " * 50 + "!" * 51 + "v = 1", 5 * 50 + 50),
+])
+def test_nesting_deeper_than_the_bound_is_a_syntax_error(text, position):
+    """Each "(", "!" and right-nested "->" opens a level; the token that
+    opens level MAX_DEPTH + 1 is the error's position."""
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula(text)
+    assert err.value.position == position
+    assert f"nested deeper than {MAX_DEPTH}" in str(err.value)
+
+
+# formulas nested exactly MAX_DEPTH deep, each with its printed form
+AT_THE_BOUND = [
+    ("(" * MAX_DEPTH + "v" + ")" * MAX_DEPTH + " = v", "v = v"),
+    ("!" * MAX_DEPTH + "v = v", "!" * MAX_DEPTH + "v = v"),
+    ("v" + " -> v" * MAX_DEPTH + " = 1", "v" + " -> v" * MAX_DEPTH + " = 1"),
+    ("v -> " * 50 + "!" * 50 + "v = 1", "v -> " * 50 + "!" * 50 + "v = 1"),
+]
+
+
+@pytest.mark.parametrize("text, printed", AT_THE_BOUND)
+def test_nesting_at_the_bound_parses_and_prints_back(text, printed):
+    phi = parse_formula(text)
+    assert format_formula(phi) == printed
+    assert parse_formula(printed) == phi
 
 
 def test_unbound_witness_style_variable():

@@ -1,0 +1,79 @@
+"""The memos that src/rlx defines, pinned by name.
+
+A memo is a callable with `cache_clear` whose `__module__` is the rlx
+module that holds it.  An `lru_cache` wrapper has `cache_parameters`; a
+`core.table_memo` does not.  Every memo is unbounded, so a new one is a
+decision about memory: this list and the memo count in ROADMAP item 1
+change with it.
+"""
+
+import importlib
+import pkgutil
+
+import rlx
+from conftest import clear_memos
+from rlx.theorems import theorem_checks
+from test_table_memo import TABLE_MEMOS
+
+LRU_CACHES = {
+    "core._validate_lattice", "core._validate_residuated", "core.shared_set",
+    "dlattice._distributive_meet", "dlattice._validate_bdl",
+    "filters._shared_labels", "filters._upsets", "filters.all_filters",
+    "filters.max_spec", "filters.quotient", "filters.radical", "filters.spec",
+    "formulas.blp_formula", "formulas.ilp_formula", "formulas.rlp_formula",
+    "iso._order_minimizers", "reticulation.build_reticulation",
+    "spectra.stone_max", "spectra.stone_spec", "spectra.topology_predicates",
+    "theorems._shared_row", "theorems.local_factor_decomposition",
+}
+TABLE_MEMO_NAMES = {
+    "core.classify", "core.complemented_elements", "filters._generators",
+    "formulas._definable_masks", "lifting.has_blp", "lifting.has_ilp",
+    "reticulation._lattice_parts", "spectra.is_gelfand",
+    "spectra.star_property",
+}
+
+
+def _memos():
+    """'module.name' -> memo, for every memo of every rlx module."""
+    found = {}
+    for info in pkgutil.iter_modules(rlx.__path__):
+        module = importlib.import_module(f"rlx.{info.name}")
+        for name, obj in vars(module).items():
+            if (callable(getattr(obj, "cache_clear", None))
+                    and getattr(obj, "__module__", None) == module.__name__):
+                found[f"{info.name}.{name}"] = obj
+    return found
+
+
+def _mismatch(kind, pinned, found):
+    added, removed = sorted(found - pinned), sorted(pinned - found)
+    return (f"{kind}: added {added}, removed {removed}; update the list in "
+            f"{__name__} and the memo count in ROADMAP item 1")
+
+
+def test_memos_are_pinned_by_name():
+    memos = _memos()
+    lru = {name for name, memo in memos.items()
+           if hasattr(memo, "cache_parameters")}
+    table = set(memos) - lru
+    assert lru == LRU_CACHES, _mismatch("lru_cache memos", LRU_CACHES, lru)
+    assert table == TABLE_MEMO_NAMES, \
+        _mismatch("table memos", TABLE_MEMO_NAMES, table)
+    assert (len(memos), len(lru), len(table)) == (31, 22, 9)
+
+
+def test_table_memo_tests_list_exactly_the_table_memos():
+    memos = _memos()
+    tested = {name for name in memos
+              if any(memos[name] is memo for memo, _ in TABLE_MEMOS)}
+    assert len(TABLE_MEMOS) == len(tested) and tested == TABLE_MEMO_NAMES, \
+        _mismatch("TABLE_MEMOS in test_table_memo", TABLE_MEMO_NAMES, tested)
+
+
+def test_clear_memos_empties_every_memo(E1):
+    theorem_checks(E1)
+    memos = _memos()
+    assert any(memo.cache_info().currsize for memo in memos.values())
+    clear_memos()
+    assert {name for name, memo in memos.items()
+            if memo.cache_info().currsize} == set()

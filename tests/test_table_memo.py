@@ -7,15 +7,13 @@ first of them.  Everything that shows a label (filters, spaces, the
 reticulation, quotients) is still built per algebra, from its own labels.
 """
 
-import sys
-
 import pytest
 
 import rlx.core
-from rlx.core import classify, complemented_elements, validate
+from conftest import clear_memos
+from rlx.core import classify, complemented_elements, table_memo, validate
 from rlx.filters import (
     _generators,
-    _quotient_parts,
     all_filters,
     max_spec,
     principal_filter,
@@ -26,34 +24,18 @@ from rlx.filters import (
 from rlx.formulas import _definable_masks, blp_formula, ilp_formula, rlp_formula
 from rlx.lifting import has_blp, has_ilp
 from rlx.reticulation import _lattice_parts, build_reticulation
-from rlx.spectra import (
-    _opens_and_v,
-    is_gelfand,
-    star_property,
-    stone_max,
-    stone_spec,
-)
+from rlx.spectra import is_gelfand, star_property, stone_max, stone_spec
 from rlx.theorems import theorem_checks
 
 FORMULAS = (blp_formula(), ilp_formula(), rlp_formula())
 
 # each table memo with the number of values its other arguments take in
-# the size <= 5 matrix: the three lifting formulas, an idempotent of an
-# algebra of at most 5 elements, the two kinds of space
+# the size <= 5 matrix: the three lifting formulas
 TABLE_MEMOS = (
     (classify, 1), (complemented_elements, 1), (_generators, 1),
     (has_blp, 1), (has_ilp, 1), (is_gelfand, 1), (star_property, 1),
-    (_lattice_parts, 1), (_definable_masks, 3), (_quotient_parts, 5),
-    (_opens_and_v, 2),
+    (_lattice_parts, 1), (_definable_masks, 3),
 )
-
-
-def _clear_memos():
-    for name, module in list(sys.modules.items()):
-        if name.startswith("rlx."):
-            for obj in vars(module).values():
-                if callable(getattr(obj, "cache_clear", None)):
-                    obj.cache_clear()
 
 
 def _relabeled(A):
@@ -105,6 +87,40 @@ def _assert_own_labels(A):
                                           for r in Q.section)
 
 
+def test_table_memo_contract(E1):
+    """A relabeled copy reads the answer of the first copy without a call,
+    a call that raises stores nothing, and `cache_info()` and
+    `cache_clear()` behave as `lru_cache`'s do."""
+    calls = []
+
+    @table_memo
+    def shifted_size(A, k):
+        calls.append(A)
+        if k < 0:
+            raise ValueError(k)
+        return A.size + k
+
+    copy = _relabeled(E1)
+    assert shifted_size(E1, 1) == 6 and calls == [E1]
+    assert calls[0] is E1  # run on the caller's algebra
+    assert shifted_size(copy, 1) == 6 and len(calls) == 1
+    assert shifted_size(copy, 2) == 7 and calls[1] is copy
+    info = shifted_size.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            shifted_size(E1, -1)
+    assert len(calls) == 4
+    info = shifted_size.cache_info()
+    assert (info.hits, info.currsize) == (1, 2)
+
+    shifted_size.cache_clear()
+    info = shifted_size.cache_info()
+    assert (info.hits, info.currsize) == (0, 0)
+    assert shifted_size(copy, 1) == 6 and calls[-1] is copy
+
+
 def _copies(corpus):
     """Each algebra and each of its quotients, with a relabeled copy."""
     for A in corpus:
@@ -116,14 +132,14 @@ def _copies(corpus):
 def test_relabeled_copies_get_equal_answers(cold_caches, corpus5):
     algebras = list(_copies(corpus5))
     for X in algebras:
-        _clear_memos()
+        clear_memos()
         expected = _answers(X)
-        _clear_memos()
+        clear_memos()
         Y = _relabeled(X)
         assert Y.labels != X.labels
         assert _answers(Y) == expected  # cold: Y computes its own answers
         assert _answers(X) == expected  # warm: X reads Y's answers
-        _clear_memos()
+        clear_memos()
         assert _answers(X) == expected
         Y = _relabeled(X)
         assert _answers(Y) == expected  # warm: Y reads X's answers
