@@ -292,20 +292,20 @@ def glb_table(leq):
     return _bound_table(_row_masks(zip(*leq)))
 
 
-def _residual_masks(leq, odot):
-    """good[b][c], the bitmask of the a with a*b <= c, for every pair.
+def _residual_masks(downs, odot):
+    """good[b][c], the bitmask of the a with a*b <= c, for every pair;
+    downs[c] lists the elements below c.
 
     Column b of the product is sorted by value once: bit a goes into the
     mask of the value a*b.  good[b][c] is the union of the masks of the
     values below c, so bit a lands in good[b][c] for every c in the
     up-set of a*b."""
-    n = len(leq)
-    downs = [[v for v in range(n) if leq[v][c]] for c in range(n)]
+    n = len(downs)
     good = []
-    for b in range(n):
+    for column in zip(*odot):
         by_value = [0] * n
-        for a, row in enumerate(odot):
-            by_value[row[b]] |= 1 << a
+        for a, v in enumerate(column):
+            by_value[v] |= 1 << a
         masks = []
         for below in downs:
             m = 0
@@ -346,7 +346,9 @@ def derive_implication(leq, odot):
     be a partial order.  The caller still has to run :func:`validate`,
     which re-checks the full residuation equivalence.
     """
-    return _residuum(_residual_masks(leq, odot), _row_masks(zip(*leq)))
+    n = len(leq)
+    downs = [[v for v in range(n) if leq[v][c]] for c in range(n)]
+    return _residuum(_residual_masks(downs, odot), _row_masks(zip(*leq)))
 
 
 def validate(labels, leq, odot, imp=None):
@@ -368,7 +370,7 @@ def validate(labels, leq, odot, imp=None):
     keeps its own objects.
     """
     labels, leq = _normalized(labels, leq)
-    leq, bot, top, lub, glb = _validate_lattice(leq)
+    leq, bot, top, lub, glb = _validate_lattice(leq)[:5]
     n = len(labels)
     odot = tuple(tuple(row) for row in odot)
     plain = _check_square("odot", odot, n)
@@ -400,11 +402,11 @@ def validate(labels, leq, odot, imp=None):
 
 def _normalized(labels, leq):
     """Labels as strings and `leq` as an n x n tuple of bools, n >= 1."""
-    labels = tuple(str(x) for x in labels)
+    labels = tuple(map(str, labels))
     n = len(labels)
     if n == 0:
         raise AxiomViolation("table-dimension", ("labels", 0))
-    leq = tuple(tuple(bool(v) for v in row) for row in leq)
+    leq = tuple([tuple(map(bool, row)) for row in leq])
     if len(leq) != n or any(len(r) != n for r in leq):
         raise AxiomViolation("table-dimension", ("leq", n))
     return labels, leq
@@ -414,7 +416,8 @@ def _normalized(labels, leq):
 def _validate_lattice(leq):
     """The bounded-lattice part of :func:`validate` on a normalized order:
     order axioms, bounds, and a lub and glb for every pair.  Returns
-    (leq, bot, top, join, meet), with the `leq` it is keyed by."""
+    (leq, bot, top, join, meet, irreducibles, downs, down), with the `leq`
+    it is keyed by and what the residuated stage reads of the order."""
     n = len(leq)
     _check_order(leq, n)
     bot, top = bounds_of(leq)
@@ -427,7 +430,13 @@ def _validate_lattice(leq):
                 raise AxiomViolation("join-lub", (a, b))
             if glb[a][b] is None:
                 raise AxiomViolation("meet-glb", (a, b))
-    return leq, bot, top, lub, glb
+    downs = tuple(tuple(v for v in range(n) if leq[v][c]) for c in range(n))
+    down = tuple(_row_masks(zip(*leq)))
+    # x is join-irreducible iff the elements below it, x aside, have a
+    # maximum: they form a principal down-set (bot's is empty)
+    principal = set(down)
+    irreducibles = tuple(x for x in range(n) if down[x] ^ 1 << x in principal)
+    return leq, bot, top, lub, glb, irreducibles, downs, down
 
 
 @lru_cache(maxsize=None)
@@ -447,9 +456,14 @@ def _validate_residuated(leq, odot, imp):
       a*b <= a*1 = a, and likewise a*b <= b;
     - a*b, a*c <= d gives b, c <= a->d, hence b|c <= a->d and
       a*(b|c) <= d; monotony gives the other inequality;
-    - a->0 <= a->0 gives (a->0)*a <= 0."""
+    - a->0 <= a->0 gives (a->0)*a <= 0.
+    So * preserves joins in each argument, 0 included (a*0 <= 0), and
+    every element is the join of the join-irreducibles below it (0 of
+    none): associativity holds if it holds on irreducible triples, and is
+    checked last, on those only.  It comes first in the order of errors:
+    when the law or an irreducible triple fails, the n^3 loop runs first."""
     n = len(leq)
-    top = _validate_lattice(leq)[2]
+    _, _, top, _, _, irreducibles, downs, down = _validate_lattice(leq)
     if tuple(zip(*odot)) != odot:
         bad = next((a, b) for a in range(n) for b in range(n)
                    if odot[a][b] != odot[b][a])
@@ -457,45 +471,53 @@ def _validate_residuated(leq, odot, imp):
     if tuple(row[top] for row in odot) != tuple(range(n)):
         bad = next(a for a in range(n) if odot[a][top] != a)
         raise AxiomViolation("monoid-unit", (bad,))
-    for a in range(n):
+    try:
+        good = _residual_masks(downs, odot)
+        derived = None
+        try:
+            derived = _residuum(good, down)
+        except NotResiduated:
+            pass
+        if imp is None:
+            if derived is None:
+                raise AxiomViolation("residuation", ("no-residuum",))
+            imp = derived
+        else:
+            _check_square("imp", imp, n)
+            if derived is not None and imp != derived:
+                bad = next((a, b) for a in range(n) for b in range(n)
+                           if imp[a][b] != derived[a][b])
+                raise AxiomViolation("implication-mismatch", bad)
+
+        # The law itself: a*b <= c  iff  a <= b->c, for all triples, is
+        # good[b][c] == down[b->c] for all pairs.  The witness is the
+        # least a, then the least (b, c): the first triple in a-b-c order.
+        if any(masks != [down[x] for x in row]
+               for masks, row in zip(good, imp)):
+            diff = [[g ^ down[x] for g, x in zip(masks, row)]
+                    for masks, row in zip(good, imp)]
+            a = min((d & -d).bit_length() - 1 for row in diff for d in row if d)
+            b, c = next((b, c) for b in range(n) for c in range(n)
+                        if diff[b][c] >> a & 1)
+            raise AxiomViolation("residuation", (a, b, c))
+        _check_associative(odot, irreducibles)
+    except AxiomViolation:
+        _check_associative(odot, range(n))
+        raise
+    return odot, imp
+
+
+def _check_associative(odot, ids):
+    """Raise at the first (a, b, c) over `ids`, in a-b-c order, with
+    (a*b)*c != a*(b*c)."""
+    for a in ids:
         row_a = odot[a]
-        for b in range(n):
+        for b in ids:
             row_ab = odot[row_a[b]]
             row_b = odot[b]
-            for c in range(n):
+            for c in ids:
                 if row_ab[c] != row_a[row_b[c]]:
                     raise AxiomViolation("monoid-associativity", (a, b, c))
-
-    good = _residual_masks(leq, odot)
-    down = _row_masks(zip(*leq))
-    derived = None
-    try:
-        derived = _residuum(good, down)
-    except NotResiduated:
-        pass
-    if imp is None:
-        if derived is None:
-            raise AxiomViolation("residuation", ("no-residuum",))
-        imp = derived
-    else:
-        _check_square("imp", imp, n)
-        if derived is not None and imp != derived:
-            bad = next((a, b) for a in range(n) for b in range(n)
-                       if imp[a][b] != derived[a][b])
-            raise AxiomViolation("implication-mismatch", bad)
-
-    # The law itself: a*b <= c  iff  a <= b->c, for all triples, is
-    # good[b][c] == down[b->c] for all pairs.  The witness is the least a,
-    # then the least (b, c): the first triple in a-b-c order.
-    if any(masks != [down[x] for x in row] for masks, row in zip(good, imp)):
-        diff = [[g ^ down[x] for g, x in zip(masks, row)]
-                for masks, row in zip(good, imp)]
-        a = min((d & -d).bit_length() - 1 for row in diff for d in row if d)
-        b, c = next((b, c) for b in range(n) for c in range(n)
-                    if diff[b][c] >> a & 1)
-        raise AxiomViolation("residuation", (a, b, c))
-
-    return odot, imp
 
 
 def leq_from_covers(n, covers):

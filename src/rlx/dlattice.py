@@ -44,7 +44,7 @@ def _validate_bdl(labels, leq):
 def _distributive_meet(leq):
     """The meet table of a normalized order, once the order is checked to
     be a distributive bounded lattice."""
-    _, _, _, join, meet = _validate_lattice(leq)
+    join, meet = _validate_lattice(leq)[3:5]
     witness = distributivity_witness(leq, join, meet)
     if witness is not None:
         raise NotDistributive(witness)

@@ -29,7 +29,11 @@ completion is a residuated product:
 * Early associativity: once p*q = v is set, (p*q)*r, p*(q*r) and q*(p*r)
   must agree for every irreducible r whose pairs are all set; x*r is the
   join of s*r over the irreducibles s <= x, as it is in every table that
-  distributes over joins.
+  distributes over joins; the maximal such s alone give the join and the
+  unset answer.  Ids are a linear extension and pairs are set in
+  lexicographic order, so once (t, r) is set every (s, r) with s < t is
+  set (a pinned (1, r) is read only with r's column set), and s*r <= t*r
+  by the monotone bounds.
 * Unit law: every irreducible p needs an irreducible q >= p with
   p*q = p, checked as soon as p's pairs are set.  When the top is
   join-irreducible its pairs are pinned, p*1 = p, and this always holds.
@@ -186,6 +190,8 @@ def _products_on_lattice(leq, join, meet):
     splits = _join_splits(join)
     irr_all = [x for x in range(n) if x != bot and x not in splits]
     below = [[p for p in irr_all if leq[p][x]] for x in range(n)]
+    maximal = [[p for p in ps if not any(p != s and leq[p][s] for s in ps)]
+               for ps in below]
     down = [[v for v in range(n) if leq[v][x]] for x in range(n)]
     irr = [x for x in irr_all if x != top]
     # top acts as unit on irreducibles automatically via extension only if
@@ -226,9 +232,9 @@ def _products_on_lattice(leq, join, meet):
         """x*r on the partial table, or -1 if a pair it reads is unset.
 
         A residuated product distributes over joins, so there x*r is the
-        join of s*r over the irreducibles s <= x."""
+        join of s*r over the maximal irreducibles s <= x (module docstring)."""
         acc = bot
-        for s in below[x]:
+        for s in maximal[x]:
             w = prod[s][r]
             if w < 0:
                 return -1

@@ -12,6 +12,9 @@ binary operators group to the left.  `_LEVELS` is the one source of the
 binary operators' precedence: the parser and the printer both read it.
 Each "(", "!" and right-nested "->" opens a level, one recursion of the
 parser; the token that opens level MAX_DEPTH + 1 is a syntax error.
+A chain such as v | v | ... | v opens no level but nests one operator per
+link, and every walk of a term recurses per operator: the operator that
+builds a term MAX_TERM_DEPTH + 1 deep is a syntax error too.
 Atoms: the free variable, exists-bound witnesses, constants 0 and 1.
 Names of the shape w<digits> are reserved for bound witnesses and must be
 declared in the exists prefix.
@@ -33,6 +36,7 @@ from .errors import (
 
 MAX_POWER = 31
 MAX_DEPTH = 100
+MAX_TERM_DEPTH = 2 * MAX_DEPTH
 
 
 class FreeVar(Record):
@@ -138,6 +142,12 @@ class _Parser:
             raise FormulaSyntaxError(f"nested deeper than {MAX_DEPTH}", where)
         return depth + 1
 
+    def built(self, node, height, where):
+        """`node`, built at `where` on operands `height` deep, and its height."""
+        if height == MAX_TERM_DEPTH:
+            raise FormulaSyntaxError(f"term deeper than {MAX_TERM_DEPTH}", where)
+        return node, height + 1
+
     def parse(self):
         bound = []
         kind, text, where = self.peek()
@@ -170,38 +180,40 @@ class _Parser:
         return Formula(tuple(bound), tuple(equations), free_var)
 
     def equation(self, bound):
-        lhs = self.term(bound)
+        lhs = self.term(bound)[0]
         self.take("=")
-        rhs = self.term(bound)
+        rhs = self.term(bound)[0]
         return (lhs, rhs)
 
     def term(self, bound, level=1, depth=0):
         """A term whose binary operators all bind at `level` or tighter,
-        by precedence climbing over `_LEVELS`."""
-        node = self.unary(bound, depth)
+        by precedence climbing over `_LEVELS`, with its height (`built`)."""
+        node, height = self.unary(bound, depth)
         while _LEVELS.get(self.peek()[1], 0) >= level:
             _, op, where = self.take()
             lv = _LEVELS[op]
-            rhs = (self.term(bound, lv, self.deeper(depth, where))
-                   if op == "->" else self.term(bound, lv + 1, depth))
-            node = BinOp(op, node, rhs)
-        return node
+            rhs, rh = (self.term(bound, lv, self.deeper(depth, where))
+                       if op == "->" else self.term(bound, lv + 1, depth))
+            node, height = self.built(BinOp(op, node, rhs),
+                                      max(height, rh), where)
+        return node, height
 
     def unary(self, bound, depth):
         if self.peek()[1] == "!":
             where = self.take()[2]
-            return Neg(self.unary(bound, self.deeper(depth, where)))
-        node = self.atom(bound, depth)
+            arg, height = self.unary(bound, self.deeper(depth, where))
+            return self.built(Neg(arg), height, where)
+        node, height = self.atom(bound, depth)
         while self.peek()[1] == "^":
-            self.take()
+            where = self.take()[2]
             kind, text, nwhere = self.take()
             if kind != "num":
                 raise FormulaSyntaxError("power wants a number", nwhere)
             k = int(text)
             if k > MAX_POWER:
                 raise FormulaSyntaxError(f"exponent above {MAX_POWER}", nwhere)
-            node = Pow(node, k)
-        return node
+            node, height = self.built(Pow(node, k), height, where)
+        return node, height
 
     def atom(self, bound, depth):
         kind, text, where = self.take()
@@ -211,15 +223,15 @@ class _Parser:
             return node
         if kind == "num":
             if text in ("0", "1"):
-                return Const(int(text))
+                return Const(int(text)), 0
             raise FormulaSyntaxError(f"no constant {text!r}", where)
         if kind == "ident":
             if text in bound:
-                return BoundVar(text)
+                return BoundVar(text), 0
             if re.fullmatch(r"w\d+", text):
                 raise UnboundVariable(text)
             self.free.add(text)
-            return FreeVar(text)
+            return FreeVar(text), 0
         raise FormulaSyntaxError(f"unexpected token {text!r}", where)
 
 

@@ -96,7 +96,7 @@ def build_reticulation(A):
 
 def _assert_axioms(A, lam, leq):
     """The five axioms of lam: A -> L, where L is the lattice of `leq`."""
-    leq, bot, top, join, meet = _validate_lattice(leq)
+    leq, bot, top, join, meet = _validate_lattice(leq)[:5]
     for a in A.elements():
         for b in A.elements():
             assert lam[A.odot[a][b]] == meet[lam[a]][lam[b]]

@@ -262,7 +262,7 @@ def brute_validate_residuated(leq, odot, imp):
     `rlx.core._validate_lattice` at call time and derives the residuum
     with `brute_derive_implication`; uncached."""
     n = len(leq)
-    _, bot, top, join, meet = rlx.core._validate_lattice(leq)
+    _, bot, top, join, meet = rlx.core._validate_lattice(leq)[:5]
     for a in range(n):
         for b in range(n):
             if odot[a][b] != odot[b][a]:

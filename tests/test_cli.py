@@ -154,6 +154,18 @@ def test_lp_formula_nested_too_deep(capsys):
         assert err.count("\n") == 1
 
 
+def test_lp_formula_chain_too_deep(capsys):
+    """A left-grouped chain of 500 operators opens no level, but its term
+    is too deep: one error line, not a RecursionError traceback."""
+    for link, tail in ((" | v", " = 1"), (" & v", " = 1"), (" * v", " = 1"),
+                       (" <-> v", " = 1"), ("^1", " = v")):
+        code, out, err = run_cli(capsys, "lp", str(FIXTURES / "b2.rlat"),
+                                 "--formula", "v" + link * 500 + tail)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: formula: term deeper than")
+        assert err.count("\n") == 1
+
+
 def test_lp_formula_at_the_nesting_bound(capsys):
     """At the bound a formula is evaluated: in the Boolean algebra B2 an
     even number of negations gives back v, so the formula holds globally."""

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,25 @@ def test_order_kernels_match_list_scans():
         for leq in partial_orders(n):
             assert lub_table(leq) == brute_lub_table(leq)
             assert glb_table(leq) == brute_glb_table(leq)
+
+
+def test_lattice_stage_facts_match_their_definitions():
+    # every labeled lattice order of size <= 5, ids in any order: x is
+    # join-irreducible iff it is not bot and no a, b other than x join to x
+    for n in range(1, 6):
+        for leq in partial_orders(n):
+            try:
+                _, bot, _, join, _, irreducibles, downs, down = \
+                    _validate_lattice.__wrapped__(leq)
+            except AxiomViolation:
+                continue
+            below = [[v for v in range(n) if leq[v][c]] for c in range(n)]
+            assert downs == tuple(map(tuple, below))
+            assert down == tuple(sum(1 << v for v in d) for d in below)
+            assert irreducibles == tuple(
+                x for x in range(n) if x != bot and all(
+                    join[a][b] != x for a in below[x] for b in below[x]
+                    if x not in (a, b)))
 
 
 def _implication_or_pair(derive, leq, odot):
@@ -207,6 +227,19 @@ def _stage_cases():
     non_assoc = _with_cells(C4.odot, {(1, 1): 0, (2, 2): 1, (1, 2): 1,
                                       (2, 1): 1})
     yield "monoid-associativity", (1, 2, 2), C4.leq, non_assoc, None
+    # the square 0 < 2, 3 < 1 below the chain 1 < 4 < 5, with the join
+    # 1 = 2 | 3 labeled before the atoms: the law holds, and the plain
+    # loop's first failing triple holds 1, which is join-reducible, ahead
+    # of every failing triple of join-irreducibles
+    square = leq_from_covers(6, [(0, 2), (0, 3), (2, 1), (3, 1), (1, 4),
+                                 (4, 5)])
+    odot = ((0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 2, 1), (0, 0, 0, 0, 2, 2),
+            (0, 0, 0, 0, 0, 3), (0, 2, 2, 0, 2, 4), (0, 1, 2, 3, 4, 5))
+    yield "monoid-associativity", (1, 4, 4), square, odot, None
+    # neither associative nor residuated (the law fails at (1, 1, 1)):
+    # the associativity witness comes first
+    yield ("monoid-associativity", (1, 1, 2), C4.leq,
+           _with_cells(C4.odot, {(1, 1): 3}), None)
     m3 = leq_from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
     yield "residuation", ("no-residuum",), m3, glb_table(m3), None
     # no residuum exists and an imp is given: the law fails at a triple
@@ -220,6 +253,25 @@ def _stage_cases():
 def test_residuated_stage_reaches_each_axiom(case):
     axiom, witness, leq, odot, imp = case
     assert _stages_agree(leq, odot, imp) == (axiom, witness)
+
+
+@pytest.mark.parametrize("case", list(_stage_cases()),
+                         ids=lambda case: f"{case[0]}-{case[1]}")
+def test_residuated_stage_matches_plain_loops_on_other_labelings(case):
+    """Each case under seeded relabelings of its carrier, bot and top
+    included, so the ids need not be a linear extension of the order."""
+    _, _, leq, odot, imp = case
+    n = len(leq)
+    rng = random.Random(n)
+    for _ in range(40):
+        perm = rng.sample(range(n), n)
+        old = sorted(range(n), key=perm.__getitem__)  # old[perm[x]] == x
+
+        def relabel(table, value=perm.__getitem__):
+            return tuple(tuple(value(table[x][y]) for y in old) for x in old)
+
+        _stages_agree(relabel(leq, bool), relabel(odot),
+                      imp and relabel(imp))
 
 
 def _input_error_cases():

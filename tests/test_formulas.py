@@ -12,6 +12,7 @@ from rlx.filters import all_filters, quotient
 from rlx.formulas import (
     _definable_masks,
     MAX_DEPTH,
+    MAX_TERM_DEPTH,
     BinOp,
     BoundVar,
     Const,
@@ -165,6 +166,36 @@ def test_nesting_at_the_bound_parses_and_prints_back(text, printed):
     phi = parse_formula(text)
     assert format_formula(phi) == printed
     assert parse_formula(printed) == phi
+
+
+# links of chains that open no level: each is one operator deeper
+CHAIN_LINKS = [(f" {op} v", " = 1") for op in ("|", "&", "*", "<->")]
+CHAIN_LINKS.append(("^1", " = v"))
+CHAIN_IDS = ["|", "&", "*", "<->", "^1"]
+
+
+@pytest.mark.parametrize("link, tail", CHAIN_LINKS, ids=CHAIN_IDS)
+def test_chains_deeper_than_the_term_bound_are_a_syntax_error(link, tail):
+    """500 operators in a row; the operator that builds a term
+    MAX_TERM_DEPTH + 1 deep is the error's position."""
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula("v" + link * 500 + tail)
+    indent = len(link) - len(link.lstrip())
+    assert err.value.position == 1 + MAX_TERM_DEPTH * len(link) + indent
+    assert f"term deeper than {MAX_TERM_DEPTH}" in str(err.value)
+
+
+@pytest.mark.parametrize("text", [
+    *("v" + link * MAX_TERM_DEPTH + tail for link, tail in CHAIN_LINKS),
+    # 98 negations over a power over a 101-link chain, in the deepest level
+    "!" * 98 + "(v" + " | v" * 101 + ")^1 = v",
+], ids=CHAIN_IDS + ["nested"])
+def test_terms_at_the_term_bound_parse_print_back_and_evaluate(text):
+    phi = parse_formula(text)
+    assert format_formula(phi) == text
+    assert parse_formula(text) == phi
+    assert hash(parse_formula(text)) == hash(phi)
+    assert definable_set(boolean_algebra(2), phi) is not None
 
 
 def test_unbound_witness_style_variable():
