@@ -183,7 +183,9 @@ def cmd_quotient(args):
         print(f"error: filter: {exc}", file=sys.stderr)
         return 1
     Q = quotient(A, F)
-    print(print_rlat(Q.quotient), end="")
+    # A/{1} is A itself, with A's labels; every class prints as x/F
+    labels = tuple(f"{A.labels[r]}/F" for r in Q.section)
+    print(print_rlat(Q.quotient, labels), end="")
     return 0
 
 

@@ -178,9 +178,9 @@ class _TableKey:
 def table_memo(fn):
     """Memoize fn(A, *args) by A's tables and the other arguments.
 
-    For the answers no label enters: algebras with equal tables (`A/{1}`
-    and `A`, a relabeled copy, equal quotients of different algebras)
-    then share one answer, computed on the first of them.  An unbounded
+    For the answers no label enters: algebras with equal tables (a
+    relabeled copy, equal quotients of different algebras) then share
+    one answer, computed on the first of them.  An unbounded
     `lru_cache` keyed by A's `_TableKey` holds it; on a miss the key is
     the caller's, so fn runs on the caller's algebra.  As with any
     `lru_cache`, a failure is never stored, and `cache_info()` and
@@ -581,7 +581,7 @@ def classify(A):
                                 if A.power_limit(a) in boolean))
     is_chain = all(A.leq[a][b] or A.leq[b][a]
                    for a in range(n) for b in range(a + 1, n))
-    is_distributive = distributivity_witness(A.leq, A.join, A.meet) is None
+    is_distributive = distributivity_witness(A.leq) is None
     return ElementClassReport(
         boolean_center=boolean,
         idempotents=idem,
@@ -596,8 +596,14 @@ def classify(A):
     )
 
 
-def distributivity_witness(leq, join, meet):
-    """First (a, b, c) with a&(b|c) != (a&b)|(a&c), or None."""
+@lru_cache(maxsize=None)
+def distributivity_witness(leq):
+    """First (a, b, c) with a&(b|c) != (a&b)|(a&c), or None, for a
+    normalized order that :func:`_validate_lattice` accepts.
+
+    Distributivity depends on the order alone, so the O(n^3) scan runs
+    once per order, for `classify` and `dlattice.validate_bdl` alike."""
+    join, meet = _validate_lattice(leq)[3:5]
     n = len(leq)
     for a in range(n):
         for b in range(n):

@@ -27,9 +27,10 @@ def validate_bdl(labels, leq):
 
     Memoized by the normalized (labels, leq): each labeled order yields
     one algebra.  The O(n^3) distributivity scan is memoized by the order
-    alone, so an order met again under other labels is not scanned
-    again.  A failure is never stored, so NotDistributive and
-    AxiomViolation raise on every call."""
+    alone (:func:`rlx.core.distributivity_witness`), so an order met again
+    under other labels, or failing again, is not scanned again.  A failure
+    is never stored as an algebra, so NotDistributive and AxiomViolation
+    raise on every call."""
     labels, leq = _normalized(labels, leq)
     # the memos keep the order `_validate_lattice` holds, not this copy
     return _validate_bdl(labels, _validate_lattice(leq)[0])
@@ -37,18 +38,10 @@ def validate_bdl(labels, leq):
 
 @lru_cache(maxsize=None)
 def _validate_bdl(labels, leq):
-    return validate(labels, leq, _distributive_meet(leq))
-
-
-@lru_cache(maxsize=None)
-def _distributive_meet(leq):
-    """The meet table of a normalized order, once the order is checked to
-    be a distributive bounded lattice."""
-    join, meet = _validate_lattice(leq)[3:5]
-    witness = distributivity_witness(leq, join, meet)
+    witness = distributivity_witness(leq)
     if witness is not None:
         raise NotDistributive(witness)
-    return meet
+    return validate(labels, leq, _validate_lattice(leq)[4])
 
 
 def lattice_blp_filter(L, F):

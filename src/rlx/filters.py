@@ -158,12 +158,15 @@ def improper_filter(A):
 
 def is_prime(F):
     """Proper and split-resistant under joins: a|b in F => a in F or b in F."""
-    A = F.algebra
+    A, members = F.algebra, F.members
     if not F.proper:
         return False
-    for a in A.elements():
-        for b in A.elements():
-            if A.join[a][b] in F and a not in F and b not in F:
+    # a pair with a member never splits, so only the pairs outside F count
+    outside = [a for a in A.elements() if a not in members]
+    for a in outside:
+        row = A.join[a]
+        for b in outside:
+            if row[b] in members:
                 return False
     return True
 
@@ -217,10 +220,20 @@ def _check_congruence(A, class_of, reps):
     transitive, it is enough to compare each x with its representative
     r = reps[class_of[x]]: then x ~ y share r, and T(x, z) ~ T(r, z) ~
     T(y, z).  So each table costs O(n^2), one row of class ids per element.
+    An element alone in its class is its own representative and is only
+    ever compared with itself, so rows are built only for the members of
+    larger classes, and a one-class partition passes at once; the first
+    failing (table, x, z) is the same as with every row.
     """
+    if len(reps) == 1:
+        return
+    sizes = [0] * len(reps)
+    for c in class_of:
+        sizes[c] += 1
+    shared = [x for x in A.elements() if sizes[class_of[x]] > 1]
     for tab in (A.join, A.meet, A.odot, A.imp, tuple(zip(*A.imp))):
-        rows = [tuple(map(class_of.__getitem__, row)) for row in tab]
-        for x in A.elements():
+        rows = {x: tuple(map(class_of.__getitem__, tab[x])) for x in shared}
+        for x in shared:
             r = reps[class_of[x]]
             if rows[x] != rows[r]:
                 z = next(z for z in A.elements() if rows[x][z] != rows[r][z])
@@ -250,24 +263,35 @@ def quotient(A, F):
     representative (:func:`_check_congruence`).  The quotient tables are
     validated once per labeled quotient, and the quotient algebra holds
     the tables `validate` returned, with its own `x/F` labels.
+
+    The classes are all singletons exactly when F = {1}: any other F holds
+    some e != 1, and e*e = e = e*1 puts e and 1 in one class.  Then
+    x -> x/F is the identity, so A/{1} is A itself, with A's labels,
+    and `class_of` and `section` are the identity.
     """
     n = A.size
-    image = A.odot[F.gen]  # x -> e*x
-    cid = {}
-    for v in image:
-        cid.setdefault(v, len(cid))
-    class_of = tuple(cid[v] for v in image)
-    reps = tuple(class_of.index(c) for c in range(len(cid)))
+    if F.gen == A.top:
+        class_of = reps = tuple(A.elements())
+        Q = A
+    else:
+        image = A.odot[F.gen]  # x -> e*x
+        cid = {}
+        for v in image:
+            cid.setdefault(v, len(cid))
+        class_of = tuple(cid[v] for v in image)
+        reps = tuple(class_of.index(c) for c in range(len(cid)))
 
-    _check_congruence(A, class_of, reps)
+        _check_congruence(A, class_of, reps)
 
-    leq = tuple(tuple(A.leq[image[r]][image[s]] for s in reps) for r in reps)
-    odot = tuple(tuple(class_of[A.odot[r][s]] for s in reps) for r in reps)
-    imp = tuple(tuple(class_of[A.imp[r][s]] for s in reps) for r in reps)
-    V = validate(reps, leq, odot, imp)
-    Q = ResiduatedLattice(
-        _shared_labels(tuple(f"{A.labels[r]}/F" for r in reps)),
-        V.leq, V.join, V.meet, V.odot, V.imp, V.bot, V.top)
+        leq = tuple(tuple(A.leq[image[r]][image[s]] for s in reps)
+                    for r in reps)
+        odot = tuple(tuple(class_of[A.odot[r][s]] for s in reps)
+                     for r in reps)
+        imp = tuple(tuple(class_of[A.imp[r][s]] for s in reps) for r in reps)
+        V = validate(reps, leq, odot, imp)
+        Q = ResiduatedLattice(
+            _shared_labels(tuple(f"{A.labels[r]}/F" for r in reps)),
+            V.leq, V.join, V.meet, V.odot, V.imp, V.bot, V.top)
 
     # class of top is exactly F
     assert {x for x in range(n) if class_of[x] == class_of[A.top]} == set(F.members)

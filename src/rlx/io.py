@@ -111,8 +111,9 @@ def parse_rlat(text):
     return validate(labels, leq, odot, imp)
 
 
-def print_rlat(A):
-    labels = A.labels
+def print_rlat(A, labels=None):
+    """A in .rlat form, under `labels` when given, else A's own."""
+    labels = A.labels if labels is None else labels
     covers = covers_of(A.leq)
     lines = [
         "elements: " + " ".join(labels),

@@ -176,11 +176,20 @@ def check_factor_congruences(A):
 
 def check_monotone_lifting(A):
     """If the Boolean (resp. idempotent) classes cover a quotient, every
-    larger filter lifts."""
+    larger filter lifts.  Whether G lifts does not depend on F, so each
+    verdict is computed once, when a pair first asks for it."""
     failures = []
     B = classify(A).boolean_center
     idem = classify(A).idempotents
     filters = all_filters(A)
+    verdicts = {}
+
+    def lifts(phi, G):
+        key = phi, G.gen
+        if key not in verdicts:
+            verdicts[key] = has_phi_lp(A, phi, G)[0]
+        return verdicts[key]
+
     for F in filters:
         Q = quotient(A, F)
         all_classes = set(range(Q.quotient.size))
@@ -189,15 +198,11 @@ def check_monotone_lifting(A):
         for G in filters:
             if not F <= G:
                 continue
-            if b_covers:
-                ok_b, _ = has_phi_lp(A, blp_formula(), G)
-                ok_i, _ = has_phi_lp(A, ilp_formula(), G)
-                if not (ok_b and ok_i):
-                    failures.append(("boolean", repr(F), repr(G)))
-            if i_covers:
-                ok_i, _ = has_phi_lp(A, ilp_formula(), G)
-                if not ok_i:
-                    failures.append(("idempotent", repr(F), repr(G)))
+            if b_covers and not (lifts(blp_formula(), G)
+                                 and lifts(ilp_formula(), G)):
+                failures.append(("boolean", repr(F), repr(G)))
+            if i_covers and not lifts(ilp_formula(), G):
+                failures.append(("idempotent", repr(F), repr(G)))
     return [_forall("covering-classes-lift-upward", failures)]
 
 

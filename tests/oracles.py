@@ -366,6 +366,16 @@ def is_filter_subset(A, subset):
     return True
 
 
+def brute_is_prime(F):
+    """Prime by the definition: proper, and a|b in F puts a or b in F, for
+    every pair of elements."""
+    A = F.algebra
+    return F.proper and not any(
+        A.join[a][b] in F.members and a not in F.members
+        and b not in F.members
+        for a in A.elements() for b in A.elements())
+
+
 def lattice_is_filter(L, subset):
     """Contains top, up-closed and closed under meet."""
     if L.top not in subset:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,9 +18,10 @@ from rlx.formulas import (
     ilp_formula,
     rlp_formula,
 )
-from rlx.io import load_rlat, parse_blat, parse_rlat, print_blat
+from rlx.io import load_rlat, parse_blat, parse_rlat, print_blat, save_rlat
 from rlx.lifting import lp_report
 from rlx.reticulation import build_reticulation
+from test_invariance import permuted
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -278,6 +280,58 @@ def test_reticulate_output_pinned(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == RETICULATE_SHA256[name]
     L = build_reticulation(load_rlat(path)).lattice
     assert parse_blat(print_blat(L)) == L
+
+
+# SHA-256 of the stdout of `rlx quotient F --filter <top>`, recorded at
+# commit d32a329, before A/{1} became A itself
+TRIVIAL_QUOTIENT_SHA256 = {
+    "b2": "54fa47914916cd40ab979b45a9abb9fa263ad6b91f9ff3cd39b9d6f90daa066c",
+    "godel3": "e814af960b89528f3cf51789bd8adff170f232865b94607ca243390ae786a2ff",
+    "luk4": "7c2e37b5f074eac27f8d0fc28a4317fffb22d147498bf9680213a457d92a8a95",
+    "pentagon_godel": "1c8fa38cc59c559e7c9b1da9be2844516097816bdd91bc4f2d1b67de9ef43998",
+    "pentagon_stacked": "69590ada746225a22f4562544ea61d86dad1fb2f9afb2a9f180bebb6c66e8a06",
+    "trivial": "a1ee5823e7304df7088f17ff6c8ace551db1319f833726b2f9907a322d8d9c4a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIVIAL_QUOTIENT_SHA256))
+def test_trivial_quotient_output_pinned(capsys, name):
+    """A/{1} is A itself, yet `rlx quotient` prints every class as x/F."""
+    A = load_rlat(FIXTURES / f"{name}.rlat")
+    code, out, err = run_cli(capsys, "quotient", str(FIXTURES / f"{name}.rlat"),
+                             "--filter", A.labels[A.top])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == TRIVIAL_QUOTIENT_SHA256[name]
+    assert out.startswith("elements: " + " ".join(f"{x}/F" for x in A.labels))
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(FIXTURES.glob("*.rlat"))
+                                  if load_rlat(p).size > 1],
+                         ids=lambda p: p.stem)
+def test_permuted_fixture_gives_the_same_rows_and_hash(capsys, tmp_path, path):
+    """A copy of the fixture file with its rows and columns reordered, bot
+    and top moved, gives the same theorem rows and content hash.  The copy
+    lives in tmp_path: perfbench/record.py globs fixtures/."""
+    A = load_rlat(path)
+    B = permuted(A, random.Random(path.stem))
+    assert (B.bot, B.top) != (A.bot, A.top)
+    copy = tmp_path / path.name
+    save_rlat(B, copy)
+    assert copy.read_text() != path.read_text()
+
+    def rows(p):
+        code, out, _ = run_cli(capsys, "check-theorems", "--json", str(p))
+        assert code == 0
+        return [(r["theorem_id"], r["lhs"], r["rhs"], r["agree"])
+                for r in json.loads(out)]
+
+    def content_hash(p):
+        code, out, _ = run_cli(capsys, "analyze", "--json", str(p))
+        assert code == 0
+        return json.loads(out)["hash"]
+
+    assert rows(copy) == rows(path)
+    assert content_hash(copy) == content_hash(path)
 
 
 def test_quotient_round_trip(capsys, tmp_path):

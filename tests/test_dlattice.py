@@ -1,6 +1,5 @@
 import pytest
 
-import rlx.dlattice
 from rlx.core import (
     boolean_algebra,
     classify,
@@ -52,26 +51,23 @@ def test_pentagon_not_distributive():
         validate_bdl(["0", "d", "c", "b", "1"], leq)
 
 
-def test_distributivity_is_scanned_once_per_order(cold_caches, monkeypatch):
-    """Two labelings of one order make one scan; a failing order is scanned
-    again, since a failure is never stored."""
-    scans = []
-
-    def counted(leq, join, meet):
-        scans.append(leq)
-        return distributivity_witness(leq, join, meet)
-
-    monkeypatch.setattr(rlx.dlattice, "distributivity_witness", counted)
+def test_distributivity_is_scanned_once_per_order(cold_caches):
+    """Two labelings of one order make one scan, and so does a failing
+    order met three times: its witness is stored, but no algebra is, so
+    NotDistributive is raised on every call."""
     leq = leq_from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     for labels in (["0", "x", "y", "1"], ["o", "a", "b", "i"]):
         assert validate_bdl(labels, leq).labels == tuple(labels)
-    assert len(scans) == 1
+    assert distributivity_witness.cache_info().misses == 1
     pentagon = leq_from_covers(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+    witnesses = []
     for labels in (["0", "d", "c", "b", "1"], ["0", "d", "c", "b", "1"],
                    ["o", "p", "q", "r", "i"]):
-        with pytest.raises(NotDistributive):
+        with pytest.raises(NotDistributive) as err:
             validate_bdl(labels, pentagon)
-    assert len(scans) == 4
+        witnesses.append(err.value.witness)
+    assert distributivity_witness.cache_info().misses == 2
+    assert witnesses[0] and witnesses.count(witnesses[0]) == 3
 
 
 def test_underlying_lattice(E1, E2):

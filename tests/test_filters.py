@@ -1,9 +1,11 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
 from rlx.core import boolean_algebra, classify, godel_chain, lukasiewicz_chain
 from rlx.errors import AxiomViolation
+from rlx.io import load_rlat
 from rlx.filters import (
     Filter,
     _check_congruence,
@@ -24,6 +26,7 @@ from rlx.filters import (
 
 from oracles import (
     brute_congruence_violation,
+    brute_is_prime,
     fixed_point_filter,
     is_filter_subset,
     min_generator,
@@ -189,6 +192,19 @@ def test_chains_are_local_with_all_filters_prime():
             for F in all_filters(A):
                 if F.proper:
                     assert is_prime(F)
+
+
+def test_is_prime_matches_the_definition(corpus5, corpus6):
+    """The scan over the pairs outside F agrees with the scan over all
+    pairs on every filter of every algebra of size <= 6 and of the
+    fixtures."""
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    algebras = [*corpus5, *corpus6,
+                *map(load_rlat, sorted(fixtures.glob("*.rlat")))]
+    verdicts = [(is_prime(F), brute_is_prime(F))
+                for A in algebras for F in all_filters(A)]
+    assert all(fast == brute for fast, brute in verdicts)
+    assert {fast for fast, _ in verdicts} == {True, False}
 
 
 def test_semilocal_reports_max_count(E1):

@@ -17,7 +17,7 @@ from test_table_memo import TABLE_MEMOS
 
 LRU_CACHES = {
     "core._validate_lattice", "core._validate_residuated", "core.shared_set",
-    "dlattice._distributive_meet", "dlattice._validate_bdl",
+    "core.distributivity_witness", "dlattice._validate_bdl",
     "filters._shared_labels", "filters._upsets", "filters.all_filters",
     "filters.max_spec", "filters.quotient", "filters.radical", "filters.spec",
     "formulas.blp_formula", "formulas.ilp_formula", "formulas.rlp_formula",

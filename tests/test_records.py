@@ -60,10 +60,10 @@ RECORDS = {
         "is_distributive=True, is_hyperarchimedean=True)"),
     Filter: (principal_filter(G, 1), "{x1,1}"),
     QuotientAlgebra: (
-        quotient(B, principal_filter(B, B.top)),
-        "QuotientAlgebra(parent=ResiduatedLattice(0,1), filter={1}, "
-        "class_of=(0, 1), quotient=ResiduatedLattice(0/F,1/F), "
-        "section=(0, 1))"),
+        quotient(B, principal_filter(B, B.bot)),
+        "QuotientAlgebra(parent=ResiduatedLattice(0,1), filter={0,1}, "
+        "class_of=(0, 0), quotient=ResiduatedLattice(0/F), "
+        "section=(0,))"),
     Formula: (
         PHI,
         "Formula(bound_vars=('w1',), equations=((BinOp(op='|', "

@@ -43,12 +43,12 @@ def test_equal_tables_are_one_object(cold_caches, E2):
 
 
 def test_trivial_quotient_shares_the_tables(cold_caches, corpus5, E1, E2):
+    """A/{1} is A itself, and the canonical map is the identity."""
     for B in corpus5 + [E1, E2]:
         A = _fresh(B)
-        Q = quotient(A, principal_filter(A, A.top)).quotient
-        assert Q.labels != A.labels
-        for name in TABLES:
-            assert getattr(Q, name) is getattr(A, name)
+        Q = quotient(A, principal_filter(A, A.top))
+        assert Q.quotient is A
+        assert Q.class_of == Q.section == tuple(A.elements())
 
 
 def _with_entry(table, value):
@@ -152,12 +152,18 @@ def test_a_failed_validation_stores_nothing(cold_caches, E2):
 
 
 def test_equal_quotient_labels_are_one_object(cold_caches, corpus5):
-    seen = {}
+    """The quotients by F != {1}, whose labels are x/F, share them."""
+    seen, count = {}, 0
     for A in corpus5:
         for F in all_filters(A):
+            if F.gen == A.top:
+                continue
             labels = quotient(A, F).quotient.labels
+            assert labels == tuple(f"{A.labels[r]}/F"
+                                   for r in quotient(A, F).section)
             assert seen.setdefault(labels, labels) is labels
-    assert len(seen) < sum(len(all_filters(A)) for A in corpus5)
+            count += 1
+    assert len(seen) < count
 
 
 def test_equal_rows_without_a_witness_are_one_object(cold_caches, corpus5):
