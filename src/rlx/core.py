@@ -89,6 +89,7 @@ class ResiduatedLattice(Record):
         self._set("top", top)
         self._set("_hash", hash((leq, odot)))
         self._set("_key", None)
+        self._set("_elements", _element_range(len(labels)))
 
     def __eq__(self, other):
         if self is other:
@@ -114,7 +115,8 @@ class ResiduatedLattice(Record):
         return len(self.labels)
 
     def elements(self):
-        return range(len(self.labels))
+        """range(size), the one range every algebra of this size shares."""
+        return self._elements
 
     def neg(self, a):
         return self.imp[a][self.bot]
@@ -154,6 +156,13 @@ class ResiduatedLattice(Record):
 
     def __repr__(self):
         return f"ResiduatedLattice({','.join(self.labels)})"
+
+
+@lru_cache(maxsize=None)
+def _element_range(n):
+    """range(n), built once per size: `elements()` is called tens of
+    thousands of times per matrix run, on algebras of a few sizes."""
+    return range(n)
 
 
 class _TableKey:
@@ -292,41 +301,71 @@ def glb_table(leq):
     return _bound_table(_row_masks(zip(*leq)))
 
 
-def _residual_masks(downs, odot):
+def _covering_pairs(down):
+    """The covering pairs (c, d), d a lower cover of c, with c along a
+    linear extension; `down` holds the down-sets of a partial order as
+    bitmasks.
+
+    d < c gives |down(d)| < |down(c)|, so sorting by down-set size gives
+    a linear extension whatever the ids.  The lower covers of c are the
+    elements strictly below c that lie strictly below no other element
+    strictly below c: n^2 bit operations in all."""
+    n = len(down)
+    strict = [m & ~(1 << c) for c, m in enumerate(down)]
+    pairs = []
+    for c in sorted(range(n), key=lambda c: down[c].bit_count()):
+        below = strict[c]
+        covered = 0
+        for d in range(n):
+            if below >> d & 1:
+                covered |= strict[d]
+        lower = below & ~covered
+        pairs.extend((c, d) for d in range(n) if lower >> d & 1)
+    return tuple(pairs)
+
+
+def _residual_masks(covers, odot):
     """good[b][c], the bitmask of the a with a*b <= c, for every pair;
-    downs[c] lists the elements below c.
+    `covers` holds the covering pairs along a linear extension
+    (:func:`_covering_pairs`).
 
     Column b of the product is sorted by value once: bit a goes into the
-    mask of the value a*b.  good[b][c] is the union of the masks of the
-    values below c, so bit a lands in good[b][c] for every c in the
-    up-set of a*b."""
-    n = len(downs)
+    mask of the value a*b.  Every d < c lies below a lower cover of c, so
+    good[b][c] is that mask of c joined with good[b][d] over the lower
+    covers d of c.  Along a linear extension each good[b][d] is complete
+    before a pair (c, d) reads it, so the masks are built in place:
+    n^2 (1 + covers) operations, where the union over the whole down-set
+    of c takes n^2 |down(c)|."""
     good = []
+    n = len(odot)
     for column in zip(*odot):
-        by_value = [0] * n
+        masks = [0] * n
         for a, v in enumerate(column):
-            by_value[v] |= 1 << a
-        masks = []
-        for below in downs:
-            m = 0
-            for v in below:
-                m |= by_value[v]
-            masks.append(m)
+            masks[v] |= 1 << a
+        for c, d in covers:
+            masks[c] |= masks[d]
         good.append(masks)
     return good
 
 
 def _residuum(good, down):
-    """imp(b, c), the maximum of good[b][c]: the a whose down-set contains
-    good[b][c] and lies in it.  When good[b][c] is a down-set, one lookup
-    gives it; otherwise the elements are scanned.  Raises
-    NotResiduated(b, c) at the first pair, in row order, with no maximum."""
+    """(imp, exact): imp(b, c) is the maximum of good[b][c], the a whose
+    down-set contains good[b][c] and lies in it.  When good[b][c] is a
+    down-set, one lookup gives it; otherwise the elements are scanned.
+    Raises NotResiduated(b, c) at the first pair, in row order, with no
+    maximum.
+
+    `exact` says whether every lookup hit.  A hit finds good[b][c] ==
+    down[imp(b, c)], which is the residuation law at (b, c); a scanned
+    entry is not a down-set, so there the law fails."""
     n = len(down)
     where = {m: a for a, m in enumerate(down)}
     imp = []
+    exact = True
     for b, masks in enumerate(good):
         row = [where.get(g) for g in masks]
         if None in row:
+            exact = False
             for c, g in enumerate(masks):
                 if row[c] is None:
                     row[c] = next((a for a in range(n) if g >> a & 1
@@ -334,7 +373,7 @@ def _residuum(good, down):
                     if row[c] is None:
                         raise NotResiduated(b, c)
         imp.append(tuple(row))
-    return tuple(imp)
+    return tuple(imp), exact
 
 
 def derive_implication(leq, odot):
@@ -346,9 +385,8 @@ def derive_implication(leq, odot):
     be a partial order.  The caller still has to run :func:`validate`,
     which re-checks the full residuation equivalence.
     """
-    n = len(leq)
-    downs = [[v for v in range(n) if leq[v][c]] for c in range(n)]
-    return _residuum(_residual_masks(downs, odot), _row_masks(zip(*leq)))
+    down = _row_masks(zip(*leq))
+    return _residuum(_residual_masks(_covering_pairs(down), odot), down)[0]
 
 
 def validate(labels, leq, odot, imp=None):
@@ -416,8 +454,10 @@ def _normalized(labels, leq):
 def _validate_lattice(leq):
     """The bounded-lattice part of :func:`validate` on a normalized order:
     order axioms, bounds, and a lub and glb for every pair.  Returns
-    (leq, bot, top, join, meet, irreducibles, downs, down), with the `leq`
-    it is keyed by and what the residuated stage reads of the order."""
+    (leq, bot, top, join, meet, irreducibles, covers, down), with the `leq`
+    it is keyed by and what the residuated stage reads of the order:
+    `down` the down-sets as bitmasks and `covers` the covering pairs along
+    a linear extension (:func:`_covering_pairs`)."""
     n = len(leq)
     _check_order(leq, n)
     bot, top = bounds_of(leq)
@@ -430,13 +470,12 @@ def _validate_lattice(leq):
                 raise AxiomViolation("join-lub", (a, b))
             if glb[a][b] is None:
                 raise AxiomViolation("meet-glb", (a, b))
-    downs = tuple(tuple(v for v in range(n) if leq[v][c]) for c in range(n))
     down = tuple(_row_masks(zip(*leq)))
     # x is join-irreducible iff the elements below it, x aside, have a
     # maximum: they form a principal down-set (bot's is empty)
     principal = set(down)
     irreducibles = tuple(x for x in range(n) if down[x] ^ 1 << x in principal)
-    return leq, bot, top, lub, glb, irreducibles, downs, down
+    return leq, bot, top, lub, glb, irreducibles, _covering_pairs(down), down
 
 
 @lru_cache(maxsize=None)
@@ -463,7 +502,7 @@ def _validate_residuated(leq, odot, imp):
     checked last, on those only.  It comes first in the order of errors:
     when the law or an irreducible triple fails, the n^3 loop runs first."""
     n = len(leq)
-    _, _, top, _, _, irreducibles, downs, down = _validate_lattice(leq)
+    _, _, top, _, _, irreducibles, covers, down = _validate_lattice(leq)
     if tuple(zip(*odot)) != odot:
         bad = next((a, b) for a in range(n) for b in range(n)
                    if odot[a][b] != odot[b][a])
@@ -472,10 +511,10 @@ def _validate_residuated(leq, odot, imp):
         bad = next(a for a in range(n) if odot[a][top] != a)
         raise AxiomViolation("monoid-unit", (bad,))
     try:
-        good = _residual_masks(downs, odot)
-        derived = None
+        good = _residual_masks(covers, odot)
+        derived, exact = None, False
         try:
-            derived = _residuum(good, down)
+            derived, exact = _residuum(good, down)
         except NotResiduated:
             pass
         if imp is None:
@@ -490,10 +529,12 @@ def _validate_residuated(leq, odot, imp):
                 raise AxiomViolation("implication-mismatch", bad)
 
         # The law itself: a*b <= c  iff  a <= b->c, for all triples, is
-        # good[b][c] == down[b->c] for all pairs.  The witness is the
-        # least a, then the least (b, c): the first triple in a-b-c order.
-        if any(masks != [down[x] for x in row]
-               for masks, row in zip(good, imp)):
+        # good[b][c] == down[b->c] for all pairs.  When every lookup of
+        # `_residuum` hit, that holds for the derived table, and a given
+        # `imp` got here only if equal to it.  Otherwise some good[b][c]
+        # is no down-set, and the law fails.  The witness is the least a,
+        # then the least (b, c): the first triple in a-b-c order.
+        if not exact:
             diff = [[g ^ down[x] for g, x in zip(masks, row)]
                     for masks, row in zip(good, imp)]
             a = min((d & -d).bit_length() - 1 for row in diff for d in row if d)
@@ -508,14 +549,23 @@ def _validate_residuated(leq, odot, imp):
 
 
 def _check_associative(odot, ids):
-    """Raise at the first (a, b, c) over `ids`, in a-b-c order, with
-    (a*b)*c != a*(b*c)."""
-    for a in ids:
+    """Raise at the first (a, b, c) over `ids`, increasing ids, in a-b-c
+    order, with (a*b)*c != a*(b*c), for a commutative `odot`.
+
+    Only c > a is scanned.  With * commutative, (c*b)*a = a*(b*c) and
+    c*(b*a) = (a*b)*c: (c, b, a) compares the same two values as
+    (a, b, c), so one fails iff the other does.  A failing (a, b, c) with
+    c < a follows the failing (c, b, a) in a-b-c order, so the first
+    failing triple has a <= c.  And (a, b, a) never fails: both sides
+    equal a*(a*b).  So the witness is that of the full scan."""
+    ids = tuple(ids)
+    for i, a in enumerate(ids):
         row_a = odot[a]
+        tail = ids[i + 1:]
         for b in ids:
             row_ab = odot[row_a[b]]
             row_b = odot[b]
-            for c in ids:
+            for c in tail:
                 if row_ab[c] != row_a[row_b[c]]:
                     raise AxiomViolation("monoid-associativity", (a, b, c))
 

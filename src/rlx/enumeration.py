@@ -228,32 +228,35 @@ def _products_on_lattice(leq, join, meet):
         for p in irr_all:
             prod[p][top] = prod[top][p] = p
 
-    def times(x, r):
-        """x*r on the partial table, or -1 if a pair it reads is unset.
-
-        A residuated product distributes over joins, so there x*r is the
-        join of s*r over the maximal irreducibles s <= x (module docstring)."""
-        acc = bot
-        for s in maximal[x]:
-            w = prod[s][r]
-            if w < 0:
-                return -1
-            acc = join[acc][w]
-        return acc
+    # x*r on the partial table is the join of s*r over the maximal
+    # irreducibles s <= x, as in every product that distributes over joins
+    # (module docstring), and unset if one of those s*r is.  `associative`,
+    # run on every candidate value, and the column check at a block's end
+    # read it inline, without a function call per read.
 
     def associative(p, q, v):
         """(p*q)*r = p*(q*r) = q*(p*r) for every irreducible r for which
         all the pairs read are set."""
         for r in irr_all:
-            left = times(v, r)
-            if left < 0:
-                continue
-            for a, b in ((p, q), (q, p)):
-                br = prod[b][r]
-                if br >= 0:
-                    right = times(br, a)
-                    if right >= 0 and right != left:
-                        return False
+            left = bot
+            for s in maximal[v]:
+                w = prod[s][r]
+                if w < 0:
+                    break
+                left = join[left][w]
+            else:
+                for a, b in ((p, q), (q, p)):
+                    br = prod[b][r]
+                    if br >= 0:
+                        right = bot
+                        for s in maximal[br]:
+                            w = prod[s][a]
+                            if w < 0:
+                                break
+                            right = join[right][w]
+                        else:
+                            if right != left:
+                                return False
         return True
 
     def backtrack(k):
@@ -262,7 +265,13 @@ def _products_on_lattice(leq, join, meet):
             if all(prod[p][q] != p for q in above):
                 return
             if triples:
-                col = [times(x, p) for x in range(n)]
+                # p's column is complete: every s*p it reads is set
+                col = []
+                for below_x in maximal:
+                    acc = bot
+                    for s in below_x:
+                        acc = join[acc][prod[s][p]]
+                    col.append(acc)
                 if any(col[z] != join[col[x]][col[y]] for x, y, z in triples):
                     return
         if k == len(free):

@@ -255,6 +255,21 @@ def brute_derive_implication(leq, odot):
     return tuple(imp)
 
 
+def downset_residual_masks(downs, odot):
+    """good[b][c], the bitmask of the a with a*b <= c, for every pair, as a
+    union over the whole down-set: downs[c] lists the elements below c.
+    Bit a goes into the mask of the value a*b, and good[b][c] is the union
+    of the masks of the values below c: their sum, as they are disjoint."""
+    n = len(downs)
+    good = []
+    for column in zip(*odot):
+        by_value = [0] * n
+        for a, v in enumerate(column):
+            by_value[v] |= 1 << a
+        good.append([sum(by_value[v] for v in below) for below in downs])
+    return good
+
+
 def brute_validate_residuated(leq, odot, imp):
     """The residuated stage of `validate` as plain loops over the
     elements: each axiom checked pair by pair or triple by triple, and the

@@ -34,6 +34,7 @@ from oracles import (
     brute_glb_table,
     brute_lub_table,
     brute_validate_residuated,
+    downset_residual_masks,
     lattice_orders,
     partial_orders,
 )
@@ -104,21 +105,92 @@ def test_order_kernels_match_list_scans():
 
 def test_lattice_stage_facts_match_their_definitions():
     # every labeled lattice order of size <= 5, ids in any order: x is
-    # join-irreducible iff it is not bot and no a, b other than x join to x
+    # join-irreducible iff it is not bot and no a, b other than x join to
+    # x; (c, d) is a covering pair iff d < c and no e lies strictly between
     for n in range(1, 6):
         for leq in partial_orders(n):
             try:
-                _, bot, _, join, _, irreducibles, downs, down = \
+                _, bot, _, join, _, irreducibles, covers, down = \
                     _validate_lattice.__wrapped__(leq)
             except AxiomViolation:
                 continue
             below = [[v for v in range(n) if leq[v][c]] for c in range(n)]
-            assert downs == tuple(map(tuple, below))
             assert down == tuple(sum(1 << v for v in d) for d in below)
+            assert sorted(covers) == [
+                (c, d) for c in range(n) for d in below[c] if d != c
+                and not any(e not in (c, d) and leq[d][e] and leq[e][c]
+                            for e in range(n))]
+            # along a linear extension: the pairs of d come before any
+            # pair (c, d) that reads them
+            assert all(k < covers.index((c, d))
+                       for c, d in covers
+                       for k, (e, _) in enumerate(covers) if e == d)
             assert irreducibles == tuple(
                 x for x in range(n) if x != bot and all(
                     join[a][b] != x for a in below[x] for b in below[x]
                     if x not in (a, b)))
+
+
+def test_residual_kernels_match_the_down_set_union():
+    # every labeled partial order of size <= 5, ids in any order, with
+    # drawn tables, commutative or not: the masks built along the covering
+    # pairs are the unions over whole down-sets, and a residuum whose
+    # lookups all hit satisfies the law, which fails after any scan
+    rng = random.Random(28)
+    exact_seen = scanned_seen = 0
+    for n in range(1, 6):
+        for leq in partial_orders(n):
+            below = [[v for v in range(n) if leq[v][c]] for c in range(n)]
+            down = rlx.core._row_masks(zip(*leq))
+            covers = rlx.core._covering_pairs(down)
+            for _ in range(3):
+                odot = tuple(tuple(rng.randrange(n) for _ in range(n))
+                             for _ in range(n))
+                good = rlx.core._residual_masks(covers, odot)
+                assert good == downset_residual_masks(below, odot)
+                try:
+                    imp, exact = rlx.core._residuum(good, down)
+                except NotResiduated:
+                    continue
+                law = all(g == down[x] for masks, row in zip(good, imp)
+                          for g, x in zip(masks, row))
+                assert law == exact
+                exact_seen += exact
+                scanned_seen += not exact
+    assert exact_seen and scanned_seen
+
+
+def _first_non_associative(odot, ids):
+    """The first (a, b, c) over `ids`, in a-b-c order, with
+    (a*b)*c != a*(b*c), by the plain triple loop; None if there is none."""
+    return next(((a, b, c) for a in ids for b in ids for c in ids
+                 if odot[odot[a][b]][c] != odot[a][odot[b][c]]), None)
+
+
+def test_half_associativity_scan_raises_the_full_scan_witness():
+    # commutative tables on up to 6 elements, over every id and over a
+    # drawn increasing subset of ids: the scan of c > a raises at the
+    # plain loop's first failing triple, and passes where it passes
+    rng = random.Random(2828)
+    failing = 0
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        odot = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                odot[a][b] = odot[b][a] = rng.randrange(n)
+        odot = tuple(map(tuple, odot))
+        for ids in (range(n), tuple(x for x in range(n) if rng.random() < .6)):
+            expected = _first_non_associative(odot, ids)
+            try:
+                rlx.core._check_associative(odot, ids)
+                witness = None
+            except AxiomViolation as err:
+                assert err.axiom == "monoid-associativity"
+                witness = err.witness
+            assert witness == expected
+            failing += expected is not None
+    assert failing > 1000
 
 
 def _implication_or_pair(derive, leq, odot):

@@ -1,42 +1,64 @@
 """A ratchet on the memory that the theorem matrix keeps.
 
-`theorem_checks` runs over the corpus of sizes 1..5 with every memo
-emptied first, and `tracemalloc` counts the bytes allocated during the
-run that are still alive after it: the rows and everything the memos
-hold.  The pin may go down, never up: whoever lowers the bytes lowers the
-pin.  Object sizes differ between Python versions, so the pin is kept
-per version.
+`theorem_checks` runs over the corpus of sizes 1..5 in a fresh
+interpreter, and `tracemalloc` counts the bytes allocated during the run
+that are still alive after it: the rows and everything the memos hold.
+A fresh interpreter starts with empty memos, free lists and caches, so
+the count does not depend on what ran before it: the full suite and the
+file alone measure the same bytes.  The pin may go down, never up:
+whoever lowers the bytes lowers the pin.  Object sizes differ between
+Python versions, so the pin is kept per version.
 """
 
-import gc
+import os
+import subprocess
 import sys
-import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from rlx.enumeration import all_algebras
-from rlx.theorems import theorem_checks
+import rlx
 
-# bytes retained, measured 426,492-438,196 with CPython 3.11, plus 3 %
+# bytes retained with CPython 3.11: 438,192-438,196 when this test ran in
+# the pytest process on its own, plus 3 %; 439,820 in a fresh interpreter
 RETAINED_PIN = {(3, 11): 452_000}
 # a value this far below the pin means the pin should come down
 SLACK = 0.9
 
+MEASURE = """
+import gc, tracemalloc
+from rlx.enumeration import all_algebras
+from rlx.theorems import theorem_checks
+corpus = [A for n in range(1, 6) for A in all_algebras(n)]
+gc.collect()  # a full collection also empties the free lists
+tracemalloc.start()
+rows = [theorem_checks(A) for A in corpus]
+gc.collect()
+retained = tracemalloc.get_traced_memory()[0]
+tracemalloc.stop()
+print(sum(map(len, rows)), retained)
+"""
 
-def test_matrix_retained_bytes_are_pinned(cold_caches):
+
+def _measure():
+    """(rows, bytes retained) of the size-5 matrix in a fresh interpreter
+    that imports this rlx."""
+    src = str(Path(rlx.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + os.pathsep + path if path else src)
+    out = subprocess.run([sys.executable, "-c", MEASURE], env=env,
+                         capture_output=True, text=True, check=True)
+    rows, retained = map(int, out.stdout.split())
+    return rows, retained
+
+
+def test_matrix_retained_bytes_are_pinned():
     pin = RETAINED_PIN.get(sys.version_info[:2])
     if pin is None:
         pytest.skip(f"no pin for Python {sys.version_info[:2]}")
-    corpus = [A for n in range(1, 6) for A in all_algebras(n)]
-    gc.collect()  # a full collection also empties the free lists
-    tracemalloc.start()
-    try:
-        rows = [theorem_checks(A) for A in corpus]
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert sum(map(len, rows)) == 2753
+    rows, retained = _measure()
+    assert rows == 2753
     assert retained <= pin, (
         f"the size-5 matrix retains {retained:,} bytes, pinned at {pin:,}: "
         "keep a value only where an equal one is not already held")

@@ -2,11 +2,13 @@ import functools
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
 import rlx.reticulation
 import rlx.spectra
+import rlx.theorems
 from rlx.core import (
     boolean_algebra,
     classify,
@@ -19,7 +21,7 @@ from rlx.core import (
 )
 from rlx.dlattice import validate_bdl
 from rlx.errors import NotDistributive
-from rlx.filters import principal_filter, quotient, spec
+from rlx.filters import all_filters, principal_filter, quotient, spec
 from rlx.formulas import blp_formula, ilp_formula
 from rlx.spectra import stone_max, stone_spec, topology_predicates
 from rlx.theorems import disagreements, theorem_checks
@@ -214,3 +216,47 @@ def test_star_direct_form_bug_is_a_disagreeing_row(monkeypatch):
     for form in ("nilpotent-radical", "spectral", "spectral-powers"):
         row = rows[f"star-forms.{form}"]
         assert (row.lhs, row.rhs, row.agree) == (False, True, False)
+
+
+def test_monotone_lifting_reads_each_verdict_for_its_own_filter(corpus5,
+                                                                 monkeypatch):
+    # a stub has_phi_lp whose verdict depends on the formula and on G: the
+    # row's failures, caught from `_forall`, must be those of the uncached
+    # loop over every pair F <= G
+    formulas = {blp_formula(): "blp", ilp_formula(): "ilp"}
+
+    def verdict(A, phi, G):
+        seed = f"{formulas[phi]}:{sorted(G.members)}"
+        return random.Random(seed).random() < 0.6, None
+
+    caught = []
+    forall = rlx.theorems._forall
+
+    def recording_forall(tid, failures):
+        caught.append(list(failures))
+        return forall(tid, failures)
+
+    monkeypatch.setattr(rlx.theorems, "has_phi_lp", verdict)
+    monkeypatch.setattr(rlx.theorems, "_forall", recording_forall)
+    kinds = set()
+    for A in corpus5:
+        B, idem = classify(A).boolean_center, classify(A).idempotents
+        expected = []
+        for F in all_filters(A):
+            Q = quotient(A, F)
+            classes = set(range(Q.quotient.size))
+            for G in all_filters(A):
+                if not F <= G:
+                    continue
+                if {Q.class_of[e] for e in B} == classes and not (
+                        verdict(A, blp_formula(), G)[0]
+                        and verdict(A, ilp_formula(), G)[0]):
+                    expected.append(("boolean", repr(F), repr(G)))
+                if ({Q.class_of[e] for e in idem} == classes
+                        and not verdict(A, ilp_formula(), G)[0]):
+                    expected.append(("idempotent", repr(F), repr(G)))
+        caught.clear()
+        rlx.theorems.check_monotone_lifting(A)
+        assert caught == [expected], A
+        kinds.update(kind for kind, _, _ in expected)
+    assert kinds == {"boolean", "idempotent"}
