@@ -15,6 +15,7 @@ from .core import (
     _validate_lattice,
     complemented_elements,
     distributivity_witness,
+    table_memo,
     validate,
 )
 from .errors import NotConormal, NotDistributive
@@ -57,11 +58,17 @@ def lattice_blp(L):
     return per, all(per.values())
 
 
+@table_memo
 def is_normal_lattice(L):
-    """x|y=1 always splits: some u,v with u&v=0, u|x=v|y=1."""
+    """x|y=1 always splits: some u,v with u&v=0, u|x=v|y=1.
+
+    No label enters the answer, and the filter lattices and reticulations
+    of different algebras repeat each other's tables, so it is kept once
+    per table pair, as is `is_conormal_lattice`."""
     return _split_witness(L.elements(), L.join, L.meet, L.top, L.bot) is None
 
 
+@table_memo
 def is_conormal_lattice(L):
     """The order dual: x&y=0 always splits as some u|v=1, u&x=v&y=0."""
     return _split_witness(L.elements(), L.meet, L.join, L.bot, L.top) is None

@@ -131,17 +131,23 @@ def clopen_via_boolean(A, which):
     return tuple(sorted(fam))
 
 
-@lru_cache(maxsize=None)
 def topology_predicates(space):
     """T0/T1/Hausdorff/compact/zero-dimensional/strongly-zero-dimensional/
     normal/Boolean for an explicit finite open family.
 
-    Several row families read the predicates of one space, so they are
-    computed once per space and returned as a read-only mapping."""
-    n = len(space.points)
-    opens = space.opens
+    Several row families read the predicates of one space, and spaces of
+    different algebras often carry the same topology, so they are
+    computed once per topology and returned as a read-only mapping.  They
+    and their two asserts read only the point count and the opens, and
+    the kind chooses whether the Max-only assert runs; that triple is the
+    key, so a space's algebra, points and filters are never hashed."""
+    return _topology_predicates(space.kind, len(space.points), space.opens)
+
+
+@lru_cache(maxsize=None)
+def _topology_predicates(kind, n, opens):
     openset = set(opens)
-    full = space.full
+    full = (1 << n) - 1
     clopens = [U for U in opens if (full & ~U) in openset]
 
     t0 = all(
@@ -201,7 +207,7 @@ def topology_predicates(space):
         "normal": normal,
         "boolean_space": boolean_space,
     }
-    if space.kind == "max":
+    if kind == "max":
         # on a T1 compact space the four conditions collapse
         assert zero_dim == strongly_zero_dim == normal == boolean_space
     # strong zero-dimensionality agrees with clopen separation of disjoint

@@ -422,6 +422,14 @@ def local_factor_decomposition(A):
     residuum is fixed by <= and *; `validate` has proved A and each factor
     residuated, so the map also carries -> to the product's ->_e.
 
+    When the top is the only atom (B(A) = {0, 1}) the one factor is
+    [neg 1) = [0) = A itself and the one component is x -> 0 | x = x, so
+    every comparison of the scan compares a value with itself: the answer
+    is (True, is_local(A), (n,)) without the scan.  Every algebra of
+    prime size is such, since a Boolean e other than 0 and 1 makes n =
+    |[e)| * |[neg e)|.  Of the 889 algebras of sizes 1..7, 885 take this
+    path; the trivial algebra and three decomposable ones do not.
+
     Two row families read it, so it is cached; the answer is a tuple of
     immutable values."""
     B = sorted(classify(A).boolean_center)
@@ -430,6 +438,8 @@ def local_factor_decomposition(A):
              if not any(f != e and A.leq[f][e] for f in nonbot)]
     if not atoms:  # trivial algebra
         return True, True, ()
+    if atoms == [A.top]:  # directly indecomposable
+        return True, is_local(A), (A.size,)
     factors = [upset_algebra(A, A.neg(e)) for e in atoms]
     sizes = tuple(X.size for X in factors)
     comps = [A.join[A.neg(e)] for e in atoms]

@@ -9,6 +9,7 @@ isomorphism search after them is the reference that `rl_isomorphic`,
 """
 
 import itertools
+import math
 
 import rlx.core
 from rlx.core import (
@@ -17,13 +18,14 @@ from rlx.core import (
     direct_product,
     glb_table,
     lub_table,
+    upset_algebra,
     validate,
 )
 from rlx.dlattice import validate_bdl
 from rlx.core import bounds_of
 from rlx.enumeration import _lattice_orders, _products_on_lattice, all_algebras
 from rlx.errors import AxiomViolation, NotResiduated
-from rlx.filters import _upsets, principal_filter, quotient
+from rlx.filters import _upsets, is_local, principal_filter, quotient
 from rlx.formulas import BoundVar, Const, FreeVar, Neg, Pow, definable_set
 from rlx.lifting import has_blp, lp_report
 from rlx.iso import permute_relation, permute_table
@@ -728,6 +730,32 @@ def product_lp_check(A, B, phi):
     expected = frozenset(i * nb + j for i in sat_a for j in sat_b)
     assert sat_p == expected, "definable sets must multiply componentwise"
     return lp_p, lp_a, lp_b
+
+
+def scanned_factor_decomposition(A):
+    """`theorems.local_factor_decomposition` with the product scan run on
+    every algebra, the one-factor case included: the map x -> (neg e | x)
+    over the atoms e of the Boolean center, checked pair by pair in A's
+    tables."""
+    B = sorted(classify(A).boolean_center)
+    nonbot = [e for e in B if e != A.bot]
+    atoms = [e for e in nonbot
+             if not any(f != e and A.leq[f][e] for f in nonbot)]
+    if not atoms:  # trivial algebra
+        return True, True, ()
+    factors = [upset_algebra(A, A.neg(e)) for e in atoms]
+    sizes = tuple(X.size for X in factors)
+    comps = [A.join[A.neg(e)] for e in atoms]
+    img = [tuple(c[x] for c in comps) for x in A.elements()]
+    leq, odot, els = A.leq, A.odot, A.elements()
+    is_prod = (math.prod(sizes) == A.size and len(set(img)) == A.size
+               and all(leq[x][y] == all(leq[a][b]
+                                        for a, b in zip(img[x], img[y]))
+                       and all(c[odot[x][y]] == odot[c[x]][c[y]]
+                               for c in comps)
+                       for x in els for y in els))
+    all_local = all(is_local(X) for X in factors)
+    return is_prod, all_local, sizes
 
 
 def join_irreducibles(leq, join):

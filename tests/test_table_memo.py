@@ -12,6 +12,7 @@ import pytest
 import rlx.core
 from conftest import clear_memos
 from rlx.core import classify, complemented_elements, table_memo, validate
+from rlx.dlattice import is_conormal_lattice, is_normal_lattice
 from rlx.filters import (
     _generators,
     all_filters,
@@ -34,7 +35,8 @@ FORMULAS = (blp_formula(), ilp_formula(), rlp_formula())
 TABLE_MEMOS = (
     (classify, 1), (complemented_elements, 1), (_generators, 1),
     (has_blp, 1), (has_ilp, 1), (is_gelfand, 1), (star_property, 1),
-    (_lattice_parts, 1), (_definable_masks, 3),
+    (_lattice_parts, 1), (_definable_masks, 3), (is_normal_lattice, 1),
+    (is_conormal_lattice, 1),
 )
 
 
@@ -59,6 +61,7 @@ def _answers(A):
         radical(A).gen,
         tuple((S.opens, S.v) for S in (stone_spec(A), stone_max(A))),
         (R.lam, _gens(R.filter_of), L.leq, L.join, L.meet, L.odot, L.imp),
+        is_normal_lattice(L), is_conormal_lattice(L),
         tuple((Q.class_of, Q.section, Q.quotient.leq, Q.quotient.odot,
                Q.quotient.imp)
               for Q in (quotient(A, F) for F in all_filters(A))),

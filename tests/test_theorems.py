@@ -3,9 +3,11 @@ import hashlib
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+import rlx.dlattice
 import rlx.reticulation
 import rlx.spectra
 import rlx.theorems
@@ -20,11 +22,14 @@ from rlx.core import (
     validate,
 )
 from rlx.dlattice import validate_bdl
+from rlx.enumeration import all_algebras
 from rlx.errors import NotDistributive
 from rlx.filters import all_filters, principal_filter, quotient, spec
 from rlx.formulas import blp_formula, ilp_formula
 from rlx.spectra import stone_max, stone_spec, topology_predicates
 from rlx.theorems import disagreements, theorem_checks
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 # SHA-256 of json.dumps([v.as_dict() for A in all_algebras(6) for v in
 # theorem_checks(A)], sort_keys=True), and its row count
@@ -135,6 +140,27 @@ def test_local_factor_decomposition_matches_the_isomorphism_search(corpus5,
             assert is_prod == (rl_isomorphism(A, prod) is not None)
 
 
+def test_one_factor_shortcut_matches_the_full_scan():
+    """When the top is the only Boolean atom the decomposition answers
+    without its product scan; on every algebra of sizes 1..7 and every
+    fixture the answer is the full scan's.  Sizes 1..7 hold 889 algebras:
+    885 take the shortcut, the trivial algebra and three decomposable
+    ones (of sizes 4, 6 and 6) do not."""
+    from rlx.io import load_rlat
+    from rlx.theorems import local_factor_decomposition
+    from oracles import scanned_factor_decomposition
+
+    corpus = [A for n in range(1, 8) for A in all_algebras(n)]
+    fixtures = [load_rlat(path) for path in sorted(FIXTURES.glob("*.rlat"))]
+    assert len(corpus) == 889 and len(fixtures) == 6
+    for A in corpus + fixtures:
+        assert local_factor_decomposition(A) == \
+            scanned_factor_decomposition(A), A.labels
+    others = [A.size for A in corpus
+              if local_factor_decomposition(A)[2] != (A.size,)]
+    assert others == [1, 4, 6, 6]
+
+
 def test_local_factor_decomposition_runs_once_per_algebra():
     """Two row families read the decomposition; it is built once."""
     from rlx.theorems import local_factor_decomposition
@@ -149,18 +175,40 @@ def test_local_factor_decomposition_runs_once_per_algebra():
     assert after.hits - before.hits == 1
 
 
-def test_matrix_derives_each_space_and_lattice_once(corpus5):
+def test_matrix_derives_each_space_and_lattice_once(cold_caches, corpus5,
+                                                   monkeypatch):
     """Work ratchet: the matrix computes the topological predicates once per
-    Stone space, and validates each labeled lattice order once."""
-    # labels no other test uses, so no cache has seen these algebras
+    topology, though spaces of different algebras share one; it scans each
+    lattice table for (co)normality at most once, and it runs no product
+    scan of the decomposition on an algebra of prime size; and it validates
+    each labeled lattice order once."""
+    scans, upsets = [], []
+    split_witness = rlx.dlattice._split_witness
+
+    def counted_split_witness(els, join, meet, top, bot):
+        scans.append((join, meet, top, bot))
+        return split_witness(els, join, meet, top, bot)
+
+    def counted_upset_algebra(A, e):
+        upsets.append(A)
+        return upset_algebra(A, e)
+
+    monkeypatch.setattr(rlx.dlattice, "_split_witness", counted_split_witness)
+    monkeypatch.setattr(rlx.theorems, "upset_algebra", counted_upset_algebra)
+    # labels no other test uses, so no cache keyed by an algebra has seen
+    # these algebras
     sample = [validate(tuple(f"work{i}" for i in range(A.size)), A.leq, A.odot)
               for A in corpus5 if A.size == 5]
-    before = topology_predicates.cache_info()
+    memo = rlx.spectra._topology_predicates
+    before = memo.cache_info()
     for A in sample:
         theorem_checks(A)
-    after = topology_predicates.cache_info()
+    after = memo.cache_info()
     spaces = {S for A in sample for S in (stone_spec(A), stone_max(A))}
-    assert after.misses - before.misses == len(spaces)
+    topologies = {(S.kind, len(S.points), S.opens) for S in spaces}
+    assert after.misses - before.misses == len(topologies) < len(spaces)
+    assert scans and len(scans) == len(set(scans))
+    assert upsets == []  # 5 is prime: every sample algebra is indecomposable
     preds = topology_predicates(stone_spec(sample[-1]))
     with pytest.raises(TypeError):
         preds["t0"] = False
