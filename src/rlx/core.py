@@ -63,7 +63,8 @@ class ResiduatedLattice(Record):
     Do not build directly; go through :func:`validate` (or a constructor
     below), which checks every axiom exhaustively.  The one exception puts
     other labels on the tables of an algebra `validate` returned:
-    `filters.quotient` validates each labeled quotient's tables once.
+    `filters.quotient` validates each distinct quotient table triple once
+    and labels every quotient with those tables.
 
     Algebras key many caches (`quotient`, filters), so the hash is
     computed once, here, instead of re-hashing every table on each lookup.

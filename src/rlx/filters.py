@@ -222,8 +222,13 @@ def _check_congruence(A, class_of, reps):
     T(y, z).  So each table costs O(n^2), one row of class ids per element.
     An element alone in its class is its own representative and is only
     ever compared with itself, so rows are built only for the members of
-    larger classes, and a one-class partition passes at once; the first
-    failing (table, x, z) is the same as with every row.
+    larger classes, and a one-class partition passes at once.
+
+    x's five rows in class ids, concatenated, are its signature; every
+    row has n entries, so x is compatible with r iff their signatures are
+    equal, and one pass accepts a congruence.  A failing partition goes on
+    to the table-major loop, which raises at the first failing
+    (table, x, z), the same witness as with every row.
     """
     if len(reps) == 1:
         return
@@ -231,7 +236,14 @@ def _check_congruence(A, class_of, reps):
     for c in class_of:
         sizes[c] += 1
     shared = [x for x in A.elements() if sizes[class_of[x]] > 1]
-    for tab in (A.join, A.meet, A.odot, A.imp, tuple(zip(*A.imp))):
+    tabs = join, meet, odot, imp, pmi = (A.join, A.meet, A.odot, A.imp,
+                                         tuple(zip(*A.imp)))
+    sig = {x: tuple(map(class_of.__getitem__,
+                        join[x] + meet[x] + odot[x] + imp[x] + pmi[x]))
+           for x in shared}
+    if all(sig[x] == sig[reps[class_of[x]]] for x in shared):
+        return
+    for tab in tabs:
         rows = {x: tuple(map(class_of.__getitem__, tab[x])) for x in shared}
         for x in shared:
             r = reps[class_of[x]]
@@ -251,6 +263,18 @@ def _shared_labels(labels):
 
 
 @lru_cache(maxsize=None)
+def _quotient_tables(leq, odot, imp):
+    """The tables `validate` returns for a quotient's raw (leq, odot, imp),
+    checked in full on the first sight of each triple.
+
+    The key is exact: its entries are plain bools and ints, built from
+    `class_of` and the validated order, so equal keys are equal inputs,
+    and `validate` reads no label.  A failure is never stored."""
+    V = validate(range(len(leq)), leq, odot, imp)
+    return V.leq, V.join, V.meet, V.odot, V.imp, V.bot, V.top
+
+
+@lru_cache(maxsize=None)
 def quotient(A, F):
     """A modulo the congruence x ~ y iff x<->y in F.
 
@@ -258,16 +282,21 @@ def quotient(A, F):
     fibers of x -> e*x, and x/F <= y/F iff e*x <= e*y.  Class ids go by
     least member, which is also the class's representative.  On a
     distributive lattice (odot = meet) this is x ~ y iff x&e = y&e.  The
-    congruence property is checked explicitly, in O(n^2) per table: as ~
-    is transitive, each x need only be compatible with its class
-    representative (:func:`_check_congruence`).  The quotient tables are
-    validated once per labeled quotient, and the quotient algebra holds
-    the tables `validate` returned, with its own `x/F` labels.
+    congruence property is checked explicitly on every quotient, in
+    O(n^2) per table: as ~ is transitive, each x need only be compatible
+    with its class representative (:func:`_check_congruence`).  The
+    quotient tables are validated once per distinct table triple
+    (:func:`_quotient_tables`), and the quotient algebra holds the tables
+    `validate` returned, with its own `x/F` labels.
 
     The classes are all singletons exactly when F = {1}: any other F holds
     some e != 1, and e*e = e = e*1 puts e and 1 in one class.  Then
     x -> x/F is the identity, so A/{1} is A itself, with A's labels,
     and `class_of` and `section` are the identity.
+
+    The radical assert reads Rad(A/F) as the up-set of its generator in
+    the table memo `_generators`, so a relabeled copy of a quotient
+    builds neither its filters nor its radical.
     """
     n = A.size
     if F.gen == A.top:
@@ -288,18 +317,19 @@ def quotient(A, F):
         odot = tuple(tuple(class_of[A.odot[r][s]] for s in reps)
                      for r in reps)
         imp = tuple(tuple(class_of[A.imp[r][s]] for s in reps) for r in reps)
-        V = validate(reps, leq, odot, imp)
         Q = ResiduatedLattice(
             _shared_labels(tuple(f"{A.labels[r]}/F" for r in reps)),
-            V.leq, V.join, V.meet, V.odot, V.imp, V.bot, V.top)
+            *_quotient_tables(leq, odot, imp))
 
     # class of top is exactly F
     assert {x for x in range(n) if class_of[x] == class_of[A.top]} == set(F.members)
 
     # radical commutes with quotients by sub-radical filters
-    if F.members <= radical(A).members:
-        rad_q = radical(Q).members
-        rad_classes = {class_of[x] for x in radical(A).members}
+    rad = radical(A).members
+    if F.members <= rad:
+        g = _generators(Q)[3]
+        rad_q = {c for c in Q.elements() if Q.leq[g][c]}
+        rad_classes = {class_of[x] for x in rad}
         assert rad_q == rad_classes, "Rad(A/F) must equal Rad(A)/F"
 
     return QuotientAlgebra(A, F, class_of, Q, reps)

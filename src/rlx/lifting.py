@@ -5,7 +5,7 @@ characterizations."""
 from __future__ import annotations
 
 from .core import Record, classify, table_memo
-from .filters import all_filters, principal_filter
+from .filters import all_filters
 from .formulas import (
     _definable_masks,
     atomic_parts,
@@ -89,7 +89,7 @@ def lp_report(A, phi):
     sat = _members(A, masks[A.top])
     for F in all_filters(A):
         holds, verdict = _filter_verdict(A, masks, sat, F)
-        if F.members == {A.top} or not F.proper:
+        if F.gen == A.top or not F.proper:
             assert holds, "trivial/improper filters always have the lifting property"
         rows.append((F, verdict))
     return LpReport(phi, tuple(rows), all(v.holds for _, v in rows))
@@ -117,9 +117,9 @@ def atomic_lp_characterization(A, phi):
     sat = definable_set(A, phi)
     left, right = term_values(A, t1, {}), term_values(A, t2, {})
     for a in A.elements():
-        gap = A.bires(left[a], right[a])
-        F = principal_filter(A, gap)
-        if not any(A.bires(a, e) in F for e in sat):
+        # [gap) is the up-set of gap^w, so x lies in it iff gap^w <= x
+        above = A.leq[A.power_limit(A.bires(left[a], right[a]))]
+        if not any(above[A.bires(a, e)] for e in sat):
             return False
     return True
 

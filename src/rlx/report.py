@@ -29,11 +29,16 @@ def content_hash(A):
     so bot and top are first moved to ids 0 and n-1, the other elements
     keeping their order.  Labels never enter the hash.
 
-    `hashlib` is imported here, its only use: it loads OpenSSL,
-    megabytes of resident memory that a process which never hashes a
-    report (the theorem matrix, say) does not pay.
+    The digest comes from the interpreter's built-in `_sha256` module,
+    imported here, its only use.  `hashlib.sha256` gives the same digest
+    but loads OpenSSL, megabytes of resident memory and a few ms of
+    start-up on every `analyze`; it is the fallback where `_sha256` is
+    absent.
     """
-    import hashlib
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
     order = sorted(A.elements(), key=lambda x: (x != A.bot, x == A.top, x))
     perm = [0] * A.size
@@ -42,7 +47,7 @@ def content_hash(A):
     B = validate(A.labels, permute_relation(A.leq, perm),
                  permute_table(A.odot, perm))
     text = print_rlat(canonicalize(B))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def _gelfand_witness(A):

@@ -15,7 +15,7 @@ from .core import (
     complemented_elements,
     table_memo,
 )
-from .dlattice import lattice_blp_filter, validate_bdl
+from .dlattice import lattice_blp_filter, order_lattice, validate_bdl
 from .errors import AxiomViolation, NoIsomorphism
 from .filters import (
     Filter,
@@ -132,20 +132,17 @@ def verify_retic_properties(R):
                       for a in A.elements() for p in A.powers(a))
 
     # (4) the preimage map is a filter-lattice isomorphism with inverse
-    #     F -> lam(F)
+    #     F -> lam(F); pre[i] is the preimage of the i-th lattice filter
     lat_filts = all_filters(L)
-    pre = {}
-    for H in lat_filts:
-        members = frozenset(x for x in A.elements() if lam[x] in H)
-        pre[H] = members
+    pre = [frozenset(x for x in A.elements() if lam[x] in H)
+           for H in lat_filts]
     alg_filts = {F.members for F in all_filters(A)}
-    ok = set(pre.values()) == alg_filts and len(pre) == len(alg_filts)
-    for H in lat_filts:
-        image = frozenset(lam[x] for x in pre[H])
-        ok = ok and image == H.members
-    for H in lat_filts:
-        for K in lat_filts:
-            ok = ok and ((H <= K) == (pre[H] <= pre[K]))
+    ok = set(pre) == alg_filts and len(pre) == len(alg_filts)
+    for H, P in zip(lat_filts, pre):
+        ok = ok and frozenset(lam[x] for x in P) == H.members
+    for H, P in zip(lat_filts, pre):
+        for K, PK in zip(lat_filts, pre):
+            ok = ok and ((H <= K) == (P <= PK))
     verdicts[4] = ok
 
     # (5, 6) homeomorphisms of the prime and maximal spectra
@@ -241,18 +238,26 @@ def _induced_map(lam1, lam2, L1, L2):
 
 def _retic_quotient_match(A, R, F):
     """Is the canonical map lam_F(a/F) -> lam(a)/lam(F) a well-defined
-    bounded lattice isomorphism L(A/F) -> L(A)/lam(F)?"""
+    bounded lattice isomorphism L(A/F) -> L(A)/lam(F)?
+
+    L(A/F) is read label-free: lam_F and its order from the table memo
+    :func:`_lattice_parts`, which asserts the axioms of lam_F once per
+    table pair, and the lattice from :func:`rlx.dlattice.order_lattice`,
+    which checks distributivity once per order.  `build_reticulation(A/F)`
+    holds the same lam_F and the same tables under other labels, and the
+    map reads no label, so the verdict is the same."""
     L, lam = R.lattice, R.lam
     Q = quotient(A, F)
-    RQ = build_reticulation(Q.quotient)
+    _, order, lam_q = _lattice_parts(Q.quotient)
+    LQ = order_lattice(order)
     QL = quotient(L, Filter(L, frozenset(lam[x] for x in F.members)))
     try:
-        f = _induced_map(tuple(RQ.lam[c] for c in Q.class_of),
+        f = _induced_map(tuple(lam_q[c] for c in Q.class_of),
                          tuple(QL.class_of[x] for x in lam),
-                         RQ.lattice, QL.quotient)
+                         LQ, QL.quotient)
     except AxiomViolation:
         return False
-    return len(set(f)) == RQ.lattice.size == QL.quotient.size
+    return len(set(f)) == LQ.size == QL.quotient.size
 
 
 def uniqueness_check(R1, R2):

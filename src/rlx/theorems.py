@@ -28,9 +28,9 @@ from .filters import (
     spec,
 )
 from .formulas import (
+    _definable_masks,
     atomic_parts,
     blp_formula,
-    definable_set,
     ilp_formula,
     rlp_formula,
     term_values,
@@ -307,17 +307,24 @@ def check_star_forms(A):
             for e in B)
         for a in A.elements())
 
+    d = [mx.d(x) for x in A.elements()]
+
     def spectral(a, bounded):
-        va, da = mx.v[a], mx.d(a)
+        va, da = mx.v[a], d[a]
+        # every v(!(a^k)) lies in v(e) iff their union does
+        negs = 0
+        if bounded:
+            for p in A.powers(a):
+                negs |= mx.v[A.neg(p)]
         for e in B:
-            ve, de = mx.v[e], mx.d(e)
+            ve, de = mx.v[e], d[e]
             if va & ~de != 0:
                 continue
             if not bounded:
                 if da & ~ve == 0:
                     return True
             else:
-                if all(mx.v[A.neg(p)] & ~ve == 0 for p in A.powers(a)):
+                if negs & ~ve == 0:
                     return True
         return False
 
@@ -490,11 +497,12 @@ def check_spectral_lemmas(A):
     B = sorted(classify(A).boolean_center)
     rad = radical(A)
 
+    d = [mx.d(x) for x in A.elements()]
     failures = []
     for a in A.elements():
+        va, da = mx.v[a], d[a]
         for e in B:
-            va, da = mx.v[a], mx.d(a)
-            ve, de = mx.v[e], mx.d(e)
+            ve, de = mx.v[e], d[e]
             nilp_ne = A.is_nilpotent(A.odot[a][A.neg(e)])
             nilp_e = A.is_nilpotent(A.odot[a][e])
             if (va & ~ve == 0) != nilp_ne:
@@ -510,7 +518,7 @@ def check_spectral_lemmas(A):
         union = 0
         for p in A.powers(a):
             union |= mx.v[A.neg(p)]
-        if mx.d(a) != union:
+        if d[a] != union:
             failures.append(a)
     out.append(_forall("complement-as-power-union", failures))
 
@@ -602,9 +610,10 @@ def check_biresiduum_gap_lemma(A):
         left, right = term_values(A, t1, {}), term_values(A, t2, {})
         for a in A.elements():
             gap = A.bires(left[a], right[a])
-            F = principal_filter(A, gap)
-            Q = quotient(A, F)
-            if Q.class_of[a] not in definable_set(Q.quotient, phi):
+            Q = quotient(A, principal_filter(A, gap))
+            # bit c is set iff A/F satisfies phi at the class c
+            held = _definable_masks(Q.quotient, phi)[Q.quotient.top]
+            if not held >> Q.class_of[a] & 1:
                 failures.append((name, a))
     return [_forall("gap-filter-satisfaction", failures)]
 

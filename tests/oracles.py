@@ -25,11 +25,23 @@ from rlx.dlattice import validate_bdl
 from rlx.core import bounds_of
 from rlx.enumeration import _lattice_orders, _products_on_lattice, all_algebras
 from rlx.errors import AxiomViolation, NotResiduated
-from rlx.filters import _upsets, is_local, principal_filter, quotient
+from rlx.filters import (
+    Filter,
+    _upsets,
+    all_filters,
+    is_local,
+    principal_filter,
+    quotient,
+)
 from rlx.formulas import BoundVar, Const, FreeVar, Neg, Pow, definable_set
 from rlx.lifting import has_blp, lp_report
 from rlx.iso import permute_relation, permute_table
-from rlx.reticulation import Reticulation, _assert_axioms
+from rlx.reticulation import (
+    Reticulation,
+    _assert_axioms,
+    _induced_map,
+    build_reticulation,
+)
 
 
 def trivial_filter(A):
@@ -506,6 +518,51 @@ def brute_congruence_violation(A, class_of):
                 if class_of[A.imp[z][x]] != class_of[A.imp[z][y]]:
                     return (x, y, z)
     return None
+
+
+def table_major_congruence_check(A, class_of, reps):
+    """The congruence check as it was before the one-pass signatures:
+    table by table, each member of a larger class compared with its
+    representative, raising AxiomViolation("congruence", (r, x, z)) at the
+    first failing (table, x, z)."""
+    if len(reps) == 1:
+        return
+    sizes = [0] * len(reps)
+    for c in class_of:
+        sizes[c] += 1
+    shared = [x for x in A.elements() if sizes[class_of[x]] > 1]
+    for tab in (A.join, A.meet, A.odot, A.imp, tuple(zip(*A.imp))):
+        rows = {x: tuple(map(class_of.__getitem__, tab[x])) for x in shared}
+        for x in shared:
+            r = reps[class_of[x]]
+            if rows[x] != rows[r]:
+                z = next(z for z in A.elements() if rows[x][z] != rows[r][z])
+                raise AxiomViolation("congruence", (r, x, z))
+
+
+def labeled_retic_quotient_match(A, R, F):
+    """The reticulation-of-a-quotient check as it was before L(A/F) was
+    read label-free: the labeled reticulation of A/F, built in full, and
+    the canonical map into L(A)/lam(F) checked on its lattice."""
+    L, lam = R.lattice, R.lam
+    Q = quotient(A, F)
+    RQ = build_reticulation(Q.quotient)
+    QL = quotient(L, Filter(L, frozenset(lam[x] for x in F.members)))
+    try:
+        f = _induced_map(tuple(RQ.lam[c] for c in Q.class_of),
+                         tuple(QL.class_of[x] for x in lam),
+                         RQ.lattice, QL.quotient)
+    except AxiomViolation:
+        return False
+    return len(set(f)) == RQ.lattice.size == QL.quotient.size
+
+
+def labeled_filter_lattice(A):
+    """The filter lattice of A under inclusion, labeled by the filters, as
+    `gelfand_conditions` built it before it read the lattice of the order."""
+    filters = all_filters(A)
+    leq = tuple(tuple(F <= G for G in filters) for F in filters)
+    return validate_bdl(tuple(repr(F) for F in filters), leq)
 
 
 def kernel_quotient_reticulation(A):

@@ -1,5 +1,6 @@
 import itertools
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,6 +33,7 @@ from oracles import (
     min_generator,
     rl_isomorphic,
     set_partitions,
+    table_major_congruence_check,
     trivial_filter,
 )
 
@@ -311,23 +313,64 @@ def test_congruence_check_accepts_every_filter(corpus5, corpus6):
 
 
 def test_congruence_check_matches_pairwise_scan(corpus5):
-    """On every partition of every algebra of size <= 5, the representative
-    check raises exactly when the pairwise scan finds a violation, and its
-    witness is one."""
+    """On every partition of every algebra of size <= 5, the one-pass check
+    raises exactly when the pairwise scan finds a violation, and with the
+    witness (r, x, z) of the table-major loop it replaced, which is one."""
     raised = 0
     for A in corpus5:
         for class_of in set_partitions(A.size):
             reps = tuple(class_of.index(c) for c in range(max(class_of) + 1))
             expected = brute_congruence_violation(A, class_of)
             try:
+                table_major_congruence_check(A, class_of, reps)
+            except AxiomViolation as exc:
+                oracle = exc.witness
+            else:
+                oracle = None
+            try:
                 _check_congruence(A, class_of, reps)
             except AxiomViolation as exc:
                 assert exc.axiom == "congruence"
+                assert exc.witness == oracle
                 r, x, z = exc.witness
                 assert class_of[r] == class_of[x]
                 assert _separates(A, class_of, r, x, z)
                 assert expected is not None
                 raised += 1
             else:
-                assert expected is None
+                assert expected is None and oracle is None
     assert raised > 1000
+
+
+def test_congruence_check_reads_each_table(corpus4):
+    """Each of the five tables is checked.  On a residuated lattice the
+    meet never fails alone (a partition compatible with join, odot and
+    imp is the congruence of a filter), so the check runs on stand-ins
+    that keep one table of an algebra and make the others constant, which
+    every partition respects, and is compared with the table-major loop.
+    The last stand-in's imp has equal rows, x -> z = !z, so only its
+    transpose can fail."""
+    raised = [0] * 5
+    for A in corpus4:
+        els = A.elements()
+        flat = tuple((0,) * A.size for _ in els)
+        cols = tuple(tuple(A.neg(z) for z in els) for _ in els)
+        kept = (("join", A.join), ("meet", A.meet), ("odot", A.odot),
+                ("imp", A.imp), ("imp", cols))
+        for k, (name, table) in enumerate(kept):
+            tables = dict(join=flat, meet=flat, odot=flat, imp=flat)
+            tables[name] = table
+            B = SimpleNamespace(elements=A.elements, **tables)
+            for class_of in set_partitions(A.size):
+                reps = tuple(class_of.index(c)
+                             for c in range(max(class_of) + 1))
+                try:
+                    table_major_congruence_check(B, class_of, reps)
+                except AxiomViolation as exc:
+                    with pytest.raises(AxiomViolation) as got:
+                        _check_congruence(B, class_of, reps)
+                    assert got.value.witness == exc.witness
+                    raised[k] += 1
+                else:
+                    _check_congruence(B, class_of, reps)
+    assert min(raised) > 10, raised

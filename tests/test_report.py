@@ -6,6 +6,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from rlx.core import validate
+from rlx.io import load_rlat
 from rlx.iso import permute_relation, permute_table
 from rlx.report import content_hash
 
@@ -38,8 +39,9 @@ def test_content_hash_of_random_relabeling(corpus5, data):
 
 def test_no_module_loads_hashlib_until_a_report_hashes():
     """`hashlib` loads OpenSSL, megabytes of resident memory, so importing
-    rlx must not load it; the first `content_hash` does.  A fresh
-    interpreter, without `site`, imports every module of the package."""
+    rlx must not load it, and the first `content_hash` does not either: it
+    reads the built-in `_sha256`.  A fresh interpreter, without `site`,
+    imports every module of the package."""
     code = (
         "import importlib, sys\n"
         "from pathlib import Path\n"
@@ -50,9 +52,32 @@ def test_no_module_loads_hashlib_until_a_report_hashes():
         "from rlx.fixtures import pentagon_godel\n"
         "from rlx.report import content_hash\n"
         "print(content_hash(pentagon_godel()))\n"
-        "print('hashlib' in sys.modules)\n")
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "b97999c0af256eab", "True"]
+    assert proc.stdout.splitlines() == ["[]", "b97999c0af256eab", "[]"]
+
+
+def test_analyze_hashes_without_openssl(monkeypatch):
+    """`rlx analyze --json` prints its digest without loading `_hashlib`,
+    OpenSSL's binding, and the digest is the one of the `hashlib`
+    fallback, taken here with `_sha256` made unimportable."""
+    fixture = SRC.parent / "fixtures" / "b2.rlat"
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from rlx.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = main(['analyze', '--json', {str(fixture)!r}])\n"
+        "print(code, '_hashlib' in sys.modules)\n"
+        "print(json.loads(out.getvalue())['hash'])\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    status, digest = proc.stdout.splitlines()
+    assert status == "0 False"
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert content_hash(load_rlat(fixture)) == digest

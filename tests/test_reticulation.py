@@ -1,13 +1,18 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
 from rlx.core import boolean_algebra, godel_chain, lukasiewicz_chain
+from rlx.dlattice import order_lattice
 from rlx.errors import NoIsomorphism
 from rlx.filters import all_filters, principal_filter, quotient
+from rlx.io import load_rlat
 from rlx.reticulation import (
     Reticulation,
     RLMorphism,
+    _lattice_parts,
+    _retic_quotient_match,
     archimedean_bridge,
     blp_transfer,
     build_reticulation,
@@ -16,7 +21,12 @@ from rlx.reticulation import (
     verify_retic_properties,
 )
 
-from oracles import find_isomorphism, kernel_quotient_reticulation, trivial_filter
+from oracles import (
+    find_isomorphism,
+    kernel_quotient_reticulation,
+    labeled_retic_quotient_match,
+    trivial_filter,
+)
 
 
 def test_reticulation_of_boolean_is_itself():
@@ -215,3 +225,30 @@ def test_gelfand_bridge(corpus5):
     for A in corpus5:
         L = build_reticulation(A).lattice
         assert is_gelfand(A) == is_conormal_lattice(L)
+
+
+def _tables(L):
+    return L.leq, L.join, L.meet, L.odot, L.imp, L.bot, L.top
+
+
+def test_quotient_match_reads_the_labeled_reticulation_label_free(
+        corpus5, corpus6):
+    """Row 8 reads L(A/F) off the table memo and the lattice of its order;
+    on every filter of every algebra of size <= 6 and of the fixtures that
+    gives the verdict, lam and lattice tables of the labeled
+    `build_reticulation(A/F)` it replaced."""
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    checked = 0
+    for A in [*corpus5, *corpus6,
+              *map(load_rlat, sorted(fixtures.glob("*.rlat")))]:
+        R = build_reticulation(A)
+        for F in all_filters(A):
+            assert (_retic_quotient_match(A, R, F)
+                    == labeled_retic_quotient_match(A, R, F))
+            Q = quotient(A, F).quotient
+            RQ = build_reticulation(Q)
+            _, order, lam = _lattice_parts(Q)
+            assert lam == RQ.lam
+            assert _tables(order_lattice(order)) == _tables(RQ.lattice)
+            checked += 1
+    assert checked == 561

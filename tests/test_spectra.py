@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from rlx.core import (
@@ -10,10 +12,12 @@ from rlx.core import (
 )
 from rlx.errors import NotGelfand
 from rlx.filters import max_spec, principal_filter, radical
+from rlx.io import load_rlat
 from rlx.lifting import has_blp
 from rlx.spectra import (
     clopen_sets,
     clopen_via_boolean,
+    filter_lattice,
     gelfand_conditions,
     gelfand_retract,
     is_gelfand,
@@ -24,7 +28,7 @@ from rlx.spectra import (
     topology_predicates,
 )
 
-from oracles import brute_gelfand_form_2
+from oracles import brute_gelfand_form_2, labeled_filter_lattice
 
 
 def test_stone_spec_two_element():
@@ -178,3 +182,16 @@ def test_star_witnesses_verify(corpus4):
             assert filter_join(principal_filter(A, u),
                                principal_filter(A, e)).members == \
                 principal_filter(A, x).members
+
+
+def test_filter_lattice_is_the_labeled_one_on_index_labels(corpus5, corpus6):
+    """Gelfand form (1) reads the lattice of the filter order with index
+    labels; on every algebra of size <= 6 and of the fixtures its tables
+    are those of the lattice labeled by the filters that it replaced."""
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    for A in [*corpus5, *corpus6,
+              *map(load_rlat, sorted(fixtures.glob("*.rlat")))]:
+        L, M = filter_lattice(A), labeled_filter_lattice(A)
+        assert L.labels == tuple(map(str, range(M.size)))
+        assert ((L.leq, L.join, L.meet, L.odot, L.imp, L.bot, L.top)
+                == (M.leq, M.join, M.meet, M.odot, M.imp, M.bot, M.top))

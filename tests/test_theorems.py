@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import rlx.core
 import rlx.dlattice
+import rlx.filters
+import rlx.iso
 import rlx.reticulation
 import rlx.spectra
 import rlx.theorems
@@ -308,3 +311,53 @@ def test_monotone_lifting_reads_each_verdict_for_its_own_filter(corpus5,
         assert caught == [expected], A
         kinds.update(kind for kind, _, _ in expected)
     assert kinds == {"boolean", "idempotent"}
+
+
+def test_matrix_checks_each_quotient_table_triple_once(cold_caches, corpus5,
+                                                      monkeypatch):
+    """Work ratchet: over the matrix of sizes 1..5, the congruence check
+    runs once per nontrivial quotient build; `validate` runs once per
+    distinct quotient table triple, lattice and factor of a decomposition,
+    not once per relabeled copy, well under once per quotient; and the
+    reticulation is built once per input algebra, since L(A/F) is read off
+    the table memos."""
+    calls = {"validate": 0, "congruence": [], "tables": 0, "upsets": 0}
+    validate_ = rlx.core.validate
+    congruence = rlx.filters._check_congruence
+    tables = rlx.filters._quotient_tables
+
+    def counted_validate(*args):
+        calls["validate"] += 1
+        return validate_(*args)
+
+    def counted_congruence(A, class_of, reps):
+        calls["congruence"].append((A, class_of))
+        return congruence(A, class_of, reps)
+
+    def counted_tables(*args):
+        calls["tables"] += 1
+        return tables(*args)
+
+    def counted_upset_algebra(A, e):
+        calls["upsets"] += 1
+        return upset_algebra(A, e)
+
+    for module in (rlx.core, rlx.filters, rlx.dlattice, rlx.iso):
+        monkeypatch.setattr(module, "validate", counted_validate)
+    monkeypatch.setattr(rlx.filters, "_check_congruence", counted_congruence)
+    monkeypatch.setattr(rlx.filters, "_quotient_tables", counted_tables)
+    monkeypatch.setattr(rlx.theorems, "upset_algebra", counted_upset_algebra)
+    # labels no other test uses, so no cache keyed by an algebra has seen
+    # these algebras
+    sample = [validate_(tuple(f"triple{i}" for i in range(A.size)),
+                        A.leq, A.odot) for A in corpus5]
+    for A in sample:
+        theorem_checks(A)
+    builds = calls["congruence"]
+    assert len(builds) == len(set(builds)) == calls["tables"] == 118
+    triples = tables.cache_info().misses
+    lattices = rlx.dlattice._validate_bdl.cache_info().misses
+    assert calls["validate"] <= triples + lattices + calls["upsets"]
+    assert 2 * calls["validate"] < len(builds)
+    assert (rlx.reticulation.build_reticulation.cache_info().misses
+            == len(sample))
