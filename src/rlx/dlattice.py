@@ -45,15 +45,6 @@ def _validate_bdl(labels, leq):
     return validate(labels, leq, _validate_lattice(leq)[4])
 
 
-@lru_cache(maxsize=None)
-def order_lattice(leq):
-    """`validate_bdl` of the order leq with the labels 0..n-1, for the
-    answers no label enters: one algebra per order, where each labeled
-    copy would build its own.  Distributivity is checked on its first
-    sight (:func:`rlx.core.distributivity_witness`)."""
-    return validate_bdl(range(len(leq)), leq)
-
-
 def lattice_blp_filter(L, F):
     """Does F lift Boolean elements: B(L/F) inside B(L)/F?"""
     Q = quotient(L, F)

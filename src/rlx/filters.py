@@ -226,30 +226,32 @@ def _check_congruence(A, class_of, reps):
 
     x's five rows in class ids, concatenated, are its signature; every
     row has n entries, so x is compatible with r iff their signatures are
-    equal, and one pass accepts a congruence.  A failing partition goes on
-    to the table-major loop, which raises at the first failing
-    (table, x, z), the same witness as with every row.
+    equal, and one pass accepts a congruence.  The witness is the one of
+    a table-major scan (first table, then first x, then first z): for x
+    whose signature differs from r's at first at index k, k // n is x's
+    first failing table and k % n the first failing z in it, so the
+    witness is the first x with the least k // n.
     """
     if len(reps) == 1:
         return
     sizes = [0] * len(reps)
     for c in class_of:
         sizes[c] += 1
-    shared = [x for x in A.elements() if sizes[class_of[x]] > 1]
-    tabs = join, meet, odot, imp, pmi = (A.join, A.meet, A.odot, A.imp,
-                                         tuple(zip(*A.imp)))
-    sig = {x: tuple(map(class_of.__getitem__,
-                        join[x] + meet[x] + odot[x] + imp[x] + pmi[x]))
-           for x in shared}
-    if all(sig[x] == sig[reps[class_of[x]]] for x in shared):
-        return
-    for tab in tabs:
-        rows = {x: tuple(map(class_of.__getitem__, tab[x])) for x in shared}
-        for x in shared:
-            r = reps[class_of[x]]
-            if rows[x] != rows[r]:
-                z = next(z for z in A.elements() if rows[x][z] != rows[r][z])
-                raise AxiomViolation("congruence", (r, x, z))
+    n = len(class_of)
+    pmi = tuple(zip(*A.imp))
+    sig = {x: tuple(map(class_of.__getitem__, A.join[x] + A.meet[x]
+                        + A.odot[x] + A.imp[x] + pmi[x]))
+           for x in A.elements() if sizes[class_of[x]] > 1}
+    witness = None
+    for x, s in sig.items():
+        r = reps[class_of[x]]
+        if s != sig[r]:
+            k = next(k for k, (u, v) in enumerate(zip(s, sig[r])) if u != v)
+            if witness is None or k // n < witness[0] // n:
+                witness = k, r, x
+    if witness is not None:
+        k, r, x = witness
+        raise AxiomViolation("congruence", (r, x, k % n))
 
 
 @lru_cache(maxsize=None)

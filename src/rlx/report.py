@@ -29,16 +29,19 @@ def content_hash(A):
     so bot and top are first moved to ids 0 and n-1, the other elements
     keeping their order.  Labels never enter the hash.
 
-    The digest comes from the interpreter's built-in `_sha256` module,
-    imported here, its only use.  `hashlib.sha256` gives the same digest
-    but loads OpenSSL, megabytes of resident memory and a few ms of
-    start-up on every `analyze`; it is the fallback where `_sha256` is
-    absent.
+    The digest comes from the interpreter's built-in SHA-256 module,
+    imported here, its only use: `_sha2` from CPython 3.12 on, `_sha256`
+    before.  `hashlib.sha256` gives the same digest but loads OpenSSL,
+    megabytes of resident memory and a few ms of start-up on every
+    `analyze`; it is the fallback where neither module exists.
     """
     try:
-        from _sha256 import sha256
+        from _sha2 import sha256
     except ImportError:
-        from hashlib import sha256
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
 
     order = sorted(A.elements(), key=lambda x: (x != A.bot, x == A.top, x))
     perm = [0] * A.size

@@ -15,7 +15,7 @@ from .core import (
     complemented_elements,
     table_memo,
 )
-from .dlattice import lattice_blp_filter, order_lattice, validate_bdl
+from .dlattice import lattice_blp_filter, validate_bdl
 from .errors import AxiomViolation, NoIsomorphism
 from .filters import (
     Filter,
@@ -242,14 +242,14 @@ def _retic_quotient_match(A, R, F):
 
     L(A/F) is read label-free: lam_F and its order from the table memo
     :func:`_lattice_parts`, which asserts the axioms of lam_F once per
-    table pair, and the lattice from :func:`rlx.dlattice.order_lattice`,
-    which checks distributivity once per order.  `build_reticulation(A/F)`
+    table pair, and the lattice from `validate_bdl` on index labels, one
+    algebra per order, which checks distributivity once per order.  `build_reticulation(A/F)`
     holds the same lam_F and the same tables under other labels, and the
     map reads no label, so the verdict is the same."""
     L, lam = R.lattice, R.lam
     Q = quotient(A, F)
     _, order, lam_q = _lattice_parts(Q.quotient)
-    LQ = order_lattice(order)
+    LQ = validate_bdl(range(len(order)), order)
     QL = quotient(L, Filter(L, frozenset(lam[x] for x in F.members)))
     try:
         f = _induced_map(tuple(lam_q[c] for c in Q.class_of),

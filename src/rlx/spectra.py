@@ -245,14 +245,15 @@ def is_gelfand(A):
 
 
 def filter_lattice(A):
-    """The filters of A under inclusion, in all_filters order, as the
-    lattice of :func:`rlx.dlattice.order_lattice`: labeled 0..n-1, not by
-    the filters, as normality reads only its tables."""
-    from .dlattice import order_lattice
+    """The filters of A under inclusion, in all_filters order, as a
+    lattice labeled 0..n-1, not by the filters, as normality reads only
+    its tables: `validate_bdl` keeps one algebra per order."""
+    from .dlattice import validate_bdl
 
     filters = all_filters(A)
-    return order_lattice(tuple(tuple(F <= G for G in filters)
-                               for F in filters))
+    return validate_bdl(range(len(filters)),
+                        tuple(tuple(F <= G for G in filters)
+                              for F in filters))
 
 
 def gelfand_conditions(A):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from importlib.util import find_spec
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,10 @@ from rlx.report import content_hash
 from oracles import rl_isomorphic
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# `_sha2` from CPython 3.12 on, `_sha256` before; `content_hash` falls back
+# to `hashlib`, and so loads OpenSSL, only where neither exists.
+BUILTIN_SHA256 = any(find_spec(name) is not None
+                     for name in ("_sha2", "_sha256"))
 
 
 def _relabeled(A, perm):
@@ -39,9 +44,10 @@ def test_content_hash_of_random_relabeling(corpus5, data):
 
 def test_no_module_loads_hashlib_until_a_report_hashes():
     """`hashlib` loads OpenSSL, megabytes of resident memory, so importing
-    rlx must not load it, and the first `content_hash` does not either: it
-    reads the built-in `_sha256`.  A fresh interpreter, without `site`,
-    imports every module of the package."""
+    rlx must not load it, and the first `content_hash` does not either
+    where the interpreter has a built-in SHA-256 module; without one, it
+    falls back to `hashlib`.  A fresh interpreter, without `site`, imports
+    every module of the package."""
     code = (
         "import importlib, sys\n"
         "from pathlib import Path\n"
@@ -52,18 +58,21 @@ def test_no_module_loads_hashlib_until_a_report_hashes():
         "from rlx.fixtures import pentagon_godel\n"
         "from rlx.report import content_hash\n"
         "print(content_hash(pentagon_godel()))\n"
-        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n")
+        "print('hashlib' in sys.modules, '_hashlib' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "b97999c0af256eab", "[]"]
+    before, digest, after = proc.stdout.splitlines()
+    assert (before, digest) == ("[]", "b97999c0af256eab")
+    assert after == ("False False" if BUILTIN_SHA256 else "True True")
 
 
 def test_analyze_hashes_without_openssl(monkeypatch):
     """`rlx analyze --json` prints its digest without loading `_hashlib`,
-    OpenSSL's binding, and the digest is the one of the `hashlib`
-    fallback, taken here with `_sha256` made unimportable."""
+    OpenSSL's binding, where the interpreter has a built-in SHA-256
+    module, and the digest is the one of the `hashlib` fallback, taken
+    here with both built-in modules made unimportable."""
     fixture = SRC.parent / "fixtures" / "b2.rlat"
     code = (
         "import contextlib, io, json, sys\n"
@@ -78,6 +87,7 @@ def test_analyze_hashes_without_openssl(monkeypatch):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     status, digest = proc.stdout.splitlines()
-    assert status == "0 False"
+    assert status == ("0 False" if BUILTIN_SHA256 else "0 True")
+    monkeypatch.setitem(sys.modules, "_sha2", None)
     monkeypatch.setitem(sys.modules, "_sha256", None)
     assert content_hash(load_rlat(fixture)) == digest

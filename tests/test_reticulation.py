@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from rlx.core import boolean_algebra, godel_chain, lukasiewicz_chain
-from rlx.dlattice import order_lattice
+from rlx.dlattice import validate_bdl
 from rlx.errors import NoIsomorphism
 from rlx.filters import all_filters, principal_filter, quotient
 from rlx.io import load_rlat
@@ -249,6 +249,7 @@ def test_quotient_match_reads_the_labeled_reticulation_label_free(
             RQ = build_reticulation(Q)
             _, order, lam = _lattice_parts(Q)
             assert lam == RQ.lam
-            assert _tables(order_lattice(order)) == _tables(RQ.lattice)
+            assert (_tables(validate_bdl(range(len(order)), order))
+                    == _tables(RQ.lattice))
             checked += 1
     assert checked == 561
