@@ -39,6 +39,16 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MATRIX_N6_SHA256 = "f58e041bc6625be08bea165aaeb3bd7164174e97d434cff023ac219380309f5f"
 MATRIX_N6_ROWS = 9553
 
+# The same digest of the rows of single algebras whose Stone spaces are
+# larger than those of the corpus: 2^6 has a discrete Spec of 6 points,
+# and the three products a non-discrete Spec of 6, 6 and 5 points
+LARGE_MATRIX_SHA256 = {
+    "2^6": "b4486f734bcdfa756d022edc42e041c8f062f09c3013c0478ac9793e87902e81",
+    "E1xE1": "70da70a08ef11aa7a35a71baaa6cd71b75304f962afafdec0fc14e21bea6f633",
+    "E1xE2": "ee9b9363c0b951af3e52654f3067580c2ca1f9a122b3af2eda6f27cf33ce6a9d",
+    "E2xG3": "ad4e15e0e4569a06049fc6faa4a2c484b3cbdf6349658252faa84541d01ce683",
+}
+
 
 def test_corpus_size_5_zero_disagreements(corpus5):
     for A in corpus5:
@@ -67,6 +77,23 @@ def test_size_6_matrix_pinned(corpus6):
     assert len(rows) == MATRIX_N6_ROWS
     text = json.dumps(rows, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == MATRIX_N6_SHA256
+
+
+def test_large_algebra_matrices_pinned(E1, E2):
+    """The rows of 2^6 and of three products of the fixtures are the ones
+    recorded before the topological predicates were read off least open
+    neighbourhoods."""
+    algebras = {
+        "2^6": boolean_algebra(6),
+        "E1xE1": direct_product(E1, E1),
+        "E1xE2": direct_product(E1, E2),
+        "E2xG3": direct_product(E2, godel_chain(3)),
+    }
+    for name, A in algebras.items():
+        rows = [v.as_dict() for v in theorem_checks(A)]
+        text = json.dumps(rows, sort_keys=True)
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == LARGE_MATRIX_SHA256[name]), name
 
 
 def test_product_law_on_ordered_pairs_size_4(corpus4):
