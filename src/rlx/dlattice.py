@@ -1,5 +1,5 @@
 """Bounded distributive lattices as Heyting algebras: validation, lattice
-BLP, normality predicates and conormal radical lifting.
+BLP, (co)normality read off least covers, and conormal radical lifting.
 
 A finite bounded distributive lattice is a residuated lattice with
 odot = meet, so its filters, spectra, quotients and radical are the ones
@@ -75,16 +75,18 @@ def is_conormal_lattice(L):
 
 
 def _split_witness(els, join, meet, top, bot):
-    """A pair x, y with x|y = top that no u, v with u&v = bot and
-    u|x = v|y = top splits, or None."""
+    """The first pair x, y with x|y = top that no u, v with u&v = bot and
+    u|x = v|y = top splits, or None.
+
+    As (u&w)|x = (u|x)&(w|x), {u : u|x = top} is closed under meets and
+    has a least element s[x]; the pair splits iff s[x]&s[y] = bot."""
+    s = dict.fromkeys(els, top)
     for x in els:
-        for y in els:
-            if join[x][y] != top:
-                continue
-            if not any(meet[u][v] == bot and join[u][x] == top
-                       and join[v][y] == top for u in els for v in els):
-                return (x, y)
-    return None
+        for u in els:
+            if join[u][x] == top:
+                s[x] = meet[s[x]][u]
+    return next(((x, y) for x in els for y in els
+                 if join[x][y] == top and meet[s[x]][s[y]] != bot), None)
 
 
 def conormal_radical_lifting(L):

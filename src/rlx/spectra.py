@@ -1,6 +1,6 @@
-"""Stone topologies on the prime and maximal spectra, topological
-predicates, the Gelfand property in all its equivalent forms, and the
-principal-filter splitting properties."""
+"""Stone topologies on Spec and Max, their predicates read off least open
+neighbourhoods, the Gelfand property in all its equivalent forms, and
+the principal-filter splitting properties."""
 
 from __future__ import annotations
 
@@ -145,87 +145,68 @@ def topology_predicates(space):
     return _topology_predicates(space.kind, len(space.points), space.opens)
 
 
+def _neighbourhoods(n, opens):
+    """nb[x], the least open holding point x: the AND of the opens that
+    hold it (a finite topology is closed under intersections)."""
+    nb = [(1 << n) - 1] * n
+    for U in opens:
+        nb = [m & U if U >> x & 1 else m for x, m in enumerate(nb)]
+    return nb
+
+
 @lru_cache(maxsize=None)
 def _topology_predicates(kind, n, opens):
-    openset = set(opens)
-    full = (1 << n) - 1
-    clopens = [U for U in opens if (full & ~U) in openset]
+    """The predicates read off the least open neighbourhoods nb[x].
 
-    t0 = all(
-        any(((U >> x) & 1) != ((U >> y) & 1) for U in opens)
-        for x in range(n) for y in range(x + 1, n))
-    t1 = all((full & ~(1 << x)) in openset for x in range(n))
-    hausdorff = all(
-        any((U >> x) & 1 and (V >> y) & 1 and U & V == 0
-            for U in opens for V in opens)
-        for x in range(n) for y in range(x + 1, n))
-    compact = True  # finite spaces are compact
-    # zero-dimensional: every open is a union of clopen sets
-    zero_dim = True
-    for U in opens:
-        acc = 0
-        for C in clopens:
-            if C & ~U == 0:
-                acc |= C
-        if acc != U:
-            zero_dim = False
-            break
-    # strongly zero-dimensional via the binary-cover splitting criterion
-    strongly_zero_dim = True
-    for U in opens:
-        for V in opens:
-            if U | V != full:
-                continue
-            ok = any(
-                C & ~U == 0 and D & ~V == 0 and C & D == 0 and C | D == full
-                for C in clopens for D in clopens)
-            if not ok:
-                strongly_zero_dim = False
-                break
-        if not strongly_zero_dim:
-            break
-    normal = True
-    closed = [full & ~U for U in opens]
-    for C in closed:
-        for D in closed:
-            if C & D != 0:
-                continue
-            ok = any(C & ~U == 0 and D & ~V == 0 and U & V == 0
-                     for U in opens for V in opens)
-            if not ok:
-                normal = False
-                break
-        if not normal:
-            break
-    boolean_space = compact and hausdorff and zero_dim
-    preds = {
-        "t0": t0,
-        "t1": t1,
-        "hausdorff": hausdorff,
-        "compact": compact,
-        "zero_dim": zero_dim,
-        "strongly_zero_dim": strongly_zero_dim,
-        "normal": normal,
-        "boolean_space": boolean_space,
-    }
+    A finite topology is Alexandrov: an open holds x iff it contains
+    nb[x].  So the opens are the up-sets of the order with nb[x] = up(x),
+    the closed sets its down-sets, cl[x] = {y : x in nb[y]} the closure
+    of x, and the component comp[x] of x the least clopen holding it.
+    An open (closed set) is the union of its nb[x] (cl[x]), so:
+    - T0: an open tells x, y apart unless each lies in nb of the other;
+    - T1: all {x} closed means an antichain, so every nb[x] = {x};
+    - Hausdorff: nb[x], nb[y] are the least opens around x and y;
+    - zero-dimensional: nb[x] is a union of clopens iff it is comp[x];
+    - strongly zero-dimensional (every open cover U, V refined by a
+      clopen partition): a component holds a closed (minimal) point m; if
+      only one, it is nb[m], inside whichever of U, V holds m; if two, m
+      and m', the cover full-{m}, full-{m'} splits it;
+    - normal: the least opens around disjoint closed C, D are the unions
+      of their nb[c], nb[d]; a point of both lies in some nb[c] and nb[d]
+      with cl[c], cl[d] inside C, D, so point closures suffice;
+    - clopen separation: the least clopen over C is the union of the
+      components meeting C; so, as for normality, points with disjoint
+      closures must lie in different components.
+    """
+    nb = _neighbourhoods(n, opens)
+    cl = [sum(1 << y for y in range(n) if nb[y] >> x & 1) for x in range(n)]
+    comp = [nb[x] | cl[x] for x in range(n)]
+    for k in range(n):  # Warshall: the components of comparability
+        comp = [c | comp[k] if c >> k & 1 else c for c in comp]
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    apart = [(x, y) for x, y in pairs if cl[x] & cl[y] == 0]
+    minimal = sum(1 << x for x in range(n) if cl[x] == 1 << x)
+    hausdorff = all(nb[x] & nb[y] == 0 for x, y in pairs)
+    zero_dim = nb == comp
+    strongly_zero_dim = all((c & minimal).bit_count() == 1 for c in comp)
+    normal = all(nb[x] & nb[y] == 0 for x, y in apart)
+    boolean_space = hausdorff and zero_dim  # finite spaces are compact
     if kind == "max":
         # on a T1 compact space the four conditions collapse
         assert zero_dim == strongly_zero_dim == normal == boolean_space
     # strong zero-dimensionality agrees with clopen separation of disjoint
     # closed sets (the three-way equivalence of the splitting criterion)
-    sep = True
-    for C in closed:
-        for D in closed:
-            if C & D != 0:
-                continue
-            if not any(K & ~(full & ~D) == 0 and C & ~K == 0
-                       for K in clopens):
-                sep = False
-                break
-        if not sep:
-            break
-    assert sep == strongly_zero_dim
-    return MappingProxyType(preds)
+    assert all(comp[x] != comp[y] for x, y in apart) == strongly_zero_dim
+    return MappingProxyType({
+        "t0": not any(nb[x] >> y & 1 and nb[y] >> x & 1 for x, y in pairs),
+        "t1": all(nb[x] == 1 << x for x in range(n)),
+        "hausdorff": hausdorff,
+        "compact": True,
+        "zero_dim": zero_dim,
+        "strongly_zero_dim": strongly_zero_dim,
+        "normal": normal,
+        "boolean_space": boolean_space,
+    })
 
 
 def gelfand_counterexample(A):
@@ -308,20 +289,11 @@ def gelfand_conditions(A):
             break
     out[12] = cond12
 
-    # (14) distinct maximal filters separated by disjoint opens in Spec
-    cond14 = True
-    maxima = max_spec(A)
-    for i, M in enumerate(maxima):
-        for N in maxima[i + 1:]:
-            mi = sp.mask_of([M])
-            ni = sp.mask_of([N])
-            if not any(U & mi and V & ni and U & V == 0
-                       for U in sp.opens for V in sp.opens):
-                cond14 = False
-                break
-        if not cond14:
-            break
-    out[14] = cond14
+    # (14) distinct maximal filters have disjoint least opens in Spec
+    nb = _neighbourhoods(len(sp.points), sp.opens)
+    near = [nb[sp.mask_of([M]).bit_length() - 1] for M in max_spec(A)]
+    out[14] = all(U & V == 0 for i, U in enumerate(near)
+                  for V in near[i + 1:])
 
     # reticulation-side forms
     R = build_reticulation(A)

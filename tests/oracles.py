@@ -10,6 +10,7 @@ isomorphism search after them is the reference that `rl_isomorphic`,
 
 import itertools
 import math
+from types import MappingProxyType
 
 import rlx.core
 from rlx.core import (
@@ -937,3 +938,106 @@ def brute_gelfand_form_2(A):
             and improper_join(u, x) and improper_join(v, y)
             for u in A.elements() for v in A.elements())
         for x in A.elements() for y in A.elements() if improper_join(x, y))
+
+
+def opens_topology_predicates(kind, n, opens):
+    """The eight topological predicates of `rlx.spectra.topology_predicates`
+    by their definitions on an explicit open family: T0 and Hausdorff over
+    pairs of opens, zero-dimensionality as every open a union of clopens,
+    strong zero-dimensionality by the binary-cover splitting criterion and
+    normality over pairs of disjoint closed sets and pairs of opens.  The
+    two asserts (the collapse on Max, clopen separation against strong
+    zero-dimensionality) run as in the library."""
+    openset = set(opens)
+    full = (1 << n) - 1
+    clopens = [U for U in opens if (full & ~U) in openset]
+
+    t0 = all(
+        any(((U >> x) & 1) != ((U >> y) & 1) for U in opens)
+        for x in range(n) for y in range(x + 1, n))
+    t1 = all((full & ~(1 << x)) in openset for x in range(n))
+    hausdorff = all(
+        any((U >> x) & 1 and (V >> y) & 1 and U & V == 0
+            for U in opens for V in opens)
+        for x in range(n) for y in range(x + 1, n))
+    compact = True  # finite spaces are compact
+    # zero-dimensional: every open is a union of clopen sets
+    zero_dim = True
+    for U in opens:
+        acc = 0
+        for C in clopens:
+            if C & ~U == 0:
+                acc |= C
+        if acc != U:
+            zero_dim = False
+            break
+    # strongly zero-dimensional via the binary-cover splitting criterion
+    strongly_zero_dim = True
+    for U in opens:
+        for V in opens:
+            if U | V != full:
+                continue
+            ok = any(
+                C & ~U == 0 and D & ~V == 0 and C & D == 0 and C | D == full
+                for C in clopens for D in clopens)
+            if not ok:
+                strongly_zero_dim = False
+                break
+        if not strongly_zero_dim:
+            break
+    normal = True
+    closed = [full & ~U for U in opens]
+    for C in closed:
+        for D in closed:
+            if C & D != 0:
+                continue
+            ok = any(C & ~U == 0 and D & ~V == 0 and U & V == 0
+                     for U in opens for V in opens)
+            if not ok:
+                normal = False
+                break
+        if not normal:
+            break
+    boolean_space = compact and hausdorff and zero_dim
+    preds = {
+        "t0": t0,
+        "t1": t1,
+        "hausdorff": hausdorff,
+        "compact": compact,
+        "zero_dim": zero_dim,
+        "strongly_zero_dim": strongly_zero_dim,
+        "normal": normal,
+        "boolean_space": boolean_space,
+    }
+    if kind == "max":
+        # on a T1 compact space the four conditions collapse
+        assert zero_dim == strongly_zero_dim == normal == boolean_space
+    # strong zero-dimensionality agrees with clopen separation of disjoint
+    # closed sets (the three-way equivalence of the splitting criterion)
+    sep = True
+    for C in closed:
+        for D in closed:
+            if C & D != 0:
+                continue
+            if not any(K & ~(full & ~D) == 0 and C & ~K == 0
+                       for K in clopens):
+                sep = False
+                break
+        if not sep:
+            break
+    assert sep == strongly_zero_dim
+    return MappingProxyType(preds)
+
+
+def pair_split_witness(els, join, meet, top, bot):
+    """`rlx.dlattice._split_witness` by its definition: the first pair
+    x, y with x|y = top that no u, v with u&v = bot and u|x = v|y = top
+    splits, or None, scanning every (u, v) for every (x, y)."""
+    for x in els:
+        for y in els:
+            if join[x][y] != top:
+                continue
+            if not any(meet[u][v] == bot and join[u][x] == top
+                       and join[v][y] == top for u in els for v in els):
+                return (x, y)
+    return None

@@ -8,6 +8,7 @@ from rlx.core import (
     leq_from_covers,
 )
 from rlx.dlattice import (
+    _split_witness,
     is_conormal_lattice,
     is_normal_lattice,
     lattice_blp,
@@ -18,7 +19,12 @@ from rlx.errors import NotConormal, NotDistributive
 from rlx.filters import Filter, all_filters, max_spec, quotient, radical, spec
 from rlx.reticulation import build_reticulation
 
-from oracles import dense_radical, distributive_lattices, lattice_is_filter
+from oracles import (
+    dense_radical,
+    distributive_lattices,
+    lattice_is_filter,
+    pair_split_witness,
+)
 
 
 def chain(n):
@@ -127,6 +133,21 @@ def test_normal_conormal_basic():
     for L in (lozenge(), chain(2), chain(4)):
         assert is_normal_lattice(L)
         assert is_conormal_lattice(L)
+
+
+def test_split_witness_matches_the_pair_scan():
+    """The least-cover split gives the pair scan's first failing pair, or
+    None, on every distributive lattice of at most 7 elements, for
+    normality and for conormality."""
+    failures = 0
+    for n in range(1, 8):
+        for L in distributive_lattices(n):
+            for args in ((L.join, L.meet, L.top, L.bot),
+                         (L.meet, L.join, L.bot, L.top)):
+                witness = pair_split_witness(L.elements(), *args)
+                assert _split_witness(L.elements(), *args) == witness, L
+                failures += witness is not None
+    assert failures == 10
 
 
 def test_conormal_fails_on_pentagon_reticulation(E1, E2):

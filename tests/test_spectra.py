@@ -15,6 +15,7 @@ from rlx.filters import max_spec, principal_filter, radical
 from rlx.io import load_rlat
 from rlx.lifting import has_blp
 from rlx.spectra import (
+    _topology_predicates,
     clopen_sets,
     clopen_via_boolean,
     filter_lattice,
@@ -28,7 +29,12 @@ from rlx.spectra import (
     topology_predicates,
 )
 
-from oracles import brute_gelfand_form_2, labeled_filter_lattice
+from oracles import (
+    brute_gelfand_form_2,
+    labeled_filter_lattice,
+    opens_topology_predicates,
+    partial_orders,
+)
 
 
 def test_stone_spec_two_element():
@@ -95,6 +101,33 @@ def test_topology_predicates_golden(E1):
     assert not sp["strongly_zero_dim"]  # Boolean lifting fails
     mx = topology_predicates(stone_max(E1))
     assert mx["t1"] and mx["boolean_space"]
+
+
+def _outcome(predicates, kind, n, opens):
+    """The predicates as a dict, or AssertionError if an assert fails."""
+    try:
+        return dict(predicates(kind, n, opens))
+    except AssertionError:
+        return AssertionError
+
+
+def test_topology_predicates_match_the_opens_scan_on_small_posets():
+    """A finite T0 topology is the up-sets of its specialization order.
+    On that of every labeled partial order of at most 5 points, the
+    closed forms give the predicates of the opens scan, for either kind,
+    and their asserts fail on the same spaces."""
+    outcomes = []
+    for n in range(6):
+        for leq in partial_orders(n):
+            opens = tuple(U for U in range(1 << n) if all(
+                U >> y & 1 for x in range(n) if U >> x & 1
+                for y in range(n) if leq[x][y]))
+            for kind in ("spec", "max"):
+                want = _outcome(opens_topology_predicates, kind, n, opens)
+                assert _outcome(_topology_predicates.__wrapped__,
+                                kind, n, opens) == want, (kind, leq)
+                outcomes.append(want is AssertionError)
+    assert len(outcomes) == 2 * 4474 and any(outcomes)
 
 
 def test_spec_always_t0_max_always_t1(corpus5):
