@@ -591,28 +591,22 @@ def leq_from_covers(n, covers):
 
 
 def covers_of(leq):
-    """Covering pairs (lo, hi) of a partial order, in id order."""
-    n = len(leq)
-    out = []
-    for a in range(n):
-        for b in range(n):
-            if a == b or not leq[a][b]:
-                continue
-            if any(c != a and c != b and leq[a][c] and leq[c][b] for c in range(n)):
-                continue
-            out.append((a, b))
-    return out
+    """Covering pairs (lo, hi) of a validated lattice order, in id order,
+    read off :func:`_validate_lattice`."""
+    return sorted((d, c) for c, d in _validate_lattice(leq)[6])
 
 
 @lru_cache(maxsize=None)
-def shared_set(ids):
-    """The one stored frozenset equal to `ids`, a frozenset of element ids.
+def shared_set(value):
+    """The one stored value equal to `value`, a hashable: a frozenset of
+    element ids, or a quotient's tuple of labels.
 
     Filters and element classes repeat from algebra to algebra: on n
     elements each is one of at most 2^n sets.  So they share one object
     per distinct set, and the store grows with the sets, not with the
-    algebras."""
-    return ids
+    algebras.  Quotients of different algebras repeat each other's `x/F`
+    labels, so equal label tuples are one object too."""
+    return value
 
 
 @table_memo

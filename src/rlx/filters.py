@@ -13,6 +13,12 @@ are the fibers of x -> e*x.  As A -> A/[e) is onto and commutes with every
 term, A/[e) |= phi(x/[e)) iff some witnesses in A make both sides of each
 equation of phi equal under x -> e*x.  The lifting verdicts are decided
 this way in A itself, without building the quotient.
+
+Filt(A), Spec(A), Max(A) and Rad(A) are one record per algebra,
+:func:`_filters`, built from the label-free generators of the table memo
+:func:`_generators`; `all_filters`, `spec`, `max_spec` and `radical`
+read it, so a prime, a maximal filter and the radical are the very
+objects of `all_filters`.
 """
 
 from __future__ import annotations
@@ -84,21 +90,12 @@ class Filter(Record):
         return "{" + ",".join(labels[x] for x in self.sorted_members()) + "}"
 
 
-@lru_cache(maxsize=None)
-def _upsets(A):
-    """The filter [e) for every idempotent e (None elsewhere), built once."""
-    return tuple(
-        Filter(A, frozenset(x for x in A.elements() if A.leq[e][x]))
-        if A.odot[e][e] == e else None
-        for e in A.elements())
-
-
 def generated_filter(A, xs):
     """Least filter containing xs; the empty set generates {top}."""
     e = A.top
     for x in xs:
         e = A.odot[e][A.power_limit(x)]
-    return _upsets(A)[e]
+    return _filters(A)[0][e]
 
 
 def principal_filter(A, x):
@@ -107,31 +104,41 @@ def principal_filter(A, x):
 
 @table_memo
 def _generators(A):
-    """The generators of every filter, of the prime filters and of the
-    maximal filters, each in all_filters order, and the radical's, with
-    the maximal filters asserted to be prime.  No label enters them, so
-    algebras with equal tables share them."""
-    filters = sorted((F for F in _upsets(A) if F is not None),
-                     key=lambda F: (len(F), F.sorted_members()))
-    primes = [F for F in filters if is_prime(F)]
-    proper = [F for F in filters if F.proper]
-    maxima = [F for F in proper
-              if not any(F.members < G.members for G in proper)]
-    for M in maxima:
-        assert M in primes, "maximal filter not prime"
+    """The member set [e) = {x : e <= x} of every idempotent e (None
+    elsewhere), the generators of every filter, of the prime filters and
+    of the maximal filters, each in all_filters order, and the radical's,
+    with the maximal filters asserted to be prime.  No label enters them,
+    so algebras with equal tables share them; :func:`is_prime` is asked of
+    a filter built for the test and not kept."""
+    sets = tuple(shared_set(frozenset(x for x in A.elements() if A.leq[e][x]))
+                 if A.odot[e][e] == e else None for e in A.elements())
+    gens = tuple(sorted((e for e, m in enumerate(sets) if m is not None),
+                        key=lambda e: (len(sets[e]), sorted(sets[e]))))
+    primes = tuple(e for e in gens if is_prime(Filter(A, sets[e])))
+    proper = [e for e in gens if A.bot not in sets[e]]
+    maxima = tuple(e for e in proper
+                   if not any(sets[e] < sets[f] for f in proper))
+    for e in maxima:
+        assert e in primes, "maximal filter not prime"
     rad = A.bot
-    for M in maxima:
-        rad = A.join[rad][M.gen]
-    return tuple(tuple(F.gen for F in part)
-                 for part in (filters, primes, maxima)) + (rad,)
-
-
-def _filters_at(A, gens):
-    upsets = _upsets(A)
-    return tuple(upsets[e] for e in gens)
+    for e in maxima:
+        rad = A.join[rad][e]
+    return sets, gens, primes, maxima, rad
 
 
 @lru_cache(maxsize=None)
+def _filters(A):
+    """(upsets, filters, primes, maxima, radical) of A, read off
+    :func:`_generators`: the filter [e) for every idempotent e (None
+    elsewhere), every filter, the prime and the maximal filters, each in
+    all_filters order, and the radical.  Each filter of A is one object,
+    built once."""
+    sets, *parts, rad = _generators(A)
+    upsets = tuple(None if m is None else Filter(A, m) for m in sets)
+    return (upsets, *(tuple(upsets[e] for e in gens) for gens in parts),
+            upsets[rad])
+
+
 def all_filters(A):
     """Every filter of A, deterministically ordered by (size, members).
 
@@ -139,21 +146,21 @@ def all_filters(A):
     idempotents; the tests check this against a scan of all subsets with
     the is_filter_subset oracle in tests/oracles.py.
     """
-    return _filters_at(A, _generators(A)[0])
+    return _filters(A)[1]
 
 
 def filter_join(F, G):
     A = F.algebra
-    return _upsets(A)[A.odot[F.gen][G.gen]]
+    return _filters(A)[0][A.odot[F.gen][G.gen]]
 
 
 def filter_meet(F, G):
     A = F.algebra
-    return _upsets(A)[A.join[F.gen][G.gen]]
+    return _filters(A)[0][A.join[F.gen][G.gen]]
 
 
 def improper_filter(A):
-    return _upsets(A)[A.bot]
+    return _filters(A)[0][A.bot]
 
 
 def is_prime(F):
@@ -171,24 +178,21 @@ def is_prime(F):
     return True
 
 
-@lru_cache(maxsize=None)
 def spec(A):
     """Prime filters, in all_filters order (the Stone-space point order)."""
-    return _filters_at(A, _generators(A)[1])
+    return _filters(A)[2]
 
 
-@lru_cache(maxsize=None)
 def max_spec(A):
     """Maximal proper filters, asserted to be prime.  The negated-power
     criterion (a outside M iff some !(a^k) lies in M) is the
     complement-as-power-union row of the theorem matrix."""
-    return _filters_at(A, _generators(A)[2])
+    return _filters(A)[3]
 
 
-@lru_cache(maxsize=None)
 def radical(A):
     """Intersection of all maximal filters (the whole algebra if none)."""
-    return _upsets(A)[_generators(A)[3]]
+    return _filters(A)[4]
 
 
 def is_local(A):
@@ -255,16 +259,6 @@ def _check_congruence(A, class_of, reps):
 
 
 @lru_cache(maxsize=None)
-def _shared_labels(labels):
-    """The one stored tuple equal to `labels`, a quotient's labels.
-
-    Quotients of different algebras repeat each other's `x/F` labels, so
-    equal label tuples are one object, as :func:`rlx.core.shared_set`
-    does for element sets."""
-    return labels
-
-
-@lru_cache(maxsize=None)
 def _quotient_tables(leq, odot, imp):
     """The tables `validate` returns for a quotient's raw (leq, odot, imp),
     checked in full on the first sight of each triple.
@@ -320,7 +314,7 @@ def quotient(A, F):
                      for r in reps)
         imp = tuple(tuple(class_of[A.imp[r][s]] for s in reps) for r in reps)
         Q = ResiduatedLattice(
-            _shared_labels(tuple(f"{A.labels[r]}/F" for r in reps)),
+            shared_set(tuple(f"{A.labels[r]}/F" for r in reps)),
             *_quotient_tables(leq, odot, imp))
 
     # class of top is exactly F
@@ -329,14 +323,13 @@ def quotient(A, F):
     # radical commutes with quotients by sub-radical filters
     rad = radical(A).members
     if F.members <= rad:
-        g = _generators(Q)[3]
-        rad_q = {c for c in Q.elements() if Q.leq[g][c]}
-        rad_classes = {class_of[x] for x in rad}
-        assert rad_q == rad_classes, "Rad(A/F) must equal Rad(A)/F"
+        sets, *_, g = _generators(Q)
+        assert sets[g] == {class_of[x] for x in rad}, \
+            "Rad(A/F) must equal Rad(A)/F"
 
     return QuotientAlgebra(A, F, class_of, Q, reps)
 
 
 def filter_image(Q: QuotientAlgebra, G: Filter):
     """Image of a filter G >= F in the quotient A/F."""
-    return _upsets(Q.quotient)[Q.class_of[G.gen]]
+    return _filters(Q.quotient)[0][Q.class_of[G.gen]]

@@ -17,14 +17,15 @@ link, and every walk of a term recurses per operator: the operator that
 builds a term MAX_TERM_DEPTH + 1 deep is a syntax error too.
 Atoms: the free variable, exists-bound witnesses, constants 0 and 1.
 Names of the shape w<digits> are reserved for bound witnesses and must be
-declared in the exists prefix.
+declared in the exists prefix.  The named formulas, `NAMED_FORMULAS`, are
+parsed once, at import: `blp_formula()` and its siblings return those
+objects.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from functools import lru_cache
 
 from .core import Record, table_memo
 from .errors import (
@@ -351,17 +352,16 @@ NAMED_FORMULAS = {
     "rlp": "v = !!v",
 }
 
+_PARSED = {name: parse_formula(text) for name, text in NAMED_FORMULAS.items()}
 
-@lru_cache(maxsize=None)
+
 def blp_formula():
-    return parse_formula(NAMED_FORMULAS["blp"])
+    return _PARSED["blp"]
 
 
-@lru_cache(maxsize=None)
 def ilp_formula():
-    return parse_formula(NAMED_FORMULAS["ilp"])
+    return _PARSED["ilp"]
 
 
-@lru_cache(maxsize=None)
 def rlp_formula():
-    return parse_formula(NAMED_FORMULAS["rlp"])
+    return _PARSED["rlp"]

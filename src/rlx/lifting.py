@@ -1,6 +1,7 @@
 """Lifting properties: per-filter and global phi-LP, the three named
 properties (Boolean, idempotent, regular), and their algebraic
-characterizations."""
+characterizations.  The global verdict has one memo, :func:`has_lp`,
+keyed by the tables and the formula; `has_blp` and `has_ilp` read it."""
 
 from __future__ import annotations
 
@@ -79,10 +80,10 @@ def lp_report(A, phi):
     Deliberately not cached: it is called with many (algebra, formula)
     pairs, quotients included, and keeping every report alive raised the
     peak RSS of the size-7 theorem matrix by 8-9 %.  Callers that need
-    only the global verdict use :func:`has_blp` and :func:`has_ilp`,
-    cached by the tables because many rows ask them of one algebra and its
-    relabeled copies, or :func:`has_rlp`, not cached because the matrix
-    asks it once per algebra.
+    only the global verdict use :func:`has_lp`, through `has_blp` and
+    `has_ilp`, cached by the tables and the formula because many rows ask
+    it of one algebra and its relabeled copies, or :func:`has_rlp`, not
+    cached because the matrix asks it once per algebra.
     """
     rows = []
     masks = _definable_masks(A, phi)
@@ -96,13 +97,17 @@ def lp_report(A, phi):
 
 
 @table_memo
+def has_lp(A, phi):
+    """Global phi-LP, the `global_holds` of :func:`lp_report`."""
+    return lp_report(A, phi).global_holds
+
+
 def has_blp(A):
-    return lp_report(A, blp_formula()).global_holds
+    return has_lp(A, blp_formula())
 
 
-@table_memo
 def has_ilp(A):
-    return lp_report(A, ilp_formula()).global_holds
+    return has_lp(A, ilp_formula())
 
 
 def has_rlp(A):

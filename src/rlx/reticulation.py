@@ -19,7 +19,7 @@ from .dlattice import lattice_blp_filter, validate_bdl
 from .errors import AxiomViolation, NoIsomorphism
 from .filters import (
     Filter,
-    _filters_at,
+    _filters,
     all_filters,
     max_spec,
     principal_filter,
@@ -91,7 +91,8 @@ def build_reticulation(A):
     (:func:`_lattice_parts`)."""
     principal, leq, lam = _lattice_parts(A)
     L = validate_bdl(tuple(f"[{A.labels[e]})" for e in principal), leq)
-    return Reticulation(A, L, lam, _filters_at(A, principal))
+    upsets = _filters(A)[0]
+    return Reticulation(A, L, lam, tuple(upsets[e] for e in principal))
 
 
 def _assert_axioms(A, lam, leq):

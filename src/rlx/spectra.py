@@ -63,8 +63,10 @@ class SpectrumSpace(Record):
         return (self.full & ~mask) in set(self.opens)
 
 
+@lru_cache(maxsize=None)
 def _build(A, kind):
-    """The space of its kind on A, with the V/D identities asserted."""
+    """The space of its kind on A, with the V/D identities asserted, built
+    once per algebra and kind."""
     points = spec(A) if kind == "spec" else max_spec(A)
     members = [P.members for P in points]
     v = tuple(sum(1 << i for i, m in enumerate(members) if a in m)
@@ -108,12 +110,10 @@ def _assert_stone_identities(A, space):
                 assert (dF & ~dG == 0) == (F <= G)
 
 
-@lru_cache(maxsize=None)
 def stone_spec(A):
     return _build(A, "spec")
 
 
-@lru_cache(maxsize=None)
 def stone_max(A):
     return _build(A, "max")
 

@@ -594,7 +594,7 @@ def check_complementary_filter_lemma(A):
         for G in filters:
             lhs = (filter_meet(F, G).gen == A.top
                    and filter_join(F, G).gen == A.bot)
-            rhs = any(F.gen == e and G.gen == A.neg(e) for e in B)
+            rhs = F.gen in B and G.gen == A.neg(F.gen)
             if lhs != rhs:
                 failures.append((repr(F), repr(G)))
     return [_forall("complementary-filter-pairs", failures)]

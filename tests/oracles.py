@@ -28,7 +28,7 @@ from rlx.enumeration import _lattice_orders, _products_on_lattice, all_algebras
 from rlx.errors import AxiomViolation, NotResiduated
 from rlx.filters import (
     Filter,
-    _upsets,
+    _filters,
     all_filters,
     is_local,
     principal_filter,
@@ -46,7 +46,7 @@ from rlx.reticulation import (
 
 
 def trivial_filter(A):
-    return _upsets(A)[A.top]
+    return _filters(A)[0][A.top]
 
 
 def min_generator(F):

@@ -3,9 +3,10 @@
 A definition counts as used when its name appears as a name, an
 attribute or an imported name anywhere in src/rlx, tests, demos or the
 benchmark harness; dunder methods, which Python calls itself, are
-exempt.  No function re-imports, relative to the package, a module its
-file already imports at top level.  Only the syntax trees are read,
-nothing is imported.
+exempt.  The library itself references each of its definitions, but for
+the public names of `rlx.__all__` and a short allowlist.  No function
+re-imports, relative to the package, a module its file already imports
+at top level.  Only the syntax trees are read, nothing is imported.
 """
 
 import ast
@@ -32,9 +33,23 @@ def _definitions():
                 yield f"{path.stem}.{node.name}", node.name
 
 
-def _references():
+# Definitions that nothing in src/rlx references and that rlx.__all__ does
+# not export: code that only tests, demos or the benchmark run, kept in the
+# library until it leaves it or gains a caller there.  The list only
+# shrinks.
+USED_OUTSIDE_THE_LIBRARY = {
+    "io.load_blat",  # reads what `rlx reticulate --out` writes; no command does
+    "iso.canonical_key",  # the enumeration tests and the benchmark
+    "reticulation.reticulate_morphism",  # the functor on morphisms, tests only
+    "reticulation.uniqueness_check",  # the unique isomorphism, tests only
+    "spectra.gelfand_retract",  # the Gelfand retraction, tests and a demo
+    "theorems.disagreements",  # the failing rows, tests only
+}
+
+
+def _references(paths=SEARCHED):
     names = set()
-    for path in SEARCHED:
+    for path in paths:
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -48,6 +63,28 @@ def _references():
 def test_every_definition_is_referenced():
     used = _references()
     assert [where for where, name in _definitions() if name not in used] == []
+
+
+def _exported():
+    """The names in the list assigned to `__all__` in rlx/__init__.py."""
+    for node in _tree(PACKAGE / "__init__.py").body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("rlx/__init__.py assigns no __all__")
+
+
+def test_every_library_definition_is_used_by_the_library():
+    """A definition that only code outside src/rlx reaches is test-only
+    code in the library.  A new one fails; one that gains a caller or
+    leaves drops out of the list."""
+    used = _references(sorted(PACKAGE.glob("*.py"))) | _exported()
+    unused = {where for where, name in _definitions() if name not in used}
+    assert unused == USED_OUTSIDE_THE_LIBRARY, (
+        f"unreferenced in src/rlx: {sorted(unused - USED_OUTSIDE_THE_LIBRARY)}"
+        f"; used now or gone, drop from the list: "
+        f"{sorted(USED_OUTSIDE_THE_LIBRARY - unused)}")
 
 
 def _function_reimports():

@@ -4,12 +4,19 @@ from types import SimpleNamespace
 
 import pytest
 
-from rlx.core import boolean_algebra, classify, godel_chain, lukasiewicz_chain
+from rlx.core import (
+    boolean_algebra,
+    classify,
+    godel_chain,
+    lukasiewicz_chain,
+    validate,
+)
 from rlx.errors import AxiomViolation
 from rlx.io import load_rlat
 from rlx.filters import (
     Filter,
     _check_congruence,
+    _filters,
     all_filters,
     filter_join,
     filter_meet,
@@ -185,6 +192,28 @@ def test_spectra_golden(E1, E2):
         [{"a", "b", "1"}, {"a", "c", "d", "1"}]
     assert not is_local(E2)
     assert members_by_label(E2, radical(E2)) == {"a", "1"}
+
+
+def test_filters_spectra_and_radical_are_read_off_one_record(E1):
+    """Work ratchet: all_filters, spec, max_spec, radical and
+    generated_filter read one record per algebra, built once, so the
+    points of Spec and Max and the radical are the objects of
+    all_filters, and a repeat call returns the same tuple."""
+    # labels no other test uses, so the record memo has not seen this algebra
+    A = validate(tuple(f"record{i}" for i in range(E1.size)), E1.leq, E1.odot)
+    before = _filters.cache_info()
+    reads = (all_filters, spec, max_spec)
+    tuples = [read(A) for read in reads]
+    rad = radical(A)
+    top = generated_filter(A, ())
+    after = _filters.cache_info()
+    assert after.misses - before.misses == 1
+    filters, primes, maxima = tuples
+    assert primes and maxima
+    assert all(any(P is F for F in filters) for P in primes + maxima + (rad,))
+    assert any(top is F for F in filters)
+    assert all(read(A) is t for read, t in zip(reads, tuples))
+    assert radical(A) is rad and generated_filter(A, ()) is top
 
 
 def test_chains_are_local_with_all_filters_prime():

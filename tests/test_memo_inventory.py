@@ -19,19 +19,16 @@ LRU_CACHES = {
     "core._element_range", "core._validate_lattice",
     "core._validate_residuated", "core.shared_set",
     "core.distributivity_witness", "dlattice._validate_bdl",
-    "filters._quotient_tables", "filters._shared_labels", "filters._upsets",
-    "filters.all_filters",
-    "filters.max_spec", "filters.quotient", "filters.radical", "filters.spec",
-    "formulas.blp_formula", "formulas.ilp_formula", "formulas.rlp_formula",
+    "filters._filters", "filters._quotient_tables", "filters.quotient",
     "iso._order_minimizers", "reticulation.build_reticulation",
-    "spectra._topology_predicates", "spectra.stone_max", "spectra.stone_spec",
+    "spectra._build", "spectra._topology_predicates",
     "theorems._shared_row", "theorems.local_factor_decomposition",
 }
 TABLE_MEMO_NAMES = {
     "core.classify", "core.complemented_elements",
     "dlattice.is_conormal_lattice", "dlattice.is_normal_lattice",
-    "filters._generators", "formulas._definable_masks", "lifting.has_blp",
-    "lifting.has_ilp", "reticulation._lattice_parts", "spectra.is_gelfand",
+    "filters._generators", "formulas._definable_masks", "lifting.has_lp",
+    "reticulation._lattice_parts", "spectra.is_gelfand",
     "spectra.star_property",
 }
 
@@ -62,7 +59,7 @@ def test_memos_are_pinned_by_name():
     assert lru == LRU_CACHES, _mismatch("lru_cache memos", LRU_CACHES, lru)
     assert table == TABLE_MEMO_NAMES, \
         _mismatch("table memos", TABLE_MEMO_NAMES, table)
-    assert (len(memos), len(lru), len(table)) == (35, 24, 11)
+    assert (len(memos), len(lru), len(table)) == (25, 15, 10)
 
 
 def test_table_memo_tests_list_exactly_the_table_memos():

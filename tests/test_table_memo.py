@@ -23,7 +23,7 @@ from rlx.filters import (
     spec,
 )
 from rlx.formulas import _definable_masks, blp_formula, ilp_formula, rlp_formula
-from rlx.lifting import has_blp, has_ilp
+from rlx.lifting import has_blp, has_ilp, has_lp
 from rlx.reticulation import _lattice_parts, build_reticulation
 from rlx.spectra import is_gelfand, star_property, stone_max, stone_spec
 from rlx.theorems import theorem_checks
@@ -31,10 +31,11 @@ from rlx.theorems import theorem_checks
 FORMULAS = (blp_formula(), ilp_formula(), rlp_formula())
 
 # each table memo with the number of values its other arguments take in
-# the size <= 5 matrix: the three lifting formulas
+# the size <= 5 matrix: the three lifting formulas, of which `has_lp` is
+# asked the Boolean and the idempotent one
 TABLE_MEMOS = (
     (classify, 1), (complemented_elements, 1), (_generators, 1),
-    (has_blp, 1), (has_ilp, 1), (is_gelfand, 1), (star_property, 1),
+    (has_lp, 2), (is_gelfand, 1), (star_property, 1),
     (_lattice_parts, 1), (_definable_masks, 3), (is_normal_lattice, 1),
     (is_conormal_lattice, 1),
 )
