@@ -1,16 +1,17 @@
 """Command line front end.
 
-Exit codes: 0 success (and, for check-theorems, full agreement);
-1 validation or usage failure; 2 theorem disagreement (an implementation
-bug surfaced by the matrix, kept distinct for CI).
+Exit codes: 0 success (and, for check-theorems, full agreement, and
+after -h); 1 validation or usage failure; 2 theorem disagreement (an
+implementation bug surfaced by the matrix, kept distinct for CI).
+Arguments are read off one table, `COMMANDS`; options are never abbreviated.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import SIZE_CAP, RlxError
 from .filters import quotient
@@ -62,16 +63,14 @@ def cmd_analyze(args):
 
 def cmd_lp(args):
     A = _load(args.file)
-    chosen = [name for name in NAMED_FORMULAS if getattr(args, name)]
-    if args.formula:
-        chosen.append(None)
+    chosen = [text for name, text in NAMED_FORMULAS.items() if getattr(args, name)]
+    chosen += [args.formula] if args.formula else []
     if len(chosen) != 1:
         print("error: pick exactly one of --formula/--blp/--ilp/--rlp",
               file=sys.stderr)
         return 1
-    text = args.formula if args.formula else NAMED_FORMULAS[chosen[0]]
     try:
-        phi = parse_formula(text)
+        phi = parse_formula(chosen[0])
     except RlxError as exc:
         print(f"error: formula: {exc}", file=sys.stderr)
         return 1
@@ -189,62 +188,81 @@ def cmd_quotient(args):
     return 0
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="rlx",
-        description="finite residuated-lattice workbench")
-    sub = p.add_subparsers(dest="command", required=True)
+# name -> (function, positionals, flags, valued options, help), each list
+# space-separated; a valued option with a trailing "!" must be given
+COMMANDS = {
+    "validate": (cmd_validate, "file", "", "", "check a .rlat file"),
+    "analyze": (cmd_analyze, "file", "json topology theorems", "", "analysis report"),
+    "lp": (cmd_lp, "file", "blp ilp rlp json", "formula filter", "lifting check"),
+    "check-theorems": (cmd_check_theorems, "file", "json", "", "the theorem matrix"),
+    "enumerate": (cmd_enumerate, "size out_dir", "", "",
+                  f"write all algebras of one size (<= {SIZE_CAP})"),
+    "reticulate": (cmd_reticulate, "file", "verify", "out", "the reticulation lattice"),
+    "quotient": (cmd_quotient, "file", "", "filter!", "the quotient algebra"),
+}
 
-    sp = sub.add_parser("validate", help="check a .rlat file")
-    sp.add_argument("file")
-    sp.set_defaults(fn=cmd_validate)
 
-    sp = sub.add_parser("analyze", help="full analysis report")
-    sp.add_argument("file")
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--topology", action="store_true",
-                    help="include the theorem traceability matrix")
-    sp.add_argument("--theorems", action="store_true",
-                    help="alias of --topology")
-    sp.set_defaults(fn=cmd_analyze)
+def _exit(command, error=None):
+    """Print the usage of `command` (of rlx if None); exit 1 on `error`, else 0."""
+    if command is None:
+        lines = ["usage: rlx COMMAND ...", *(f"  {name:<16}{entry[4]}"
+                                            for name, entry in COMMANDS.items())]
+    else:
+        _, *lists, text = COMMANDS[command]
+        positionals, flags, options = (names.split() for names in lists)
+        lines = [" ".join(["usage: rlx", command, *positionals,
+                           *(f"--{o[:-1]} {o[:-1].upper()}" if o[-1] == "!"
+                             else f"[--{o} {o.upper()}]" for o in options),
+                           *(f"[--{f}]" for f in flags)]), f"  {text}"]
+    lines += [f"rlx: error: {error}"] if error else []
+    print("\n".join(lines), file=sys.stderr if error else sys.stdout)
+    raise SystemExit(1 if error else 0)
 
-    sp = sub.add_parser("lp", help="lifting-property check")
-    sp.add_argument("file")
-    sp.add_argument("--formula")
-    sp.add_argument("--blp", action="store_true")
-    sp.add_argument("--ilp", action="store_true")
-    sp.add_argument("--rlp", action="store_true")
-    sp.add_argument("--filter", help="restrict to one filter, e.g. 'c,1'")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_lp)
 
-    sp = sub.add_parser("check-theorems", help="run the theorem matrix")
-    sp.add_argument("file")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_check_theorems)
-
-    sp = sub.add_parser("enumerate",
-                        help=f"write all algebras of one size (<= {SIZE_CAP})")
-    sp.add_argument("size", type=int)
-    sp.add_argument("out_dir")
-    sp.set_defaults(fn=cmd_enumerate)
-
-    sp = sub.add_parser("reticulate", help="emit the reticulation lattice")
-    sp.add_argument("file")
-    sp.add_argument("--out", help="write a .blat file instead of stdout")
-    sp.add_argument("--verify", action="store_true",
-                    help="check the structural properties as well")
-    sp.set_defaults(fn=cmd_reticulate)
-
-    sp = sub.add_parser("quotient", help="print the quotient algebra")
-    sp.add_argument("file")
-    sp.add_argument("--filter", required=True)
-    sp.set_defaults(fn=cmd_quotient)
-    return p
+def parse_args(argv=None):
+    """The namespace argparse gave: `command`, `fn`, the positionals, each
+    flag (False unless given) and each valued option (None unless given),
+    as `--opt value` or `--opt=value`, anywhere after the command."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    if "-h" in argv or "--help" in argv:
+        _exit(command)
+    if command is None:
+        _exit(None, f"invalid choice: {argv[0]!r}" if argv
+              else "the following arguments are required: command")
+    fn, *lists, _ = COMMANDS[command]
+    positionals, flags, options = (names.split() for names in lists)
+    valued = [o.rstrip("!") for o in options]
+    args = SimpleNamespace(command=command, fn=fn,
+                           **dict.fromkeys(flags, False), **dict.fromkeys(valued))
+    values, rest = [], iter(argv[1:])
+    for arg in rest:
+        name, eq, value = arg[2:].partition("=")
+        if not arg.startswith("-") and len(values) < len(positionals):
+            values.append(arg)
+        elif arg[:2] == "--" and name in flags and not eq:
+            setattr(args, name, True)
+        elif arg[:2] == "--" and name in valued:
+            value = value if eq else next(rest, "-")
+            if value.startswith("-") and not eq:
+                _exit(command, f"argument --{name}: expected one argument")
+            setattr(args, name, value)
+        else:
+            _exit(command, f"unrecognized arguments: {arg}")
+    missing = [*positionals[len(values):], *(f"--{o[:-1]}" for o in options
+               if o[-1] == "!" and getattr(args, o[:-1]) is None)]
+    if missing:
+        _exit(command, f"the following arguments are required: {', '.join(missing)}")
+    for name, value in zip(positionals, values):
+        try:
+            setattr(args, name, int(value) if name == "size" else value)
+        except ValueError:
+            _exit(command, f"argument {name}: invalid int value: {value!r}")
+    return args
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.fn(args)
     except RlxError as exc:

@@ -49,6 +49,24 @@ def _members(A, mask):
     return [a for a in A.elements() if mask >> a & 1]
 
 
+def _lifting(A, phi):
+    """(masks, sat, lifts): masks = _definable_masks(A, phi), sat the
+    phi-elements of A, ascending, and lifts(e) whether [e) has phi-LP,
+    that is whether x -> e*x takes masks[e] into the image of sat (see
+    :func:`_filter_verdict`).  The trivial and improper filters always
+    lift and are asserted to."""
+    masks = _definable_masks(A, phi)
+    sat = _members(A, masks[A.top])
+
+    def lifts(e):
+        reached = {A.odot[e][s] for s in sat}
+        return all(A.odot[e][a] in reached for a in _members(A, masks[e]))
+
+    assert lifts(A.top) and lifts(A.bot), \
+        "trivial/improper filters always have the lifting property"
+    return masks, sat, lifts
+
+
 def _filter_verdict(A, masks, sat, F):
     """:func:`has_phi_lp` read off A through the fiber map x -> e*x, with
     e = F.gen, `masks` = _definable_masks(A, phi) and `sat` the
@@ -76,30 +94,24 @@ def _filter_verdict(A, masks, sat, F):
 def lp_report(A, phi):
     """phi-LP verdict for every filter, plus the global conjunction.
 
-    The trivial and improper filters always lift and are asserted to.
     Deliberately not cached: it is called with many (algebra, formula)
     pairs, quotients included, and keeping every report alive raised the
     peak RSS of the size-7 theorem matrix by 8-9 %.  Callers that need
-    only the global verdict use :func:`has_lp`, through `has_blp` and
-    `has_ilp`, cached by the tables and the formula because many rows ask
-    it of one algebra and its relabeled copies, or :func:`has_rlp`, not
-    cached because the matrix asks it once per algebra.
+    only the global verdict use :func:`has_lp` or :func:`has_rlp`, which
+    build no record.
     """
-    rows = []
-    masks = _definable_masks(A, phi)
-    sat = _members(A, masks[A.top])
-    for F in all_filters(A):
-        holds, verdict = _filter_verdict(A, masks, sat, F)
-        if F.gen == A.top or not F.proper:
-            assert holds, "trivial/improper filters always have the lifting property"
-        rows.append((F, verdict))
-    return LpReport(phi, tuple(rows), all(v.holds for _, v in rows))
+    masks, sat, _ = _lifting(A, phi)
+    rows = tuple((F, _filter_verdict(A, masks, sat, F)[1])
+                 for F in all_filters(A))
+    return LpReport(phi, rows, all(v.holds for _, v in rows))
 
 
 @table_memo
 def has_lp(A, phi):
-    """Global phi-LP, the `global_holds` of :func:`lp_report`."""
-    return lp_report(A, phi).global_holds
+    """Global phi-LP, the `global_holds` of :func:`lp_report` with no
+    record built, cached: many rows ask it of relabeled copies."""
+    masks, _, lifts = _lifting(A, phi)
+    return all(lifts(e) for e in A.elements() if masks[e])
 
 
 def has_blp(A):
@@ -111,8 +123,8 @@ def has_ilp(A):
 
 
 def has_rlp(A):
-    """Global regular lifting, which holds on every finite algebra."""
-    return lp_report(A, rlp_formula()).global_holds
+    """Global regular lifting, which holds on every finite algebra; not memoized."""
+    return has_lp.__wrapped__(A, rlp_formula())
 
 
 def atomic_lp_characterization(A, phi):

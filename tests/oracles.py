@@ -8,11 +8,21 @@ isomorphism search after them is the reference that `rl_isomorphic`,
 `test_iso.py` checks it against every bijection.
 """
 
+import argparse
 import itertools
 import math
 from types import MappingProxyType
 
 import rlx.core
+from rlx.cli import (
+    cmd_analyze,
+    cmd_check_theorems,
+    cmd_enumerate,
+    cmd_lp,
+    cmd_quotient,
+    cmd_reticulate,
+    cmd_validate,
+)
 from rlx.core import (
     _check_square,
     classify,
@@ -25,7 +35,7 @@ from rlx.core import (
 from rlx.dlattice import validate_bdl
 from rlx.core import bounds_of
 from rlx.enumeration import _lattice_orders, _products_on_lattice, all_algebras
-from rlx.errors import AxiomViolation, NotResiduated
+from rlx.errors import SIZE_CAP, AxiomViolation, NotResiduated
 from rlx.filters import (
     Filter,
     _filters,
@@ -1041,3 +1051,59 @@ def pair_split_witness(els, join, meet, top, bot):
                        and join[v][y] == top for u in els for v in els):
                 return (x, y)
     return None
+
+
+def argparse_parser():
+    """The argparse parser that `rlx.cli` used before its command table:
+    the reference for `rlx.cli.parse_args` on well-formed arguments."""
+    p = argparse.ArgumentParser(
+        prog="rlx",
+        description="finite residuated-lattice workbench")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    sp = sub.add_parser("validate", help="check a .rlat file")
+    sp.add_argument("file")
+    sp.set_defaults(fn=cmd_validate)
+
+    sp = sub.add_parser("analyze", help="full analysis report")
+    sp.add_argument("file")
+    sp.add_argument("--json", action="store_true")
+    sp.add_argument("--topology", action="store_true",
+                    help="include the theorem traceability matrix")
+    sp.add_argument("--theorems", action="store_true",
+                    help="alias of --topology")
+    sp.set_defaults(fn=cmd_analyze)
+
+    sp = sub.add_parser("lp", help="lifting-property check")
+    sp.add_argument("file")
+    sp.add_argument("--formula")
+    sp.add_argument("--blp", action="store_true")
+    sp.add_argument("--ilp", action="store_true")
+    sp.add_argument("--rlp", action="store_true")
+    sp.add_argument("--filter", help="restrict to one filter, e.g. 'c,1'")
+    sp.add_argument("--json", action="store_true")
+    sp.set_defaults(fn=cmd_lp)
+
+    sp = sub.add_parser("check-theorems", help="run the theorem matrix")
+    sp.add_argument("file")
+    sp.add_argument("--json", action="store_true")
+    sp.set_defaults(fn=cmd_check_theorems)
+
+    sp = sub.add_parser("enumerate",
+                        help=f"write all algebras of one size (<= {SIZE_CAP})")
+    sp.add_argument("size", type=int)
+    sp.add_argument("out_dir")
+    sp.set_defaults(fn=cmd_enumerate)
+
+    sp = sub.add_parser("reticulate", help="emit the reticulation lattice")
+    sp.add_argument("file")
+    sp.add_argument("--out", help="write a .blat file instead of stdout")
+    sp.add_argument("--verify", action="store_true",
+                    help="check the structural properties as well")
+    sp.set_defaults(fn=cmd_reticulate)
+
+    sp = sub.add_parser("quotient", help="print the quotient algebra")
+    sp.add_argument("file")
+    sp.add_argument("--filter", required=True)
+    sp.set_defaults(fn=cmd_quotient)
+    return p

@@ -1,15 +1,18 @@
 import hashlib
+import itertools
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import oracles
 import rlx.enumeration
-from rlx.cli import main
+from rlx.cli import COMMANDS, main, parse_args
 from rlx.enumeration import _generate, all_algebras
 from rlx.formulas import (
     MAX_DEPTH,
@@ -430,3 +433,81 @@ def test_analyze_topology_disagreement_exit_code(capsys, monkeypatch):
     assert code == 2
     assert "theorem matrix: 1 checks, 1 disagreements" in out
     assert "!! stub: lhs=True rhs=False witness=None" in out
+
+
+# Every example of the README's CLI section, with and without its
+# optional flags
+README_EXAMPLES = [
+    "validate fixtures/pentagon_godel.rlat",
+    "analyze fixtures/pentagon_stacked.rlat",
+    "analyze fixtures/pentagon_stacked.rlat --json --topology",
+    'lp fixtures/pentagon_godel.rlat --blp --filter "c,1"',
+    "lp fixtures/pentagon_stacked.rlat --formula 'v^2 = v' --json",
+    "check-theorems fixtures/luk4.rlat",
+    "check-theorems fixtures/luk4.rlat --json",
+    "enumerate 5 out/corpus5",
+    "reticulate fixtures/luk4.rlat --out luk4.blat --verify",
+    'quotient fixtures/pentagon_stacked.rlat --filter "a,1"',
+]
+
+
+def _well_formed(command):
+    """Argument lists of `command`: every subset of its flags and each
+    valued option absent, as `--opt value` or as `--opt=value`, with the
+    positionals before, between and after them."""
+    positionals, flags, options = (names.split() for names in COMMANDS[command][1:4])
+    values = {"file": "f.rlat", "size": "5", "out_dir": "out"}
+    spellings = []
+    for o in options:
+        ways = [[f"--{o.rstrip('!')}", "v^2 = v"], [f"--{o.rstrip('!')}=v^2 = v"]]
+        spellings.append(ways if o.endswith("!") else [[], *ways])
+    for k in range(len(flags) + 1):
+        for chosen in itertools.combinations(flags, k):
+            for valued in itertools.product(*spellings):
+                groups = [[f"--{f}"] for f in chosen] + [g for g in valued if g]
+                for cut in itertools.combinations_with_replacement(
+                        range(len(groups) + 1), len(positionals)):
+                    argv = [command]
+                    for i, group in enumerate(groups + [[]]):
+                        argv += [values[name] for name, at
+                                 in zip(positionals, cut) if at == i]
+                        argv += group
+                    yield argv
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_parse_args_matches_argparse(command):
+    """On well-formed arguments the command table gives the namespace the
+    argparse parser gave, attribute for attribute."""
+    reference = oracles.argparse_parser()
+    cases = [*_well_formed(command), *(shlex.split(text) for text in README_EXAMPLES
+                                       if text.startswith(command + " "))]
+    for argv in cases:
+        assert vars(parse_args(argv)) == vars(reference.parse_args(argv)), argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["check-theorems"], ["enumerate", "x", "y"],
+    ["enumerate", "3"], ["validate", "a.rlat", "b.rlat"],
+    ["check-theorems", "b2.rlat", "--bogus"], ["lp", "b2.rlat", "--filter"],
+    ["lp", "b2.rlat", "--top"], ["quotient", "b2.rlat"],
+    ["analyze", "--json=yes", "b2.rlat"],
+], ids=lambda argv: " ".join(argv) or "no-command")
+def test_usage_error_exits_1(capsys, argv):
+    """A usage error prints the usage and the error to stderr and exits 1:
+    exit 2 stays reserved for a theorem disagreement."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    out, err_text = capsys.readouterr()
+    assert (err.value.code, out) == (1, "")
+    assert err_text.startswith("usage:") and "rlx: error: " in err_text
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["lp", "-h"],
+                                  ["quotient", "b2.rlat", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    out, err_text = capsys.readouterr()
+    assert (err.value.code, err_text) == (0, "")
+    assert out.startswith("usage: rlx")

@@ -1,6 +1,7 @@
 import itertools
 from pathlib import Path
 
+from rlx.enumeration import all_algebras
 from rlx.core import (
     boolean_algebra,
     classify,
@@ -26,6 +27,7 @@ from rlx.lifting import (
     atomic_lp_characterization,
     has_blp,
     has_ilp,
+    has_lp,
     has_phi_lp,
     has_rlp,
     lp_report,
@@ -97,6 +99,18 @@ def test_trivial_and_improper_filters_always_lift(corpus4):
             assert ok
             ok, _ = has_phi_lp(A, phi, Filter(A, frozenset(A.elements())))
             assert ok
+
+
+def test_global_verdict_is_the_reports(E1, E2):
+    """`has_lp` and `has_rlp`, which build no record, give the report's
+    global verdict on every algebra of size <= 6 and on the fixtures."""
+    algebras = [A for n in range(1, 7) for A in all_algebras(n)]
+    algebras += [load_rlat(path) for path in sorted(FIXTURES.glob("*.rlat"))]
+    extra = parse_formula("exists w1 . v * w1 = 0 && v | w1 = 1")
+    for A in algebras + [E1, E2]:
+        for phi in (blp_formula(), ilp_formula(), rlp_formula(), extra):
+            assert has_lp(A, phi) == lp_report(A, phi).global_holds, (A, phi)
+        assert has_rlp(A) == lp_report(A, rlp_formula()).global_holds
 
 
 def test_atomic_characterization_golden(E1, E2):

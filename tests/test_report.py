@@ -68,6 +68,26 @@ def test_no_module_loads_hashlib_until_a_report_hashes():
     assert after == ("False False" if BUILTIN_SHA256 else "True True")
 
 
+def test_cli_calls_load_no_argument_parser():
+    """`rlx check-theorems --json` and `rlx analyze --json` read their
+    arguments off the command table: neither loads argparse, nor gettext
+    and locale, which argparse loads to translate its messages."""
+    fixture = SRC.parent / "fixtures" / "b2.rlat"
+    code = (
+        "import contextlib, io, sys\n"
+        "from rlx.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main([cmd, '--json', {str(fixture)!r}])\n"
+        "             for cmd in ('check-theorems', 'analyze')]\n"
+        "print(codes, sorted({'argparse', 'gettext', 'locale'}"
+        " & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0] []\n"
+
+
 def test_analyze_hashes_without_openssl(monkeypatch):
     """`rlx analyze --json` prints its digest without loading `_hashlib`,
     OpenSSL's binding, where the interpreter has a built-in SHA-256
