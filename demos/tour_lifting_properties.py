@@ -7,12 +7,15 @@ filters, quotients, and which filters lift Boolean and idempotent
 elements.  Run it directly; it prints a narrative.
 """
 
+from pathlib import Path
+
 from rlx.core import classify
 from rlx.filters import all_filters, max_spec, quotient, radical
-from rlx.fixtures import pentagon_godel, pentagon_stacked
 from rlx.formulas import blp_formula, ilp_formula
-from rlx.io import print_filter
+from rlx.io import load_rlat, print_filter
 from rlx.lifting import lp_report, boolean_splitting_conditions
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def banner(text):
@@ -60,10 +63,10 @@ def tour(A, title):
 
 
 def main():
-    tour(pentagon_godel(),
+    tour(load_rlat(FIXTURES / "pentagon_godel.rlat"),
          "Five elements, product = meet: idempotents everywhere, "
          "but the radical cannot lift Boolean elements")
-    tour(pentagon_stacked(),
+    tour(load_rlat(FIXTURES / "pentagon_stacked.rlat"),
          "Six elements on the pentagon-with-top order: idempotent lifting "
          "holds, Boolean lifting breaks at the radical")
     banner("Reading the failure")

@@ -7,6 +7,8 @@ demonstrates that the reticulation preserves the whole filter/spectrum
 structure while forgetting the multiplicative fine print.
 """
 
+from pathlib import Path
+
 from rlx.core import (
     boolean_algebra,
     direct_product,
@@ -15,18 +17,19 @@ from rlx.core import (
     ordinal_sum,
 )
 from rlx.enumeration import all_algebras
-from rlx.fixtures import pentagon_godel
-from rlx.io import print_filter
+from rlx.filters import max_spec, spec
+from rlx.io import load_rlat, print_filter
 from rlx.lifting import has_blp
 from rlx.reticulation import build_reticulation, verify_retic_properties
 from rlx.spectra import (
-    gelfand_retract,
     is_gelfand,
     star_property,
     stone_max,
     stone_spec,
     topology_predicates,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def banner(text):
@@ -49,18 +52,18 @@ def main():
     describe(boolean_algebra(2), "2x2 Boolean")
     describe(godel_chain(4), "4-chain, product = meet")
     describe(lukasiewicz_chain(4), "4-chain, MV product")
-    describe(pentagon_godel(), "lozenge-with-top, product = meet")
+    lozenge = load_rlat(FIXTURES / "pentagon_godel.rlat")
+    describe(lozenge, "lozenge-with-top, product = meet")
     print("The strongly-zero-dimensional line tracks the lifting verdict:")
     print("that equivalence is one of the executable theorems.")
 
     banner("Gelfand retraction")
     A = direct_product(godel_chain(3), godel_chain(2))
-    rho = gelfand_retract(A)
-    mx = stone_max(A)
-    sp = stone_spec(A)
-    for i, P in enumerate(sp.points):
-        print(f"  prime {print_filter(P)} -> maximal "
-              f"{print_filter(mx.points[rho[i]])}")
+    maxima = max_spec(A)
+    for P in spec(A):
+        # A is Gelfand: exactly one maximal filter lies above P
+        M = next(M for M in maxima if P <= M)
+        print(f"  prime {print_filter(P)} -> maximal {print_filter(M)}")
 
     banner("Manufacturing a non-Gelfand algebra")
     R = direct_product(boolean_algebra(1), boolean_algebra(1))
@@ -72,7 +75,7 @@ def main():
 
     banner("The reticulation keeps the spectrum, forgets the product")
     for name, A in [("MV 3-chain", lukasiewicz_chain(3)),
-                    ("lozenge-with-top", pentagon_godel())]:
+                    ("lozenge-with-top", lozenge)]:
         Rt = build_reticulation(A)
         verdicts = verify_retic_properties(Rt)
         print(f"{name}: lattice {' '.join(Rt.lattice.labels)}; "

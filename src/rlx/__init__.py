@@ -26,11 +26,9 @@ from .errors import (
     FormulaSyntaxError,
     InvalidArgument,
     MultipleFreeVariables,
-    NoIsomorphism,
     NotAtomic,
     NotConormal,
     NotDistributive,
-    NotGelfand,
     NotResiduated,
     RlxError,
     SizeCapExceeded,
@@ -57,11 +55,9 @@ __all__ = [
     "FormulaSyntaxError",
     "InvalidArgument",
     "MultipleFreeVariables",
-    "NoIsomorphism",
     "NotAtomic",
     "NotConormal",
     "NotDistributive",
-    "NotGelfand",
     "NotResiduated",
     "RlxError",
     "SizeCapExceeded",

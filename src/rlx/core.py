@@ -290,8 +290,8 @@ def lub_table(leq):
     are the up-set of c, so with up-sets as bitmasks each entry is one dict
     lookup.  `leq` must be a partial order: antisymmetry makes the up-sets
     distinct.  Every caller passes one: `_validate_lattice` runs
-    `_check_order` first, `_lattice_orders` only labels transitive
-    relations on a linear extension, and the fixtures build orders.
+    `_check_order` first, and `_lattice_orders` only labels transitive
+    relations on a linear extension.
     """
     return _bound_table(_row_masks(leq))
 

@@ -42,10 +42,6 @@ class CorpusCountMismatch(RlxError):
     """The enumerator found a number of algebras other than the known count."""
 
 
-class NotGelfand(RlxError):
-    """Raised when a retraction is requested for a non-Gelfand algebra."""
-
-
 class NotDistributive(RlxError):
     """The underlying bounded lattice is not distributive."""
 
@@ -60,10 +56,6 @@ class NotConormal(RlxError):
 
 class NotAtomic(RlxError):
     """The formula is not a single bound-variable-free equation."""
-
-
-class NoIsomorphism(RlxError):
-    pass
 
 
 class FormulaSyntaxError(RlxError):

@@ -12,13 +12,13 @@ command line.
     imp: derive   (or n explicit rows)
 
 Round-trip guarantee: parsing the printed form of an algebra yields the
-same algebra, labels included.
+same algebra, labels included.  .blat is the `elements:` and `order:`
+lines alone; `rlx reticulate --out` writes it, and no command reads it.
 """
 
 from __future__ import annotations
 
 from .core import covers_of, leq_from_covers, validate
-from .dlattice import validate_bdl
 from .errors import FileFormatError
 from .filters import Filter
 
@@ -84,12 +84,12 @@ def _parse_elements_and_order(lines, pos):
         covers.append((index[lo], index[hi]))
     pos += 1
     leq = leq_from_covers(len(labels), covers)
-    return labels, leq, pos, lineno
+    return labels, leq, pos
 
 
 def parse_rlat(text):
     lines = _logical_lines(text)
-    labels, leq, pos, _ = _parse_elements_and_order(lines, 0)
+    labels, leq, pos = _parse_elements_and_order(lines, 0)
     n = len(labels)
 
     lineno, rest = _parse_header(lines, pos, "odot")
@@ -112,32 +112,20 @@ def parse_rlat(text):
 
 
 def print_rlat(A, labels=None):
-    """A in .rlat form, under `labels` when given, else A's own."""
+    """A in .rlat form, under `labels` when given, else A's own: the
+    .blat header of :func:`print_blat`, then the two tables."""
     labels = A.labels if labels is None else labels
-    covers = covers_of(A.leq)
-    lines = [
-        "elements: " + " ".join(labels),
-        "order: " + " ".join(f"{labels[lo]}<{labels[hi]}" for lo, hi in covers),
-        "odot:",
-    ]
-    for row in A.odot:
-        lines.append(" ".join(labels[v] for v in row))
-    lines.append("imp:")
-    for row in A.imp:
-        lines.append(" ".join(labels[v] for v in row))
-    return "\n".join(lines) + "\n"
+    text = print_blat(A, labels)
+    for name, table in (("odot", A.odot), ("imp", A.imp)):
+        text += f"{name}:\n" + "".join(
+            " ".join(labels[v] for v in row) + "\n" for row in table)
+    return text
 
 
-def parse_blat(text):
-    lines = _logical_lines(text)
-    labels, leq, pos, _ = _parse_elements_and_order(lines, 0)
-    if pos != len(lines):
-        raise FileFormatError("trailing content", lines[pos][0])
-    return validate_bdl(labels, leq)
-
-
-def print_blat(L):
-    labels = L.labels
+def print_blat(L, labels=None):
+    """The `elements:` and `order:` lines of L, under `labels` when given,
+    else L's own."""
+    labels = L.labels if labels is None else labels
     covers = covers_of(L.leq)
     lines = [
         "elements: " + " ".join(labels),
@@ -175,11 +163,3 @@ def save_rlat(A, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(print_rlat(A))
 
-
-def load_blat(path):
-    """Read a .blat file, such as the one `rlx reticulate --out` writes.
-
-    No rlx command reads .blat files; this is the library's way back in
-    from that output."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_blat(fh.read())

@@ -87,8 +87,8 @@ def table_key(leq, odot, bot, top):
     """(key, perm): the canonical key of an order and a product on it, with
     the given bounds, and the first relabeling reaching it.
 
-    The tables need not be validated; for an algebra ``A`` this is
-    ``canonical_key(A)`` and the relabeling ``canonicalize`` applies.
+    The tables need not be validated; for an algebra ``A`` the key is its
+    canonical key and the relabeling the one ``canonicalize`` applies.
     """
     bits, pairs = _order_minimizers(leq, bot, top)
     best = best_perm = None
@@ -99,19 +99,9 @@ def table_key(leq, odot, bot, top):
     return bits + best, best_perm
 
 
-def _canonical_perm(A):
-    """(key, perm): the canonical key and the first relabeling reaching it."""
-    return table_key(A.leq, A.odot, A.bot, A.top)
-
-
-def canonical_key(A):
-    """Minimum-lex encoding of (leq, odot) over relabelings fixing bot/top."""
-    return _canonical_perm(A)[0]
-
-
 def canonicalize(A):
     """Relabel A into its canonical form (labels become e0..e{n-1})."""
-    perm = _canonical_perm(A)[1]
+    perm = table_key(A.leq, A.odot, A.bot, A.top)[1]
     leq = permute_relation(A.leq, perm)
     odot = permute_table(A.odot, perm)
     labels = tuple(f"e{i}" for i in range(A.size))

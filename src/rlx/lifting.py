@@ -53,8 +53,9 @@ def _lifting(A, phi):
     """(masks, sat, lifts): masks = _definable_masks(A, phi), sat the
     phi-elements of A, ascending, and lifts(e) whether [e) has phi-LP,
     that is whether x -> e*x takes masks[e] into the image of sat (see
-    :func:`_filter_verdict`).  The trivial and improper filters always
-    lift and are asserted to."""
+    :func:`_filter_verdict`).  The trivial filter always lifts, and the
+    improper one iff some element satisfies phi: A/A is trivial and
+    satisfies every formula.  Both are asserted."""
     masks = _definable_masks(A, phi)
     sat = _members(A, masks[A.top])
 
@@ -62,8 +63,8 @@ def _lifting(A, phi):
         reached = {A.odot[e][s] for s in sat}
         return all(A.odot[e][a] in reached for a in _members(A, masks[e]))
 
-    assert lifts(A.top) and lifts(A.bot), \
-        "trivial/improper filters always have the lifting property"
+    assert lifts(A.top) and lifts(A.bot) == bool(sat), \
+        "the trivial filter lifts, the improper one iff phi is satisfiable"
     return masks, sat, lifts
 
 

@@ -1,7 +1,7 @@
 """The reticulation: the bounded distributive lattice of principal filters
 (dually ordered) together with the canonical surjection, its defining
-axioms, structural properties, the functor on morphisms, and the bridges
-for Boolean lifting and archimedean elements."""
+axioms, structural properties, and the bridges for Boolean lifting and
+archimedean elements."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from .core import (
     table_memo,
 )
 from .dlattice import lattice_blp_filter, validate_bdl
-from .errors import AxiomViolation, NoIsomorphism
+from .errors import AxiomViolation
 from .filters import (
     Filter,
     _filters,
@@ -40,30 +40,6 @@ class Reticulation(Record):
         self._set("lattice", lattice)
         self._set("lam", lam)
         self._set("filter_of", filter_of)
-
-
-class RLMorphism(Record):
-    """A residuated-lattice morphism, checked on construction."""
-
-    def __init__(self, source: object, target: object,
-                 mapping: tuple):  # element id -> element id
-        A, B, f = source, target, mapping
-        if len(f) != A.size:
-            raise AxiomViolation("morphism-arity", (len(f),))
-        if f[A.bot] != B.bot or f[A.top] != B.top:
-            raise AxiomViolation("morphism-bounds", ())
-        for x in A.elements():
-            for y in A.elements():
-                pairs = (
-                    (A.join, B.join), (A.meet, B.meet),
-                    (A.odot, B.odot), (A.imp, B.imp),
-                )
-                for ta, tb in pairs:
-                    if f[ta[x][y]] != tb[f[x]][f[y]]:
-                        raise AxiomViolation("morphism-compat", (x, y))
-        self._set("source", source)
-        self._set("target", target)
-        self._set("mapping", mapping)
 
 
 @table_memo
@@ -259,33 +235,6 @@ def _retic_quotient_match(A, R, F):
     except AxiomViolation:
         return False
     return len(set(f)) == LQ.size == QL.quotient.size
-
-
-def uniqueness_check(R1, R2):
-    """The unique lattice isomorphism f with f o lam1 = lam2.
-
-    Surjectivity of lam1 forces f; we verify it is a well-defined bounded
-    lattice isomorphism and return it, or raise NoIsomorphism.
-    """
-    A = R1.source
-    if R2.source is not A and R2.source != A:
-        raise NoIsomorphism("reticulations of different algebras")
-    try:
-        f = _induced_map(R1.lam, R2.lam, R1.lattice, R2.lattice)
-    except AxiomViolation as exc:
-        raise NoIsomorphism(str(exc)) from exc
-    if not len(set(f)) == R1.lattice.size == R2.lattice.size:
-        raise NoIsomorphism("not bijective")
-    return f
-
-
-def reticulate_morphism(f: RLMorphism):
-    """The lattice morphism L(f) with L(f)(lam_B(b)) = lam_C(f(b));
-    AxiomViolation if that is not a well-defined bounded lattice map."""
-    RB = build_reticulation(f.source)
-    RC = build_reticulation(f.target)
-    return _induced_map(RB.lam, tuple(RC.lam[y] for y in f.mapping),
-                        RB.lattice, RC.lattice)
 
 
 def blp_transfer(A, F):

@@ -8,7 +8,6 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .core import Record, classify, table_memo
-from .errors import NotGelfand
 from .filters import (
     all_filters,
     filter_join,
@@ -44,20 +43,12 @@ class SpectrumSpace(Record):
         """The basic open D(a) resp. d(a): the points omitting a."""
         return self.full & ~self.v[a]
 
-    @property
-    def basis(self):
-        """(element id, D(a)) for every element."""
-        return tuple((a, self.d(a)) for a in range(len(self.v)))
-
     def mask_of(self, filters):
         idx = {F.gen: i for i, F in enumerate(self.points)}
         m = 0
         for F in filters:
             m |= 1 << idx[F.gen]
         return m
-
-    def is_open(self, mask):
-        return mask in set(self.opens)
 
     def is_closed(self, mask):
         return (self.full & ~mask) in set(self.opens)
@@ -301,33 +292,6 @@ def gelfand_conditions(A):
     out[3] = is_conormal_lattice(L)
     out[5] = is_gelfand(L)
     return out
-
-
-def gelfand_retract(A):
-    """The map sending a prime to its unique maximal, with continuity and
-    identity-on-Max checked; NotGelfand otherwise."""
-    if not is_gelfand(A):
-        raise NotGelfand(repr(A))
-    sp = stone_spec(A)
-    mx = stone_max(A)
-    maxima = max_spec(A)
-    rho = []
-    for P in sp.points:
-        M = next(M for M in maxima if P <= M)
-        rho.append(next(i for i, Q in enumerate(mx.points)
-                        if Q.members == M.members))
-    # identity on maximal points
-    for i, P in enumerate(sp.points):
-        if any(P.members == M.members for M in maxima):
-            assert mx.points[rho[i]].members == P.members
-    # continuity: preimages of opens are open
-    for U in mx.opens:
-        pre = 0
-        for i in range(len(sp.points)):
-            if (U >> rho[i]) & 1:
-                pre |= 1 << i
-        assert sp.is_open(pre), "retraction must be continuous"
-    return tuple(rho)
 
 
 @table_memo

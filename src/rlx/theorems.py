@@ -671,7 +671,3 @@ def theorem_checks(A):
     for fn in ALL_CHECKS:
         out.extend(fn(A))
     return out
-
-
-def disagreements(A):
-    return [v for v in theorem_checks(A) if not v.agree]

@@ -1,19 +1,36 @@
 import sys
+from pathlib import Path
 
 import pytest
 
 from rlx.enumeration import all_algebras
-from rlx.fixtures import pentagon_godel, pentagon_stacked
+from rlx.io import load_rlat
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture(scope="session")
 def E1():
-    return pentagon_godel()
+    """The five-element Goedel algebra on the lozenge-with-top order:
+    0 < a,b < c < 1 (a || b), odot = meet.
+
+    Idempotents are everything; the Boolean center is {0, 1}; the radical
+    {c, 1} fails Boolean lifting while idempotent lifting holds globally.
+    """
+    return load_rlat(FIXTURES / "pentagon_godel.rlat")
 
 
 @pytest.fixture(scope="session")
 def E2():
-    return pentagon_stacked()
+    """The six-element algebra on the pentagon-with-top order:
+    0 < d < c < a < 1 and 0 < b < a.
+
+    Idempotents are {0, a, b, d, 1}; the Boolean center is {0, 1}; the
+    regulars are {0, b, c, 1} (!!d = c, !!a = 1).  Idempotent lifting holds
+    globally; Boolean lifting fails only at the radical {a, 1}, whose
+    quotient is 2x2 with b/{a, 1} not liftable.
+    """
+    return load_rlat(FIXTURES / "pentagon_stacked.rlat")
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,10 @@
 
 Each one follows the textbook definition element by element, so the fast
 closed forms in the library can be checked against it.  The small helpers
-at the top are conveniences that only the tests use.  The backtracking
+at the top are conveniences that only the tests use; after them come the
+.blat reader and the constructions of the paper that no rlx command
+runs, the functor on morphisms, the uniqueness of the reticulation and
+the Gelfand retraction, with the two errors they raise.  The backtracking
 isomorphism search after them is the reference that `rl_isomorphic`,
 `first_labelings` and the Boolean decomposition's test compare against;
 `test_iso.py` checks it against every bijection.
@@ -24,6 +27,7 @@ from rlx.cli import (
     cmd_validate,
 )
 from rlx.core import (
+    Record,
     _check_square,
     classify,
     direct_product,
@@ -35,24 +39,33 @@ from rlx.core import (
 from rlx.dlattice import validate_bdl
 from rlx.core import bounds_of
 from rlx.enumeration import _lattice_orders, _products_on_lattice, all_algebras
-from rlx.errors import SIZE_CAP, AxiomViolation, NotResiduated
+from rlx.errors import (
+    SIZE_CAP,
+    AxiomViolation,
+    FileFormatError,
+    NotResiduated,
+    RlxError,
+)
 from rlx.filters import (
     Filter,
     _filters,
     all_filters,
     is_local,
+    max_spec,
     principal_filter,
     quotient,
 )
 from rlx.formulas import BoundVar, Const, FreeVar, Neg, Pow, definable_set
+from rlx.io import _logical_lines, _parse_elements_and_order
 from rlx.lifting import has_blp, lp_report
-from rlx.iso import permute_relation, permute_table
+from rlx.iso import permute_relation, permute_table, table_key
 from rlx.reticulation import (
     Reticulation,
     _assert_axioms,
     _induced_map,
     build_reticulation,
 )
+from rlx.spectra import is_gelfand, stone_max, stone_spec
 
 
 def trivial_filter(A):
@@ -62,6 +75,106 @@ def trivial_filter(A):
 def min_generator(F):
     """The minimum of F: its idempotent generator."""
     return F.gen
+
+
+def parse_blat(text):
+    """The bounded distributive lattice of a .blat text."""
+    lines = _logical_lines(text)
+    labels, leq, pos = _parse_elements_and_order(lines, 0)
+    if pos != len(lines):
+        raise FileFormatError("trailing content", lines[pos][0])
+    return validate_bdl(labels, leq)
+
+
+def canonical_key(A):
+    """Minimum-lex encoding of (leq, odot) over relabelings fixing bot/top."""
+    return table_key(A.leq, A.odot, A.bot, A.top)[0]
+
+
+class NotGelfand(RlxError):
+    """Raised when a retraction is requested for a non-Gelfand algebra."""
+
+
+class NoIsomorphism(RlxError):
+    pass
+
+
+class RLMorphism(Record):
+    """A residuated-lattice morphism, checked on construction."""
+
+    def __init__(self, source: object, target: object,
+                 mapping: tuple):  # element id -> element id
+        A, B, f = source, target, mapping
+        if len(f) != A.size:
+            raise AxiomViolation("morphism-arity", (len(f),))
+        if f[A.bot] != B.bot or f[A.top] != B.top:
+            raise AxiomViolation("morphism-bounds", ())
+        for x in A.elements():
+            for y in A.elements():
+                pairs = (
+                    (A.join, B.join), (A.meet, B.meet),
+                    (A.odot, B.odot), (A.imp, B.imp),
+                )
+                for ta, tb in pairs:
+                    if f[ta[x][y]] != tb[f[x]][f[y]]:
+                        raise AxiomViolation("morphism-compat", (x, y))
+        self._set("source", source)
+        self._set("target", target)
+        self._set("mapping", mapping)
+
+
+def reticulate_morphism(f: RLMorphism):
+    """The lattice morphism L(f) with L(f)(lam_B(b)) = lam_C(f(b));
+    AxiomViolation if that is not a well-defined bounded lattice map."""
+    RB = build_reticulation(f.source)
+    RC = build_reticulation(f.target)
+    return _induced_map(RB.lam, tuple(RC.lam[y] for y in f.mapping),
+                        RB.lattice, RC.lattice)
+
+
+def uniqueness_check(R1, R2):
+    """The unique lattice isomorphism f with f o lam1 = lam2.
+
+    Surjectivity of lam1 forces f; we verify it is a well-defined bounded
+    lattice isomorphism and return it, or raise NoIsomorphism.
+    """
+    A = R1.source
+    if R2.source is not A and R2.source != A:
+        raise NoIsomorphism("reticulations of different algebras")
+    try:
+        f = _induced_map(R1.lam, R2.lam, R1.lattice, R2.lattice)
+    except AxiomViolation as exc:
+        raise NoIsomorphism(str(exc)) from exc
+    if not len(set(f)) == R1.lattice.size == R2.lattice.size:
+        raise NoIsomorphism("not bijective")
+    return f
+
+
+def gelfand_retract(A):
+    """The map sending a prime to its unique maximal, with continuity and
+    identity-on-Max checked; NotGelfand otherwise."""
+    if not is_gelfand(A):
+        raise NotGelfand(repr(A))
+    sp = stone_spec(A)
+    mx = stone_max(A)
+    maxima = max_spec(A)
+    rho = []
+    for P in sp.points:
+        M = next(M for M in maxima if P <= M)
+        rho.append(next(i for i, Q in enumerate(mx.points)
+                        if Q.members == M.members))
+    # identity on maximal points
+    for i, P in enumerate(sp.points):
+        if any(P.members == M.members for M in maxima):
+            assert mx.points[rho[i]].members == P.members
+    # continuity: preimages of opens are open
+    for U in mx.opens:
+        pre = 0
+        for i in range(len(sp.points)):
+            if (U >> rho[i]) & 1:
+                pre |= 1 << i
+        assert pre in sp.opens, "retraction must be continuous"
+    return tuple(rho)
 
 
 def _invariants(leq, tables):

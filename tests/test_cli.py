@@ -21,7 +21,7 @@ from rlx.formulas import (
     ilp_formula,
     rlp_formula,
 )
-from rlx.io import load_rlat, parse_blat, parse_rlat, print_blat, save_rlat
+from rlx.io import load_rlat, parse_rlat, print_blat, save_rlat
 from rlx.lifting import lp_report
 from rlx.reticulation import build_reticulation
 from test_invariance import permuted
@@ -256,9 +256,7 @@ def test_reticulate_and_verify(tmp_path, capsys):
                            "--out", str(out_file), "--verify")
     assert code == 0
     assert out_file.exists()
-    from rlx.io import load_blat
-
-    L = load_blat(out_file)
+    L = oracles.parse_blat(out_file.read_text(encoding="utf-8"))
     assert L.size == 2  # nilpotent chain collapses below the top
     assert "property 8: ok" in out
 
@@ -282,7 +280,7 @@ def test_reticulate_output_pinned(capsys, name):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == RETICULATE_SHA256[name]
     L = build_reticulation(load_rlat(path)).lattice
-    assert parse_blat(print_blat(L)) == L
+    assert oracles.parse_blat(print_blat(L)) == L
 
 
 # SHA-256 of the stdout of `rlx quotient F --filter <top>`, recorded at
@@ -350,11 +348,10 @@ def test_quotient_round_trip(capsys, tmp_path):
     payload = json.loads(report_out)
     assert payload["classes"]["boolean_center"] == payload["elements"]
 
-    from rlx.fixtures import pentagon_stacked
     from rlx.filters import principal_filter, quotient as quot
     from rlx.report import analysis_report
 
-    E2 = pentagon_stacked()
+    E2 = load_rlat(FIXTURES / "pentagon_stacked.rlat")
     in_memory = analysis_report(quot(E2, principal_filter(E2, 1)).quotient,
                                 include_theorems=False)
     on_disk = analysis_report(Q, include_theorems=False)
@@ -383,6 +380,21 @@ def test_check_theorems_same_under_optimize(path):
         for opt in ([], ["-O"])]
     assert plain.stdout
     assert (optimized.stdout, optimized.returncode) == (plain.stdout, plain.returncode)
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "O"])
+def test_lp_unsatisfiable_formula(optimize):
+    """No element of 2 satisfies v = !v, so the improper filter does not
+    lift it while the trivial one does; the verdict is printed, with or
+    without the library's asserts."""
+    proc = subprocess.run(
+        [sys.executable, *optimize, "-m", "rlx.cli", "lp",
+         str(FIXTURES / "b2.rlat"), "--formula", "v = !v"],
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("v = !v: global=False\n"
+                           "  {1}: True\n"
+                           "  {0,1}: False  counterexample: 0\n")
 
 
 def test_quotient_bad_filter(capsys):

@@ -2,11 +2,13 @@
 
 A definition counts as used when its name appears as a name, an
 attribute or an imported name anywhere in src/rlx, tests, demos or the
-benchmark harness; dunder methods, which Python calls itself, are
-exempt.  The library itself references each of its definitions, but for
-the public names of `rlx.__all__` and a short allowlist.  No function
-re-imports, relative to the package, a module its file already imports
-at top level.  Only the syntax trees are read, nothing is imported.
+benchmark harness; a method counts only through attribute access
+(`.name`), so a local variable of the same name cannot hide it.  Dunder
+methods, which Python calls itself, are exempt.  The library itself
+references each of its definitions, but for the public names of
+`rlx.__all__`.  No function re-imports, relative to the package, a
+module its file already imports at top level.  Only the syntax trees are
+read, nothing is imported.
 """
 
 import ast
@@ -24,45 +26,45 @@ def _tree(path):
 
 
 def _definitions():
+    """(where, name, is_method) for each definition in src/rlx."""
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(_tree(path)):
+        tree = _tree(path)
+        methods = {node for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for node in cls.body}
+        for node in ast.walk(tree):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef))
                     and not (node.name.startswith("__")
                              and node.name.endswith("__"))):
-                yield f"{path.stem}.{node.name}", node.name
-
-
-# Definitions that nothing in src/rlx references and that rlx.__all__ does
-# not export: code that only tests, demos or the benchmark run, kept in the
-# library until it leaves it or gains a caller there.  The list only
-# shrinks.
-USED_OUTSIDE_THE_LIBRARY = {
-    "io.load_blat",  # reads what `rlx reticulate --out` writes; no command does
-    "iso.canonical_key",  # the enumeration tests and the benchmark
-    "reticulation.reticulate_morphism",  # the functor on morphisms, tests only
-    "reticulation.uniqueness_check",  # the unique isomorphism, tests only
-    "spectra.gelfand_retract",  # the Gelfand retraction, tests and a demo
-    "theorems.disagreements",  # the failing rows, tests only
-}
+                yield f"{path.stem}.{node.name}", node.name, node in methods
 
 
 def _references(paths=SEARCHED):
-    names = set()
+    """(names, attributes): the names referenced in `paths` as a name or
+    an imported name, and those referenced as an attribute."""
+    names, attributes = set(), set()
     for path in paths:
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name.rpartition(".")[2])
-    return names
+    return names, attributes
+
+
+def _unreferenced(paths=SEARCHED, exported=frozenset()):
+    """The definitions that `paths` does not reference; a method needs an
+    attribute reference, anything else any reference or an export."""
+    names, attributes = _references(paths)
+    anything = names | attributes | exported
+    return {where for where, name, is_method in _definitions()
+            if name not in (attributes if is_method else anything)}
 
 
 def test_every_definition_is_referenced():
-    used = _references()
-    assert [where for where, name in _definitions() if name not in used] == []
+    assert sorted(_unreferenced()) == []
 
 
 def _exported():
@@ -77,14 +79,9 @@ def _exported():
 
 def test_every_library_definition_is_used_by_the_library():
     """A definition that only code outside src/rlx reaches is test-only
-    code in the library.  A new one fails; one that gains a caller or
-    leaves drops out of the list."""
-    used = _references(sorted(PACKAGE.glob("*.py"))) | _exported()
-    unused = {where for where, name in _definitions() if name not in used}
-    assert unused == USED_OUTSIDE_THE_LIBRARY, (
-        f"unreferenced in src/rlx: {sorted(unused - USED_OUTSIDE_THE_LIBRARY)}"
-        f"; used now or gone, drop from the list: "
-        f"{sorted(USED_OUTSIDE_THE_LIBRARY - unused)}")
+    code in the library: it belongs in the tests."""
+    unused = _unreferenced(sorted(PACKAGE.glob("*.py")), _exported())
+    assert unused == set(), f"unreferenced in src/rlx: {sorted(unused)}"
 
 
 def _function_reimports():

@@ -164,17 +164,11 @@ def test_lattice_radical_golden():
         assert dense_radical(L) == frozenset(members)
 
 
-def test_conormal_radical_lifting_golden():
+def test_conormal_radical_lifting_golden(E1):
     assert conormal_radical_lifting(chain(3))
     assert conormal_radical_lifting(lozenge())
     with pytest.raises(NotConormal):
-        conormal_radical_lifting(build_reticulation(_godel_pentagon()).lattice)
-
-
-def _godel_pentagon():
-    from rlx.fixtures import pentagon_godel
-
-    return pentagon_godel()
+        conormal_radical_lifting(build_reticulation(E1).lattice)
 
 
 def test_boolean_center_of_lattices():

@@ -16,7 +16,6 @@ from rlx.enumeration import (
 from rlx.errors import AxiomViolation, CorpusCountMismatch, SizeCapExceeded
 from rlx.iso import (
     _order_minimizers,
-    canonical_key,
     canonicalize,
     permute_relation,
     permute_table,
@@ -29,6 +28,7 @@ from oracles import (
     brute_invariant,
     brute_relabeling,
     brute_table_ok,
+    canonical_key,
     first_labelings,
     lattice_orders,
     orbit_counts,

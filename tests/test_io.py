@@ -1,18 +1,28 @@
+from pathlib import Path
+
 import pytest
 
-from rlx.core import boolean_algebra
+from rlx.core import (
+    boolean_algebra,
+    godel_chain,
+    lukasiewicz_chain,
+    trivial_algebra,
+)
 from rlx.dlattice import validate_bdl
 from rlx.errors import AxiomViolation, FileFormatError
 from rlx.filters import principal_filter
-from rlx.fixtures import FIXTURE_BUILDERS
 from rlx.io import (
-    parse_blat,
+    load_rlat,
     parse_filter,
     parse_rlat,
     print_blat,
     print_filter,
     print_rlat,
 )
+
+from oracles import parse_blat
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 EXAMPLE = """
 # five-element example, implication given explicitly
@@ -56,9 +66,26 @@ imp: derive
 
 
 def test_round_trip_all_fixtures():
-    for name, build in FIXTURE_BUILDERS.items():
-        A = build()
+    paths = sorted(FIXTURES.glob("*.rlat"))
+    assert len(paths) == 6
+    for path in paths:
+        A = load_rlat(path)
         assert parse_rlat(print_rlat(A)) == A
+
+
+# the fixture files that a constructor of the library builds
+CONSTRUCTED = {
+    "trivial": trivial_algebra,
+    "b2": lambda: boolean_algebra(1),
+    "godel3": lambda: godel_chain(3),
+    "luk4": lambda: lukasiewicz_chain(4),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTED)
+def test_fixture_file_is_its_constructor(name):
+    A, B = load_rlat(FIXTURES / f"{name}.rlat"), CONSTRUCTED[name]()
+    assert A == B and A.labels == B.labels
 
 
 def test_round_trip_idempotent(E2):
@@ -137,7 +164,5 @@ def test_filter_parsing_rejects_non_filter(E1):
 
 
 def test_trivial_round_trip():
-    from rlx.core import trivial_algebra
-
     T = trivial_algebra()
     assert parse_rlat(print_rlat(T)) == T

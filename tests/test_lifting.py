@@ -113,6 +113,28 @@ def test_global_verdict_is_the_reports(E1, E2):
         assert has_rlp(A) == lp_report(A, rlp_formula()).global_holds
 
 
+def test_unsatisfiable_formula_lifts_where_it_is_satisfiable(corpus5):
+    """The improper filter lifts phi iff some element satisfies phi: A/A
+    is trivial and satisfies every formula.  `v = !v` holds of no element
+    of a nontrivial Boolean or Goedel algebra, and of the middle of the
+    three-element MV chain.  Every verdict is the quotient oracle's, and
+    the global one is the report's, on sizes <= 5 and the fixtures."""
+    phi = parse_formula("v = !v")
+    fixtures = [load_rlat(path) for path in sorted(FIXTURES.glob("*.rlat"))]
+    satisfiable = set()
+    for A in corpus5 + fixtures:
+        report = lp_report(A, phi)
+        assert has_lp(A, phi) == report.global_holds, A
+        for F, verdict in report.per_filter:
+            assert (verdict.holds, verdict.counterexample,
+                    verdict.witness) == quotient_filter_verdict(A, phi, F)
+            if len(F) == A.size:
+                assert verdict.holds == bool(definable_set(A, phi))
+        satisfiable.add(bool(definable_set(A, phi)))
+    assert satisfiable == {False, True}
+    assert not has_lp(boolean_algebra(1), phi)
+
+
 def test_atomic_characterization_golden(E1, E2):
     assert atomic_lp_characterization(E1, ilp_formula())
     assert not atomic_lp_characterization(E1, blp_formula())

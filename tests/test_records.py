@@ -36,9 +36,11 @@ from rlx.formulas import (
     parse_formula,
 )
 from rlx.lifting import FilterVerdict, LpReport, has_phi_lp, lp_report
-from rlx.reticulation import Reticulation, RLMorphism, build_reticulation
+from rlx.reticulation import Reticulation, build_reticulation
 from rlx.spectra import SpectrumSpace, stone_spec
 from rlx.theorems import TheoremVerdict, theorem_checks
+
+from oracles import RLMorphism
 
 SRC = Path(rlx.__file__).resolve().parent.parent
 FIXTURES = SRC.parent / "fixtures"
@@ -47,8 +49,8 @@ B = boolean_algebra(1)
 G = godel_chain(3)
 PHI = parse_formula("exists w1. v^2 | !w1 = 1 && v -> 0 = w1")
 
-# one instance of each of the 17 record classes, with its repr as the
-# frozen dataclass printed it
+# one instance of each of the 16 record classes of the library and of
+# the tests' RLMorphism, with its repr as the frozen dataclass printed it
 RECORDS = {
     ResiduatedLattice: (G, "ResiduatedLattice(0,x1,1)"),
     ElementClassReport: (

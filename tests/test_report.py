@@ -48,6 +48,7 @@ def test_no_module_loads_hashlib_until_a_report_hashes():
     where the interpreter has a built-in SHA-256 module; without one, it
     falls back to `hashlib`.  A fresh interpreter, without `site`, imports
     every module of the package."""
+    fixture = SRC.parent / "fixtures" / "pentagon_godel.rlat"
     code = (
         "import importlib, sys\n"
         "from pathlib import Path\n"
@@ -55,9 +56,9 @@ def test_no_module_loads_hashlib_until_a_report_hashes():
         "    importlib.import_module('rlx' if path.stem == '__init__'\n"
         "                            else 'rlx.' + path.stem)\n"
         "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
-        "from rlx.fixtures import pentagon_godel\n"
+        "from rlx.io import load_rlat\n"
         "from rlx.report import content_hash\n"
-        "print(content_hash(pentagon_godel()))\n"
+        f"print(content_hash(load_rlat({str(fixture)!r})))\n"
         "print('hashlib' in sys.modules, '_hashlib' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,

@@ -5,27 +5,27 @@ import pytest
 
 from rlx.core import boolean_algebra, godel_chain, lukasiewicz_chain
 from rlx.dlattice import validate_bdl
-from rlx.errors import NoIsomorphism
 from rlx.filters import all_filters, principal_filter, quotient
 from rlx.io import load_rlat
 from rlx.reticulation import (
     Reticulation,
-    RLMorphism,
     _lattice_parts,
     _retic_quotient_match,
     archimedean_bridge,
     blp_transfer,
     build_reticulation,
-    reticulate_morphism,
-    uniqueness_check,
     verify_retic_properties,
 )
 
 from oracles import (
+    NoIsomorphism,
+    RLMorphism,
     find_isomorphism,
     kernel_quotient_reticulation,
     labeled_retic_quotient_match,
+    reticulate_morphism,
     trivial_filter,
+    uniqueness_check,
 )
 
 

@@ -10,7 +10,6 @@ from rlx.core import (
     lukasiewicz_chain,
     ordinal_sum,
 )
-from rlx.errors import NotGelfand
 from rlx.filters import max_spec, principal_filter, radical
 from rlx.io import load_rlat
 from rlx.lifting import has_blp
@@ -20,7 +19,6 @@ from rlx.spectra import (
     clopen_via_boolean,
     filter_lattice,
     gelfand_conditions,
-    gelfand_retract,
     is_gelfand,
     star_property,
     star_star_property,
@@ -30,7 +28,9 @@ from rlx.spectra import (
 )
 
 from oracles import (
+    NotGelfand,
     brute_gelfand_form_2,
+    gelfand_retract,
     labeled_filter_lattice,
     opens_topology_predicates,
     partial_orders,
@@ -64,7 +64,7 @@ def test_stone_spaces_on_corpus_build_with_identities(corpus5):
 def test_basis_generates_opens(corpus4):
     for A in corpus4:
         for space in (stone_spec(A), stone_max(A)):
-            basis = {mask for _, mask in space.basis}
+            basis = {space.d(a) for a in A.elements()}
             for U in space.opens:
                 acc = 0
                 for Bm in basis:

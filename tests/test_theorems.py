@@ -30,7 +30,7 @@ from rlx.errors import NotDistributive
 from rlx.filters import all_filters, principal_filter, quotient, spec
 from rlx.formulas import blp_formula, ilp_formula
 from rlx.spectra import stone_max, stone_spec, topology_predicates
-from rlx.theorems import disagreements, theorem_checks
+from rlx.theorems import theorem_checks
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -52,13 +52,13 @@ LARGE_MATRIX_SHA256 = {
 
 def test_corpus_size_5_zero_disagreements(corpus5):
     for A in corpus5:
-        bad = disagreements(A)
+        bad = [v for v in theorem_checks(A) if not v.agree]
         assert not bad, (A, bad)
 
 
 def test_fixtures_zero_disagreements(E1, E2):
     for A in (E1, E2):
-        assert not disagreements(A)
+        assert all(v.agree for v in theorem_checks(A))
 
 
 def test_size_6_sample_zero_disagreements(corpus6):
@@ -66,7 +66,7 @@ def test_size_6_sample_zero_disagreements(corpus6):
     sample = corpus6[::4]
     assert len(sample) >= 30
     for A in sample:
-        assert not disagreements(A)
+        assert all(v.agree for v in theorem_checks(A))
 
 
 def test_size_6_matrix_pinned(corpus6):
