@@ -54,6 +54,11 @@ def corpus6():
     return all_algebras(6)
 
 
+@pytest.fixture(scope="session")
+def corpus7():
+    return all_algebras(7)
+
+
 def clear_memos():
     """Empty every memo of the loaded rlx modules: the validate memos, the
     shared element sets and every cache keyed by an algebra."""
