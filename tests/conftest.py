@@ -3,6 +3,11 @@ from pathlib import Path
 
 import pytest
 
+# The oracles check with plain asserts.  Rewritten like a test module's,
+# they raise under python -O too; this must run before `oracles` is
+# imported.
+pytest.register_assert_rewrite("oracles")
+
 from rlx.enumeration import all_algebras
 from rlx.io import load_rlat
 
