@@ -35,21 +35,21 @@ def tour(A, title):
     print(f"Boolean center {names(cls.boolean_center)}, "
           f"idempotents {names(cls.idempotents)}, "
           f"regulars {names(cls.regulars)}")
-    print(f"filters: {', '.join(print_filter(F) for F in all_filters(A))}")
-    print(f"maximal: {', '.join(print_filter(M) for M in max_spec(A))}; "
-          f"radical {print_filter(radical(A))}")
+    print(f"filters: {', '.join(print_filter(A, F) for F in all_filters(A))}")
+    print(f"maximal: {', '.join(print_filter(A, M) for M in max_spec(A))}; "
+          f"radical {print_filter(A, radical(A))}")
 
     for label, phi in (("Boolean", blp_formula()), ("idempotent", ilp_formula())):
         rep = lp_report(A, phi)
         print(f"{label} lifting, filter by filter:")
         for F, verdict in rep.per_filter:
             if verdict.holds:
-                print(f"  {print_filter(F)}: lifts")
+                print(f"  {print_filter(A, F)}: lifts")
             else:
                 cex = A.labels[verdict.counterexample]
                 Q = quotient(A, F)
                 size = Q.quotient.size
-                print(f"  {print_filter(F)}: FAILS -- the class of {cex} "
+                print(f"  {print_filter(A, F)}: FAILS -- the class of {cex} "
                       f"satisfies the property in the {size}-element quotient "
                       f"but no element of the class does in the algebra")
         print(f"  globally: {'holds' if rep.global_holds else 'fails'}")

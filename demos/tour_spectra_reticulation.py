@@ -18,7 +18,7 @@ from rlx.core import (
 )
 from rlx.enumeration import all_algebras
 from rlx.filters import max_spec, spec
-from rlx.io import load_rlat, print_filter
+from rlx.io import load_rlat, print_filter, reticulation_labels
 from rlx.lifting import has_blp
 from rlx.reticulation import build_reticulation, verify_retic_properties
 from rlx.spectra import (
@@ -63,7 +63,7 @@ def main():
     for P in spec(A):
         # A is Gelfand: exactly one maximal filter lies above P
         M = next(M for M in maxima if P <= M)
-        print(f"  prime {print_filter(P)} -> maximal {print_filter(M)}")
+        print(f"  prime {print_filter(A, P)} -> maximal {print_filter(A, M)}")
 
     banner("Manufacturing a non-Gelfand algebra")
     R = direct_product(boolean_algebra(1), boolean_algebra(1))
@@ -78,7 +78,7 @@ def main():
                     ("lozenge-with-top", lozenge)]:
         Rt = build_reticulation(A)
         verdicts = verify_retic_properties(Rt)
-        print(f"{name}: lattice {' '.join(Rt.lattice.labels)}; "
+        print(f"{name}: lattice {' '.join(reticulation_labels(A, Rt))}; "
               f"all {len(verdicts)} structural properties "
               f"{'pass' if all(verdicts.values()) else 'FAIL'}")
 

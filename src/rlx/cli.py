@@ -22,6 +22,7 @@ from .io import (
     print_blat,
     print_filter,
     print_rlat,
+    reticulation_labels,
     save_rlat,
 )
 from .lifting import has_phi_lp, lp_report
@@ -83,7 +84,7 @@ def cmd_lp(args):
             return 1
         holds, verdict = has_phi_lp(A, phi, F)
         payload = _lp_row(A, verdict, formula=format_formula(phi),
-                          filter=print_filter(F), holds=holds)
+                          filter=print_filter(A, F), holds=holds)
         if args.json:
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
@@ -92,7 +93,7 @@ def cmd_lp(args):
         return 0
 
     rep = lp_report(A, phi)
-    rows = [_lp_row(A, verdict, filter=print_filter(F), holds=verdict.holds)
+    rows = [_lp_row(A, verdict, filter=print_filter(A, F), holds=verdict.holds)
             for F, verdict in rep.per_filter]
     payload = {
         "formula": format_formula(phi),
@@ -159,7 +160,7 @@ def cmd_enumerate(args):
 def cmd_reticulate(args):
     A = _load(args.file)
     R = build_reticulation(A)
-    text = print_blat(R.lattice)
+    text = print_blat(R.lattice, reticulation_labels(A, R))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"reticulation ({R.lattice.size} elements) written to {args.out}")
@@ -182,7 +183,7 @@ def cmd_quotient(args):
         print(f"error: filter: {exc}", file=sys.stderr)
         return 1
     Q = quotient(A, F)
-    # A/{1} is A itself, with A's labels; every class prints as x/F
+    # every class prints as x/F, x its least member under A's labels
     labels = tuple(f"{A.labels[r]}/F" for r in Q.section)
     print(print_rlat(Q.quotient, labels), end="")
     return 0

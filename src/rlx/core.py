@@ -9,7 +9,7 @@ and freely shareable.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache
 
 from .errors import AxiomViolation, InvalidArgument, NotResiduated
 
@@ -61,21 +61,19 @@ class ResiduatedLattice(Record):
     """Validated finite residuated lattice.
 
     Do not build directly; go through :func:`validate` (or a constructor
-    below), which checks every axiom exhaustively.  The one exception puts
-    other labels on the tables of an algebra `validate` returned:
-    `filters.quotient` validates each distinct quotient table triple once
-    and labels every quotient with those tables.
+    below), which checks every axiom exhaustively.
 
-    Algebras key many caches (`quotient`, filters), so the hash is
-    computed once, here, instead of re-hashing every table on each lookup.
-    It covers `leq` and `odot`, which determine the other tables of a
-    validated algebra, and holds only bools and ints, so it does not
-    depend on the process's string-hash seed.  Equality still compares
-    every field.  Algebras with equal tables and other labels (a quotient,
-    a reticulation and the algebra they mirror) share a hash, so equality
-    tests identity and then the labels before any table.  The same pair,
-    with the same hash, is the algebra's key in the :func:`table_memo`
-    memos, which those algebras share.
+    An algebra is its tables: equality and hash are those of `leq` and
+    `odot`, which determine the other tables of a validated algebra.
+    `labels` names the elements for input and output only, so a relabeled
+    copy equals the algebra it copies, and every cache keyed by an
+    algebra holds one answer per table pair, computed on the first copy
+    asked.  Only the algebra a caller built is read for labels: an answer
+    that holds an algebra (a filter, a space, a quotient, a reticulation)
+    may hold another copy.  Derived algebras are built with labels=None
+    and show their ids.  The hash is computed once, holds only bools and
+    ints, so it does not depend on the process's string-hash seed, and
+    `validate` shares equal tables, so identity mostly decides equality.
     """
 
     def __init__(self, labels: tuple, leq: Relation, join: Table,
@@ -89,7 +87,6 @@ class ResiduatedLattice(Record):
         self._set("bot", bot)
         self._set("top", top)
         self._set("_hash", hash((leq, odot)))
-        self._set("_key", None)
         self._set("_elements", _element_range(len(labels)))
 
     def __eq__(self, other):
@@ -97,19 +94,11 @@ class ResiduatedLattice(Record):
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.labels == other.labels and self.bot == other.bot
-                and self.top == other.top and self.leq == other.leq
-                and self.odot == other.odot and self.join == other.join
-                and self.meet == other.meet and self.imp == other.imp)
+        return ((self.leq is other.leq or self.leq == other.leq)
+                and (self.odot is other.odot or self.odot == other.odot))
 
     def __hash__(self):
         return self._hash
-
-    def _new_key(self):
-        """The algebra's key in the table memos, made when one first asks:
-        most algebras the enumerator builds never reach a memo."""
-        self._set("_key", _TableKey(self))
-        return self._key
 
     @property
     def size(self):
@@ -166,45 +155,11 @@ def _element_range(n):
     return range(n)
 
 
-class _TableKey:
-    """A validated algebra as a memo key: its (leq, odot) pair, which fixes
-    every other table, with its hash.  Keys compare by the pair alone;
-    `validate` shares equal tables, so identity mostly decides."""
-
-    __slots__ = ("algebra",)
-
-    def __init__(self, algebra):
-        self.algebra = algebra
-
-    def __hash__(self):
-        return self.algebra._hash
-
-    def __eq__(self, other):
-        A, B = self.algebra, other.algebra
-        return ((A.leq is B.leq or A.leq == B.leq)
-                and (A.odot is B.odot or A.odot == B.odot))
-
-
-def table_memo(fn):
-    """Memoize fn(A, *args) by A's tables and the other arguments.
-
-    For the answers no label enters: algebras with equal tables (a
-    relabeled copy, equal quotients of different algebras) then share
-    one answer, computed on the first of them.  An unbounded
-    `lru_cache` keyed by A's `_TableKey` holds it; on a miss the key is
-    the caller's, so fn runs on the caller's algebra.  As with any
-    `lru_cache`, a failure is never stored, and `cache_info()` and
-    `cache_clear()` are the lru's own.
-    """
-    by_tables = lru_cache(maxsize=None)(
-        lambda key, *args: fn(key.algebra, *args))
-
-    @wraps(fn)
-    def memo(A, *args):
-        return by_tables(A._key or A._new_key(), *args)
-
-    memo.cache_info, memo.cache_clear = by_tables.cache_info, by_tables.cache_clear
-    return memo
+@lru_cache(maxsize=None)
+def _id_labels(n):
+    """The ids 0..n-1 as labels, built once per size: the labels of every
+    derived algebra of that size."""
+    return tuple(map(str, range(n)))
 
 
 class ElementClassReport(Record):
@@ -395,7 +350,8 @@ def validate(labels, leq, odot, imp=None):
 
     `imp` may be omitted, in which case it is derived from the order and the
     monoid; when both given and derivable they must agree bit-exactly.  The
-    join and meet are the lub/glb of `leq`.
+    join and meet are the lub/glb of `leq`.  `labels` None names each
+    element by its id.
     Raises AxiomViolation with the first failing witness in element order.
 
     The two stages are memoized: the lattice checks by the order, the
@@ -440,8 +396,10 @@ def validate(labels, leq, odot, imp=None):
 
 
 def _normalized(labels, leq):
-    """Labels as strings and `leq` as an n x n tuple of bools, n >= 1."""
-    labels = tuple(map(str, labels))
+    """Labels as strings, the ids when None, and `leq` as an n x n tuple
+    of bools, n >= 1."""
+    labels = (_id_labels(len(leq)) if labels is None
+              else tuple(map(str, labels)))
     n = len(labels)
     if n == 0:
         raise AxiomViolation("table-dimension", ("labels", 0))
@@ -598,18 +556,16 @@ def covers_of(leq):
 
 @lru_cache(maxsize=None)
 def shared_set(value):
-    """The one stored value equal to `value`, a hashable: a frozenset of
-    element ids, or a quotient's tuple of labels.
+    """The one stored frozenset of element ids equal to `value`.
 
     Filters and element classes repeat from algebra to algebra: on n
     elements each is one of at most 2^n sets.  So they share one object
     per distinct set, and the store grows with the sets, not with the
-    algebras.  Quotients of different algebras repeat each other's `x/F`
-    labels, so equal label tuples are one object too."""
+    algebras."""
     return value
 
 
-@table_memo
+@lru_cache(maxsize=None)
 def classify(A):
     """Element classes and structural predicates of a validated algebra."""
     n = A.size
@@ -658,7 +614,7 @@ def distributivity_witness(leq):
     return None
 
 
-@table_memo
+@lru_cache(maxsize=None)
 def complemented_elements(A):
     """{a : some y has a|y = top and a&y = bot}; equals the Boolean center."""
     out = set()

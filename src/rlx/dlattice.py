@@ -15,7 +15,6 @@ from .core import (
     _validate_lattice,
     complemented_elements,
     distributivity_witness,
-    table_memo,
     validate,
 )
 from .errors import NotConormal, NotDistributive
@@ -26,23 +25,18 @@ def validate_bdl(labels, leq):
     """Bounded lattice with exhaustive distributivity check, returned as the
     Heyting algebra on it (odot = meet).
 
-    Memoized by the normalized (labels, leq): each labeled order yields
-    one algebra.  The O(n^3) distributivity scan is memoized by the order
-    alone (:func:`rlx.core.distributivity_witness`), so an order met again
-    under other labels, or failing again, is not scanned again.  A failure
-    is never stored as an algebra, so NotDistributive and AxiomViolation
-    raise on every call."""
+    The O(n^3) distributivity scan is memoized by the order
+    (:func:`rlx.core.distributivity_witness`), so an order met again, or
+    failing again, is not scanned again; `validate` memoizes the rest.  A
+    failure is never stored, so NotDistributive and AxiomViolation raise
+    on every call."""
     labels, leq = _normalized(labels, leq)
     # the memos keep the order `_validate_lattice` holds, not this copy
-    return _validate_bdl(labels, _validate_lattice(leq)[0])
-
-
-@lru_cache(maxsize=None)
-def _validate_bdl(labels, leq):
+    leq, _, _, _, meet = _validate_lattice(leq)[:5]
     witness = distributivity_witness(leq)
     if witness is not None:
         raise NotDistributive(witness)
-    return validate(labels, leq, _validate_lattice(leq)[4])
+    return validate(labels, leq, meet)
 
 
 def lattice_blp_filter(L, F):
@@ -58,17 +52,17 @@ def lattice_blp(L):
     return per, all(per.values())
 
 
-@table_memo
+@lru_cache(maxsize=None)
 def is_normal_lattice(L):
     """x|y=1 always splits: some u,v with u&v=0, u|x=v|y=1.
 
-    No label enters the answer, and the filter lattices and reticulations
-    of different algebras repeat each other's tables, so it is kept once
-    per table pair, as is `is_conormal_lattice`."""
+    The filter lattices and reticulations of different algebras repeat
+    each other's tables, so it is kept once per table pair, as is
+    `is_conormal_lattice`."""
     return _split_witness(L.elements(), L.join, L.meet, L.top, L.bot) is None
 
 
-@table_memo
+@lru_cache(maxsize=None)
 def is_conormal_lattice(L):
     """The order dual: x&y=0 always splits as some u|v=1, u&x=v&y=0."""
     return _split_witness(L.elements(), L.meet, L.join, L.bot, L.top) is None

@@ -14,18 +14,17 @@ term, A/[e) |= phi(x/[e)) iff some witnesses in A make both sides of each
 equation of phi equal under x -> e*x.  The lifting verdicts are decided
 this way in A itself, without building the quotient.
 
-Filt(A), Spec(A), Max(A) and Rad(A) are one record per algebra,
-:func:`_filters`, built from the label-free generators of the table memo
-:func:`_generators`; `all_filters`, `spec`, `max_spec` and `radical`
-read it, so a prime, a maximal filter and the radical are the very
-objects of `all_filters`.
+Filt(A), Spec(A), Max(A) and Rad(A) are one record per table pair,
+:func:`_filters`; `all_filters`, `spec`, `max_spec` and `radical` read
+it, so a prime, a maximal filter and the radical are the very objects of
+`all_filters`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import Record, ResiduatedLattice, shared_set, table_memo, validate
+from .core import Record, ResiduatedLattice, shared_set, validate
 from .errors import AxiomViolation
 
 
@@ -38,7 +37,8 @@ class Filter(Record):
     equality and hash cover only the algebra and the members.  Once checked,
     the members are the shared frozenset of :func:`rlx.core.shared_set`.
     Every algebra keeps one per idempotent, so the fields live in slots,
-    not in a dict per filter.
+    not in a dict per filter.  A filter shows its member ids;
+    `io.print_filter` renders it under an algebra's labels.
     """
 
     __slots__ = ("algebra", "members", "gen")
@@ -86,8 +86,7 @@ class Filter(Record):
         return sorted(self.members)
 
     def __repr__(self):
-        labels = self.algebra.labels
-        return "{" + ",".join(labels[x] for x in self.sorted_members()) + "}"
+        return "{" + ",".join(map(str, self.sorted_members())) + "}"
 
 
 def generated_filter(A, xs):
@@ -102,41 +101,27 @@ def principal_filter(A, x):
     return generated_filter(A, (x,))
 
 
-@table_memo
-def _generators(A):
-    """The member set [e) = {x : e <= x} of every idempotent e (None
-    elsewhere), the generators of every filter, of the prime filters and
-    of the maximal filters, each in all_filters order, and the radical's,
-    with the maximal filters asserted to be prime.  No label enters them,
-    so algebras with equal tables share them; :func:`is_prime` is asked of
-    a filter built for the test and not kept."""
-    sets = tuple(shared_set(frozenset(x for x in A.elements() if A.leq[e][x]))
-                 if A.odot[e][e] == e else None for e in A.elements())
-    gens = tuple(sorted((e for e, m in enumerate(sets) if m is not None),
-                        key=lambda e: (len(sets[e]), sorted(sets[e]))))
-    primes = tuple(e for e in gens if is_prime(Filter(A, sets[e])))
-    proper = [e for e in gens if A.bot not in sets[e]]
-    maxima = tuple(e for e in proper
-                   if not any(sets[e] < sets[f] for f in proper))
-    for e in maxima:
-        assert e in primes, "maximal filter not prime"
-    rad = A.bot
-    for e in maxima:
-        rad = A.join[rad][e]
-    return sets, gens, primes, maxima, rad
-
-
 @lru_cache(maxsize=None)
 def _filters(A):
-    """(upsets, filters, primes, maxima, radical) of A, read off
-    :func:`_generators`: the filter [e) for every idempotent e (None
-    elsewhere), every filter, the prime and the maximal filters, each in
-    all_filters order, and the radical.  Each filter of A is one object,
-    built once."""
-    sets, *parts, rad = _generators(A)
-    upsets = tuple(None if m is None else Filter(A, m) for m in sets)
-    return (upsets, *(tuple(upsets[e] for e in gens) for gens in parts),
-            upsets[rad])
+    """(upsets, filters, primes, maxima, radical) of A: the filter [e) for
+    every idempotent e (None elsewhere), every filter, the prime and the
+    maximal filters, each in all_filters order, and the radical, with the
+    maximal filters asserted to be prime.  Each filter is one object,
+    built once per table pair."""
+    upsets = tuple(Filter(A, frozenset(x for x in A.elements() if A.leq[e][x]))
+                   if A.odot[e][e] == e else None for e in A.elements())
+    filters = tuple(sorted((F for F in upsets if F is not None),
+                           key=lambda F: (len(F), F.sorted_members())))
+    primes = tuple(F for F in filters if is_prime(F))
+    proper = [F for F in filters if F.proper]
+    maxima = tuple(F for F in proper
+                   if not any(F.members < G.members for G in proper))
+    for M in maxima:
+        assert M in primes, "maximal filter not prime"
+    rad = A.bot
+    for M in maxima:
+        rad = A.join[rad][M.gen]
+    return upsets, filters, primes, maxima, upsets[rad]
 
 
 def all_filters(A):
@@ -260,14 +245,13 @@ def _check_congruence(A, class_of, reps):
 
 @lru_cache(maxsize=None)
 def _quotient_tables(leq, odot, imp):
-    """The tables `validate` returns for a quotient's raw (leq, odot, imp),
-    checked in full on the first sight of each triple.
+    """The algebra `validate` returns for a quotient's raw (leq, odot,
+    imp), checked in full on the first sight of each triple.
 
     The key is exact: its entries are plain bools and ints, built from
-    `class_of` and the validated order, so equal keys are equal inputs,
-    and `validate` reads no label.  A failure is never stored."""
-    V = validate(range(len(leq)), leq, odot, imp)
-    return V.leq, V.join, V.meet, V.odot, V.imp, V.bot, V.top
+    `class_of` and the validated order, so equal keys are equal inputs.
+    A failure is never stored."""
+    return validate(None, leq, odot, imp)
 
 
 @lru_cache(maxsize=None)
@@ -282,17 +266,13 @@ def quotient(A, F):
     O(n^2) per table: as ~ is transitive, each x need only be compatible
     with its class representative (:func:`_check_congruence`).  The
     quotient tables are validated once per distinct table triple
-    (:func:`_quotient_tables`), and the quotient algebra holds the tables
-    `validate` returned, with its own `x/F` labels.
+    (:func:`_quotient_tables`), so the quotients of equal triples are
+    one algebra, which shows its class ids.
 
     The classes are all singletons exactly when F = {1}: any other F holds
     some e != 1, and e*e = e = e*1 puts e and 1 in one class.  Then
-    x -> x/F is the identity, so A/{1} is A itself, with A's labels,
-    and `class_of` and `section` are the identity.
-
-    The radical assert reads Rad(A/F) as the up-set of its generator in
-    the table memo `_generators`, so a relabeled copy of a quotient
-    builds neither its filters nor its radical.
+    x -> x/F is the identity, so A/{1} is A itself, and `class_of` and
+    `section` are the identity.
     """
     n = A.size
     if F.gen == A.top:
@@ -313,9 +293,7 @@ def quotient(A, F):
         odot = tuple(tuple(class_of[A.odot[r][s]] for s in reps)
                      for r in reps)
         imp = tuple(tuple(class_of[A.imp[r][s]] for s in reps) for r in reps)
-        Q = ResiduatedLattice(
-            shared_set(tuple(f"{A.labels[r]}/F" for r in reps)),
-            *_quotient_tables(leq, odot, imp))
+        Q = _quotient_tables(leq, odot, imp)
 
     # class of top is exactly F
     assert {x for x in range(n) if class_of[x] == class_of[A.top]} == set(F.members)
@@ -323,8 +301,7 @@ def quotient(A, F):
     # radical commutes with quotients by sub-radical filters
     rad = radical(A).members
     if F.members <= rad:
-        sets, *_, g = _generators(Q)
-        assert sets[g] == {class_of[x] for x in rad}, \
+        assert radical(Q).members == {class_of[x] for x in rad}, \
             "Rad(A/F) must equal Rad(A)/F"
 
     return QuotientAlgebra(A, F, class_of, Q, reps)

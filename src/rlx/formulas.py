@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import itertools
 import re
+from functools import lru_cache
 
-from .core import Record, table_memo
+from .core import Record
 from .errors import (
     FormulaSyntaxError,
     MultipleFreeVariables,
@@ -289,7 +290,7 @@ def term_values(A, t, env):
     return [table[x][y] for x, y in pairs]
 
 
-@table_memo
+@lru_cache(maxsize=None)
 def _definable_masks(A, phi):
     """For each idempotent e, the bitmask of {a : A/[e) |= phi(a/[e))};
     0 at the other elements.
@@ -300,8 +301,7 @@ def _definable_masks(A, phi):
     bound-variable assignment, for every value of the free variable at
     once; the search over assignments stops as soon as every element holds
     modulo every filter.  Bitmasks, not frozensets, are cached: they keep
-    the cache small.  No label enters them, so algebras with equal tables
-    share them.
+    the cache small.
     """
     n = A.size
     full = (1 << n) - 1

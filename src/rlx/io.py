@@ -14,6 +14,9 @@ command line.
 Round-trip guarantee: parsing the printed form of an algebra yields the
 same algebra, labels included.  .blat is the `elements:` and `order:`
 lines alone; `rlx reticulate --out` writes it, and no command reads it.
+
+Labels live at this edge: a filter, a quotient and a reticulation lattice
+show ids, and are printed here under the labels of the algebra read.
 """
 
 from __future__ import annotations
@@ -149,9 +152,16 @@ def parse_filter(A, text):
     return Filter(A, frozenset(members))
 
 
-def print_filter(F):
-    """Label-list form '{c,1}', the inverse of parse_filter."""
-    return repr(F)
+def print_filter(A, F):
+    """Label-list form '{c,1}' of F under A's labels, the inverse of
+    parse_filter(A, ...)."""
+    return "{" + ",".join(A.labels[x] for x in F.sorted_members()) + "}"
+
+
+def reticulation_labels(A, R):
+    """The labels '[e)' of the lattice of R = build_reticulation(A), e the
+    generator of each principal filter under A's labels."""
+    return tuple(f"[{A.labels[F.gen]})" for F in R.filter_of)
 
 
 def load_rlat(path):

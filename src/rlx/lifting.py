@@ -1,11 +1,13 @@
 """Lifting properties: per-filter and global phi-LP, the three named
 properties (Boolean, idempotent, regular), and their algebraic
 characterizations.  The global verdict has one memo, :func:`has_lp`,
-keyed by the tables and the formula; `has_blp` and `has_ilp` read it."""
+keyed by the algebra and the formula; `has_blp` and `has_ilp` read it."""
 
 from __future__ import annotations
 
-from .core import Record, classify, table_memo
+from functools import lru_cache
+
+from .core import Record, classify
 from .filters import all_filters
 from .formulas import (
     _definable_masks,
@@ -107,10 +109,10 @@ def lp_report(A, phi):
     return LpReport(phi, rows, all(v.holds for _, v in rows))
 
 
-@table_memo
+@lru_cache(maxsize=None)
 def has_lp(A, phi):
     """Global phi-LP, the `global_holds` of :func:`lp_report` with no
-    record built, cached: many rows ask it of relabeled copies."""
+    record built, cached: many rows ask it."""
     masks, _, lifts = _lifting(A, phi)
     return all(lifts(e) for e in A.elements() if masks[e])
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from .core import classify, validate
 from .filters import all_filters, is_local, is_semisimple, max_spec, radical
 from .formulas import blp_formula, ilp_formula, rlp_formula
-from .io import print_filter, print_rlat
+from .io import print_filter, print_rlat, reticulation_labels
 from .iso import canonicalize, permute_relation, permute_table
 from .lifting import lp_report
 from .reticulation import build_reticulation
@@ -58,8 +58,9 @@ def _gelfand_witness(A):
     P = gelfand_counterexample(A)
     if P is None:
         return None
-    return {"prime": print_filter(P),
-            "maximals_above": [print_filter(M) for M in max_spec(A) if P <= M]}
+    return {"prime": print_filter(A, P),
+            "maximals_above": [print_filter(A, M) for M in max_spec(A)
+                               if P <= M]}
 
 
 def analysis_report(A, include_theorems=True):
@@ -77,7 +78,7 @@ def analysis_report(A, include_theorems=True):
         "rlp": lp_report(A, rlp_formula()),
     }
     for i, F in enumerate(filters):
-        row = {"filter": print_filter(F)}
+        row = {"filter": print_filter(A, F)}
         for key, rep in reports.items():
             verdict = rep.per_filter[i][1]
             row[key] = verdict.holds
@@ -89,6 +90,7 @@ def analysis_report(A, include_theorems=True):
     star, star_wit = star_property(A)
     starstar, _ = star_star_property(A)
     R = build_reticulation(A)
+    lattice_labels = reticulation_labels(A, R)
 
     report = {
         "hash": content_hash(A),
@@ -113,9 +115,9 @@ def analysis_report(A, include_theorems=True):
             "rlp": reports["rlp"].global_holds,
         },
         "spectra": {
-            "spec_points": [print_filter(P) for P in sp.points],
-            "max_points": [print_filter(M) for M in mx.points],
-            "radical": print_filter(radical(A)),
+            "spec_points": [print_filter(A, P) for P in sp.points],
+            "max_points": [print_filter(A, M) for M in mx.points],
+            "radical": print_filter(A, radical(A)),
             "is_local": is_local(A),
             "is_semisimple": is_semisimple(A),
             "spec_topology": dict(topology_predicates(sp)),
@@ -136,7 +138,7 @@ def analysis_report(A, include_theorems=True):
         },
         "reticulation": {
             "lattice_size": R.lattice.size,
-            "lambda": {labels[a]: R.lattice.labels[R.lam[a]]
+            "lambda": {labels[a]: lattice_labels[R.lam[a]]
                        for a in A.elements()},
         },
     }

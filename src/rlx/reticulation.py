@@ -1,7 +1,9 @@
 """The reticulation: the bounded distributive lattice of principal filters
 (dually ordered) together with the canonical surjection, its defining
 axioms, structural properties, and the bridges for Boolean lifting and
-archimedean elements."""
+archimedean elements.  The lattice shows its ids; its element i is the
+filter `filter_of[i]`, which the CLI and the report print as `[e)` under
+the labels of the algebra they were given."""
 
 from __future__ import annotations
 
@@ -13,13 +15,11 @@ from .core import (
     _validate_lattice,
     classify,
     complemented_elements,
-    table_memo,
 )
 from .dlattice import lattice_blp_filter, validate_bdl
 from .errors import AxiomViolation
 from .filters import (
     Filter,
-    _filters,
     all_filters,
     max_spec,
     principal_filter,
@@ -42,33 +42,21 @@ class Reticulation(Record):
         self._set("filter_of", filter_of)
 
 
-@table_memo
-def _lattice_parts(A):
-    """The generators of the principal filters in lattice order, the
-    lattice order, and lam, with the five axioms of lam asserted.  No
-    label enters them, so algebras with equal tables share them."""
-    # on a finite algebra every filter is principal
-    principal = tuple(F.gen for F in sorted(
-        all_filters(A), key=lambda F: (-len(F), F.sorted_members())))
-    index = {e: i for i, e in enumerate(principal)}
-    # reverse inclusion: [e) <= [f) in L iff [e) includes [f), iff e <= f
-    leq = tuple(tuple(A.leq[e][f] for f in principal) for e in principal)
-    leq = _validate_lattice(leq)[0]
-    lam = tuple(index[A.power_limit(a)] for a in A.elements())
-    _assert_axioms(A, lam, leq)
-    return principal, leq, lam
-
-
 @lru_cache(maxsize=None)
 def build_reticulation(A):
     """Canonical construction: distinct principal filters under reverse
     inclusion, with lam(a) = [a).  validate_bdl checks distributivity, and
-    the five axioms of lam are asserted, once per table pair
-    (:func:`_lattice_parts`)."""
-    principal, leq, lam = _lattice_parts(A)
-    L = validate_bdl(tuple(f"[{A.labels[e]})" for e in principal), leq)
-    upsets = _filters(A)[0]
-    return Reticulation(A, L, lam, tuple(upsets[e] for e in principal))
+    the five axioms of lam are asserted, once per table pair."""
+    # on a finite algebra every filter is principal
+    filter_of = tuple(sorted(all_filters(A),
+                             key=lambda F: (-len(F), F.sorted_members())))
+    index = {F.gen: i for i, F in enumerate(filter_of)}
+    # reverse inclusion: [e) <= [f) in L iff [e) includes [f), iff e <= f
+    leq = tuple(tuple(A.leq[F.gen][G.gen] for G in filter_of)
+                for F in filter_of)
+    lam = tuple(index[A.power_limit(a)] for a in A.elements())
+    _assert_axioms(A, lam, leq)
+    return Reticulation(A, validate_bdl(None, leq), lam, filter_of)
 
 
 def _assert_axioms(A, lam, leq):
@@ -215,21 +203,14 @@ def _induced_map(lam1, lam2, L1, L2):
 
 def _retic_quotient_match(A, R, F):
     """Is the canonical map lam_F(a/F) -> lam(a)/lam(F) a well-defined
-    bounded lattice isomorphism L(A/F) -> L(A)/lam(F)?
-
-    L(A/F) is read label-free: lam_F and its order from the table memo
-    :func:`_lattice_parts`, which asserts the axioms of lam_F once per
-    table pair, and the lattice from `validate_bdl` on index labels, one
-    algebra per order, which checks distributivity once per order.  `build_reticulation(A/F)`
-    holds the same lam_F and the same tables under other labels, and the
-    map reads no label, so the verdict is the same."""
+    bounded lattice isomorphism L(A/F) -> L(A)/lam(F)?"""
     L, lam = R.lattice, R.lam
     Q = quotient(A, F)
-    _, order, lam_q = _lattice_parts(Q.quotient)
-    LQ = validate_bdl(range(len(order)), order)
+    RQ = build_reticulation(Q.quotient)
+    LQ = RQ.lattice
     QL = quotient(L, Filter(L, frozenset(lam[x] for x in F.members)))
     try:
-        f = _induced_map(tuple(lam_q[c] for c in Q.class_of),
+        f = _induced_map(tuple(RQ.lam[c] for c in Q.class_of),
                          tuple(QL.class_of[x] for x in lam),
                          LQ, QL.quotient)
     except AxiomViolation:

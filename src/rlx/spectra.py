@@ -7,7 +7,7 @@ from __future__ import annotations
 from functools import lru_cache
 from types import MappingProxyType
 
-from .core import Record, classify, table_memo
+from .core import Record, classify
 from .filters import (
     all_filters,
     filter_join,
@@ -210,7 +210,7 @@ def gelfand_counterexample(A):
     return None
 
 
-@table_memo
+@lru_cache(maxsize=None)
 def is_gelfand(A):
     """Every prime filter sits below exactly one maximal filter."""
     return gelfand_counterexample(A) is None
@@ -218,12 +218,11 @@ def is_gelfand(A):
 
 def filter_lattice(A):
     """The filters of A under inclusion, in all_filters order, as a
-    lattice labeled 0..n-1, not by the filters, as normality reads only
-    its tables: `validate_bdl` keeps one algebra per order."""
+    lattice that shows its ids."""
     from .dlattice import validate_bdl
 
     filters = all_filters(A)
-    return validate_bdl(range(len(filters)),
+    return validate_bdl(None,
                         tuple(tuple(F <= G for G in filters)
                               for F in filters))
 
@@ -294,7 +293,7 @@ def gelfand_conditions(A):
     return out
 
 
-@table_memo
+@lru_cache(maxsize=None)
 def star_property(A):
     """Principal filters split off a radical part: for every x some
     u in Rad(A) and Boolean e give [x) = [u) v [e).

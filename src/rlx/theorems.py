@@ -35,6 +35,7 @@ from .formulas import (
     rlp_formula,
     term_values,
 )
+from .io import print_filter
 from .lifting import (
     atomic_lp_characterization,
     has_blp,
@@ -170,7 +171,7 @@ def check_factor_congruences(A):
                 parts = (has_lp(quotient(A, F).quotient)
                          and has_lp(quotient(A, G).quotient))
                 if has_lp(A) != parts:
-                    failures.append((repr(F), repr(G)))
+                    failures.append((print_filter(A, F), print_filter(A, G)))
     return [_forall("factor-congruence-lift", failures)]
 
 
@@ -200,9 +201,11 @@ def check_monotone_lifting(A):
                 continue
             if b_covers and not (lifts(blp_formula(), G)
                                  and lifts(ilp_formula(), G)):
-                failures.append(("boolean", repr(F), repr(G)))
+                failures.append(("boolean", print_filter(A, F),
+                                 print_filter(A, G)))
             if i_covers and not lifts(ilp_formula(), G):
-                failures.append(("idempotent", repr(F), repr(G)))
+                failures.append(("idempotent", print_filter(A, F),
+                                 print_filter(A, G)))
     return [_forall("covering-classes-lift-upward", failures)]
 
 
@@ -227,7 +230,7 @@ def check_chain_facts(A):
     for P in spec(A):
         ok, _ = has_phi_lp(A, blp_formula(), P)
         if not ok:
-            prime_failures.append(repr(P))
+            prime_failures.append(print_filter(A, P))
     out.append(_forall("prime-filters-blp", prime_failures))
     out.append(_implies("hyperarchimedean-blp",
                         report.is_hyperarchimedean, has_blp(A)))
@@ -596,7 +599,7 @@ def check_complementary_filter_lemma(A):
                    and filter_join(F, G).gen == A.bot)
             rhs = F.gen in B and G.gen == A.neg(F.gen)
             if lhs != rhs:
-                failures.append((repr(F), repr(G)))
+                failures.append((print_filter(A, F), print_filter(A, G)))
     return [_forall("complementary-filter-pairs", failures)]
 
 
@@ -628,7 +631,7 @@ def check_retic_bridge(A):
     for F in all_filters(A):
         in_a, in_l = blp_transfer(A, F)
         if in_a != in_l:
-            failures.append(repr(F))
+            failures.append(print_filter(A, F))
     out.append(_forall("reticulation-blp-transfer", failures))
     out.append(_equiv("reticulation-global-blp", has_blp(A),
                       lattice_blp(R.lattice)[1]))

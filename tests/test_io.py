@@ -148,7 +148,7 @@ def test_blat_rejects_nondistributive():
 def test_filter_parsing(E1):
     F = parse_filter(E1, "c,1")
     assert F.members == principal_filter(E1, 3).members
-    assert print_filter(F) == "{c,1}"
+    assert print_filter(E1, F) == "{c,1}"
     braced = parse_filter(E1, "{c,1}")
     assert braced.members == F.members
 

@@ -1,10 +1,10 @@
 """The memos that src/rlx defines, pinned by name.
 
 A memo is a callable with `cache_clear` whose `__module__` is the rlx
-module that holds it.  An `lru_cache` wrapper has `cache_parameters`; a
-`core.table_memo` does not.  Every memo is unbounded, so a new one is a
-decision about memory: this list and the memo count in ROADMAP item 1
-change with it.
+module that holds it.  Every memo is an unbounded `lru_cache`, so a new
+one is a decision about memory: this list and the memo count in ROADMAP
+item 1 change with it.  An algebra is its tables, so the memos keyed by
+an algebra are the ones test_table_memo.py checks.
 """
 
 import importlib
@@ -15,21 +15,20 @@ from conftest import clear_memos
 from rlx.theorems import theorem_checks
 from test_table_memo import TABLE_MEMOS
 
-LRU_CACHES = {
-    "core._element_range", "core._validate_lattice",
-    "core._validate_residuated", "core.shared_set",
-    "core.distributivity_witness", "dlattice._validate_bdl",
-    "filters._filters", "filters._quotient_tables", "filters.quotient",
-    "iso._order_minimizers", "reticulation.build_reticulation",
-    "spectra._build", "spectra._topology_predicates",
-    "theorems._shared_row", "theorems.local_factor_decomposition",
-}
-TABLE_MEMO_NAMES = {
+KEYED_BY_AN_ALGEBRA = {
     "core.classify", "core.complemented_elements",
     "dlattice.is_conormal_lattice", "dlattice.is_normal_lattice",
-    "filters._generators", "formulas._definable_masks", "lifting.has_lp",
-    "reticulation._lattice_parts", "spectra.is_gelfand",
-    "spectra.star_property",
+    "filters._filters", "filters.quotient", "formulas._definable_masks",
+    "lifting.has_lp", "reticulation.build_reticulation", "spectra._build",
+    "spectra.is_gelfand", "spectra.star_property",
+    "theorems.local_factor_decomposition",
+}
+LRU_CACHES = KEYED_BY_AN_ALGEBRA | {
+    "core._element_range", "core._id_labels", "core._validate_lattice",
+    "core._validate_residuated", "core.shared_set",
+    "core.distributivity_witness", "filters._quotient_tables",
+    "iso._order_minimizers", "spectra._topology_predicates",
+    "theorems._shared_row",
 }
 
 
@@ -55,19 +54,19 @@ def test_memos_are_pinned_by_name():
     memos = _memos()
     lru = {name for name, memo in memos.items()
            if hasattr(memo, "cache_parameters")}
-    table = set(memos) - lru
+    assert lru == set(memos), "a memo that is not an lru_cache"
     assert lru == LRU_CACHES, _mismatch("lru_cache memos", LRU_CACHES, lru)
-    assert table == TABLE_MEMO_NAMES, \
-        _mismatch("table memos", TABLE_MEMO_NAMES, table)
-    assert (len(memos), len(lru), len(table)) == (25, 15, 10)
+    assert (len(memos), len(KEYED_BY_AN_ALGEBRA)) == (23, 13)
 
 
 def test_table_memo_tests_list_exactly_the_table_memos():
+    """TABLE_MEMOS in test_table_memo.py lists every memo keyed by an
+    algebra, and nothing else."""
     memos = _memos()
     tested = {name for name in memos
               if any(memos[name] is memo for memo, _ in TABLE_MEMOS)}
-    assert len(TABLE_MEMOS) == len(tested) and tested == TABLE_MEMO_NAMES, \
-        _mismatch("TABLE_MEMOS in test_table_memo", TABLE_MEMO_NAMES, tested)
+    assert len(TABLE_MEMOS) == len(tested) and tested == KEYED_BY_AN_ALGEBRA, \
+        _mismatch("TABLE_MEMOS in test_table_memo", KEYED_BY_AN_ALGEBRA, tested)
 
 
 def test_clear_memos_empties_every_memo(E1):

@@ -1,20 +1,25 @@
-"""Answers that no label enters are kept once per table pair.
+"""Equal tables share every memo.
 
-`core.table_memo` keys a memo by the algebra's (leq, odot) and the other
-arguments, so a relabeled copy of an algebra (equal quotients of
-different algebras, a copy under other labels) reads the answer computed
-for the first of them.  `A/{1}` is `A` itself.  Everything that shows a label (filters, spaces, the
-reticulation, quotients) is still built per algebra, from its own labels.
+An algebra is its tables: equality and hash are those of (leq, odot), and
+labels are not part of identity.  So every memo keyed by an algebra (a
+plain `lru_cache`) holds one answer per table pair, computed on the first
+copy asked, and a relabeled copy, or an equal quotient of another algebra,
+reads that very answer.  `A/{1}` is `A` itself.  Labels reach the output
+only from the algebra the caller built: the CLI runs below show the same
+bytes whatever copies ran before them.
 """
+
+from functools import lru_cache
 
 import pytest
 
 import rlx.core
-from conftest import clear_memos
-from rlx.core import classify, complemented_elements, table_memo, validate
+from conftest import FIXTURES, clear_memos
+from rlx.cli import main
+from rlx.core import classify, complemented_elements, validate
 from rlx.dlattice import is_conormal_lattice, is_normal_lattice
 from rlx.filters import (
-    _generators,
+    _filters,
     all_filters,
     max_spec,
     principal_filter,
@@ -23,21 +28,23 @@ from rlx.filters import (
     spec,
 )
 from rlx.formulas import _definable_masks, blp_formula, ilp_formula, rlp_formula
+from rlx.io import load_rlat, print_rlat
 from rlx.lifting import has_blp, has_ilp, has_lp
-from rlx.reticulation import _lattice_parts, build_reticulation
-from rlx.spectra import is_gelfand, star_property, stone_max, stone_spec
-from rlx.theorems import theorem_checks
+from rlx.reticulation import build_reticulation
+from rlx.spectra import _build, is_gelfand, star_property, stone_max, stone_spec
+from rlx.theorems import local_factor_decomposition, theorem_checks
 
 FORMULAS = (blp_formula(), ilp_formula(), rlp_formula())
 
-# each table memo with the number of values its other arguments take in
-# the size <= 5 matrix: the three lifting formulas, of which `has_lp` is
-# asked the Boolean and the idempotent one
+# each memo keyed by an algebra with the number of values its other
+# arguments take in the size <= 5 matrix: the three lifting formulas, of
+# which `has_lp` is asked the Boolean and the idempotent one, the two
+# kinds of space, and the filters, at most 5 on 5 elements
 TABLE_MEMOS = (
-    (classify, 1), (complemented_elements, 1), (_generators, 1),
-    (has_lp, 2), (is_gelfand, 1), (star_property, 1),
-    (_lattice_parts, 1), (_definable_masks, 3), (is_normal_lattice, 1),
-    (is_conormal_lattice, 1),
+    (classify, 1), (complemented_elements, 1), (_filters, 1),
+    (quotient, 5), (has_lp, 2), (is_gelfand, 1), (star_property, 1),
+    (build_reticulation, 1), (_definable_masks, 3), (is_normal_lattice, 1),
+    (is_conormal_lattice, 1), (_build, 2), (local_factor_decomposition, 1),
 )
 
 
@@ -50,8 +57,7 @@ def _gens(filters):
 
 
 def _answers(A):
-    """Every answer about A that holds no label, through the public
-    functions."""
+    """Every answer about A, through the public functions."""
     R = build_reticulation(A)
     L = R.lattice
     return (
@@ -69,38 +75,22 @@ def _answers(A):
     )
 
 
-def _assert_own_labels(A):
-    """Every labeled value derived from A shows A's labels."""
-    def shows(F, B):
-        return (F.algebra is B and repr(F)
-                == "{" + ",".join(B.labels[x] for x in F.sorted_members()) + "}")
-
-    filters = all_filters(A)
-    assert all(shows(F, A) for F in filters)
-    assert all(shows(F, A) for F in spec(A) + max_spec(A) + (radical(A),))
-    for S in (stone_spec(A), stone_max(A)):
-        assert S.algebra is A and all(shows(P, A) for P in S.points)
-    R = build_reticulation(A)
-    assert R.source is A and all(shows(F, A) for F in R.filter_of)
-    assert R.lattice.labels == tuple(f"[{A.labels[F.gen]})"
-                                     for F in R.filter_of)
-    for F in filters:
-        Q = quotient(A, F)
-        assert Q.parent is A and shows(Q.filter, A)
-        if F.gen == A.top:
-            assert Q.quotient is A
-        else:
-            assert Q.quotient.labels == tuple(f"{A.labels[r]}/F"
-                                              for r in Q.section)
+def _shared(A, B):
+    """The answers of B are the very objects of A's."""
+    assert all_filters(B) is all_filters(A)
+    assert stone_spec(B) is stone_spec(A) and stone_max(B) is stone_max(A)
+    assert build_reticulation(B) is build_reticulation(A)
+    for F in all_filters(A):
+        assert quotient(B, F) is quotient(A, F)
 
 
 def test_table_memo_contract(E1):
-    """A relabeled copy reads the answer of the first copy without a call,
-    a call that raises stores nothing, and `cache_info()` and
-    `cache_clear()` behave as `lru_cache`'s do."""
+    """A memo keyed by an algebra is an `lru_cache`: a relabeled copy
+    reads the answer of the first copy without a call, a call that raises
+    stores nothing, and `cache_info()` and `cache_clear()` are the lru's."""
     calls = []
 
-    @table_memo
+    @lru_cache(maxsize=None)
     def shifted_size(A, k):
         calls.append(A)
         if k < 0:
@@ -108,6 +98,7 @@ def test_table_memo_contract(E1):
         return A.size + k
 
     copy = _relabeled(E1)
+    assert copy == E1 and hash(copy) == hash(E1) and copy.labels != E1.labels
     assert shifted_size(E1, 1) == 6 and calls == [E1]
     assert calls[0] is E1  # run on the caller's algebra
     assert shifted_size(copy, 1) == 6 and len(calls) == 1
@@ -129,7 +120,7 @@ def test_table_memo_contract(E1):
 
 
 def _copies(corpus):
-    """Each algebra and each of its quotients, with a relabeled copy."""
+    """Each algebra and each of its quotients."""
     for A in corpus:
         yield A
         for F in all_filters(A):
@@ -146,19 +137,19 @@ def test_relabeled_copies_get_equal_answers(cold_caches, corpus5):
         assert Y.labels != X.labels
         assert _answers(Y) == expected  # cold: Y computes its own answers
         assert _answers(X) == expected  # warm: X reads Y's answers
+        _shared(Y, X)
         clear_memos()
         assert _answers(X) == expected
         Y = _relabeled(X)
         assert _answers(Y) == expected  # warm: Y reads X's answers
-        _assert_own_labels(X)
-        _assert_own_labels(Y)
+        _shared(X, Y)
 
 
 def test_memos_hold_one_entry_per_table_pair(cold_caches, corpus5,
                                              monkeypatch):
-    """After the size-5 matrix no table memo holds more entries than there
-    are distinct table pairs, times the values of its other arguments,
-    though the matrix builds more algebras than pairs."""
+    """After the size-5 matrix no memo keyed by an algebra holds more
+    entries than there are distinct table pairs, times the values of its
+    other arguments, though the matrix builds more algebras than pairs."""
     built = list(corpus5)
     init = rlx.core.ResiduatedLattice.__init__
 
@@ -176,6 +167,41 @@ def test_memos_hold_one_entry_per_table_pair(cold_caches, corpus5,
             memo.__name__
 
 
+def _output(argv, capsys):
+    assert main(argv) == 0, argv
+    return capsys.readouterr().out
+
+
+def test_outputs_show_only_the_callers_labels(tmp_path, capsys):
+    """In one process, each CLI run on a fixture and on a copy under new
+    label strings prints what that run prints alone, whichever copy ran
+    first: a memo answer computed on one copy never shows its labels on
+    the other."""
+    A = load_rlat(FIXTURES / "pentagon_stacked.rlat")
+    names = tuple(f"new_{x}" for x in A.labels)
+    copy = tmp_path / "copy.rlat"
+    copy.write_text(print_rlat(A, names), encoding="utf-8")
+    rad = sorted(radical(A).members)
+    runs = {}
+    for path, labels in ((FIXTURES / "pentagon_stacked.rlat", A.labels),
+                         (copy, names)):
+        filt = "{" + ",".join(labels[x] for x in rad) + "}"
+        runs[labels] = [[cmd, *args, str(path)] for cmd, *args in (
+            ("analyze", "--json"), ("lp", "--blp", "--json"),
+            ("lp", "--blp", "--json", "--filter", filt), ("reticulate",),
+            ("quotient", "--filter", filt))]
+    alone = {}
+    for argv in runs[A.labels] + runs[names]:
+        clear_memos()
+        alone[tuple(argv)] = _output(argv, capsys)
+    for original, renamed in zip(runs[A.labels], runs[names]):
+        assert alone[tuple(original)] != alone[tuple(renamed)]
+    for first, second in ((A.labels, names), (names, A.labels)):
+        clear_memos()
+        for argv in runs[first] + runs[second]:
+            assert _output(argv, capsys) == alone[tuple(argv)], argv
+
+
 @pytest.fixture(scope="module")
 def corpus_and_fixtures(corpus5, corpus6, E1, E2):
     return [*corpus5, *corpus6[::8], E1, E2]
@@ -189,6 +215,6 @@ def test_only_the_trivial_filter_keeps_the_size(corpus_and_fixtures):
         for F in all_filters(A):
             Q = quotient(A, F).quotient
             if F is principal_filter(A, A.top):
-                assert Q is A
+                assert Q == A
             else:
                 assert Q.size < A.size

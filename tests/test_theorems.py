@@ -29,6 +29,7 @@ from rlx.enumeration import all_algebras
 from rlx.errors import NotDistributive
 from rlx.filters import all_filters, principal_filter, quotient, spec
 from rlx.formulas import blp_formula, ilp_formula
+from rlx.io import print_filter
 from rlx.spectra import stone_max, stone_spec, topology_predicates
 from rlx.theorems import theorem_checks
 
@@ -191,13 +192,11 @@ def test_one_factor_shortcut_matches_the_full_scan():
     assert others == [1, 4, 6, 6]
 
 
-def test_local_factor_decomposition_runs_once_per_algebra():
+def test_local_factor_decomposition_runs_once_per_algebra(cold_caches):
     """Two row families read the decomposition; it is built once."""
     from rlx.theorems import local_factor_decomposition
 
-    P = direct_product(godel_chain(3), boolean_algebra(1))
-    # labels no other test uses, so the cache has not seen this algebra
-    A = validate(tuple(f"once{i}" for i in range(P.size)), P.leq, P.odot)
+    A = direct_product(godel_chain(3), boolean_algebra(1))
     before = local_factor_decomposition.cache_info()
     theorem_checks(A)
     after = local_factor_decomposition.cache_info()
@@ -210,8 +209,8 @@ def test_matrix_derives_each_space_and_lattice_once(cold_caches, corpus5,
     """Work ratchet: the matrix computes the topological predicates once per
     topology, though spaces of different algebras share one; it scans each
     lattice table for (co)normality at most once, and it runs no product
-    scan of the decomposition on an algebra of prime size; and it validates
-    each labeled lattice order once."""
+    scan of the decomposition on an algebra of prime size; and it scans
+    each lattice order for distributivity once."""
     scans, upsets = [], []
     split_witness = rlx.dlattice._split_witness
 
@@ -225,10 +224,7 @@ def test_matrix_derives_each_space_and_lattice_once(cold_caches, corpus5,
 
     monkeypatch.setattr(rlx.dlattice, "_split_witness", counted_split_witness)
     monkeypatch.setattr(rlx.theorems, "upset_algebra", counted_upset_algebra)
-    # labels no other test uses, so no cache keyed by an algebra has seen
-    # these algebras
-    sample = [validate(tuple(f"work{i}" for i in range(A.size)), A.leq, A.odot)
-              for A in corpus5 if A.size == 5]
+    sample = [A for A in corpus5 if A.size == 5]
     memo = rlx.spectra._topology_predicates
     before = memo.cache_info()
     for A in sample:
@@ -245,7 +241,10 @@ def test_matrix_derives_each_space_and_lattice_once(cold_caches, corpus5,
 
     A = sample[-1]
     L = validate_bdl(A.labels, A.leq)
-    assert validate_bdl(list(A.labels), [list(row) for row in A.leq]) is L
+    scanned = rlx.core.distributivity_witness.cache_info().misses
+    again = validate_bdl(list(A.labels), [list(row) for row in A.leq])
+    assert again == L and again.meet is L.meet
+    assert rlx.core.distributivity_witness.cache_info().misses == scanned
     pentagon = leq_from_covers(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
     for _ in range(2):
         with pytest.raises(NotDistributive):
@@ -329,10 +328,12 @@ def test_monotone_lifting_reads_each_verdict_for_its_own_filter(corpus5,
                 if {Q.class_of[e] for e in B} == classes and not (
                         verdict(A, blp_formula(), G)[0]
                         and verdict(A, ilp_formula(), G)[0]):
-                    expected.append(("boolean", repr(F), repr(G)))
+                    expected.append(("boolean", print_filter(A, F),
+                                     print_filter(A, G)))
                 if ({Q.class_of[e] for e in idem} == classes
                         and not verdict(A, ilp_formula(), G)[0]):
-                    expected.append(("idempotent", repr(F), repr(G)))
+                    expected.append(("idempotent", print_filter(A, F),
+                                     print_filter(A, G)))
         caught.clear()
         rlx.theorems.check_monotone_lifting(A)
         assert caught == [expected], A
@@ -343,12 +344,14 @@ def test_monotone_lifting_reads_each_verdict_for_its_own_filter(corpus5,
 def test_matrix_checks_each_quotient_table_triple_once(cold_caches, corpus5,
                                                       monkeypatch):
     """Work ratchet: over the matrix of sizes 1..5, the congruence check
-    runs once per nontrivial quotient build; `validate` runs once per
-    distinct quotient table triple, lattice and factor of a decomposition,
-    not once per relabeled copy, well under once per quotient; and the
-    reticulation is built once per input algebra, since L(A/F) is read off
-    the table memos."""
-    calls = {"validate": 0, "congruence": [], "tables": 0, "upsets": 0}
+    runs once per nontrivial quotient build, once per table pair; `validate`
+    runs once per distinct quotient table triple, well under once per
+    quotient, once per lattice (the reticulation and the filter lattice of
+    each input) and once per factor of a decomposition; and the
+    reticulation is built once per table pair: the quotients' table pairs
+    are among the inputs'."""
+    calls = {"validate": 0, "congruence": [], "tables": 0, "upsets": 0,
+             "lattices": 0}
     validate_ = rlx.core.validate
     congruence = rlx.filters._check_congruence
     tables = rlx.filters._quotient_tables
@@ -369,22 +372,25 @@ def test_matrix_checks_each_quotient_table_triple_once(cold_caches, corpus5,
         calls["upsets"] += 1
         return upset_algebra(A, e)
 
+    def counted_validate_bdl(labels, leq):
+        calls["lattices"] += 1
+        return validate_bdl(labels, leq)
+
     for module in (rlx.core, rlx.filters, rlx.dlattice, rlx.iso):
         monkeypatch.setattr(module, "validate", counted_validate)
     monkeypatch.setattr(rlx.filters, "_check_congruence", counted_congruence)
     monkeypatch.setattr(rlx.filters, "_quotient_tables", counted_tables)
     monkeypatch.setattr(rlx.theorems, "upset_algebra", counted_upset_algebra)
-    # labels no other test uses, so no cache keyed by an algebra has seen
-    # these algebras
-    sample = [validate_(tuple(f"triple{i}" for i in range(A.size)),
-                        A.leq, A.odot) for A in corpus5]
+    for module in (rlx.dlattice, rlx.reticulation):
+        monkeypatch.setattr(module, "validate_bdl", counted_validate_bdl)
+    sample = corpus5
     for A in sample:
         theorem_checks(A)
     builds = calls["congruence"]
-    assert len(builds) == len(set(builds)) == calls["tables"] == 118
+    assert len(builds) == len(set(builds)) == calls["tables"] == 75
     triples = tables.cache_info().misses
-    lattices = rlx.dlattice._validate_bdl.cache_info().misses
-    assert calls["validate"] <= triples + lattices + calls["upsets"]
-    assert 2 * calls["validate"] < len(builds)
+    assert 2 * triples < len(builds)
+    assert calls["lattices"] == 2 * len(sample)
+    assert calls["validate"] == triples + calls["lattices"] + calls["upsets"]
     assert (rlx.reticulation.build_reticulation.cache_info().misses
             == len(sample))
