@@ -86,6 +86,7 @@ class ResiduatedLattice(Record):
         self._set("imp", imp)
         self._set("bot", bot)
         self._set("top", top)
+        self._set("size", len(labels))
         self._set("_hash", hash((leq, odot)))
         self._set("_elements", _element_range(len(labels)))
 
@@ -99,10 +100,6 @@ class ResiduatedLattice(Record):
 
     def __hash__(self):
         return self._hash
-
-    @property
-    def size(self):
-        return len(self.labels)
 
     def elements(self):
         """range(size), the one range every algebra of this size shares."""

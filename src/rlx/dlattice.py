@@ -25,18 +25,28 @@ def validate_bdl(labels, leq):
     """Bounded lattice with exhaustive distributivity check, returned as the
     Heyting algebra on it (odot = meet).
 
-    The O(n^3) distributivity scan is memoized by the order
-    (:func:`rlx.core.distributivity_witness`), so an order met again, or
-    failing again, is not scanned again; `validate` memoizes the rest.  A
-    failure is never stored, so NotDistributive and AxiomViolation raise
-    on every call."""
+    The algebra is built once per normalized order
+    (:func:`_heyting_algebra`), so the reticulations and filter lattices
+    of the matrix, which repeat a few orders, are validated once each;
+    other labels are put on its tables by `validate`, whose stages are
+    memo hits.  A failure is never stored, so NotDistributive and
+    AxiomViolation raise on every call."""
     labels, leq = _normalized(labels, leq)
+    L = _heyting_algebra(leq)
+    return L if labels is L.labels else validate(labels, L.leq, L.meet)
+
+
+@lru_cache(maxsize=None)
+def _heyting_algebra(leq):
+    """The Heyting algebra on a normalized order, showing its ids.  The
+    O(n^3) distributivity scan is memoized by the order
+    (:func:`rlx.core.distributivity_witness`), for `classify` too."""
     # the memos keep the order `_validate_lattice` holds, not this copy
     leq, _, _, _, meet = _validate_lattice(leq)[:5]
     witness = distributivity_witness(leq)
     if witness is not None:
         raise NotDistributive(witness)
-    return validate(labels, leq, meet)
+    return validate(None, leq, meet)
 
 
 def lattice_blp_filter(L, F):

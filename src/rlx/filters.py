@@ -17,7 +17,9 @@ this way in A itself, without building the quotient.
 Filt(A), Spec(A), Max(A) and Rad(A) are one record per table pair,
 :func:`_filters`; `all_filters`, `spec`, `max_spec` and `radical` read
 it, so a prime, a maximal filter and the radical are the very objects of
-`all_filters`.
+`all_filters`.  Each filter of the record holds the record's filter per
+idempotent, `upsets`, so the meet and join of two of them are one index,
+with no memo lookup.
 """
 
 from __future__ import annotations
@@ -37,11 +39,14 @@ class Filter(Record):
     equality and hash cover only the algebra and the members.  Once checked,
     the members are the shared frozenset of :func:`rlx.core.shared_set`.
     Every algebra keeps one per idempotent, so the fields live in slots,
-    not in a dict per filter.  A filter shows its member ids;
-    `io.print_filter` renders it under an algebra's labels.
+    not in a dict per filter.  A filter of the record of :func:`_filters`
+    also holds that record's filter per idempotent, `upsets`; any other
+    filter holds None there.  It follows from the algebra, so equality
+    and hash ignore it.  A filter shows its member ids; `io.print_filter`
+    renders it under an algebra's labels.
     """
 
-    __slots__ = ("algebra", "members", "gen")
+    __slots__ = ("algebra", "members", "gen", "upsets")
 
     def __init__(self, algebra: ResiduatedLattice, members: frozenset):
         A, F = algebra, members
@@ -60,6 +65,7 @@ class Filter(Record):
         self._set("algebra", algebra)
         self._set("members", shared_set(members))
         self._set("gen", m)
+        self._set("upsets", None)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -110,6 +116,9 @@ def _filters(A):
     built once per table pair."""
     upsets = tuple(Filter(A, frozenset(x for x in A.elements() if A.leq[e][x]))
                    if A.odot[e][e] == e else None for e in A.elements())
+    for F in upsets:
+        if F is not None:
+            F._set("upsets", upsets)
     filters = tuple(sorted((F for F in upsets if F is not None),
                            key=lambda F: (len(F), F.sorted_members())))
     primes = tuple(F for F in filters if is_prime(F))
@@ -135,13 +144,11 @@ def all_filters(A):
 
 
 def filter_join(F, G):
-    A = F.algebra
-    return _filters(A)[0][A.odot[F.gen][G.gen]]
+    return (F.upsets or _filters(F.algebra)[0])[F.algebra.odot[F.gen][G.gen]]
 
 
 def filter_meet(F, G):
-    A = F.algebra
-    return _filters(A)[0][A.join[F.gen][G.gen]]
+    return (F.upsets or _filters(F.algebra)[0])[F.algebra.join[F.gen][G.gen]]
 
 
 def improper_filter(A):

@@ -268,6 +268,10 @@ def format_formula(phi):
     return eqs
 
 
+# The table of each binary operator but <->, by attribute name.
+_TABLES = {"|": "join", "&": "meet", "*": "odot", "->": "imp"}
+
+
 def term_values(A, t, env):
     """Values of a term at every element as the free variable, in id order,
     with bound-var assignment `env`."""
@@ -286,7 +290,7 @@ def term_values(A, t, env):
     if t.op == "<->":
         imp, meet = A.imp, A.meet
         return [meet[imp[x][y]][imp[y][x]] for x, y in pairs]
-    table = {"|": A.join, "&": A.meet, "*": A.odot, "->": A.imp}[t.op]
+    table = getattr(A, _TABLES[t.op])
     return [table[x][y] for x, y in pairs]
 
 
@@ -307,7 +311,9 @@ def _definable_masks(A, phi):
     full = (1 << n) - 1
     masks = [0] * n
     idempotents = [e for e in A.elements() if A.odot[e][e] == e]
-    for combo in itertools.product(range(n), repeat=len(phi.bound_vars)):
+    combos = (itertools.product(range(n), repeat=len(phi.bound_vars))
+              if phi.bound_vars else ((),))
+    for combo in combos:
         env = dict(zip(phi.bound_vars, combo))
         here = {e: full for e in idempotents if masks[e] != full}
         for lhs, rhs in phi.equations:

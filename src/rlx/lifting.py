@@ -1,7 +1,11 @@
 """Lifting properties: per-filter and global phi-LP, the three named
 properties (Boolean, idempotent, regular), and their algebraic
-characterizations.  The global verdict has one memo, :func:`has_lp`,
-keyed by the algebra and the formula; `has_blp` and `has_ilp` read it."""
+characterizations.  Every verdict that keeps only a bool reads one
+bitmask per (algebra, formula), :func:`_lift_failures`, of the filters
+that fail: `has_lp` and its three named forms ask whether it is 0, and
+`filter_lifts` reads the bit of one filter.  `has_phi_lp` and
+`lp_report` build the records, counterexample and witness included,
+that the CLI and the report print."""
 
 from __future__ import annotations
 
@@ -41,7 +45,8 @@ class LpReport(Record):
 
 def has_phi_lp(A, phi, F):
     """Filter-level lifting: every phi-element of A/F is a class of a
-    phi-element of A.  Returns (holds, FilterVerdict)."""
+    phi-element of A.  Returns (holds, FilterVerdict); a caller that
+    needs only `holds` reads :func:`filter_lifts`."""
     masks = _definable_masks(A, phi)
     return _filter_verdict(A, masks, _members(A, masks[A.top]), F)
 
@@ -51,23 +56,34 @@ def _members(A, mask):
     return [a for a in A.elements() if mask >> a & 1]
 
 
-def _lifting(A, phi):
-    """(masks, sat, lifts): masks = _definable_masks(A, phi), sat the
-    phi-elements of A, ascending, and lifts(e) whether [e) has phi-LP,
-    that is whether x -> e*x takes masks[e] into the image of sat (see
-    :func:`_filter_verdict`).  The trivial filter always lifts, and the
-    improper one iff some element satisfies phi: A/A is trivial and
+@lru_cache(maxsize=None)
+def _lift_failures(A, phi):
+    """The bitmask of the idempotents e whose [e) fails phi-LP: bit e is
+    set iff x -> e*x takes some element of masks[e] outside the image of
+    the phi-elements of A (see :func:`_filter_verdict`), where masks =
+    _definable_masks(A, phi).  Every per-filter and global verdict that
+    keeps only the bool reads it.  The trivial filter always lifts, and
+    the improper one iff some element satisfies phi: A/A is trivial and
     satisfies every formula.  Both are asserted."""
     masks = _definable_masks(A, phi)
     sat = _members(A, masks[A.top])
-
-    def lifts(e):
-        reached = {A.odot[e][s] for s in sat}
-        return all(A.odot[e][a] in reached for a in _members(A, masks[e]))
-
-    assert lifts(A.top) and lifts(A.bot) == bool(sat), \
+    failures = 0
+    for e in A.elements():
+        if masks[e]:
+            img = A.odot[e]
+            reached = {img[s] for s in sat}
+            if any(img[a] not in reached for a in _members(A, masks[e])):
+                failures |= 1 << e
+    assert (not failures >> A.top & 1
+            and (failures >> A.bot & 1) != bool(sat)), \
         "the trivial filter lifts, the improper one iff phi is satisfiable"
-    return masks, sat, lifts
+    return failures
+
+
+def filter_lifts(A, phi, F):
+    """Whether F has phi-LP: the bool of :func:`has_phi_lp`, no record
+    built."""
+    return not _lift_failures(A, phi) >> F.gen & 1
 
 
 def _filter_verdict(A, masks, sat, F):
@@ -100,21 +116,20 @@ def lp_report(A, phi):
     Deliberately not cached: it is called with many (algebra, formula)
     pairs, quotients included, and keeping every report alive raised the
     peak RSS of the size-7 theorem matrix by 8-9 %.  Callers that need
-    only the global verdict use :func:`has_lp` or :func:`has_rlp`, which
-    build no record.
+    only a bool use :func:`has_lp` or :func:`filter_lifts`, which build
+    no record.
     """
-    masks, sat, _ = _lifting(A, phi)
+    masks = _definable_masks(A, phi)
+    sat = _members(A, masks[A.top])
     rows = tuple((F, _filter_verdict(A, masks, sat, F)[1])
                  for F in all_filters(A))
     return LpReport(phi, rows, all(v.holds for _, v in rows))
 
 
-@lru_cache(maxsize=None)
 def has_lp(A, phi):
-    """Global phi-LP, the `global_holds` of :func:`lp_report` with no
-    record built, cached: many rows ask it."""
-    masks, _, lifts = _lifting(A, phi)
-    return all(lifts(e) for e in A.elements() if masks[e])
+    """Global phi-LP, the `global_holds` of :func:`lp_report`: no
+    filter fails."""
+    return not _lift_failures(A, phi)
 
 
 def has_blp(A):
@@ -126,8 +141,9 @@ def has_ilp(A):
 
 
 def has_rlp(A):
-    """Global regular lifting, which holds on every finite algebra; not memoized."""
-    return has_lp.__wrapped__(A, rlp_formula())
+    """Global regular lifting, which holds on every finite algebra; read
+    off the lifting mask like the other two."""
+    return has_lp(A, rlp_formula())
 
 
 def atomic_lp_characterization(A, phi):
@@ -193,8 +209,9 @@ def boolean_splitting_conditions(A, max_arity=4):
         if not cond3:
             break
 
+    dead = set()
     for n in range(2, max_arity + 1):
-        combo = _split_failure(A, u, n, 0, A.top, A.top)
+        combo = _split_failure(A, u, n, 0, A.top, A.top, dead)
         if combo is not None:
             witnesses[4] = combo
             break
@@ -203,13 +220,16 @@ def boolean_splitting_conditions(A, max_arity=4):
     return (cond1, cond2, cond3, cond4), witnesses
 
 
-def _split_failure(A, u, k, start, prod, meet):
+def _split_failure(A, u, k, start, prod, meet, dead):
     """The first k-multiset of elements >= start, in the order of
     combinations_with_replacement, that takes `prod` to 0 while the meet
     of its u(x) with `meet` stays above 0; None if there is none.
 
     The meet only decreases as a multiset grows, so an x that takes it to
-    0 is skipped together with every extension through it."""
+    0 is skipped together with every extension through it.  The answer
+    depends only on (k, start, prod, meet), so a state that found none is
+    put in `dead` and never searched again: skipping it skips only
+    extensions that fail, and the first witness is unchanged."""
     for x in range(start, A.size):
         m = A.meet[meet][u[x]]
         if m == A.bot:
@@ -218,8 +238,9 @@ def _split_failure(A, u, k, start, prod, meet):
         if k == 1:
             if p == A.bot:
                 return (x,)
-        else:
-            rest = _split_failure(A, u, k - 1, x, p, m)
+        elif (k - 1, x, p, m) not in dead:
+            rest = _split_failure(A, u, k - 1, x, p, m, dead)
             if rest is not None:
                 return (x, *rest)
+    dead.add((k, start, prod, meet))
     return None

@@ -28,7 +28,7 @@ from .filters import (
     spec,
 )
 from .formulas import blp_formula
-from .lifting import has_phi_lp
+from .lifting import filter_lifts
 
 
 class Reticulation(Record):
@@ -222,7 +222,7 @@ def blp_transfer(A, F):
     """(lifting in A, lifting of lam(F) in L(A)) computed independently
     on the two sides; the reticulation-blp-transfer row compares them."""
     R = build_reticulation(A)
-    in_a, _ = has_phi_lp(A, blp_formula(), F)
+    in_a = filter_lifts(A, blp_formula(), F)
     lamF = Filter(R.lattice, frozenset(R.lam[x] for x in F.members))
     in_l = lattice_blp_filter(R.lattice, lamF)
     return in_a, in_l

@@ -38,9 +38,9 @@ from .formulas import (
 from .io import print_filter
 from .lifting import (
     atomic_lp_characterization,
+    filter_lifts,
     has_blp,
     has_ilp,
-    has_phi_lp,
     has_rlp,
     boolean_splitting_conditions,
 )
@@ -177,20 +177,12 @@ def check_factor_congruences(A):
 
 def check_monotone_lifting(A):
     """If the Boolean (resp. idempotent) classes cover a quotient, every
-    larger filter lifts.  Whether G lifts does not depend on F, so each
-    verdict is computed once, when a pair first asks for it."""
+    larger filter lifts.  Whether G lifts does not depend on F: each pair
+    reads G's bit of the algebra's lifting mask."""
     failures = []
     B = classify(A).boolean_center
     idem = classify(A).idempotents
     filters = all_filters(A)
-    verdicts = {}
-
-    def lifts(phi, G):
-        key = phi, G.gen
-        if key not in verdicts:
-            verdicts[key] = has_phi_lp(A, phi, G)[0]
-        return verdicts[key]
-
     for F in filters:
         Q = quotient(A, F)
         all_classes = set(range(Q.quotient.size))
@@ -199,11 +191,11 @@ def check_monotone_lifting(A):
         for G in filters:
             if not F <= G:
                 continue
-            if b_covers and not (lifts(blp_formula(), G)
-                                 and lifts(ilp_formula(), G)):
+            if b_covers and not (filter_lifts(A, blp_formula(), G)
+                                 and filter_lifts(A, ilp_formula(), G)):
                 failures.append(("boolean", print_filter(A, F),
                                  print_filter(A, G)))
-            if i_covers and not lifts(ilp_formula(), G):
+            if i_covers and not filter_lifts(A, ilp_formula(), G):
                 failures.append(("idempotent", print_filter(A, F),
                                  print_filter(A, G)))
     return [_forall("covering-classes-lift-upward", failures)]
@@ -222,14 +214,12 @@ def check_chain_facts(A):
     failures = []
     if report.is_chain:
         for a in sorted(report.idempotents):
-            ok, _ = has_phi_lp(A, ilp_formula(), principal_filter(A, a))
-            if not ok:
+            if not filter_lifts(A, ilp_formula(), principal_filter(A, a)):
                 failures.append(a)
     out.append(_forall("chain-idempotent-filter-ilp", failures))
     prime_failures = []
     for P in spec(A):
-        ok, _ = has_phi_lp(A, blp_formula(), P)
-        if not ok:
+        if not filter_lifts(A, blp_formula(), P):
             prime_failures.append(print_filter(A, P))
     out.append(_forall("prime-filters-blp", prime_failures))
     out.append(_implies("hyperarchimedean-blp",
@@ -358,7 +348,7 @@ def check_gelfand_forms(A):
 
 def check_radical_lifting_consequences(A):
     gel = is_gelfand(A)
-    ok, _ = has_phi_lp(A, blp_formula(), radical(A))
+    ok = filter_lifts(A, blp_formula(), radical(A))
     out = [_implies("gelfand-radical-blp", gel, ok)]
     # the lattice side: conormal lattices lift their radical
     R = build_reticulation(A)
@@ -469,7 +459,7 @@ def check_local_product_square(A):
     """Semilocal equivalence square: radical lifting, global lifting, the
     star splitting, and product-of-locals all coincide (finite algebras
     are semilocal)."""
-    ok_rad, _ = has_phi_lp(A, blp_formula(), radical(A))
+    ok_rad = filter_lifts(A, blp_formula(), radical(A))
     blp = has_blp(A)
     star, _ = star_property(A)
     is_prod, locals_ok, sizes = local_factor_decomposition(A)

@@ -624,6 +624,29 @@ def _nary_boolean_split(A, B, pfs):
     return False
 
 
+def plain_split_failure(A, u, k, start, prod, meet):
+    """`lifting._split_failure` without its failed-state memo: the first
+    k-multiset of elements >= start, in the order of
+    combinations_with_replacement, that takes `prod` to 0 while the meet
+    of its u(x) with `meet` stays above 0; None if there is none.
+
+    The meet only decreases as a multiset grows, so an x that takes it to
+    0 is skipped together with every extension through it."""
+    for x in range(start, A.size):
+        m = A.meet[meet][u[x]]
+        if m == A.bot:
+            continue
+        p = A.odot[prod][x]
+        if k == 1:
+            if p == A.bot:
+                return (x,)
+        else:
+            rest = plain_split_failure(A, u, k - 1, x, p, m)
+            if rest is not None:
+                return (x, *rest)
+    return None
+
+
 def brute_congruence_violation(A, class_of):
     """First (x, y, z) with x ~ y whose images under join, meet or odot
     with z, or under imp with z on either side, fall in different classes;

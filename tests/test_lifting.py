@@ -5,6 +5,7 @@ from rlx.enumeration import all_algebras
 from rlx.core import (
     boolean_algebra,
     classify,
+    direct_product,
     godel_chain,
     lukasiewicz_chain,
 )
@@ -24,7 +25,10 @@ from rlx.formulas import (
 )
 from rlx.io import load_rlat
 from rlx.lifting import (
+    _lift_failures,
+    _split_failure,
     atomic_lp_characterization,
+    filter_lifts,
     has_blp,
     has_ilp,
     has_lp,
@@ -36,6 +40,7 @@ from rlx.lifting import (
 
 from oracles import (
     brute_boolean_splitting_conditions,
+    plain_split_failure,
     product_lp_check,
     quotient_filter_verdict,
     trivial_filter,
@@ -135,6 +140,31 @@ def test_unsatisfiable_formula_lifts_where_it_is_satisfiable(corpus5):
     assert not has_lp(boolean_algebra(1), phi)
 
 
+def test_lifting_mask_is_the_records(corpus5):
+    """The lifting mask of each (algebra, formula) has the bit of exactly
+    the filters whose record fails: each filter's bit is `lp_report`'s
+    and `has_phi_lp`'s verdict, and `has_lp` is the global one, on sizes
+    <= 5 and the fixtures, for the three named formulas, an unsatisfiable
+    one and one with a bound variable."""
+    fixtures = [load_rlat(path) for path in sorted(FIXTURES.glob("*.rlat"))]
+    formulas = (blp_formula(), ilp_formula(), rlp_formula(),
+                parse_formula("v = !v"),
+                parse_formula("exists w . v | w = 1 && v & w = 0"))
+    verdicts = set()
+    for A in corpus5 + fixtures:
+        for phi in formulas:
+            report = lp_report(A, phi)
+            failing = 0
+            for F, verdict in report.per_filter:
+                assert filter_lifts(A, phi, F) == verdict.holds, (A, phi, F)
+                assert has_phi_lp(A, phi, F)[0] == verdict.holds, (A, phi, F)
+                failing |= (not verdict.holds) << F.gen
+                verdicts.add(verdict.holds)
+            assert _lift_failures(A, phi) == failing, (A, phi)
+            assert has_lp(A, phi) == report.global_holds, (A, phi)
+    assert verdicts == {False, True}
+
+
 def test_atomic_characterization_golden(E1, E2):
     assert atomic_lp_characterization(E1, ilp_formula())
     assert not atomic_lp_characterization(E1, blp_formula())
@@ -201,6 +231,34 @@ def test_boolean_splitting_matches_search_oracle(corpus5, corpus6, E1, E2):
         for A in corpus5:
             assert (boolean_splitting_conditions(A, max_arity)
                     == brute_boolean_splitting_conditions(A, max_arity)), A
+
+
+def test_split_failure_memo_matches_plain_scan(corpus5, corpus6, E1, E2):
+    """The n-ary scan with its failed-state memo returns the first failing
+    multiset of the scan without it, for k = 2..4 in turn on one memo as
+    `boolean_splitting_conditions` runs them, on sizes 1..6, 2^6 and the
+    products whose matrices are pinned."""
+    algebras = [*corpus5, *corpus6, boolean_algebra(6),
+                direct_product(E1, E1), direct_product(E1, E2),
+                direct_product(E2, godel_chain(3))]
+    found = set()
+    for A in algebras:
+        B = classify(A).boolean_center
+        w = [A.power_limit(x) for x in A.elements()]
+        u = []
+        for x in A.elements():
+            m = A.top
+            for e in B:
+                if A.leq[w[x]][e]:
+                    m = A.meet[m][e]
+            u.append(m)
+        dead = set()
+        for k in range(2, 5):
+            combo = _split_failure(A, u, k, 0, A.top, A.top, dead)
+            assert combo == plain_split_failure(A, u, k, 0, A.top, A.top), \
+                (A, k)
+            found.add(combo is None)
+    assert found == {False, True}
 
 
 def test_regular_lifting_double_negation_trace(corpus5, E1, E2):

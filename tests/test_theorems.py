@@ -297,14 +297,14 @@ def test_star_direct_form_bug_is_a_disagreeing_row(monkeypatch):
 
 def test_monotone_lifting_reads_each_verdict_for_its_own_filter(corpus5,
                                                                  monkeypatch):
-    # a stub has_phi_lp whose verdict depends on the formula and on G: the
-    # row's failures, caught from `_forall`, must be those of the uncached
-    # loop over every pair F <= G
+    # a stub bit reader whose verdict depends on the formula and on G: the
+    # row's failures, caught from `_forall`, must be those of the loop
+    # over every pair F <= G
     formulas = {blp_formula(): "blp", ilp_formula(): "ilp"}
 
     def verdict(A, phi, G):
         seed = f"{formulas[phi]}:{sorted(G.members)}"
-        return random.Random(seed).random() < 0.6, None
+        return random.Random(seed).random() < 0.6
 
     caught = []
     forall = rlx.theorems._forall
@@ -313,7 +313,7 @@ def test_monotone_lifting_reads_each_verdict_for_its_own_filter(corpus5,
         caught.append(list(failures))
         return forall(tid, failures)
 
-    monkeypatch.setattr(rlx.theorems, "has_phi_lp", verdict)
+    monkeypatch.setattr(rlx.theorems, "filter_lifts", verdict)
     monkeypatch.setattr(rlx.theorems, "_forall", recording_forall)
     kinds = set()
     for A in corpus5:
@@ -326,12 +326,12 @@ def test_monotone_lifting_reads_each_verdict_for_its_own_filter(corpus5,
                 if not F <= G:
                     continue
                 if {Q.class_of[e] for e in B} == classes and not (
-                        verdict(A, blp_formula(), G)[0]
-                        and verdict(A, ilp_formula(), G)[0]):
+                        verdict(A, blp_formula(), G)
+                        and verdict(A, ilp_formula(), G)):
                     expected.append(("boolean", print_filter(A, F),
                                      print_filter(A, G)))
                 if ({Q.class_of[e] for e in idem} == classes
-                        and not verdict(A, ilp_formula(), G)[0]):
+                        and not verdict(A, ilp_formula(), G)):
                     expected.append(("idempotent", print_filter(A, F),
                                      print_filter(A, G)))
         caught.clear()
@@ -346,8 +346,9 @@ def test_matrix_checks_each_quotient_table_triple_once(cold_caches, corpus5,
     """Work ratchet: over the matrix of sizes 1..5, the congruence check
     runs once per nontrivial quotient build, once per table pair; `validate`
     runs once per distinct quotient table triple, well under once per
-    quotient, once per lattice (the reticulation and the filter lattice of
-    each input) and once per factor of a decomposition; and the
+    quotient, once per lattice order, well under once per lattice (the
+    reticulation and the filter lattice of each input), and once per
+    factor of a decomposition; and the
     reticulation is built once per table pair: the quotients' table pairs
     are among the inputs'."""
     calls = {"validate": 0, "congruence": [], "tables": 0, "upsets": 0,
@@ -391,6 +392,8 @@ def test_matrix_checks_each_quotient_table_triple_once(cold_caches, corpus5,
     triples = tables.cache_info().misses
     assert 2 * triples < len(builds)
     assert calls["lattices"] == 2 * len(sample)
-    assert calls["validate"] == triples + calls["lattices"] + calls["upsets"]
+    orders = rlx.dlattice._heyting_algebra.cache_info().misses
+    assert 4 * orders < calls["lattices"]
+    assert calls["validate"] == triples + orders + calls["upsets"]
     assert (rlx.reticulation.build_reticulation.cache_info().misses
             == len(sample))
