@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from time import perf_counter
 from types import SimpleNamespace
 
 from .errors import SIZE_CAP, RlxError
@@ -27,7 +28,7 @@ from .io import (
 )
 from .lifting import has_phi_lp, lp_report
 from .reticulation import build_reticulation, verify_retic_properties
-from .theorems import theorem_checks
+from .theorems import ALL_CHECKS, theorem_checks
 
 
 def _load(path):
@@ -127,7 +128,7 @@ def _counterexample_note(row):
 
 def cmd_check_theorems(args):
     A = _load(args.file)
-    verdicts = theorem_checks(A)
+    verdicts = _timed_checks(A) if args.stats else theorem_checks(A)
     bad = [v for v in verdicts if not v.agree]
     if args.json:
         print(json.dumps([v.as_dict() for v in verdicts], indent=2,
@@ -138,6 +139,22 @@ def cmd_check_theorems(args):
             print(f"{mark} {v.theorem_id}: lhs={v.lhs} rhs={v.rhs}")
         print(f"{len(verdicts)} checks, {len(bad)} disagreements")
     return 2 if bad else 0
+
+
+def _timed_checks(A):
+    """The rows of `theorem_checks`, printing the rows and milliseconds of
+    each row family to stderr; `theorem_checks` itself stays untimed."""
+    verdicts, lines, start = [], [], perf_counter()
+    for fn in ALL_CHECKS:
+        t = perf_counter()
+        rows = fn(A)
+        lines.append((fn.__name__, len(rows), perf_counter() - t))
+        verdicts.extend(rows)
+    lines.append(("total", len(verdicts), perf_counter() - start))
+    print(f"{'family':<40}{'rows':>6}{'ms':>10}", file=sys.stderr)
+    for name, rows, seconds in lines:
+        print(f"{name:<40}{rows:>6}{seconds * 1000:>10.3f}", file=sys.stderr)
+    return verdicts
 
 
 def cmd_enumerate(args):
@@ -195,7 +212,8 @@ COMMANDS = {
     "validate": (cmd_validate, "file", "", "", "check a .rlat file"),
     "analyze": (cmd_analyze, "file", "json topology theorems", "", "analysis report"),
     "lp": (cmd_lp, "file", "blp ilp rlp json", "formula filter", "lifting check"),
-    "check-theorems": (cmd_check_theorems, "file", "json", "", "the theorem matrix"),
+    "check-theorems": (cmd_check_theorems, "file", "json stats", "",
+                       "the theorem matrix"),
     "enumerate": (cmd_enumerate, "size out_dir", "", "",
                   f"write all algebras of one size (<= {SIZE_CAP})"),
     "reticulate": (cmd_reticulate, "file", "verify", "out", "the reticulation lattice"),

@@ -119,27 +119,17 @@ class ResiduatedLattice(Record):
             acc = self.odot[acc][a]
         return acc
 
-    def powers(self, a):
-        """a, a**2, ..., a**size, each computed from the one before."""
-        acc = self.top
-        for _ in range(self.size):
-            acc = self.odot[acc][a]
-            yield acc
-
     @cached_property
-    def _power_limits(self):
+    def power_limits(self):
+        """The power limits of every element, by id, computed once per
+        algebra: the vector the hot loops index."""
         return tuple(self.power(a, self.size) for a in self.elements())
 
     def power_limit(self, a):
         """Stationary value of the decreasing sequence a, a^2, a^3, ...
 
-        Reached within `size` steps on a finite algebra; computed once per
-        algebra for every element.
-        """
-        return self._power_limits[a]
-
-    def is_nilpotent(self, a):
-        return self.power_limit(a) == self.bot
+        Reached within `size` steps on a finite algebra."""
+        return self.power_limits[a]
 
     def __repr__(self):
         return f"ResiduatedLattice({','.join(self.labels)})"
@@ -565,20 +555,19 @@ def shared_set(value):
 @lru_cache(maxsize=None)
 def classify(A):
     """Element classes and structural predicates of a validated algebra."""
-    n = A.size
+    n, els, bot = A.size, A.elements(), A.bot
+    neg = [row[bot] for row in A.imp]
+    w = A.power_limits
     boolean = shared_set(frozenset(
-        a for a in A.elements()
-        if A.join[a][A.neg(a)] == A.top and A.meet[a][A.neg(a)] == A.bot
-    ))
-    idem = shared_set(frozenset(a for a in A.elements() if A.odot[a][a] == a))
-    reg = shared_set(frozenset(a for a in A.elements()
-                               if A.neg(A.neg(a)) == a))
-    nil = shared_set(frozenset(a for a in A.elements()
-                               if A.power_limit(a) == A.bot))
-    arch = shared_set(frozenset(a for a in A.elements()
-                                if A.power_limit(a) in boolean))
-    is_chain = all(A.leq[a][b] or A.leq[b][a]
-                   for a in range(n) for b in range(a + 1, n))
+        a for a in els
+        if A.join[a][neg[a]] == A.top and A.meet[a][neg[a]] == bot))
+    idem = shared_set(frozenset(a for a in els if A.odot[a][a] == a))
+    reg = shared_set(frozenset(a for a in els if neg[neg[a]] == a))
+    nil = shared_set(frozenset(a for a in els if w[a] == bot))
+    arch = shared_set(frozenset(a for a in els if w[a] in boolean))
+    # an order relates each pair a != b at most one way, so it is a chain
+    # iff it holds n(n+1)/2 pairs
+    is_chain = sum(map(sum, A.leq)) == n * (n + 1) // 2
     is_distributive = distributivity_witness(A.leq) is None
     return ElementClassReport(
         boolean_center=boolean,
@@ -599,9 +588,23 @@ def distributivity_witness(leq):
     """First (a, b, c) with a&(b|c) != (a&b)|(a&c), or None, for a
     normalized order that :func:`_validate_lattice` accepts.
 
-    Distributivity depends on the order alone, so the O(n^3) scan runs
-    once per order, for `classify` and `dlattice.validate_bdl` alike."""
-    join, meet = _validate_lattice(leq)[3:5]
+    A finite lattice is distributive iff every join-irreducible j is
+    join-prime: j <= b|c implies j <= b or j <= c.  That is, the elements
+    not above j are closed under joins, or their join m is not above j:
+    one pass per irreducible.  Only a lattice that fails runs the O(n^3)
+    scan, for the first triple.
+    Distributivity depends on the order alone, so it is decided once per
+    order, for `classify` and `dlattice.validate_bdl` alike."""
+    _, bot, _, join, meet, irreducibles = _validate_lattice(leq)[:6]
+    for j in irreducibles:
+        m = bot
+        for x, above in enumerate(leq[j]):
+            if not above:
+                m = join[m][x]
+        if leq[j][m]:
+            break
+    else:
+        return None
     n = len(leq)
     for a in range(n):
         for b in range(n):

@@ -49,17 +49,28 @@ def _heyting_algebra(leq):
     return validate(None, leq, meet)
 
 
+@lru_cache(maxsize=None)
+def _lattice_blp_failures(L):
+    """The bitmask of the e whose [e) fails B(L/[e)) inside B(L)/[e),
+    decided on each quotient, apart from the algebra's lifting mask: a
+    reticulation is one lattice per order, so each is decided once."""
+    B, failures = complemented_elements(L), 0
+    for F in all_filters(L):
+        Q = quotient(L, F)
+        if not complemented_elements(Q.quotient) <= {Q.class_of[e] for e in B}:
+            failures |= 1 << F.gen
+    return failures
+
+
 def lattice_blp_filter(L, F):
     """Does F lift Boolean elements: B(L/F) inside B(L)/F?"""
-    Q = quotient(L, F)
-    return (complemented_elements(Q.quotient)
-            <= {Q.class_of[e] for e in complemented_elements(L)})
+    return not _lattice_blp_failures(L) >> F.gen & 1
 
 
 def lattice_blp(L):
     """Per-filter Boolean lifting and the conjunction."""
-    per = {F: lattice_blp_filter(L, F) for F in all_filters(L)}
-    return per, all(per.values())
+    failures = _lattice_blp_failures(L)
+    return {F: not failures >> F.gen & 1 for F in all_filters(L)}, not failures
 
 
 @lru_cache(maxsize=None)

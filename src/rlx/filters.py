@@ -42,11 +42,12 @@ class Filter(Record):
     not in a dict per filter.  A filter of the record of :func:`_filters`
     also holds that record's filter per idempotent, `upsets`; any other
     filter holds None there.  It follows from the algebra, so equality
-    and hash ignore it.  A filter shows its member ids; `io.print_filter`
-    renders it under an algebra's labels.
+    and hash ignore it.  The hash, a key of the quotient memo, is computed
+    once.  A filter shows its member ids; `io.print_filter` renders it
+    under an algebra's labels.
     """
 
-    __slots__ = ("algebra", "members", "gen", "upsets")
+    __slots__ = ("algebra", "members", "gen", "upsets", "_hash")
 
     def __init__(self, algebra: ResiduatedLattice, members: frozenset):
         A, F = algebra, members
@@ -66,6 +67,7 @@ class Filter(Record):
         self._set("members", shared_set(members))
         self._set("gen", m)
         self._set("upsets", None)
+        self._set("_hash", hash((algebra, self.members)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -73,7 +75,7 @@ class Filter(Record):
         return self.members == other.members and self.algebra == other.algebra
 
     def __hash__(self):
-        return hash((self.algebra, self.members))
+        return self._hash
 
     @property
     def proper(self):

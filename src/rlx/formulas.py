@@ -322,8 +322,10 @@ def _definable_masks(A, phi):
             pairs = list(zip(term_values(A, lhs, env), term_values(A, rhs, env)))
             for e in list(here):
                 row = A.odot[e]
-                m = here[e] & sum(1 << a for a, (x, y) in enumerate(pairs)
-                                  if row[x] == row[y])
+                m = here[e]
+                for a, (x, y) in enumerate(pairs):
+                    if row[x] != row[y]:
+                        m &= ~(1 << a)
                 if m:
                     here[e] = m
                 else:

@@ -68,12 +68,14 @@ def _lift_failures(A, phi):
     masks = _definable_masks(A, phi)
     sat = _members(A, masks[A.top])
     failures = 0
-    for e in A.elements():
-        if masks[e]:
+    for e, mask in enumerate(masks):
+        if mask:
             img = A.odot[e]
             reached = {img[s] for s in sat}
-            if any(img[a] not in reached for a in _members(A, masks[e])):
-                failures |= 1 << e
+            for a, y in enumerate(img):
+                if mask >> a & 1 and y not in reached:
+                    failures |= 1 << e
+                    break
     assert (not failures >> A.top & 1
             and (failures >> A.bot & 1) != bool(sat)), \
         "the trivial filter lifts, the improper one iff phi is satisfiable"
@@ -152,10 +154,15 @@ def atomic_lp_characterization(A, phi):
     t1, t2 = atomic_parts(phi)
     sat = definable_set(A, phi)
     left, right = term_values(A, t1, {}), term_values(A, t2, {})
-    for a in A.elements():
-        # [gap) is the up-set of gap^w, so x lies in it iff gap^w <= x
-        above = A.leq[A.power_limit(A.bires(left[a], right[a]))]
-        if not any(above[A.bires(a, e)] for e in sat):
+    imp, meet, w = A.imp, A.meet, A.power_limits
+    for a, x, y in zip(A.elements(), left, right):
+        # [gap) is the up-set of gap^w, so z lies in it iff gap^w <= z
+        above = A.leq[w[meet[imp[x][y]][imp[y][x]]]]
+        row = imp[a]
+        for e in sat:
+            if above[meet[row[e]][imp[e][a]]]:
+                break
+        else:
             return False
     return True
 
@@ -178,31 +185,32 @@ def boolean_splitting_conditions(A, max_arity=4):
     e_i = !d_i have pairwise joins 1 and meet 0.
     """
     B = classify(A).boolean_center
-    w = [A.power_limit(x) for x in A.elements()]
+    w, neg = A.power_limits, [row[A.bot] for row in A.imp]
+    els, leq, meet, bot = A.elements(), A.leq, A.meet, A.bot
     u = []
-    for x in A.elements():
+    for x in els:
         m = A.top
+        above = leq[w[x]]
         for e in B:
-            if A.leq[w[x]][e]:
-                m = A.meet[m][e]
+            if above[e]:
+                m = meet[m][e]
         u.append(m)
     witnesses = {}
 
     cond1 = has_blp(A)
 
     cond2 = True
-    for x in A.elements():
-        if not A.leq[w[A.neg(x)]][A.neg(u[x])]:
+    for x in els:
+        if not leq[w[neg[x]]][neg[u[x]]]:
             cond2 = False
             witnesses[2] = (x,)
             break
 
     cond3 = True
-    for x in A.elements():
-        for y in A.elements():
-            if A.odot[x][y] != A.bot:
-                continue
-            if A.meet[u[x]][u[y]] != A.bot:
+    for x in els:
+        row, low = A.odot[x], meet[u[x]]
+        for y in els:
+            if row[y] == bot and low[u[y]] != bot:
                 cond3 = False
                 witnesses[3] = (x, y)
                 break

@@ -54,7 +54,7 @@ def build_reticulation(A):
     # reverse inclusion: [e) <= [f) in L iff [e) includes [f), iff e <= f
     leq = tuple(tuple(A.leq[F.gen][G.gen] for G in filter_of)
                 for F in filter_of)
-    lam = tuple(index[A.power_limit(a)] for a in A.elements())
+    lam = tuple(index[x] for x in A.power_limits)
     _assert_axioms(A, lam, leq)
     return Reticulation(A, validate_bdl(None, leq), lam, filter_of)
 
@@ -62,16 +62,18 @@ def build_reticulation(A):
 def _assert_axioms(A, lam, leq):
     """The five axioms of lam: A -> L, where L is the lattice of `leq`."""
     leq, bot, top, join, meet = _validate_lattice(leq)[:5]
-    for a in A.elements():
-        for b in A.elements():
-            assert lam[A.odot[a][b]] == meet[lam[a]][lam[b]]
-            assert lam[A.join[a][b]] == join[lam[a]][lam[b]]
+    for a, la in enumerate(lam):
+        odot, ajoin, lmeet, ljoin = A.odot[a], A.join[a], meet[la], join[la]
+        for b, lb in enumerate(lam):
+            assert lam[odot[b]] == lmeet[lb]
+            assert lam[ajoin[b]] == ljoin[lb]
     assert lam[A.bot] == bot and lam[A.top] == top
     assert set(lam) == set(range(len(leq)))  # surjective
     # the powers of a decrease to a^w, so some a^n <= b iff a^w <= b
-    for a in A.elements():
-        for b in A.elements():
-            assert leq[lam[a]][lam[b]] == A.leq[A.power_limit(a)][b]
+    for la, w in zip(lam, A.power_limits):
+        row, above = leq[la], A.leq[w]
+        for b, lb in enumerate(lam):
+            assert row[lb] == above[b]
 
 
 def verify_retic_properties(R):
@@ -81,25 +83,31 @@ def verify_retic_properties(R):
     verdicts = {}
 
     # (1) bounded-lattice morphism on the lattice reduct
-    ok = all(lam[A.meet[a][b]] == L.meet[lam[a]][lam[b]]
-             and lam[A.join[a][b]] == L.join[lam[a]][lam[b]]
-             for a in A.elements() for b in A.elements())
-    ok = ok and lam[A.bot] == L.bot and lam[A.top] == L.top
+    ok = lam[A.bot] == L.bot and lam[A.top] == L.top
+    for a, la in enumerate(lam):
+        meet, join, lmeet, ljoin = A.meet[a], A.join[a], L.meet[la], L.join[la]
+        for b, lb in enumerate(lam):
+            if lam[meet[b]] != lmeet[lb] or lam[join[b]] != ljoin[lb]:
+                ok = False
     verdicts[1] = ok
 
-    # (2) kernel: lam(a) = lam(b) iff the principal filters coincide
+    # (2) lam(a) = lam(b) iff [a) = [b): the pairs take as many values as each
     gens = [principal_filter(A, a).gen for a in A.elements()]
-    verdicts[2] = all((lam[a] == lam[b]) == (gens[a] == gens[b])
-                      for a in A.elements() for b in A.elements())
+    verdicts[2] = len(set(lam)) == len(set(gens)) == len(set(zip(lam, gens)))
 
-    # (3) powers collapse
-    verdicts[3] = all(lam[p] == lam[a]
-                      for a in A.elements() for p in A.powers(a))
+    # (3) powers collapse: a, a^2, ..., a^n all have the image of a
+    ok = True
+    for a, la in enumerate(lam):
+        row, p = A.odot[a], A.top
+        for _ in lam:
+            p = row[p]
+            ok = ok and lam[p] == la
+    verdicts[3] = ok
 
     # (4) the preimage map is a filter-lattice isomorphism with inverse
     #     F -> lam(F); pre[i] is the preimage of the i-th lattice filter
     lat_filts = all_filters(L)
-    pre = [frozenset(x for x in A.elements() if lam[x] in H)
+    pre = [frozenset(x for x in A.elements() if lam[x] in H.members)
            for H in lat_filts]
     alg_filts = {F.members for F in all_filters(A)}
     ok = set(pre) == alg_filts and len(pre) == len(alg_filts)
@@ -124,8 +132,8 @@ def verify_retic_properties(R):
             ok = ok and lam[A.join[e][f]] == L.join[lam[e]][lam[f]]
             ok = ok and lam[A.meet[e][f]] == L.meet[lam[e]][lam[f]]
         # complements map to complements
-        ok = ok and L.meet[lam[e]][lam[A.neg(e)]] == L.bot
-        ok = ok and L.join[lam[e]][lam[A.neg(e)]] == L.top
+        ne = lam[A.imp[e][A.bot]]
+        ok = ok and L.meet[lam[e]][ne] == L.bot and L.join[lam[e]][ne] == L.top
     verdicts[7] = ok
 
     # (8) reticulation of a quotient is the quotient of the reticulation
@@ -148,19 +156,19 @@ def _spectrum_homeo(A, R, kind):
     else:
         lat_points = max_spec(L)
         space = stone_max(A)
-    alg_points = [P.members for P in space.points]
-    pre = [frozenset(x for x in A.elements() if lam[x] in H)
+    where = {P.members: i for i, P in enumerate(space.points)}
+    pre = [frozenset(x for x in A.elements() if lam[x] in H.members)
            for H in lat_points]
-    if set(pre) != set(alg_points) or len(pre) != len(alg_points):
+    if set(pre) != where.keys() or len(pre) != len(space.points):
         return False
     # index map: lattice point i -> algebra point position
-    pos = [alg_points.index(p) for p in pre]
-    # opens on the lattice side: complements of up-families of filters
+    pos = [where[p] for p in pre]
+    # lattice-side opens: complements of up-families; H <= P iff P.gen <= H.gen
     lat_opens = set()
     for H in all_filters(L):
         mask = 0
         for i, P in enumerate(lat_points):
-            if not H <= P:
+            if not L.leq[P.gen][H.gen]:
                 mask |= 1 << i
         lat_opens.add(mask)
     # transport algebra opens through the bijection and compare

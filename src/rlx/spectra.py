@@ -59,12 +59,13 @@ def _build(A, kind):
     """The space of its kind on A, with the V/D identities asserted, built
     once per algebra and kind."""
     points = spec(A) if kind == "spec" else max_spec(A)
-    members = [P.members for P in points]
-    v = tuple(sum(1 << i for i, m in enumerate(members) if a in m)
-              for a in A.elements())
+    v = [0] * A.size
+    for i, P in enumerate(points):
+        for a in P.members:
+            v[a] |= 1 << i
     full = (1 << len(points)) - 1
     opens = tuple(sorted({full & ~v[F.gen] for F in all_filters(A)}))
-    space = SpectrumSpace(A, kind, points, opens, v)
+    space = SpectrumSpace(A, kind, points, opens, tuple(v))
     _assert_stone_identities(A, space)
     return space
 
@@ -79,13 +80,15 @@ def _assert_stone_identities(A, space):
         assert v[F.gen] == sum(1 << i for i, P in enumerate(pts)
                                if F.members <= P.members)
     for F in filters:
+        vf = v[F.gen]
         for G in filters:
-            assert v[filter_meet(F, G).gen] == v[F.gen] | v[G.gen]
-            assert v[filter_join(F, G).gen] == v[F.gen] & v[G.gen]
+            assert v[filter_meet(F, G).gen] == vf | v[G.gen]
+            assert v[filter_join(F, G).gen] == vf & v[G.gen]
     for a in A.elements():
-        for b in A.elements():
-            assert v[A.join[a][b]] == v[a] | v[b]
-            assert v[A.odot[a][b]] == v[A.meet[a][b]] == v[a] & v[b]
+        va, join, odot, meet = v[a], A.join[a], A.odot[a], A.meet[a]
+        for b, vb in enumerate(v):
+            assert v[join[b]] == va | vb
+            assert v[odot[b]] == v[meet[b]] == va & vb
     # V(F) as the intersection of the V(a) over a in F
     for F in filters:
         acc = full
@@ -94,7 +97,7 @@ def _assert_stone_identities(A, space):
         assert acc == v[F.gen]
     # D injective on filters, reflecting inclusion (prime spectrum only)
     if space.kind == "spec":
-        d = [space.d(F.gen) for F in filters]
+        d = [full & ~v[F.gen] for F in filters]
         for F, dF in zip(filters, d):
             for G, dG in zip(filters, d):
                 assert (dF == dG) == (F.gen == G.gen)
@@ -247,7 +250,7 @@ def gelfand_conditions(A):
     # [x) v [y) = [g[x] * g[y]).  Both sides see an element only through
     # its generator, so the quantifiers run over the generators, and
     # zero[e] lists the generators f with f * e = 0.
-    gens = sorted({A.power_limit(a) for a in A.elements()})
+    gens = sorted(set(A.power_limits))
     zero = {e: [f for f in gens if A.odot[f][e] == A.bot] for e in gens}
     out[2] = all(
         any(A.join[f][h] == A.top for f in zero[e] for h in zero[k])
@@ -312,18 +315,19 @@ def star_property(A):
 def star_star_property(A):
     """Weakened splitting: u only needs a nilpotent negation."""
     B = sorted(classify(A).boolean_center)
-    us = [u for u in A.elements() if A.is_nilpotent(A.neg(u))]
+    w = A.power_limits
+    us = [u for u, row in enumerate(A.imp) if w[row[A.bot]] == A.bot]
     return _splitting(A, us, B)
 
 
 def _splitting(A, us, B):
     """(holds, witnesses) of "for every x some u in `us` and e in `B` give
     [x) = [u) v [e)", scanning u, then e, in the given order."""
-    g = [A.power_limit(a) for a in A.elements()]
-    witnesses = {}
-    for x in A.elements():
-        found = next(((u, e) for u in us for e in B
-                      if A.odot[g[u]][g[e]] == g[x]), None)
-        if found is not None:
-            witnesses[x] = found
+    g = A.power_limits
+    first = {}  # g[x] -> the first (u, e), in scan order, giving [x)
+    for u in us:
+        row = A.odot[g[u]]
+        for e in B:
+            first.setdefault(row[g[e]], (u, e))
+    witnesses = {x: first[gx] for x, gx in enumerate(g) if gx in first}
     return len(witnesses) == A.size, MappingProxyType(witnesses)

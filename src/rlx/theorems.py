@@ -113,7 +113,10 @@ def _row(tid, lhs, rhs, agree, witness):
 
 
 def _equiv(tid, lhs, rhs, witness=None):
-    return _row(tid, bool(lhs), bool(rhs), bool(lhs) == bool(rhs), witness)
+    lhs, rhs = bool(lhs), bool(rhs)
+    if witness is None:
+        return _shared_row(tid, lhs, rhs, lhs == rhs)
+    return TheoremVerdict(tid, lhs, rhs, lhs == rhs, witness)
 
 
 def _implies(tid, hyp, concl, witness=None):
@@ -241,17 +244,20 @@ def check_max_boolean_forms(A):
     blp = has_blp(A)
     B = sorted(classify(A).boolean_center)
     mx = stone_max(A)
-    maxima = max_spec(A)
+    maxima = [M.members for M in max_spec(A)]
+    pairs = [(e, A.imp[e][A.bot]) for e in B]
+    v, full = mx.v, mx.full
+    vd = [(v[e], full & ~v[e]) for e in B]
 
     # (2) distinct maximals split by a Boolean element and its negation
     cond2 = True
     for i, M in enumerate(maxima):
         for N in maxima[i + 1:]:
-            if not any(e in M and A.neg(e) in N for e in B) or \
-               not any(e in N and A.neg(e) in M for e in B):
+            if not any(e in M and ne in N for e, ne in pairs) or \
+               not any(e in N and ne in M for e, ne in pairs):
                 cond2 = False
     # (3) {d(e)} is a basis of Max(A)
-    basis = {mx.d(e) for e in B}
+    basis = {de for _, de in vd}
     cond3 = True
     for U in mx.opens:
         acc = 0
@@ -263,11 +269,10 @@ def check_max_boolean_forms(A):
             break
     # (10') every a admits Boolean e with v(a) <= d(e), v(!a) <= v(e)
     cond10 = True
-    for a in A.elements():
-        va, vna = mx.v[a], mx.v[A.neg(a)]
+    for va, row in zip(v, A.imp):
+        vna = v[row[A.bot]]
         ok = False
-        for e in B:
-            ve, de = mx.v[e], mx.d(e)
+        for ve, de in vd:
             if va & ~de == 0 and vna & ~ve == 0:
                 ok = True
                 break
@@ -292,37 +297,33 @@ def check_max_boolean_forms(A):
 def check_star_forms(A):
     holds, _ = star_property(A)
     B = sorted(classify(A).boolean_center)
-    rad = radical(A)
+    rad = radical(A).members
     mx = stone_max(A)
+    w, bot, neg = A.power_limits, A.bot, [row[A.bot] for row in A.imp]
 
-    cond2 = all(
-        any(A.is_nilpotent(A.odot[a][e]) and A.join[a][e] in rad.members
-            for e in B)
-        for a in A.elements())
+    cond2 = True
+    for odot, join in zip(A.odot, A.join):
+        if not any(w[odot[e]] == bot and join[e] in rad for e in B):
+            cond2 = False
+            break
 
-    d = [mx.d(x) for x in A.elements()]
-
-    def spectral(a, bounded):
-        va, da = mx.v[a], d[a]
-        # every v(!(a^k)) lies in v(e) iff their union does
-        negs = 0
-        if bounded:
-            for p in A.powers(a):
-                negs |= mx.v[A.neg(p)]
-        for e in B:
-            ve, de = mx.v[e], d[e]
-            if va & ~de != 0:
-                continue
-            if not bounded:
-                if da & ~ve == 0:
-                    return True
-            else:
-                if negs & ~ve == 0:
-                    return True
-        return False
-
-    cond3 = all(spectral(a, bounded=False) for a in A.elements())
-    cond4 = all(spectral(a, bounded=True) for a in A.elements())
+    v, full = mx.v, mx.full
+    d = [full & ~x for x in v]
+    vd = [(v[e], d[e]) for e in B]
+    # (3) some Boolean e has v(a) <= d(e), d(a) <= v(e); (4) the same with
+    # negs, the union of the v(!(a^k)), which lies in v(e) iff each does
+    cond3 = cond4 = True
+    for a, (va, da) in enumerate(zip(v, d)):
+        negs, p, row = 0, A.top, A.odot[a]
+        for _ in d:  # p runs through a, a^2, ..., a^n
+            p = row[p]
+            negs |= v[neg[p]]
+        ok3 = ok4 = False
+        for ve, de in vd:
+            if va & ~de == 0:
+                ok3 = ok3 or da & ~ve == 0
+                ok4 = ok4 or negs & ~ve == 0
+        cond3, cond4 = cond3 and ok3, cond4 and ok4
     return [
         _equiv("star-forms.nilpotent-radical", holds, cond2),
         _equiv("star-forms.spectral", holds, cond3),
@@ -489,28 +490,31 @@ def check_spectral_lemmas(A):
     sp = stone_spec(A)
     B = sorted(classify(A).boolean_center)
     rad = radical(A)
+    w, bot, neg = A.power_limits, A.bot, [row[A.bot] for row in A.imp]
 
-    d = [mx.d(x) for x in A.elements()]
+    v, full = mx.v, mx.full
+    d = [full & ~x for x in v]
     failures = []
-    for a in A.elements():
-        va, da = mx.v[a], d[a]
+    for a, (va, da) in enumerate(zip(v, d)):
+        odot, join = A.odot[a], A.join[a]
         for e in B:
-            ve, de = mx.v[e], d[e]
-            nilp_ne = A.is_nilpotent(A.odot[a][A.neg(e)])
-            nilp_e = A.is_nilpotent(A.odot[a][e])
+            ve, de = v[e], d[e]
+            nilp_ne = w[odot[neg[e]]] == bot
+            nilp_e = w[odot[e]] == bot
             if (va & ~ve == 0) != nilp_ne:
                 failures.append(("v<=v", a, e))
             if (va & ~de == 0) != nilp_e:
                 failures.append(("v<=d", a, e))
-            if (da & ~ve == 0) != (A.join[a][e] in rad.members):
+            if (da & ~ve == 0) != (join[e] in rad.members):
                 failures.append(("d<=v", a, e))
     out.append(_forall("nilpotence-mirrors-containment", failures))
 
     failures = []
-    for a in A.elements():
-        union = 0
-        for p in A.powers(a):
-            union |= mx.v[A.neg(p)]
+    for a, row in enumerate(A.odot):
+        union, p = 0, A.top
+        for _ in d:  # p runs through a, a^2, ..., a^n
+            p = row[p]
+            union |= v[neg[p]]
         if d[a] != union:
             failures.append(a)
     out.append(_forall("complement-as-power-union", failures))
@@ -558,9 +562,9 @@ def check_spectral_lemmas(A):
     # D(e) = V(!e) for Boolean e, on both spaces
     failures = []
     for e in B:
-        if sp.d(e) != sp.v[A.neg(e)]:
+        if sp.d(e) != sp.v[neg[e]]:
             failures.append(e)
-        if mx.d(e) != mx.v[A.neg(e)]:
+        if mx.d(e) != v[neg[e]]:
             failures.append(e)
     out.append(_forall("boolean-open-closed-swap", failures))
 
@@ -584,10 +588,11 @@ def check_complementary_filter_lemma(A):
     filters = all_filters(A)
     B = classify(A).boolean_center
     for F in filters:
+        complement = A.imp[F.gen][A.bot] if F.gen in B else None
         for G in filters:
             lhs = (filter_meet(F, G).gen == A.top
                    and filter_join(F, G).gen == A.bot)
-            rhs = F.gen in B and G.gen == A.neg(F.gen)
+            rhs = G.gen == complement
             if lhs != rhs:
                 failures.append((print_filter(A, F), print_filter(A, G)))
     return [_forall("complementary-filter-pairs", failures)]
@@ -597,16 +602,22 @@ def check_biresiduum_gap_lemma(A):
     """a always satisfies phi modulo the filter generated by its own
     term gap d(t1(a), t2(a))."""
     failures = []
+    w = A.power_limits
     for name, phi in (("blp", blp_formula()), ("ilp", ilp_formula()),
                       ("rlp", rlp_formula())):
         t1, t2 = atomic_parts(phi)
         left, right = term_values(A, t1, {}), term_values(A, t2, {})
-        for a in A.elements():
-            gap = A.bires(left[a], right[a])
-            Q = quotient(A, principal_filter(A, gap))
-            # bit c is set iff A/F satisfies phi at the class c
-            held = _definable_masks(Q.quotient, phi)[Q.quotient.top]
-            if not held >> Q.class_of[a] & 1:
+        # per generator of a gap filter [gap): the classes of A/[gap) and
+        # the mask whose bit c is set iff A/[gap) satisfies phi at class c
+        held = {}
+        for a, x, y in zip(A.elements(), left, right):
+            gap = A.bires(x, y)
+            if w[gap] not in held:
+                Q = quotient(A, principal_filter(A, gap))
+                held[w[gap]] = (Q.class_of, _definable_masks(
+                    Q.quotient, phi)[Q.quotient.top])
+            class_of, mask = held[w[gap]]
+            if not mask >> class_of[a] & 1:
                 failures.append((name, a))
     return [_forall("gap-filter-satisfaction", failures)]
 

@@ -27,9 +27,12 @@ from rlx.cli import (
     cmd_validate,
 )
 from rlx.core import (
+    ElementClassReport,
     Record,
     _check_square,
+    _validate_lattice,
     classify,
+    complemented_elements,
     direct_product,
     glb_table,
     lub_table,
@@ -57,7 +60,7 @@ from rlx.filters import (
 )
 from rlx.formulas import BoundVar, Const, FreeVar, Neg, Pow, definable_set
 from rlx.io import _logical_lines, _parse_elements_and_order
-from rlx.lifting import has_blp, lp_report
+from rlx.lifting import _split_failure, has_blp, lp_report
 from rlx.iso import permute_relation, permute_table, table_key
 from rlx.reticulation import (
     Reticulation,
@@ -1223,6 +1226,7 @@ def argparse_parser():
     sp = sub.add_parser("check-theorems", help="run the theorem matrix")
     sp.add_argument("file")
     sp.add_argument("--json", action="store_true")
+    sp.add_argument("--stats", action="store_true")
     sp.set_defaults(fn=cmd_check_theorems)
 
     sp = sub.add_parser("enumerate",
@@ -1243,3 +1247,116 @@ def argparse_parser():
     sp.add_argument("--filter", required=True)
     sp.set_defaults(fn=cmd_quotient)
     return p
+
+
+# The loops that the element-vector kernels replaced, kept as the
+# references of differential tests: the library's answers, witnesses
+# included, must be theirs.
+
+
+def scanned_distributivity_witness(leq):
+    """First (a, b, c) with a&(b|c) != (a&b)|(a&c), or None: the O(n^3)
+    scan that decided distributivity before the join-prime test."""
+    join, meet = _validate_lattice(leq)[3:5]
+    n = len(leq)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+                    return (a, b, c)
+    return None
+
+
+def per_filter_lattice_blp(L, F):
+    """Does F lift Boolean elements: B(L/F) inside B(L)/F?  Decided on the
+    quotient of each filter asked, as before the lattice's bitmask."""
+    Q = quotient(L, F)
+    return (complemented_elements(Q.quotient)
+            <= {Q.class_of[e] for e in complemented_elements(L)})
+
+
+def plain_classify(A):
+    """`classify` through the one-line methods, with distributivity read
+    off the scan."""
+    n = A.size
+    boolean = frozenset(
+        a for a in A.elements()
+        if A.join[a][A.neg(a)] == A.top and A.meet[a][A.neg(a)] == A.bot
+    )
+    idem = frozenset(a for a in A.elements() if A.odot[a][a] == a)
+    reg = frozenset(a for a in A.elements() if A.neg(A.neg(a)) == a)
+    nil = frozenset(a for a in A.elements() if A.power_limit(a) == A.bot)
+    arch = frozenset(a for a in A.elements() if A.power_limit(a) in boolean)
+    is_chain = all(A.leq[a][b] or A.leq[b][a]
+                   for a in range(n) for b in range(a + 1, n))
+    is_distributive = scanned_distributivity_witness(A.leq) is None
+    return ElementClassReport(
+        boolean_center=boolean,
+        idempotents=idem,
+        regulars=reg,
+        nilpotents=nil,
+        archimedeans=arch,
+        is_godel=idem == frozenset(A.elements()),
+        is_involutive=reg == frozenset(A.elements()),
+        is_chain=is_chain,
+        is_distributive=is_distributive,
+        is_hyperarchimedean=arch == frozenset(A.elements()),
+    )
+
+
+def plain_splitting(A, us, B):
+    """(holds, witnesses) of "for every x some u in `us` and e in `B` give
+    [x) = [u) v [e)", scanning u, then e, in the given order."""
+    g = [A.power_limit(a) for a in A.elements()]
+    witnesses = {}
+    for x in A.elements():
+        found = next(((u, e) for u in us for e in B
+                      if A.odot[g[u]][g[e]] == g[x]), None)
+        if found is not None:
+            witnesses[x] = found
+    return len(witnesses) == A.size, MappingProxyType(witnesses)
+
+
+def plain_boolean_splitting_conditions(A, max_arity=4):
+    """`boolean_splitting_conditions` through the one-line methods."""
+    B = classify(A).boolean_center
+    w = [A.power_limit(x) for x in A.elements()]
+    u = []
+    for x in A.elements():
+        m = A.top
+        for e in B:
+            if A.leq[w[x]][e]:
+                m = A.meet[m][e]
+        u.append(m)
+    witnesses = {}
+
+    cond1 = has_blp(A)
+
+    cond2 = True
+    for x in A.elements():
+        if not A.leq[w[A.neg(x)]][A.neg(u[x])]:
+            cond2 = False
+            witnesses[2] = (x,)
+            break
+
+    cond3 = True
+    for x in A.elements():
+        for y in A.elements():
+            if A.odot[x][y] != A.bot:
+                continue
+            if A.meet[u[x]][u[y]] != A.bot:
+                cond3 = False
+                witnesses[3] = (x, y)
+                break
+        if not cond3:
+            break
+
+    dead = set()
+    for n in range(2, max_arity + 1):
+        combo = _split_failure(A, u, n, 0, A.top, A.top, dead)
+        if combo is not None:
+            witnesses[4] = combo
+            break
+    cond4 = 4 not in witnesses
+
+    return (cond1, cond2, cond3, cond4), witnesses

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import oracles
+import rlx.cli
 import rlx.enumeration
+import rlx.theorems
 from rlx.cli import COMMANDS, main, parse_args
 from rlx.enumeration import _generate, all_algebras
 from rlx.formulas import (
@@ -24,6 +26,7 @@ from rlx.formulas import (
 from rlx.io import load_rlat, parse_rlat, print_blat, save_rlat
 from rlx.lifting import lp_report
 from rlx.reticulation import build_reticulation
+from rlx.theorems import ALL_CHECKS, TheoremVerdict, theorem_checks
 from test_invariance import permuted
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -445,6 +448,44 @@ def test_analyze_topology_disagreement_exit_code(capsys, monkeypatch):
     assert code == 2
     assert "theorem matrix: 1 checks, 1 disagreements" in out
     assert "!! stub: lhs=True rhs=False witness=None" in out
+
+
+def _stats_table(err):
+    """(family, rows, ms) per line of the --stats table on stderr."""
+    lines = [line.split() for line in err.splitlines()]
+    assert lines[0] == ["family", "rows", "ms"]
+    return [(name, int(rows), float(ms)) for name, rows, ms in lines[1:]]
+
+
+def test_check_theorems_stats_times_each_row_family(capsys, monkeypatch):
+    """--stats prints the rows and milliseconds of each row family, and
+    their total, to stderr; stdout and the exit code are those of the
+    call without it, on every fixture, plain and --json, and on a matrix
+    with a disagreeing row."""
+    for path in sorted(FIXTURES.glob("*.rlat")):
+        rows = len(theorem_checks(load_rlat(path)))
+        for extra in ([], ["--json"]):
+            plain = run_cli(capsys, "check-theorems", *extra, str(path))
+            code, out, err = run_cli(capsys, "check-theorems", *extra,
+                                     "--stats", str(path))
+            assert (code, out, plain[2]) == (plain[0], plain[1], "")
+            table = _stats_table(err)
+            assert [name for name, _, _ in table] == [
+                fn.__name__ for fn in ALL_CHECKS] + ["total"]
+            assert table[-1][1] == sum(n for _, n, _ in table[:-1]) == rows
+            assert all(ms >= 0 for _, _, ms in table)
+
+    def disagreeing(A):
+        return [TheoremVerdict("stub", True, False, False, None)]
+
+    for module in (rlx.theorems, rlx.cli):
+        monkeypatch.setattr(module, "ALL_CHECKS", (disagreeing,))
+    path = str(FIXTURES / "b2.rlat")
+    plain = run_cli(capsys, "check-theorems", path)
+    code, out, err = run_cli(capsys, "check-theorems", "--stats", path)
+    assert (code, out) == plain[:2] and code == 2
+    assert [row[:2] for row in _stats_table(err)] == [("disagreeing", 1),
+                                                      ("total", 1)]
 
 
 # Every example of the README's CLI section, with and without its

@@ -8,22 +8,28 @@ from rlx.core import (
     leq_from_covers,
 )
 from rlx.dlattice import (
+    _lattice_blp_failures,
     _split_witness,
     is_conormal_lattice,
     is_normal_lattice,
     lattice_blp,
+    lattice_blp_filter,
     conormal_radical_lifting,
     validate_bdl,
 )
 from rlx.errors import NotConormal, NotDistributive
 from rlx.filters import Filter, all_filters, max_spec, quotient, radical, spec
+from rlx.io import load_rlat
 from rlx.reticulation import build_reticulation
+from rlx.spectra import filter_lattice
 
+from conftest import FIXTURES
 from oracles import (
     dense_radical,
     distributive_lattices,
     lattice_is_filter,
     pair_split_witness,
+    per_filter_lattice_blp,
 )
 
 
@@ -204,3 +210,23 @@ def test_prime_and_max_filters_of_lattice():
     primes = {P.members for P in spec(L)}
     assert primes == {frozenset({1, 3}), frozenset({2, 3})}
     assert {M.members for M in max_spec(L)} == primes
+
+
+def test_lattice_blp_mask_matches_the_per_filter_quotients(corpus5, corpus6):
+    """Each filter's bit of the lattice's mask is the verdict of its own
+    quotient, B(L/F) inside B(L)/F, on every reticulation and filter
+    lattice of the algebras of sizes 1..6, the fixtures and 2^6, and the
+    mask sets exactly the failing filters."""
+    algebras = [*corpus5, *corpus6, boolean_algebra(6),
+                *(load_rlat(path) for path in sorted(FIXTURES.glob("*.rlat")))]
+    lattices = {L: None for A in algebras
+                for L in (build_reticulation(A).lattice, filter_lattice(A))}
+    verdicts = set()
+    for L in lattices:
+        expected = {F: per_filter_lattice_blp(L, F) for F in all_filters(L)}
+        assert {F: lattice_blp_filter(L, F) for F in expected} == expected
+        assert lattice_blp(L) == (expected, all(expected.values()))
+        assert _lattice_blp_failures(L) == sum(
+            1 << F.gen for F, lifts in expected.items() if not lifts)
+        verdicts.update(expected.values())
+    assert verdicts == {False, True}

@@ -14,6 +14,7 @@ from rlx.filters import (
     all_filters,
     principal_filter,
     quotient,
+    radical,
     spec,
 )
 from rlx.formulas import (
@@ -38,9 +39,14 @@ from rlx.lifting import (
     boolean_splitting_conditions,
 )
 
+from rlx.spectra import star_property, star_star_property
+
 from oracles import (
     brute_boolean_splitting_conditions,
+    plain_boolean_splitting_conditions,
+    plain_classify,
     plain_split_failure,
+    plain_splitting,
     product_lp_check,
     quotient_filter_verdict,
     trivial_filter,
@@ -259,6 +265,35 @@ def test_split_failure_memo_matches_plain_scan(corpus5, corpus6, E1, E2):
                 (A, k)
             found.add(combo is None)
     assert found == {False, True}
+
+
+def test_element_vector_scans_match_the_plain_loops(corpus5, corpus6, E1, E2):
+    """`classify`, the Boolean splitting conditions and the two splitting
+    properties, which index the power limits and the negation column,
+    return what the loops through the one-line methods returned,
+    witnesses and their order included, on sizes 1..6 and the products
+    whose matrices are pinned."""
+    algebras = [*corpus5, *corpus6, direct_product(E1, E1),
+                direct_product(E1, E2), direct_product(E2, godel_chain(3))]
+    held = set()
+    for A in algebras:
+        assert classify(A) == plain_classify(A), A
+        verdicts, witnesses = boolean_splitting_conditions(A)
+        expected = plain_boolean_splitting_conditions(A)
+        assert (verdicts, list(witnesses.items())) == (
+            expected[0], list(expected[1].items())), A
+        B = sorted(classify(A).boolean_center)
+        nilpotent_negation = [u for u in A.elements()
+                              if A.power_limit(A.neg(u)) == A.bot]
+        for (holds, found), us in (
+                (star_property(A), sorted(radical(A).members)),
+                (star_star_property(A), nilpotent_negation)):
+            plain = plain_splitting(A, us, B)
+            assert (holds, list(found.items())) == (
+                plain[0], list(plain[1].items())), A
+            held.add(holds)
+        held.update(verdicts)
+    assert held == {False, True}
 
 
 def test_regular_lifting_double_negation_trace(corpus5, E1, E2):

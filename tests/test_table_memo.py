@@ -17,7 +17,11 @@ import rlx.core
 from conftest import FIXTURES, clear_memos
 from rlx.cli import main
 from rlx.core import classify, complemented_elements, validate
-from rlx.dlattice import is_conormal_lattice, is_normal_lattice
+from rlx.dlattice import (
+    _lattice_blp_failures,
+    is_conormal_lattice,
+    is_normal_lattice,
+)
 from rlx.filters import (
     _filters,
     all_filters,
@@ -44,6 +48,7 @@ TABLE_MEMOS = (
     (quotient, 5), (_lift_failures, 3), (is_gelfand, 1), (star_property, 1),
     (build_reticulation, 1), (_definable_masks, 3), (is_normal_lattice, 1),
     (is_conormal_lattice, 1), (_build, 2), (local_factor_decomposition, 1),
+    (_lattice_blp_failures, 1),
 )
 
 
