@@ -143,7 +143,8 @@ def cmd_check_theorems(args):
 
 def _timed_checks(A):
     """The rows of `theorem_checks`, printing the rows and milliseconds of
-    each row family to stderr; `theorem_checks` itself stays untimed."""
+    each row family to stderr, then the hits and misses of every memo of
+    the loaded rlx modules; `theorem_checks` itself stays untimed."""
     verdicts, lines, start = [], [], perf_counter()
     for fn in ALL_CHECKS:
         t = perf_counter()
@@ -154,6 +155,13 @@ def _timed_checks(A):
     print(f"{'family':<40}{'rows':>6}{'ms':>10}", file=sys.stderr)
     for name, rows, seconds in lines:
         print(f"{name:<40}{rows:>6}{seconds * 1000:>10.3f}", file=sys.stderr)
+    print(f"{'memo':<40}{'hits':>8}{'misses':>8}", file=sys.stderr)
+    for module in sorted(m for m in sys.modules if m.startswith("rlx.")):
+        for name, fn in vars(sys.modules[module]).items():
+            if hasattr(fn, "cache_info") and fn.__module__ == module:
+                info, name = fn.cache_info(), f"{module[4:]}.{name}"
+                print(f"{name:<40}{info.hits:>8}{info.misses:>8}",
+                      file=sys.stderr)
     return verdicts
 
 

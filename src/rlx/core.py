@@ -543,11 +543,14 @@ def covers_of(leq):
 
 @lru_cache(maxsize=None)
 def shared_set(value):
-    """The one stored frozenset of element ids equal to `value`.
+    """The one stored value equal to `value`: a frozenset of element ids,
+    or a tuple of the rows or verdicts the theorem matrix decides once
+    per filter signature.
 
     Filters and element classes repeat from algebra to algebra: on n
-    elements each is one of at most 2^n sets.  So they share one object
-    per distinct set, and the store grows with the sets, not with the
+    elements each is one of at most 2^n sets.  The matrix's shared rows
+    and verdicts repeat across signatures.  So they share one object per
+    distinct value, and the store grows with the values, not with the
     algebras."""
     return value
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import Record, ResiduatedLattice, shared_set, validate
+from .core import Record, ResiduatedLattice, classify, shared_set, validate
 from .errors import AxiomViolation
 
 
@@ -109,13 +109,38 @@ def principal_filter(A, x):
     return generated_filter(A, (x,))
 
 
+class Signature(tuple):
+    """An algebra's filter signature, then the algebra: its order, power
+    limits, idempotents, the products of idempotents, Boolean center and
+    the negations of the Boolean elements, all that Filt, Spec, Max, Rad,
+    B(A) and L(A) read of it.  A signature compares and hashes as these
+    six fields: the algebra is not one of them."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self[:-1] == other[:-1]
+
+    def __hash__(self):
+        return hash(self[:-1])
+
+
+@lru_cache(maxsize=None)
+def representative(signature):
+    """The one stored signature equal to `signature`, kept as
+    `core.shared_set` keeps sets: its algebra, the first seen with these
+    fields, represents every algebra that has them."""
+    return signature
+
+
 @lru_cache(maxsize=None)
 def _filters(A):
-    """(upsets, filters, primes, maxima, radical) of A: the filter [e) for
-    every idempotent e (None elsewhere), every filter, the prime and the
-    maximal filters, each in all_filters order, and the radical, with the
-    maximal filters asserted to be prime.  Each filter is one object,
-    built once per table pair."""
+    """(upsets, filters, primes, maxima, radical, representative) of A: the
+    filter [e) for every idempotent e (None elsewhere), every filter, the
+    prime and the maximal filters, each in all_filters order, the radical,
+    with the maximal filters asserted to be prime, and the representative
+    of A's :class:`Signature`.  Each filter is one object, built once per
+    table pair."""
     upsets = tuple(Filter(A, frozenset(x for x in A.elements() if A.leq[e][x]))
                    if A.odot[e][e] == e else None for e in A.elements())
     for F in upsets:
@@ -132,7 +157,14 @@ def _filters(A):
     rad = A.bot
     for M in maxima:
         rad = A.join[rad][M.gen]
-    return upsets, filters, primes, maxima, upsets[rad]
+    report = classify(A)
+    idem, B = sorted(report.idempotents), sorted(report.boolean_center)
+    signature = Signature((
+        A.leq, A.power_limits, report.idempotents,
+        tuple(A.odot[e][f] for e in idem for f in idem if e <= f),
+        report.boolean_center, tuple(A.imp[e][A.bot] for e in B), A))
+    return (upsets, filters, primes, maxima, upsets[rad],
+            representative(signature)[-1])
 
 
 def all_filters(A):

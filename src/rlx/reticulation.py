@@ -76,20 +76,13 @@ def _assert_axioms(A, lam, leq):
             assert row[lb] == above[b]
 
 
-def verify_retic_properties(R):
+def verify_retic_properties(R, shared=None):
     """The eight structural properties of the canonical reticulation; each
-    returns True or raises, and the verdict vector is handed back."""
-    A, L, lam = R.source, R.lattice, R.lam
-    verdicts = {}
-
-    # (1) bounded-lattice morphism on the lattice reduct
-    ok = lam[A.bot] == L.bot and lam[A.top] == L.top
-    for a, la in enumerate(lam):
-        meet, join, lmeet, ljoin = A.meet[a], A.join[a], L.meet[la], L.join[la]
-        for b, lb in enumerate(lam):
-            if lam[meet[b]] != lmeet[lb] or lam[join[b]] != ljoin[lb]:
-                ok = False
-    verdicts[1] = ok
+    returns True or raises, and the verdict vector is handed back.
+    `shared`, the (property, verdict) pairs of :func:`signature_properties`
+    on an algebra with the same filter signature, stands for them."""
+    A, lam = R.source, R.lam
+    verdicts = dict(shared or signature_properties(R))
 
     # (2) lam(a) = lam(b) iff [a) = [b): the pairs take as many values as each
     gens = [principal_filter(A, a).gen for a in A.elements()]
@@ -104,19 +97,38 @@ def verify_retic_properties(R):
             ok = ok and lam[p] == la
     verdicts[3] = ok
 
+    # (8) reticulation of a quotient is the quotient of the reticulation
+    ok = True
+    for F in all_filters(A):
+        ok = ok and _retic_quotient_match(A, R, F)
+    verdicts[8] = ok
+    return verdicts
+
+
+def signature_properties(R):
+    """Properties (1) and (4)-(7), which read only the source's filter
+    signature (`filters.Signature`)."""
+    A, L, lam = R.source, R.lattice, R.lam
+    verdicts = {}
+
+    # (1) bounded-lattice morphism on the lattice reduct
+    verdicts[1] = (lam[A.bot] == L.bot and lam[A.top] == L.top and all(
+        lam[A.meet[a][b]] == L.meet[la][lb]
+        and lam[A.join[a][b]] == L.join[la][lb]
+        for a, la in enumerate(lam) for b, lb in enumerate(lam)))
+
     # (4) the preimage map is a filter-lattice isomorphism with inverse
     #     F -> lam(F); pre[i] is the preimage of the i-th lattice filter
     lat_filts = all_filters(L)
     pre = [frozenset(x for x in A.elements() if lam[x] in H.members)
            for H in lat_filts]
     alg_filts = {F.members for F in all_filters(A)}
-    ok = set(pre) == alg_filts and len(pre) == len(alg_filts)
-    for H, P in zip(lat_filts, pre):
-        ok = ok and frozenset(lam[x] for x in P) == H.members
-    for H, P in zip(lat_filts, pre):
-        for K, PK in zip(lat_filts, pre):
-            ok = ok and ((H <= K) == (P <= PK))
-    verdicts[4] = ok
+    pairs = list(zip(lat_filts, pre))
+    verdicts[4] = (set(pre) == alg_filts and len(pre) == len(alg_filts)
+                   and all(frozenset(lam[x] for x in P) == H.members
+                           for H, P in pairs)
+                   and all((H <= K) == (P <= PK)
+                           for H, P in pairs for K, PK in pairs))
 
     # (5, 6) homeomorphisms of the prime and maximal spectra
     verdicts[5] = _spectrum_homeo(A, R, "spec")
@@ -126,21 +138,13 @@ def verify_retic_properties(R):
     BA = sorted(classify(A).boolean_center)
     BL = complemented_elements(L)
     image = {lam[e] for e in BA}
-    ok = image == BL and len({lam[e] for e in BA}) == len(BA)
-    for e in BA:
-        for f in BA:
-            ok = ok and lam[A.join[e][f]] == L.join[lam[e]][lam[f]]
-            ok = ok and lam[A.meet[e][f]] == L.meet[lam[e]][lam[f]]
-        # complements map to complements
-        ne = lam[A.imp[e][A.bot]]
-        ok = ok and L.meet[lam[e]][ne] == L.bot and L.join[lam[e]][ne] == L.top
-    verdicts[7] = ok
-
-    # (8) reticulation of a quotient is the quotient of the reticulation
-    ok = True
-    for F in all_filters(A):
-        ok = ok and _retic_quotient_match(A, R, F)
-    verdicts[8] = ok
+    # joins, meets and complements are kept
+    verdicts[7] = (image == BL and len(image) == len(BA) and all(
+        lam[A.join[e][f]] == L.join[lam[e]][lam[f]]
+        and lam[A.meet[e][f]] == L.meet[lam[e]][lam[f]]
+        for e in BA for f in BA) and all(
+        L.meet[lam[e]][lam[A.imp[e][A.bot]]] == L.bot
+        and L.join[lam[e]][lam[A.imp[e][A.bot]]] == L.top for e in BA))
     return verdicts
 
 
@@ -164,22 +168,11 @@ def _spectrum_homeo(A, R, kind):
     # index map: lattice point i -> algebra point position
     pos = [where[p] for p in pre]
     # lattice-side opens: complements of up-families; H <= P iff P.gen <= H.gen
-    lat_opens = set()
-    for H in all_filters(L):
-        mask = 0
-        for i, P in enumerate(lat_points):
-            if not L.leq[P.gen][H.gen]:
-                mask |= 1 << i
-        lat_opens.add(mask)
+    lat_opens = {sum(1 << i for i, P in enumerate(lat_points)
+                     if not L.leq[P.gen][H.gen]) for H in all_filters(L)}
     # transport algebra opens through the bijection and compare
-    transported = set()
-    for U in space.opens:
-        mask = 0
-        for i in range(len(lat_points)):
-            if (U >> pos[i]) & 1:
-                mask |= 1 << i
-        transported.add(mask)
-    return transported == lat_opens
+    return lat_opens == {sum(1 << i for i, p in enumerate(pos) if U >> p & 1)
+                         for U in space.opens}
 
 
 def _induced_map(lam1, lam2, L1, L2):

@@ -4,7 +4,7 @@ the principal-filter splitting properties."""
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from types import MappingProxyType
 
 from .core import Record, classify
@@ -260,31 +260,20 @@ def gelfand_conditions(A):
     out[8] = topology_predicates(stone_spec(A))["normal"]
 
     # (10) {P : P <= M} closed for every maximal M
-    sp = stone_spec(A)
-    cond10 = True
-    for M in max_spec(A):
-        below = sp.mask_of([P for P in sp.points if P <= M])
-        if not sp.is_closed(below):
-            cond10 = False
-            break
-    out[10] = cond10
+    sp, maxima = stone_spec(A), max_spec(A)
+    out[10] = all(sp.is_closed(sp.mask_of([P for P in sp.points if P <= M]))
+                  for M in maxima)
 
     # (12) M is the only maximal filter over the intersection of its primes
-    cond12 = True
-    for M in max_spec(A):
-        inter = improper_filter(A)
-        for P in spec(A):
-            if P <= M:
-                inter = filter_meet(inter, P)
-        over = [N for N in max_spec(A) if inter <= N]
-        if over != [M]:
-            cond12 = False
-            break
-    out[12] = cond12
+    def over(M):
+        inter = reduce(filter_meet, [P for P in sp.points if P <= M],
+                       improper_filter(A))
+        return [N for N in maxima if inter <= N]
+    out[12] = all(over(M) == [M] for M in maxima)
 
     # (14) distinct maximal filters have disjoint least opens in Spec
     nb = _neighbourhoods(len(sp.points), sp.opens)
-    near = [nb[sp.mask_of([M]).bit_length() - 1] for M in max_spec(A)]
+    near = [nb[sp.mask_of([M]).bit_length() - 1] for M in maxima]
     out[14] = all(U & V == 0 for i, U in enumerate(near)
                   for V in near[i + 1:])
 

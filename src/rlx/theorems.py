@@ -9,12 +9,15 @@ bug, not a property of the input algebra.
 from __future__ import annotations
 
 import sys
-from functools import lru_cache
+from collections import namedtuple
+from functools import lru_cache, reduce
 from math import prod
+from operator import and_, or_
 
-from .core import Record, classify, upset_algebra
+from .core import Record, classify, shared_set, upset_algebra
 from .dlattice import is_conormal_lattice, conormal_radical_lifting, lattice_blp
 from .filters import (
+    _filters,
     all_filters,
     filter_image,
     filter_join,
@@ -25,7 +28,6 @@ from .filters import (
     principal_filter,
     quotient,
     radical,
-    spec,
 )
 from .formulas import (
     _definable_masks,
@@ -37,6 +39,7 @@ from .formulas import (
 )
 from .io import print_filter
 from .lifting import (
+    _lift_failures,
     atomic_lp_characterization,
     filter_lifts,
     has_blp,
@@ -48,7 +51,6 @@ from .spectra import (
     clopen_sets,
     clopen_via_boolean,
     gelfand_conditions,
-    is_gelfand,
     star_property,
     star_star_property,
     stone_max,
@@ -59,6 +61,7 @@ from .reticulation import (
     archimedean_bridge,
     blp_transfer,
     build_reticulation,
+    signature_properties,
     verify_retic_properties,
 )
 
@@ -88,7 +91,8 @@ class TheoremVerdict(Record):
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(self.as_dict().values()))
+        return hash((self.theorem_id, self.lhs, self.rhs, self.agree,
+                     self.witness))
 
     def __repr__(self):
         fields = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
@@ -164,41 +168,43 @@ def check_factor_congruences(A):
     """Complementary filter pairs behave like product decompositions."""
     failures = []
     filters = all_filters(A)
+    lifts = [(has_lp, has_lp(A)) for has_lp in (has_blp, has_ilp)]
     for F in filters:
         for G in filters:
             if filter_meet(F, G).gen != A.top:
                 continue
             if filter_join(F, G).gen != A.bot:
                 continue
-            for has_lp in (has_blp, has_ilp):
+            for has_lp, whole in lifts:
                 parts = (has_lp(quotient(A, F).quotient)
                          and has_lp(quotient(A, G).quotient))
-                if has_lp(A) != parts:
+                if whole != parts:
                     failures.append((print_filter(A, F), print_filter(A, G)))
     return [_forall("factor-congruence-lift", failures)]
 
 
 def check_monotone_lifting(A):
     """If the Boolean (resp. idempotent) classes cover a quotient, every
-    larger filter lifts.  Whether G lifts does not depend on F: each pair
-    reads G's bit of the algebra's lifting mask."""
+    larger filter lifts.  Whether G lifts does not depend on F: G's two
+    bits of the algebra's lifting masks are read once, for every pair."""
     failures = []
-    B = classify(A).boolean_center
-    idem = classify(A).idempotents
+    report = classify(A)
+    B, idem = report.boolean_center, report.idempotents
     filters = all_filters(A)
+    lifts = [(G, filter_lifts(A, blp_formula(), G),
+              filter_lifts(A, ilp_formula(), G)) for G in filters]
     for F in filters:
         Q = quotient(A, F)
         all_classes = set(range(Q.quotient.size))
         b_covers = {Q.class_of[e] for e in B} == all_classes
         i_covers = {Q.class_of[e] for e in idem} == all_classes
-        for G in filters:
+        for G, blp, ilp in lifts:
             if not F <= G:
                 continue
-            if b_covers and not (filter_lifts(A, blp_formula(), G)
-                                 and filter_lifts(A, ilp_formula(), G)):
+            if b_covers and not (blp and ilp):
                 failures.append(("boolean", print_filter(A, F),
                                  print_filter(A, G)))
-            if i_covers and not filter_lifts(A, ilp_formula(), G):
+            if i_covers and not ilp:
                 failures.append(("idempotent", print_filter(A, F),
                                  print_filter(A, G)))
     return [_forall("covering-classes-lift-upward", failures)]
@@ -206,30 +212,30 @@ def check_monotone_lifting(A):
 
 def check_chain_facts(A):
     report = classify(A)
+    primes, maxima = _filters(A)[2:4]
+    # the lifting masks: bit e is set iff [e) fails
+    blp = _lift_failures(A, blp_formula())
+    ilp = _lift_failures(A, ilp_formula())
+    local = len(maxima) == 1
     out = []
     # the one-element algebra has no proper filters, hence no maximal
     # filter; locality statements are read for non-trivial algebras
     nontrivial_chain = report.is_chain and A.size > 1
-    out.append(_implies("chain-local", nontrivial_chain, is_local(A)))
-    out.append(_implies("local-blp", is_local(A), has_blp(A)))
-    out.append(_implies("chain-blp", report.is_chain, has_blp(A)))
-    out.append(_implies("finite-chain-ilp", report.is_chain, has_ilp(A)))
+    out.append(_implies("chain-local", nontrivial_chain, local))
+    out.append(_implies("local-blp", local, not blp))
+    out.append(_implies("chain-blp", report.is_chain, not blp))
+    out.append(_implies("finite-chain-ilp", report.is_chain, not ilp))
     failures = []
     if report.is_chain:
-        for a in sorted(report.idempotents):
-            if not filter_lifts(A, ilp_formula(), principal_filter(A, a)):
-                failures.append(a)
+        # an idempotent generates its own principal filter
+        failures = [a for a in sorted(report.idempotents) if ilp >> a & 1]
     out.append(_forall("chain-idempotent-filter-ilp", failures))
-    prime_failures = []
-    for P in spec(A):
-        if not filter_lifts(A, blp_formula(), P):
-            prime_failures.append(print_filter(A, P))
+    prime_failures = [print_filter(A, P) for P in primes if blp >> P.gen & 1]
     out.append(_forall("prime-filters-blp", prime_failures))
     out.append(_implies("hyperarchimedean-blp",
-                        report.is_hyperarchimedean, has_blp(A)))
+                        report.is_hyperarchimedean, not blp))
     out.append(_equiv("hyperarchimedean-spec-is-max",
-                      report.is_hyperarchimedean,
-                      len(spec(A)) == len(max_spec(A))))
+                      report.is_hyperarchimedean, len(primes) == len(maxima)))
     return out
 
 
@@ -239,34 +245,32 @@ def check_spec_strong_zero_dim(A):
     return [_equiv("spec-strong-zero-dim.blp", blp, szd)]
 
 
-def check_max_boolean_forms(A):
-    """The eight equivalent Boolean-lifting conditions through Max(A)."""
-    blp = has_blp(A)
+def _max_boolean_forms(A):
+    """Conditions 2 and 3 of :func:`check_max_boolean_forms`, which read
+    only A's filter signature: distinct maximal filters are split by a
+    Boolean element and its negation, and the d(e) are a basis of Max(A):
+    each open is the union of the d(e) inside it."""
     B = sorted(classify(A).boolean_center)
     mx = stone_max(A)
     maxima = [M.members for M in max_spec(A)]
     pairs = [(e, A.imp[e][A.bot]) for e in B]
+    split = all(any(e in M and ne in N for e, ne in pairs)
+                and any(e in N and ne in M for e, ne in pairs)
+                for i, M in enumerate(maxima) for N in maxima[i + 1:])
+    basis = [mx.d(e) for e in B]
+    return split, all(U == reduce(or_, (D for D in basis if D & ~U == 0), 0)
+                      for U in mx.opens)
+
+
+def check_max_boolean_forms(A):
+    """The eight equivalent Boolean-lifting conditions through Max(A)."""
+    blp = has_blp(A)
+    side = _side(A)
+    B = sorted(classify(A).boolean_center)
+    mx = stone_max(A)
     v, full = mx.v, mx.full
     vd = [(v[e], full & ~v[e]) for e in B]
-
-    # (2) distinct maximals split by a Boolean element and its negation
-    cond2 = True
-    for i, M in enumerate(maxima):
-        for N in maxima[i + 1:]:
-            if not any(e in M and ne in N for e, ne in pairs) or \
-               not any(e in N and ne in M for e, ne in pairs):
-                cond2 = False
-    # (3) {d(e)} is a basis of Max(A)
-    basis = {de for _, de in vd}
-    cond3 = True
-    for U in mx.opens:
-        acc = 0
-        for Dm in basis:
-            if Dm & ~U == 0:
-                acc |= Dm
-        if acc != U:
-            cond3 = False
-            break
+    cond2, cond3 = side.split_maximals, side.boolean_basis
     # (10') every a admits Boolean e with v(a) <= d(e), v(!a) <= v(e)
     cond10 = True
     for va, row in zip(v, A.imp):
@@ -280,7 +284,7 @@ def check_max_boolean_forms(A):
             cond10 = False
             break
     preds = topology_predicates(mx)
-    gel = is_gelfand(A)
+    gel = side.gelfand
     conds = {
         "split-maximals": cond2,
         "boolean-basis": cond3,
@@ -295,9 +299,10 @@ def check_max_boolean_forms(A):
 
 
 def check_star_forms(A):
-    holds, _ = star_property(A)
+    record = _filters(A)
+    holds = _filter_side(record[5]).star
     B = sorted(classify(A).boolean_center)
-    rad = radical(A).members
+    rad = record[4].members
     mx = stone_max(A)
     w, bot, neg = A.power_limits, A.bot, [row[A.bot] for row in A.imp]
 
@@ -332,24 +337,22 @@ def check_star_forms(A):
 
 
 def check_star_chain(A):
-    star, _ = star_property(A)
     starstar, _ = star_star_property(A)
+    blp = has_blp(A)
     return [
-        _implies("star-implies-blp", star, has_blp(A)),
-        _implies("blp-implies-starstar", has_blp(A), starstar),
+        _implies("star-implies-blp", _side(A).star, blp),
+        _implies("blp-implies-starstar", blp, starstar),
     ]
 
 
 def check_gelfand_forms(A):
-    conds = gelfand_conditions(A)
-    base = conds[4]
-    return [_equiv(f"gelfand-forms.{k}", base, conds[k])
-            for k in sorted(conds) if k != 4]
+    return list(_side(A).gelfand_forms)
 
 
 def check_radical_lifting_consequences(A):
-    gel = is_gelfand(A)
-    ok = filter_lifts(A, blp_formula(), radical(A))
+    record = _filters(A)
+    ok = filter_lifts(A, blp_formula(), record[4])
+    gel = _filter_side(record[5]).gelfand
     out = [_implies("gelfand-radical-blp", gel, ok)]
     # the lattice side: conormal lattices lift their radical
     R = build_reticulation(A)
@@ -392,9 +395,9 @@ def check_semisimple_star_equivalences(A):
     semisimple = is_semisimple(A)
     out = []
     if semisimple:
-        star, _ = star_property(A)
+        side = _side(A)
+        star, gel = side.star, side.gelfand
         blp = has_blp(A)
-        gel = is_gelfand(A)
         out.append(_equiv("semisimple-semilocal.star-blp", star, blp))
         out.append(_equiv("semisimple-semilocal.blp-gelfand", blp, gel))
     else:
@@ -406,7 +409,7 @@ def check_semisimple_hausdorff(A):
     semisimple = is_semisimple(A)
     hausdorff = topology_predicates(stone_max(A))["hausdorff"]
     return [_implies("semisimple-hausdorff-gelfand",
-                     semisimple and hausdorff, is_gelfand(A))]
+                     semisimple and hausdorff, _side(A).gelfand)]
 
 
 @lru_cache(maxsize=None)
@@ -460,9 +463,10 @@ def check_local_product_square(A):
     """Semilocal equivalence square: radical lifting, global lifting, the
     star splitting, and product-of-locals all coincide (finite algebras
     are semilocal)."""
-    ok_rad = filter_lifts(A, blp_formula(), radical(A))
-    blp = has_blp(A)
-    star, _ = star_property(A)
+    record = _filters(A)
+    fails = _lift_failures(A, blp_formula())  # bit e: [e) fails
+    ok_rad, blp = not fails >> record[4].gen & 1, not fails
+    star = _filter_side(record[5]).star
     is_prod, locals_ok, sizes = local_factor_decomposition(A)
     prod_of_locals = is_prod and locals_ok
     return [
@@ -474,8 +478,8 @@ def check_local_product_square(A):
 
 
 def check_gelfand_consequences(A):
-    gel = is_gelfand(A)
-    star, _ = star_property(A)
+    side = _side(A)
+    gel, star = side.gelfand, side.star
     is_prod, locals_ok, _sizes = local_factor_decomposition(A)
     return [
         _implies("gelfand-blp", gel, has_blp(A)),
@@ -487,9 +491,9 @@ def check_gelfand_consequences(A):
 def check_spectral_lemmas(A):
     out = []
     mx = stone_max(A)
-    sp = stone_spec(A)
     B = sorted(classify(A).boolean_center)
-    rad = radical(A)
+    record = _filters(A)
+    rad, shared = record[4], _filter_side(record[5]).spectral
     w, bot, neg = A.power_limits, A.bot, [row[A.bot] for row in A.imp]
 
     v, full = mx.v, mx.full
@@ -518,20 +522,7 @@ def check_spectral_lemmas(A):
         if d[a] != union:
             failures.append(a)
     out.append(_forall("complement-as-power-union", failures))
-
-    # closure of Max inside Spec is V(Rad); semisimple means dense
-    max_mask = sp.mask_of([P for P in sp.points
-                           if any(P.members == M.members for M in max_spec(A))])
-    closure = sp.full
-    for U in sp.opens:
-        closed = sp.full & ~U
-        if max_mask & ~closed == 0:
-            closure &= closed
-    out.append(_equiv("max-closure-is-radical-locus",
-                      closure == sp.v[rad.gen], True))
-    semisimple = is_semisimple(A)
-    out.append(_implies("semisimple-max-dense", semisimple,
-                        closure == sp.full))
+    out.extend(shared[:2])
 
     # Max(A) is homeomorphic to Max(A / Rad) through the filter correspondence
     Q = quotient(A, rad)
@@ -558,44 +549,54 @@ def check_spectral_lemmas(A):
             transported.add(m)
         ok = transported == set(mxq.opens)
     out.append(_equiv("max-of-semisimple-quotient-homeo", ok, True))
+    return out + list(shared[2:])
 
-    # D(e) = V(!e) for Boolean e, on both spaces
-    failures = []
-    for e in B:
-        if sp.d(e) != sp.v[neg[e]]:
-            failures.append(e)
-        if mx.d(e) != v[neg[e]]:
-            failures.append(e)
-    out.append(_forall("boolean-open-closed-swap", failures))
 
-    # clopen families
-    clp = clopen_sets(sp)
-    out.append(_equiv("clopen-spec-boolean",
-                      set(clp) == set(clopen_via_boolean(A, "spec")), True))
-    clpm = clopen_sets(mx)
-    via = set(clopen_via_boolean(A, "max"))
-    if is_gelfand(A) or semisimple:
-        out.append(_equiv("clopen-max-boolean", set(clpm) == via, True))
-    else:
-        out.append(_implies("clopen-max-boolean", False, True))
-    return out
+def _spectral_rows(A, gelfand):
+    """The rows of :func:`check_spectral_lemmas` that read only A's filter
+    signature; `gelfand` is whether A is Gelfand.  The closure of Max in
+    Spec is V(Rad), and dense when A is semisimple; D(e) = V(!e) for
+    Boolean e on both spaces; the clopens are the D(e)."""
+    mx, sp = stone_max(A), stone_spec(A)
+    semisimple = is_semisimple(A)
+    maxima = {M.members for M in max_spec(A)}
+    max_mask = sp.mask_of([P for P in sp.points if P.members in maxima])
+    closure = reduce(and_, (sp.full & ~U for U in sp.opens
+                            if max_mask & U == 0), sp.full)
+    swapped = [e for e in sorted(classify(A).boolean_center)
+               for S in (sp, mx) if S.d(e) != S.v[A.imp[e][A.bot]]]
+    clopen = [set(clopen_sets(S)) == set(clopen_via_boolean(A, kind))
+              for S, kind in ((sp, "spec"), (mx, "max"))]
+    return (_equiv("max-closure-is-radical-locus",
+                   closure == sp.v[radical(A).gen], True),
+            _implies("semisimple-max-dense", semisimple, closure == sp.full),
+            _forall("boolean-open-closed-swap", swapped),
+            _equiv("clopen-spec-boolean", clopen[0], True),
+            _equiv("clopen-max-boolean", clopen[1], True)
+            if gelfand or semisimple
+            else _implies("clopen-max-boolean", False, True))
 
 
 def check_complementary_filter_lemma(A):
     """F, G intersect trivially and join improperly iff they are the
-    principal filters of a complementary Boolean pair."""
-    failures = []
-    filters = all_filters(A)
-    B = classify(A).boolean_center
-    for F in filters:
-        complement = A.imp[F.gen][A.bot] if F.gen in B else None
-        for G in filters:
-            lhs = (filter_meet(F, G).gen == A.top
-                   and filter_join(F, G).gen == A.bot)
-            rhs = G.gen == complement
-            if lhs != rhs:
-                failures.append((print_filter(A, F), print_filter(A, G)))
+    principal filters of a complementary Boolean pair.  The lemma reads
+    only the filter signature: the first failing pair of generators is
+    found on the representative and shown under A's labels."""
+    upsets, *_, R = _filters(A)
+    pair = _filter_side(R).complementary
+    failures = ([tuple(print_filter(A, upsets[e]) for e in pair)]
+                if pair else [])
     return [_forall("complementary-filter-pairs", failures)]
+
+
+def _complementary_failure(A):
+    """The generators of the first filters F, G against the lemma of
+    :func:`check_complementary_filter_lemma`, or None."""
+    filters, B = all_filters(A), classify(A).boolean_center
+    return next(((F.gen, G.gen) for F in filters for G in filters
+                 if (filter_meet(F, G).gen == A.top
+                     and filter_join(F, G).gen == A.bot)
+                 != (F.gen in B and G.gen == A.imp[F.gen][A.bot])), None)
 
 
 def check_biresiduum_gap_lemma(A):
@@ -623,24 +624,56 @@ def check_biresiduum_gap_lemma(A):
 
 
 def check_retic_bridge(A):
-    R = build_reticulation(A)
-    verdicts = verify_retic_properties(R)
+    _, filters, *_, R = _filters(A)
+    side = _filter_side(R)
+    verdicts = verify_retic_properties(build_reticulation(A), side.retic)
     out = [_equiv(f"reticulation-structure.{k}", v, True)
            for k, v in sorted(verdicts.items())]
 
-    failures = []
-    for F in all_filters(A):
-        in_a, in_l = blp_transfer(A, F)
-        if in_a != in_l:
-            failures.append(print_filter(A, F))
+    # bit e of `fails` is set iff [e) fails Boolean lifting in A, and of
+    # `lifts` iff its image lifts in L(A)
+    fails, lifts = _lift_failures(A, blp_formula()), side.lattice_lifts
+    failures = [print_filter(A, F) for F in filters
+                if (not fails >> F.gen & 1) != (lifts >> F.gen & 1)]
     out.append(_forall("reticulation-blp-transfer", failures))
-    out.append(_equiv("reticulation-global-blp", has_blp(A),
-                      lattice_blp(R.lattice)[1]))
-
-    bridge = archimedean_bridge(A)
-    out.append(_equiv("hyperarchimedean-boolean-reticulation",
-                      bridge["hyperarchimedean"], bridge["lattice_boolean"]))
+    out.append(_equiv("reticulation-global-blp", not fails, side.lattice_blp))
+    out.append(side.hyper)
     return out
+
+
+FilterSide = namedtuple("FilterSide", "gelfand star split_maximals "
+                        "boolean_basis gelfand_forms spectral complementary "
+                        "retic lattice_lifts lattice_blp hyper")
+
+
+@lru_cache(maxsize=None)
+def _filter_side(R):
+    """The verdicts of the matrix that read only R's filter signature
+    (`filters.Signature`), decided on R, the representative of every
+    algebra with that signature: rows without a label, bits, and the
+    complementary pair and the lattice-lifting mask by generator.  Two
+    algebras with one signature give these computations identical inputs,
+    so recomputing them would repeat the same operations on the same
+    values: the argument `validate`'s memo makes for equal tables.  The
+    row and verdict tuples repeat across signatures, so they are shared."""
+    conds = gelfand_conditions(R)
+    L = build_reticulation(R)
+    bridge = archimedean_bridge(R)
+    return FilterSide(
+        conds[4], star_property(R)[0], *_max_boolean_forms(R),
+        shared_set(tuple(_equiv(f"gelfand-forms.{k}", conds[4], conds[k])
+                         for k in sorted(conds) if k != 4)),
+        shared_set(_spectral_rows(R, conds[4])), _complementary_failure(R),
+        shared_set(tuple(signature_properties(L).items())),
+        sum(1 << F.gen for F in all_filters(R) if blp_transfer(R, F)[1]),
+        lattice_blp(L.lattice)[1],
+        _equiv("hyperarchimedean-boolean-reticulation",
+               bridge["hyperarchimedean"], bridge["lattice_boolean"]))
+
+
+def _side(A):
+    """The filter-side verdicts of A, those of its representative."""
+    return _filter_side(_filters(A)[5])
 
 
 ALL_CHECKS = (

@@ -28,6 +28,7 @@ from rlx.lifting import lp_report
 from rlx.reticulation import build_reticulation
 from rlx.theorems import ALL_CHECKS, TheoremVerdict, theorem_checks
 from test_invariance import permuted
+from test_memo_inventory import LRU_CACHES
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -450,18 +451,26 @@ def test_analyze_topology_disagreement_exit_code(capsys, monkeypatch):
     assert "!! stub: lhs=True rhs=False witness=None" in out
 
 
-def _stats_table(err):
-    """(family, rows, ms) per line of the --stats table on stderr."""
+def _stats_table(err, memos=None):
+    """(family, rows, ms) per line of the --stats family table on stderr.
+    The memo table after it holds (memo, hits, misses) for every memo of
+    the loaded rlx modules; `memos`, if given, receives those rows."""
     lines = [line.split() for line in err.splitlines()]
     assert lines[0] == ["family", "rows", "ms"]
-    return [(name, int(rows), float(ms)) for name, rows, ms in lines[1:]]
+    end = lines.index(["memo", "hits", "misses"])
+    if memos is not None:
+        memos.extend((name, int(hits), int(misses))
+                     for name, hits, misses in lines[end + 1:])
+    return [(name, int(rows), float(ms)) for name, rows, ms in lines[1:end]]
 
 
 def test_check_theorems_stats_times_each_row_family(capsys, monkeypatch):
     """--stats prints the rows and milliseconds of each row family, and
-    their total, to stderr; stdout and the exit code are those of the
-    call without it, on every fixture, plain and --json, and on a matrix
-    with a disagreeing row."""
+    their total, then the hits and misses of every memo, to stderr; stdout
+    and the exit code are those of the call without it, on every fixture,
+    plain and --json, and on a matrix with a disagreeing row."""
+    loaded = {name for name in LRU_CACHES
+              if f"rlx.{name.split('.')[0]}" in sys.modules}
     for path in sorted(FIXTURES.glob("*.rlat")):
         rows = len(theorem_checks(load_rlat(path)))
         for extra in ([], ["--json"]):
@@ -469,7 +478,14 @@ def test_check_theorems_stats_times_each_row_family(capsys, monkeypatch):
             code, out, err = run_cli(capsys, "check-theorems", *extra,
                                      "--stats", str(path))
             assert (code, out, plain[2]) == (plain[0], plain[1], "")
-            table = _stats_table(err)
+            memos = []
+            table = _stats_table(err, memos)
+            assert {name for name, _, _ in memos} == loaded
+            counts = {name: (hits, misses) for name, hits, misses in memos}
+            assert counts["filters.representative"][1] >= 1
+            assert counts["theorems._filter_side"][1] >= 1
+            assert all(hits >= 0 and misses >= 0 for hits, misses
+                       in counts.values())
             assert [name for name, _, _ in table] == [
                 fn.__name__ for fn in ALL_CHECKS] + ["total"]
             assert table[-1][1] == sum(n for _, n, _ in table[:-1]) == rows

@@ -36,7 +36,7 @@ from rlx.io import load_rlat, print_rlat
 from rlx.lifting import _lift_failures, has_blp, has_ilp
 from rlx.reticulation import build_reticulation
 from rlx.spectra import _build, is_gelfand, star_property, stone_max, stone_spec
-from rlx.theorems import local_factor_decomposition, theorem_checks
+from rlx.theorems import _filter_side, local_factor_decomposition, theorem_checks
 
 FORMULAS = (blp_formula(), ilp_formula(), rlp_formula())
 
@@ -48,7 +48,7 @@ TABLE_MEMOS = (
     (quotient, 5), (_lift_failures, 3), (is_gelfand, 1), (star_property, 1),
     (build_reticulation, 1), (_definable_masks, 3), (is_normal_lattice, 1),
     (is_conormal_lattice, 1), (_build, 2), (local_factor_decomposition, 1),
-    (_lattice_blp_failures, 1),
+    (_lattice_blp_failures, 1), (_filter_side, 1),
 )
 
 

@@ -253,7 +253,9 @@ def test_matrix_derives_each_space_and_lattice_once(cold_caches, corpus5,
 
 def test_lattice_lifting_bug_is_a_disagreeing_row(corpus4, monkeypatch):
     """A lattice side that lifts only bot and top shows up as a disagreeing
-    reticulation-blp-transfer row, not as an exception."""
+    reticulation-blp-transfer row, not as an exception.  The matrix decides
+    the lattice side once per filter signature, so that memo is emptied
+    once the fault is in and again when the test ends."""
     def lattice_blp_filter(L, F):
         Q = quotient(L, F)
         lifted = {Q.class_of[L.bot], Q.class_of[L.top]}
@@ -262,7 +264,11 @@ def test_lattice_lifting_bug_is_a_disagreeing_row(corpus4, monkeypatch):
     monkeypatch.setattr(rlx.reticulation, "lattice_blp_filter",
                         lattice_blp_filter)
     A = next(A for A in corpus4 if A.size == 4)
-    rows = {v.theorem_id: v for v in theorem_checks(A)}
+    rlx.theorems._filter_side.cache_clear()
+    try:
+        rows = {v.theorem_id: v for v in theorem_checks(A)}
+    finally:
+        rlx.theorems._filter_side.cache_clear()
     row = rows["reticulation-blp-transfer"]
     assert not row.agree
     assert row.witness == "{e3}"
@@ -273,8 +279,9 @@ def test_star_direct_form_bug_is_a_disagreeing_row(monkeypatch):
     star-forms rows, not as an exception: the three reformulations are
     compared with the direct verdict by the matrix alone.  The fault is a
     radical taken over the prime filters instead of the maximal ones, and
-    only star_property sees it.  star_property caches its answers, so the
-    cache is emptied once the fault is in and again when the test ends."""
+    only star_property sees it.  star_property caches its answers, and the
+    matrix reads its verdict once per filter signature, so both memos are
+    emptied once the fault is in and again when the test ends."""
     def prime_radical(B):
         e = B.bot
         for P in spec(B):
@@ -286,10 +293,12 @@ def test_star_direct_form_bug_is_a_disagreeing_row(monkeypatch):
     assert prime_radical(A) != rlx.spectra.radical(A)
     monkeypatch.setattr(rlx.spectra, "radical", prime_radical)
     rlx.spectra.star_property.cache_clear()
+    rlx.theorems._filter_side.cache_clear()
     try:
         rows = {v.theorem_id: v for v in theorem_checks(A)}
     finally:
         rlx.spectra.star_property.cache_clear()
+        rlx.theorems._filter_side.cache_clear()
     for form in ("nilpotent-radical", "spectral", "spectral-powers"):
         row = rows[f"star-forms.{form}"]
         assert (row.lhs, row.rhs, row.agree) == (False, True, False)
@@ -347,10 +356,10 @@ def test_matrix_checks_each_quotient_table_triple_once(cold_caches, corpus5,
     runs once per nontrivial quotient build, once per table pair; `validate`
     runs once per distinct quotient table triple, well under once per
     quotient, once per lattice order, well under once per lattice (the
-    reticulation and the filter lattice of each input), and once per
-    factor of a decomposition; and the
-    reticulation is built once per table pair: the quotients' table pairs
-    are among the inputs'."""
+    reticulation of each input and the filter lattice of each filter
+    signature: 37 inputs have 21 signatures), and once per factor of a
+    decomposition; and the reticulation, Spec and Max are built once per
+    table pair: the quotients' table pairs are among the inputs'."""
     calls = {"validate": 0, "congruence": [], "tables": 0, "upsets": 0,
              "lattices": 0}
     validate_ = rlx.core.validate
@@ -391,9 +400,10 @@ def test_matrix_checks_each_quotient_table_triple_once(cold_caches, corpus5,
     assert len(builds) == len(set(builds)) == calls["tables"] == 75
     triples = tables.cache_info().misses
     assert 2 * triples < len(builds)
-    assert calls["lattices"] == 2 * len(sample)
+    assert calls["lattices"] == 58
     orders = rlx.dlattice._heyting_algebra.cache_info().misses
     assert 4 * orders < calls["lattices"]
     assert calls["validate"] == triples + orders + calls["upsets"]
     assert (rlx.reticulation.build_reticulation.cache_info().misses
             == len(sample))
+    assert rlx.spectra._build.cache_info().misses == 2 * len(sample)
