@@ -522,7 +522,7 @@ def check_spectral_lemmas(A):
         if d[a] != union:
             failures.append(a)
     out.append(_forall("complement-as-power-union", failures))
-    out.extend(shared[:2])
+    out.extend(shared[:2])  # the closure of Max in Spec
 
     # Max(A) is homeomorphic to Max(A / Rad) through the filter correspondence
     Q = quotient(A, rad)
@@ -657,16 +657,16 @@ def _filter_side(R):
     values: the argument `validate`'s memo makes for equal tables.  The
     row and verdict tuples repeat across signatures, so they are shared."""
     conds = gelfand_conditions(R)
-    L = build_reticulation(R)
+    retic = build_reticulation(R)
     bridge = archimedean_bridge(R)
     return FilterSide(
         conds[4], star_property(R)[0], *_max_boolean_forms(R),
         shared_set(tuple(_equiv(f"gelfand-forms.{k}", conds[4], conds[k])
                          for k in sorted(conds) if k != 4)),
         shared_set(_spectral_rows(R, conds[4])), _complementary_failure(R),
-        shared_set(tuple(signature_properties(L).items())),
+        shared_set(tuple(signature_properties(retic).items())),
         sum(1 << F.gen for F in all_filters(R) if blp_transfer(R, F)[1]),
-        lattice_blp(L.lattice)[1],
+        lattice_blp(retic.lattice)[1],
         _equiv("hyperarchimedean-boolean-reticulation",
                bridge["hyperarchimedean"], bridge["lattice_boolean"]))
 
