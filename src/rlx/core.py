@@ -555,16 +555,21 @@ def shared_set(value):
     return value
 
 
+def idempotents_and_center(A):
+    """(idempotents, Boolean center) of A, for `classify` and the signature."""
+    els, neg = A.elements(), [row[A.bot] for row in A.imp]
+    return (frozenset(a for a in els if A.odot[a][a] == a),
+            frozenset(a for a in els if A.join[a][neg[a]] == A.top
+                      and A.meet[a][neg[a]] == A.bot))
+
+
 @lru_cache(maxsize=None)
 def classify(A):
     """Element classes and structural predicates of a validated algebra."""
     n, els, bot = A.size, A.elements(), A.bot
     neg = [row[bot] for row in A.imp]
     w = A.power_limits
-    boolean = shared_set(frozenset(
-        a for a in els
-        if A.join[a][neg[a]] == A.top and A.meet[a][neg[a]] == bot))
-    idem = shared_set(frozenset(a for a in els if A.odot[a][a] == a))
+    idem, boolean = map(shared_set, idempotents_and_center(A))
     reg = shared_set(frozenset(a for a in els if neg[neg[a]] == a))
     nil = shared_set(frozenset(a for a in els if w[a] == bot))
     arch = shared_set(frozenset(a for a in els if w[a] in boolean))

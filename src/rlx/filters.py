@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import Record, ResiduatedLattice, classify, shared_set, validate
+from .core import Record, ResiduatedLattice, idempotents_and_center, shared_set, validate
 from .errors import AxiomViolation
 
 
@@ -63,11 +63,20 @@ class Filter(Record):
         for b in A.elements():
             if A.leq[m][b] and b not in F:
                 raise AxiomViolation("filter-up-closed", (m, b))
+        self._fill(algebra, shared_set(members), m)
+
+    def _fill(self, algebra, members, gen):
         self._set("algebra", algebra)
-        self._set("members", shared_set(members))
-        self._set("gen", m)
+        self._set("members", members)
+        self._set("gen", gen)
         self._set("upsets", None)
-        self._set("_hash", hash((algebra, self.members)))
+        self._set("_hash", hash((algebra, members)))
+
+    def rebound(self, algebra):
+        """This filter on an algebra of its algebra's signature, unchecked."""
+        F = Filter.__new__(Filter)
+        F._fill(algebra, self.members, self.gen)
+        return F
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -140,31 +149,46 @@ def _filters(A):
     prime and the maximal filters, each in all_filters order, the radical,
     with the maximal filters asserted to be prime, and the representative
     of A's :class:`Signature`.  Each filter is one object, built once per
-    table pair."""
-    upsets = tuple(Filter(A, frozenset(x for x in A.elements() if A.leq[e][x]))
-                   if A.odot[e][e] == e else None for e in A.elements())
+    table pair.  The members, the constructor's checks, `is_prime`, the
+    maxima and the radical read only signature fields, the same for two
+    algebras with one signature: they are decided on the representative,
+    whose filters any other algebra rebinds (:meth:`Filter.rebound`)."""
+    ids, B = map(sorted, idempotents_and_center(A))
+    R = representative(Signature((
+        A.leq, A.power_limits, sum(1 << e for e in ids),
+        tuple(A.odot[e][f] for e in ids for f in ids if e <= f),
+        sum(1 << e for e in B), tuple(A.imp[e][A.bot] for e in B), A)))[-1]
+    if R is not A:
+        shared, *parts, rad, _ = _filters(R)
+        upsets = tuple([F if F is None else F.rebound(A) for F in shared])
+        filters, primes, maxima = (tuple([upsets[F.gen] for F in p]) for p in parts)
+        rad = upsets[rad.gen]
+    else:
+        upsets = tuple(Filter(A, frozenset(x for x in A.elements() if A.leq[e][x]))
+                       if A.odot[e][e] == e else None for e in A.elements())
+        filters = tuple(sorted((F for F in upsets if F is not None),
+                               key=lambda F: (len(F), F.sorted_members())))
+        primes = tuple(F for F in filters if is_prime(F))
+        proper = [F for F in filters if F.proper]
+        maxima = tuple(F for F in proper
+                       if not any(F.members < G.members for G in proper))
+        for M in maxima:
+            assert M in primes, "maximal filter not prime"
+        rad = A.bot
+        for M in maxima:
+            rad = A.join[rad][M.gen]
+        rad = upsets[rad]
     for F in upsets:
         if F is not None:
             F._set("upsets", upsets)
-    filters = tuple(sorted((F for F in upsets if F is not None),
-                           key=lambda F: (len(F), F.sorted_members())))
-    primes = tuple(F for F in filters if is_prime(F))
-    proper = [F for F in filters if F.proper]
-    maxima = tuple(F for F in proper
-                   if not any(F.members < G.members for G in proper))
-    for M in maxima:
-        assert M in primes, "maximal filter not prime"
-    rad = A.bot
-    for M in maxima:
-        rad = A.join[rad][M.gen]
-    report = classify(A)
-    idem, B = sorted(report.idempotents), sorted(report.boolean_center)
-    signature = Signature((
-        A.leq, A.power_limits, report.idempotents,
-        tuple(A.odot[e][f] for e in idem for f in idem if e <= f),
-        report.boolean_center, tuple(A.imp[e][A.bot] for e in B), A))
-    return (upsets, filters, primes, maxima, upsets[rad],
-            representative(signature)[-1])
+    return upsets, filters, primes, maxima, rad, R
+
+
+def first_builder(kind, A, R):
+    """The first algebra of A's signature (represented by R) to build `kind`
+    ("spec", "max" or "retic"), which decides its signature-only checks.
+    Callers check A's own product first: no faulty algebra becomes it."""
+    return representative(Signature((kind, R, A)))[-1]
 
 
 def all_filters(A):

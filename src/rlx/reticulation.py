@@ -20,9 +20,10 @@ from .dlattice import lattice_blp_filter, validate_bdl
 from .errors import AxiomViolation
 from .filters import (
     Filter,
+    _filters,
     all_filters,
+    first_builder,
     max_spec,
-    principal_filter,
     quotient,
     radical,
     spec,
@@ -44,28 +45,42 @@ class Reticulation(Record):
 
 @lru_cache(maxsize=None)
 def build_reticulation(A):
-    """Canonical construction: distinct principal filters under reverse
-    inclusion, with lam(a) = [a).  validate_bdl checks distributivity, and
-    the five axioms of lam are asserted, once per table pair."""
+    """Canonical construction: A's distinct principal filters under reverse
+    inclusion, with lam(a) = [a).  `lam`, the lattice (validate_bdl checks
+    distributivity) and :func:`_assert_axioms` read only signature fields,
+    the same for two algebras with one signature, and are read off the
+    L(A) of `filters.first_builder`.  lam(a*b) = lam(a) & lam(b) reads A's
+    product: A checks lam(a*b) = lam(a&b) before that lookup."""
+    upsets, filters, *_, R = _filters(A)
+    w = A.power_limits  # lam(x) is the index of [x^w), one-to-one in x^w
+    for a, (odot, meet) in enumerate(zip(A.odot, A.meet)):
+        for b in A.elements():
+            if w[odot[b]] != w[meet[b]]:
+                raise AxiomViolation("lambda-odot", (a, b))
+    first = first_builder("retic", A, R)
+    if first is not A:
+        shared = build_reticulation(first)
+        return Reticulation(A, shared.lattice, shared.lam,
+                            tuple([upsets[F.gen] for F in shared.filter_of]))
     # on a finite algebra every filter is principal
-    filter_of = tuple(sorted(all_filters(A),
+    filter_of = tuple(sorted(filters,
                              key=lambda F: (-len(F), F.sorted_members())))
     index = {F.gen: i for i, F in enumerate(filter_of)}
+    lam = tuple(index[x] for x in w)
     # reverse inclusion: [e) <= [f) in L iff [e) includes [f), iff e <= f
     leq = tuple(tuple(A.leq[F.gen][G.gen] for G in filter_of)
                 for F in filter_of)
-    lam = tuple(index[x] for x in A.power_limits)
     _assert_axioms(A, lam, leq)
     return Reticulation(A, validate_bdl(None, leq), lam, filter_of)
 
 
 def _assert_axioms(A, lam, leq):
-    """The five axioms of lam: A -> L, where L is the lattice of `leq`."""
+    """The axioms of lam: A -> L, the lattice of `leq`, but lam(a*b)'s."""
     leq, bot, top, join, meet = _validate_lattice(leq)[:5]
     for a, la in enumerate(lam):
-        odot, ajoin, lmeet, ljoin = A.odot[a], A.join[a], meet[la], join[la]
+        ameet, ajoin, lmeet, ljoin = A.meet[a], A.join[a], meet[la], join[la]
         for b, lb in enumerate(lam):
-            assert lam[odot[b]] == lmeet[lb]
+            assert lam[ameet[b]] == lmeet[lb]
             assert lam[ajoin[b]] == ljoin[lb]
     assert lam[A.bot] == bot and lam[A.top] == top
     assert set(lam) == set(range(len(leq)))  # surjective
@@ -83,10 +98,6 @@ def verify_retic_properties(R, shared=None):
     on an algebra with the same filter signature, stands for them."""
     A, lam = R.source, R.lam
     verdicts = dict(shared or signature_properties(R))
-
-    # (2) lam(a) = lam(b) iff [a) = [b): the pairs take as many values as each
-    gens = [principal_filter(A, a).gen for a in A.elements()]
-    verdicts[2] = len(set(lam)) == len(set(gens)) == len(set(zip(lam, gens)))
 
     # (3) powers collapse: a, a^2, ..., a^n all have the image of a
     ok = True
@@ -106,7 +117,7 @@ def verify_retic_properties(R, shared=None):
 
 
 def signature_properties(R):
-    """Properties (1) and (4)-(7), which read only the source's filter
+    """Properties (1), (2) and (4)-(7), which read only the source's filter
     signature (`filters.Signature`)."""
     A, L, lam = R.source, R.lattice, R.lam
     verdicts = {}
@@ -116,6 +127,11 @@ def signature_properties(R):
         lam[A.meet[a][b]] == L.meet[la][lb]
         and lam[A.join[a][b]] == L.join[la][lb]
         for a, la in enumerate(lam) for b, lb in enumerate(lam)))
+
+    # (2) lam(a) = lam(b) iff [a) = [b), that is iff a^w = b^w: the pairs
+    #     take as many values as each
+    w = A.power_limits
+    verdicts[2] = len(set(lam)) == len(set(w)) == len(set(zip(lam, w)))
 
     # (4) the preimage map is a filter-lattice isomorphism with inverse
     #     F -> lam(F); pre[i] is the preimage of the i-th lattice filter

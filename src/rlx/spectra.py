@@ -8,10 +8,13 @@ from functools import lru_cache, reduce
 from types import MappingProxyType
 
 from .core import Record, classify
+from .errors import AxiomViolation
 from .filters import (
+    _filters,
     all_filters,
     filter_join,
     filter_meet,
+    first_builder,
     improper_filter,
     max_spec,
     radical,
@@ -56,22 +59,34 @@ class SpectrumSpace(Record):
 
 @lru_cache(maxsize=None)
 def _build(A, kind):
-    """The space of its kind on A, with the V/D identities asserted, built
-    once per algebra and kind."""
-    points = spec(A) if kind == "spec" else max_spec(A)
+    """The space of its kind on A's own primes or maxima.  `v`, the opens
+    and :func:`_assert_stone_identities` read only signature fields, the
+    same for two algebras with one signature, and are read off the space
+    of `filters.first_builder`.  V(a*b) = V(a) & V(b) reads A's product:
+    A checks V(a*b) = V(a&b) before that lookup."""
+    _, filters, primes, maxima, _, R = _filters(A)
+    points = primes if kind == "spec" else maxima
     v = [0] * A.size
     for i, P in enumerate(points):
         for a in P.members:
             v[a] |= 1 << i
+    for a, (odot, meet) in enumerate(zip(A.odot, A.meet)):
+        for b in A.elements():
+            if v[odot[b]] != v[meet[b]]:
+                raise AxiomViolation("stone-odot", (a, b))
+    first = first_builder(kind, A, R)
+    if first is not A:
+        shared = _build(first, kind)
+        return SpectrumSpace(A, kind, points, shared.opens, shared.v)
     full = (1 << len(points)) - 1
-    opens = tuple(sorted({full & ~v[F.gen] for F in all_filters(A)}))
+    opens = tuple(sorted({full & ~v[F.gen] for F in filters}))
     space = SpectrumSpace(A, kind, points, opens, tuple(v))
     _assert_stone_identities(A, space)
     return space
 
 
 def _assert_stone_identities(A, space):
-    """Defining identities of the V/D (v/d) operators on the fresh family."""
+    """Defining identities of the V/D (v/d) operators, but V(a*b)'s."""
     pts, v = space.points, space.v
     filters = all_filters(A)
     full = space.full
@@ -85,10 +100,10 @@ def _assert_stone_identities(A, space):
             assert v[filter_meet(F, G).gen] == vf | v[G.gen]
             assert v[filter_join(F, G).gen] == vf & v[G.gen]
     for a in A.elements():
-        va, join, odot, meet = v[a], A.join[a], A.odot[a], A.meet[a]
+        va, join, meet = v[a], A.join[a], A.meet[a]
         for b, vb in enumerate(v):
             assert v[join[b]] == va | vb
-            assert v[odot[b]] == v[meet[b]] == va & vb
+            assert v[meet[b]] == va & vb
     # V(F) as the intersection of the V(a) over a in F
     for F in filters:
         acc = full

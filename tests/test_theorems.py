@@ -356,12 +356,13 @@ def test_matrix_checks_each_quotient_table_triple_once(cold_caches, corpus5,
     runs once per nontrivial quotient build, once per table pair; `validate`
     runs once per distinct quotient table triple, well under once per
     quotient, once per lattice order, well under once per lattice (the
-    reticulation of each input and the filter lattice of each filter
-    signature: 37 inputs have 21 signatures), and once per factor of a
-    decomposition; and the reticulation, Spec and Max are built once per
-    table pair: the quotients' table pairs are among the inputs'."""
+    reticulation and the filter lattice of each filter signature: 37
+    inputs have 21 signatures), and once per factor of a decomposition;
+    the reticulation, Spec and Max are built once per table pair: the
+    quotients' table pairs are among the inputs'; and their identities
+    that read only the signature run once per signature and kind."""
     calls = {"validate": 0, "congruence": [], "tables": 0, "upsets": 0,
-             "lattices": 0}
+             "lattices": 0, "stone": 0, "lam": 0}
     validate_ = rlx.core.validate
     congruence = rlx.filters._check_congruence
     tables = rlx.filters._quotient_tables
@@ -393,6 +394,19 @@ def test_matrix_checks_each_quotient_table_triple_once(cold_caches, corpus5,
     monkeypatch.setattr(rlx.theorems, "upset_algebra", counted_upset_algebra)
     for module in (rlx.dlattice, rlx.reticulation):
         monkeypatch.setattr(module, "validate_bdl", counted_validate_bdl)
+    stone = rlx.spectra._assert_stone_identities
+    axioms = rlx.reticulation._assert_axioms
+
+    def counted_stone(*args):
+        calls["stone"] += 1
+        return stone(*args)
+
+    def counted_axioms(*args):
+        calls["lam"] += 1
+        return axioms(*args)
+
+    monkeypatch.setattr(rlx.spectra, "_assert_stone_identities", counted_stone)
+    monkeypatch.setattr(rlx.reticulation, "_assert_axioms", counted_axioms)
     sample = corpus5
     for A in sample:
         theorem_checks(A)
@@ -400,7 +414,8 @@ def test_matrix_checks_each_quotient_table_triple_once(cold_caches, corpus5,
     assert len(builds) == len(set(builds)) == calls["tables"] == 75
     triples = tables.cache_info().misses
     assert 2 * triples < len(builds)
-    assert calls["lattices"] == 58
+    assert calls["lattices"] == 42
+    assert calls["stone"] == 42 and calls["lam"] == 21
     orders = rlx.dlattice._heyting_algebra.cache_info().misses
     assert 4 * orders < calls["lattices"]
     assert calls["validate"] == triples + orders + calls["upsets"]
