@@ -138,7 +138,8 @@ class Signature(tuple):
 def representative(signature):
     """The one stored signature equal to `signature`, kept as
     `core.shared_set` keeps sets: its algebra, the first seen with these
-    fields, represents every algebra that has them."""
+    fields, represents every algebra that has them: its filter record,
+    spaces, L(A) and filter-side verdicts are built for all of them."""
     return signature
 
 
@@ -182,13 +183,6 @@ def _filters(A):
         if F is not None:
             F._set("upsets", upsets)
     return upsets, filters, primes, maxima, rad, R
-
-
-def first_builder(kind, A, R):
-    """The first algebra of A's signature (represented by R) to build `kind`
-    ("spec", "max" or "retic"), which decides its signature-only checks.
-    Callers check A's own product first: no faulty algebra becomes it."""
-    return representative(Signature((kind, R, A)))[-1]
 
 
 def all_filters(A):

@@ -22,7 +22,6 @@ from .filters import (
     Filter,
     _filters,
     all_filters,
-    first_builder,
     max_spec,
     quotient,
     radical,
@@ -49,17 +48,16 @@ def build_reticulation(A):
     inclusion, with lam(a) = [a).  `lam`, the lattice (validate_bdl checks
     distributivity) and :func:`_assert_axioms` read only signature fields,
     the same for two algebras with one signature, and are read off the
-    L(A) of `filters.first_builder`.  lam(a*b) = lam(a) & lam(b) reads A's
-    product: A checks lam(a*b) = lam(a&b) before that lookup."""
+    L(A) of the representative R.  lam(a*b) = lam(a) & lam(b) reads A's
+    product: every algebra, R included, checks lam(a*b) = lam(a&b)."""
     upsets, filters, *_, R = _filters(A)
     w = A.power_limits  # lam(x) is the index of [x^w), one-to-one in x^w
     for a, (odot, meet) in enumerate(zip(A.odot, A.meet)):
         for b in A.elements():
             if w[odot[b]] != w[meet[b]]:
                 raise AxiomViolation("lambda-odot", (a, b))
-    first = first_builder("retic", A, R)
-    if first is not A:
-        shared = build_reticulation(first)
+    if R is not A:
+        shared = build_reticulation(R)
         return Reticulation(A, shared.lattice, shared.lam,
                             tuple([upsets[F.gen] for F in shared.filter_of]))
     # on a finite algebra every filter is principal

@@ -14,7 +14,6 @@ from .filters import (
     all_filters,
     filter_join,
     filter_meet,
-    first_builder,
     improper_filter,
     max_spec,
     radical,
@@ -62,8 +61,8 @@ def _build(A, kind):
     """The space of its kind on A's own primes or maxima.  `v`, the opens
     and :func:`_assert_stone_identities` read only signature fields, the
     same for two algebras with one signature, and are read off the space
-    of `filters.first_builder`.  V(a*b) = V(a) & V(b) reads A's product:
-    A checks V(a*b) = V(a&b) before that lookup."""
+    of the representative R.  V(a*b) = V(a) & V(b) reads A's product:
+    every algebra, R included, checks V(a*b) = V(a&b) itself."""
     _, filters, primes, maxima, _, R = _filters(A)
     points = primes if kind == "spec" else maxima
     v = [0] * A.size
@@ -74,9 +73,8 @@ def _build(A, kind):
         for b in A.elements():
             if v[odot[b]] != v[meet[b]]:
                 raise AxiomViolation("stone-odot", (a, b))
-    first = first_builder(kind, A, R)
-    if first is not A:
-        shared = _build(first, kind)
+    if R is not A:
+        shared = _build(R, kind)
         return SpectrumSpace(A, kind, points, shared.opens, shared.v)
     full = (1 << len(points)) - 1
     opens = tuple(sorted({full & ~v[F.gen] for F in filters}))
@@ -300,7 +298,6 @@ def gelfand_conditions(A):
     return out
 
 
-@lru_cache(maxsize=None)
 def star_property(A):
     """Principal filters split off a radical part: for every x some
     u in Rad(A) and Boolean e give [x) = [u) v [e).
@@ -308,9 +305,9 @@ def star_property(A):
     Decided directly on the generators g[x] = x^w of the principal
     filters: [u) v [e) = [x) iff g[u] * g[e] = g[x].  The star-forms rows
     compare the verdict with the nilpotent, spectral and bounded-union
-    reformulations.  Returns (holds, witnesses) where witnesses is a
-    read-only map x -> the first such (u, e); the answer is cached by the
-    tables.
+    reformulations, read once per filter signature.  Returns (holds,
+    witnesses) where witnesses is a read-only map x -> the first such
+    (u, e).
     """
     B = sorted(classify(A).boolean_center)
     return _splitting(A, sorted(radical(A).members), B)

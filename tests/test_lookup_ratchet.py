@@ -18,15 +18,19 @@ from pathlib import Path
 import rlx
 from test_memo_inventory import LRU_CACHES
 
-# lookups of the size-5 matrix: 11,317 (12,814 before the verdicts that
-# read only the filter signature were decided once per signature and the
-# row families read the lifting masks and the filter record once each;
-# 14,142 when each lattice filter was decided on its own quotient and the
-# gap lemma asked for each element's gap filter; 16,882 when every
-# verdict that keeps only a bool built a record or asked the global memo,
-# filter meets and joins looked up the filter record, and each
-# reticulation and filter lattice ran a memo-hit `validate`)
-LOOKUP_PIN = 11_317
+# lookups of the size-5 matrix: 10,957 (11,089 when the spaces and L(A)
+# were read off the first algebra of the signature to build them, not
+# off its representative, and `star_property` had a memo; 11,317 before
+# the filter record, the spaces and L(A) were built once per signature;
+# 12,814 before the verdicts that read only the filter signature were
+# decided once per signature and the row families read the lifting masks
+# and the filter record once each; 14,142 when each lattice filter was
+# decided on its own quotient and the gap lemma asked for each element's
+# gap filter; 16,882 when every verdict that keeps only a bool built a
+# record or asked the global memo, filter meets and joins looked up the
+# filter record, and each reticulation and filter lattice ran a memo-hit
+# `validate`)
+LOOKUP_PIN = 10_957
 # a count this far below the pin means the pin should come down
 SLACK = 0.95
 

@@ -22,7 +22,7 @@ KEYED_BY_AN_ALGEBRA = {
     "filters._filters", "filters.quotient", "formulas._definable_masks",
     "lifting._lift_failures", "reticulation.build_reticulation",
     "spectra._build",
-    "spectra.is_gelfand", "spectra.star_property",
+    "spectra.is_gelfand",
     "theorems._filter_side", "theorems.local_factor_decomposition",
 }
 LRU_CACHES = KEYED_BY_AN_ALGEBRA | {
@@ -59,7 +59,7 @@ def test_memos_are_pinned_by_name():
            if hasattr(memo, "cache_parameters")}
     assert lru == set(memos), "a memo that is not an lru_cache"
     assert lru == LRU_CACHES, _mismatch("lru_cache memos", LRU_CACHES, lru)
-    assert (len(memos), len(KEYED_BY_AN_ALGEBRA)) == (27, 15)
+    assert (len(memos), len(KEYED_BY_AN_ALGEBRA)) == (26, 14)
 
 
 def test_table_memo_tests_list_exactly_the_table_memos():

@@ -12,6 +12,7 @@ its own product still catch a fault in it.
 
 import pytest
 
+import rlx.core
 import rlx.filters
 from conftest import FIXTURES, clear_memos
 from rlx.cli import main
@@ -93,6 +94,40 @@ def test_sharing_by_signature_changes_no_row(monkeypatch, capsys):
         clear_memos()
 
 
+def test_one_representative_owns_each_signature(corpus5, corpus6,
+                                                monkeypatch):
+    """After the matrix over sizes 1..6 the representative memo holds one
+    entry per filter signature, the signatures of the quotients and
+    lattices the matrix builds included, and every other algebra's spaces
+    and reticulation hold the opens and the lattice of its
+    representative's."""
+    algebras = [*corpus5, *corpus6]
+    built = list(algebras)
+    init = rlx.core.ResiduatedLattice.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    clear_memos()
+    monkeypatch.setattr(rlx.core.ResiduatedLattice, "__init__", record)
+    try:
+        for A in algebras:
+            theorem_checks(A)
+        signatures = {id(_filters(B)[5]) for B in built}
+        assert (rlx.filters.representative.cache_info().currsize
+                == len(signatures) < len(built))
+        for A in algebras:
+            R = _filters(A)[5]
+            if R is not A:
+                assert stone_spec(A).opens is stone_spec(R).opens
+                assert stone_max(A).opens is stone_max(R).opens
+                assert (build_reticulation(A).lattice
+                        is build_reticulation(R).lattice)
+    finally:
+        clear_memos()
+
+
 def test_signature_classes_are_classify_s():
     """The idempotents and the Boolean center of the filter signature are
     those of `classify`, and those of their definitions: the fixed
@@ -135,7 +170,7 @@ def _faulty_twin(A):
 def test_product_identities_catch_a_fault_on_a_non_representative():
     """On an algebra that shares a valid algebra's filter signature but
     not its product, the spaces and the reticulation are read off the
-    first algebra's, and V(a*b) = V(a) & V(b) and lam(a*b) = lam(a) &
+    representative's, and V(a*b) = V(a) & V(b) and lam(a*b) = lam(a) &
     lam(b) still raise."""
     clear_memos()
     try:

@@ -279,9 +279,9 @@ def test_star_direct_form_bug_is_a_disagreeing_row(monkeypatch):
     star-forms rows, not as an exception: the three reformulations are
     compared with the direct verdict by the matrix alone.  The fault is a
     radical taken over the prime filters instead of the maximal ones, and
-    only star_property sees it.  star_property caches its answers, and the
-    matrix reads its verdict once per filter signature, so both memos are
-    emptied once the fault is in and again when the test ends."""
+    only star_property sees it.  The matrix reads its verdict once per
+    filter signature, so that memo is emptied once the fault is in and
+    again when the test ends."""
     def prime_radical(B):
         e = B.bot
         for P in spec(B):
@@ -292,12 +292,10 @@ def test_star_direct_form_bug_is_a_disagreeing_row(monkeypatch):
     assert rlx.spectra.star_property(A)[0]
     assert prime_radical(A) != rlx.spectra.radical(A)
     monkeypatch.setattr(rlx.spectra, "radical", prime_radical)
-    rlx.spectra.star_property.cache_clear()
     rlx.theorems._filter_side.cache_clear()
     try:
         rows = {v.theorem_id: v for v in theorem_checks(A)}
     finally:
-        rlx.spectra.star_property.cache_clear()
         rlx.theorems._filter_side.cache_clear()
     for form in ("nilpotent-radical", "spectral", "spectral-powers"):
         row = rows[f"star-forms.{form}"]
