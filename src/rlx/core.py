@@ -544,8 +544,9 @@ def covers_of(leq):
 @lru_cache(maxsize=None)
 def shared_set(value):
     """The one stored value equal to `value`: a frozenset of element ids,
-    or a tuple of the rows or verdicts the theorem matrix decides once
-    per filter signature.
+    a tuple of the rows or verdicts the theorem matrix decides once per
+    filter signature, or a `filters.Signature`, whose algebra, the first
+    seen with it, represents every algebra that has it.
 
     Filters and element classes repeat from algebra to algebra: on n
     elements each is one of at most 2^n sets.  The matrix's shared rows
@@ -555,21 +556,15 @@ def shared_set(value):
     return value
 
 
-def idempotents_and_center(A):
-    """(idempotents, Boolean center) of A, for `classify` and the signature."""
-    els, neg = A.elements(), [row[A.bot] for row in A.imp]
-    return (frozenset(a for a in els if A.odot[a][a] == a),
-            frozenset(a for a in els if A.join[a][neg[a]] == A.top
-                      and A.meet[a][neg[a]] == A.bot))
-
-
 @lru_cache(maxsize=None)
 def classify(A):
     """Element classes and structural predicates of a validated algebra."""
     n, els, bot = A.size, A.elements(), A.bot
     neg = [row[bot] for row in A.imp]
     w = A.power_limits
-    idem, boolean = map(shared_set, idempotents_and_center(A))
+    idem = shared_set(frozenset(a for a in els if A.odot[a][a] == a))
+    boolean = shared_set(frozenset(a for a in els if A.join[a][neg[a]] == A.top
+                                   and A.meet[a][neg[a]] == bot))
     reg = shared_set(frozenset(a for a in els if neg[neg[a]] == a))
     nil = shared_set(frozenset(a for a in els if w[a] == bot))
     arch = shared_set(frozenset(a for a in els if w[a] in boolean))

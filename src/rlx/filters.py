@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import Record, ResiduatedLattice, idempotents_and_center, shared_set, validate
+from .core import Record, ResiduatedLattice, shared_set, validate
 from .errors import AxiomViolation
 
 
@@ -119,28 +119,22 @@ def principal_filter(A, x):
 
 
 class Signature(tuple):
-    """An algebra's filter signature, then the algebra: its order, power
-    limits, idempotents, the products of idempotents, Boolean center and
-    the negations of the Boolean elements, all that Filt, Spec, Max, Rad,
-    B(A) and L(A) read of it.  A signature compares and hashes as these
-    six fields: the algebra is not one of them."""
+    """An algebra's filter signature, then the algebra: its order and power
+    limits, which fix each principal filter [x) = [x^w) and so all that
+    Filt, Spec, Max, Rad, B(A) and L(A) read of it:
+    - the idempotents are the fixed points of x -> x^w;
+    - for idempotents e*f = (e&f)^w, as (e&f)^2 <= e*f <= e&f;
+    - the Boolean center is the lattice-complemented elements;
+    - !e is the only complement of a Boolean e.
+    It compares and hashes as these two fields, not as the algebra."""
 
     __slots__ = ()
 
     def __eq__(self, other):
-        return self[:-1] == other[:-1]
+        return other.__class__ is Signature and self[:-1] == other[:-1]
 
     def __hash__(self):
         return hash(self[:-1])
-
-
-@lru_cache(maxsize=None)
-def representative(signature):
-    """The one stored signature equal to `signature`, kept as
-    `core.shared_set` keeps sets: its algebra, the first seen with these
-    fields, represents every algebra that has them: its filter record,
-    spaces, L(A) and filter-side verdicts are built for all of them."""
-    return signature
 
 
 @lru_cache(maxsize=None)
@@ -148,17 +142,20 @@ def _filters(A):
     """(upsets, filters, primes, maxima, radical, representative) of A: the
     filter [e) for every idempotent e (None elsewhere), every filter, the
     prime and the maximal filters, each in all_filters order, the radical,
-    with the maximal filters asserted to be prime, and the representative
-    of A's :class:`Signature`.  Each filter is one object, built once per
-    table pair.  The members, the constructor's checks, `is_prime`, the
-    maxima and the radical read only signature fields, the same for two
-    algebras with one signature: they are decided on the representative,
-    whose filters any other algebra rebinds (:meth:`Filter.rebound`)."""
-    ids, B = map(sorted, idempotents_and_center(A))
-    R = representative(Signature((
-        A.leq, A.power_limits, sum(1 << e for e in ids),
-        tuple(A.odot[e][f] for e in ids for f in ids if e <= f),
-        sum(1 << e for e in B), tuple(A.imp[e][A.bot] for e in B), A)))[-1]
+    with the maximal filters asserted to be prime, and the algebra of the
+    :class:`Signature` that `shared_set` keeps for A's.  Each filter is one
+    object, built once per table pair.  The members, the constructor's
+    checks, `is_prime`, the maxima and the radical read only signature
+    fields: they are decided on the representative, whose filters any
+    other algebra rebinds (:meth:`Filter.rebound`).  A filter holds x iff
+    it holds x^w, so (a*b)^w = (a&b)^w, checked first, gives V(a*b) =
+    V(a&b) on Spec and Max and lam(a*b) = lam(a&b) in L(A)."""
+    w = A.power_limits
+    for a, (odot, meet) in enumerate(zip(A.odot, A.meet)):
+        for b in A.elements():
+            if w[odot[b]] != w[meet[b]]:
+                raise AxiomViolation("odot-limit", (a, b))
+    R = shared_set(Signature((A.leq, w, A)))[-1]
     if R is not A:
         shared, *parts, rad, _ = _filters(R)
         upsets = tuple([F if F is None else F.rebound(A) for F in shared])

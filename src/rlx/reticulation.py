@@ -48,15 +48,10 @@ def build_reticulation(A):
     inclusion, with lam(a) = [a).  `lam`, the lattice (validate_bdl checks
     distributivity) and :func:`_assert_axioms` read only signature fields,
     the same for two algebras with one signature, and are read off the
-    L(A) of the representative R.  lam(a*b) = lam(a) & lam(b) reads A's
-    product: every algebra, R included, checks lam(a*b) = lam(a&b)."""
+    L(A) of the representative R.  `_filters` has checked lam(a*b) =
+    lam(a&b)."""
     upsets, filters, *_, R = _filters(A)
-    w = A.power_limits  # lam(x) is the index of [x^w), one-to-one in x^w
-    for a, (odot, meet) in enumerate(zip(A.odot, A.meet)):
-        for b in A.elements():
-            if w[odot[b]] != w[meet[b]]:
-                raise AxiomViolation("lambda-odot", (a, b))
-    if R is not A:
+    if R != A:
         shared = build_reticulation(R)
         return Reticulation(A, shared.lattice, shared.lam,
                             tuple([upsets[F.gen] for F in shared.filter_of]))
@@ -64,7 +59,7 @@ def build_reticulation(A):
     filter_of = tuple(sorted(filters,
                              key=lambda F: (-len(F), F.sorted_members())))
     index = {F.gen: i for i, F in enumerate(filter_of)}
-    lam = tuple(index[x] for x in w)
+    lam = tuple(index[x] for x in A.power_limits)  # [x) = [x^w)
     # reverse inclusion: [e) <= [f) in L iff [e) includes [f), iff e <= f
     leq = tuple(tuple(A.leq[F.gen][G.gen] for G in filter_of)
                 for F in filter_of)

@@ -482,7 +482,7 @@ def test_check_theorems_stats_times_each_row_family(capsys, monkeypatch):
             table = _stats_table(err, memos)
             assert {name for name, _, _ in memos} == loaded
             counts = {name: (hits, misses) for name, hits, misses in memos}
-            assert counts["filters.representative"][1] >= 1
+            assert counts["core.shared_set"][1] >= 1
             assert counts["theorems._filter_side"][1] >= 1
             assert all(hits >= 0 and misses >= 0 for hits, misses
                        in counts.values())

@@ -7,7 +7,9 @@ the count of its rows in each (lhs, rhs) cell, kept in
 tests/data/matrix_histogram.json.  When a change moves rows, the failure
 lists the cells that differ, so a re-record shows which rows changed,
 not only that the digest did.  A re-record may add ids and their cells;
-a change to the counts of an existing id is named in CHANGES.md.
+a change to the counts of an existing id is named in CHANGES.md.  The
+size-7 rows come from empty memos, and the reticulation memo is checked
+to miss once per entry over them.
 
 To re-record the histogram, write `json.dumps(_histogram(rows), indent=1,
 sort_keys=True)` plus a newline, with the rows of sizes 1..7.
@@ -20,6 +22,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import clear_memos
+from rlx.reticulation import build_reticulation
 from rlx.theorems import theorem_checks
 
 HISTOGRAM = Path(__file__).resolve().parent / "data" / "matrix_histogram.json"
@@ -31,10 +35,19 @@ MATRIX_N7_ROWS = 53543
 
 
 @pytest.fixture(scope="module")
-def rows_by_size(corpus5, corpus6, corpus7):
+def size_7_from_empty_memos(corpus7):
+    """The size-7 rows, as dicts, of a matrix run from empty memos, and
+    the `build_reticulation` memo's cache_info() after it."""
+    clear_memos()
+    rows = [v.as_dict() for A in corpus7 for v in theorem_checks(A)]
+    return rows, build_reticulation.cache_info()
+
+
+@pytest.fixture(scope="module")
+def rows_by_size(corpus5, corpus6, size_7_from_empty_memos):
     """size -> the matrix rows, as dicts, of every algebra of that size."""
-    out = {}
-    for A in (*corpus5, *corpus6, *corpus7):
+    out = {7: size_7_from_empty_memos[0]}
+    for A in (*corpus5, *corpus6):
         out.setdefault(A.size, []).extend(v.as_dict() for v in theorem_checks(A))
     return out
 
@@ -59,6 +72,14 @@ def test_size_7_matrix_pinned(rows_by_size):
     assert len(rows) == MATRIX_N7_ROWS
     text = json.dumps(rows, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == MATRIX_N7_SHA256
+
+
+def test_each_reticulation_is_built_once(size_7_from_empty_memos):
+    """An algebra whose representative has equal tables builds its own
+    L(A), with no second, re-entrant miss for the representative: every
+    miss of the size-7 matrix leaves one entry."""
+    info = size_7_from_empty_memos[1]
+    assert info.misses == info.currsize
 
 
 def test_histogram_per_theorem_id_pinned(rows_by_size):

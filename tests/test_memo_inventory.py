@@ -22,14 +22,13 @@ KEYED_BY_AN_ALGEBRA = {
     "filters._filters", "filters.quotient", "formulas._definable_masks",
     "lifting._lift_failures", "reticulation.build_reticulation",
     "spectra._build",
-    "spectra.is_gelfand",
     "theorems._filter_side", "theorems.local_factor_decomposition",
 }
 LRU_CACHES = KEYED_BY_AN_ALGEBRA | {
     "core._element_range", "core._id_labels", "core._validate_lattice",
     "core._validate_residuated", "core.shared_set",
     "core.distributivity_witness", "dlattice._heyting_algebra",
-    "filters._quotient_tables", "filters.representative",
+    "filters._quotient_tables",
     "iso._order_minimizers", "spectra._topology_predicates",
     "theorems._shared_row",
 }
@@ -59,7 +58,7 @@ def test_memos_are_pinned_by_name():
            if hasattr(memo, "cache_parameters")}
     assert lru == set(memos), "a memo that is not an lru_cache"
     assert lru == LRU_CACHES, _mismatch("lru_cache memos", LRU_CACHES, lru)
-    assert (len(memos), len(KEYED_BY_AN_ALGEBRA)) == (26, 14)
+    assert (len(memos), len(KEYED_BY_AN_ALGEBRA)) == (24, 13)
 
 
 def test_table_memo_tests_list_exactly_the_table_memos():

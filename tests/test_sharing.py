@@ -105,9 +105,13 @@ def test_a_float_table_never_stands_for_an_int_table(cold_caches, E2, name,
 
 
 def test_equal_member_sets_are_one_object(cold_caches, corpus5, E1, E2):
-    seen = {}
+    """The member sets are one object each, and the store holds them and
+    the filter signatures that `filters._filters` interns beside them, one
+    per (order, power limits) pair."""
+    seen, signatures = {}, set()
     for B in corpus5 + [E1, E2]:
         A = _fresh(B)
+        signatures.add((A.leq, A.power_limits))
         cls = classify(A)
         sets = [F.members for F in all_filters(A)]
         sets += [cls.boolean_center, cls.idempotents, cls.regulars,
@@ -116,7 +120,7 @@ def test_equal_member_sets_are_one_object(cold_caches, corpus5, E1, E2):
             assert seen.setdefault(s, s) is s
         F = all_filters(A)[0]
         assert Filter(A, frozenset(F.members)).members is F.members
-    assert shared_set.cache_info().currsize == len(seen)
+    assert shared_set.cache_info().currsize == len(seen) + len(signatures)
 
 
 def _store_sizes():

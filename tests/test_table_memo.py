@@ -45,10 +45,10 @@ FORMULAS = (blp_formula(), ilp_formula(), rlp_formula())
 # two kinds of space, and the filters, at most 5 on 5 elements
 TABLE_MEMOS = (
     (classify, 1), (complemented_elements, 1), (_filters, 1),
-    (quotient, 5), (_lift_failures, 3), (is_gelfand, 1),
-    (build_reticulation, 1), (_definable_masks, 3), (is_normal_lattice, 1),
-    (is_conormal_lattice, 1), (_build, 2), (local_factor_decomposition, 1),
-    (_lattice_blp_failures, 1), (_filter_side, 1),
+    (quotient, 5), (_lift_failures, 3), (build_reticulation, 1),
+    (_definable_masks, 3), (is_normal_lattice, 1), (is_conormal_lattice, 1),
+    (_build, 2), (local_factor_decomposition, 1), (_lattice_blp_failures, 1),
+    (_filter_side, 1),
 )
 
 
