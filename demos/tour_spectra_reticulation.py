@@ -77,7 +77,7 @@ def main():
     for name, A in [("MV 3-chain", lukasiewicz_chain(3)),
                     ("lozenge-with-top", lozenge)]:
         Rt = build_reticulation(A)
-        verdicts = verify_retic_properties(Rt)
+        verdicts = verify_retic_properties(A)
         print(f"{name}: lattice {' '.join(reticulation_labels(A, Rt))}; "
               f"all {len(verdicts)} structural properties "
               f"{'pass' if all(verdicts.values()) else 'FAIL'}")

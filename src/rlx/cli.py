@@ -192,7 +192,7 @@ def cmd_reticulate(args):
     else:
         print(text, end="")
     if args.verify:
-        verdicts = verify_retic_properties(R)
+        verdicts = verify_retic_properties(A)
         for k, v in sorted(verdicts.items()):
             print(f"property {k}: {'ok' if v else 'FAIL'}")
         if not all(verdicts.values()):

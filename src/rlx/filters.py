@@ -14,7 +14,7 @@ term, A/[e) |= phi(x/[e)) iff some witnesses in A make both sides of each
 equation of phi equal under x -> e*x.  The lifting verdicts are decided
 this way in A itself, without building the quotient.
 
-Filt(A), Spec(A), Max(A) and Rad(A) are one record per table pair,
+Filt(A), Spec(A), Max(A) and Rad(A) are one record per filter signature,
 :func:`_filters`; `all_filters`, `spec`, `max_spec` and `radical` read
 it, so a prime, a maximal filter and the radical are the very objects of
 `all_filters`.  Each filter of the record holds the record's filter per
@@ -38,13 +38,13 @@ class Filter(Record):
     finite algebra that is the filter condition.  `gen` is derived, so
     equality and hash cover only the algebra and the members.  Once checked,
     the members are the shared frozenset of :func:`rlx.core.shared_set`.
-    Every algebra keeps one per idempotent, so the fields live in slots,
+    Every signature keeps one per idempotent, so the fields live in slots,
     not in a dict per filter.  A filter of the record of :func:`_filters`
-    also holds that record's filter per idempotent, `upsets`; any other
-    filter holds None there.  It follows from the algebra, so equality
-    and hash ignore it.  The hash, a key of the quotient memo, is computed
-    once.  A filter shows its member ids; `io.print_filter` renders it
-    under an algebra's labels.
+    holds the signature's representative and that record's filter per
+    idempotent, `upsets`; any other filter holds None there.  It follows
+    from the algebra, so equality and hash ignore it.  The hash, a key of
+    the quotient memo, is computed once.  A filter shows its member ids;
+    `io.print_filter` renders it under an algebra's labels.
     """
 
     __slots__ = ("algebra", "members", "gen", "upsets", "_hash")
@@ -63,20 +63,12 @@ class Filter(Record):
         for b in A.elements():
             if A.leq[m][b] and b not in F:
                 raise AxiomViolation("filter-up-closed", (m, b))
-        self._fill(algebra, shared_set(members), m)
-
-    def _fill(self, algebra, members, gen):
-        self._set("algebra", algebra)
-        self._set("members", members)
-        self._set("gen", gen)
+        F = shared_set(F)
+        self._set("algebra", A)
+        self._set("members", F)
+        self._set("gen", m)
         self._set("upsets", None)
-        self._set("_hash", hash((algebra, members)))
-
-    def rebound(self, algebra):
-        """This filter on an algebra of its algebra's signature, unchecked."""
-        F = Filter.__new__(Filter)
-        F._fill(algebra, self.members, self.gen)
-        return F
+        self._set("_hash", hash((A, F)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -139,43 +131,37 @@ class Signature(tuple):
 
 @lru_cache(maxsize=None)
 def _filters(A):
-    """(upsets, filters, primes, maxima, radical, representative) of A: the
-    filter [e) for every idempotent e (None elsewhere), every filter, the
-    prime and the maximal filters, each in all_filters order, the radical,
-    with the maximal filters asserted to be prime, and the algebra of the
-    :class:`Signature` that `shared_set` keeps for A's.  Each filter is one
-    object, built once per table pair.  The members, the constructor's
-    checks, `is_prime`, the maxima and the radical read only signature
-    fields: they are decided on the representative, whose filters any
-    other algebra rebinds (:meth:`Filter.rebound`).  A filter holds x iff
-    it holds x^w, so (a*b)^w = (a&b)^w, checked first, gives V(a*b) =
-    V(a&b) on Spec and Max and lam(a*b) = lam(a&b) in L(A)."""
+    """(upsets, filters, primes, maxima, radical, representative) of A's
+    filter signature: the filter [e) for every idempotent e (None
+    elsewhere), every filter, the prime and the maximal filters, each in
+    all_filters order, the radical, with the maximal filters asserted to
+    be prime, and R, the algebra of the :class:`Signature` that
+    `shared_set` keeps for A's.  They read only signature fields, so every
+    algebra with it reads R's record, whose filters hold R.  A filter
+    holds x iff it holds x^w, so (a*b)^w = (a&b)^w, checked first on A,
+    gives V(a*b) = V(a&b) on Spec and Max and lam(a*b) = lam(a&b)."""
     w = A.power_limits
     for a, (odot, meet) in enumerate(zip(A.odot, A.meet)):
         for b in A.elements():
             if w[odot[b]] != w[meet[b]]:
                 raise AxiomViolation("odot-limit", (a, b))
     R = shared_set(Signature((A.leq, w, A)))[-1]
-    if R is not A:
-        shared, *parts, rad, _ = _filters(R)
-        upsets = tuple([F if F is None else F.rebound(A) for F in shared])
-        filters, primes, maxima = (tuple([upsets[F.gen] for F in p]) for p in parts)
-        rad = upsets[rad.gen]
-    else:
-        upsets = tuple(Filter(A, frozenset(x for x in A.elements() if A.leq[e][x]))
-                       if A.odot[e][e] == e else None for e in A.elements())
-        filters = tuple(sorted((F for F in upsets if F is not None),
-                               key=lambda F: (len(F), F.sorted_members())))
-        primes = tuple(F for F in filters if is_prime(F))
-        proper = [F for F in filters if F.proper]
-        maxima = tuple(F for F in proper
-                       if not any(F.members < G.members for G in proper))
-        for M in maxima:
-            assert M in primes, "maximal filter not prime"
-        rad = A.bot
-        for M in maxima:
-            rad = A.join[rad][M.gen]
-        rad = upsets[rad]
+    if R != A:
+        return _filters(R)
+    upsets = tuple(Filter(A, frozenset(x for x in A.elements() if A.leq[e][x]))
+                   if A.odot[e][e] == e else None for e in A.elements())
+    filters = tuple(sorted((F for F in upsets if F is not None),
+                           key=lambda F: (len(F), F.sorted_members())))
+    primes = tuple(F for F in filters if is_prime(F))
+    proper = [F for F in filters if F.proper]
+    maxima = tuple(F for F in proper
+                   if not any(F.members < G.members for G in proper))
+    for M in maxima:
+        assert M in primes, "maximal filter not prime"
+    rad = A.bot
+    for M in maxima:
+        rad = A.join[rad][M.gen]
+    rad = upsets[rad]
     for F in upsets:
         if F is not None:
             F._set("upsets", upsets)

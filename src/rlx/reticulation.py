@@ -45,16 +45,14 @@ class Reticulation(Record):
 @lru_cache(maxsize=None)
 def build_reticulation(A):
     """Canonical construction: A's distinct principal filters under reverse
-    inclusion, with lam(a) = [a).  `lam`, the lattice (validate_bdl checks
-    distributivity) and :func:`_assert_axioms` read only signature fields,
-    the same for two algebras with one signature, and are read off the
-    L(A) of the representative R.  `_filters` has checked lam(a*b) =
-    lam(a&b)."""
-    upsets, filters, *_, R = _filters(A)
+    inclusion, with lam(a) = [a).  `lam`, the filters, the lattice
+    (validate_bdl checks distributivity) and :func:`_assert_axioms` read
+    only signature fields, so every algebra with the signature reads the
+    L(A) of its representative R, its `source`.  `_filters` has checked
+    lam(a*b) = lam(a&b) on A."""
+    _, filters, *_, R = _filters(A)
     if R != A:
-        shared = build_reticulation(R)
-        return Reticulation(A, shared.lattice, shared.lam,
-                            tuple([upsets[F.gen] for F in shared.filter_of]))
+        return build_reticulation(R)
     # on a finite algebra every filter is principal
     filter_of = tuple(sorted(filters,
                              key=lambda F: (-len(F), F.sorted_members())))
@@ -64,7 +62,7 @@ def build_reticulation(A):
     leq = tuple(tuple(A.leq[F.gen][G.gen] for G in filter_of)
                 for F in filter_of)
     _assert_axioms(A, lam, leq)
-    return Reticulation(A, validate_bdl(None, leq), lam, filter_of)
+    return Reticulation(R, validate_bdl(None, leq), lam, filter_of)
 
 
 def _assert_axioms(A, lam, leq):
@@ -84,12 +82,14 @@ def _assert_axioms(A, lam, leq):
             assert row[lb] == above[b]
 
 
-def verify_retic_properties(R, shared=None):
-    """The eight structural properties of the canonical reticulation; each
+def verify_retic_properties(A, shared=None):
+    """The eight structural properties of A's canonical reticulation; each
     returns True or raises, and the verdict vector is handed back.
     `shared`, the (property, verdict) pairs of :func:`signature_properties`
-    on an algebra with the same filter signature, stands for them."""
-    A, lam = R.source, R.lam
+    on an algebra with the same filter signature, stands for them.  (3)
+    and (8) read A's own product and quotients, not its `source`'s."""
+    R = build_reticulation(A)
+    lam = R.lam
     verdicts = dict(shared or signature_properties(R))
 
     # (3) powers collapse: a, a^2, ..., a^n all have the image of a

@@ -25,12 +25,10 @@ from .filters import (
 
 
 class SpectrumSpace(Record):
-    def __init__(self, algebra: object,
-                 kind: str,  # "spec" | "max"
+    def __init__(self, kind: str,  # "spec" | "max"
                  points: tuple,  # of Filter
                  opens: tuple,  # sorted bitmask family
                  v: tuple):  # element id -> bitmask of the points holding it
-        self._set("algebra", algebra)
         self._set("kind", kind)
         self._set("points", points)
         self._set("opens", opens)
@@ -57,22 +55,21 @@ class SpectrumSpace(Record):
 
 @lru_cache(maxsize=None)
 def _build(A, kind):
-    """The space of its kind on A's own primes or maxima.  `v`, the opens
-    and :func:`_assert_stone_identities` read only signature fields, the
-    same for two algebras with one signature, and are read off the space
-    of the representative R.  `_filters` has checked V(a*b) = V(a&b)."""
+    """The space of its kind on the primes or maxima of A's filter record.
+    Its points, `v`, the opens and :func:`_assert_stone_identities` read
+    only signature fields, so every algebra reads the space of its
+    representative R.  `_filters` has checked V(a*b) = V(a&b) on A."""
     _, filters, primes, maxima, _, R = _filters(A)
-    points = primes if kind == "spec" else maxima
     if R != A:
-        shared = _build(R, kind)
-        return SpectrumSpace(A, kind, points, shared.opens, shared.v)
+        return _build(R, kind)
+    points = primes if kind == "spec" else maxima
     v = [0] * A.size
     for i, P in enumerate(points):
         for a in P.members:
             v[a] |= 1 << i
     full = (1 << len(points)) - 1
     opens = tuple(sorted({full & ~v[F.gen] for F in filters}))
-    space = SpectrumSpace(A, kind, points, opens, tuple(v))
+    space = SpectrumSpace(kind, points, opens, tuple(v))
     _assert_stone_identities(A, space)
     return space
 

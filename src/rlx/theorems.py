@@ -626,7 +626,7 @@ def check_biresiduum_gap_lemma(A):
 def check_retic_bridge(A):
     _, filters, *_, R = _filters(A)
     side = _filter_side(R)
-    verdicts = verify_retic_properties(build_reticulation(A), side.retic)
+    verdicts = verify_retic_properties(A, side.retic)
     out = [_equiv(f"reticulation-structure.{k}", v, True)
            for k, v in sorted(verdicts.items())]
 

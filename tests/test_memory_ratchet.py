@@ -19,15 +19,17 @@ import pytest
 
 import rlx
 
-# bytes retained with CPython 3.11 in a fresh interpreter: 279,681, plus
-# 3 % (the pin was 396,300, set at 384,751 before an algebra's identity
-# became its tables and every memo kept one answer per table pair; the
-# pin before it was 417,400, set at 405,191; 402,323 before Filt, Spec,
-# Max and Rad were read off one filter record per algebra, 413,052 before
-# the quotient tables were validated once per triple and L(A/F) read off
-# the table memos, 439,820 before the topological predicates were kept
-# per topology and not per space)
-RETAINED_PIN = {(3, 11): 288_100}
+# bytes retained with CPython 3.11 in a fresh interpreter: 244,309, plus
+# 3 % (the pin was 288,100, set at 279,681; 260,917 before every algebra
+# read its representative's filter record, spaces and L(A) instead of
+# rebinding copies of them; the pin was 396,300, set at 384,751 before
+# an algebra's identity became its tables and every memo kept one answer
+# per table pair; the pin before it was 417,400, set at 405,191;
+# 402,323 before Filt, Spec, Max and Rad were read off one filter record
+# per algebra, 413,052 before the quotient tables were validated once per
+# triple and L(A/F) read off the table memos, 439,820 before the
+# topological predicates were kept per topology and not per space)
+RETAINED_PIN = {(3, 11): 251_700}
 # a value this far below the pin means the pin should come down
 SLACK = 0.9
 

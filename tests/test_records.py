@@ -107,7 +107,7 @@ RECORDS = {
         "target=ResiduatedLattice(0,1), mapping=(0, 1))"),
     SpectrumSpace: (
         stone_spec(B),
-        "SpectrumSpace(algebra=ResiduatedLattice(0,1), kind='spec', "
+        "SpectrumSpace(kind='spec', "
         "points=({1},), opens=(0, 1), v=(0, 1))"),
     TheoremVerdict: (
         theorem_checks(B)[0],

@@ -60,13 +60,13 @@ def test_reticulation_mv_chain_collapses_nilpotents():
 
 def test_retic_properties_on_corpus(corpus5):
     for A in corpus5:
-        verdicts = verify_retic_properties(build_reticulation(A))
+        verdicts = verify_retic_properties(A)
         assert all(verdicts.values()), verdicts
 
 
 def test_retic_properties_on_fixtures(E1, E2):
     for A in (E1, E2):
-        verdicts = verify_retic_properties(build_reticulation(A))
+        verdicts = verify_retic_properties(A)
         assert all(verdicts.values())
 
 

@@ -5,10 +5,10 @@ The matrix decides what reads only an algebra's filter signature
 on the first algebra seen with it.  With the signature store handing
 each algebra its own signature back, every algebra decides everything
 itself: the rows, witnesses included, and the analysis reports are the
-same both ways.  Every other algebra's filters, spaces and reticulation
-are its own objects, rebuilt from the first algebra's, and the product
-identity that `_filters` checks on every algebra still catches a fault
-in it.
+same both ways.  Every other algebra reads the filter record, both
+spaces and the reticulation of that first algebra, the very objects, and
+the product identity that `_filters` checks on every algebra still
+catches a fault in it.
 """
 
 import pytest
@@ -60,24 +60,22 @@ def _matrix_and_reports(algebras, capsys):
     return rows, reports
 
 
-def _assert_own_structures(algebras):
-    """Each algebra's filters, points, spaces and reticulation hold the
-    algebra itself (the first copy of equal tables, whose answers every
-    copy reads), not the representative of its signature."""
-    first = {}
+def _assert_representative_structures(algebras):
+    """Each algebra's filter record, both spaces and reticulation are the
+    objects of the representative of its signature, and every filter,
+    point and reticulation holds the representative."""
     for A in algebras:
-        A = first.setdefault(A, A)
-        upsets, filters, primes, maxima, rad, _ = _filters(A)
-        owned = [F for F in upsets if F is not None]
-        assert set(filters) == set(owned)
-        for F in owned + [*filters, *primes, *maxima, rad]:
-            assert F.algebra is A and F.upsets is upsets
-        for space in (stone_spec(A), stone_max(A)):
-            assert space.algebra is A
-            assert all(P.algebra is A for P in space.points)
-        R = build_reticulation(A)
-        assert R.source is A
-        assert all(F.algebra is A for F in R.filter_of)
+        record = _filters(A)
+        upsets, filters, primes, maxima, rad, R = record
+        sp, mx, retic = stone_spec(A), stone_max(A), build_reticulation(A)
+        assert record is _filters(R) and retic is build_reticulation(R)
+        assert sp is stone_spec(R) and mx is stone_max(R)
+        assert retic.source is R
+        held = [F for F in upsets if F is not None]
+        assert set(filters) == set(held)
+        for F in [*held, *filters, *primes, *maxima, rad, *sp.points,
+                  *mx.points, *retic.filter_of]:
+            assert F.algebra is R and F.upsets is upsets
 
 
 def test_sharing_by_signature_changes_no_row(monkeypatch, capsys):
@@ -85,7 +83,7 @@ def test_sharing_by_signature_changes_no_row(monkeypatch, capsys):
     shared = _matrix_and_reports(algebras, capsys)
     # most algebras read the verdicts and structures of another one
     assert 2 * sum(_filters(A)[5] is not A for A in algebras) > len(algebras)
-    _assert_own_structures(algebras)
+    _assert_representative_structures(algebras)
     monkeypatch.setattr(rlx.filters, "shared_set", lambda value: value)
     try:
         assert _matrix_and_reports(algebras, capsys) == shared
@@ -222,7 +220,7 @@ def test_product_identities_catch_a_fault_on_a_non_representative():
             assert (caught.value.axiom, caught.value.witness) == (
                 "odot-limit", (a, b))
         # the valid algebra of the signature becomes its representative
-        assert _filters(A)[5] is A and stone_spec(A).algebra is A
+        assert _filters(A)[5] is A
         assert shared_set(Signature((B.leq, B.power_limits, B)))[-1] is A
     finally:
         clear_memos()
