@@ -21,33 +21,43 @@ class Record:
     """Base of the immutable value classes: a frozen dataclass without the
     cost of importing `dataclasses` and building each class.
 
-    A subclass's fields are the instance attributes its `__init__` sets,
-    in order, with `_set`; plain assignment raises AttributeError.
-    Records of the same class are equal when their fields are, hash as
-    the tuple of their fields and show as `Class(field=value, ...)`.  A
-    subclass that stores anything besides its fields defines its own
-    `__hash__` and `__repr__`, and its own `__eq__` unless what it stores
-    follows from the fields; one that keeps its fields in `__slots__`
-    defines all three.
+    A subclass names its fields once, in order, as `__slots__`, so a
+    record has no dict per instance.  It is built from its fields by
+    position or by name, strictly (TypeError), and is read-only.  Records
+    of one class are equal when their fields are, hash as their field
+    tuple and show as `Class(field=value, ...)`.  A subclass with its own
+    constructor hands its fields to this one or sets them with `_set`;
+    one that stores more than its fields defines its own `__hash__` and
+    `__repr__`, and `__eq__` unless what it stores follows from them.
     """
 
     __slots__ = ()
 
-    # object.__setattr__, as a frozen dataclass uses it, keeps the fields
-    # in the instance's compact attribute store; writing them through
-    # self.__dict__ would build a full dict per instance, twice the memory
     _set = object.__setattr__
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs:
+            args += tuple(kwargs.pop(k) for k in names[len(args):] if k in kwargs)
+        if len(args) != len(names) or kwargs:
+            raise TypeError(f"{type(self).__qualname__} takes the fields "
+                            f"{', '.join(names)}")
+        for name, value in zip(names, args):
+            self._set(name, value)
+
+    def _fields(self):
+        return tuple(map(self.__getattribute__, self.__slots__))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.__dict__ == other.__dict__
+            return self._fields() == other._fields()
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(self.__dict__.values()))
+        return hash(self._fields())
 
     def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -150,21 +160,12 @@ def _id_labels(n):
 
 
 class ElementClassReport(Record):
-    def __init__(self, boolean_center: frozenset, idempotents: frozenset,
-                 regulars: frozenset, nilpotents: frozenset,
-                 archimedeans: frozenset, is_godel: bool,
-                 is_involutive: bool, is_chain: bool, is_distributive: bool,
-                 is_hyperarchimedean: bool):
-        self._set("boolean_center", boolean_center)
-        self._set("idempotents", idempotents)
-        self._set("regulars", regulars)
-        self._set("nilpotents", nilpotents)
-        self._set("archimedeans", archimedeans)
-        self._set("is_godel", is_godel)
-        self._set("is_involutive", is_involutive)
-        self._set("is_chain", is_chain)
-        self._set("is_distributive", is_distributive)
-        self._set("is_hyperarchimedean", is_hyperarchimedean)
+    """The element classes of an algebra, each a frozenset of element ids,
+    and its structural predicates, each a bool."""
+
+    __slots__ = ("boolean_center", "idempotents", "regulars", "nilpotents",
+                 "archimedeans", "is_godel", "is_involutive", "is_chain",
+                 "is_distributive", "is_hyperarchimedean")
 
 
 def _check_square(name, table, n):

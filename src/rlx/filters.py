@@ -38,13 +38,12 @@ class Filter(Record):
     finite algebra that is the filter condition.  `gen` is derived, so
     equality and hash cover only the algebra and the members.  Once checked,
     the members are the shared frozenset of :func:`rlx.core.shared_set`.
-    Every signature keeps one per idempotent, so the fields live in slots,
-    not in a dict per filter.  A filter of the record of :func:`_filters`
-    holds the signature's representative and that record's filter per
-    idempotent, `upsets`; any other filter holds None there.  It follows
-    from the algebra, so equality and hash ignore it.  The hash, a key of
-    the quotient memo, is computed once.  A filter shows its member ids;
-    `io.print_filter` renders it under an algebra's labels.
+    A filter of the record of :func:`_filters` holds the signature's
+    representative and that record's filter per idempotent, `upsets`; any
+    other filter holds None there.  It follows from the algebra, so
+    equality and hash ignore it.  The hash, a key of the quotient memo, is
+    computed once.  A filter shows its member ids; `io.print_filter`
+    renders it under an algebra's labels.
     """
 
     __slots__ = ("algebra", "members", "gen", "upsets", "_hash")
@@ -64,11 +63,7 @@ class Filter(Record):
             if A.leq[m][b] and b not in F:
                 raise AxiomViolation("filter-up-closed", (m, b))
         F = shared_set(F)
-        self._set("algebra", A)
-        self._set("members", F)
-        self._set("gen", m)
-        self._set("upsets", None)
-        self._set("_hash", hash((A, F)))
+        super().__init__(A, F, m, None, hash((A, F)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -231,15 +226,10 @@ def is_semisimple(A):
 
 
 class QuotientAlgebra(Record):
-    def __init__(self, parent: ResiduatedLattice, filter: Filter,
-                 class_of: tuple,  # element id -> class id
-                 quotient: ResiduatedLattice,
-                 section: tuple):  # class id -> least representative element
-        self._set("parent", parent)
-        self._set("filter", filter)
-        self._set("class_of", class_of)
-        self._set("quotient", quotient)
-        self._set("section", section)
+    """A/F for A `parent` and F `filter`: `class_of` maps an element id to
+    its class id in `quotient`, `section` a class id to its least element."""
+
+    __slots__ = ("parent", "filter", "class_of", "quotient", "section")
 
 
 def _check_congruence(A, class_of, reps):

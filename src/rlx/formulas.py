@@ -42,52 +42,41 @@ MAX_TERM_DEPTH = 2 * MAX_DEPTH
 
 
 class FreeVar(Record):
-    def __init__(self, name: str):
-        self._set("name", name)
+    __slots__ = ("name",)
 
 
 class BoundVar(Record):
-    def __init__(self, name: str):
-        self._set("name", name)
+    __slots__ = ("name",)
 
 
 class Const(Record):
-    def __init__(self, value: int):  # 0 or 1
-        self._set("value", value)
+    __slots__ = ("value",)  # 0 or 1
 
 
 class BinOp(Record):
-    def __init__(self, op: str,  # "|", "&", "*", "->", "<->"
-                 lhs: object, rhs: object):
-        self._set("op", op)
-        self._set("lhs", lhs)
-        self._set("rhs", rhs)
+    __slots__ = ("op", "lhs", "rhs")  # op: "|", "&", "*", "->" or "<->"
 
 
 class Neg(Record):
-    def __init__(self, arg: object):
-        self._set("arg", arg)
+    __slots__ = ("arg",)
 
 
 class Pow(Record):
-    def __init__(self, arg: object, exponent: int):
-        self._set("arg", arg)
-        self._set("exponent", exponent)
+    __slots__ = ("arg", "exponent")
 
 
 class Formula(Record):
-    """A parsed formula.  Formulas key the per-algebra caches of definable
-    sets, so the hash of the field tuple is computed once, here, instead
-    of re-hashing the whole term tree on each lookup.  The stored hash
-    follows from the fields, so the base's equality still holds."""
+    """A parsed formula: `equations` is a tuple of (lhs, rhs) term pairs.
+    Formulas key the per-algebra caches of definable sets, so the hash of
+    the field tuple is computed once, here, instead of re-hashing the
+    whole term tree on each lookup.  The stored hash follows from the
+    fields, so the base's equality still holds."""
 
-    def __init__(self, bound_vars: tuple,
-                 equations: tuple,  # of (lhs, rhs) term pairs
-                 free_var: str):
-        self._set("bound_vars", bound_vars)
-        self._set("equations", equations)
-        self._set("free_var", free_var)
-        self._set("_hash", hash((bound_vars, equations, free_var)))
+    __slots__ = ("bound_vars", "equations", "free_var", "_hash")
+
+    def __init__(self, bound_vars: tuple, equations: tuple, free_var: str):
+        super().__init__(bound_vars, equations, free_var,
+                         hash((bound_vars, equations, free_var)))
 
     def __hash__(self):
         return self._hash

@@ -28,19 +28,14 @@ class FilterVerdict(Record):
     """`counterexample` is an element id that fails to lift, or None;
     `witness` a lifting element for the least liftable class, or None."""
 
-    def __init__(self, holds: bool, counterexample: object, witness: object):
-        self._set("holds", holds)
-        self._set("counterexample", counterexample)
-        self._set("witness", witness)
+    __slots__ = ("holds", "counterexample", "witness")
 
 
 class LpReport(Record):
-    def __init__(self, formula: object,
-                 per_filter: tuple,  # of (Filter, FilterVerdict)
-                 global_holds: bool):
-        self._set("formula", formula)
-        self._set("per_filter", per_filter)
-        self._set("global_holds", global_holds)
+    """The lifting verdict of `formula`: `per_filter` pairs each filter
+    with its FilterVerdict, and `global_holds` is whether all hold."""
+
+    __slots__ = ("formula", "per_filter", "global_holds")
 
 
 def has_phi_lp(A, phi, F):

@@ -11,7 +11,6 @@ from functools import lru_cache
 
 from .core import (
     Record,
-    ResiduatedLattice,
     _validate_lattice,
     classify,
     complemented_elements,
@@ -32,14 +31,10 @@ from .lifting import filter_lifts
 
 
 class Reticulation(Record):
-    def __init__(self, source: object,
-                 lattice: ResiduatedLattice,  # Heyting algebra of validate_bdl
-                 lam: tuple,  # element id -> lattice element id
-                 filter_of: tuple):  # lattice element id -> Filter (principal)
-        self._set("source", source)
-        self._set("lattice", lattice)
-        self._set("lam", lam)
-        self._set("filter_of", filter_of)
+    """L(A) of A `source`: the Heyting algebra `lattice`, `lam`: element id
+    -> lattice element id, and `filter_of`: lattice element id -> filter."""
+
+    __slots__ = ("source", "lattice", "lam", "filter_of")
 
 
 @lru_cache(maxsize=None)

@@ -25,14 +25,11 @@ from .filters import (
 
 
 class SpectrumSpace(Record):
-    def __init__(self, kind: str,  # "spec" | "max"
-                 points: tuple,  # of Filter
-                 opens: tuple,  # sorted bitmask family
-                 v: tuple):  # element id -> bitmask of the points holding it
-        self._set("kind", kind)
-        self._set("points", points)
-        self._set("opens", opens)
-        self._set("v", v)
+    """The space of `kind` "spec" or "max": `points`, a tuple of filters,
+    the sorted bitmask family `opens`, and `v`, which maps an element id
+    to the bitmask of the points that hold it."""
+
+    __slots__ = ("kind", "points", "opens", "v")
 
     @property
     def full(self):

@@ -68,35 +68,16 @@ from .reticulation import (
 
 class TheoremVerdict(Record):
     """One row of the theorem matrix.  A matrix holds many rows and few
-    theorem ids, so each id is interned and the fields live in slots
-    instead of a dict per row; equality, hash and repr are those of the
-    other records."""
+    theorem ids, so each id is interned."""
 
     __slots__ = ("theorem_id", "lhs", "rhs", "agree", "witness")
 
     def __init__(self, theorem_id: str, lhs: bool, rhs: bool, agree: bool,
                  witness: object = None):
-        self._set("theorem_id", sys.intern(theorem_id))
-        self._set("lhs", lhs)
-        self._set("rhs", rhs)
-        self._set("agree", agree)
-        self._set("witness", witness)
+        super().__init__(sys.intern(theorem_id), lhs, rhs, agree, witness)
 
     def as_dict(self):
         return {k: getattr(self, k) for k in self.__slots__}
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.as_dict() == other.as_dict()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.theorem_id, self.lhs, self.rhs, self.agree,
-                     self.witness))
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
-        return f"TheoremVerdict({fields})"
 
 
 @lru_cache(maxsize=None)

@@ -105,6 +105,8 @@ class NoIsomorphism(RlxError):
 class RLMorphism(Record):
     """A residuated-lattice morphism, checked on construction."""
 
+    __slots__ = ("source", "target", "mapping")
+
     def __init__(self, source: object, target: object,
                  mapping: tuple):  # element id -> element id
         A, B, f = source, target, mapping
@@ -121,9 +123,7 @@ class RLMorphism(Record):
                 for ta, tb in pairs:
                     if f[ta[x][y]] != tb[f[x]][f[y]]:
                         raise AxiomViolation("morphism-compat", (x, y))
-        self._set("source", source)
-        self._set("target", target)
-        self._set("mapping", mapping)
+        super().__init__(source, target, mapping)
 
 
 def reticulate_morphism(f: RLMorphism):

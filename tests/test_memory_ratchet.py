@@ -19,8 +19,10 @@ import pytest
 
 import rlx
 
-# bytes retained with CPython 3.11 in a fresh interpreter: 244,309, plus
-# 3 % (the pin was 288,100, set at 279,681; 260,917 before every algebra
+# bytes retained with CPython 3.11 in a fresh interpreter: 225,965, plus
+# 3 % (the pin was 251,700, set at 244,309 before every record kept its
+# fields in slots instead of a dict per instance; the pin before it was
+# 288,100, set at 279,681; 260,917 before every algebra
 # read its representative's filter record, spaces and L(A) instead of
 # rebinding copies of them; the pin was 396,300, set at 384,751 before
 # an algebra's identity became its tables and every memo kept one answer
@@ -29,7 +31,7 @@ import rlx
 # per algebra, 413,052 before the quotient tables were validated once per
 # triple and L(A/F) read off the table memos, 439,820 before the
 # topological predicates were kept per topology and not per space)
-RETAINED_PIN = {(3, 11): 251_700}
+RETAINED_PIN = {(3, 11): 232_800}
 # a value this far below the pin means the pin should come down
 SLACK = 0.9
 

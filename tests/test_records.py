@@ -1,7 +1,9 @@
 """The value classes behave as the frozen dataclasses they replace, and the
 CLI loads only what its subcommand uses.
 
-The record classes are plain classes on `rlx.core.Record`, so importing
+The record classes are plain classes on `rlx.core.Record`: each names
+its fields once, in `__slots__`, and so keeps no dict per instance, but
+`ResiduatedLattice`, which caches its power limits in one.  Importing
 rlx does not import `dataclasses` (and with it `inspect`, `ast` and
 `dis`).  The reprs below were recorded from the dataclass versions,
 except three re-recorded when labels left an algebra's identity: a
@@ -20,6 +22,7 @@ import pytest
 import rlx
 from rlx.core import (
     ElementClassReport,
+    Record,
     ResiduatedLattice,
     boolean_algebra,
     classify,
@@ -117,8 +120,14 @@ RECORDS = {
 
 
 def _fields(record):
-    """The constructor arguments of a record, by name."""
-    names = inspect.signature(type(record)).parameters
+    """The constructor arguments of a record, by name: its slots when the
+    class is built by `Record.__init__`, else its constructor's
+    parameters."""
+    cls = type(record)
+    if cls.__init__ is Record.__init__:
+        names = cls.__slots__
+    else:
+        names = inspect.signature(cls).parameters
     return {name: getattr(record, name) for name in names}
 
 
@@ -140,6 +149,19 @@ def test_record_semantics(cls):
     with pytest.raises(AttributeError):
         delattr(record, name)
     assert getattr(record, name) is fields[name]
+    assert hasattr(record, "__dict__") == (cls is ResiduatedLattice)
+
+    values = list(fields.values())
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    # the last field without a default: a verdict's witness defaults to None
+    required = values[:-1] if cls is TheoremVerdict else values
+    with pytest.raises(TypeError):
+        cls(*required[:-1])
+    with pytest.raises(TypeError):
+        cls(**fields, unknown=None)
+    with pytest.raises(TypeError):
+        cls(values[0], **fields)
 
     twin = cls(**fields)
     assert twin is not record
