@@ -62,7 +62,7 @@ def main():
     maxima = max_spec(A)
     for P in spec(A):
         # A is Gelfand: exactly one maximal filter lies above P
-        M = next(M for M in maxima if P <= M)
+        M = next(M for M in maxima if A.leq[M][P])  # P inside M
         print(f"  prime {print_filter(A, P)} -> maximal {print_filter(A, M)}")
 
     banner("Manufacturing a non-Gelfand algebra")

@@ -6,8 +6,6 @@ implementation bug surfaced by the matrix, kept distinct for CI).
 Arguments are read off one table, `COMMANDS`; options are never abbreviated.
 """
 
-from __future__ import annotations
-
 import json
 import sys
 from pathlib import Path

@@ -79,8 +79,8 @@ class ResiduatedLattice(Record):
     copy equals the algebra it copies, and every cache keyed by an
     algebra holds one answer per table pair, computed on the first copy
     asked.  Only the algebra a caller built is read for labels: an answer
-    that holds an algebra (a filter, a space, a quotient, a reticulation)
-    may hold another copy.  Derived algebras are built with labels=None
+    that holds an algebra (a quotient, a reticulation) may hold another
+    copy.  Derived algebras are built with labels=None
     and show their ids.  The hash is computed once, holds only bools and
     ints, so it does not depend on the process's string-hash seed, and
     `validate` shares equal tables, so identity mostly decides equality.
@@ -131,15 +131,10 @@ class ResiduatedLattice(Record):
 
     @cached_property
     def power_limits(self):
-        """The power limits of every element, by id, computed once per
-        algebra: the vector the hot loops index."""
+        """The power limit a^w of every element a, by id, computed once
+        per algebra: the stationary value of the decreasing sequence a,
+        a^2, a^3, ..., reached within `size` steps."""
         return tuple(self.power(a, self.size) for a in self.elements())
-
-    def power_limit(self, a):
-        """Stationary value of the decreasing sequence a, a^2, a^3, ...
-
-        Reached within `size` steps on a finite algebra."""
-        return self.power_limits[a]
 
     def __repr__(self):
         return f"ResiduatedLattice({','.join(self.labels)})"
@@ -549,8 +544,8 @@ def shared_set(value):
     filter signature, or a `filters.Signature`, whose algebra, the first
     seen with it, represents every algebra that has it.
 
-    Filters and element classes repeat from algebra to algebra: on n
-    elements each is one of at most 2^n sets.  The matrix's shared rows
+    Element classes repeat from algebra to algebra: on n elements each
+    is one of at most 2^n sets.  The matrix's shared rows
     and verdicts repeat across signatures.  So they share one object per
     distinct value, and the store grows with the values, not with the
     algebras."""

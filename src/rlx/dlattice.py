@@ -6,8 +6,6 @@ odot = meet, so its filters, spectra, quotients and radical are the ones
 of `rlx.filters`, and its Boolean center is `core.complemented_elements`.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .core import (
@@ -55,22 +53,22 @@ def _lattice_blp_failures(L):
     decided on each quotient, apart from the algebra's lifting mask: a
     reticulation is one lattice per order, so each is decided once."""
     B, failures = complemented_elements(L), 0
-    for F in all_filters(L):
-        Q = quotient(L, F)
+    for f in all_filters(L):
+        Q = quotient(L, f)
         if not complemented_elements(Q.quotient) <= {Q.class_of[e] for e in B}:
-            failures |= 1 << F.gen
+            failures |= 1 << f
     return failures
 
 
-def lattice_blp_filter(L, F):
-    """Does F lift Boolean elements: B(L/F) inside B(L)/F?"""
-    return not _lattice_blp_failures(L) >> F.gen & 1
+def lattice_blp_filter(L, f):
+    """Does F = [f) lift Boolean elements: B(L/F) inside B(L)/F?"""
+    return not _lattice_blp_failures(L) >> f & 1
 
 
 def lattice_blp(L):
-    """Per-filter Boolean lifting and the conjunction."""
+    """Per-filter Boolean lifting, by generator, and the conjunction."""
     failures = _lattice_blp_failures(L)
-    return {F: not failures >> F.gen & 1 for F in all_filters(L)}, not failures
+    return {f: not failures >> f & 1 for f in all_filters(L)}, not failures
 
 
 @lru_cache(maxsize=None)

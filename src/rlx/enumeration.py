@@ -56,8 +56,6 @@ those of the unpruned search.  ``_generate`` still validates one table
 of each class.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .core import bounds_of, glb_table, lub_table, validate

@@ -1,12 +1,18 @@
 """Filters, spectra as filter sets, radicals, and quotient algebras.
 
 On a finite algebra every filter is the up-set of its least element, an
-idempotent: F = [e) = {x : e <= x}.  That generator `gen` is what the
-filter operations compute with:
+idempotent: F = [e) = {x : e <= x}.  So a filter is its generator e, an
+element id, and for F = [e), G = [f) the filter operations are table
+reads:
 
-    [X)     = up-set of the product of the stationary powers x^n, x in X
-    F v G   = up-set of gen(F) * gen(G)
-    F ^ G   = up-set of gen(F) | gen(G)
+    x in F  iff e <= x          F inside G  iff f <= e
+    F v G   = [e * f)           F ^ G       = [e | f)
+    A       = [0)               {1}         = [1)
+    [x)     = [x^w), x^w the stationary power of x
+
+Only a member set from outside, such as the command line's, is checked,
+by :func:`generator`; the filters that `_filters` lists are up-sets of
+idempotents by construction.
 
 Modulo [e), x and y are equivalent iff e*x = e*y, so the classes of A/[e)
 are the fibers of x -> e*x.  As A -> A/[e) is onto and commutes with every
@@ -16,93 +22,35 @@ this way in A itself, without building the quotient.
 
 Filt(A), Spec(A), Max(A) and Rad(A) are one record per filter signature,
 :func:`_filters`; `all_filters`, `spec`, `max_spec` and `radical` read
-it, so a prime, a maximal filter and the radical are the very objects of
-`all_filters`.  Each filter of the record holds the record's filter per
-idempotent, `upsets`, so the meet and join of two of them are one index,
-with no memo lookup.
+it.
 """
-
-from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import Record, ResiduatedLattice, shared_set, validate
+from .core import Record, shared_set, validate
 from .errors import AxiomViolation
 
 
-class Filter(Record):
-    """A filter of a finite algebra, given by its member set.
-
-    The check is linear: the members contain top, their meet `gen` is a
-    member and idempotent, and they are exactly the up-set of `gen`.  On a
-    finite algebra that is the filter condition.  `gen` is derived, so
-    equality and hash cover only the algebra and the members.  Once checked,
-    the members are the shared frozenset of :func:`rlx.core.shared_set`.
-    A filter of the record of :func:`_filters` holds the signature's
-    representative and that record's filter per idempotent, `upsets`; any
-    other filter holds None there.  It follows from the algebra, so
-    equality and hash ignore it.  The hash, a key of the quotient memo, is
-    computed once.  A filter shows its member ids; `io.print_filter`
-    renders it under an algebra's labels.
-    """
-
-    __slots__ = ("algebra", "members", "gen", "upsets", "_hash")
-
-    def __init__(self, algebra: ResiduatedLattice, members: frozenset):
-        A, F = algebra, members
-        if A.top not in F:
-            raise AxiomViolation("filter-top", ())
-        m = A.top
-        for a in F:
-            m = A.meet[m][a]
-        if m not in F:
-            raise AxiomViolation("filter-meet-closed", (m,))
-        if A.odot[m][m] != m:
-            raise AxiomViolation("filter-odot-closed", (m, m))
-        for b in A.elements():
-            if A.leq[m][b] and b not in F:
-                raise AxiomViolation("filter-up-closed", (m, b))
-        F = shared_set(F)
-        super().__init__(A, F, m, None, hash((A, F)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.members == other.members and self.algebra == other.algebra
-
-    def __hash__(self):
-        return self._hash
-
-    @property
-    def proper(self):
-        return self.algebra.bot not in self.members
-
-    def __contains__(self, x):
-        return x in self.members
-
-    def __len__(self):
-        return len(self.members)
-
-    def __le__(self, other):
-        return self.algebra.leq[other.gen][self.gen]
-
-    def sorted_members(self):
-        return sorted(self.members)
-
-    def __repr__(self):
-        return "{" + ",".join(map(str, self.sorted_members())) + "}"
-
-
-def generated_filter(A, xs):
-    """Least filter containing xs; the empty set generates {top}."""
+def generator(A, members):
+    """The generator e of the filter of A whose member set is `members`,
+    checked.  The check is linear: the members contain top, their meet e
+    is a member and idempotent, and they are exactly the up-set of e.  On
+    a finite algebra that is the filter condition.  Raises AxiomViolation
+    "filter-top", "filter-meet-closed", "filter-odot-closed" or
+    "filter-up-closed" at the first that fails."""
+    if A.top not in members:
+        raise AxiomViolation("filter-top", ())
     e = A.top
-    for x in xs:
-        e = A.odot[e][A.power_limit(x)]
-    return _filters(A)[0][e]
-
-
-def principal_filter(A, x):
-    return generated_filter(A, (x,))
+    for a in members:
+        e = A.meet[e][a]
+    if e not in members:
+        raise AxiomViolation("filter-meet-closed", (e,))
+    if A.odot[e][e] != e:
+        raise AxiomViolation("filter-odot-closed", (e, e))
+    for b in A.elements():
+        if A.leq[e][b] and b not in members:
+            raise AxiomViolation("filter-up-closed", (e, b))
+    return e
 
 
 class Signature(tuple):
@@ -126,15 +74,15 @@ class Signature(tuple):
 
 @lru_cache(maxsize=None)
 def _filters(A):
-    """(upsets, filters, primes, maxima, radical, representative) of A's
-    filter signature: the filter [e) for every idempotent e (None
-    elsewhere), every filter, the prime and the maximal filters, each in
-    all_filters order, the radical, with the maximal filters asserted to
-    be prime, and R, the algebra of the :class:`Signature` that
-    `shared_set` keeps for A's.  They read only signature fields, so every
-    algebra with it reads R's record, whose filters hold R.  A filter
-    holds x iff it holds x^w, so (a*b)^w = (a&b)^w, checked first on A,
-    gives V(a*b) = V(a&b) on Spec and Max and lam(a*b) = lam(a&b)."""
+    """(filters, primes, maxima, radical, representative) of A's filter
+    signature, each filter its generator: every filter, ordered by (size,
+    members), the prime and the maximal filters, each in that order, the
+    radical, with the maximal filters asserted to be prime, and R, the
+    algebra of the :class:`Signature` that `shared_set` keeps for A's.
+    They read only signature fields, so every algebra with it reads R's
+    record.  A filter holds x iff it holds x^w, so (a*b)^w = (a&b)^w,
+    checked first on A, gives V(a*b) = V(a&b) on Spec and Max and
+    lam(a*b) = lam(a&b)."""
     w = A.power_limits
     for a, (odot, meet) in enumerate(zip(A.odot, A.meet)):
         for b in A.elements():
@@ -143,78 +91,64 @@ def _filters(A):
     R = shared_set(Signature((A.leq, w, A)))[-1]
     if R != A:
         return _filters(R)
-    upsets = tuple(Filter(A, frozenset(x for x in A.elements() if A.leq[e][x]))
-                   if A.odot[e][e] == e else None for e in A.elements())
-    filters = tuple(sorted((F for F in upsets if F is not None),
-                           key=lambda F: (len(F), F.sorted_members())))
-    primes = tuple(F for F in filters if is_prime(F))
-    proper = [F for F in filters if F.proper]
-    maxima = tuple(F for F in proper
-                   if not any(F.members < G.members for G in proper))
+    leq = A.leq
+    filters = tuple(sorted(
+        (e for e in A.elements() if w[e] == e),
+        key=lambda e: (sum(leq[e]), [x for x in A.elements() if leq[e][x]])))
+    primes = tuple(e for e in filters if is_prime(A, e))
+    # [e) is maximal iff no proper [f) strictly contains it: no f < e
+    maxima = tuple(e for e in filters if e != A.bot and not any(
+        f not in (A.bot, e) and leq[f][e] for f in filters))
     for M in maxima:
         assert M in primes, "maximal filter not prime"
     rad = A.bot
     for M in maxima:
-        rad = A.join[rad][M.gen]
-    rad = upsets[rad]
-    for F in upsets:
-        if F is not None:
-            F._set("upsets", upsets)
-    return upsets, filters, primes, maxima, rad, R
+        rad = A.join[rad][M]
+    return filters, primes, maxima, rad, R
 
 
 def all_filters(A):
-    """Every filter of A, deterministically ordered by (size, members).
+    """Every filter of A by its generator, deterministically ordered by
+    (size, members).
 
     On a finite algebra the filters are exactly the up-sets of the
     idempotents; the tests check this against a scan of all subsets with
     the is_filter_subset oracle in tests/oracles.py.
     """
-    return _filters(A)[1]
+    return _filters(A)[0]
 
 
-def filter_join(F, G):
-    return (F.upsets or _filters(F.algebra)[0])[F.algebra.odot[F.gen][G.gen]]
-
-
-def filter_meet(F, G):
-    return (F.upsets or _filters(F.algebra)[0])[F.algebra.join[F.gen][G.gen]]
-
-
-def improper_filter(A):
-    return _filters(A)[0][A.bot]
-
-
-def is_prime(F):
-    """Proper and split-resistant under joins: a|b in F => a in F or b in F."""
-    A, members = F.algebra, F.members
-    if not F.proper:
+def is_prime(A, e):
+    """Proper and split-resistant under joins: a|b in [e) => a in [e) or
+    b in [e)."""
+    if e == A.bot:
         return False
-    # a pair with a member never splits, so only the pairs outside F count
-    outside = [a for a in A.elements() if a not in members]
+    # a pair with a member never splits, so only the pairs outside count
+    inside = A.leq[e]
+    outside = [a for a in A.elements() if not inside[a]]
     for a in outside:
         row = A.join[a]
         for b in outside:
-            if row[b] in members:
+            if inside[row[b]]:
                 return False
     return True
 
 
 def spec(A):
     """Prime filters, in all_filters order (the Stone-space point order)."""
-    return _filters(A)[2]
+    return _filters(A)[1]
 
 
 def max_spec(A):
     """Maximal proper filters, asserted to be prime.  The negated-power
     criterion (a outside M iff some !(a^k) lies in M) is the
     complement-as-power-union row of the theorem matrix."""
-    return _filters(A)[3]
+    return _filters(A)[2]
 
 
 def radical(A):
     """Intersection of all maximal filters (the whole algebra if none)."""
-    return _filters(A)[4]
+    return _filters(A)[3]
 
 
 def is_local(A):
@@ -222,12 +156,13 @@ def is_local(A):
 
 
 def is_semisimple(A):
-    return radical(A).gen == A.top
+    return radical(A) == A.top
 
 
 class QuotientAlgebra(Record):
-    """A/F for A `parent` and F `filter`: `class_of` maps an element id to
-    its class id in `quotient`, `section` a class id to its least element."""
+    """A/F for A `parent` and F `filter`, a generator: `class_of` maps an
+    element id to its class id in `quotient`, `section` a class id to its
+    least element."""
 
     __slots__ = ("parent", "filter", "class_of", "quotient", "section")
 
@@ -287,31 +222,30 @@ def _quotient_tables(leq, odot, imp):
 
 
 @lru_cache(maxsize=None)
-def quotient(A, F):
-    """A modulo the congruence x ~ y iff x<->y in F.
+def quotient(A, e):
+    """A modulo the congruence x ~ y iff x<->y in F = [e).
 
-    With e = F.gen, x<->y lies in F iff e*x = e*y, so the classes are the
-    fibers of x -> e*x, and x/F <= y/F iff e*x <= e*y.  Class ids go by
-    least member, which is also the class's representative.  On a
-    distributive lattice (odot = meet) this is x ~ y iff x&e = y&e.  The
-    congruence property is checked explicitly on every quotient, in
-    O(n^2) per table: as ~ is transitive, each x need only be compatible
-    with its class representative (:func:`_check_congruence`).  The
-    quotient tables are validated once per distinct table triple
-    (:func:`_quotient_tables`), so the quotients of equal triples are
-    one algebra, which shows its class ids.
+    x<->y lies in F iff e*x = e*y, so the classes are the fibers of
+    x -> e*x, and x/F <= y/F iff e*x <= e*y.  Class ids go by least
+    member, which is also the class's representative.  On a distributive
+    lattice (odot = meet) this is x ~ y iff x&e = y&e.  The congruence
+    property is checked explicitly on every quotient, in O(n^2) per
+    table: as ~ is transitive, each x need only be compatible with its
+    class representative (:func:`_check_congruence`).  The quotient
+    tables are validated once per distinct table triple
+    (:func:`_quotient_tables`), so the quotients of equal triples are one
+    algebra, which shows its class ids.
 
     The classes are all singletons exactly when F = {1}: any other F holds
     some e != 1, and e*e = e = e*1 puts e and 1 in one class.  Then
     x -> x/F is the identity, so A/{1} is A itself, and `class_of` and
     `section` are the identity.
     """
-    n = A.size
-    if F.gen == A.top:
+    if e == A.top:
         class_of = reps = tuple(A.elements())
         Q = A
     else:
-        image = A.odot[F.gen]  # x -> e*x
+        image = A.odot[e]  # x -> e*x
         cid = {}
         for v in image:
             cid.setdefault(v, len(cid))
@@ -328,17 +262,13 @@ def quotient(A, F):
         Q = _quotient_tables(leq, odot, imp)
 
     # class of top is exactly F
-    assert {x for x in range(n) if class_of[x] == class_of[A.top]} == set(F.members)
+    top = class_of[A.top]
+    assert all((c == top) == inside for c, inside in zip(class_of, A.leq[e]))
 
-    # radical commutes with quotients by sub-radical filters
-    rad = radical(A).members
-    if F.members <= rad:
-        assert radical(Q).members == {class_of[x] for x in rad}, \
-            "Rad(A/F) must equal Rad(A)/F"
+    # radical commutes with quotients by sub-radical filters: x -> x/F is
+    # an onto lattice morphism, so it takes [rad) onto [rad/F)
+    rad = radical(A)
+    if A.leq[rad][e]:
+        assert radical(Q) == class_of[rad], "Rad(A/F) must equal Rad(A)/F"
 
-    return QuotientAlgebra(A, F, class_of, Q, reps)
-
-
-def filter_image(Q: QuotientAlgebra, G: Filter):
-    """Image of a filter G >= F in the quotient A/F."""
-    return _filters(Q.quotient)[0][Q.class_of[G.gen]]
+    return QuotientAlgebra(A, e, class_of, Q, reps)

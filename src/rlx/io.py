@@ -15,15 +15,14 @@ Round-trip guarantee: parsing the printed form of an algebra yields the
 same algebra, labels included.  .blat is the `elements:` and `order:`
 lines alone; `rlx reticulate --out` writes it, and no command reads it.
 
-Labels live at this edge: a filter, a quotient and a reticulation lattice
-show ids, and are printed here under the labels of the algebra read.
+Labels live at this edge: a filter is its generator, an element id, and
+it, a quotient and a reticulation lattice are printed here under the
+labels of the algebra read.
 """
-
-from __future__ import annotations
 
 from .core import covers_of, leq_from_covers, validate
 from .errors import FileFormatError
-from .filters import Filter
+from .filters import generator
 
 
 def _logical_lines(text):
@@ -138,7 +137,8 @@ def print_blat(L, labels=None):
 
 
 def parse_filter(A, text):
-    """Filter from a label list: 'c,1' or '{c,1}'."""
+    """The generator of the filter given as a label list, 'c,1' or
+    '{c,1}', checked by `filters.generator`."""
     body = text.strip()
     if body.startswith("{") and body.endswith("}"):
         body = body[1:-1]
@@ -149,19 +149,20 @@ def parse_filter(A, text):
         if name not in index:
             raise FileFormatError(f"unknown element {name!r}", 1)
         members.add(index[name])
-    return Filter(A, frozenset(members))
+    return generator(A, members)
 
 
-def print_filter(A, F):
-    """Label-list form '{c,1}' of F under A's labels, the inverse of
+def print_filter(A, e):
+    """Label-list form '{c,1}' of [e) under A's labels, the inverse of
     parse_filter(A, ...)."""
-    return "{" + ",".join(A.labels[x] for x in F.sorted_members()) + "}"
+    return "{" + ",".join(A.labels[x] for x in A.elements()
+                          if A.leq[e][x]) + "}"
 
 
 def reticulation_labels(A, R):
     """The labels '[e)' of the lattice of R = build_reticulation(A), e the
     generator of each principal filter under A's labels."""
-    return tuple(f"[{A.labels[F.gen]})" for F in R.filter_of)
+    return tuple(f"[{A.labels[e]})" for e in R.filter_of)
 
 
 def load_rlat(path):

@@ -10,8 +10,6 @@ cached, so each algebra scans only that many relabelings instead of all
 (n-2)!, and a search by row prefix finds them without listing those.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .core import validate

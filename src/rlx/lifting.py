@@ -7,8 +7,6 @@ that fail: `has_lp` and its three named forms ask whether it is 0, and
 `lp_report` build the records, counterexample and witness included,
 that the CLI and the report print."""
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .core import Record, classify
@@ -32,18 +30,19 @@ class FilterVerdict(Record):
 
 
 class LpReport(Record):
-    """The lifting verdict of `formula`: `per_filter` pairs each filter
-    with its FilterVerdict, and `global_holds` is whether all hold."""
+    """The lifting verdict of `formula`: `per_filter` pairs each filter,
+    by generator, with its FilterVerdict, and `global_holds` is whether
+    all hold."""
 
     __slots__ = ("formula", "per_filter", "global_holds")
 
 
-def has_phi_lp(A, phi, F):
-    """Filter-level lifting: every phi-element of A/F is a class of a
-    phi-element of A.  Returns (holds, FilterVerdict); a caller that
-    needs only `holds` reads :func:`filter_lifts`."""
+def has_phi_lp(A, phi, e):
+    """Filter-level lifting at F = [e): every phi-element of A/F is a
+    class of a phi-element of A.  Returns (holds, FilterVerdict); a
+    caller that needs only `holds` reads :func:`filter_lifts`."""
     masks = _definable_masks(A, phi)
-    return _filter_verdict(A, masks, _members(A, masks[A.top]), F)
+    return _filter_verdict(A, masks, _members(A, masks[A.top]), e)
 
 
 def _members(A, mask):
@@ -77,15 +76,15 @@ def _lift_failures(A, phi):
     return failures
 
 
-def filter_lifts(A, phi, F):
-    """Whether F has phi-LP: the bool of :func:`has_phi_lp`, no record
+def filter_lifts(A, phi, e):
+    """Whether [e) has phi-LP: the bool of :func:`has_phi_lp`, no record
     built."""
-    return not _lift_failures(A, phi) >> F.gen & 1
+    return not _lift_failures(A, phi) >> e & 1
 
 
-def _filter_verdict(A, masks, sat, F):
-    """:func:`has_phi_lp` read off A through the fiber map x -> e*x, with
-    e = F.gen, `masks` = _definable_masks(A, phi) and `sat` the
+def _filter_verdict(A, masks, sat, e):
+    """:func:`has_phi_lp` at [e) read off A through the fiber map
+    x -> e*x, with `masks` = _definable_masks(A, phi) and `sat` the
     phi-elements of A, ascending.
 
     The classes of A/F are the fibers of x -> e*x, numbered by least
@@ -95,9 +94,9 @@ def _filter_verdict(A, masks, sat, F):
     the phi-elements, and the witness is the least phi-element in the
     fiber of the least element of masks[e].
     """
-    img = A.odot[F.gen]
+    img = A.odot[e]
     reached = {img[s] for s in sat}
-    held = _members(A, masks[F.gen])
+    held = _members(A, masks[e])
     for a in held:
         if img[a] not in reached:
             return False, FilterVerdict(False, a, None)
@@ -118,8 +117,8 @@ def lp_report(A, phi):
     """
     masks = _definable_masks(A, phi)
     sat = _members(A, masks[A.top])
-    rows = tuple((F, _filter_verdict(A, masks, sat, F)[1])
-                 for F in all_filters(A))
+    rows = tuple((e, _filter_verdict(A, masks, sat, e)[1])
+                 for e in all_filters(A))
     return LpReport(phi, rows, all(v.holds for _, v in rows))
 
 

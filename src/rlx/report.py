@@ -1,8 +1,6 @@
 """Analysis report assembly: one dict per algebra, a pure function of the
 input, rendered identically as JSON or human-readable text."""
 
-from __future__ import annotations
-
 from .core import classify, validate
 from .filters import all_filters, is_local, is_semisimple, max_spec, radical
 from .formulas import blp_formula, ilp_formula, rlp_formula
@@ -60,7 +58,7 @@ def _gelfand_witness(A):
         return None
     return {"prime": print_filter(A, P),
             "maximals_above": [print_filter(A, M) for M in max_spec(A)
-                               if P <= M]}
+                               if A.leq[M][P]]}
 
 
 def analysis_report(A, include_theorems=True):

@@ -2,10 +2,8 @@
 (dually ordered) together with the canonical surjection, its defining
 axioms, structural properties, and the bridges for Boolean lifting and
 archimedean elements.  The lattice shows its ids; its element i is the
-filter `filter_of[i]`, which the CLI and the report print as `[e)` under
-the labels of the algebra they were given."""
-
-from __future__ import annotations
+filter `filter_of[i]`, a generator e, which the CLI and the report print
+as `[e)` under the labels of the algebra they were given."""
 
 from functools import lru_cache
 
@@ -18,9 +16,9 @@ from .core import (
 from .dlattice import lattice_blp_filter, validate_bdl
 from .errors import AxiomViolation
 from .filters import (
-    Filter,
     _filters,
     all_filters,
+    generator,
     max_spec,
     quotient,
     radical,
@@ -32,7 +30,8 @@ from .lifting import filter_lifts
 
 class Reticulation(Record):
     """L(A) of A `source`: the Heyting algebra `lattice`, `lam`: element id
-    -> lattice element id, and `filter_of`: lattice element id -> filter."""
+    -> lattice element id, and `filter_of`: lattice element id -> the
+    generator of its filter."""
 
     __slots__ = ("source", "lattice", "lam", "filter_of")
 
@@ -40,22 +39,22 @@ class Reticulation(Record):
 @lru_cache(maxsize=None)
 def build_reticulation(A):
     """Canonical construction: A's distinct principal filters under reverse
-    inclusion, with lam(a) = [a).  `lam`, the filters, the lattice
+    inclusion, with lam(a) = [a) = [a^w).  Each filter is its generator e,
+    and [e) is under [f) in L iff e <= f.  `lam`, the filters, the lattice
     (validate_bdl checks distributivity) and :func:`_assert_axioms` read
     only signature fields, so every algebra with the signature reads the
     L(A) of its representative R, its `source`.  `_filters` has checked
     lam(a*b) = lam(a&b) on A."""
-    _, filters, *_, R = _filters(A)
+    filters, *_, R = _filters(A)
     if R != A:
         return build_reticulation(R)
     # on a finite algebra every filter is principal
-    filter_of = tuple(sorted(filters,
-                             key=lambda F: (-len(F), F.sorted_members())))
-    index = {F.gen: i for i, F in enumerate(filter_of)}
+    filter_of = tuple(sorted(filters, key=lambda e: (
+        -sum(A.leq[e]), [x for x in A.elements() if A.leq[e][x]])))
+    index = {e: i for i, e in enumerate(filter_of)}
     lam = tuple(index[x] for x in A.power_limits)  # [x) = [x^w)
     # reverse inclusion: [e) <= [f) in L iff [e) includes [f), iff e <= f
-    leq = tuple(tuple(A.leq[F.gen][G.gen] for G in filter_of)
-                for F in filter_of)
+    leq = tuple(tuple(A.leq[e][f] for f in filter_of) for e in filter_of)
     _assert_axioms(A, lam, leq)
     return Reticulation(R, validate_bdl(None, leq), lam, filter_of)
 
@@ -98,8 +97,8 @@ def verify_retic_properties(A, shared=None):
 
     # (8) reticulation of a quotient is the quotient of the reticulation
     ok = True
-    for F in all_filters(A):
-        ok = ok and _retic_quotient_match(A, R, F)
+    for e in all_filters(A):
+        ok = ok and _retic_quotient_match(A, R, e)
     verdicts[8] = ok
     return verdicts
 
@@ -124,14 +123,13 @@ def signature_properties(R):
     # (4) the preimage map is a filter-lattice isomorphism with inverse
     #     F -> lam(F); pre[i] is the preimage of the i-th lattice filter
     lat_filts = all_filters(L)
-    pre = [frozenset(x for x in A.elements() if lam[x] in H.members)
-           for H in lat_filts]
-    alg_filts = {F.members for F in all_filters(A)}
+    pre = [_preimage(A, L, lam, H) for H in lat_filts]
+    alg_filts = {_members(A, e) for e in all_filters(A)}
     pairs = list(zip(lat_filts, pre))
     verdicts[4] = (set(pre) == alg_filts and len(pre) == len(alg_filts)
-                   and all(frozenset(lam[x] for x in P) == H.members
+                   and all(frozenset(lam[x] for x in P) == _members(L, H)
                            for H, P in pairs)
-                   and all((H <= K) == (P <= PK)
+                   and all(L.leq[K][H] == (P <= PK)
                            for H, P in pairs for K, PK in pairs))
 
     # (5, 6) homeomorphisms of the prime and maximal spectra
@@ -164,16 +162,16 @@ def _spectrum_homeo(A, R, kind):
     else:
         lat_points = max_spec(L)
         space = stone_max(A)
-    where = {P.members: i for i, P in enumerate(space.points)}
-    pre = [frozenset(x for x in A.elements() if lam[x] in H.members)
-           for H in lat_points]
+    where = {_members(A, P): i for i, P in enumerate(space.points)}
+    pre = [_preimage(A, L, lam, H) for H in lat_points]
     if set(pre) != where.keys() or len(pre) != len(space.points):
         return False
     # index map: lattice point i -> algebra point position
     pos = [where[p] for p in pre]
-    # lattice-side opens: complements of up-families; H <= P iff P.gen <= H.gen
+    # lattice-side opens: complements of up-families; [H) lies inside [P)
+    # iff P <= H
     lat_opens = {sum(1 << i for i, P in enumerate(lat_points)
-                     if not L.leq[P.gen][H.gen]) for H in all_filters(L)}
+                     if not L.leq[P][H]) for H in all_filters(L)}
     # transport algebra opens through the bijection and compare
     return lat_opens == {sum(1 << i for i, p in enumerate(pos) if U >> p & 1)
                          for U in space.opens}
@@ -206,14 +204,14 @@ def _induced_map(lam1, lam2, L1, L2):
     return tuple(f[x] for x in L1.elements())
 
 
-def _retic_quotient_match(A, R, F):
+def _retic_quotient_match(A, R, e):
     """Is the canonical map lam_F(a/F) -> lam(a)/lam(F) a well-defined
-    bounded lattice isomorphism L(A/F) -> L(A)/lam(F)?"""
+    bounded lattice isomorphism L(A/F) -> L(A)/lam(F), F = [e)?"""
     L, lam = R.lattice, R.lam
-    Q = quotient(A, F)
+    Q = quotient(A, e)
     RQ = build_reticulation(Q.quotient)
     LQ = RQ.lattice
-    QL = quotient(L, Filter(L, frozenset(lam[x] for x in F.members)))
+    QL = quotient(L, _image(A, R, e))
     try:
         f = _induced_map(tuple(RQ.lam[c] for c in Q.class_of),
                          tuple(QL.class_of[x] for x in lam),
@@ -223,14 +221,29 @@ def _retic_quotient_match(A, R, F):
     return len(set(f)) == LQ.size == QL.quotient.size
 
 
-def blp_transfer(A, F):
-    """(lifting in A, lifting of lam(F) in L(A)) computed independently
-    on the two sides; the reticulation-blp-transfer row compares them."""
+def blp_transfer(A, e):
+    """(lifting of [e) in A, lifting of lam([e)) in L(A)) computed
+    independently on the two sides; the reticulation-blp-transfer row
+    compares them."""
     R = build_reticulation(A)
-    in_a = filter_lifts(A, blp_formula(), F)
-    lamF = Filter(R.lattice, frozenset(R.lam[x] for x in F.members))
-    in_l = lattice_blp_filter(R.lattice, lamF)
+    in_a = filter_lifts(A, blp_formula(), e)
+    in_l = lattice_blp_filter(R.lattice, _image(A, R, e))
     return in_a, in_l
+
+
+def _image(A, R, e):
+    """The generator of lam([e)) in R's lattice, checked as a filter."""
+    return generator(R.lattice, frozenset(R.lam[x] for x in _members(A, e)))
+
+
+def _members(A, e):
+    """The member set of [e), for comparing filters across algebras."""
+    return frozenset(x for x in A.elements() if A.leq[e][x])
+
+
+def _preimage(A, L, lam, H):
+    """The lam-preimage in A of the filter [H) of L."""
+    return frozenset(x for x in A.elements() if L.leq[H][lam[x]])
 
 
 def archimedean_bridge(A):
@@ -250,8 +263,8 @@ def archimedean_bridge(A):
     hyper = report.is_hyperarchimedean
     lattice_boolean = BL == frozenset(L.elements())
 
-    lam_rad = frozenset(lam[x] for x in radical(A).members)
-    assert lam_rad == radical(L).members
+    lam_rad = frozenset(lam[x] for x in _members(A, radical(A)))
+    assert lam_rad == _members(L, radical(L))
 
     locals_match = (len(max_spec(A)) == 1) == (len(max_spec(L)) == 1)
     semilocal_match = len(max_spec(A)) == len(max_spec(L))

@@ -2,32 +2,21 @@
 neighbourhoods, the Gelfand property in all its equivalent forms, and
 the principal-filter splitting properties."""
 
-from __future__ import annotations
-
-from functools import lru_cache, reduce
+from functools import lru_cache
 from types import MappingProxyType
 
 from .core import Record, classify
-from .filters import (
-    _filters,
-    all_filters,
-    filter_join,
-    filter_meet,
-    improper_filter,
-    max_spec,
-    radical,
-    spec,
-)
+from .filters import _filters, all_filters, max_spec, radical, spec
 
 # Opens are bitmasks over point indices; point order is the filter
 # enumeration order restricted to the space's points.  A point contains
-# the filter [e) iff it contains e, so V(F) = v[gen(F)] and D = full & ~V.
+# the filter [e) iff it contains e, so V([e)) = v[e] and D = full & ~V.
 
 
 class SpectrumSpace(Record):
-    """The space of `kind` "spec" or "max": `points`, a tuple of filters,
-    the sorted bitmask family `opens`, and `v`, which maps an element id
-    to the bitmask of the points that hold it."""
+    """The space of `kind` "spec" or "max": `points`, a tuple of filters
+    by generator, the sorted bitmask family `opens`, and `v`, which maps
+    an element id to the bitmask of the points that hold it."""
 
     __slots__ = ("kind", "points", "opens", "v")
 
@@ -40,10 +29,10 @@ class SpectrumSpace(Record):
         return self.full & ~self.v[a]
 
     def mask_of(self, filters):
-        idx = {F.gen: i for i, F in enumerate(self.points)}
+        idx = {e: i for i, e in enumerate(self.points)}
         m = 0
-        for F in filters:
-            m |= 1 << idx[F.gen]
+        for e in filters:
+            m |= 1 << idx[e]
         return m
 
     def is_closed(self, mask):
@@ -52,20 +41,22 @@ class SpectrumSpace(Record):
 
 @lru_cache(maxsize=None)
 def _build(A, kind):
-    """The space of its kind on the primes or maxima of A's filter record.
-    Its points, `v`, the opens and :func:`_assert_stone_identities` read
-    only signature fields, so every algebra reads the space of its
+    """The space of its kind on the primes or maxima of A's filter record,
+    each point a generator P, so a holds at P iff P <= a.  Its points,
+    `v`, the opens and :func:`_assert_stone_identities` read only
+    signature fields, so every algebra reads the space of its
     representative R.  `_filters` has checked V(a*b) = V(a&b) on A."""
-    _, filters, primes, maxima, _, R = _filters(A)
+    filters, primes, maxima, _, R = _filters(A)
     if R != A:
         return _build(R, kind)
     points = primes if kind == "spec" else maxima
     v = [0] * A.size
     for i, P in enumerate(points):
-        for a in P.members:
-            v[a] |= 1 << i
+        for a, inside in enumerate(A.leq[P]):
+            if inside:
+                v[a] |= 1 << i
     full = (1 << len(points)) - 1
-    opens = tuple(sorted({full & ~v[F.gen] for F in filters}))
+    opens = tuple(sorted({full & ~v[e] for e in filters}))
     space = SpectrumSpace(kind, points, opens, tuple(v))
     _assert_stone_identities(A, space)
     return space
@@ -73,18 +64,15 @@ def _build(A, kind):
 
 def _assert_stone_identities(A, space):
     """Defining identities of the V/D (v/d) operators, but V(a*b)'s."""
-    pts, v = space.points, space.v
+    v = space.v
     filters = all_filters(A)
     full = space.full
-    # V(F) read off the generator is the set of points including F
+    # V(F v G) = V(F) & V(G) with F v G = [F * G); for F ^ G = [F | G)
+    # it is the element join below
     for F in filters:
-        assert v[F.gen] == sum(1 << i for i, P in enumerate(pts)
-                               if F.members <= P.members)
-    for F in filters:
-        vf = v[F.gen]
+        vf, joins = v[F], A.odot[F]
         for G in filters:
-            assert v[filter_meet(F, G).gen] == vf | v[G.gen]
-            assert v[filter_join(F, G).gen] == vf & v[G.gen]
+            assert v[joins[G]] == vf & v[G]
     for a in A.elements():
         va, join, meet = v[a], A.join[a], A.meet[a]
         for b, vb in enumerate(v):
@@ -93,16 +81,17 @@ def _assert_stone_identities(A, space):
     # V(F) as the intersection of the V(a) over a in F
     for F in filters:
         acc = full
-        for a in F.members:
-            acc &= v[a]
-        assert acc == v[F.gen]
+        for a, inside in enumerate(A.leq[F]):
+            if inside:
+                acc &= v[a]
+        assert acc == v[F]
     # D injective on filters, reflecting inclusion (prime spectrum only)
     if space.kind == "spec":
-        d = [full & ~v[F.gen] for F in filters]
+        d = [full & ~v[F] for F in filters]
         for F, dF in zip(filters, d):
             for G, dG in zip(filters, d):
-                assert (dF == dG) == (F.gen == G.gen)
-                assert (dF & ~dG == 0) == (F <= G)
+                assert (dF == dG) == (F == G)
+                assert (dF & ~dG == 0) == A.leq[G][F]
 
 
 def stone_spec(A):
@@ -209,7 +198,7 @@ def gelfand_counterexample(A):
     exactly one maximal filter, or None when A is Gelfand."""
     maxima = max_spec(A)
     for P in spec(A):
-        if sum(P <= M for M in maxima) != 1:
+        if sum(A.leq[M][P] for M in maxima) != 1:
             return P
     return None
 
@@ -226,7 +215,7 @@ def filter_lattice(A):
 
     filters = all_filters(A)
     return validate_bdl(None,
-                        tuple(tuple(F <= G for G in filters)
+                        tuple(tuple(A.leq[G][F] for G in filters)
                               for F in filters))
 
 
@@ -261,14 +250,17 @@ def gelfand_conditions(A):
 
     # (10) {P : P <= M} closed for every maximal M
     sp, maxima = stone_spec(A), max_spec(A)
-    out[10] = all(sp.is_closed(sp.mask_of([P for P in sp.points if P <= M]))
+    out[10] = all(sp.is_closed(sp.mask_of([P for P in sp.points
+                                           if A.leq[M][P]]))
                   for M in maxima)
 
     # (12) M is the only maximal filter over the intersection of its primes
     def over(M):
-        inter = reduce(filter_meet, [P for P in sp.points if P <= M],
-                       improper_filter(A))
-        return [N for N in maxima if inter <= N]
+        inter = A.bot
+        for P in sp.points:
+            if A.leq[M][P]:
+                inter = A.join[inter][P]
+        return [N for N in maxima if A.leq[N][inter]]
     out[12] = all(over(M) == [M] for M in maxima)
 
     # (14) distinct maximal filters have disjoint least opens in Spec
@@ -297,23 +289,26 @@ def star_property(A):
     (u, e).
     """
     B = sorted(classify(A).boolean_center)
-    return _splitting(A, sorted(radical(A).members), B)
+    return _splitting(A, A.leq[radical(A)], B)
 
 
 def star_star_property(A):
     """Weakened splitting: u only needs a nilpotent negation."""
     B = sorted(classify(A).boolean_center)
     w = A.power_limits
-    us = [u for u, row in enumerate(A.imp) if w[row[A.bot]] == A.bot]
+    us = [w[row[A.bot]] == A.bot for row in A.imp]
     return _splitting(A, us, B)
 
 
 def _splitting(A, us, B):
-    """(holds, witnesses) of "for every x some u in `us` and e in `B` give
-    [x) = [u) v [e)", scanning u, then e, in the given order."""
+    """(holds, witnesses) of "for every x some u with us[u] and e in `B`
+    give [x) = [u) v [e)", scanning u ascending, then e in the given
+    order."""
     g = A.power_limits
     first = {}  # g[x] -> the first (u, e), in scan order, giving [x)
-    for u in us:
+    for u, allowed in enumerate(us):
+        if not allowed:
+            continue
         row = A.odot[g[u]]
         for e in B:
             first.setdefault(row[g[e]], (u, e))

@@ -19,13 +19,9 @@ from .dlattice import is_conormal_lattice, conormal_radical_lifting, lattice_blp
 from .filters import (
     _filters,
     all_filters,
-    filter_image,
-    filter_join,
-    filter_meet,
     is_local,
     is_semisimple,
     max_spec,
-    principal_filter,
     quotient,
     radical,
 )
@@ -152,9 +148,9 @@ def check_factor_congruences(A):
     lifts = [(has_lp, has_lp(A)) for has_lp in (has_blp, has_ilp)]
     for F in filters:
         for G in filters:
-            if filter_meet(F, G).gen != A.top:
+            if A.join[F][G] != A.top:
                 continue
-            if filter_join(F, G).gen != A.bot:
+            if A.odot[F][G] != A.bot:
                 continue
             for has_lp, whole in lifts:
                 parts = (has_lp(quotient(A, F).quotient)
@@ -180,7 +176,7 @@ def check_monotone_lifting(A):
         b_covers = {Q.class_of[e] for e in B} == all_classes
         i_covers = {Q.class_of[e] for e in idem} == all_classes
         for G, blp, ilp in lifts:
-            if not F <= G:
+            if not A.leq[G][F]:
                 continue
             if b_covers and not (blp and ilp):
                 failures.append(("boolean", print_filter(A, F),
@@ -193,7 +189,7 @@ def check_monotone_lifting(A):
 
 def check_chain_facts(A):
     report = classify(A)
-    primes, maxima = _filters(A)[2:4]
+    primes, maxima = _filters(A)[1:3]
     # the lifting masks: bit e is set iff [e) fails
     blp = _lift_failures(A, blp_formula())
     ilp = _lift_failures(A, ilp_formula())
@@ -211,7 +207,7 @@ def check_chain_facts(A):
         # an idempotent generates its own principal filter
         failures = [a for a in sorted(report.idempotents) if ilp >> a & 1]
     out.append(_forall("chain-idempotent-filter-ilp", failures))
-    prime_failures = [print_filter(A, P) for P in primes if blp >> P.gen & 1]
+    prime_failures = [print_filter(A, P) for P in primes if blp >> P & 1]
     out.append(_forall("prime-filters-blp", prime_failures))
     out.append(_implies("hyperarchimedean-blp",
                         report.is_hyperarchimedean, not blp))
@@ -233,10 +229,10 @@ def _max_boolean_forms(A):
     each open is the union of the d(e) inside it."""
     B = sorted(classify(A).boolean_center)
     mx = stone_max(A)
-    maxima = [M.members for M in max_spec(A)]
+    maxima = [A.leq[M] for M in max_spec(A)]  # x in M iff M[x]
     pairs = [(e, A.imp[e][A.bot]) for e in B]
-    split = all(any(e in M and ne in N for e, ne in pairs)
-                and any(e in N and ne in M for e, ne in pairs)
+    split = all(any(M[e] and N[ne] for e, ne in pairs)
+                and any(N[e] and M[ne] for e, ne in pairs)
                 for i, M in enumerate(maxima) for N in maxima[i + 1:])
     basis = [mx.d(e) for e in B]
     return split, all(U == reduce(or_, (D for D in basis if D & ~U == 0), 0)
@@ -280,16 +276,15 @@ def check_max_boolean_forms(A):
 
 
 def check_star_forms(A):
-    record = _filters(A)
-    holds = _filter_side(record[5]).star
+    holds = _side(A).star
     B = sorted(classify(A).boolean_center)
-    rad = record[4].members
+    in_rad = A.leq[radical(A)]
     mx = stone_max(A)
     w, bot, neg = A.power_limits, A.bot, [row[A.bot] for row in A.imp]
 
     cond2 = True
     for odot, join in zip(A.odot, A.join):
-        if not any(w[odot[e]] == bot and join[e] in rad for e in B):
+        if not any(w[odot[e]] == bot and in_rad[join[e]] for e in B):
             cond2 = False
             break
 
@@ -331,9 +326,8 @@ def check_gelfand_forms(A):
 
 
 def check_radical_lifting_consequences(A):
-    record = _filters(A)
-    ok = filter_lifts(A, blp_formula(), record[4])
-    gel = _filter_side(record[5]).gelfand
+    ok = filter_lifts(A, blp_formula(), radical(A))
+    gel = _side(A).gelfand
     out = [_implies("gelfand-radical-blp", gel, ok)]
     # the lattice side: conormal lattices lift their radical
     R = build_reticulation(A)
@@ -444,10 +438,9 @@ def check_local_product_square(A):
     """Semilocal equivalence square: radical lifting, global lifting, the
     star splitting, and product-of-locals all coincide (finite algebras
     are semilocal)."""
-    record = _filters(A)
     fails = _lift_failures(A, blp_formula())  # bit e: [e) fails
-    ok_rad, blp = not fails >> record[4].gen & 1, not fails
-    star = _filter_side(record[5]).star
+    ok_rad, blp = not fails >> radical(A) & 1, not fails
+    star = _side(A).star
     is_prod, locals_ok, sizes = local_factor_decomposition(A)
     prod_of_locals = is_prod and locals_ok
     return [
@@ -473,8 +466,7 @@ def check_spectral_lemmas(A):
     out = []
     mx = stone_max(A)
     B = sorted(classify(A).boolean_center)
-    record = _filters(A)
-    rad, shared = record[4], _filter_side(record[5]).spectral
+    rad, shared = radical(A), _side(A).spectral
     w, bot, neg = A.power_limits, A.bot, [row[A.bot] for row in A.imp]
 
     v, full = mx.v, mx.full
@@ -490,7 +482,7 @@ def check_spectral_lemmas(A):
                 failures.append(("v<=v", a, e))
             if (va & ~de == 0) != nilp_e:
                 failures.append(("v<=d", a, e))
-            if (da & ~ve == 0) != (join[e] in rad.members):
+            if (da & ~ve == 0) != A.leq[rad][join[e]]:
                 failures.append(("d<=v", a, e))
     out.append(_forall("nilpotence-mirrors-containment", failures))
 
@@ -511,11 +503,9 @@ def check_spectral_lemmas(A):
     mapping = []
     ok = True
     for M in mx.points:
-        img = filter_image(Q, M)
-        try:
-            mapping.append(next(i for i, N in enumerate(mxq.points)
-                                if N.members == img.members))
-        except StopIteration:
+        try:  # M/Rad is the filter [M/Rad) of A/Rad
+            mapping.append(mxq.points.index(Q.class_of[M]))
+        except ValueError:
             ok = False
             break
     if ok:
@@ -540,8 +530,7 @@ def _spectral_rows(A, gelfand):
     Boolean e on both spaces; the clopens are the D(e)."""
     mx, sp = stone_max(A), stone_spec(A)
     semisimple = is_semisimple(A)
-    maxima = {M.members for M in max_spec(A)}
-    max_mask = sp.mask_of([P for P in sp.points if P.members in maxima])
+    max_mask = sp.mask_of(max_spec(A))  # every maximal filter is prime
     closure = reduce(and_, (sp.full & ~U for U in sp.opens
                             if max_mask & U == 0), sp.full)
     swapped = [e for e in sorted(classify(A).boolean_center)
@@ -549,7 +538,7 @@ def _spectral_rows(A, gelfand):
     clopen = [set(clopen_sets(S)) == set(clopen_via_boolean(A, kind))
               for S, kind in ((sp, "spec"), (mx, "max"))]
     return (_equiv("max-closure-is-radical-locus",
-                   closure == sp.v[radical(A).gen], True),
+                   closure == sp.v[radical(A)], True),
             _implies("semisimple-max-dense", semisimple, closure == sp.full),
             _forall("boolean-open-closed-swap", swapped),
             _equiv("clopen-spec-boolean", clopen[0], True),
@@ -563,10 +552,8 @@ def check_complementary_filter_lemma(A):
     principal filters of a complementary Boolean pair.  The lemma reads
     only the filter signature: the first failing pair of generators is
     found on the representative and shown under A's labels."""
-    upsets, *_, R = _filters(A)
-    pair = _filter_side(R).complementary
-    failures = ([tuple(print_filter(A, upsets[e]) for e in pair)]
-                if pair else [])
+    pair = _side(A).complementary
+    failures = [tuple(print_filter(A, e) for e in pair)] if pair else []
     return [_forall("complementary-filter-pairs", failures)]
 
 
@@ -574,10 +561,9 @@ def _complementary_failure(A):
     """The generators of the first filters F, G against the lemma of
     :func:`check_complementary_filter_lemma`, or None."""
     filters, B = all_filters(A), classify(A).boolean_center
-    return next(((F.gen, G.gen) for F in filters for G in filters
-                 if (filter_meet(F, G).gen == A.top
-                     and filter_join(F, G).gen == A.bot)
-                 != (F.gen in B and G.gen == A.imp[F.gen][A.bot])), None)
+    return next(((F, G) for F in filters for G in filters
+                 if (A.join[F][G] == A.top and A.odot[F][G] == A.bot)
+                 != (F in B and G == A.imp[F][A.bot])), None)
 
 
 def check_biresiduum_gap_lemma(A):
@@ -595,7 +581,7 @@ def check_biresiduum_gap_lemma(A):
         for a, x, y in zip(A.elements(), left, right):
             gap = A.bires(x, y)
             if w[gap] not in held:
-                Q = quotient(A, principal_filter(A, gap))
+                Q = quotient(A, w[gap])  # [gap) = [gap^w)
                 held[w[gap]] = (Q.class_of, _definable_masks(
                     Q.quotient, phi)[Q.quotient.top])
             class_of, mask = held[w[gap]]
@@ -605,8 +591,7 @@ def check_biresiduum_gap_lemma(A):
 
 
 def check_retic_bridge(A):
-    _, filters, *_, R = _filters(A)
-    side = _filter_side(R)
+    filters, side = all_filters(A), _side(A)
     verdicts = verify_retic_properties(A, side.retic)
     out = [_equiv(f"reticulation-structure.{k}", v, True)
            for k, v in sorted(verdicts.items())]
@@ -615,7 +600,7 @@ def check_retic_bridge(A):
     # `lifts` iff its image lifts in L(A)
     fails, lifts = _lift_failures(A, blp_formula()), side.lattice_lifts
     failures = [print_filter(A, F) for F in filters
-                if (not fails >> F.gen & 1) != (lifts >> F.gen & 1)]
+                if (not fails >> F & 1) != (lifts >> F & 1)]
     out.append(_forall("reticulation-blp-transfer", failures))
     out.append(_equiv("reticulation-global-blp", not fails, side.lattice_blp))
     out.append(side.hyper)
@@ -646,7 +631,7 @@ def _filter_side(R):
                          for k in sorted(conds) if k != 4)),
         shared_set(_spectral_rows(R, conds[4])), _complementary_failure(R),
         shared_set(tuple(signature_properties(retic).items())),
-        sum(1 << F.gen for F in all_filters(R) if blp_transfer(R, F)[1]),
+        sum(1 << e for e in all_filters(R) if blp_transfer(R, e)[1]),
         lattice_blp(retic.lattice)[1],
         _equiv("hyperarchimedean-boolean-reticulation",
                bridge["hyperarchimedean"], bridge["lattice_boolean"]))
@@ -654,7 +639,7 @@ def _filter_side(R):
 
 def _side(A):
     """The filter-side verdicts of A, those of its representative."""
-    return _filter_side(_filters(A)[5])
+    return _filter_side(_filters(A)[4])
 
 
 ALL_CHECKS = (

@@ -50,12 +50,11 @@ from rlx.errors import (
     RlxError,
 )
 from rlx.filters import (
-    Filter,
     _filters,
     all_filters,
+    generator,
     is_local,
     max_spec,
-    principal_filter,
     quotient,
 )
 from rlx.formulas import BoundVar, Const, FreeVar, Neg, Pow, definable_set
@@ -71,13 +70,24 @@ from rlx.reticulation import (
 from rlx.spectra import is_gelfand, stone_max, stone_spec
 
 
-def trivial_filter(A):
-    return _filters(A)[0][A.top]
+def members(A, e):
+    """The member set of the filter [e), the up-set of e."""
+    return frozenset(x for x in A.elements() if A.leq[e][x])
 
 
-def min_generator(F):
-    """The minimum of F: its idempotent generator."""
-    return F.gen
+def generated_filter(A, xs):
+    """The generator of the least filter containing xs: the product of
+    the power limits x^w of xs; the empty set generates [1) = {top}."""
+    e = A.top
+    for x in xs:
+        e = A.odot[e][A.power_limits[x]]
+    return e
+
+
+def min_generator(A, subset):
+    """The minimum of `subset` in A's order, found by scanning, or None."""
+    return next((m for m in subset if all(A.leq[m][x] for x in subset)),
+                None)
 
 
 def parse_blat(text):
@@ -141,7 +151,7 @@ def uniqueness_check(R1, R2):
     Surjectivity of lam1 forces f; we verify it is a well-defined bounded
     lattice isomorphism and return it, or raise NoIsomorphism.
     """
-    if _filters(R1.source)[5] is not _filters(R2.source)[5]:
+    if _filters(R1.source)[4] is not _filters(R2.source)[4]:
         raise NoIsomorphism("reticulations of different algebras")
     try:
         f = _induced_map(R1.lam, R2.lam, R1.lattice, R2.lattice)
@@ -162,13 +172,13 @@ def gelfand_retract(A):
     maxima = max_spec(A)
     rho = []
     for P in sp.points:
-        M = next(M for M in maxima if P <= M)
+        M = next(M for M in maxima if members(A, P) <= members(A, M))
         rho.append(next(i for i, Q in enumerate(mx.points)
-                        if Q.members == M.members))
+                        if members(A, Q) == members(A, M)))
     # identity on maximal points
     for i, P in enumerate(sp.points):
-        if any(P.members == M.members for M in maxima):
-            assert mx.points[rho[i]].members == P.members
+        if any(members(A, P) == members(A, M) for M in maxima):
+            assert members(A, mx.points[rho[i]]) == members(A, P)
     # continuity: preimages of opens are open
     for U in mx.opens:
         pre = 0
@@ -521,13 +531,12 @@ def is_filter_subset(A, subset):
     return True
 
 
-def brute_is_prime(F):
-    """Prime by the definition: proper, and a|b in F puts a or b in F, for
-    every pair of elements."""
-    A = F.algebra
-    return F.proper and not any(
-        A.join[a][b] in F.members and a not in F.members
-        and b not in F.members
+def brute_is_prime(A, e):
+    """Prime by the definition: [e) is proper, and a|b in [e) puts a or b
+    in [e), for every pair of elements."""
+    F = members(A, e)
+    return A.bot not in F and not any(
+        A.join[a][b] in F and a not in F and b not in F
         for a in A.elements() for b in A.elements())
 
 
@@ -565,7 +574,7 @@ def brute_boolean_splitting_conditions(A, max_arity=4):
     """boolean_splitting_conditions by search: for each tuple, try every
     choice of Boolean e_i in the principal filters of its elements."""
     B = sorted(classify(A).boolean_center)
-    pf = [principal_filter(A, x) for x in A.elements()]
+    pf = [fixed_point_filter(A, (x,)) for x in A.elements()]
     witnesses = {}
 
     cond1 = has_blp(A)
@@ -696,7 +705,7 @@ def labeled_retic_quotient_match(A, R, F):
     L, lam = R.lattice, R.lam
     Q = quotient(A, F)
     RQ = build_reticulation(Q.quotient)
-    QL = quotient(L, Filter(L, frozenset(lam[x] for x in F.members)))
+    QL = quotient(L, generator(L, frozenset(lam[x] for x in members(A, F))))
     try:
         f = _induced_map(tuple(RQ.lam[c] for c in Q.class_of),
                          tuple(QL.class_of[x] for x in lam),
@@ -709,9 +718,10 @@ def labeled_retic_quotient_match(A, R, F):
 def labeled_filter_lattice(A):
     """The filter lattice of A under inclusion, labeled by the filters, as
     `gelfand_conditions` built it before it read the lattice of the order."""
-    filters = all_filters(A)
+    filters = [members(A, e) for e in all_filters(A)]
     leq = tuple(tuple(F <= G for G in filters) for F in filters)
-    return validate_bdl(tuple(repr(F) for F in filters), leq)
+    return validate_bdl(tuple("{" + ",".join(map(str, sorted(F))) + "}"
+                              for F in filters), leq)
 
 
 def kernel_quotient_reticulation(A):
@@ -720,7 +730,7 @@ def kernel_quotient_reticulation(A):
     classes = []
     rep_of = {}
     for a in A.elements():
-        key = principal_filter(A, a).gen
+        key = generated_filter(A, (a,))
         if key not in rep_of:
             rep_of[key] = len(classes)
             classes.append(a)
@@ -733,8 +743,8 @@ def kernel_quotient_reticulation(A):
                 for i in range(m))
     labels = tuple(f"[{A.labels[r]}]" for r in classes)
     L = validate_bdl(labels, leq)
-    lam = tuple(rep_of[principal_filter(A, a).gen] for a in A.elements())
-    filt = tuple(principal_filter(A, r) for r in classes)
+    lam = tuple(rep_of[generated_filter(A, (a,))] for a in A.elements())
+    filt = tuple(generated_filter(A, (r,)) for r in classes)
     R = Reticulation(A, L, lam, filt)
     _assert_axioms(A, lam, L.leq)
     return R
@@ -1076,7 +1086,7 @@ def brute_gelfand_form_2(A):
     g[x] = x^w: whenever [x) v [y) is improper, some [u), [v) with
     [u) ^ [v) trivial have [u) v [x) and [v) v [y) improper.  Scans every
     (u, v) for every (x, y)."""
-    g = [A.power_limit(a) for a in A.elements()]
+    g = [A.power(a, A.size) for a in A.elements()]
 
     def improper_join(x, y):
         return A.odot[g[x]][g[y]] == A.bot
@@ -1284,8 +1294,8 @@ def plain_classify(A):
     )
     idem = frozenset(a for a in A.elements() if A.odot[a][a] == a)
     reg = frozenset(a for a in A.elements() if A.neg(A.neg(a)) == a)
-    nil = frozenset(a for a in A.elements() if A.power_limit(a) == A.bot)
-    arch = frozenset(a for a in A.elements() if A.power_limit(a) in boolean)
+    nil = frozenset(a for a in A.elements() if A.power(a, A.size) == A.bot)
+    arch = frozenset(a for a in A.elements() if A.power(a, A.size) in boolean)
     is_chain = all(A.leq[a][b] or A.leq[b][a]
                    for a in range(n) for b in range(a + 1, n))
     is_distributive = scanned_distributivity_witness(A.leq) is None
@@ -1306,7 +1316,7 @@ def plain_classify(A):
 def plain_splitting(A, us, B):
     """(holds, witnesses) of "for every x some u in `us` and e in `B` give
     [x) = [u) v [e)", scanning u, then e, in the given order."""
-    g = [A.power_limit(a) for a in A.elements()]
+    g = [A.power(a, A.size) for a in A.elements()]
     witnesses = {}
     for x in A.elements():
         found = next(((u, e) for u in us for e in B
@@ -1319,7 +1329,7 @@ def plain_splitting(A, us, B):
 def plain_boolean_splitting_conditions(A, max_arity=4):
     """`boolean_splitting_conditions` through the one-line methods."""
     B = classify(A).boolean_center
-    w = [A.power_limit(x) for x in A.elements()]
+    w = [A.power(x, A.size) for x in A.elements()]
     u = []
     for x in A.elements():
         m = A.top

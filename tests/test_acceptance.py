@@ -31,7 +31,6 @@ from rlx.filters import (
     all_filters,
     is_local,
     max_spec,
-    principal_filter,
     quotient,
     radical,
 )
@@ -55,6 +54,7 @@ from rlx.theorems import theorem_checks
 from oracles import (
     dense_radical,
     distributive_lattices,
+    members,
     product_lp_check,
     rl_isomorphic,
 )
@@ -79,17 +79,17 @@ def test_criterion_1_golden_pentagon_godel(E1):
     cls = classify(E1)
     if cls.idempotents != frozenset(E1.elements()):
         failures.append("idempotents must be the whole carrier")
-    if _labelset(E1, radical(E1).members) != {"c", "1"}:
-        failures.append(f"radical is {_labelset(E1, radical(E1).members)}")
+    if _labelset(E1, members(E1, radical(E1))) != {"c", "1"}:
+        failures.append(f"radical is {_labelset(E1, members(E1, radical(E1)))}")
     rep = lp_report(E1, blp_formula())
     failing = [F for F, v in rep.per_filter if not v.holds]
     if rep.global_holds:
         failures.append("Boolean lifting must fail")
-    if [_labelset(E1, F.members) for F in failing] != [{"c", "1"}]:
+    if [_labelset(E1, members(E1, F)) for F in failing] != [{"c", "1"}]:
         failures.append("the radical must be the failing filter")
     if not lp_report(E1, ilp_formula()).global_holds:
         failures.append("idempotent lifting must hold")
-    if [_labelset(E1, M.members) for M in max_spec(E1)] != \
+    if [_labelset(E1, members(E1, M)) for M in max_spec(E1)] != \
             [{"a", "c", "1"}, {"b", "c", "1"}]:
         failures.append("maximal spectrum mismatch")
     if is_gelfand(E1):
@@ -112,19 +112,19 @@ def test_criterion_2_golden_pentagon_stacked(E2):
         failures.append(
             f"regulars are {sorted(_labelset(E2, cls.regulars))}; the tables "
             "give !d=b, !b=c, !a=0, so exactly 0, b, c, 1 are fixed by !!")
-    if [_labelset(E2, M.members) for M in max_spec(E2)] != \
+    if [_labelset(E2, members(E2, M)) for M in max_spec(E2)] != \
             [{"a", "b", "1"}, {"a", "c", "d", "1"}]:
         failures.append("maximal spectrum mismatch")
     from rlx.core import boolean_algebra
 
-    Q = quotient(E2, principal_filter(E2, 1))
+    Q = quotient(E2, E2.power_limits[1])
     if Q.quotient.size != 4 or not rl_isomorphic(Q.quotient, boolean_algebra(2)):
         failures.append("quotient by [a) must be the 4-element Boolean algebra")
     rep = lp_report(E2, blp_formula())
     failing = [(F, v) for F, v in rep.per_filter if not v.holds]
     if has_blp(E2):
         failures.append("Boolean lifting must fail")
-    if [_labelset(E2, F.members) for F, _ in failing] != [{"a", "1"}]:
+    if [_labelset(E2, members(E2, F)) for F, _ in failing] != [{"a", "1"}]:
         failures.append("{a,1} must be the only failing filter")
     if [F for F, _ in failing] != [radical(E2)]:
         failures.append("the failing filter must be the radical")
@@ -233,7 +233,7 @@ def test_criterion_7_distributive_lattice_suite(corpus5):
     for n in range(1, 7):
         for L in distributive_lattices(n):
             total += 1
-            if radical(L).members != dense_radical(L):
+            if members(L, radical(L)) != dense_radical(L):
                 failures.append(f"radical mismatch on {L!r}")
             if is_conormal_lattice(L) and not conormal_radical_lifting(L):
                 failures.append(f"conormal radical lifting failed on {L!r}")

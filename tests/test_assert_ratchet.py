@@ -11,7 +11,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rlx"
-ASSERT_PIN = 22
+ASSERT_PIN = 20
 
 
 def test_assert_count_is_pinned():

@@ -28,6 +28,7 @@ from rlx.lifting import lp_report
 from rlx.reticulation import build_reticulation
 from rlx.theorems import ALL_CHECKS, TheoremVerdict, theorem_checks
 from test_invariance import permuted
+from test_io import FILTER_FAULTS
 from test_memo_inventory import LRU_CACHES
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -352,11 +353,11 @@ def test_quotient_round_trip(capsys, tmp_path):
     payload = json.loads(report_out)
     assert payload["classes"]["boolean_center"] == payload["elements"]
 
-    from rlx.filters import principal_filter, quotient as quot
+    from rlx.filters import quotient as quot
     from rlx.report import analysis_report
 
     E2 = load_rlat(FIXTURES / "pentagon_stacked.rlat")
-    in_memory = analysis_report(quot(E2, principal_filter(E2, 1)).quotient,
+    in_memory = analysis_report(quot(E2, E2.power_limits[1]).quotient,
                                 include_theorems=False)
     on_disk = analysis_report(Q, include_theorems=False)
     assert in_memory["lifting"] == on_disk["lifting"]
@@ -406,6 +407,18 @@ def test_quotient_bad_filter(capsys):
                            "--filter", "b,c")
     assert code == 1
     assert "filter" in err
+
+
+@pytest.mark.parametrize("name, text, code, witness", FILTER_FAULTS)
+def test_quotient_reports_each_filter_fault(capsys, name, text, code,
+                                            witness):
+    """A label list that is not a filter exits 1, naming the violated
+    condition and its witness."""
+    exit_code, out, err = run_cli(capsys, "quotient",
+                                  str(FIXTURES / f"{name}.rlat"),
+                                  "--filter", text)
+    assert (exit_code, out) == (1, "")
+    assert err == f"error: filter: {code} violated at {witness}\n"
 
 
 def test_check_theorems_disagreement_exit_code(capsys, monkeypatch):

@@ -7,8 +7,9 @@ benchmark harness; a method counts only through attribute access
 methods, which Python calls itself, are exempt.  The library itself
 references each of its definitions, but for the public names of
 `rlx.__all__`.  No function re-imports, relative to the package, a
-module its file already imports at top level.  Only the syntax trees are
-read, nothing is imported.
+module its file already imports at top level, and no module imports
+`annotations` from `__future__` without annotating something.  Only the
+syntax trees are read, nothing is imported.
 """
 
 import ast
@@ -107,3 +108,49 @@ def test_no_function_reimports_a_top_level_import():
     breaks an import cycle; one of a module the file already imports at
     top level does neither."""
     assert _function_reimports() == []
+
+
+def _needless_future_annotations(paths=sorted(PACKAGE.glob("*.py"))):
+    """The stems of the modules in `paths` that import `annotations` from
+    `__future__` but annotate nothing: no argument, no return and no
+    annotated assignment, so the import changes nothing."""
+    found = []
+    for path in paths:
+        tree = _tree(path)
+        imported = any(isinstance(node, ast.ImportFrom)
+                       and node.module == "__future__"
+                       and any(a.name == "annotations" for a in node.names)
+                       for node in tree.body)
+        annotated = any(
+            isinstance(node, ast.AnnAssign)
+            or isinstance(node, ast.arg) and node.annotation is not None
+            or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.returns is not None
+            for node in ast.walk(tree))
+        if imported and not annotated:
+            found.append(path.stem)
+    return found
+
+
+def test_future_annotations_only_where_something_is_annotated():
+    """`from __future__ import annotations` defers the evaluation of
+    annotations; in a module without one it is dead weight."""
+    assert _needless_future_annotations() == []
+
+
+def test_needless_future_annotations_are_found(tmp_path):
+    """The scan flags a module with the import and no annotation, and
+    passes one whose argument, return or assignment is annotated."""
+    head = "from __future__ import annotations\n\n"
+    bodies = {"bare": "def f(x):\n    return x\n",
+              "argument": "def f(x: int):\n    return x\n",
+              "returns": "def f(x) -> int:\n    return x\n",
+              "assignment": "x: int = 1\n",
+              "unimported": "def f(x):\n    return x\n"}
+    paths = []
+    for stem, body in bodies.items():
+        path = tmp_path / f"{stem}.py"
+        path.write_text(("" if stem == "unimported" else head) + body,
+                        encoding="utf-8")
+        paths.append(path)
+    assert _needless_future_annotations(paths) == ["bare"]

@@ -14,19 +14,14 @@ from rlx.core import (
 from rlx.errors import AxiomViolation
 from rlx.io import load_rlat
 from rlx.filters import (
-    Filter,
     _check_congruence,
     _filters,
     all_filters,
-    filter_join,
-    filter_meet,
-    generated_filter,
-    improper_filter,
+    generator,
     is_local,
     is_prime,
     is_semisimple,
     max_spec,
-    principal_filter,
     quotient,
     radical,
     spec,
@@ -36,43 +31,41 @@ from oracles import (
     brute_congruence_violation,
     brute_is_prime,
     fixed_point_filter,
+    generated_filter,
     is_filter_subset,
+    members,
     min_generator,
     rl_isomorphic,
     set_partitions,
     table_major_congruence_check,
-    trivial_filter,
 )
 
 
-def members_by_label(A, F):
-    return {A.labels[x] for x in F.members}
-
-
-def filter_from_labels(A, names):
-    index = {lbl: i for i, lbl in enumerate(A.labels)}
-    return Filter(A, frozenset(index[n] for n in names))
+def members_by_label(A, e):
+    return {A.labels[x] for x in members(A, e)}
 
 
 def test_filter_invariants_enforced(E1):
     with pytest.raises(AxiomViolation):
-        Filter(E1, frozenset({0}))  # no top
+        generator(E1, frozenset({0}))  # no top
     with pytest.raises(AxiomViolation):
-        Filter(E1, frozenset({1, 4}))  # not up-closed: misses c
+        generator(E1, frozenset({1, 4}))  # not up-closed: misses c
 
 
 def test_filter_check_matches_definition(corpus4, E1, E2):
-    # the linear constructor check accepts exactly the subsets that are
-    # filters by definition, on every subset of every small algebra
+    # the linear check accepts exactly the subsets that are filters by
+    # definition, on every subset of every small algebra, and returns
+    # the generator, the least member
     for A in list(corpus4) + [E1, E2]:
         for r in range(A.size + 1):
             for combo in itertools.combinations(A.elements(), r):
                 s = frozenset(combo)
                 if is_filter_subset(A, s):
-                    assert Filter(A, s).members == s
+                    e = generator(A, s)
+                    assert members(A, e) == s and e == min_generator(A, s)
                 else:
                     with pytest.raises(AxiomViolation):
-                        Filter(A, s)
+                        generator(A, s)
 
 
 def test_generated_filter_golden(E1, E2):
@@ -88,7 +81,7 @@ def test_generated_filter_matches_naive_fixpoint(corpus4):
     for A in corpus4:
         for seed_size in range(min(3, A.size) + 1):
             for seed in itertools.combinations(A.elements(), seed_size):
-                got = generated_filter(A, seed).members
+                got = members(A, generated_filter(A, seed))
                 # oracle: smallest filter-subset containing the seed
                 best = None
                 for r in range(A.size + 1):
@@ -104,7 +97,7 @@ def test_generated_filter_matches_fixed_point_closure(corpus5, corpus6):
     for A in list(corpus5) + list(corpus6):
         for size in range(3):
             for seed in itertools.combinations(A.elements(), size):
-                assert generated_filter(A, seed).members == \
+                assert members(A, generated_filter(A, seed)) == \
                     fixed_point_filter(A, seed)
 
 
@@ -116,7 +109,7 @@ def test_all_filters_by_subset_scan(corpus4, E1):
                 s = frozenset(combo)
                 if is_filter_subset(A, s):
                     expected.add(s)
-        assert {F.members for F in all_filters(A)} == expected
+        assert {members(A, e) for e in all_filters(A)} == expected
 
 
 def test_all_filters_count_golden(E1, E2):
@@ -128,28 +121,33 @@ def test_all_filters_count_golden(E1, E2):
 
 
 def test_filter_lattice_golden(E2):
-    fb = principal_filter(E2, 2)  # [b)
-    fd = principal_filter(E2, 4)  # [d)
-    assert members_by_label(E2, filter_join(fb, fd)) == set(E2.labels)
-    assert members_by_label(E2, filter_meet(fb, fd)) == {"a", "1"}
+    b, d = E2.power_limits[2], E2.power_limits[4]  # [b) = [b^w), [d)
+    # the join of [b) and [d) is [b * d), their meet [b | d)
+    assert members_by_label(E2, E2.odot[b][d]) == set(E2.labels)
+    assert members_by_label(E2, E2.join[b][d]) == {"a", "1"}
 
 
 def test_principal_filter_identities(corpus5):
+    """[x) = [x^w), and the join and meet of [a) and [b) read off their
+    generators are the principal filters of a*b, a&b and a|b, by the
+    fixed-point closure."""
     for A in corpus5:
+        w = A.power_limits
         for a in A.elements():
-            fa = principal_filter(A, a)
+            fa = fixed_point_filter(A, (a,))
+            assert members(A, w[a]) == fa
             for n in range(1, A.size + 1):
-                assert principal_filter(A, A.power(a, n)).members == fa.members
+                assert fixed_point_filter(A, (A.power(a, n),)) == fa
             for b in A.elements():
-                fb = principal_filter(A, b)
-                assert filter_join(fa, fb).members == \
-                    principal_filter(A, A.odot[a][b]).members == \
-                    principal_filter(A, A.meet[a][b]).members
-                assert filter_meet(fa, fb).members == \
-                    principal_filter(A, A.join[a][b]).members
-        assert principal_filter(A, A.top).members == {A.top}
-        if A.size > 1:
-            assert not principal_filter(A, A.bot).proper
+                assert members(A, A.odot[w[a]][w[b]]) == \
+                    fixed_point_filter(A, (A.odot[a][b],)) == \
+                    fixed_point_filter(A, (A.meet[a][b],)) == \
+                    fixed_point_filter(A, (a, b))
+                assert members(A, A.join[w[a]][w[b]]) == \
+                    fixed_point_filter(A, (A.join[a][b],)) == \
+                    fa & fixed_point_filter(A, (b,))
+        assert fixed_point_filter(A, (A.top,)) == {A.top}
+        assert members(A, A.bot) == frozenset(A.elements())
 
 
 def test_filter_join_elementwise_form(corpus4):
@@ -159,24 +157,24 @@ def test_filter_join_elementwise_form(corpus4):
                 expected = frozenset(
                     x for x in A.elements()
                     if any(A.leq[A.odot[f][g]][x]
-                           for f in F.members for g in G.members))
-                assert filter_join(F, G).members == expected
+                           for f in members(A, F) for g in members(A, G)))
+                assert members(A, A.odot[F][G]) == expected
 
 
 def test_every_filter_is_intersection_of_primes_above(corpus5):
     for A in corpus5:
-        primes = spec(A)
-        for F in all_filters(A):
+        primes = [members(A, P) for P in spec(A)]
+        for F in (members(A, e) for e in all_filters(A)):
             inter = frozenset(A.elements())
             for P in primes:
-                if F.members <= P.members:
-                    inter &= P.members
-            assert inter == F.members
+                if F <= P:
+                    inter &= P
+            assert inter == F
         # intersection of all primes is the trivial filter
         if primes:
             inter = frozenset(A.elements())
             for P in primes:
-                inter &= P.members
+                inter &= P
             assert inter == {A.top}
 
 
@@ -196,24 +194,22 @@ def test_spectra_golden(E1, E2):
 
 def test_filters_spectra_and_radical_are_read_off_one_record(cold_caches,
                                                              E1):
-    """Work ratchet: all_filters, spec, max_spec, radical and
-    generated_filter read one record per algebra, built once, so the
-    points of Spec and Max and the radical are the objects of
-    all_filters, and a repeat call returns the same tuple."""
+    """Work ratchet: all_filters, spec, max_spec and radical read one
+    record per algebra, built once, so the points of Spec and Max and the
+    radical are among all_filters, and a repeat call returns the same
+    tuple."""
     A = E1
     before = _filters.cache_info()
     reads = (all_filters, spec, max_spec)
     tuples = [read(A) for read in reads]
     rad = radical(A)
-    top = generated_filter(A, ())
     after = _filters.cache_info()
     assert after.misses - before.misses == 1
     filters, primes, maxima = tuples
     assert primes and maxima
-    assert all(any(P is F for F in filters) for P in primes + maxima + (rad,))
-    assert any(top is F for F in filters)
+    assert set(primes + maxima + (rad, A.top)) <= set(filters)
     assert all(read(A) is t for read, t in zip(reads, tuples))
-    assert radical(A) is rad and generated_filter(A, ()) is top
+    assert radical(A) == rad
 
 
 def test_chains_are_local_with_all_filters_prime():
@@ -221,8 +217,8 @@ def test_chains_are_local_with_all_filters_prime():
         for A in (godel_chain(n), lukasiewicz_chain(n)):
             assert is_local(A)
             for F in all_filters(A):
-                if F.proper:
-                    assert is_prime(F)
+                if F != A.bot:
+                    assert is_prime(A, F)
 
 
 def test_is_prime_matches_the_definition(corpus5, corpus6):
@@ -232,7 +228,7 @@ def test_is_prime_matches_the_definition(corpus5, corpus6):
     fixtures = Path(__file__).resolve().parent.parent / "fixtures"
     algebras = [*corpus5, *corpus6,
                 *map(load_rlat, sorted(fixtures.glob("*.rlat")))]
-    verdicts = [(is_prime(F), brute_is_prime(F))
+    verdicts = [(is_prime(A, F), brute_is_prime(A, F))
                 for A in algebras for F in all_filters(A)]
     assert all(fast == brute for fast, brute in verdicts)
     assert {fast for fast, _ in verdicts} == {True, False}
@@ -250,18 +246,18 @@ def test_semisimple(E1):
 
 def test_quotient_by_trivial_filter_is_isomorphic(corpus4):
     for A in corpus4:
-        Q = quotient(A, trivial_filter(A))
+        Q = quotient(A, A.top)
         assert Q.quotient.size == A.size
         assert rl_isomorphic(Q.quotient, A)
 
 
 def test_quotient_by_improper_filter_is_trivial(E1):
-    Q = quotient(E1, improper_filter(E1))
+    Q = quotient(E1, E1.bot)
     assert Q.quotient.size == 1
 
 
 def test_quotient_golden_lozenge(E2):
-    Q = quotient(E2, principal_filter(E2, 1))  # [a)
+    Q = quotient(E2, 1)  # [a)
     assert Q.quotient.size == 4
     assert rl_isomorphic(Q.quotient, boolean_algebra(2))
     # classes {0}, {b}, {c,d}, {a,1}
@@ -275,8 +271,7 @@ def test_quotient_golden_lozenge(E2):
 def test_quotient_golden_pentagon_boolean_gap(E1):
     # modulo {c,1} the quotient is the lozenge: a/F gains a complement
     # even though no Boolean element of E1 sits in its class
-    F = principal_filter(E1, 3)
-    Q = quotient(E1, F)
+    Q = quotient(E1, 3)  # [c)
     assert Q.quotient.size == 4
     q = Q.quotient
     a_class = Q.class_of[1]
@@ -290,39 +285,39 @@ def test_second_isomorphism(corpus4):
         for F in all_filters(A):
             QF = quotient(A, F)
             for G in all_filters(A):
-                if not F.members <= G.members:
+                if not members(A, F) <= members(A, G):
                     continue
-                g_over_f = Filter(QF.quotient,
-                                  frozenset(QF.class_of[x] for x in G.members))
+                g_over_f = generator(QF.quotient, frozenset(
+                    QF.class_of[x] for x in members(A, G)))
                 iterated = quotient(QF.quotient, g_over_f).quotient
                 direct = quotient(A, G).quotient
                 assert rl_isomorphic(iterated, direct)
 
 
 def test_min_generator(E1, E2):
-    assert E1.labels[min_generator(principal_filter(E1, 3))] == "c"
-    assert E1.labels[min_generator(trivial_filter(E1))] == "1"
-    fa = principal_filter(E2, 1)
-    m = min_generator(fa)
+    assert E1.labels[min_generator(E1, fixed_point_filter(E1, (3,)))] == "c"
+    assert E1.labels[min_generator(E1, fixed_point_filter(E1, ()))] == "1"
+    m = min_generator(E2, fixed_point_filter(E2, (1,)))
     assert E2.labels[m] == "a"
     assert E2.odot[m][m] == m
 
 
 def test_min_generator_total_on_finite_filters(corpus5):
-    # finite filters are meet-closed, so the minimum always exists and is
-    # an idempotent generator
+    # finite filters are meet-closed, so the minimum always exists, is an
+    # idempotent generator and is the filter's id
     for A in corpus5:
         for F in all_filters(A):
-            m = min_generator(F)
-            assert all(A.leq[m][x] for x in F.members)
+            m = min_generator(A, members(A, F))
+            assert m == F
             assert A.odot[m][m] == m
 
 
 def test_filters_of_finite_algebra_principal_and_idempotent_generated(corpus5):
     for A in corpus5:
         idem = classify(A).idempotents
-        expected = {principal_filter(A, a).members for a in idem}
-        assert {F.members for F in all_filters(A)} == expected
+        expected = {fixed_point_filter(A, (a,)) for a in idem}
+        assert {members(A, F) for F in all_filters(A)} == expected
+        assert set(all_filters(A)) == idem
 
 
 def _separates(A, class_of, x, y, z):

@@ -262,7 +262,7 @@ def _oracle_masks(A, phi):
     for F in all_filters(A):
         Q = quotient(A, F)
         held = _oracle_set(Q.quotient, phi)
-        masks[F.gen] = sum(1 << a for a in A.elements()
+        masks[F] = sum(1 << a for a in A.elements()
                            if Q.class_of[a] in held)
     return tuple(masks)
 

@@ -10,7 +10,6 @@ from rlx.core import (
 )
 from rlx.dlattice import validate_bdl
 from rlx.errors import AxiomViolation, FileFormatError
-from rlx.filters import principal_filter
 from rlx.io import (
     load_rlat,
     parse_filter,
@@ -23,6 +22,15 @@ from rlx.io import (
 from oracles import parse_blat
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# (fixture, label list, code, witness): each of the four faults that
+# `parse_filter` reports, with the first offending element ids
+FILTER_FAULTS = (
+    ("pentagon_godel", "c", "filter-top", ()),
+    ("pentagon_godel", "a,1", "filter-up-closed", (1, 3)),
+    ("pentagon_godel", "{a,b,c,1}", "filter-meet-closed", (0,)),
+    ("luk4", "x2,1", "filter-odot-closed", (2, 2)),
+)
 
 EXAMPLE = """
 # five-element example, implication given explicitly
@@ -147,10 +155,9 @@ def test_blat_rejects_nondistributive():
 
 def test_filter_parsing(E1):
     F = parse_filter(E1, "c,1")
-    assert F.members == principal_filter(E1, 3).members
+    assert F == 3  # the filter is its generator c
     assert print_filter(E1, F) == "{c,1}"
-    braced = parse_filter(E1, "{c,1}")
-    assert braced.members == F.members
+    assert parse_filter(E1, "{c,1}") == F
 
 
 def test_filter_parsing_unknown_label(E1):
@@ -161,6 +168,14 @@ def test_filter_parsing_unknown_label(E1):
 def test_filter_parsing_rejects_non_filter(E1):
     with pytest.raises(AxiomViolation):
         parse_filter(E1, "a,1")  # not odot-closed upward set: misses c
+
+
+@pytest.mark.parametrize("name, text, code, witness", FILTER_FAULTS)
+def test_filter_parsing_reports_each_fault(name, text, code, witness):
+    A = load_rlat(FIXTURES / f"{name}.rlat")
+    with pytest.raises(AxiomViolation) as caught:
+        parse_filter(A, text)
+    assert (caught.value.axiom, caught.value.witness) == (code, witness)
 
 
 def test_trivial_round_trip():

@@ -9,14 +9,7 @@ from rlx.core import (
     godel_chain,
     lukasiewicz_chain,
 )
-from rlx.filters import (
-    Filter,
-    all_filters,
-    principal_filter,
-    quotient,
-    radical,
-    spec,
-)
+from rlx.filters import all_filters, generator, quotient, radical, spec
 from rlx.formulas import (
     blp_formula,
     definable_set,
@@ -43,13 +36,14 @@ from rlx.spectra import star_property, star_star_property
 
 from oracles import (
     brute_boolean_splitting_conditions,
+    fixed_point_filter,
+    members,
     plain_boolean_splitting_conditions,
     plain_classify,
     plain_split_failure,
     plain_splitting,
     product_lp_check,
     quotient_filter_verdict,
-    trivial_filter,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -57,7 +51,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def filter_by_labels(A, names):
     index = {lbl: i for i, lbl in enumerate(A.labels)}
-    return Filter(A, frozenset(index[n] for n in names))
+    return generator(A, frozenset(index[n] for n in names))
 
 
 def test_golden_pentagon_godel(E1):
@@ -69,7 +63,8 @@ def test_golden_pentagon_godel(E1):
     # every other filter lifts
     rep = lp_report(E1, blp_formula())
     failing = [F for F, v in rep.per_filter if not v.holds]
-    assert [sorted(E1.labels[x] for x in F.members) for F in failing] == [["1", "c"]]
+    assert [sorted(E1.labels[x] for x in members(E1, F))
+            for F in failing] == [["1", "c"]]
 
 
 def test_golden_pentagon_stacked_tables(E2):
@@ -83,7 +78,8 @@ def test_golden_pentagon_stacked_tables(E2):
     assert has_ilp(E2) and has_rlp(E2)
     rep = lp_report(E2, blp_formula())
     failing = [F for F, v in rep.per_filter if not v.holds]
-    assert [sorted(E2.labels[x] for x in F.members) for F in failing] == [["1", "a"]]
+    assert [sorted(E2.labels[x] for x in members(E2, F))
+            for F in failing] == [["1", "a"]]
 
 
 def test_boolean_algebra_all_three():
@@ -106,9 +102,9 @@ def test_rlp_universal_on_corpus(corpus5, E1, E2):
 def test_trivial_and_improper_filters_always_lift(corpus4):
     for A in corpus4:
         for phi in (blp_formula(), ilp_formula(), rlp_formula()):
-            ok, _ = has_phi_lp(A, phi, trivial_filter(A))
+            ok, _ = has_phi_lp(A, phi, A.top)
             assert ok
-            ok, _ = has_phi_lp(A, phi, Filter(A, frozenset(A.elements())))
+            ok, _ = has_phi_lp(A, phi, generator(A, frozenset(A.elements())))
             assert ok
 
 
@@ -139,7 +135,7 @@ def test_unsatisfiable_formula_lifts_where_it_is_satisfiable(corpus5):
         for F, verdict in report.per_filter:
             assert (verdict.holds, verdict.counterexample,
                     verdict.witness) == quotient_filter_verdict(A, phi, F)
-            if len(F) == A.size:
+            if len(members(A, F)) == A.size:
                 assert verdict.holds == bool(definable_set(A, phi))
         satisfiable.add(bool(definable_set(A, phi)))
     assert satisfiable == {False, True}
@@ -164,7 +160,7 @@ def test_lifting_mask_is_the_records(corpus5):
             for F, verdict in report.per_filter:
                 assert filter_lifts(A, phi, F) == verdict.holds, (A, phi, F)
                 assert has_phi_lp(A, phi, F)[0] == verdict.holds, (A, phi, F)
-                failing |= (not verdict.holds) << F.gen
+                failing |= (not verdict.holds) << F
                 verdicts.add(verdict.holds)
             assert _lift_failures(A, phi) == failing, (A, phi)
             assert has_lp(A, phi) == report.global_holds, (A, phi)
@@ -195,8 +191,8 @@ def test_blp_gap_filter_is_join_with_negation(corpus4):
         left, right = term_values(A, t1, {}), term_values(A, t2, {})
         for a in A.elements():
             gap = A.bires(left[a], right[a])
-            assert principal_filter(A, gap).members == \
-                principal_filter(A, A.join[a][A.neg(a)]).members
+            assert fixed_point_filter(A, (gap,)) == \
+                fixed_point_filter(A, (A.join[a][A.neg(a)],))
 
 
 def test_ilp_gap_filter_matches_definition(corpus4):
@@ -250,7 +246,7 @@ def test_split_failure_memo_matches_plain_scan(corpus5, corpus6, E1, E2):
     found = set()
     for A in algebras:
         B = classify(A).boolean_center
-        w = [A.power_limit(x) for x in A.elements()]
+        w = [A.power(x, A.size) for x in A.elements()]
         u = []
         for x in A.elements():
             m = A.top
@@ -284,9 +280,9 @@ def test_element_vector_scans_match_the_plain_loops(corpus5, corpus6, E1, E2):
             expected[0], list(expected[1].items())), A
         B = sorted(classify(A).boolean_center)
         nilpotent_negation = [u for u in A.elements()
-                              if A.power_limit(A.neg(u)) == A.bot]
+                              if A.power(A.neg(u), A.size) == A.bot]
         for (holds, found), us in (
-                (star_property(A), sorted(radical(A).members)),
+                (star_property(A), sorted(members(A, radical(A)))),
                 (star_star_property(A), nilpotent_negation)):
             plain = plain_splitting(A, us, B)
             assert (holds, list(found.items())) == (
@@ -352,7 +348,7 @@ def test_monotone_lifting_fires_somewhere(corpus5, E2):
             if {Q.class_of[e] for e in B} == set(range(Q.quotient.size)):
                 fired += 1
                 for G in all_filters(A):
-                    if F.members <= G.members:
+                    if members(A, F) <= members(A, G):
                         ok_b, _ = has_phi_lp(A, blp_formula(), G)
                         ok_i, _ = has_phi_lp(A, ilp_formula(), G)
                         assert ok_b and ok_i
@@ -365,7 +361,7 @@ def test_chain_class_facts():
             assert has_blp(A)
             assert has_ilp(A)
             for a in classify(A).idempotents:
-                ok, _ = has_phi_lp(A, ilp_formula(), principal_filter(A, a))
+                ok, _ = has_phi_lp(A, ilp_formula(), a)  # [a), a idempotent
                 assert ok
 
 
@@ -402,7 +398,7 @@ def test_custom_formula_lifting(E1):
 
 
 def test_witness_reported_for_successful_lift(E1):
-    ok, verdict = has_phi_lp(E1, blp_formula(), trivial_filter(E1))
+    ok, verdict = has_phi_lp(E1, blp_formula(), E1.top)
     assert ok and verdict.witness is not None
 
 

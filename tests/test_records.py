@@ -6,9 +6,10 @@ its fields once, in `__slots__`, and so keeps no dict per instance, but
 `ResiduatedLattice`, which caches its power limits in one.  Importing
 rlx does not import `dataclasses` (and with it `inspect`, `ast` and
 `dis`).  The reprs below were recorded from the dataclass versions,
-except three re-recorded when labels left an algebra's identity: a
-filter and a derived algebra (a quotient, a reticulation lattice) show
-ids, not `x/F` or `[e)` labels.
+except those re-recorded when labels left an algebra's identity, where a
+derived algebra (a quotient, a reticulation lattice) shows ids, not
+`x/F` or `[e)` labels, and when a filter became its generator, an
+element id.
 """
 
 import inspect
@@ -30,7 +31,7 @@ from rlx.core import (
     lukasiewicz_chain,
     validate,
 )
-from rlx.filters import Filter, QuotientAlgebra, principal_filter, quotient
+from rlx.filters import QuotientAlgebra, quotient
 from rlx.formulas import (
     BinOp,
     BoundVar,
@@ -56,7 +57,7 @@ B = boolean_algebra(1)
 G = godel_chain(3)
 PHI = parse_formula("exists w1. v^2 | !w1 = 1 && v -> 0 = w1")
 
-# one instance of each of the 16 record classes of the library and of
+# one instance of each of the 15 record classes of the library and of
 # the tests' RLMorphism, with its repr as the frozen dataclass printed it
 RECORDS = {
     ResiduatedLattice: (G, "ResiduatedLattice(0,x1,1)"),
@@ -67,10 +68,9 @@ RECORDS = {
         "nilpotents=frozenset({0}), archimedeans=frozenset({0, 1}), "
         "is_godel=True, is_involutive=True, is_chain=True, "
         "is_distributive=True, is_hyperarchimedean=True)"),
-    Filter: (principal_filter(G, 1), "{1,2}"),
     QuotientAlgebra: (
-        quotient(B, principal_filter(B, B.bot)),
-        "QuotientAlgebra(parent=ResiduatedLattice(0,1), filter={0,1}, "
+        quotient(B, B.bot),
+        "QuotientAlgebra(parent=ResiduatedLattice(0,1), filter=0, "
         "class_of=(0, 0), quotient=ResiduatedLattice(0), "
         "section=(0,))"),
     Formula: (
@@ -88,22 +88,22 @@ RECORDS = {
     FreeVar: (PHI.equations[1][0].lhs, "FreeVar(name='v')"),
     BoundVar: (PHI.equations[1][1], "BoundVar(name='w1')"),
     Const: (PHI.equations[0][1], "Const(value=1)"),
-    FilterVerdict: (has_phi_lp(G, blp_formula(), principal_filter(G, 1))[1],
+    FilterVerdict: (has_phi_lp(G, blp_formula(), 1)[1],
                     "FilterVerdict(holds=True, counterexample=None, "
                     "witness=0)"),
     LpReport: (
         lp_report(B, blp_formula()),
         "LpReport(formula=Formula(bound_vars=(), equations=((BinOp(op='|', "
         "lhs=FreeVar(name='v'), rhs=Neg(arg=FreeVar(name='v'))), "
-        "Const(value=1)),), free_var='v'), per_filter=(({1}, "
+        "Const(value=1)),), free_var='v'), per_filter=((1, "
         "FilterVerdict(holds=True, counterexample=None, witness=0)), "
-        "({0,1}, FilterVerdict(holds=True, counterexample=None, "
+        "(0, FilterVerdict(holds=True, counterexample=None, "
         "witness=0))), global_holds=True)"),
     Reticulation: (
         build_reticulation(B),
         "Reticulation(source=ResiduatedLattice(0,1), "
         "lattice=ResiduatedLattice(0,1), lam=(0, 1), "
-        "filter_of=({0,1}, {1}))"),
+        "filter_of=(0, 1))"),
     RLMorphism: (
         RLMorphism(B, B, (0, 1)),
         "RLMorphism(source=ResiduatedLattice(0,1), "
@@ -111,7 +111,7 @@ RECORDS = {
     SpectrumSpace: (
         stone_spec(B),
         "SpectrumSpace(kind='spec', "
-        "points=({1},), opens=(0, 1), v=(0, 1))"),
+        "points=(1,), opens=(0, 1), v=(0, 1))"),
     TheoremVerdict: (
         theorem_checks(B)[0],
         "TheoremVerdict(theorem_id='blp-splitting.2', lhs=True, rhs=True, "
@@ -132,7 +132,7 @@ def _fields(record):
 
 
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == 17
+    assert len(RECORDS) == 16
     for cls, (record, _) in RECORDS.items():
         assert type(record) is cls
 
@@ -191,14 +191,6 @@ def test_algebras_with_equal_tables_and_other_labels_are_equal():
     assert hash(relabeled) == hash(G)
     assert validate(G.labels, G.leq, lukasiewicz_chain(3).odot) != G
     assert validate(G.labels, G.leq, G.odot) == G
-
-
-def test_filter_equality_ignores_its_derived_generator():
-    F = principal_filter(G, 1)
-    twin = Filter(G, frozenset(F.members))
-    assert twin == F and hash(twin) == hash((G, F.members))
-    assert twin.gen == F.gen
-    assert Filter(G, frozenset({2})) != F
 
 
 def _run_isolated(code):

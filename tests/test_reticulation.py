@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from rlx.core import boolean_algebra, godel_chain, lukasiewicz_chain, validate
-from rlx.filters import all_filters, principal_filter, quotient
+from rlx.filters import all_filters, generator, quotient
 from rlx.io import load_rlat
 from rlx.reticulation import (
     Reticulation,
@@ -21,8 +21,8 @@ from oracles import (
     find_isomorphism,
     kernel_quotient_reticulation,
     labeled_retic_quotient_match,
+    members,
     reticulate_morphism,
-    trivial_filter,
     uniqueness_check,
 )
 
@@ -114,8 +114,7 @@ def test_identity_morphism_reticulates_to_identity(E1):
 
 
 def test_quotient_projection_reticulates_to_surjection(E2):
-    F = principal_filter(E2, 1)  # [a)
-    Q = quotient(E2, F)
+    Q = quotient(E2, E2.power_limits[1])  # [a)
     f = RLMorphism(E2, Q.quotient, Q.class_of)
     lf = reticulate_morphism(f)
     target = build_reticulation(Q.quotient)
@@ -132,14 +131,11 @@ def test_bottom_top_embedding_into_mv_chain():
 
 def test_functoriality_on_sampled_morphism_pairs(E2):
     # compose quotient projections and check the functor respects it
-    F = principal_filter(E2, 1)
-    Q1 = quotient(E2, F)
+    Q1 = quotient(E2, E2.power_limits[1])
     f = RLMorphism(E2, Q1.quotient, Q1.class_of)
     G_members = frozenset(Q1.class_of[x]
-                          for x in principal_filter(E2, 2).members)
-    from rlx.filters import Filter
-
-    G = Filter(Q1.quotient, G_members)
+                          for x in members(E2, E2.power_limits[2]))
+    G = generator(Q1.quotient, G_members)
     Q2 = quotient(Q1.quotient, G)
     g = RLMorphism(Q1.quotient, Q2.quotient, Q2.class_of)
     gf = RLMorphism(E2, Q2.quotient,
@@ -166,12 +162,12 @@ def test_swap_of_symmetric_atoms_is_automorphism(E1):
 
 def test_blp_transfer_golden(E1, E2):
     idx1 = {lbl: i for i, lbl in enumerate(E1.labels)}
-    F = principal_filter(E1, idx1["c"])
+    F = E1.power_limits[idx1["c"]]
     assert blp_transfer(E1, F) == (False, False)
     idx2 = {lbl: i for i, lbl in enumerate(E2.labels)}
-    assert blp_transfer(E2, principal_filter(E2, idx2["a"])) == (False, False)
+    assert blp_transfer(E2, E2.power_limits[idx2["a"]]) == (False, False)
     B2 = boolean_algebra(1)
-    assert blp_transfer(B2, trivial_filter(B2)) == (True, True)
+    assert blp_transfer(B2, B2.top) == (True, True)
 
 
 def test_blp_transfer_per_filter_on_corpus(corpus5):
@@ -204,7 +200,7 @@ def test_preimage_preserves_arbitrary_intersections(corpus4):
         if A.size > 4:
             continue
         R = build_reticulation(A)
-        filts = [H.members for H in all_filters(R.lattice)]
+        filts = [members(R.lattice, H) for H in all_filters(R.lattice)]
 
         def preimage(H):
             return frozenset(x for x in A.elements() if R.lam[x] in H)

@@ -1,7 +1,7 @@
 """Equal immutable values are one object.
 
-`validate` hands out the tables its memos hold as keys, and filters and
-element classes take their member sets from one store, `shared_set`.
+`validate` hands out the tables its memos hold as keys, and element
+classes take their member sets from one store, `shared_set`.
 So a quotient, a reticulation or a copy of an algebra holds no copy of a
 table that an equal algebra already holds.  The id labels of derived
 algebras and theorem rows without a witness are shared the same way.  A table is shared only
@@ -19,7 +19,7 @@ from rlx.core import (
     validate,
 )
 from rlx.errors import AxiomViolation
-from rlx.filters import Filter, all_filters, principal_filter, quotient
+from rlx.filters import all_filters, generator, quotient
 from rlx.theorems import _equiv, _shared_row, theorem_checks
 
 TABLES = ("leq", "join", "meet", "odot", "imp")
@@ -48,7 +48,7 @@ def test_trivial_quotient_shares_the_tables(cold_caches, corpus5, E1, E2):
     equal to A, holding A's tables."""
     for B in corpus5 + [E1, E2]:
         A = _fresh(B)
-        Q = quotient(A, principal_filter(A, A.top))
+        Q = quotient(A, A.top)
         assert Q.quotient == A
         assert all(getattr(Q.quotient, name) is getattr(A, name)
                    for name in TABLES)
@@ -105,21 +105,20 @@ def test_a_float_table_never_stands_for_an_int_table(cold_caches, E2, name,
 
 
 def test_equal_member_sets_are_one_object(cold_caches, corpus5, E1, E2):
-    """The member sets are one object each, and the store holds them and
-    the filter signatures that `filters._filters` interns beside them, one
-    per (order, power limits) pair."""
+    """The member sets of the element classes are one object each, and
+    the store holds them and the filter signatures that `filters._filters`
+    interns beside them, one per (order, power limits) pair.  A filter is
+    its generator and holds no member set."""
     seen, signatures = {}, set()
     for B in corpus5 + [E1, E2]:
         A = _fresh(B)
         signatures.add((A.leq, A.power_limits))
         cls = classify(A)
-        sets = [F.members for F in all_filters(A)]
-        sets += [cls.boolean_center, cls.idempotents, cls.regulars,
-                 cls.nilpotents, cls.archimedeans]
+        all_filters(A)
+        sets = [cls.boolean_center, cls.idempotents, cls.regulars,
+                cls.nilpotents, cls.archimedeans]
         for s in sets:
             assert seen.setdefault(s, s) is s
-        F = all_filters(A)[0]
-        assert Filter(A, frozenset(F.members)).members is F.members
     assert shared_set.cache_info().currsize == len(seen) + len(signatures)
 
 
@@ -133,7 +132,6 @@ def test_a_failed_validation_stores_nothing(cold_caches, E2):
     residuum, and a table with a bad entry, add nothing to any store and
     raise again on the next call."""
     validate(E2.labels, E2.leq, E2.odot)
-    F = principal_filter(E2, E2.top)
     before = _store_sizes()
     leq = _copy(E2.leq)
     leq[E2.top][E2.bot] = True  # antisymmetry fails
@@ -153,9 +151,9 @@ def test_a_failed_validation_stores_nothing(cold_caches, E2):
         for _ in range(2):
             with pytest.raises(AxiomViolation):
                 validate(E2.labels, *args)
-    for members in (frozenset({E2.bot}), frozenset(F.members) - {E2.top}):
+    for members in (frozenset({E2.bot}), frozenset({E2.bot, E2.top})):
         with pytest.raises(AxiomViolation):
-            Filter(E2, members)
+            generator(E2, members)
     assert _store_sizes() == before
 
 
@@ -164,7 +162,7 @@ def test_equal_quotient_labels_are_one_object(cold_caches, corpus5):
     seen, count = {}, 0
     for A in corpus5:
         for F in all_filters(A):
-            if F.gen == A.top:
+            if F == A.top:
                 continue
             labels = quotient(A, F).quotient.labels
             assert labels == tuple(map(str, range(len(labels))))

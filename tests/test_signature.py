@@ -62,27 +62,22 @@ def _matrix_and_reports(algebras, capsys):
 
 def _assert_representative_structures(algebras):
     """Each algebra's filter record, both spaces and reticulation are the
-    objects of the representative of its signature, and every filter,
-    point and reticulation holds the representative."""
+    objects of the representative of its signature, and the reticulation
+    holds the representative."""
     for A in algebras:
         record = _filters(A)
-        upsets, filters, primes, maxima, rad, R = record
+        R = record[-1]
         sp, mx, retic = stone_spec(A), stone_max(A), build_reticulation(A)
         assert record is _filters(R) and retic is build_reticulation(R)
         assert sp is stone_spec(R) and mx is stone_max(R)
         assert retic.source is R
-        held = [F for F in upsets if F is not None]
-        assert set(filters) == set(held)
-        for F in [*held, *filters, *primes, *maxima, rad, *sp.points,
-                  *mx.points, *retic.filter_of]:
-            assert F.algebra is R and F.upsets is upsets
 
 
 def test_sharing_by_signature_changes_no_row(monkeypatch, capsys):
     algebras = _algebras()
     shared = _matrix_and_reports(algebras, capsys)
     # most algebras read the verdicts and structures of another one
-    assert 2 * sum(_filters(A)[5] is not A for A in algebras) > len(algebras)
+    assert 2 * sum(_filters(A)[4] is not A for A in algebras) > len(algebras)
     _assert_representative_structures(algebras)
     monkeypatch.setattr(rlx.filters, "shared_set", lambda value: value)
     try:
@@ -111,11 +106,11 @@ def test_one_representative_owns_each_signature(corpus5, corpus6,
     try:
         for A in algebras:
             theorem_checks(A)
-        representatives = {id(_filters(B)[5]) for B in built}
+        representatives = {id(_filters(B)[4]) for B in built}
         keys = {(B.leq, B.power_limits) for B in built}
         assert len(representatives) == len(keys) < len(built)
         for A in algebras:
-            R = _filters(A)[5]
+            R = _filters(A)[4]
             if R is not A:
                 assert stone_spec(A).opens is stone_spec(R).opens
                 assert stone_max(A).opens is stone_max(R).opens
@@ -220,7 +215,7 @@ def test_product_identities_catch_a_fault_on_a_non_representative():
             assert (caught.value.axiom, caught.value.witness) == (
                 "odot-limit", (a, b))
         # the valid algebra of the signature becomes its representative
-        assert _filters(A)[5] is A
+        assert _filters(A)[4] is A
         assert shared_set(Signature((B.leq, B.power_limits, B)))[-1] is A
     finally:
         clear_memos()

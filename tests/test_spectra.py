@@ -1,3 +1,5 @@
+import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -10,15 +12,17 @@ from rlx.core import (
     lukasiewicz_chain,
     ordinal_sum,
 )
-from rlx.filters import max_spec, principal_filter, radical
+from rlx.filters import all_filters, max_spec, radical, spec
 from rlx.io import load_rlat
 from rlx.lifting import has_blp
+from rlx.report import analysis_report
 from rlx.spectra import (
     _topology_predicates,
     clopen_sets,
     clopen_via_boolean,
     filter_lattice,
     gelfand_conditions,
+    gelfand_counterexample,
     is_gelfand,
     star_property,
     star_star_property,
@@ -30,11 +34,18 @@ from rlx.spectra import (
 from oracles import (
     NotGelfand,
     brute_gelfand_form_2,
+    fixed_point_filter,
     gelfand_retract,
+    is_filter_subset,
     labeled_filter_lattice,
+    members,
+    min_generator,
     opens_topology_predicates,
     partial_orders,
 )
+from test_invariance import permuted
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_stone_spec_two_element():
@@ -89,7 +100,7 @@ def test_clopen_via_boolean_matches_on_spec(corpus5):
 
 def test_clopen_via_boolean_on_max_under_hypotheses(corpus5):
     for A in corpus5:
-        semisimple = radical(A).members == {A.top}
+        semisimple = members(A, radical(A)) == {A.top}
         if is_gelfand(A) or semisimple:
             mx = stone_max(A)
             assert set(clopen_sets(mx)) == set(clopen_via_boolean(A, "max"))
@@ -208,8 +219,6 @@ def test_star_chain_on_corpus(corpus5):
 
 
 def test_star_witnesses_verify(corpus4):
-    from rlx.filters import filter_join
-
     for A in corpus4:
         holds, witnesses = star_property(A)
         if not holds:
@@ -217,10 +226,9 @@ def test_star_witnesses_verify(corpus4):
         rad = radical(A)
         B = classify(A).boolean_center
         for x, (u, e) in witnesses.items():
-            assert u in rad.members and e in B
-            assert filter_join(principal_filter(A, u),
-                               principal_filter(A, e)).members == \
-                principal_filter(A, x).members
+            assert u in members(A, rad) and e in B
+            assert fixed_point_filter(A, (u, e)) == \
+                fixed_point_filter(A, (x,))
 
 
 def test_filter_lattice_is_the_labeled_one_on_index_labels(corpus5, corpus6):
@@ -234,3 +242,49 @@ def test_filter_lattice_is_the_labeled_one_on_index_labels(corpus5, corpus6):
         assert L.labels == tuple(map(str, range(M.size)))
         assert ((L.leq, L.join, L.meet, L.odot, L.imp, L.bot, L.top)
                 == (M.leq, M.join, M.meet, M.odot, M.imp, M.bot, M.top))
+
+
+def _scanned_filters(A):
+    """The filters of A as member sets, found by the is_filter_subset
+    scan of every subset, keyed by their least member."""
+    found = {}
+    for r in range(1, A.size + 1):
+        for combo in itertools.combinations(A.elements(), r):
+            s = frozenset(combo)
+            if is_filter_subset(A, s):
+                found[min_generator(A, s)] = s
+    return found
+
+
+def test_filter_inclusion_is_read_off_the_order(corpus5):
+    """A filter is an element id, so `F <= G` on two of them compares
+    ids: inclusion must be read off the order.  On sizes <= 5 and on
+    seeded permuted copies of them and of the fixtures, whose ids are no
+    linear extension, the filter lattice's order, the Gelfand
+    counterexample and the report's maximal filters above it are those
+    of inclusion of the scanned member sets."""
+    rng = random.Random(0)
+    fixtures = [load_rlat(path) for path in sorted(FIXTURES.glob("*.rlat"))]
+    algebras = [*corpus5, *(permuted(A, rng) for A in [*corpus5, *fixtures]
+                            if A.size > 1)]
+    witnessed = 0
+    for A in algebras:
+        sets = _scanned_filters(A)
+        filters = all_filters(A)
+        assert sorted(sets) == sorted(filters), A
+        assert filter_lattice(A).leq == tuple(
+            tuple(sets[F] <= sets[G] for G in filters) for F in filters), A
+        above = {P: [M for M in max_spec(A) if sets[P] <= sets[M]]
+                 for P in spec(A)}
+        expected = next((P for P, Ms in above.items() if len(Ms) != 1), None)
+        assert gelfand_counterexample(A) == expected, A
+        witness = analysis_report(A, include_theorems=False)["gelfand"][
+            "witness"]
+        if expected is None:
+            assert witness is None, A
+        else:
+            witnessed += 1
+            assert witness["maximals_above"] == [
+                "{" + ",".join(A.labels[x] for x in sorted(sets[M])) + "}"
+                for M in above[expected]], A
+    assert witnessed > 1
