@@ -7,15 +7,9 @@ demonstrates that the reticulation preserves the whole filter/spectrum
 structure while forgetting the multiplicative fine print.
 """
 
+import sys
 from pathlib import Path
 
-from rlx.core import (
-    boolean_algebra,
-    direct_product,
-    godel_chain,
-    lukasiewicz_chain,
-    ordinal_sum,
-)
 from rlx.enumeration import all_algebras
 from rlx.filters import max_spec, spec
 from rlx.io import load_rlat, print_filter, reticulation_labels
@@ -29,7 +23,18 @@ from rlx.spectra import (
     topology_predicates,
 )
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+# the textbook algebras come from the test suite's constructors
+sys.path.insert(0, str(ROOT / "tests"))
+
+from constructors import (  # noqa: E402  (found through the path above)
+    boolean_algebra,
+    direct_product,
+    godel_chain,
+    lukasiewicz_chain,
+    ordinal_sum,
+)
 
 
 def banner(text):

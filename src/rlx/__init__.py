@@ -1,6 +1,6 @@
 """Finite-model workbench for residuated lattices.
 
-Validation and constructors for small residuated lattices, filter and
+Validation and element classes of small residuated lattices, filter and
 quotient machinery, lifting-property checks (Boolean/idempotent/regular and
 arbitrary equational formulas), Stone spectra with their topologies, the
 reticulation functor, and an executable suite of characterization theorems.
@@ -9,14 +9,7 @@ reticulation functor, and an executable suite of characterization theorems.
 from .core import (
     ElementClassReport,
     ResiduatedLattice,
-    boolean_algebra,
     classify,
-    derive_implication,
-    direct_product,
-    godel_chain,
-    lukasiewicz_chain,
-    ordinal_sum,
-    trivial_algebra,
     upset_algebra,
     validate,
 )
@@ -40,14 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ElementClassReport",
     "ResiduatedLattice",
-    "boolean_algebra",
     "classify",
-    "derive_implication",
-    "direct_product",
-    "godel_chain",
-    "lukasiewicz_chain",
-    "ordinal_sum",
-    "trivial_algebra",
     "upset_algebra",
     "validate",
     "AxiomViolation",

@@ -1,4 +1,4 @@
-"""Finite residuated lattices: validation, element classes, constructors.
+"""Finite residuated lattices: validation and element classes.
 
 A residuated lattice here is a bounded lattice carrying a commutative
 monoid (odot, top) tied to the order by the residuation law
@@ -70,8 +70,8 @@ class Record:
 class ResiduatedLattice(Record):
     """Validated finite residuated lattice.
 
-    Do not build directly; go through :func:`validate` (or a constructor
-    below), which checks every axiom exhaustively.
+    Do not build directly; go through :func:`validate`, which checks every
+    axiom exhaustively.
 
     An algebra is its tables: equality and hash are those of `leq` and
     `odot`, which determine the other tables of a validated algebra.
@@ -313,19 +313,6 @@ def _residuum(good, down):
                         raise NotResiduated(b, c)
         imp.append(tuple(row))
     return tuple(imp), exact
-
-
-def derive_implication(leq, odot):
-    """Residuum table forced by the order and the monoid.
-
-    imp(b, c) is the maximum of good = {a : a*b <= c}, the a in good whose
-    down-set contains good (both as bitmasks); raises NotResiduated(b, c) at
-    the first (b, c), in row order, where good has no maximum.  `leq` must
-    be a partial order.  The caller still has to run :func:`validate`,
-    which re-checks the full residuation equivalence.
-    """
-    down = _row_masks(zip(*leq))
-    return _residuum(_residual_masks(_covering_pairs(down), odot), down)[0]
 
 
 def validate(labels, leq, odot, imp=None):
@@ -613,119 +600,6 @@ def distributivity_witness(leq):
     return None
 
 
-@lru_cache(maxsize=None)
-def complemented_elements(A):
-    """{a : some y has a|y = top and a&y = bot}; equals the Boolean center."""
-    out = set()
-    for a in A.elements():
-        for y in A.elements():
-            if A.join[a][y] == A.top and A.meet[a][y] == A.bot:
-                out.add(a)
-                break
-    return frozenset(out)
-
-
-# ---------------------------------------------------------------------------
-# Constructors
-
-
-def boolean_algebra(n_atoms):
-    """The 2^n_atoms-element Boolean algebra as a residuated lattice.
-
-    Every Boolean algebra residuates in exactly one way: odot = meet and
-    a->b = complement(a) | b.
-    """
-    if n_atoms < 0:
-        raise InvalidArgument("n_atoms must be >= 0")
-    atoms = [chr(ord("a") + i) for i in range(n_atoms)]
-    masks = sorted(range(1 << n_atoms), key=lambda m: (bin(m).count("1"), m))
-    index = {m: i for i, m in enumerate(masks)}
-    full = (1 << n_atoms) - 1
-
-    def name(m):
-        if m == 0:
-            return "0"
-        if m == full:
-            return "1"
-        return "".join(atoms[i] for i in range(n_atoms) if m >> i & 1)
-
-    labels = [name(m) for m in masks]
-    n = len(masks)
-    leq = tuple(tuple((masks[i] & masks[j]) == masks[i] for j in range(n))
-                for i in range(n))
-    meet = tuple(tuple(index[masks[i] & masks[j]] for j in range(n))
-                 for i in range(n))
-    imp = tuple(tuple(index[(full & ~masks[i]) | masks[j]] for j in range(n))
-                for i in range(n))
-    return validate(labels, leq, meet, imp)
-
-
-def _chain_leq(n):
-    return tuple(tuple(i <= j for j in range(n)) for i in range(n))
-
-
-def _chain_labels(n):
-    if n == 1:
-        return ("0",)
-    inner = [f"x{i}" for i in range(1, n - 1)]
-    return tuple(["0"] + inner + ["1"])
-
-
-def godel_chain(n):
-    """n-element chain with odot = meet (a Goedel algebra)."""
-    if n < 1:
-        raise InvalidArgument("n must be >= 1")
-    odot = tuple(tuple(min(i, j) for j in range(n)) for i in range(n))
-    return validate(_chain_labels(n), _chain_leq(n), odot)
-
-
-def lukasiewicz_chain(n):
-    """n-element MV-chain: i*j = max(0, i+j-(n-1))."""
-    if n < 2:
-        raise InvalidArgument("n must be >= 2")
-    odot = tuple(tuple(max(0, i + j - (n - 1)) for j in range(n))
-                 for i in range(n))
-    return validate(_chain_labels(n), _chain_leq(n), odot)
-
-
-def trivial_algebra():
-    """The one-element residuated lattice (0 = 1)."""
-    return validate(("0",), ((True,),), ((0,),))
-
-
-def _unique(labels):
-    seen = set()
-    out = []
-    for lbl in labels:
-        while lbl in seen:
-            lbl += "'"
-        seen.add(lbl)
-        out.append(lbl)
-    return tuple(out)
-
-
-def direct_product(A, B):
-    """Componentwise product; element (i, j) gets id i*|B| + j."""
-    nb = B.size
-
-    def pid(i, j):
-        return i * nb + j
-
-    labels = _unique(f"{A.labels[i]}.{B.labels[j]}"
-                     for i in range(A.size) for j in range(B.size))
-    pairs = [(i, j) for i in range(A.size) for j in range(B.size)]
-    leq = tuple(
-        tuple(A.leq[i1][i2] and B.leq[j1][j2] for (i2, j2) in pairs)
-        for (i1, j1) in pairs)
-    odot = tuple(
-        tuple(pid(A.odot[i1][i2], B.odot[j1][j2]) for (i2, j2) in pairs)
-        for (i1, j1) in pairs)
-    imp = tuple(
-        tuple(pid(A.imp[i1][i2], B.imp[j1][j2]) for (i2, j2) in pairs)
-        for (i1, j1) in pairs)
-    return validate(labels, leq, odot, imp)
-
-
 def upset_algebra(A, e):
     """The residuated lattice on [e) for Boolean e, with a ->_e b = e | (a->b).
 
@@ -742,70 +616,3 @@ def upset_algebra(A, e):
     imp = tuple(tuple(index[A.join[e][A.imp[x][y]]] for y in carrier)
                 for x in carrier)
     return validate(labels, leq, odot, imp)
-
-
-def ordinal_sum(R, C):
-    """Stack C strictly above R, gluing 1_R with 0_C.
-
-    Products across the seam: x*y = x for x in R\\{1_R}, y in C.  The
-    implication is derived and the result fully validated rather than
-    trusted, since the glued monoid need not always residuate.
-    """
-    if C.size < 2:
-        raise InvalidArgument("upper summand must be non-trivial")
-    nr, nc = R.size, C.size
-    n = nr + nc - 1
-    # ids: R keeps 0..nr-1 (top_R is the glue), C\{bot} gets nr..n-1.
-    cmap = {}
-    nxt = nr
-    for j in range(nc):
-        if j == C.bot:
-            cmap[j] = R.top
-        else:
-            cmap[j] = nxt
-            nxt += 1
-    rpart = list(range(nr))
-    labels = _unique(list(R.labels)
-                     + [C.labels[j] for j in range(nc) if j != C.bot])
-
-    leq = [[False] * n for _ in range(n)]
-    for x in rpart:
-        for y in rpart:
-            leq[x][y] = R.leq[x][y]
-    for jx in range(nc):
-        for jy in range(nc):
-            if C.leq[jx][jy]:
-                leq[cmap[jx]][cmap[jy]] = True
-    # every R element sits below every C element
-    for x in rpart:
-        for j in range(nc):
-            leq[x][cmap[j]] = True
-    for x in rpart:
-        leq[x][x] = True
-
-    odot = [[0] * n for _ in range(n)]
-    glue = R.top
-
-    def in_r(x):
-        return x < nr and x != glue
-
-    def c_of(x):
-        # preimage in C of a glued id (glue included)
-        if x == glue:
-            return C.bot
-        return next(j for j in range(nc) if cmap[j] == x)
-
-    for x in range(n):
-        for y in range(n):
-            if x < nr and y < nr:
-                odot[x][y] = R.odot[x][y]
-            elif not in_r(x) and not in_r(y):
-                odot[x][y] = cmap[C.odot[c_of(x)][c_of(y)]]
-            elif in_r(x):
-                odot[x][y] = x
-            else:
-                odot[x][y] = y
-
-    leq = tuple(tuple(row) for row in leq)
-    odot = tuple(tuple(row) for row in odot)
-    return validate(labels, leq, odot)

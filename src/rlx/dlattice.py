@@ -3,7 +3,7 @@ BLP, (co)normality read off least covers, and conormal radical lifting.
 
 A finite bounded distributive lattice is a residuated lattice with
 odot = meet, so its filters, spectra, quotients and radical are the ones
-of `rlx.filters`, and its Boolean center is `core.complemented_elements`.
+of `rlx.filters`, and its Boolean center that of `core.classify`.
 """
 
 from functools import lru_cache
@@ -11,7 +11,7 @@ from functools import lru_cache
 from .core import (
     _normalized,
     _validate_lattice,
-    complemented_elements,
+    classify,
     distributivity_witness,
     validate,
 )
@@ -52,10 +52,11 @@ def _lattice_blp_failures(L):
     """The bitmask of the e whose [e) fails B(L/[e)) inside B(L)/[e),
     decided on each quotient, apart from the algebra's lifting mask: a
     reticulation is one lattice per order, so each is decided once."""
-    B, failures = complemented_elements(L), 0
+    B, failures = classify(L).boolean_center, 0
     for f in all_filters(L):
         Q = quotient(L, f)
-        if not complemented_elements(Q.quotient) <= {Q.class_of[e] for e in B}:
+        lifted = {Q.class_of[e] for e in B}
+        if not classify(Q.quotient).boolean_center <= lifted:
             failures |= 1 << f
     return failures
 

@@ -7,12 +7,7 @@ as `[e)` under the labels of the algebra they were given."""
 
 from functools import lru_cache
 
-from .core import (
-    Record,
-    _validate_lattice,
-    classify,
-    complemented_elements,
-)
+from .core import Record, _validate_lattice, classify
 from .dlattice import lattice_blp_filter, validate_bdl
 from .errors import AxiomViolation
 from .filters import (
@@ -138,7 +133,7 @@ def signature_properties(R):
 
     # (7) Boolean centers are isomorphic through lam
     BA = sorted(classify(A).boolean_center)
-    BL = complemented_elements(L)
+    BL = classify(L).boolean_center
     image = {lam[e] for e in BA}
     # joins, meets and complements are kept
     verdicts[7] = (image == BL and len(image) == len(BA) and all(
@@ -254,7 +249,7 @@ def archimedean_bridge(A):
     R = build_reticulation(A)
     L, lam = R.lattice, R.lam
     report = classify(A)
-    BL = complemented_elements(L)
+    BL = classify(L).boolean_center
     per_element = {}
     for a in A.elements():
         is_arch = a in report.archimedeans

@@ -32,8 +32,6 @@ from rlx.core import (
     _check_square,
     _validate_lattice,
     classify,
-    complemented_elements,
-    direct_product,
     glb_table,
     lub_table,
     upset_algebra,
@@ -68,6 +66,8 @@ from rlx.reticulation import (
     build_reticulation,
 )
 from rlx.spectra import is_gelfand, stone_max, stone_spec
+
+from constructors import direct_product
 
 
 def members(A, e):
@@ -1274,6 +1274,19 @@ def scanned_distributivity_witness(leq):
                 if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
                     return (a, b, c)
     return None
+
+
+def complemented_elements(A):
+    """{a : some y has a|y = top and a&y = bot}, scanned pair by pair: the
+    reference for the Boolean center of `classify`, which reads the
+    complement of a off as !a."""
+    out = set()
+    for a in A.elements():
+        for y in A.elements():
+            if A.join[a][y] == A.top and A.meet[a][y] == A.bot:
+                out.add(a)
+                break
+    return frozenset(out)
 
 
 def per_filter_lattice_blp(L, F):

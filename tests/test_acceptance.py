@@ -25,7 +25,7 @@ import sys
 import time
 from pathlib import Path
 
-from rlx.core import classify, lukasiewicz_chain
+from rlx.core import classify
 from rlx.dlattice import is_conormal_lattice, conormal_radical_lifting
 from rlx.filters import (
     all_filters,
@@ -51,6 +51,7 @@ from rlx.reticulation import (
 from rlx.spectra import is_gelfand, star_property, star_star_property
 from rlx.theorems import theorem_checks
 
+from constructors import boolean_algebra, lukasiewicz_chain
 from oracles import (
     dense_radical,
     distributive_lattices,
@@ -115,8 +116,6 @@ def test_criterion_2_golden_pentagon_stacked(E2):
     if [_labelset(E2, members(E2, M)) for M in max_spec(E2)] != \
             [{"a", "b", "1"}, {"a", "c", "d", "1"}]:
         failures.append("maximal spectrum mismatch")
-    from rlx.core import boolean_algebra
-
     Q = quotient(E2, E2.power_limits[1])
     if Q.quotient.size != 4 or not rl_isomorphic(Q.quotient, boolean_algebra(2)):
         failures.append("quotient by [a) must be the 4-element Boolean algebra")

@@ -8,19 +8,11 @@ import rlx.core
 from rlx.core import (
     _validate_lattice,
     _validate_residuated,
-    boolean_algebra,
     classify,
-    complemented_elements,
-    derive_implication,
-    direct_product,
     distributivity_witness,
     glb_table,
-    godel_chain,
     leq_from_covers,
     lub_table,
-    lukasiewicz_chain,
-    ordinal_sum,
-    trivial_algebra,
     upset_algebra,
     validate,
 )
@@ -30,11 +22,20 @@ from rlx.errors import AxiomViolation, InvalidArgument, NotResiduated
 from rlx.filters import all_filters, max_spec, quotient, spec
 from rlx.io import load_rlat
 
+from constructors import (
+    boolean_algebra,
+    direct_product,
+    godel_chain,
+    lukasiewicz_chain,
+    ordinal_sum,
+    trivial_algebra,
+)
 from oracles import (
     brute_derive_implication,
     brute_glb_table,
     brute_lub_table,
     brute_validate_residuated,
+    complemented_elements,
     downset_residual_masks,
     lattice_orders,
     partial_orders,
@@ -193,6 +194,15 @@ def test_half_associativity_scan_raises_the_full_scan_witness():
             assert witness == expected
             failing += expected is not None
     assert failing > 1000
+
+
+def derive_implication(leq, odot):
+    """The residuum table forced by the order and the monoid, built by the
+    kernels `validate` runs; raises NotResiduated(b, c) at the first
+    (b, c), in row order, where {a : a*b <= c} has no maximum."""
+    down = rlx.core._row_masks(zip(*leq))
+    good = rlx.core._residual_masks(rlx.core._covering_pairs(down), odot)
+    return rlx.core._residuum(good, down)[0]
 
 
 def _implication_or_pair(derive, leq, odot):
@@ -655,6 +665,8 @@ def test_lukasiewicz_two_is_two_element_boolean():
 
 
 def test_constructor_argument_errors():
+    with pytest.raises(InvalidArgument):
+        boolean_algebra(-1)
     with pytest.raises(InvalidArgument):
         lukasiewicz_chain(1)
     with pytest.raises(InvalidArgument):

@@ -1,12 +1,6 @@
 import pytest
 
-from rlx.core import (
-    boolean_algebra,
-    classify,
-    complemented_elements,
-    distributivity_witness,
-    leq_from_covers,
-)
+from rlx.core import classify, distributivity_witness, leq_from_covers
 from rlx.dlattice import (
     _lattice_blp_failures,
     _split_witness,
@@ -31,7 +25,9 @@ from rlx.reticulation import build_reticulation
 from rlx.spectra import filter_lattice
 
 from conftest import FIXTURES
+from constructors import boolean_algebra
 from oracles import (
+    complemented_elements,
     dense_radical,
     distributive_lattices,
     lattice_is_filter,
@@ -186,8 +182,8 @@ def test_conormal_radical_lifting_golden(E1):
 
 
 def test_boolean_center_of_lattices():
-    assert complemented_elements(chain(3)) == frozenset({0, 2})
-    assert complemented_elements(lozenge()) == frozenset({0, 1, 2, 3})
+    for L, center in ((chain(3), {0, 2}), (lozenge(), {0, 1, 2, 3})):
+        assert classify(L).boolean_center == complemented_elements(L) == center
 
 
 def test_enumerated_bdlattices_radical_lifting():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rlx.enumeration
-from rlx.core import boolean_algebra, bounds_of, classify, validate
+from rlx.core import bounds_of, classify, validate
 from rlx.enumeration import (
     KNOWN_COUNTS,
     SIZE_CAP,
@@ -22,6 +22,7 @@ from rlx.iso import (
     table_key,
 )
 
+from constructors import boolean_algebra
 from oracles import (
     _invariants,
     brute_canonical_key,

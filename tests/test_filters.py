@@ -4,13 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rlx.core import (
-    boolean_algebra,
-    classify,
-    godel_chain,
-    lukasiewicz_chain,
-    validate,
-)
+from rlx.core import classify
 from rlx.errors import AxiomViolation
 from rlx.io import load_rlat
 from rlx.filters import (
@@ -27,6 +21,7 @@ from rlx.filters import (
     spec,
 )
 
+from constructors import boolean_algebra, godel_chain, lukasiewicz_chain
 from oracles import (
     brute_congruence_violation,
     brute_is_prime,

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlx.core import boolean_algebra, classify, godel_chain, lukasiewicz_chain
+from rlx.core import classify
 from rlx.errors import (
     FormulaSyntaxError,
     MultipleFreeVariables,
@@ -30,6 +30,7 @@ from rlx.formulas import (
 )
 from rlx.lifting import has_phi_lp
 
+from constructors import boolean_algebra, godel_chain, lukasiewicz_chain
 from oracles import quotient_filter_verdict, satisfies
 
 

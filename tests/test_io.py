@@ -2,12 +2,6 @@ from pathlib import Path
 
 import pytest
 
-from rlx.core import (
-    boolean_algebra,
-    godel_chain,
-    lukasiewicz_chain,
-    trivial_algebra,
-)
 from rlx.dlattice import validate_bdl
 from rlx.errors import AxiomViolation, FileFormatError
 from rlx.io import (
@@ -19,6 +13,12 @@ from rlx.io import (
     print_rlat,
 )
 
+from constructors import (
+    boolean_algebra,
+    godel_chain,
+    lukasiewicz_chain,
+    trivial_algebra,
+)
 from oracles import parse_blat
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -81,7 +81,7 @@ def test_round_trip_all_fixtures():
         assert parse_rlat(print_rlat(A)) == A
 
 
-# the fixture files that a constructor of the library builds
+# the fixture files that a constructor of constructors.py builds
 CONSTRUCTED = {
     "trivial": trivial_algebra,
     "b2": lambda: boolean_algebra(1),

@@ -2,13 +2,7 @@ import itertools
 from pathlib import Path
 
 from rlx.enumeration import all_algebras
-from rlx.core import (
-    boolean_algebra,
-    classify,
-    direct_product,
-    godel_chain,
-    lukasiewicz_chain,
-)
+from rlx.core import classify
 from rlx.filters import all_filters, generator, quotient, radical, spec
 from rlx.formulas import (
     blp_formula,
@@ -34,6 +28,12 @@ from rlx.lifting import (
 
 from rlx.spectra import star_property, star_star_property
 
+from constructors import (
+    boolean_algebra,
+    direct_product,
+    godel_chain,
+    lukasiewicz_chain,
+)
 from oracles import (
     brute_boolean_splitting_conditions,
     fixed_point_filter,

@@ -12,7 +12,7 @@ The rule, like the assert ratchet's, is one way:
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rlx"
-LINE_PIN = 4_332
+LINE_PIN = 4_121
 
 
 def test_line_count_is_pinned():

@@ -16,9 +16,8 @@ from rlx.theorems import theorem_checks
 from test_table_memo import TABLE_MEMOS
 
 KEYED_BY_AN_ALGEBRA = {
-    "core.classify", "core.complemented_elements",
-    "dlattice._lattice_blp_failures", "dlattice.is_conormal_lattice",
-    "dlattice.is_normal_lattice",
+    "core.classify", "dlattice._lattice_blp_failures",
+    "dlattice.is_conormal_lattice", "dlattice.is_normal_lattice",
     "filters._filters", "filters.quotient", "formulas._definable_masks",
     "lifting._lift_failures", "reticulation.build_reticulation",
     "spectra._build",
@@ -58,7 +57,7 @@ def test_memos_are_pinned_by_name():
            if hasattr(memo, "cache_parameters")}
     assert lru == set(memos), "a memo that is not an lru_cache"
     assert lru == LRU_CACHES, _mismatch("lru_cache memos", LRU_CACHES, lru)
-    assert (len(memos), len(KEYED_BY_AN_ALGEBRA)) == (24, 13)
+    assert (len(memos), len(KEYED_BY_AN_ALGEBRA)) == (23, 12)
 
 
 def test_table_memo_tests_list_exactly_the_table_memos():

@@ -25,10 +25,7 @@ from rlx.core import (
     ElementClassReport,
     Record,
     ResiduatedLattice,
-    boolean_algebra,
     classify,
-    godel_chain,
-    lukasiewicz_chain,
     validate,
 )
 from rlx.filters import QuotientAlgebra, quotient
@@ -48,6 +45,7 @@ from rlx.reticulation import Reticulation, build_reticulation
 from rlx.spectra import SpectrumSpace, stone_spec
 from rlx.theorems import TheoremVerdict, theorem_checks
 
+from constructors import boolean_algebra, godel_chain, lukasiewicz_chain
 from oracles import RLMorphism
 
 SRC = Path(rlx.__file__).resolve().parent.parent

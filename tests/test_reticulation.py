@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from rlx.core import boolean_algebra, godel_chain, lukasiewicz_chain, validate
+from rlx.core import validate
 from rlx.filters import all_filters, generator, quotient
 from rlx.io import load_rlat
 from rlx.reticulation import (
@@ -15,6 +15,7 @@ from rlx.reticulation import (
     verify_retic_properties,
 )
 
+from constructors import boolean_algebra, godel_chain, lukasiewicz_chain
 from oracles import (
     NoIsomorphism,
     RLMorphism,

@@ -16,16 +16,9 @@ import pytest
 import rlx.core
 import rlx.filters
 from conftest import FIXTURES, clear_memos
+from constructors import boolean_algebra, direct_product, godel_chain
 from rlx.cli import main
-from rlx.core import (
-    ResiduatedLattice,
-    boolean_algebra,
-    classify,
-    complemented_elements,
-    direct_product,
-    godel_chain,
-    shared_set,
-)
+from rlx.core import ResiduatedLattice, classify, shared_set
 from rlx.enumeration import all_algebras
 from rlx.errors import AxiomViolation
 from rlx.filters import Signature, _filters, all_filters, quotient
@@ -33,6 +26,7 @@ from rlx.io import load_rlat
 from rlx.reticulation import build_reticulation
 from rlx.spectra import stone_max, stone_spec
 from rlx.theorems import theorem_checks
+from oracles import complemented_elements
 
 PATHS = sorted(FIXTURES.glob("*.rlat"))
 

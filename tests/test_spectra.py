@@ -4,14 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from rlx.core import (
-    boolean_algebra,
-    classify,
-    direct_product,
-    godel_chain,
-    lukasiewicz_chain,
-    ordinal_sum,
-)
+from rlx.core import classify
 from rlx.filters import all_filters, max_spec, radical, spec
 from rlx.io import load_rlat
 from rlx.lifting import has_blp
@@ -31,6 +24,13 @@ from rlx.spectra import (
     topology_predicates,
 )
 
+from constructors import (
+    boolean_algebra,
+    direct_product,
+    godel_chain,
+    lukasiewicz_chain,
+    ordinal_sum,
+)
 from oracles import (
     NotGelfand,
     brute_gelfand_form_2,

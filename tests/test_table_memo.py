@@ -16,7 +16,7 @@ import pytest
 import rlx.core
 from conftest import FIXTURES, clear_memos
 from rlx.cli import main
-from rlx.core import classify, complemented_elements, validate
+from rlx.core import classify, validate
 from rlx.dlattice import (
     _lattice_blp_failures,
     is_conormal_lattice,
@@ -43,11 +43,10 @@ FORMULAS = (blp_formula(), ilp_formula(), rlp_formula())
 # arguments take in the size <= 5 matrix: the three lifting formulas, the
 # two kinds of space, and the filters, at most 5 on 5 elements
 TABLE_MEMOS = (
-    (classify, 1), (complemented_elements, 1), (_filters, 1),
-    (quotient, 5), (_lift_failures, 3), (build_reticulation, 1),
-    (_definable_masks, 3), (is_normal_lattice, 1), (is_conormal_lattice, 1),
-    (_build, 2), (local_factor_decomposition, 1), (_lattice_blp_failures, 1),
-    (_filter_side, 1),
+    (classify, 1), (_filters, 1), (quotient, 5), (_lift_failures, 3),
+    (build_reticulation, 1), (_definable_masks, 3), (is_normal_lattice, 1),
+    (is_conormal_lattice, 1), (_build, 2), (local_factor_decomposition, 1),
+    (_lattice_blp_failures, 1), (_filter_side, 1),
 )
 
 
@@ -60,7 +59,7 @@ def _answers(A):
     R = build_reticulation(A)
     L = R.lattice
     return (
-        classify(A), complemented_elements(A), has_blp(A), has_ilp(A),
+        classify(A), has_blp(A), has_ilp(A),
         is_gelfand(A), star_property(A)[0], dict(star_property(A)[1]),
         tuple(_definable_masks(A, phi) for phi in FORMULAS),
         all_filters(A), spec(A), max_spec(A), radical(A),

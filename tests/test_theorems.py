@@ -14,16 +14,7 @@ import rlx.iso
 import rlx.reticulation
 import rlx.spectra
 import rlx.theorems
-from rlx.core import (
-    boolean_algebra,
-    classify,
-    complemented_elements,
-    direct_product,
-    godel_chain,
-    leq_from_covers,
-    upset_algebra,
-    validate,
-)
+from rlx.core import classify, leq_from_covers, upset_algebra, validate
 from rlx.dlattice import validate_bdl
 from rlx.enumeration import all_algebras
 from rlx.errors import NotDistributive
@@ -33,7 +24,8 @@ from rlx.io import print_filter
 from rlx.spectra import stone_max, stone_spec, topology_predicates
 from rlx.theorems import theorem_checks
 
-from oracles import members
+from constructors import boolean_algebra, direct_product, godel_chain
+from oracles import complemented_elements, members
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -136,7 +128,6 @@ def test_specific_verdicts_pentagon(E1):
 
 def test_local_product_decomposition_golden(E1):
     from rlx.theorems import local_factor_decomposition
-    from rlx.core import boolean_algebra
 
     is_prod, locals_ok, sizes = local_factor_decomposition(E1)
     assert is_prod and not locals_ok  # single non-local factor
